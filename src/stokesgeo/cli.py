@@ -21,8 +21,8 @@ from .domains import chord_diagram
 from .errors import IncompleteGraphError, NumericalError, ParseError, StokesGeoError
 from .geodesics import survey_short_geodesics
 from .pathint import douglas_peucker
-from .polynomial import (ComplexPolynomial, parse_poly_json, parse_poly_text,
-                         stokes_sectors, turning_points)
+from .polynomial import (ComplexPolynomial, PolyContext, parse_poly_json,
+                         parse_poly_text, stokes_sectors)
 from .spectrum import accumulation_rays, eigenvalue_asymptotics
 from .strips import realize_count, visible_pairs
 from .svgout import render_stokes_graph, render_strip
@@ -106,8 +106,8 @@ def _graph_json(graph, config) -> dict:
 def cmd_roots(args) -> int:
     config = _load_config(args)
     poly = _poly_from_arg(args.poly)
-    tps = turning_points(poly, config.root_tol)
-    sectors = stokes_sectors(poly)
+    ctx = PolyContext.of(poly, config)
+    tps, sectors = ctx.tps, ctx.sectors
     print(f"polynomial: {poly}")
     for loc, mult in tps.points:
         print(f"  root {loc.real:+.12g}{loc.imag:+.12g}i  multiplicity {mult}")
@@ -243,6 +243,17 @@ def cmd_eigenvalues(args) -> int:
         j2 = (j1 + n // 2) % n
         zeros = wronskian_eigenvalue_search(poly, (j1, j2), rect,
                                             config=config)
+        if not zeros:
+            leading = estimates if args.order == 0 else eigenvalue_asymptotics(
+                poly, rays[args.ray], n_min, n_max, order=0, config=config)
+            inside = [e for e in leading
+                      if rect[0] < e.value.real < rect[1]
+                      and rect[2] < e.value.imag < rect[3]]
+            if inside:
+                raise NumericalError(
+                    f"Wronskian search with sectors ({j1}, {j2}) found no "
+                    f"zero in {rect}, where the order-0 asymptotics place "
+                    f"{len(inside)} eigenvalue(s)")
         for z in zeros:
             print(f"wronskian zero: {z.real:+.12g}{z.imag:+.12g}i")
     if "json" in config.formats:

@@ -331,32 +331,13 @@ def _point_in_polygon(pts, z: complex) -> bool:
     return inside
 
 
-def _segments_intersect(p1, p2, q1, q2) -> bool:
-    def orient(a, b, c):
-        return (b.real - a.real) * (c.imag - a.imag) - (b.imag - a.imag) * (c.real - a.real)
-
-    d1 = orient(q1, q2, p1)
-    d2 = orient(q1, q2, p2)
-    d3 = orient(p1, p2, q1)
-    d4 = orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
-def _vertex_chain(plines):
-    """All vertices of a boundary component with cumulative arc length."""
-    verts = []
-    for pl in plines:
-        verts.extend(pl)
-    return verts
-
-
 def _strip_width(graph, side_a, side_b, poly_pts, config) -> float:
     """|Re| of the branch-tracked integral of sqrt(P) along an in-face path
     joining the two boundary components, endpoints on traced vertices."""
     poly = graph.poly
     locs = graph.turning_points.locations
-    va = _vertex_chain(side_a)
-    vb = _vertex_chain(side_b)
+    va = [z for pl in side_a for z in pl]
+    vb = [z for pl in side_b for z in pl]
     delta = graph.scales.delta_path
 
     def interior_vertices(chain):
@@ -379,8 +360,8 @@ def _strip_width(graph, side_a, side_b, poly_pts, config) -> float:
         if _segment_inside(za, zb, poly_pts, locs, delta):
             val = _integrate_straight(poly, locs, za, zb, config)
             return abs(val.real)
-    # fallback: march the orthogonal foliation across the face
-    return _width_by_march(graph, va, vb, poly_pts, config)
+    raise NonGenericError(
+        "no straight in-face segment joins the two sides of a strip")
 
 
 def _segment_inside(za, zb, poly_pts, locs, delta) -> bool:
@@ -398,64 +379,6 @@ def _integrate_straight(poly, locs, za, zb, config) -> complex:
     val, _ = integrate_chord(poly, locs, za, w0, zb, lambda z, w: w,
                              rel_tol=config.quad_rel_tol)
     return val
-
-
-def _width_by_march(graph, va, vb, poly_pts, config) -> float:
-    poly = graph.poly
-    locs = graph.turning_points.locations
-    delta = graph.scales.delta_path
-    start = min((z for z in va
-                 if min(abs(z - r) for r in locs) > 2.0 * delta),
-                key=lambda z: abs(z), default=va[len(va) // 2])
-    w = cmath.sqrt(poly.evaluate(start))
-    v = w.conjugate() / abs(w)
-    probe = start + 4.0 * delta * v
-    if not _point_in_polygon(poly_pts, probe):
-        w = -w
-        v = -v
-    z = start
-    total = 0j
-    segs_b = []
-    for pl in ([vb[i:i + 2] for i in range(len(vb) - 1)] or []):
-        if len(pl) == 2:
-            segs_b.append((pl[0], pl[1]))
-    guard = 0
-    while True:
-        guard += 1
-        if guard > 40000:
-            raise NonGenericError("strip width march failed to terminate")
-        rho = min(abs(z - r) for r in locs)
-        h = max(min(rho / 4.0, graph.scales.d_unit / 20.0), 1e-4 * delta)
-        # RK4 on dz/ds = conj(w)/|w|
-        def f(zz, wref):
-            ww = cmath.sqrt(poly.evaluate(zz))
-            if ww.real * wref.real + ww.imag * wref.imag < 0.0:
-                ww = -ww
-            return ww.conjugate() / abs(ww), ww
-        k1, w1 = f(z, w)
-        k2, _ = f(z + 0.5 * h * k1, w1)
-        k3, _ = f(z + 0.5 * h * k2, w1)
-        k4, _ = f(z + h * k3, w1)
-        z_new = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        hit = None
-        for q1, q2 in segs_b:
-            if _segments_intersect(z, z_new, q1, q2):
-                hit = (q1, q2)
-                break
-        w_new = cmath.sqrt(poly.evaluate(z_new))
-        if w_new.real * w1.real + w_new.imag * w1.imag < 0.0:
-            w_new = -w_new
-        if hit is not None:
-            q = min(hit, key=lambda qq: abs(qq - z_new))
-            part, _ = integrate_chord(poly, locs, z, w, q, lambda zz, ww: ww,
-                                      rel_tol=config.quad_rel_tol)
-            total += part
-            return abs(total.real)
-        part, _ = integrate_chord(poly, locs, z, w, z_new,
-                                  lambda zz, ww: ww,
-                                  rel_tol=config.quad_rel_tol)
-        total += part
-        z, w = z_new, w_new
 
 
 def admissible_domains(graph: StokesGraph,

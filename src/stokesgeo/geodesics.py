@@ -16,40 +16,16 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .config import DEFAULT_CONFIG, RunConfig, Scales
+from .config import DEFAULT_CONFIG, RunConfig
 from .errors import NonGenericError
-from .pathint import (BranchWalker, _normalize_period_sign, _principal_seed,
-                      integrate_chord, integrate_chord_from_root,
+from .pathint import (_integrate_root_to_root, _normalize_period_sign,
                       pairwise_periods, period_for_pair)
-from .polynomial import ComplexPolynomial, turning_points
-from .tracer import (EscapedToRay, HitTurningPoint, _TraceContext,
-                     emanating_directions, trace_stokes_line)
+from .polynomial import (ComplexPolynomial, PolyContext, turning_points,
+                         wrap_angle, wrap_positive)
+from .tracer import (EscapedToRay, HitTurningPoint, emanating_directions,
+                     trace_stokes_line)
 
 PI = math.pi
-
-
-def _mod_pi(t: float) -> float:
-    t = math.fmod(t, PI)
-    return t + PI if t < 0 else t
-
-
-def _angdiff_pi(a: float, b: float) -> float:
-    """Distance between angles modulo pi (Stokes graphs have period pi in t)."""
-    d = math.fmod(a - b, PI)
-    if d > PI / 2:
-        d -= PI
-    elif d < -PI / 2:
-        d += PI
-    return abs(d)
-
-
-def _angdiff_tau(a: float, b: float) -> float:
-    d = math.fmod(a - b, 2 * PI)
-    if d > PI:
-        d -= 2 * PI
-    elif d < -PI:
-        d += 2 * PI
-    return abs(d)
 
 
 @dataclass(frozen=True)
@@ -87,7 +63,7 @@ def candidate_angles(poly: ComplexPolynomial,
     t = pi/2 - arg(w_ab) reduced mod pi."""
     out = []
     for per in pairwise_periods(poly, config):
-        t = _mod_pi(PI / 2 - cmath.phase(per.value))
+        t = wrap_positive(PI / 2 - cmath.phase(per.value), PI)
         out.append((per.pair, t, per))
     out.sort(key=lambda item: (item[1], item[0]))
     return out
@@ -102,39 +78,29 @@ def _fate_signature(fate):
 
 
 class _VerifyContext:
-    """Cached geometry for verifying connections of one polynomial; the
-    root set is shared across the whole rotation family."""
+    """Probe and trace helpers for verifying connections of one
+    polynomial; the root set is shared across the whole rotation family."""
 
     def __init__(self, poly: ComplexPolynomial, config: RunConfig):
-        self.poly = poly
-        self.config = config
-        self.tps = turning_points(poly, config.root_tol)
-        self.locs = self.tps.locations
-        self.mults = [m for _, m in self.tps.points]
-        self.scales = Scales.from_roots(self.locs, config)
-        n = len(self.locs)
-        sep = min((abs(self.locs[i] - self.locs[j])
-                   for i in range(n) for j in range(i + 1, n)),
-                  default=float("inf"))
+        self.ctx = PolyContext.of(poly, config)
         # probes detect passes in a widened ball; connection angles are
         # recovered as hit-window centers, so the width only sets the
         # bracket size, not the final accuracy
-        self.wide_radius = min(100.0 * self.scales.delta_hit, 0.05 * sep)
+        self.wide_radius = min(100.0 * self.ctx.scales.delta_hit,
+                               0.05 * self.ctx.min_separation)
 
-    def trace_ctx(self, t: float) -> _TraceContext:
-        return _TraceContext(self.poly.rotate(t), self.config, tps=self.tps)
-
-    def directions(self, t: float, root_index: int):
-        rot = self.poly.rotate(t)
-        return emanating_directions(rot, self.locs[root_index],
-                                    self.mults[root_index])
+    def directions(self, rot: PolyContext, root_index: int):
+        return emanating_directions(rot.poly, rot.locs[root_index],
+                                    rot.mults[root_index])
 
     def best_direction(self, t: float, pair) -> float:
         """Launch angle at reference angle t best aligned with the partner."""
         a, b = pair
-        target = cmath.phase(self.locs[b] - self.locs[a])
-        dirs = self.directions(t, a)
-        k = min(range(len(dirs)), key=lambda m: _angdiff_tau(dirs[m], target))
+        locs = self.ctx.locs
+        target = cmath.phase(locs[b] - locs[a])
+        dirs = self.directions(self.ctx.rotate(t), a)
+        k = min(range(len(dirs)),
+                key=lambda m: abs(wrap_angle(dirs[m] - target)))
         return dirs[k]
 
     def probe(self, pair, t: float, theta_ref: float, t_ref: float,
@@ -144,51 +110,31 @@ class _VerifyContext:
         turns by -2 dt/(m+2), so following one fixed member avoids spurious
         index relabeling when arg of the local coefficient wraps."""
         a = pair[0]
-        m = self.mults[a]
-        theta = theta_ref - 2.0 * (t - t_ref) / (m + 2)
-        ctx = self.trace_ctx(t)
-        _, fate = trace_stokes_line(ctx.poly, a, theta,
-                                    config=self.config, context=ctx,
+        theta = theta_ref - 2.0 * (t - t_ref) / (self.ctx.mults[a] + 2)
+        rot = self.ctx.rotate(t)
+        _, fate = trace_stokes_line(rot.poly, a, theta,
+                                    config=rot.config, context=rot,
                                     track_drift=False, tol_shrink=tol_shrink,
                                     hit_radius=self.wide_radius)
         return _fate_signature(fate)
 
     def trace_all(self, pair, t: float, track_drift: bool,
                   hit_radius: float | None = None):
-        ctx = self.trace_ctx(t)
-        out = []
-        for theta in self.directions(t, pair[0]):
-            pl, fate = trace_stokes_line(ctx.poly, pair[0], theta,
-                                         config=self.config, context=ctx,
-                                         track_drift=track_drift,
-                                         hit_radius=hit_radius)
-            out.append((pl, fate))
-        return out
+        rot = self.ctx.rotate(t)
+        return [trace_stokes_line(rot.poly, pair[0], theta,
+                                  config=rot.config, context=rot,
+                                  track_drift=track_drift,
+                                  hit_radius=hit_radius)
+                for theta in self.directions(rot, pair[0])]
 
 
-def _geodesic_period(poly, pair, polyline, config) -> complex:
+def _geodesic_period(ctx: PolyContext, pair, polyline) -> complex:
     """Branch-tracked integral of sqrt(P) along the verified polyline for
     the unrotated potential, sign-normalized like pairwise periods."""
-    tps = turning_points(poly, config.root_tol)
-    locs = tps.locations
-    mults = [m for _, m in tps.points]
-    verts = list(polyline)
-    a, b = pair
-    anchor = verts[1]
-    w_anchor = _principal_seed(poly, anchor)
-    total = integrate_chord_from_root(poly, locs, locs[a], mults[a], anchor,
-                                      w_anchor, rel_tol=config.quad_rel_tol)
-    walker = BranchWalker(poly, locs, anchor, w_anchor)
-    for k in range(1, len(verts) - 2):
-        part, w_end = integrate_chord(poly, locs, verts[k], walker.w,
-                                      verts[k + 1], lambda z, w: w,
-                                      rel_tol=config.quad_rel_tol)
-        total += part
-        walker.z, walker.w = verts[k + 1], w_end
-    tail = integrate_chord_from_root(poly, locs, locs[b], mults[b], verts[-2],
-                                     walker.w, rel_tol=config.quad_rel_tol)
-    total -= tail
-    value, _ = _normalize_period_sign(total, w_anchor)
+    value, seed = _integrate_root_to_root(ctx.poly, ctx.locs, ctx.mults,
+                                          list(polyline), *pair,
+                                          ctx.config.quad_rel_tol)
+    value, _ = _normalize_period_sign(value, seed)
     return value
 
 
@@ -198,8 +144,8 @@ def _accept(vc: _VerifyContext, pair, t: float) -> ShortGeodesic | None:
     b = pair[1]
     for pl, fate in vc.trace_all(pair, t, track_drift=True):
         if isinstance(fate, HitTurningPoint) and fate.target == b:
-            value = _geodesic_period(vc.poly, pair, pl, vc.config)
-            return ShortGeodesic(pair=pair, t_star=_mod_pi(t), period=value,
+            return ShortGeodesic(pair=pair, t_star=wrap_positive(t, PI),
+                                 period=_geodesic_period(vc.ctx, pair, pl),
                                  polyline=tuple(pl))
     return None
 
@@ -232,7 +178,7 @@ def _hit_window_center(vc, pair, theta_ref, t_ref, edge, hit_sig, forward):
 
     t_in = None
     step = 1e-8
-    while step <= vc.config.eps_t:
+    while step <= vc.ctx.config.eps_t:
         if inside(edge + sgn * step):
             t_in = edge + sgn * step
             break
@@ -240,7 +186,7 @@ def _hit_window_center(vc, pair, theta_ref, t_ref, edge, hit_sig, forward):
     if t_in is None:
         return None
     t_out = None
-    while step <= 4.0 * vc.config.eps_t_max:
+    while step <= 4.0 * vc.ctx.config.eps_t_max:
         step *= 2.0
         cand = edge + sgn * step
         if inside(cand):
@@ -250,7 +196,7 @@ def _hit_window_center(vc, pair, theta_ref, t_ref, edge, hit_sig, forward):
             break
     if t_out is None:
         return None
-    for _ in range(vc.config.bisect_max):
+    for _ in range(vc.ctx.config.bisect_max):
         mid = 0.5 * (t_in + t_out)
         if inside(mid):
             t_in = mid
@@ -278,6 +224,7 @@ def verify_geodesic(poly: ComplexPolynomial, pair, t: float,
     pair = (min(pair), max(pair))
     a, b = pair
     vc = _VerifyContext(poly, config)
+    delta_hit = vc.ctx.scales.delta_hit
 
     hit_third = None
     hit_loop = False
@@ -288,8 +235,8 @@ def verify_geodesic(poly: ComplexPolynomial, pair, t: float,
             if fate.target == b:
                 hit_b_wide = True
             elif fate.target == a:
-                hit_loop = hit_loop or fate.final_distance <= vc.scales.delta_hit
-            elif fate.final_distance <= vc.scales.delta_hit:
+                hit_loop = hit_loop or fate.final_distance <= delta_hit
+            elif fate.final_distance <= delta_hit:
                 hit_third = fate.target
     if hit_b_wide:
         geo = _accept(vc, pair, t)
@@ -341,22 +288,23 @@ def verify_geodesic(poly: ComplexPolynomial, pair, t: float,
                                  hit_radius=vc.wide_radius):
         if isinstance(fate, HitTurningPoint):
             if fate.target == b:
-                if _angdiff_pi(t_hat, t) <= config.eps_t:
+                if abs(wrap_angle(t_hat - t, PI)) <= config.eps_t:
                     geo = _accept(vc, pair, t_hat)
                     if geo is not None:
                         return geo
                 return GeodesicRefutation(
                     pair=pair, t_candidate=t, reason="transition_elsewhere",
                     flanking=(str(sig_lo), str(sig_hi)),
-                    transition_t=_mod_pi(t_hat))
+                    transition_t=wrap_positive(t_hat, PI))
             if fate.target != a:
                 return GeodesicRefutation(
                     pair=pair, t_candidate=t, reason="blocked",
                     flanking=(str(sig_lo), str(sig_hi)),
-                    transition_t=_mod_pi(t_hat), blocking_root=fate.target)
+                    transition_t=wrap_positive(t_hat, PI),
+                    blocking_root=fate.target)
     return GeodesicRefutation(pair=pair, t_candidate=t, reason="unresolved",
                               flanking=(str(sig_lo), str(sig_hi)),
-                              transition_t=_mod_pi(t_hat))
+                              transition_t=wrap_positive(t_hat, PI))
 
 
 def survey_short_geodesics(poly: ComplexPolynomial,
@@ -411,15 +359,15 @@ def survey_short_geodesics(poly: ComplexPolynomial,
                 continue
             per = period_for_pair(poly, *ref.pair, config=config,
                                   flip_side=True)
-            t_cand = _mod_pi(PI / 2 - cmath.phase(per.value))
-            if _angdiff_pi(t_cand, ref.t_candidate) > 1e-9:
+            t_cand = wrap_positive(PI / 2 - cmath.phase(per.value), PI)
+            if abs(wrap_angle(t_cand - ref.t_candidate, PI)) > 1e-9:
                 handle(ref.pair, t_cand)
 
     survey.geodesics.sort(key=lambda g: (g.t_star, g.pair))
     seen_t: dict[float, tuple[int, int]] = {}
     for g in survey.geodesics:
         for t_other, pair_other in seen_t.items():
-            if _angdiff_pi(g.t_star, t_other) < 1e-9:
+            if abs(wrap_angle(g.t_star - t_other, PI)) < 1e-9:
                 survey.warnings.append(
                     f"simultaneous connections at t={g.t_star:.9f}: "
                     f"pairs {pair_other} and {g.pair}")

@@ -18,9 +18,9 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .config import DEFAULT_CONFIG, RunConfig, Scales
+from .config import DEFAULT_CONFIG, RunConfig
 from .errors import BranchError, ClearanceError, DegeneratePairError
-from .polynomial import ComplexPolynomial, turning_points
+from .polynomial import ComplexPolynomial, PolyContext, turning_points
 
 # --- Gauss-Kronrod 7-15 rule on [-1, 1] -----------------------------------
 
@@ -62,10 +62,6 @@ class BranchWalker:
         self.roots = tuple(roots)
         self.z = complex(z0)
         self.w = complex(w0)
-
-    def value_at(self, z1: complex) -> complex:
-        """Continued sqrt(P)(z1) without moving the walker state."""
-        return self._continue(self.z, self.w, complex(z1), 0)
 
     def advance(self, z1: complex) -> complex:
         w1 = self._continue(self.z, self.w, complex(z1), 0)
@@ -271,12 +267,59 @@ def _check_clearance(vertices, roots, delta):
         raise ClearanceError(f"path clearance below delta_path = {delta:.3e}")
 
 
-def _roots_and_scales(poly: ComplexPolynomial, config: RunConfig):
-    if poly.degree < 1:
-        return (), None
-    tps = turning_points(poly, config.root_tol)
-    scales = Scales.from_roots(tps.locations, config)
-    return tps.locations, scales
+def _context(poly: ComplexPolynomial, config: RunConfig) -> PolyContext | None:
+    """Context of ``poly``; a constant potential has no turning points."""
+    return PolyContext.of(poly, config) if poly.degree >= 1 else None
+
+
+def _root_end(v: complex, points, tol: float):
+    """(root, multiplicity) of the turning point that ``v`` sits on, else None."""
+    for r, m in points:
+        if abs(v - r) <= tol * (1.0 + abs(r)):
+            return r, m
+    return None
+
+
+def _sqrt_density(z, w):
+    return w
+
+
+def integrate_polyline(poly, roots, verts, w, fvals=_sqrt_density,
+                       rel_tol=1e-9, abs_floor=1e-13, start=None, end=None):
+    """Branch-tracked integral of fvals(z, w) dz along the polyline ``verts``.
+
+    ``roots`` are the turning-point locations that bound the branch
+    continuation steps, and ``w`` is the branch of sqrt(P) at the first
+    regular vertex.  ``start``
+    and ``end`` are (root, multiplicity) pairs when the first or last
+    vertex is that turning point; the chord at such an end is integrated
+    by the singular endpoint rule, which supports fvals = sqrt(P) only.
+    ``abs_floor`` applies to the regular chords.
+
+    Returns (total, branch values at the regular vertices, running total
+    after each chord).
+    """
+    w = complex(w)
+    first = 1 if start is not None else 0
+    last = len(verts) - 2 if end is not None else len(verts) - 1
+    branch = [w]
+    running = []
+    total = 0j
+    if start is not None:
+        total = integrate_chord_from_root(poly, roots, start[0], start[1],
+                                          verts[1], w, rel_tol=rel_tol)
+        running.append(total)
+    for k in range(first, last):
+        part, w = integrate_chord(poly, roots, verts[k], w, verts[k + 1],
+                                  fvals, rel_tol=rel_tol, abs_floor=abs_floor)
+        total += part
+        branch.append(w)
+        running.append(total)
+    if end is not None:
+        total -= integrate_chord_from_root(poly, roots, end[0], end[1],
+                                           verts[last], w, rel_tol=rel_tol)
+        running.append(total)
+    return total, branch, running
 
 
 def sqrt_continuation(poly: ComplexPolynomial, path, seed: complex,
@@ -292,20 +335,13 @@ def sqrt_continuation(poly: ComplexPolynomial, path, seed: complex,
     p_start = poly.evaluate(verts[0])
     if abs(seed * seed - p_start) > 1e-6 * (1.0 + abs(p_start)):
         raise BranchError("seed does not square to P at the path start")
-    roots, scales = _roots_and_scales(poly, config)
-    if roots:
-        _check_clearance(verts, roots, scales.delta_path)
-    samples = [(verts[0], complex(seed))]
-    walker = BranchWalker(poly, roots, verts[0], seed)
-    total = 0j
-    for k in range(len(verts) - 1):
-        part, w_end = integrate_chord(poly, roots, verts[k], walker.w,
-                                      verts[k + 1], lambda z, w: w,
-                                      rel_tol=config.quad_rel_tol)
-        total += part
-        walker.z, walker.w = verts[k + 1], w_end
-        samples.append((verts[k + 1], w_end))
-    return BranchedPath(samples=tuple(samples), total_integral=total)
+    ctx = _context(poly, config)
+    roots = ctx.locs if ctx else ()
+    if ctx:
+        _check_clearance(verts, roots, ctx.scales.delta_path)
+    total, branch, _ = integrate_polyline(poly, roots, verts, seed,
+                                          rel_tol=config.quad_rel_tol)
+    return BranchedPath(samples=tuple(zip(verts, branch)), total_integral=total)
 
 
 def canonical_parameter_integral(poly: ComplexPolynomial, path,
@@ -321,58 +357,32 @@ def canonical_parameter_integral(poly: ComplexPolynomial, path,
     verts = [complex(v) for v in path]
     if len(verts) < 2:
         raise ValueError("path needs at least two vertices")
-    roots, scales = _roots_and_scales(poly, config)
-
-    def root_at(v):
-        for r in roots:
-            if abs(v - r) <= 1e-12 * (1.0 + abs(r)):
-                return r
-        return None
-
-    start_root = root_at(verts[0])
-    end_root = root_at(verts[-1])
-    if start_root is None and end_root is None:
+    ctx = _context(poly, config)
+    points = ctx.tps.points if ctx else ()
+    start = _root_end(verts[0], points, 1e-12)
+    end = _root_end(verts[-1], points, 1e-12)
+    if start is None and end is None:
         if seed is None:
             seed = _principal_seed(poly, verts[0])
         return sqrt_continuation(poly, verts, seed, config).total_integral
 
-    mults = {}
-    if poly.degree >= 1:
-        tps = turning_points(poly, config.root_tol)
-        mults = {r: m for r, m in tps.points}
-    if len(verts) == 2 and start_root is not None and end_root is not None:
+    if len(verts) == 2 and start is not None and end is not None:
         verts = [verts[0], 0.5 * (verts[0] + verts[1]), verts[1]]
-    first = 1 if start_root is not None else 0
-    last = len(verts) - 2 if end_root is not None else len(verts) - 1
-    if first >= len(verts) - 1 and end_root is not None:
+    first = 1 if start is not None else 0
+    last = len(verts) - 2 if end is not None else len(verts) - 1
+    if first >= len(verts) - 1 and end is not None:
         verts.insert(1, 0.5 * (verts[0] + verts[1]))
         last = len(verts) - 2
-    interior = verts[first:last + 1]
-    if roots:
-        _check_clearance(interior, [r for r in roots
-                                    if r not in (start_root, end_root)],
-                         scales.delta_path)
-    anchor = verts[first]
-    w = _principal_seed(poly, anchor)
+    ends = [e[0] for e in (start, end) if e is not None]
+    _check_clearance(verts[first:last + 1],
+                     [r for r in ctx.locs if r not in ends],
+                     ctx.scales.delta_path)
+    w = _principal_seed(poly, verts[first])
     if seed is not None and (seed.real * w.real + seed.imag * w.imag) < 0.0:
         w = -w
-    total = 0j
-    if start_root is not None:
-        total += integrate_chord_from_root(poly, roots, start_root,
-                                           mults[start_root], anchor, w,
-                                           rel_tol=config.quad_rel_tol)
-    walker = BranchWalker(poly, roots, anchor, w)
-    for k in range(first, last):
-        part, w_end = integrate_chord(poly, roots, verts[k], walker.w,
-                                      verts[k + 1], lambda z, ww: ww,
-                                      rel_tol=config.quad_rel_tol)
-        total += part
-        walker.z, walker.w = verts[k + 1], w_end
-    if end_root is not None:
-        total -= integrate_chord_from_root(poly, roots, end_root,
-                                           mults[end_root], verts[last],
-                                           walker.w,
-                                           rel_tol=config.quad_rel_tol)
+    total, _, _ = integrate_polyline(poly, ctx.locs, verts, w,
+                                     rel_tol=config.quad_rel_tol,
+                                     start=start, end=end)
     return total
 
 
@@ -441,20 +451,10 @@ def _integrate_root_to_root(poly, locs, mults, verts, ia, ib, rel_tol):
     a, b = verts[0], verts[-1]
     if len(verts) == 2:
         verts = [a, 0.5 * (a + b), b]
-    anchor = verts[1]
-    w_anchor = _principal_seed(poly, anchor)
-    total = integrate_chord_from_root(poly, locs, a, mults[ia], anchor,
-                                      w_anchor, rel_tol=rel_tol)
-    walker = BranchWalker(poly, locs, anchor, w_anchor)
-    for k in range(1, len(verts) - 2):
-        part, w_end = integrate_chord(poly, locs, verts[k], walker.w,
-                                      verts[k + 1], lambda z, w: w,
-                                      rel_tol=rel_tol)
-        total += part
-        walker.z, walker.w = verts[k + 1], w_end
-    tail = integrate_chord_from_root(poly, locs, b, mults[ib], verts[-2],
-                                     walker.w, rel_tol=rel_tol)
-    total -= tail
+    w_anchor = _principal_seed(poly, verts[1])
+    total, _, _ = integrate_polyline(poly, locs, verts, w_anchor,
+                                     rel_tol=rel_tol, start=(a, mults[ia]),
+                                     end=(b, mults[ib]))
     return total, w_anchor
 
 
@@ -470,14 +470,13 @@ def _normalize_period_sign(value: complex, seed: complex):
 def period_for_pair(poly: ComplexPolynomial, i: int, j: int,
                     config: RunConfig = DEFAULT_CONFIG,
                     flip_side: bool = False) -> Period:
-    tps = turning_points(poly, config.root_tol)
-    locs = tps.locations
-    mults = [m for _, m in tps.points]
-    scales = Scales.from_roots(locs, config)
-    verts = pair_path(poly, locs, i, j, scales.delta_path, flip_side=flip_side)
-    others = [r for k, r in enumerate(locs) if k not in (i, j)]
-    _check_clearance(verts, others, scales.delta_path)
-    value, seed = _integrate_root_to_root(poly, locs, mults, verts, i, j,
+    ctx = PolyContext.of(poly, config)
+    locs = ctx.locs
+    delta = ctx.scales.delta_path
+    verts = pair_path(poly, locs, i, j, delta, flip_side=flip_side)
+    _check_clearance(verts, [r for k, r in enumerate(locs) if k not in (i, j)],
+                     delta)
+    value, seed = _integrate_root_to_root(poly, locs, ctx.mults, verts, i, j,
                                           config.quad_rel_tol)
     value, seed = _normalize_period_sign(value, seed)
     return Period(pair=(i, j), path=tuple(verts), value=value, branch_seed=seed)
@@ -521,17 +520,14 @@ def contour_integral(poly: ComplexPolynomial, vertices, fvals,
     """
     verts = [complex(v) for v in vertices]
     if roots is None:
-        roots = _roots_and_scales(poly, DEFAULT_CONFIG)[0]
+        ctx = _context(poly, DEFAULT_CONFIG)
+        roots = ctx.locs if ctx else ()
     w0 = seed if seed is not None else _principal_seed(poly, verts[0])
-    walker = BranchWalker(poly, roots, verts[0], w0)
-    total = 0j
-    for k in range(len(verts) - 1):
-        part, w_end = integrate_chord(poly, roots, verts[k], walker.w,
-                                      verts[k + 1], fvals, rel_tol=rel_tol)
-        total += part
-        walker.z, walker.w = verts[k + 1], w_end
+    total, branch, _ = integrate_polyline(poly, roots, verts, w0, fvals,
+                                          rel_tol=rel_tol)
+    w_end = branch[-1]
     closed = abs(verts[0] - verts[-1]) < 1e-12 * (1.0 + abs(verts[0]))
-    if closed and abs(walker.w - w0) > 0.5 * max(abs(w0), abs(walker.w)):
+    if closed and abs(w_end - w0) > 0.5 * max(abs(w0), abs(w_end)):
         raise BranchError(
             "sqrt(P) is not single-valued along this closed contour "
             "(odd enclosed multiplicity?)"
@@ -611,11 +607,11 @@ def alpha_contour_integrals(poly: ComplexPolynomial, contour, j_max: int,
     verts = [complex(v) for v in contour]
     if abs(verts[0] - verts[-1]) > 1e-9 * (1.0 + abs(verts[0])):
         raise ValueError("contour is not closed")
-    roots, scales = _roots_and_scales(poly, config)
-    if roots:
-        _check_clearance(verts, roots, scales.delta_path)
-        tps = turning_points(poly, config.root_tol)
-        enclosed = sum(m * winding_number(verts, r) for r, m in tps.points)
+    ctx = _context(poly, config)
+    roots = ctx.locs if ctx else ()
+    if ctx:
+        _check_clearance(verts, roots, ctx.scales.delta_path)
+        enclosed = sum(m * winding_number(verts, r) for r, m in ctx.tps.points)
         if enclosed % 2 != 0:
             raise BranchError(f"contour encloses odd total multiplicity {enclosed}")
     qs = correction_numerators(poly, j_max)
@@ -698,52 +694,18 @@ def re_xi_drift(poly: ComplexPolynomial, vertices, root_tol: float = 1e-10,
     verts = [complex(v) for v in vertices]
     if len(verts) < 2:
         return 0.0, 0.0
-    if poly.degree >= 1:
-        tps = turning_points(poly, root_tol)
-        locs = tps.locations
-        mults = {r: m for r, m in tps.points}
-    else:
-        locs, mults = (), {}
+    points = turning_points(poly, root_tol).points if poly.degree >= 1 else ()
     arc = polyline_length(verts)
-
-    def root_at(v):
-        for r in locs:
-            if abs(v - r) <= 1e-9 * (1.0 + abs(r)):
-                return r
-        return None
-
-    start_root = root_at(verts[0])
-    end_root = root_at(verts[-1])
-    if len(verts) == 2 and (start_root is not None or end_root is not None):
+    start = _root_end(verts[0], points, 1e-9)
+    end = _root_end(verts[-1], points, 1e-9)
+    if len(verts) == 2 and (start is not None or end is not None):
         verts = [verts[0], 0.5 * (verts[0] + verts[1]), verts[1]]
-
-    first = 1 if start_root is not None else 0
-    last = len(verts) - 2 if end_root is not None else len(verts) - 1
-
-    anchor = verts[first]
-    w = _principal_seed(poly, anchor)
-    xs = [0j]  # partial integrals measured from verts[0]
-    running = 0j
-    if start_root is not None:
-        running = integrate_chord_from_root(poly, locs, start_root,
-                                            mults[start_root], anchor, w,
-                                            rel_tol=rel_tol)
-        xs.append(running)
-    walker = BranchWalker(poly, locs, anchor, w)
-    for k in range(first, last):
-        part, w_end = integrate_chord(poly, locs, verts[k], walker.w,
-                                      verts[k + 1], lambda z, w_: w_,
-                                      rel_tol=rel_tol, abs_floor=1e-14)
-        walker.z, walker.w = verts[k + 1], w_end
-        running += part
-        xs.append(running)
-    if end_root is not None:
-        tail = integrate_chord_from_root(poly, locs, end_root, mults[end_root],
-                                         verts[last], walker.w, rel_tol=rel_tol)
-        running -= tail
-        xs.append(running)
-    max_drift = max(abs(x.real) for x in xs)
-    return max_drift, arc
+    w = _principal_seed(poly, verts[1 if start is not None else 0])
+    _, _, running = integrate_polyline(
+        poly, tuple(r for r, _ in points), verts, w, rel_tol=rel_tol,
+        abs_floor=1e-14, start=start, end=end)
+    # partial integrals measured from verts[0], where xi = 0
+    return max(abs(x.real) for x in running), arc
 
 
 def douglas_peucker(vertices, tol: float):

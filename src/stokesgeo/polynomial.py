@@ -1,4 +1,5 @@
-"""Complex polynomials, turning points and Stokes sectors.
+"""Complex polynomials, turning points, Stokes sectors and the
+per-polynomial context that bundles them.
 
 Coefficients are stored highest degree first, so ``coeffs[0]`` is the
 leading coefficient and ``coeffs[-1]`` the constant term.
@@ -9,28 +10,30 @@ from __future__ import annotations
 import cmath
 import math
 import re
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
+from .config import DEFAULT_CONFIG, RunConfig, Scales
 from .errors import NumericalError, ParseError
 
 TWO_PI = 2.0 * math.pi
 
 
-def wrap_angle(a: float) -> float:
-    """Wrap to (-pi, pi]."""
-    a = math.fmod(a, TWO_PI)
-    if a > math.pi:
-        a -= TWO_PI
-    elif a <= -math.pi:
-        a += TWO_PI
+def wrap_angle(a: float, period: float = TWO_PI) -> float:
+    """Wrap to (-period/2, period/2]."""
+    a = math.fmod(a, period)
+    half = 0.5 * period
+    if a > half:
+        a -= period
+    elif a <= -half:
+        a += period
     return a
 
 
-def wrap_positive(a: float) -> float:
-    """Wrap to [0, 2*pi)."""
-    a = math.fmod(a, TWO_PI)
-    return a + TWO_PI if a < 0 else a
+def wrap_positive(a: float, period: float = TWO_PI) -> float:
+    """Wrap to [0, period)."""
+    a = math.fmod(a, period)
+    return a + period if a < 0 else a
 
 
 @dataclass(frozen=True)
@@ -303,6 +306,63 @@ def turning_points(poly: ComplexPolynomial, tol: float = 1e-10) -> TurningPointS
     if poly.degree < 1:
         raise ValueError("turning points need degree >= 1")
     return _turning_points_cached(poly.coeffs, tol)
+
+
+@dataclass(frozen=True)
+class PolyContext:
+    """Per-polynomial lookups shared by every pipeline: turning points,
+    geometric scales and Stokes sectors.
+
+    Members of the rotation family e^{2it} P share roots and scales, so
+    :meth:`rotate` recomputes only the sectors.
+    """
+
+    poly: ComplexPolynomial
+    config: RunConfig
+    tps: TurningPointSet
+    scales: Scales
+    sectors: StokesSectorSet
+
+    @classmethod
+    def of(cls, poly: ComplexPolynomial,
+           config: RunConfig = DEFAULT_CONFIG) -> "PolyContext":
+        tps = turning_points(poly, config.root_tol)
+        return cls(poly=poly, config=config, tps=tps,
+                   scales=Scales.from_roots(tps.locations, config),
+                   sectors=stokes_sectors(poly))
+
+    @cached_property
+    def locs(self) -> tuple[complex, ...]:
+        return self.tps.locations
+
+    @cached_property
+    def mults(self) -> tuple[int, ...]:
+        return tuple(m for _, m in self.tps.points)
+
+    @cached_property
+    def min_separation(self) -> float:
+        """Smallest distance between two turning points (inf for one)."""
+        locs = self.locs
+        n = len(locs)
+        return min((abs(locs[i] - locs[j])
+                    for i in range(n) for j in range(i + 1, n)),
+                   default=float("inf"))
+
+    def rotate(self, t: float) -> "PolyContext":
+        rot = self.poly.rotate(t)
+        return replace(self, poly=rot, sectors=stokes_sectors(rot))
+
+    def nearest_root(self, z: complex, skip: int = -1) -> tuple[int, float]:
+        """(index, distance) of the turning point nearest to z, ignoring
+        index ``skip``."""
+        best, best_d = -1, float("inf")
+        for idx, r in enumerate(self.locs):
+            if idx == skip:
+                continue
+            d = abs(z - r)
+            if d < best_d:
+                best, best_d = idx, d
+        return best, best_d
 
 
 # ---------------------------------------------------------------------------

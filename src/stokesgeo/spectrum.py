@@ -5,7 +5,7 @@ Quantization convention: with L the loop integral of sqrt(P) around a short
 geodesic and I_j the loop integrals of the correction densities, eigenvalues
 along the associated ray solve
 
-    lambda L = i (2 pi n + pi + sum_j lambda^{-j} I_j),
+    lambda L = i (2 pi n + pi) - sum_j lambda^{-j} I_j,
 
 with the branch and orientation of L chosen so that the leading iterate
 lies on the forward ray Re(e^{-i angle} lambda) > 0.  The factor i makes
@@ -22,12 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, RunConfig, Scales
+from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ClearanceError, NumericalError
 from .geodesics import GeodesicSurvey, ShortGeodesic, survey_short_geodesics
 from .pathint import (alpha_contour_integrals, build_stadium, contour_integral,
-                      winding_number)
-from .polynomial import ComplexPolynomial, stokes_sectors, turning_points
+                      min_clearance, winding_number)
+from .polynomial import ComplexPolynomial, PolyContext, stokes_sectors
+from .tracer import _A, _B4, _B5, _C
 
 TWO_PI = 2.0 * math.pi
 
@@ -77,14 +78,13 @@ def _loop_contour(poly, geodesic: ShortGeodesic, config: RunConfig):
     degrades sharply when the contour hugs the square-root singularities)
     and shrinks toward 3 delta_path until no other turning point is
     enclosed or approached."""
-    tps = turning_points(poly, config.root_tol)
-    locs = tps.locations
-    scales = Scales.from_roots(locs, config)
+    ctx = PolyContext.of(poly, config)
+    locs = ctx.locs
+    scales = ctx.scales
     a, b = geodesic.pair
     others = [r for k, r in enumerate(locs) if k not in (a, b)]
     room = scales.d_unit
     if others:
-        from .pathint import min_clearance
         room = min_clearance(list(geodesic.polyline), others)
     clearance = max(3.0 * scales.delta_path, min(0.35 * scales.d_unit,
                                                  0.45 * room))
@@ -157,10 +157,10 @@ def eigenvalue_asymptotics(poly: ComplexPolynomial, ray: AccumulationRay,
         converged = False
         residuals = []
         for _ in range(50):
-            acc = rhs0 + 0j
+            acc = 1j * rhs0
             for j, cj in enumerate(corrections, start=1):
-                acc += cj / lam ** j
-            lam_new = 1j * acc / L
+                acc -= cj / lam ** j
+            lam_new = acc / L
             residual = abs(lam_new - lam) / max(abs(lam_new), 1e-300)
             residuals.append(residual)
             lam = lam_new
@@ -177,20 +177,6 @@ def eigenvalue_asymptotics(poly: ComplexPolynomial, ray: AccumulationRay,
 
 
 # --- subdominant solutions and Wronskians -------------------------------------
-
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40)
-
 
 def _wkb_start(poly, lams, z0):
     """Decaying-branch WKB data at z0: returns (y0', sqrtQ) per lambda with
@@ -238,12 +224,12 @@ def _integrate_inward(poly, lams, z0, z1, rtol):
         h = min(h, 1.0 - tau)
         ks = [k1]
         for i in range(1, 6):
-            acc = state + h * sum(a * k for a, k in zip(_DP_A[i], ks))
-            ks.append(rhs(tau + _DP_C[i] * h, acc))
-        y5 = state + h * sum(b * k for b, k in zip(_DP_B5, ks))
+            acc = state + h * sum(a * k for a, k in zip(_A[i], ks))
+            ks.append(rhs(tau + _C[i] * h, acc))
+        y5 = state + h * sum(b * k for b, k in zip(_B5, ks))
         k7 = rhs(tau + h, y5)
         ks.append(k7)
-        y4 = state + h * sum(b * k for b, k in zip(_DP_B4, ks))
+        y4 = state + h * sum(b * k for b, k in zip(_B4, ks))
         scale = np.abs(y5[:, 0]) + np.abs(y5[:, 1]) + 1e-300
         err = np.max((np.abs(y5[:, 0] - y4[:, 0])
                       + np.abs(y5[:, 1] - y4[:, 1])) / scale)
@@ -300,8 +286,7 @@ def subdominant_solution(poly: ComplexPolynomial, lam: complex,
                          config: RunConfig = DEFAULT_CONFIG) -> SubdominantSolution:
     """Construct the solution subdominant in one Stokes sector of
     lambda^2 P and integrate it inward to the matching point."""
-    tps = turning_points(poly, config.root_tol)
-    scale = 1.0 + max(abs(r) for r in tps.locations)
+    scale = 1.0 + PolyContext.of(poly, config).scales.max_modulus
     z0 = _sector_ray(poly, sector_index, lam, scale, config)
     if radius is not None:
         z0 = z0 / abs(z0) * radius
@@ -322,8 +307,7 @@ def _wronskian_batch(poly, lams, sectors, match_point, config, rtol=None):
     point; the dropped factor exp(s1+s2) is real positive, so zeros and
     phase winding are unaffected."""
     lams = np.asarray(lams, dtype=complex)
-    tps = turning_points(poly, config.root_tol)
-    scale = 1.0 + max(abs(r) for r in tps.locations)
+    scale = 1.0 + PolyContext.of(poly, config).scales.max_modulus
     lam_ref = lams[np.argmin(np.abs(lams))]
     if rtol is None:
         rtol = config.ode_rel_tol

@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import NonGenericError, StokesGeoError
-from .pathint import (BranchWalker, _principal_seed, integrate_chord,
-                      integrate_chord_from_root)
+from .pathint import _principal_seed, integrate_polyline
 from .polynomial import ComplexPolynomial, turning_points
 
 
@@ -394,38 +393,27 @@ def _cross_strip(poly, graph, fs, dom, locs, mults, r_from, r_to,
     if best is None:
         raise NonGenericError("no interior crossing segment found")
     ia, ib = best
-    a_star, b_star = pl_in[ia], pl_out[ib]
+    b_star = pl_out[ib]
 
-    head, walker = _edge_head_integral(poly, locs, mults, r_from, pl_in, ia,
-                                       config)
-    cross, w_end = integrate_chord(poly, locs, a_star, walker.w, b_star,
-                                   lambda z, w: w, rel_tol=config.quad_rel_tol)
-    tail, tail_walker = _edge_head_integral(poly, locs, mults, r_to, pl_out,
-                                            ib, config)
+    # out along the entry edge and straight across the face, then back in
+    # from r_to along the exit edge
+    through, w_end = _integral_from_root(poly, locs, mults, r_from,
+                                         pl_in[:ia + 1] + [b_star], config)
+    tail, w_tail = _integral_from_root(poly, locs, mults, r_to,
+                                       pl_out[:ib + 1], config)
     # express the tail under the branch transported through the face
-    if (tail_walker.w.real * w_end.real
-            + tail_walker.w.imag * w_end.imag) < 0.0:
+    if w_tail.real * w_end.real + w_tail.imag * w_end.imag < 0.0:
         tail = -tail
-    delta = head + cross - tail
+    delta = through - tail
     return delta, tail.imag
 
 
-def _edge_head_integral(poly, locs, mults, root_index, polyline, v_idx,
-                        config):
-    """Integral of sqrt(P) from a turning point along the initial portion
-    of one of its edges, up to polyline[v_idx]; the branch is anchored at
-    the first interior vertex and the walker is left at the endpoint."""
-    verts = list(polyline[:v_idx + 1])
-    anchor = verts[1]
-    w_anchor = _principal_seed(poly, anchor)
-    total = integrate_chord_from_root(poly, locs, locs[root_index],
-                                      mults[root_index], anchor, w_anchor,
-                                      rel_tol=config.quad_rel_tol)
-    walker = BranchWalker(poly, locs, anchor, w_anchor)
-    for k in range(1, len(verts) - 1):
-        part, w_end = integrate_chord(poly, locs, verts[k], walker.w,
-                                      verts[k + 1], lambda z, w: w,
-                                      rel_tol=config.quad_rel_tol)
-        total += part
-        walker.z, walker.w = verts[k + 1], w_end
-    return total, walker
+def _integral_from_root(poly, locs, mults, root_index, verts, config):
+    """Integral of sqrt(P) from turning point ``root_index`` (the first
+    vertex) along ``verts``, branch anchored at the first interior vertex.
+    Returns (integral, branch value at the last vertex)."""
+    w_anchor = _principal_seed(poly, verts[1])
+    total, branch, _ = integrate_polyline(
+        poly, locs, verts, w_anchor, rel_tol=config.quad_rel_tol,
+        start=(locs[root_index], mults[root_index]))
+    return total, branch[-1]

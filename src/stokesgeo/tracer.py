@@ -16,11 +16,13 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, RunConfig, Scales
 from .errors import NumericalError
-from .polynomial import (ComplexPolynomial, StokesSectorSet, TurningPointSet,
-                         stokes_sectors, turning_points, wrap_positive)
-from .pathint import (_KRONROD_NODES, _KRONROD_WEIGHTS, integrate_chord_from_root)
+from .polynomial import (ComplexPolynomial, PolyContext, StokesSectorSet,
+                         TurningPointSet, wrap_angle, wrap_positive)
+from .pathint import (_KRONROD_NODES, _KRONROD_WEIGHTS, _deflate,
+                      integrate_chord_from_root)
 
-# Dormand-Prince 5(4) coefficients
+# Dormand-Prince 5(4) coefficients: nodes _C, stages _A, weights _B5, _B4
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
     (),
     (1 / 5,),
@@ -59,57 +61,11 @@ def emanating_directions(poly: ComplexPolynomial, root: complex,
     theta_k = (pi (2k+1) - arg c) / (m+2), where Re of the local primitive
     of sqrt(P) vanishes.
     """
-    c = _local_coefficient(poly, root, mult)
+    # P / (z - root)^m evaluated at the root
+    c = _deflate(poly, root, mult).evaluate(root)
     argc = cmath.phase(c)
     n = mult + 2
     return [wrap_positive((math.pi * (2 * k + 1) - argc) / n) for k in range(n)]
-
-
-def _local_coefficient(poly: ComplexPolynomial, root: complex, mult: int) -> complex:
-    # m-th derivative / m! via repeated synthetic division
-    cs = list(poly.coeffs)
-    for _ in range(mult):
-        out = [cs[0]]
-        for c in cs[1:]:
-            out.append(out[-1] * root + c)
-        cs = out[:-1]
-    acc = 0j
-    for c in cs:
-        acc = acc * root + c
-    return acc
-
-
-class _TraceContext:
-    """Shared lookups for tracing one polynomial.
-
-    ``tps`` may be injected to reuse the root set of another member of the
-    rotation family (rotation leaves the roots untouched).
-    """
-
-    def __init__(self, poly: ComplexPolynomial, config: RunConfig,
-                 tps: TurningPointSet | None = None):
-        self.poly = poly
-        self.config = config
-        self.tps = tps if tps is not None else turning_points(poly, config.root_tol)
-        self.locs = self.tps.locations
-        self.mults = [m for _, m in self.tps.points]
-        self.scales = Scales.from_roots(self.locs, config)
-        self.sectors = stokes_sectors(poly)
-        n = len(self.locs)
-        self.min_separation = min(
-            (abs(self.locs[i] - self.locs[j])
-             for i in range(n) for j in range(i + 1, n)),
-            default=float("inf"))
-
-    def nearest_root(self, z: complex, skip: int = -1):
-        best, best_d = -1, float("inf")
-        for idx, r in enumerate(self.locs):
-            if idx == skip:
-                continue
-            d = abs(z - r)
-            if d < best_d:
-                best, best_d = idx, d
-        return best, best_d
 
 
 def _branch_step(poly, z, w_ref, z_new):
@@ -136,7 +92,7 @@ def _chord_re_integral(poly, z0, w0, z1):
 
 def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float,
                       config: RunConfig = DEFAULT_CONFIG,
-                      context: _TraceContext | None = None,
+                      context: PolyContext | None = None,
                       track_drift: bool = True,
                       tol_shrink: float = 1.0,
                       max_length: float | None = None,
@@ -149,7 +105,7 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     vertex landed exactly on the escape circle), or exceeding the length
     cap (Truncated).
     """
-    ctx = context if context is not None else _TraceContext(poly, config)
+    ctx = context if context is not None else PolyContext.of(poly, config)
     locs, scales = ctx.locs, ctx.scales
     r0 = locs[root_index]
     _, rho_other = ctx.nearest_root(r0, skip=root_index)
@@ -353,7 +309,7 @@ def build_stokes_graph(poly: ComplexPolynomial,
     merged into a single finite edge; a one-sided hit is accepted but
     flagged.  Any truncated trajectory marks the graph incomplete.
     """
-    ctx = _TraceContext(poly, config)
+    ctx = PolyContext.of(poly, config)
     raw = []  # (origin, dir_index, direction, polyline, fate)
     for ridx, (root, mult) in enumerate(ctx.tps.points):
         dirs = emanating_directions(poly, root, mult)
@@ -389,7 +345,7 @@ def build_stokes_graph(poly: ComplexPolynomial,
                     poly, ctx.locs[fate.target], ctx.mults[fate.target])
                 arr = cmath.phase(pl[-2] - ctx.locs[fate.target])
                 kt = min(range(len(tgt_dirs)),
-                         key=lambda m: abs(_angdiff(tgt_dirs[m], arr)))
+                         key=lambda m: abs(wrap_angle(tgt_dirs[m] - arr)))
                 edges.append(StokesEdge(
                     kind="finite", origin=ridx, direction_index=kdir,
                     polyline=pl, target=fate.target,
@@ -429,15 +385,6 @@ def build_stokes_graph(poly: ComplexPolynomial,
     return StokesGraph(poly=poly, turning_points=ctx.tps, sectors=ctx.sectors,
                        edges=tuple(edges), complexes=complexes,
                        incomplete=incomplete, scales=ctx.scales)
-
-
-def _angdiff(a: float, b: float) -> float:
-    d = math.fmod(a - b, 2 * math.pi)
-    if d > math.pi:
-        d -= 2 * math.pi
-    elif d < -math.pi:
-        d += 2 * math.pi
-    return d
 
 
 def classify_complexes(graph: StokesGraph) -> list[tuple[frozenset, bool]]:

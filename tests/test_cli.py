@@ -94,6 +94,16 @@ def test_eigenvalues_bad_range(tmp_path):
                 "--out", str(tmp_path)]) == 2
 
 
+def test_eigenvalues_wronskian_empty_search_fails(tmp_path, capsys):
+    # the order-0 estimates for n = 1..3 lie in the rectangle, so a search
+    # that finds no zero there must not pass as an empty spectrum
+    code = run(["eigenvalues", "--poly", "1,0,0.3+0.2i,-1", "--n", "1..3",
+                "--wronskian", "1.8,6.2,1.5,5.3", "--out", str(tmp_path),
+                "--format", "json"])
+    assert code == 3
+    assert "sectors (" in capsys.readouterr().err
+
+
 def test_strip_realize(tmp_path, capsys):
     code = run(["strip-realize", "5", "7", "--out", str(tmp_path),
                 "--format", "json,svg"])

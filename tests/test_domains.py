@@ -77,25 +77,6 @@ def test_chords_cross_predicate():
     assert not chords_cross(6, (0, 2), (2, 4))
 
 
-def test_width_march_matches_straight_crossing(osc):
-    # the orthogonal-foliation march is the fallback when no straight
-    # in-face segment exists; on the rotated oscillator it must agree
-    # with the straight-crossing width
-    from stokesgeo.config import DEFAULT_CONFIG
-    from stokesgeo.domains import _vertex_chain, _width_by_march
-
-    g = build_stokes_graph(osc.rotate(0.3))
-    fs = build_face_set(g)
-    strip = fs.strips[0]
-    side_a = [list(g.edges[e].polyline) for e in strip.edge_ids
-              if g.edges[e].origin == strip.boundary_roots[0][0]]
-    side_b = [list(g.edges[e].polyline) for e in strip.edge_ids
-              if g.edges[e].origin == strip.boundary_roots[1][0]]
-    w = _width_by_march(g, _vertex_chain(side_a), _vertex_chain(side_b),
-                        list(strip.polygon), DEFAULT_CONFIG)
-    assert w == pytest.approx(strip.width, abs=1e-9)
-
-
 def test_admissible_domains_surface(osc):
     from stokesgeo import admissible_domains
     doms = admissible_domains(build_stokes_graph(osc.rotate(0.3)))

@@ -7,7 +7,8 @@ import hypothesis.strategies as st
 
 from stokesgeo import (ComplexPolynomial, ParseError, parse_poly_text,
                        stokes_sectors, turning_points)
-from stokesgeo.polynomial import format_poly_text, parse_complex
+from stokesgeo.polynomial import (PolyContext, format_poly_text,
+                                  parse_complex, wrap_angle, wrap_positive)
 
 TWO_PI = 2 * math.pi
 
@@ -170,3 +171,22 @@ def test_ray_shift_under_rotation(roots, t):
     for theta in rot:
         residue = (theta - (base[0] + shift)) % period
         assert min(residue, period - residue) < 1e-9
+
+
+def test_context_rotation_keeps_roots_and_scales(cubic_odd):
+    ctx = PolyContext.of(cubic_odd)
+    rot = ctx.rotate(0.3)
+    assert rot.tps is ctx.tps and rot.scales is ctx.scales
+    assert rot.poly == cubic_odd.rotate(0.3)
+    assert rot.sectors == stokes_sectors(cubic_odd.rotate(0.3))
+    assert ctx.min_separation == pytest.approx(1.0)
+    assert ctx.nearest_root(0.9) == (2, pytest.approx(0.1))
+    assert ctx.nearest_root(0.9, skip=2)[0] == 1
+
+
+def test_wrap_with_period():
+    assert wrap_angle(3.0) == 3.0
+    assert wrap_angle(2.0, math.pi) == pytest.approx(2.0 - math.pi)
+    assert wrap_angle(-math.pi / 2, math.pi) == pytest.approx(math.pi / 2)
+    assert wrap_positive(-0.5, math.pi) == pytest.approx(math.pi - 0.5)
+    assert wrap_positive(7.0) == pytest.approx(7.0 - TWO_PI)

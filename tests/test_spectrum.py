@@ -3,8 +3,8 @@ import math
 import pytest
 
 from stokesgeo import (accumulation_rays, eigenvalue_asymptotics,
-                       enumerate_short_geodesics, subdominant_solution,
-                       wronskian_eigenvalue_search)
+                       enumerate_short_geodesics, parse_poly_text,
+                       subdominant_solution, wronskian_eigenvalue_search)
 
 PI = math.pi
 
@@ -68,6 +68,20 @@ def test_corrections_do_not_hurt(osc):
     e2 = eigenvalue_asymptotics(osc, ray, 20, 20, order=2)[0]
     exact = 41.0
     assert abs(e2.value - exact) <= abs(e0.value - exact) + 1e-12
+
+    # every loop correction vanishes for the oscillator; this cubic has
+    # nonzero ones.  Ray 0 is pair (0, 2); the reference values are its
+    # Wronskian zeros in sectors (0, 2)
+    poly = parse_poly_text("1,0,0.3+0.2i,-1")
+    ray = accumulation_rays(poly)[0]
+    assert ray.geodesic.pair == (0, 2)
+    reference = (2.409751700170 + 2.041435904407j,
+                 4.003537013722 + 3.394387942230j,
+                 5.600050592120 + 4.749262906136j)
+    e0 = eigenvalue_asymptotics(poly, ray, 1, 3, order=0)
+    e3 = eigenvalue_asymptotics(poly, ray, 1, 3, order=3)
+    for lo, hi, exact in zip(e0, e3, reference):
+        assert abs(hi.value - exact) < 0.1 * abs(lo.value - exact)
 
 
 def test_forward_ray_invariant(osc, cubic_unity):
