@@ -382,6 +382,10 @@ def main(argv=None) -> int:
         return 4
     except (NumericalError, StokesGeoError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        residuals = getattr(exc, "residuals", None)
+        if residuals:
+            shown = ", ".join(f"{r:.3g}" for r in residuals[:5])
+            print(f"residuals: {shown}", file=sys.stderr)
         return 3
 
 

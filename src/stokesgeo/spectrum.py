@@ -32,6 +32,12 @@ from .tracer import _A, _B4, _B5, _C
 
 TWO_PI = 2.0 * math.pi
 
+# the Dormand-Prince tableau for the stacked stages of _integrate_inward,
+# complex so that the products with the stages need no cast
+_DP_A = np.array([row + (0.0,) * (6 - len(row)) for row in _A], dtype=complex)
+_DP_B5 = np.array(_B5, dtype=complex)
+_DP_E = np.append(_DP_B5, 0.0) - np.array(_B4)
+
 
 @dataclass(frozen=True)
 class AccumulationRay:
@@ -194,45 +200,49 @@ def _wkb_start(poly, lams, z0):
 
 def _integrate_inward(poly, lams, z0, z1, rtol):
     """Batched integration of y'' = lambda^2 P y from z0 to z1 along the
-    straight segment, with projective renormalization.  Returns
-    (y, dy/dz, logscale, steps)."""
+    straight segment, with projective renormalization; the n lanes share
+    one Dormand-Prince 5(4) step sequence.  The state holds y in its first
+    n entries and dy/dtau (tau in [0, 1]) in its last n; the seven stages
+    are the rows of one (7, 2n) array, each stage input is the state plus
+    one product of a row of h*A with the rows before it, and y5 and the
+    error estimate are products with h*B5 and h*(B5 - B4).  The last row
+    starts the next step (FSAL).  Returns (y, dy/dz, logscale, steps,
+    decay samples)."""
     lams = np.asarray(lams, dtype=complex)
     n = lams.shape[0]
     dz = z1 - z0
     lam2dz2 = lams * lams * (dz * dz)
 
-    def rhs(tau, state):
-        z = z0 + tau * dz
-        p = poly.evaluate(z)
-        out = np.empty_like(state)
-        out[:, 0] = state[:, 1]
-        out[:, 1] = lam2dz2 * p * state[:, 0]
-        return out
+    def rhs(tau, state, out):
+        p = poly.evaluate(z0 + tau * dz)
+        out[:n] = state[n:]
+        np.multiply(lam2dz2 * p, state[:n], out=out[n:])
 
-    state = np.empty((n, 2), dtype=complex)
-    state[:, 0] = 1.0
+    state = np.empty(2 * n, dtype=complex)
+    state[:n] = 1.0
     yp0, _ = _wkb_start(poly, lams, z0)
-    state[:, 1] = yp0 * dz
+    state[n:] = yp0 * dz
     logscale = np.zeros(n)
     decay = [np.zeros(n)]
 
+    stages = np.empty((7, 2 * n), dtype=complex)
+    ha = np.empty_like(_DP_A)
+    # views made once: at a few lanes, slicing costs as much as a product
+    rows =[(_C[i], ha[i, :i], stages[:i], stages[i]) for i in range(1, 6)]
     tau = 0.0
     h = 1e-4
     steps = 0
-    k1 = rhs(tau, state)
+    rhs(tau, state, stages[0])
     while tau < 1.0 - 1e-13:
         h = min(h, 1.0 - tau)
-        ks = [k1]
-        for i in range(1, 6):
-            acc = state + h * sum(a * k for a, k in zip(_A[i], ks))
-            ks.append(rhs(tau + _C[i] * h, acc))
-        y5 = state + h * sum(b * k for b, k in zip(_B5, ks))
-        k7 = rhs(tau + h, y5)
-        ks.append(k7)
-        y4 = state + h * sum(b * k for b, k in zip(_B4, ks))
-        scale = np.abs(y5[:, 0]) + np.abs(y5[:, 1]) + 1e-300
-        err = np.max((np.abs(y5[:, 0] - y4[:, 0])
-                      + np.abs(y5[:, 1] - y4[:, 1])) / scale)
+        np.multiply(h, _DP_A, out=ha)
+        for c, a, k, out in rows:
+            rhs(tau + c * h, state + a @ k, out)
+        y5 = state + (h * _DP_B5) @ stages[:6]
+        rhs(tau + h, y5, stages[6])
+        mag = np.abs(y5)
+        diff = np.abs((h * _DP_E) @ stages)
+        err = ((diff[:n] + diff[n:]) / (mag[:n] + mag[n:] + 1e-300)).max()
         if not math.isfinite(err):
             if h <= 1e-12:
                 raise NumericalError("non-finite state in subdominant "
@@ -242,23 +252,24 @@ def _integrate_inward(poly, lams, z0, z1, rtol):
         if err <= rtol or h <= 1e-13:
             tau += h
             state = y5
-            k1 = k7
+            stages[0] = stages[6]
             steps += 1
-            mag = np.abs(state[:, 0]) + np.abs(state[:, 1])
+            mag = mag[:n] + mag[n:]
             big = (mag > 1e100) | (mag < 1e-100)
-            if np.any(big):
+            if big.any():
                 f = np.where(big, mag, 1.0)
-                state = state / f[:, None]
-                k1 = k1 / f[:, None]
                 logscale += np.log(f)
+                f = np.concatenate([f, f])
+                state = state / f
+                stages[0] /= f
             if steps % 8 == 0:
-                decay.append(logscale + np.log(np.abs(state[:, 0]) + 1e-300))
+                decay.append(logscale + np.log(np.abs(state[:n]) + 1e-300))
             if steps > 120000:
                 raise NumericalError("subdominant integration stalled")
         factor = 0.9 * (rtol / max(err, 1e-300)) ** 0.2
         h = h * min(4.0, max(0.25, factor))
-    decay.append(logscale + np.log(np.abs(state[:, 0]) + 1e-300))
-    return state[:, 0], state[:, 1] / dz, logscale, steps, decay
+    decay.append(logscale + np.log(np.abs(state[:n]) + 1e-300))
+    return state[:n], state[n:] / dz, logscale, steps, decay
 
 
 _DECAY_EFOLDS = 18.0   # suppresses dominant-solution contamination to ~1e-16
@@ -434,7 +445,7 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
         return (np.log((u + 2 * delta) / (u - 2 * delta))
                 - 2.0 * np.log((u + delta) / (u - delta)))
 
-    for it in range(20):
+    for _ in range(20):
         delta = np.clip(0.45 * np.abs(u_est), 1e-7 * (1.0 + np.abs(lam)), 0.15)
         batch = np.concatenate([lam - 2 * delta, lam - delta, lam,
                                 lam + delta, lam + 2 * delta])
@@ -466,8 +477,13 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
                    + 1j * np.clip(new_lam.imag, im0 - 0.05, im1 + 0.05))
         u_est = np.abs(new_lam - lam) + 1e-13 * (1.0 + np.abs(lam))
         lam = new_lam
-        if np.max(u_est / (1.0 + np.abs(lam))) < 1e-10:
+        residuals = u_est / (1.0 + np.abs(lam))
+        if np.max(residuals) < 1e-10:
             break
+    else:
+        raise NumericalError(f"zero polishing in sectors ({j1}, {j2}) did "
+                             "not converge in 20 iterations",
+                             residuals=[float(r) for r in residuals])
     out = []
     for z in lam:
         z = complex(z)

@@ -232,12 +232,12 @@ def test_criterion_8_tracer_invariant():
     worst_ratio = 0.0
     for poly, polyline in traced:
         drift, arc = re_xi_drift(poly, polyline)
-        budget = 1e-6 * (1.0 + arc)
+        budget = 1e-9 * (1.0 + arc)
         worst_ratio = max(worst_ratio, drift / budget)
         assert drift <= budget
     elapsed = time.time() - t0
     _report(8, True, f"{len(traced)} polylines, worst drift/budget "
-            f"{worst_ratio:.3f}", elapsed, 600)
+            f"{worst_ratio:.2e}", elapsed, 600)
 
 
 def test_criterion_9_sector_scaling_invariance():

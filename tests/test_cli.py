@@ -2,7 +2,9 @@ import json
 import math
 import pytest
 
+from stokesgeo import spectrum
 from stokesgeo.cli import main
+from tests.conftest import moving_zero_wronskian
 
 
 def run(args):
@@ -102,6 +104,17 @@ def test_eigenvalues_wronskian_empty_search_fails(tmp_path, capsys):
                 "--format", "json"])
     assert code == 3
     assert "sectors (" in capsys.readouterr().err
+
+
+def test_numerical_failure_shows_residuals(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(spectrum, "_wronskian_batch",
+                        moving_zero_wronskian(1.0))
+    code = run(["eigenvalues", "--poly", "1,0,-1", "--n", "0..0",
+                "--wronskian", "0.8,1.2,-0.2,0.2", "--out", str(tmp_path)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "residuals: 0.00995\n" in captured.err
+    assert "residuals" not in captured.out
 
 
 def test_strip_realize(tmp_path, capsys):

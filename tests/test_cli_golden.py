@@ -3,8 +3,8 @@
 Each example runs from a fresh working directory with the README's relative
 ``--out`` name, and every file it writes, plus the concatenated standard
 output, must equal the stored copy under ``tests/golden/``.  The README
-``--wronskian`` search is left out (it takes minutes); its ``eigenvalues``
-example runs without that option.
+``--wronskian`` search is left out (it takes about 12 s); its
+``eigenvalues`` example runs without that option.
 
 Regenerate the goldens, only from a commit whose output is trusted, with::
 

@@ -1,10 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
-from stokesgeo import (accumulation_rays, eigenvalue_asymptotics,
-                       enumerate_short_geodesics, parse_poly_text,
-                       subdominant_solution, wronskian_eigenvalue_search)
+from stokesgeo import (NumericalError, accumulation_rays,
+                       eigenvalue_asymptotics, enumerate_short_geodesics,
+                       parse_poly_text, subdominant_solution,
+                       wronskian_eigenvalue_search)
+from stokesgeo import spectrum
+from stokesgeo.config import DEFAULT_CONFIG
+from stokesgeo.polynomial import PolyContext
+from tests.conftest import moving_zero_wronskian
 
 PI = math.pi
 
@@ -109,6 +115,18 @@ def test_subdominant_decays_outward(osc):
     assert sol.steps > 10
 
 
+def test_batched_kernel_matches_closed_forms(osc):
+    # exact eigenfunctions of z^2 - 1, both subdominant in sector 0:
+    # exp(-z^2/2) at lambda = 1 and z exp(-3 z^2/2) at lambda = 3
+    scale = 1.0 + PolyContext.of(osc, DEFAULT_CONFIG).scales.max_modulus
+    z0 = spectrum._sector_ray(osc, 0, 1.0, scale, DEFAULT_CONFIG)
+    m = 0.3
+    y, yp, _, _, _ = spectrum._integrate_inward(
+        osc, np.array([1.0, 3.0]), z0, complex(m), DEFAULT_CONFIG.ode_rel_tol)
+    for got, want in zip(yp / y, (-m, 1.0 / m - 3.0 * m)):
+        assert abs(got - want) <= 1e-8 * abs(want)
+
+
 def test_wronskian_zero_at_eigenvalue(osc):
     zeros = wronskian_eigenvalue_search(osc, (0, 2), (0.8, 1.2, -0.2, 0.2))
     assert len(zeros) == 1
@@ -118,6 +136,15 @@ def test_wronskian_zero_at_eigenvalue(osc):
 def test_wronskian_no_zero_off_spectrum(osc):
     zeros = wronskian_eigenvalue_search(osc, (0, 2), (1.6, 2.4, -0.3, 0.3))
     assert zeros == []
+
+
+def test_unconverged_polish_raises(osc, monkeypatch):
+    monkeypatch.setattr(spectrum, "_wronskian_batch",
+                        moving_zero_wronskian(1.0))
+    with pytest.raises(NumericalError) as info:
+        wronskian_eigenvalue_search(osc, (0, 2), (0.8, 1.2, -0.2, 0.2))
+    # the last step jumps 0.02 from 0.99 to 1.01: 0.02 / (1 + 1.01)
+    assert info.value.residuals == pytest.approx([0.02 / 2.01], rel=1e-9)
 
 
 def test_adjacent_sectors_rejected(osc):
