@@ -9,20 +9,15 @@ connectivity bounds d-1 <= count <= d(d-1)/2.
 import argparse
 import collections
 import random
+import sys
 import time
+from pathlib import Path
 
-from stokesgeo import ComplexPolynomial, survey_short_geodesics
+from stokesgeo import StokesGeoError, survey_short_geodesics
 
-
-def random_simple_poly(rng, d, min_sep=0.5, radius=1.5):
-    while True:
-        roots = [complex(rng.uniform(-radius, radius),
-                         rng.uniform(-radius, radius)) for _ in range(d)]
-        mean = sum(roots) / d
-        roots = [r - mean for r in roots]
-        if all(abs(roots[i] - roots[j]) >= min_sep
-               for i in range(d) for j in range(i + 1, d)):
-            return ComplexPolynomial.from_roots(1.0, roots)
+# the test suite's generator, so census and acceptance draw alike
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.conftest import random_simple_poly  # noqa: E402
 
 
 def main():
@@ -41,7 +36,7 @@ def main():
             poly = random_simple_poly(rng, d)
             try:
                 survey = survey_short_geodesics(poly)
-            except Exception:
+            except StokesGeoError:
                 failures += 1
                 continue
             if survey.errors:

@@ -100,13 +100,12 @@ class FaceSet:
         return [dom for dom in self.domains if dom.kind == "HalfPlane"]
 
 
-def _arc_samples(radius, b0, b1, include_end=True):
+def _arc_samples(radius, b0, b1):
     span = (b1 - b0) % TWO_PI
     if span == 0.0:
         span = TWO_PI
     n = max(2, int(span / 0.08) + 1)
-    steps = range(n + 1) if include_end else range(n)
-    return [radius * cmath.exp(1j * (b0 + span * k / n)) for k in steps]
+    return [radius * cmath.exp(1j * (b0 + span * k / n)) for k in range(n + 1)]
 
 
 def build_face_set(graph: StokesGraph, config: RunConfig = DEFAULT_CONFIG) -> FaceSet:

@@ -7,7 +7,12 @@ periods and verified by tracing.  Misses are refined by bisection on the
 discrete fate of a fixed emanating trajectory: the fate is piecewise
 constant in t and jumps exactly where that trajectory runs into a root,
 so a connection angle is the center of the small t-window over which the
-trace registers a hit.
+trace registers a hit.  A connection found there verifies the pair at
+that angle, wherever it lies; a transition into a third root refutes it.
+No trajectory from a simple zero returns to it: the Teichmueller defect
+of such a monogon is 1 - 3 theta/(2 pi) - 2 < 0.  The short geodesics
+connect all d turning points, so a survey that verifies fewer than d-1
+raises NonGenericError.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import NonGenericError
 from .pathint import (_integrate_root_to_root, _normalize_period_sign,
-                      pairwise_periods, period_for_pair)
+                      pairwise_periods)
 from .polynomial import (ComplexPolynomial, PolyContext, turning_points,
                          wrap_angle, wrap_positive)
 from .tracer import (EscapedToRay, HitTurningPoint, emanating_directions,
@@ -36,14 +41,19 @@ class ShortGeodesic:
     t_star: float
     period: complex
     polyline: tuple[complex, ...]
-    verified: bool = True
 
 
 @dataclass(frozen=True)
 class GeodesicRefutation:
+    """A candidate angle that did not verify.  ``reason`` is
+    "no_transition" (the probe fate does not change within eps_t_max),
+    "blocked" (a trace at the transition ``transition_t`` runs into
+    ``blocking_root``) or "unresolved" (no trace there reaches another
+    turning point, or the strict re-trace misses the partner)."""
+
     pair: tuple[int, int]
     t_candidate: float
-    reason: str            # "no_transition" | "blocked" | "loop" | "unresolved"
+    reason: str
     flanking: tuple[str, ...] = ()
     transition_t: float | None = None
     blocking_root: int | None = None
@@ -112,8 +122,7 @@ class _VerifyContext:
         a = pair[0]
         theta = theta_ref - 2.0 * (t - t_ref) / (self.ctx.mults[a] + 2)
         rot = self.ctx.rotate(t)
-        _, fate = trace_stokes_line(rot.poly, a, theta,
-                                    config=rot.config, context=rot,
+        _, fate = trace_stokes_line(rot.poly, a, theta, context=rot,
                                     track_drift=False, tol_shrink=tol_shrink,
                                     hit_radius=self.wide_radius)
         return _fate_signature(fate)
@@ -121,8 +130,7 @@ class _VerifyContext:
     def trace_all(self, pair, t: float, track_drift: bool,
                   hit_radius: float | None = None):
         rot = self.ctx.rotate(t)
-        return [trace_stokes_line(rot.poly, pair[0], theta,
-                                  config=rot.config, context=rot,
+        return [trace_stokes_line(rot.poly, pair[0], theta, context=rot,
                                   track_drift=track_drift,
                                   hit_radius=hit_radius)
                 for theta in self.directions(rot, pair[0])]
@@ -214,9 +222,8 @@ def verify_geodesic(poly: ComplexPolynomial, pair, t: float,
 
     A trace at t that reaches the partner verifies immediately.  Otherwise
     the angle is refined by bisection on the fate transition of a fixed
-    emanating trajectory inside a widening bracket; a connection found at
-    an angle far from t refutes the candidate but is recorded in
-    ``transition_t``.
+    emanating trajectory inside a widening bracket, and a connection to
+    the partner at the refined angle verifies the pair there.
 
     Raises NonGenericError when a trace at the queried angle lands on a
     third turning point (a simultaneous connection at this t).
@@ -227,16 +234,13 @@ def verify_geodesic(poly: ComplexPolynomial, pair, t: float,
     delta_hit = vc.ctx.scales.delta_hit
 
     hit_third = None
-    hit_loop = False
     hit_b_wide = False
     for pl, fate in vc.trace_all(pair, t, track_drift=False,
                                  hit_radius=vc.wide_radius):
         if isinstance(fate, HitTurningPoint):
             if fate.target == b:
                 hit_b_wide = True
-            elif fate.target == a:
-                hit_loop = hit_loop or fate.final_distance <= delta_hit
-            elif fate.final_distance <= delta_hit:
+            elif fate.target != a and fate.final_distance <= delta_hit:
                 hit_third = fate.target
     if hit_b_wide:
         geo = _accept(vc, pair, t)
@@ -245,9 +249,6 @@ def verify_geodesic(poly: ComplexPolynomial, pair, t: float,
     if hit_third is not None:
         raise NonGenericError(
             f"trace from root {a} at t={t:.6f} hits third root {hit_third}")
-    if hit_loop:
-        return GeodesicRefutation(pair=pair, t_candidate=t, reason="loop",
-                                  blocking_root=a)
 
     theta_ref = vc.best_direction(t, pair)
     sig_mid = vc.probe(pair, t, theta_ref, t)
@@ -284,37 +285,35 @@ def verify_geodesic(poly: ComplexPolynomial, pair, t: float,
         if centered is not None:
             t_hat = centered
 
+    flanking = (str(sig_lo), str(sig_hi))
+    transition_t = wrap_positive(t_hat, PI)
     for pl, fate in vc.trace_all(pair, t_hat, track_drift=False,
                                  hit_radius=vc.wide_radius):
         if isinstance(fate, HitTurningPoint):
             if fate.target == b:
-                if abs(wrap_angle(t_hat - t, PI)) <= config.eps_t:
-                    geo = _accept(vc, pair, t_hat)
-                    if geo is not None:
-                        return geo
-                return GeodesicRefutation(
-                    pair=pair, t_candidate=t, reason="transition_elsewhere",
-                    flanking=(str(sig_lo), str(sig_hi)),
-                    transition_t=wrap_positive(t_hat, PI))
+                geo = _accept(vc, pair, t_hat)
+                if geo is not None:
+                    return geo
+                break
             if fate.target != a:
                 return GeodesicRefutation(
                     pair=pair, t_candidate=t, reason="blocked",
-                    flanking=(str(sig_lo), str(sig_hi)),
-                    transition_t=wrap_positive(t_hat, PI),
+                    flanking=flanking, transition_t=transition_t,
                     blocking_root=fate.target)
     return GeodesicRefutation(pair=pair, t_candidate=t, reason="unresolved",
-                              flanking=(str(sig_lo), str(sig_hi)),
-                              transition_t=wrap_positive(t_hat, PI))
+                              flanking=flanking, transition_t=transition_t)
 
 
 def survey_short_geodesics(poly: ComplexPolynomial,
                            config: RunConfig = DEFAULT_CONFIG) -> GeodesicSurvey:
     """Candidate generation plus verification over all pairs.
 
-    At most one geodesic is reported per pair.  When fewer than d-1
-    geodesics verify (the connectivity lower bound), refuted pairs are
-    retried with opposite-side detour periods, which targets connections
-    whose path class differs from the default detour choice.
+    Each pair has one candidate angle, so at most one geodesic.  Candidates
+    that raise NonGenericError are recorded in ``errors``, the others that
+    do not verify in ``refutations``.  Raises NonGenericError when fewer
+    than d-1 geodesics verify: the short geodesics of a generic P connect
+    all d turning points, so a smaller count means a connection was
+    missed.
     """
     tps = turning_points(poly, config.root_tol)
     if not tps.all_simple:
@@ -323,45 +322,24 @@ def survey_short_geodesics(poly: ComplexPolynomial,
     survey = GeodesicSurvey()
     if len(tps.points) < 2:
         return survey          # a single turning point connects nothing
-    found_pairs = set()
 
-    def handle(pair, t_cand):
+    for pair, t_cand, _per in candidate_angles(poly, config):
         try:
             res = verify_geodesic(poly, pair, t_cand, config)
         except NonGenericError as exc:
             survey.errors.append((pair, str(exc)))
-            return
-        if isinstance(res, ShortGeodesic):
-            if res.pair not in found_pairs:
-                found_pairs.add(res.pair)
-                survey.geodesics.append(res)
-            return
-        if res.reason == "transition_elsewhere" and res.transition_t is not None:
-            try:
-                retry = verify_geodesic(poly, pair, res.transition_t, config)
-            except NonGenericError as exc:
-                survey.errors.append((pair, str(exc)))
-                return
-            if isinstance(retry, ShortGeodesic) and retry.pair not in found_pairs:
-                found_pairs.add(retry.pair)
-                survey.geodesics.append(retry)
-                return
-        survey.refutations.append(res)
-
-    for pair, t_cand, _per in candidate_angles(poly, config):
-        if pair in found_pairs:
             continue
-        handle(pair, t_cand)
+        if isinstance(res, ShortGeodesic):
+            survey.geodesics.append(res)
+        else:
+            survey.refutations.append(res)
 
     if len(survey.geodesics) < d - 1:
-        for ref in list(survey.refutations):
-            if ref.pair in found_pairs:
-                continue
-            per = period_for_pair(poly, *ref.pair, config=config,
-                                  flip_side=True)
-            t_cand = wrap_positive(PI / 2 - cmath.phase(per.value), PI)
-            if abs(wrap_angle(t_cand - ref.t_candidate, PI)) > 1e-9:
-                handle(ref.pair, t_cand)
+        raise NonGenericError(
+            f"{len(survey.geodesics)} short geodesic(s) verified, fewer than "
+            f"the d-1 = {d - 1} that connect the turning points; refuted "
+            f"{[(r.pair, r.reason) for r in survey.refutations]}, errors "
+            f"{survey.errors}")
 
     survey.geodesics.sort(key=lambda g: (g.t_star, g.pair))
     seen_t: dict[float, tuple[int, int]] = {}

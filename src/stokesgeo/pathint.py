@@ -166,7 +166,7 @@ def _deflate(poly: ComplexPolynomial, root: complex, mult: int) -> ComplexPolyno
 
 
 def integrate_chord_from_root(poly, roots, root, mult, z1, w1,
-                              rel_tol=1e-9, abs_floor=1e-13) -> complex:
+                              rel_tol=1e-9) -> complex:
     """Integral of sqrt(P) dz from a turning point ``root`` to z1.
 
     The branch is pinned by ``w1``, the value of sqrt(P) at z1.  The
@@ -190,7 +190,7 @@ def integrate_chord_from_root(poly, roots, root, mult, z1, w1,
     front = 2.0 * dz * dz_half * sign
 
     total = 0j
-    target = max(abs_floor, rel_tol * abs(w1) * abs(dz))
+    target = max(1e-13, rel_tol * abs(w1) * abs(dz))
     # panels processed outer-first so the branch walks inward only
     stack = [(0.0, 1.0, target)]
     guard = 0
@@ -396,8 +396,7 @@ class Period:
     branch_seed: complex
 
 
-def pair_path(poly, locations, i: int, j: int, delta: float,
-              flip_side: bool = False):
+def pair_path(poly, locations, i: int, j: int, delta: float):
     """Straight segment between roots i and j, bent by semicircular
     detours of radius 2*delta around any other root it passes too close
     to.  The detour side is the one with smaller |P| at the arc midpoint,
@@ -433,8 +432,6 @@ def pair_path(poly, locations, i: int, j: int, delta: float,
         mid_ccw = r + radius * cmath.exp(1j * (th_in + 0.5 * d_ccw))
         mid_cw = r + radius * cmath.exp(1j * (th_in + 0.5 * d_cw))
         choose_ccw = abs(poly.evaluate(mid_ccw)) <= abs(poly.evaluate(mid_cw))
-        if flip_side:
-            choose_ccw = not choose_ccw
         span = d_ccw if choose_ccw else d_cw
         n_arc = max(8, int(abs(span) / 0.2) + 1)
         verts.append(z_in)
@@ -468,12 +465,11 @@ def _normalize_period_sign(value: complex, seed: complex):
 
 
 def period_for_pair(poly: ComplexPolynomial, i: int, j: int,
-                    config: RunConfig = DEFAULT_CONFIG,
-                    flip_side: bool = False) -> Period:
+                    config: RunConfig = DEFAULT_CONFIG) -> Period:
     ctx = PolyContext.of(poly, config)
     locs = ctx.locs
     delta = ctx.scales.delta_path
-    verts = pair_path(poly, locs, i, j, delta, flip_side=flip_side)
+    verts = pair_path(poly, locs, i, j, delta)
     _check_clearance(verts, [r for k, r in enumerate(locs) if k not in (i, j)],
                      delta)
     value, seed = _integrate_root_to_root(poly, locs, ctx.mults, verts, i, j,
@@ -510,19 +506,17 @@ def winding_number(vertices, point: complex) -> int:
     return int(round(total / (2.0 * math.pi)))
 
 
-def contour_integral(poly: ComplexPolynomial, vertices, fvals,
-                     rel_tol=1e-9, seed: complex | None = None,
-                     roots=None) -> complex:
-    """Adaptive branch-tracked integral of fvals(z, w) dz along a polyline.
+def contour_integral(poly: ComplexPolynomial, vertices, fvals, roots,
+                     rel_tol=1e-9) -> complex:
+    """Adaptive branch-tracked integral of fvals(z, w) dz along a polyline,
+    starting from the principal branch; ``roots`` are the turning points
+    that bound the continuation steps.
 
     For a closed contour the branch must return to its seed; a mismatch
     means sqrt(P) is not single-valued along the contour.
     """
     verts = [complex(v) for v in vertices]
-    if roots is None:
-        ctx = _context(poly, DEFAULT_CONFIG)
-        roots = ctx.locs if ctx else ()
-    w0 = seed if seed is not None else _principal_seed(poly, verts[0])
+    w0 = _principal_seed(poly, verts[0])
     total, branch, _ = integrate_polyline(poly, roots, verts, w0, fvals,
                                           rel_tol=rel_tol)
     w_end = branch[-1]
@@ -623,8 +617,8 @@ def alpha_contour_integrals(poly: ComplexPolynomial, contour, j_max: int,
         def f(z, w, _qj=qj, _p=power):
             return _poly_eval(_qj, z) * w ** (-_p)
 
-        out.append(contour_integral(poly, verts, f, rel_tol=config.quad_rel_tol,
-                                    roots=roots))
+        out.append(contour_integral(poly, verts, f, roots,
+                                    rel_tol=config.quad_rel_tol))
     return out
 
 
@@ -649,9 +643,10 @@ def resample_polyline(vertices, spacing: float):
     return out
 
 
-def build_stadium(polyline, clearance: float, n_cap: int = 16):
+def build_stadium(polyline, clearance: float):
     """Closed CCW offset contour at distance ``clearance`` around an open
     polyline (left side forward, cap, right side back, cap)."""
+    n_cap = 16            # chords per semicircular end cap
     pts = resample_polyline([complex(v) for v in polyline],
                             max(clearance, 1e-9))
     if len(pts) < 2:
@@ -684,8 +679,7 @@ def build_stadium(polyline, clearance: float, n_cap: int = 16):
 
 # --- canonical-coordinate drift of a traced polyline --------------------------
 
-def re_xi_drift(poly: ComplexPolynomial, vertices, root_tol: float = 1e-10,
-                rel_tol: float = 1e-12) -> tuple[float, float]:
+def re_xi_drift(poly: ComplexPolynomial, vertices) -> tuple[float, float]:
     """Max |Re xi| drift along a polyline, xi transported from its start.
 
     Endpoints sitting on turning points use the singular endpoint rule.
@@ -694,7 +688,7 @@ def re_xi_drift(poly: ComplexPolynomial, vertices, root_tol: float = 1e-10,
     verts = [complex(v) for v in vertices]
     if len(verts) < 2:
         return 0.0, 0.0
-    points = turning_points(poly, root_tol).points if poly.degree >= 1 else ()
+    points = turning_points(poly).points if poly.degree >= 1 else ()
     arc = polyline_length(verts)
     start = _root_end(verts[0], points, 1e-9)
     end = _root_end(verts[-1], points, 1e-9)
@@ -702,7 +696,7 @@ def re_xi_drift(poly: ComplexPolynomial, vertices, root_tol: float = 1e-10,
         verts = [verts[0], 0.5 * (verts[0] + verts[1]), verts[1]]
     w = _principal_seed(poly, verts[1 if start is not None else 0])
     _, _, running = integrate_polyline(
-        poly, tuple(r for r, _ in points), verts, w, rel_tol=rel_tol,
+        poly, tuple(r for r, _ in points), verts, w, rel_tol=1e-12,
         abs_floor=1e-14, start=start, end=end)
     # partial integrals measured from verts[0], where xi = 0
     return max(abs(x.real) for x in running), arc

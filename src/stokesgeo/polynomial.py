@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import re
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -66,17 +65,6 @@ class ComplexPolynomial:
         for a in self.coeffs:
             p = p * z + a
         return p
-
-    def eval_with_derivs(self, z: complex) -> tuple[complex, complex, complex]:
-        """Fused Horner evaluation of (P, P', P'')."""
-        p = 0j
-        dp = 0j
-        ddp = 0j
-        for a in self.coeffs:
-            ddp = ddp * z + dp
-            dp = dp * z + p
-            p = p * z + a
-        return p, dp, 2.0 * ddp
 
     def derivative(self) -> "ComplexPolynomial":
         if self.degree == 0:
@@ -165,15 +153,6 @@ class StokesSectorSet:
             dist = abs(wrap_angle(a - r))
             if dist < best_d:
                 best, best_d = k, dist
-        return best
-
-    def sector_index_near(self, angle: float) -> int:
-        a = wrap_positive(angle)
-        best, best_d = 0, float("inf")
-        for j, c in enumerate(self.centers):
-            dist = abs(wrap_angle(a - c))
-            if dist < best_d:
-                best, best_d = j, dist
         return best
 
     def are_neighboring_rays(self, i: int, j: int) -> bool:
@@ -368,16 +347,6 @@ class PolyContext:
 # ---------------------------------------------------------------------------
 # Text / JSON formats
 # ---------------------------------------------------------------------------
-
-_COMPLEX_RE = re.compile(
-    r"""^\s*
-        (?P<re>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?
-        (?P<im>[+-]?(?:\d+\.?\d*|\.\d+)?(?:[eE][+-]?\d+)?)?
-        (?P<i>i)?
-        \s*$""",
-    re.VERBOSE,
-)
-
 
 def parse_complex(text: str) -> complex:
     """Parse 're', 'imi' or 're+imi' coefficient notation (e.g. '1', '-2i', '0.5+0.25i')."""

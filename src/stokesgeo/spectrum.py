@@ -62,14 +62,13 @@ class EigenvalueEstimate:
 
 @dataclass(frozen=True)
 class SubdominantSolution:
-    """Solution decaying in one Stokes sector, integrated inward to a
-    matching point.  ``value`` and ``derivative`` carry the common factor
-    exp(logscale)."""
+    """Solution decaying in one Stokes sector, integrated inward to the
+    matching point z = 0.  ``value`` and ``derivative`` carry the common
+    factor exp(logscale)."""
 
     sector: int
     lam: complex
     start: complex
-    match_point: complex
     value: complex
     derivative: complex
     logscale: float
@@ -77,14 +76,13 @@ class SubdominantSolution:
     steps: int
 
 
-def _loop_contour(poly, geodesic: ShortGeodesic, config: RunConfig):
+def _loop_contour(ctx: PolyContext, geodesic: ShortGeodesic):
     """Stadium around the geodesic enclosing only its two endpoints.
 
     The clearance starts generous (quadrature of the correction densities
     degrades sharply when the contour hugs the square-root singularities)
     and shrinks toward 3 delta_path until no other turning point is
     enclosed or approached."""
-    ctx = PolyContext.of(poly, config)
     locs = ctx.locs
     scales = ctx.scales
     a, b = geodesic.pair
@@ -118,10 +116,11 @@ def accumulation_rays(poly: ComplexPolynomial,
     a stadium contour enclosing only the two endpoints."""
     if survey is None:
         survey = survey_short_geodesics(poly, config)
+    ctx = PolyContext.of(poly, config)
     rays = []
     for geo in survey.geodesics:
-        contour = _loop_contour(poly, geo, config)
-        loop = contour_integral(poly, contour, lambda z, w: w,
+        contour = _loop_contour(ctx, geo)
+        loop = contour_integral(poly, contour, lambda z, w: w, ctx.locs,
                                 rel_tol=config.quad_rel_tol)
         rays.append(AccumulationRay(angle=geo.t_star, geodesic=geo,
                                     loop_period=loop,
@@ -275,8 +274,7 @@ def _integrate_inward(poly, lams, z0, z1, rtol):
 _DECAY_EFOLDS = 18.0   # suppresses dominant-solution contamination to ~1e-16
 
 
-def _sector_ray(poly, sector_index: int, lam_ref: complex, scale: float,
-                config: RunConfig):
+def _sector_ray(poly, sector_index: int, lam_ref: complex, scale: float):
     """Start point of the inward integration path: on the midline of the
     requested sector of lambda^2 P, at a radius scaling like
     |lambda|^{-2/(d+2)} so the subdominant decay budget is uniform in
@@ -292,41 +290,34 @@ def _sector_ray(poly, sector_index: int, lam_ref: complex, scale: float,
 
 
 def subdominant_solution(poly: ComplexPolynomial, lam: complex,
-                         sector_index: int, radius: float | None = None,
-                         match_point: complex = 0j,
+                         sector_index: int,
                          config: RunConfig = DEFAULT_CONFIG) -> SubdominantSolution:
     """Construct the solution subdominant in one Stokes sector of
-    lambda^2 P and integrate it inward to the matching point."""
+    lambda^2 P and integrate it inward to the matching point z = 0."""
     scale = 1.0 + PolyContext.of(poly, config).scales.max_modulus
-    z0 = _sector_ray(poly, sector_index, lam, scale, config)
-    if radius is not None:
-        z0 = z0 / abs(z0) * radius
+    z0 = _sector_ray(poly, sector_index, lam, scale)
     lams = np.array([lam], dtype=complex)
     y, yp, logscale, steps, decay = _integrate_inward(
-        poly, lams, z0, complex(match_point), config.ode_rel_tol)
+        poly, lams, z0, 0j, config.ode_rel_tol)
     samples = tuple(float(dv[0]) for dv in decay)
     return SubdominantSolution(sector=sector_index, lam=lam, start=z0,
-                               match_point=complex(match_point),
                                value=complex(y[0]),
                                derivative=complex(yp[0]),
                                logscale=float(logscale[0]),
                                decay_samples=samples, steps=steps)
 
 
-def _wronskian_batch(poly, lams, sectors, match_point, config, rtol=None):
+def _wronskian_batch(poly, lams, sectors, config, rtol):
     """Scaled Wronskian of the two subdominant solutions at the matching
-    point; the dropped factor exp(s1+s2) is real positive, so zeros and
-    phase winding are unaffected."""
+    point z = 0; the dropped factor exp(s1+s2) is real positive, so zeros
+    and phase winding are unaffected."""
     lams = np.asarray(lams, dtype=complex)
     scale = 1.0 + PolyContext.of(poly, config).scales.max_modulus
     lam_ref = lams[np.argmin(np.abs(lams))]
-    if rtol is None:
-        rtol = config.ode_rel_tol
     vals = []
     for sector in sectors:
-        z0 = _sector_ray(poly, sector, lam_ref, scale, config)
-        y, yp, logscale, _, _ = _integrate_inward(
-            poly, lams, z0, complex(match_point), rtol)
+        z0 = _sector_ray(poly, sector, lam_ref, scale)
+        y, yp, logscale, _, _ = _integrate_inward(poly, lams, z0, 0j, rtol)
         vals.append((y, yp, logscale))
     (y1, yp1, s1), (y2, yp2, s2) = vals
     w = y1 * yp2 - yp1 * y2
@@ -334,8 +325,7 @@ def _wronskian_batch(poly, lams, sectors, match_point, config, rtol=None):
 
 
 def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
-                                rect, n_boundary: int = 64,
-                                match_point: complex = 0j,
+                                rect,
                                 config: RunConfig = DEFAULT_CONFIG) -> list[complex]:
     """Zeros of the Wronskian of two subdominant solutions inside a
     rectangle, located by argument-principle subdivision and polished by
@@ -348,11 +338,6 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
     sectors = stokes_sectors(poly)
     if sectors.are_neighboring_rays(j1, j2):
         raise ValueError("sector pair must be non-adjacent")
-
-    def wvals(lams, rtol=None):
-        w, _ = _wronskian_batch(poly, lams, (j1, j2), match_point, config,
-                                rtol=rtol)
-        return w
 
     def boundary_points(r, m):
         re0, re1, im0, im1 = r
@@ -371,14 +356,16 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
 
     def winding(r, jitter=0.0):
         r = (r[0] - jitter, r[1] + jitter, r[2] - jitter, r[3] + jitter)
-        m = n_boundary
+        m = 64
         while True:
             pts = boundary_points(r, m)
-            phases = np.angle(wvals(np.array(pts), rtol=1e-7))
+            w, _ = _wronskian_batch(poly, np.array(pts), (j1, j2), config,
+                                    rtol=1e-7)
+            phases = np.angle(w)
             dphi = np.diff(np.concatenate([phases, phases[:1]]))
             dphi = (dphi + math.pi) % TWO_PI - math.pi
             worst = float(np.max(np.abs(dphi)))
-            if worst < 1.6 or m >= 8 * n_boundary:
+            if worst < 1.6 or m >= 512:
                 if worst >= 2.6:
                     # a near-pi jump that refinement cannot tame marks a
                     # zero sitting on (or next to) the boundary
@@ -449,8 +436,7 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
         delta = np.clip(0.45 * np.abs(u_est), 1e-7 * (1.0 + np.abs(lam)), 0.15)
         batch = np.concatenate([lam - 2 * delta, lam - delta, lam,
                                 lam + delta, lam + 2 * delta])
-        w, s = _wronskian_batch(poly, batch, (j1, j2), match_point, config,
-                                rtol=1e-11)
+        w, s = _wronskian_batch(poly, batch, (j1, j2), config, rtol=1e-11)
         logw = np.log(w) + s
         l_m2 = logw[:nz]
         l_m1 = logw[nz:2 * nz]

@@ -22,7 +22,8 @@ def _path(points, stroke, width, dash=None, opacity=None) -> str:
             f'stroke-width="{_fmt(width)}"{extra}/>')
 
 
-def _document(elements, bounds, margin=0.08) -> str:
+def _document(elements, bounds) -> str:
+    margin = 0.08
     x0, x1, y0, y1 = bounds
     dx = max(x1 - x0, 1e-6)
     dy = max(y1 - y0, 1e-6)

@@ -68,7 +68,7 @@ def emanating_directions(poly: ComplexPolynomial, root: complex,
     return [wrap_positive((math.pi * (2 * k + 1) - argc) / n) for k in range(n)]
 
 
-def _branch_step(poly, z, w_ref, z_new):
+def _branch_step(poly, w_ref, z_new):
     """Sign-matched sqrt(P)(z_new) against a nearby reference value."""
     w = cmath.sqrt(poly.evaluate(z_new))
     if w.real * w_ref.real + w.imag * w_ref.imag < 0.0:
@@ -84,7 +84,7 @@ def _chord_re_integral(poly, z0, w0, z1):
     w_prev = w0
     for k in range(15):
         s = 0.5 + 0.5 * _KRONROD_NODES[k]
-        w = _branch_step(poly, z0, w_prev, z0 + s * dz)
+        w = _branch_step(poly, w_prev, z0 + s * dz)
         w_prev = w
         acc += _KRONROD_WEIGHTS[k] * (w.real * dz.real - w.imag * dz.imag)
     return 0.5 * acc, w_prev
@@ -95,7 +95,6 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
                       context: PolyContext | None = None,
                       track_drift: bool = True,
                       tol_shrink: float = 1.0,
-                      max_length: float | None = None,
                       hit_radius: float | None = None):
     """Trace one Stokes line from a turning point.
 
@@ -103,7 +102,8 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     point within ``hit_radius`` (default delta_hit, HitTurningPoint),
     leaving the escape radius moving outward (EscapedToRay, with the final
     vertex landed exactly on the escape circle), or exceeding the length
-    cap (Truncated).
+    cap l_max (Truncated).  Tolerances and scales come from ``context``,
+    which defaults to the context of ``poly`` under ``config``.
     """
     ctx = context if context is not None else PolyContext.of(poly, config)
     locs, scales = ctx.locs, ctx.scales
@@ -123,8 +123,7 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     delta_hit = scales.delta_hit
     hit_r = hit_radius if hit_radius is not None else delta_hit
     r_escape = scales.r_escape
-    l_max = max_length if max_length is not None else scales.l_max
-    atol = config.trace_tol * scales.d_unit * tol_shrink
+    atol = ctx.config.trace_tol * scales.d_unit * tol_shrink
 
     polyline = [r0]
     drift = 0.0
@@ -134,11 +133,11 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     head = integrate_chord_from_root(poly, locs, r0, ctx.mults[root_index],
                                      z, w, rel_tol=1e-12)
     z = z - head.real * w.conjugate() / (abs(w) ** 2)
-    w = _branch_step(poly, z, w, z)
+    w = _branch_step(poly, w, z)
     polyline.append(z)
 
     def field(z_pt, w_ref):
-        w_here = _branch_step(poly, z_pt, w_ref, z_pt)
+        w_here = _branch_step(poly, w_ref, z_pt)
         return 1j * w_here.conjugate() / abs(w_here), w_here
 
     s_total = 0.0
@@ -188,11 +187,11 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
                     dr = drift + inc
                     corr = -dr * w_land.conjugate() / (abs(w_land) ** 2)
                     z_land = z_land + corr
-                    w_land = _branch_step(poly, z_land, w_land, z_land)
+                    w_land = _branch_step(poly, w_land, z_land)
                 polyline.append(z_land)
                 ray = ctx.sectors.nearest_ray_index(cmath.phase(z_land))
                 return polyline, EscapedToRay(ray, z_land)
-        w_new = _branch_step(poly, z5, w6, z5)
+        w_new = _branch_step(poly, w6, z5)
         if track_drift:
             inc, _ = _chord_re_integral(poly, z, w, z5)
             drift += inc
@@ -200,7 +199,7 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
                 corr = -drift * w_new.conjugate() / (abs(w_new) ** 2)
                 z5 = z5 + corr
                 drift += (w_new * corr).real
-                w_new = _branch_step(poly, z5, w_new, z5)
+                w_new = _branch_step(poly, w_new, z5)
         s_total += h
         z, w = z5, w_new
         polyline.append(z)
@@ -225,7 +224,7 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
         else:
             prev_dists.clear()
 
-        if s_total >= l_max:
+        if s_total >= scales.l_max:
             return polyline, Truncated(s_total)
 
 
@@ -256,7 +255,7 @@ def _land_on_circle(poly, z_prev, w_prev, z_over, radius):
         else:
             lo = mid
     z_land = z_prev + hi * (z_over - z_prev)
-    w_land = _branch_step(poly, z_prev, w_prev, z_land)
+    w_land = _branch_step(poly, w_prev, z_land)
     return z_land, w_land
 
 
@@ -295,14 +294,9 @@ class StokesGraph:
     def rays(self) -> tuple[float, ...]:
         return self.sectors.ray_angles
 
-    @property
-    def finite_edges(self) -> tuple[StokesEdge, ...]:
-        return tuple(e for e in self.edges if e.kind == "finite")
-
 
 def build_stokes_graph(poly: ComplexPolynomial,
-                       config: RunConfig = DEFAULT_CONFIG,
-                       track_drift: bool = True) -> StokesGraph:
+                       config: RunConfig = DEFAULT_CONFIG) -> StokesGraph:
     """Trace every emanating Stokes line and assemble the graph.
 
     Opposite half-traces of a finite Stokes line (a hits b, b hits a) are
@@ -314,8 +308,7 @@ def build_stokes_graph(poly: ComplexPolynomial,
     for ridx, (root, mult) in enumerate(ctx.tps.points):
         dirs = emanating_directions(poly, root, mult)
         for kdir, theta in enumerate(dirs):
-            pl, fate = trace_stokes_line(poly, ridx, theta, config=config,
-                                         context=ctx, track_drift=track_drift)
+            pl, fate = trace_stokes_line(poly, ridx, theta, context=ctx)
             raw.append((ridx, kdir, theta, tuple(pl), fate))
 
     edges = []

@@ -1,5 +1,7 @@
 import json
 import math
+
+import numpy as np
 import pytest
 
 from stokesgeo import spectrum
@@ -96,14 +98,31 @@ def test_eigenvalues_bad_range(tmp_path):
                 "--out", str(tmp_path)]) == 2
 
 
-def test_eigenvalues_wronskian_empty_search_fails(tmp_path, capsys):
-    # the order-0 estimates for n = 1..3 lie in the rectangle, so a search
-    # that finds no zero there must not pass as an empty spectrum
-    code = run(["eigenvalues", "--poly", "1,0,0.3+0.2i,-1", "--n", "1..3",
-                "--wronskian", "1.8,6.2,1.5,5.3", "--out", str(tmp_path),
+def test_eigenvalues_wronskian_cubic(tmp_path):
+    # sectors from the Stokes graph at the ray's angle; the zero is the
+    # Chebyshev-collocation eigenvalue of bench/reference.py
+    code = run(["eigenvalues", "--poly", "1,0,0.3+0.2i,-1", "--n", "1..1",
+                "--wronskian", "2.16,2.96,1.79,2.55", "--out", str(tmp_path),
                 "--format", "json"])
+    assert code == 0
+    data = json.loads((tmp_path / "eigenvalues.json").read_text())
+    zeros = [complex(*z) for z in data["wronskian_zeros"]]
+    assert len(zeros) == 1
+    assert abs(zeros[0] - (2.409751700170828 + 2.041435904407163j)) <= 1e-8
+
+
+def test_eigenvalues_wronskian_empty_search_fails(tmp_path, capsys,
+                                                  monkeypatch):
+    # the order-0 estimate for n = 0 lies in the rectangle, so a search
+    # that finds no zero there must not pass as an empty spectrum
+    def zero_free(poly, lams, sectors, config, rtol):
+        return np.ones(len(lams), dtype=complex), np.zeros(len(lams))
+
+    monkeypatch.setattr(spectrum, "_wronskian_batch", zero_free)
+    code = run(["eigenvalues", "--poly", "1,0,-1", "--n", "0..0",
+                "--wronskian", "0.8,1.2,-0.2,0.2", "--out", str(tmp_path)])
     assert code == 3
-    assert "sectors (" in capsys.readouterr().err
+    assert "sectors (0, 2)" in capsys.readouterr().err
 
 
 def test_numerical_failure_shows_residuals(tmp_path, capsys, monkeypatch):

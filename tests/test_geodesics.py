@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from stokesgeo import geodesics
 from stokesgeo import (ComplexPolynomial, GeodesicRefutation, NonGenericError,
                        PsiPolygon, ShortGeodesic, candidate_angles,
                        enumerate_short_geodesics, re_xi_drift,
@@ -56,11 +57,11 @@ def test_verify_oscillator_connection(osc):
     assert geo.period == pytest.approx(1j * PI / 2, abs=1e-9)
 
 
-def test_verify_oscillator_refutation_recovers_transition(osc):
+def test_verify_oscillator_miss_recovers_connection(osc):
+    # the trace at 0.3 misses; the bisected transition is the connection
     res = verify_geodesic(osc, (0, 1), 0.3)
-    assert isinstance(res, GeodesicRefutation)
-    assert res.reason == "transition_elsewhere"
-    assert _mod_pi_dist(res.transition_t, 0.0) <= 1e-10
+    assert isinstance(res, ShortGeodesic)
+    assert _mod_pi_dist(res.t_star, 0.0) <= 1e-10
 
 
 def test_verify_odd_cubic_blocked_pair(cubic_odd):
@@ -133,6 +134,18 @@ def test_geodesic_polyline_drift(osc, cubic_unity):
             rot = poly.rotate(g.t_star)
             drift, arc = re_xi_drift(rot, g.polyline)
             assert drift <= 1e-6 * (1.0 + arc)
+
+
+def test_survey_below_lower_bound_raises(cubic_unity, monkeypatch):
+    # d - 1 geodesics connect the turning points of a generic P; a survey
+    # that verifies fewer must not report the short count
+    def refute(poly, pair, t, config):
+        return GeodesicRefutation(pair=pair, t_candidate=t,
+                                  reason="unresolved")
+
+    monkeypatch.setattr(geodesics, "verify_geodesic", refute)
+    with pytest.raises(NonGenericError, match="fewer than the d-1 = 2"):
+        survey_short_geodesics(cubic_unity)
 
 
 def test_simple_roots_required():

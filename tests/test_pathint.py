@@ -10,8 +10,7 @@ from stokesgeo import (BranchError, ClearanceError, ComplexPolynomial,
                        alpha_contour_integrals, canonical_parameter_integral,
                        pairwise_periods, parse_poly_text, sqrt_continuation,
                        winding_number)
-from stokesgeo.pathint import (build_stadium, min_clearance,
-                               period_for_pair, re_xi_drift)
+from stokesgeo.pathint import build_stadium, min_clearance, re_xi_drift
 
 
 def circle(center, radius, n=129):
@@ -138,13 +137,6 @@ def test_detour_clearance(cubic_odd):
     per = [p for p in pairwise_periods(cubic_odd) if p.pair == (0, 2)][0]
     # middle root must be cleared by the bent path
     assert min_clearance(list(per.path), [0.0]) > 1e-4
-
-
-def test_opposite_detour_differs(cubic_odd):
-    a = period_for_pair(cubic_odd, 0, 2)
-    b = period_for_pair(cubic_odd, 0, 2, flip_side=True)
-    # the two classes differ by the loop around the middle root
-    assert abs(a.value - b.value) > 1e-3 or abs(a.value + b.value) > 1e-3
 
 
 def test_rotation_covariance(osc):

@@ -21,12 +21,6 @@ def test_evaluate():
     assert p3.evaluate(1j) == -2j
 
 
-def test_eval_with_derivs():
-    p = parse_poly_text("1,0,-1")
-    v, d1, d2 = p.eval_with_derivs(2.0)
-    assert v == 3 and d1 == 4 and d2 == 2
-
-
 def test_roots_quadratic():
     tps = turning_points(parse_poly_text("1,0,-1"))
     locs = sorted(tps.locations, key=lambda z: z.real)

@@ -1,4 +1,6 @@
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from stokesgeo import (NumericalError, accumulation_rays,
                        eigenvalue_asymptotics, enumerate_short_geodesics,
                        parse_poly_text, subdominant_solution,
                        wronskian_eigenvalue_search)
-from stokesgeo import spectrum
+from stokesgeo import polynomial, spectrum
 from stokesgeo.config import DEFAULT_CONFIG
 from stokesgeo.polynomial import PolyContext
 from tests.conftest import moving_zero_wronskian
@@ -49,6 +51,24 @@ def test_ray_rotation_equivariance(osc):
 def test_ray_count_matches_geodesics(cubic_odd):
     rays = accumulation_rays(cubic_odd)
     assert len(rays) == len(enumerate_short_geodesics(cubic_odd))
+
+
+def test_ray_root_lookups_use_config_tolerance(osc, monkeypatch):
+    # every turning-point lookup behind the rays, the loop-period contour
+    # included, uses the caller's root_tol
+    original = polynomial.turning_points
+    tols = []
+
+    def spy(poly, tol=1e-10):
+        tols.append(tol)
+        return original(poly, tol)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.startswith("stokesgeo")
+                and getattr(mod, "turning_points", None) is original):
+            monkeypatch.setattr(mod, "turning_points", spy)
+    accumulation_rays(osc, config=replace(DEFAULT_CONFIG, root_tol=1e-8))
+    assert tols and set(tols) == {1e-8}
 
 
 def test_oscillator_order0_exact(osc):
@@ -119,7 +139,7 @@ def test_batched_kernel_matches_closed_forms(osc):
     # exact eigenfunctions of z^2 - 1, both subdominant in sector 0:
     # exp(-z^2/2) at lambda = 1 and z exp(-3 z^2/2) at lambda = 3
     scale = 1.0 + PolyContext.of(osc, DEFAULT_CONFIG).scales.max_modulus
-    z0 = spectrum._sector_ray(osc, 0, 1.0, scale, DEFAULT_CONFIG)
+    z0 = spectrum._sector_ray(osc, 0, 1.0, scale)
     m = 0.3
     y, yp, _, _, _ = spectrum._integrate_inward(
         osc, np.array([1.0, 3.0]), z0, complex(m), DEFAULT_CONFIG.ode_rel_tol)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from stokesgeo import tracer
 from stokesgeo import (ComplexPolynomial, EscapedToRay, HitTurningPoint,
                        build_stokes_graph, classify_complexes,
                        emanating_directions, parse_poly_text, re_xi_drift,
@@ -79,6 +80,27 @@ def test_graph_oscillator(osc):
     assert len(g.complexes) == 1 and g.complexes[0] == frozenset({0, 1})
     flags = classify_complexes(g)
     assert flags == [(frozenset({0, 1}), False)]
+
+
+def test_graph_one_sided_hit_is_flagged(osc, monkeypatch):
+    # root 1's trace along pi is made to escape, so root 0's hit on root 1
+    # has no partner half: the edge keeps root 0's trace, takes its target
+    # direction from the arrival angle, and is flagged
+    def finite(graph):
+        return [(e.origin, e.direction_index, e.target,
+                 e.target_direction_index, e.flagged)
+                for e in graph.edges if e.kind == "finite"]
+
+    assert finite(build_stokes_graph(osc)) == [(0, 2, 1, 1, False)]
+    original = tracer.trace_stokes_line
+
+    def trace(poly, root_index, direction, **kwargs):
+        if root_index == 1 and abs(direction - math.pi) < 1e-12:
+            return [1.0, -10.0j], EscapedToRay(3, -10.0j)
+        return original(poly, root_index, direction, **kwargs)
+
+    monkeypatch.setattr(tracer, "trace_stokes_line", trace)
+    assert finite(build_stokes_graph(osc)) == [(0, 2, 1, 1, True)]
 
 
 def test_graph_airy():
