@@ -13,14 +13,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .domains import chord_diagram
-from .errors import (IncompleteGraphError, NonGenericError, NumericalError,
-                     ParseError, StokesGeoError)
+from .errors import (IncompleteGraphError, NumericalError, ParseError,
+                     StokesGeoError)
 from .geodesics import survey_short_geodesics
 from .pathint import douglas_peucker
 from .polynomial import (ComplexPolynomial, PolyContext, parse_poly_json,
@@ -211,36 +210,6 @@ def cmd_rays(args) -> int:
     return 0
 
 
-def _wronskian_sectors(poly, ray, config) -> tuple[int, int]:
-    """Sector pair of the Wronskian search along one accumulation ray.
-
-    In the Stokes graph of e^{2it*} P, each end of the ray's geodesic sends
-    its two other Stokes lines to neighbouring rays k and k+1; the sector
-    k+1 between them is the one whose subdominant solution is matched at
-    that end.
-    """
-    rot = poly.rotate(ray.angle)
-    graph = build_stokes_graph(rot, config)
-    locs = graph.turning_points.locations
-    n = graph.sectors.count
-    # the graph numbers sectors from arg of e^{2it*} a0 wrapped to (-pi, pi],
-    # the search from arg a0 + 2 arg(lambda) = arg a0 + 2 t* on the ray
-    shift = round((poly.phi0 + 2.0 * ray.angle - rot.phi0) / (2.0 * math.pi))
-    pair = []
-    for end in (ray.geodesic.polyline[0], ray.geodesic.polyline[-1]):
-        root = min(range(len(locs)), key=lambda k: abs(locs[k] - end))
-        rays = sorted(e.ray for e in graph.edges
-                      if e.kind == "escape" and e.origin == root)
-        if len(rays) != 2 or (rays[1] - rays[0]) % n not in (1, n - 1):
-            raise NonGenericError(
-                f"root {root} of the geodesic on the ray at "
-                f"{ray.angle:.12g} escapes to rays {rays}, not to two "
-                "neighbouring rays")
-        k = rays[0] if rays[1] - rays[0] == 1 else rays[1]
-        pair.append((k + 1 + shift) % n)
-    return tuple(sorted(pair))
-
-
 def cmd_eigenvalues(args) -> int:
     config = _load_config(args)
     poly = _poly_from_arg(args.poly).rotate(args.t)
@@ -268,8 +237,8 @@ def cmd_eigenvalues(args) -> int:
             raise ParseError(
                 f"bad --wronskian rectangle {args.wronskian!r}; expected "
                 "re_lo,re_hi,im_lo,im_hi") from None
-        from .spectrum import wronskian_eigenvalue_search
-        j1, j2 = _wronskian_sectors(poly, rays[args.ray], config)
+        from .spectrum import wronskian_eigenvalue_search, wronskian_sectors
+        j1, j2 = wronskian_sectors(poly, rays[args.ray], config)
         zeros = wronskian_eigenvalue_search(poly, (j1, j2), rect,
                                             config=config)
         if not zeros:

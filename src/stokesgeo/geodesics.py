@@ -12,7 +12,8 @@ that angle, wherever it lies; a transition into a third root refutes it.
 No trajectory from a simple zero returns to it: the Teichmueller defect
 of such a monogon is 1 - 3 theta/(2 pi) - 2 < 0.  The short geodesics
 connect all d turning points, so a survey that verifies fewer than d-1
-raises NonGenericError.
+raises: NonGenericError when a candidate was non-generic, NumericalError
+when the verification missed a connection on generic input.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import NonGenericError
+from .errors import NonGenericError, NumericalError
 from .pathint import (_integrate_root_to_root, _normalize_period_sign,
                       pairwise_periods)
 from .polynomial import (ComplexPolynomial, PolyContext, turning_points,
@@ -310,10 +311,10 @@ def survey_short_geodesics(poly: ComplexPolynomial,
 
     Each pair has one candidate angle, so at most one geodesic.  Candidates
     that raise NonGenericError are recorded in ``errors``, the others that
-    do not verify in ``refutations``.  Raises NonGenericError when fewer
-    than d-1 geodesics verify: the short geodesics of a generic P connect
-    all d turning points, so a smaller count means a connection was
-    missed.
+    do not verify in ``refutations``.  Fewer than d-1 verified geodesics
+    violate the paper's lower bound, since the short geodesics of a generic
+    P connect all d turning points: that raises NonGenericError when some
+    candidate was non-generic, and NumericalError when none was.
     """
     tps = turning_points(poly, config.root_tol)
     if not tps.all_simple:
@@ -335,7 +336,10 @@ def survey_short_geodesics(poly: ComplexPolynomial,
             survey.refutations.append(res)
 
     if len(survey.geodesics) < d - 1:
-        raise NonGenericError(
+        # a non-generic candidate explains the short count; otherwise the
+        # verification missed a connection that generic P must have
+        error = NonGenericError if survey.errors else NumericalError
+        raise error(
             f"{len(survey.geodesics)} short geodesic(s) verified, fewer than "
             f"the d-1 = {d - 1} that connect the turning points; refuted "
             f"{[(r.pair, r.reason) for r in survey.refutations]}, errors "

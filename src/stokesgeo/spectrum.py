@@ -23,12 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import ClearanceError, NumericalError
+from .errors import ClearanceError, NonGenericError, NumericalError
 from .geodesics import GeodesicSurvey, ShortGeodesic, survey_short_geodesics
 from .pathint import (alpha_contour_integrals, build_stadium, contour_integral,
                       min_clearance, winding_number)
 from .polynomial import ComplexPolynomial, PolyContext, stokes_sectors
-from .tracer import _A, _B4, _B5, _C
+from .tracer import _A, _B4, _B5, _C, build_stokes_graph
 
 TWO_PI = 2.0 * math.pi
 
@@ -287,6 +287,37 @@ def _sector_ray(poly, sector_index: int, lam_ref: complex, scale: float):
               / (2.0 * abs(lam_ref) * math.sqrt(a0))) ** (2.0 / (d + 2))
     radius = max(2.0 * scale, radius)
     return radius * cmath.exp(1j * center)
+
+
+def wronskian_sectors(poly: ComplexPolynomial, ray: AccumulationRay,
+                      config: RunConfig) -> tuple[int, int]:
+    """Sector pair of the Wronskian search along one accumulation ray.
+
+    In the Stokes graph of e^{2it*} P, each end of the ray's geodesic sends
+    its two other Stokes lines to neighbouring rays k and k+1; the sector
+    k+1 between them is the one whose subdominant solution is matched at
+    that end.
+    """
+    rot = poly.rotate(ray.angle)
+    graph = build_stokes_graph(rot, config)
+    locs = graph.turning_points.locations
+    n = graph.sectors.count
+    # the graph numbers sectors from arg of e^{2it*} a0 wrapped to (-pi, pi],
+    # _sector_ray from arg a0 + 2 arg(lambda) = arg a0 + 2 t* on the ray
+    shift = round((poly.phi0 + 2.0 * ray.angle - rot.phi0) / TWO_PI)
+    pair = []
+    for end in (ray.geodesic.polyline[0], ray.geodesic.polyline[-1]):
+        root = min(range(len(locs)), key=lambda k: abs(locs[k] - end))
+        rays = sorted(e.ray for e in graph.edges
+                      if e.kind == "escape" and e.origin == root)
+        if len(rays) != 2 or (rays[1] - rays[0]) % n not in (1, n - 1):
+            raise NonGenericError(
+                f"root {root} of the geodesic on the ray at "
+                f"{ray.angle:.12g} escapes to rays {rays}, not to two "
+                "neighbouring rays")
+        k = rays[0] if rays[1] - rays[0] == 1 else rays[1]
+        pair.append((k + 1 + shift) % n)
+    return tuple(sorted(pair))
 
 
 def subdominant_solution(poly: ComplexPolynomial, lam: complex,

@@ -111,6 +111,21 @@ def test_eigenvalues_wronskian_cubic(tmp_path):
     assert abs(zeros[0] - (2.409751700170828 + 2.041435904407163j)) <= 1e-8
 
 
+def test_eigenvalues_wronskian_cubic_wrapped_ray(tmp_path):
+    # ray 2 has 2 t* > pi, so e^{2it*} a0 wraps and the graph's sector
+    # numbers must be shifted to the search's; the zero is the collocation
+    # eigenvalue of bench/reference.py at theta = 0.5, negated
+    code = run(["eigenvalues", "--poly", "1,0,0.3+0.2i,-1", "--ray", "2",
+                "--n", "1..1", "--wronskian=-3.25,-3.05,2.15,2.35",
+                "--out", str(tmp_path), "--format", "json"])
+    assert code == 0
+    data = json.loads((tmp_path / "eigenvalues.json").read_text())
+    assert data["ray_angle"] > math.pi / 2
+    zeros = [complex(*z) for z in data["wronskian_zeros"]]
+    assert len(zeros) == 1
+    assert abs(zeros[0] - (-3.146849466595979 + 2.253397302869331j)) <= 1e-8
+
+
 def test_eigenvalues_wronskian_empty_search_fails(tmp_path, capsys,
                                                   monkeypatch):
     # the order-0 estimate for n = 0 lies in the rectangle, so a search

@@ -6,10 +6,10 @@ import hypothesis.strategies as st
 
 from stokesgeo import geodesics
 from stokesgeo import (ComplexPolynomial, GeodesicRefutation, NonGenericError,
-                       PsiPolygon, ShortGeodesic, candidate_angles,
-                       enumerate_short_geodesics, re_xi_drift,
-                       survey_short_geodesics, teichmuller_defect,
-                       verify_geodesic)
+                       NumericalError, PsiPolygon, ShortGeodesic,
+                       candidate_angles, enumerate_short_geodesics,
+                       re_xi_drift, survey_short_geodesics,
+                       teichmuller_defect, verify_geodesic)
 
 PI = math.pi
 
@@ -138,12 +138,23 @@ def test_geodesic_polyline_drift(osc, cubic_unity):
 
 def test_survey_below_lower_bound_raises(cubic_unity, monkeypatch):
     # d - 1 geodesics connect the turning points of a generic P; a survey
-    # that verifies fewer must not report the short count
+    # that verifies fewer must not report the short count.  With every
+    # candidate generic, a connection was missed: a numerical failure
     def refute(poly, pair, t, config):
         return GeodesicRefutation(pair=pair, t_candidate=t,
                                   reason="unresolved")
 
     monkeypatch.setattr(geodesics, "verify_geodesic", refute)
+    with pytest.raises(NumericalError, match="fewer than the d-1 = 2"):
+        survey_short_geodesics(cubic_unity)
+
+
+def test_survey_below_lower_bound_non_generic(cubic_unity, monkeypatch):
+    # a non-generic candidate explains the short count
+    def land_on_third_root(poly, pair, t, config):
+        raise NonGenericError("trace lands on a third root")
+
+    monkeypatch.setattr(geodesics, "verify_geodesic", land_on_third_root)
     with pytest.raises(NonGenericError, match="fewer than the d-1 = 2"):
         survey_short_geodesics(cubic_unity)
 

@@ -18,3 +18,4 @@ def test_geodesic_census_runs():
     assert proc.stdout.startswith("degree 3: bounds [2, 3]")
     assert "failures 0" in proc.stdout
     assert "bound violations" not in proc.stdout
+    assert "numerical failure" not in proc.stdout

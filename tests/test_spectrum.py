@@ -9,6 +9,7 @@ from stokesgeo import (NumericalError, accumulation_rays,
                        eigenvalue_asymptotics, enumerate_short_geodesics,
                        parse_poly_text, subdominant_solution,
                        wronskian_eigenvalue_search)
+from stokesgeo.spectrum import wronskian_sectors
 from stokesgeo import polynomial, spectrum
 from stokesgeo.config import DEFAULT_CONFIG
 from stokesgeo.polynomial import PolyContext
@@ -156,6 +157,17 @@ def test_wronskian_zero_at_eigenvalue(osc):
 def test_wronskian_no_zero_off_spectrum(osc):
     zeros = wronskian_eigenvalue_search(osc, (0, 2), (1.6, 2.4, -0.3, 0.3))
     assert zeros == []
+
+
+def test_wronskian_sectors_from_graph(osc):
+    ray = accumulation_rays(osc)[0]
+    assert wronskian_sectors(osc, ray, DEFAULT_CONFIG) == (0, 2)
+    # the cubic's ray 2 (2 t* > pi) needs the renumbering from the graph's
+    # wrapped sectors: unshifted it would give (0, 3)
+    cubic = parse_poly_text("1,0,0.3+0.2i,-1")
+    rays = accumulation_rays(cubic)
+    pairs = [wronskian_sectors(cubic, ray, DEFAULT_CONFIG) for ray in rays]
+    assert pairs == [(0, 2), (2, 4), (1, 4)]
 
 
 def test_unconverged_polish_raises(osc, monkeypatch):
