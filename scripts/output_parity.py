@@ -1,0 +1,75 @@
+#!/usr/bin/env python3
+"""Fingerprints of the package's numerical outputs, one line per output.
+
+Each line is a name and the sha256 of the output's ``repr``, which spells
+every float and complex exactly, so two lines agree only when the outputs
+agree bit for bit.  The outputs are
+
+- the ``rays`` pipeline on the first ``--per-degree`` polynomials of each
+  degree 3, 4, 5 of the counting stream 20260808: the survey's geodesics
+  (pairs, t*, periods, polylines), then the accumulation rays, their
+  correction integrals alpha_0..alpha_3 and order-0 estimates for n = 1..5;
+- ``chord_diagram`` on as many polynomials of the chord stream 5150;
+- the edges of the Stokes graph of z^3 - 1.
+
+Running it against two source trees and diffing the outputs checks that a
+change kept every count, pair and number, e.g.
+
+    PYTHONPATH=old/src python3 scripts/output_parity.py > old.txt
+    PYTHONPATH=src python3 scripts/output_parity.py > new.txt
+    diff old.txt new.txt
+"""
+
+import argparse
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+from stokesgeo import (accumulation_rays, alpha_contour_integrals,
+                       build_stokes_graph, chord_diagram,
+                       eigenvalue_asymptotics, parse_poly_text,
+                       survey_short_geodesics)
+
+# the test suite's generator, so the streams are the acceptance streams
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.conftest import random_simple_poly  # noqa: E402
+
+
+def stream(seed, per_degree):
+    """(label, poly) for the first ``per_degree`` polynomials of each
+    degree drawn from ``seed`` as the acceptance tests draw them."""
+    rng = random.Random(seed)
+    for d in (3, 4, 5):
+        for k in range(per_degree):
+            yield f"{d}.{k}", random_simple_poly(rng, d)
+
+
+def fingerprint(name, value):
+    print(name, hashlib.sha256(repr(value).encode()).hexdigest())
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--per-degree", type=int, default=2)
+    args = ap.parse_args()
+
+    for label, poly in stream(20260808, args.per_degree):
+        survey = survey_short_geodesics(poly)
+        fingerprint(f"survey[{label}]", survey.geodesics)
+        rays = accumulation_rays(poly, survey=survey)
+        fingerprint(f"rays[{label}]", rays)
+        fingerprint(f"alphas[{label}]",
+                    [alpha_contour_integrals(poly, ray.contour, 3)
+                     for ray in rays])
+        fingerprint(f"estimates[{label}]",
+                    [eigenvalue_asymptotics(poly, ray, 1, 5, order=0)
+                     for ray in rays])
+    for label, poly in stream(5150, args.per_degree):
+        fingerprint(f"chords[{label}]", chord_diagram(poly))
+    fingerprint("stokes_graph[z^3-1]",
+                build_stokes_graph(parse_poly_text("1,0,0,-1")).edges)
+
+
+if __name__ == "__main__":
+    main()

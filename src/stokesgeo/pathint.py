@@ -46,12 +46,6 @@ _GAUSS_WEIGHTS = (
 )
 
 
-def _min_root_dist(z: complex, roots) -> float:
-    if not roots:
-        return float("inf")
-    return min(abs(z - r) for r in roots)
-
-
 class BranchWalker:
     """Carries an analytically continued value of sqrt(P) along chords."""
 
@@ -64,33 +58,49 @@ class BranchWalker:
         self.w = complex(w0)
 
     def advance(self, z1: complex) -> complex:
-        w1 = self._continue(self.z, self.w, complex(z1), 0)
-        self.z = complex(z1)
-        self.w = w1
-        return w1
+        """Continue w to z1 and move there.
 
-    def _continue(self, z0, w0, z1, depth) -> complex:
-        if z1 == z0:
-            return w0
-        step = abs(z1 - z0)
-        near = _min_root_dist(z0, self.roots)
-        p0 = w0 * w0
-        if step <= 0.25 * near:
-            p1 = self.poly.evaluate(z1)
-            # endpoint rotation < pi/2 guarantees an unambiguous sign choice
-            if p1.real * p0.real + p1.imag * p0.imag > 0.0:
-                w1 = cmath.sqrt(p1)
-                if w1.real * w0.real + w1.imag * w0.imag < 0.0:
-                    w1 = -w1
-                return w1
-        if depth > 60:
-            raise BranchError(
-                f"square-root continuation failed near z = {z0:.6g} "
-                "(path too close to a turning point?)"
-            )
-        zm = 0.5 * (z0 + z1)
-        wm = self._continue(z0, w0, zm, depth + 1)
-        return self._continue(zm, wm, z1, depth + 1)
+        A step is taken directly when it is at most a quarter of the
+        distance from its start to the nearest root and P rotates by less
+        than pi/2 along it; otherwise it is halved, depth first, down to
+        60 levels.  ``pending`` holds the right halves still to walk."""
+        z0, w0 = self.z, self.w
+        z1 = complex(z1)
+        target, depth = z1, 0
+        pending = []
+        while True:
+            if target != z0:
+                near = math.inf
+                for r in self.roots:
+                    d = abs(z0 - r)
+                    if d < near:
+                        near = d
+                w1 = None
+                if abs(target - z0) <= 0.25 * near:
+                    p1 = self.poly.evaluate(target)
+                    p0 = w0 * w0
+                    # endpoint rotation < pi/2 guarantees an unambiguous sign
+                    if p1.real * p0.real + p1.imag * p0.imag > 0.0:
+                        w1 = cmath.sqrt(p1)
+                        if w1.real * w0.real + w1.imag * w0.imag < 0.0:
+                            w1 = -w1
+                if w1 is None:
+                    if depth > 60:
+                        raise BranchError(
+                            f"square-root continuation failed near z = {z0:.6g} "
+                            "(path too close to a turning point?)"
+                        )
+                    depth += 1
+                    pending.append((target, depth))
+                    target = 0.5 * (z0 + target)
+                    continue
+                z0, w0 = target, w1
+            if not pending:
+                break
+            target, depth = pending.pop()
+        self.z = z1
+        self.w = w0
+        return w0
 
 
 def _principal_seed(poly: ComplexPolynomial, z: complex) -> complex:
@@ -127,20 +137,16 @@ def integrate_chord(poly, roots, z0, w0, z1, fvals, rel_tol=1e-9, abs_floor=1e-1
     w0 is the branch value at z0; returns (integral, w_at_z1).
     """
     walker = BranchWalker(poly, roots, z0, w0)
-    est15, _ = _panel_values(walker, z0, z1, 0.0, 1.0, fvals)
-    target = max(abs_floor, rel_tol * abs(est15))
-    walker.z, walker.w = complex(z0), complex(w0)
+    # the whole-chord panel sets the tolerance and is the first panel tried
+    sa, sb = 0.0, 1.0
+    anchor_z, anchor_w = walker.z, walker.w
+    i15, i7 = _panel_values(walker, z0, z1, sa, sb, fvals)
+    tol = max(abs_floor, rel_tol * abs(i15))
 
     total = 0j
-    stack = [(0.0, 1.0, target)]
-    guard = 0
-    while stack:
-        guard += 1
-        if guard > 4000:
-            raise BranchError("chord quadrature failed to converge")
-        sa, sb, tol = stack.pop()
-        anchor_z, anchor_w = walker.z, walker.w
-        i15, i7 = _panel_values(walker, z0, z1, sa, sb, fvals)
+    stack = []
+    guard = 1
+    while True:
         err = abs(i15 - i7)
         if err <= tol or (sb - sa) < 1e-12:
             total += i15
@@ -150,6 +156,14 @@ def integrate_chord(poly, roots, z0, w0, z1, fvals, rel_tol=1e-9, abs_floor=1e-1
             sm = 0.5 * (sa + sb)
             stack.append((sm, sb, 0.6 * tol))
             stack.append((sa, sm, 0.6 * tol))
+        if not stack:
+            break
+        guard += 1
+        if guard > 4000:
+            raise BranchError("chord quadrature failed to converge")
+        sa, sb, tol = stack.pop()
+        anchor_z, anchor_w = walker.z, walker.w
+        i15, i7 = _panel_values(walker, z0, z1, sa, sb, fvals)
     w_end = walker.advance(z1)
     return total, w_end
 

@@ -360,7 +360,7 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
                                 config: RunConfig = DEFAULT_CONFIG) -> list[complex]:
     """Zeros of the Wronskian of two subdominant solutions inside a
     rectangle, located by argument-principle subdivision and polished by
-    Newton iteration.
+    pole extraction on log W.
 
     ``rect`` is (re_lo, re_hi, im_lo, im_hi); the two sectors must be
     non-adjacent, otherwise the Wronskian has no zeros to find.
@@ -451,7 +451,8 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
     # second difference kills any linear prefactor and gives |u|:
     #     d2 := l(+1) + l(-1) - 2 l(0) = log(1 - delta^2 / u^2),
     # while T := (l(+2) - l(-2)) - 2 (l(+1) - l(-1)) is drift-free and odd
-    # in u, which resolves the sign.
+    # in u, which resolves the sign.  Each log is principal, so a probe
+    # whose phase crosses pi shifts t_meas by 2 pi i: compare modulo that.
     if not zeros:
         return []
     lam = np.array(zeros, dtype=complex)
@@ -459,9 +460,11 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
     u_est = np.full(nz, 0.1) * (1.0 + np.abs(lam))
     re0, re1, im0, im1 = rect
 
-    def pole_T(u, delta):
-        return (np.log((u + 2 * delta) / (u - 2 * delta))
-                - 2.0 * np.log((u + delta) / (u - delta)))
+    def pole_T_miss(u, delta, t_meas):
+        """|pole_T(u) - t_meas| with the imaginary part taken mod 2 pi."""
+        d = (np.log((u + 2 * delta) / (u - 2 * delta))
+             - 2.0 * np.log((u + delta) / (u - delta)) - t_meas)
+        return np.hypot(d.real, (d.imag + math.pi) % TWO_PI - math.pi)
 
     for _ in range(20):
         delta = np.clip(0.45 * np.abs(u_est), 1e-7 * (1.0 + np.abs(lam)), 0.15)
@@ -482,8 +485,8 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
         val = np.where(np.abs(val) < 1e-300, 1e-300, val)
         u = np.where(done, 2.0 * delta, delta / np.sqrt(val))
         t_meas = (l_p2 - l_m2) - 2.0 * (l_p1 - l_m1)
-        pick_plus = (np.abs(pole_T(u, delta) - t_meas)
-                     <= np.abs(pole_T(-u, delta) - t_meas))
+        pick_plus = (pole_T_miss(u, delta, t_meas)
+                     <= pole_T_miss(-u, delta, t_meas))
         u = np.where(pick_plus, u, -u)
         u = np.where(done | ~np.isfinite(u), 0.0, u)
         cap = 0.45

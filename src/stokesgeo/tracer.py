@@ -34,6 +34,10 @@ _A = (
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
        187 / 2100, 1 / 40)
+(_A10,), (_A20, _A21), (_A30, _A31, _A32), (_A40, _A41, _A42, _A43), \
+    (_A50, _A51, _A52, _A53, _A54) = _A[1:]
+_B50, _B51, _B52, _B53, _B54, _B55 = _B5
+_B40, _B41, _B42, _B43, _B44, _B45, _B46 = _B4
 
 
 @dataclass(frozen=True)
@@ -79,15 +83,72 @@ def _branch_step(poly, w_ref, z_new):
 def _chord_re_integral(poly, z0, w0, z1):
     """Re of the GK15 chord integral of sqrt(P), branch continued from w0.
     The chord is assumed branch-safe (one RK step long)."""
+    evaluate = poly.evaluate
     dz = z1 - z0
     acc = 0.0
     w_prev = w0
-    for k in range(15):
-        s = 0.5 + 0.5 * _KRONROD_NODES[k]
-        w = _branch_step(poly, w_prev, z0 + s * dz)
+    for xk, wk in zip(_KRONROD_NODES, _KRONROD_WEIGHTS):
+        w = cmath.sqrt(evaluate(z0 + (0.5 + 0.5 * xk) * dz))
+        if w.real * w_prev.real + w.imag * w_prev.imag < 0.0:
+            w = -w
         w_prev = w
-        acc += _KRONROD_WEIGHTS[k] * (w.real * dz.real - w.imag * dz.imag)
+        acc += wk * (w.real * dz.real - w.imag * dz.imag)
     return 0.5 * acc, w_prev
+
+
+def _dp5_step(poly, z, w, h):
+    """One embedded Dormand-Prince 5(4) step of dz/ds = i conj(v) / |v|,
+    v = sqrt(P)(z), from z with step h.
+
+    The branch at z is matched to ``w``, and every later stage's branch to
+    the one at z.  Returns (z5, err, w6): the fifth-order point, its
+    distance from the fourth-order point, and the branch at z5.  The
+    stages are written out; sums are formed in the order of the loop over
+    ``_A`` and of ``sum`` over ``_B5`` and ``_B4``."""
+    evaluate = poly.evaluate
+    w0 = cmath.sqrt(evaluate(z))
+    if w0.real * w.real + w0.imag * w.imag < 0.0:
+        w0 = -w0
+    wr, wi = w0.real, w0.imag
+    k0 = 1j * w0.conjugate() / abs(w0)
+
+    v = cmath.sqrt(evaluate(z + h * _A10 * k0))
+    if v.real * wr + v.imag * wi < 0.0:
+        v = -v
+    k1 = 1j * v.conjugate() / abs(v)
+
+    v = cmath.sqrt(evaluate(z + h * _A20 * k0 + h * _A21 * k1))
+    if v.real * wr + v.imag * wi < 0.0:
+        v = -v
+    k2 = 1j * v.conjugate() / abs(v)
+
+    v = cmath.sqrt(evaluate(z + h * _A30 * k0 + h * _A31 * k1
+                            + h * _A32 * k2))
+    if v.real * wr + v.imag * wi < 0.0:
+        v = -v
+    k3 = 1j * v.conjugate() / abs(v)
+
+    v = cmath.sqrt(evaluate(z + h * _A40 * k0 + h * _A41 * k1
+                            + h * _A42 * k2 + h * _A43 * k3))
+    if v.real * wr + v.imag * wi < 0.0:
+        v = -v
+    k4 = 1j * v.conjugate() / abs(v)
+
+    v = cmath.sqrt(evaluate(z + h * _A50 * k0 + h * _A51 * k1
+                            + h * _A52 * k2 + h * _A53 * k3 + h * _A54 * k4))
+    if v.real * wr + v.imag * wi < 0.0:
+        v = -v
+    k5 = 1j * v.conjugate() / abs(v)
+
+    z5 = z + h * (0 + _B50 * k0 + _B51 * k1 + _B52 * k2 + _B53 * k3
+                  + _B54 * k4 + _B55 * k5)
+    w6 = cmath.sqrt(evaluate(z5))
+    if w6.real * wr + w6.imag * wi < 0.0:
+        w6 = -w6
+    k6 = 1j * w6.conjugate() / abs(w6)
+    z4 = z + h * (0 + _B40 * k0 + _B41 * k1 + _B42 * k2 + _B43 * k3
+                  + _B44 * k4 + _B45 * k5 + _B46 * k6)
+    return z5, abs(z5 - z4), w6
 
 
 def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float,
@@ -136,21 +197,18 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     w = _branch_step(poly, w, z)
     polyline.append(z)
 
-    def field(z_pt, w_ref):
-        w_here = _branch_step(poly, w_ref, z_pt)
-        return 1j * w_here.conjugate() / abs(w_here), w_here
-
     s_total = 0.0
     h = eps / 4.0
     exclusion = 12.0 * eps
     prev_dists: list[tuple[float, int, float]] = []
 
+    # nearest turning point to the current vertex; rejected steps keep it
+    near_idx, near_d = ctx.nearest_root(z)
     guard = 0
     while True:
         guard += 1
         if guard > 200000:
             raise NumericalError("trace exceeded step budget", residuals=[z])
-        near_idx, near_d = ctx.nearest_root(z)
         if s_total > exclusion or near_idx != root_index:
             if near_d <= hit_r:
                 polyline.append(locs[near_idx])
@@ -159,27 +217,14 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
         if h < 1e-15 * scales.d_unit:
             raise NumericalError("step-size underflow during trace",
                                  residuals=[z])
-        # one embedded Dormand-Prince step
-        k = [0j] * 7
-        v0, w0 = field(z, w)
-        k[0] = v0
-        for i in range(1, 6):
-            zi = z
-            for j, aij in enumerate(_A[i]):
-                zi += h * aij * k[j]
-            vi, _ = field(zi, w0)
-            k[i] = vi
-        z5 = z + h * sum(b * ki for b, ki in zip(_B5, k[:6]))
-        v6, w6 = field(z5, w0)
-        k[6] = v6
-        z4 = z + h * sum(b * ki for b, ki in zip(_B4, k))
-        err = abs(z5 - z4)
+        z5, err, w6 = _dp5_step(poly, z, w, h)
         if err > atol and h > 4e-15 * scales.d_unit:
             h *= max(0.2, 0.9 * (atol / max(err, 1e-300)) ** 0.2)
             continue
         # accept; escaping steps land exactly on the circle first
         if abs(z5) >= r_escape:
-            vz, _ = field(z5, w6)
+            wz = _branch_step(poly, w6, z5)
+            vz = 1j * wz.conjugate() / abs(wz)
             if z5.real * vz.real + z5.imag * vz.imag > 0.0:
                 z_land, w_land = _land_on_circle(poly, z, w, z5, r_escape)
                 if track_drift:
@@ -209,9 +254,9 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
             h = h * 5.0
 
         # distance local-minimum detection with quadratic interpolation
-        nid, nd = ctx.nearest_root(z)
-        if not (s_total <= exclusion and nid == root_index):
-            prev_dists.append((s_total, nid, nd))
+        near_idx, near_d = ctx.nearest_root(z)
+        if not (s_total <= exclusion and near_idx == root_index):
+            prev_dists.append((s_total, near_idx, near_d))
             if len(prev_dists) > 3:
                 prev_dists.pop(0)
             if len(prev_dists) == 3:

@@ -9,7 +9,9 @@ import hypothesis.strategies as st
 from stokesgeo import (BranchError, ClearanceError, ComplexPolynomial,
                        alpha_contour_integrals, canonical_parameter_integral,
                        pairwise_periods, parse_poly_text, sqrt_continuation,
-                       winding_number)
+                       turning_points, winding_number)
+from stokesgeo import pathint
+from stokesgeo.polynomial import PolyContext
 from stokesgeo.pathint import build_stadium, min_clearance, re_xi_drift
 
 
@@ -37,6 +39,111 @@ def test_sqrt_z_monodromy():
     p = parse_poly_text("1,0")
     bp = sqrt_continuation(p, circle(0, 1.0, 65), 1.0)
     assert abs(bp.samples[-1][1] + 1.0) < 1e-8
+
+
+class _RecursiveWalker:
+    """Reference continuation: each failed direct step recurses on its
+    two halves, down to depth 60."""
+
+    def __init__(self, poly, roots, z0, w0):
+        self.poly, self.roots = poly, tuple(roots)
+        self.z, self.w = complex(z0), complex(w0)
+
+    def advance(self, z1):
+        self.w = self._continue(self.z, self.w, complex(z1), 0)
+        self.z = complex(z1)
+        return self.w
+
+    def _continue(self, z0, w0, z1, depth):
+        if z1 == z0:
+            return w0
+        near = min((abs(z0 - r) for r in self.roots), default=float("inf"))
+        p0 = w0 * w0
+        if abs(z1 - z0) <= 0.25 * near:
+            p1 = self.poly.evaluate(z1)
+            if p1.real * p0.real + p1.imag * p0.imag > 0.0:
+                w1 = cmath.sqrt(p1)
+                if w1.real * w0.real + w1.imag * w0.imag < 0.0:
+                    w1 = -w1
+                return w1
+        if depth > 60:
+            raise BranchError("depth")
+        zm = 0.5 * (z0 + z1)
+        return self._continue(zm, self._continue(z0, w0, zm, depth + 1), z1,
+                              depth + 1)
+
+
+def _two_pass_chord(poly, roots, z0, w0, z1, fvals, rel_tol=1e-9,
+                    abs_floor=1e-13):
+    """Reference chord quadrature: the whole-chord panel is evaluated once
+    for the tolerance and again as the first panel of the subdivision."""
+    walker = _RecursiveWalker(poly, roots, z0, w0)
+    est15, _ = pathint._panel_values(walker, z0, z1, 0.0, 1.0, fvals)
+    target = max(abs_floor, rel_tol * abs(est15))
+    walker.z, walker.w = complex(z0), complex(w0)
+    total = 0j
+    stack = [(0.0, 1.0, target)]
+    while stack:
+        sa, sb, tol = stack.pop()
+        anchor_z, anchor_w = walker.z, walker.w
+        i15, i7 = pathint._panel_values(walker, z0, z1, sa, sb, fvals)
+        if abs(i15 - i7) <= tol or (sb - sa) < 1e-12:
+            total += i15
+            walker.advance(z0 + sb * (z1 - z0))
+        else:
+            walker.z, walker.w = anchor_z, anchor_w
+            sm = 0.5 * (sa + sb)
+            stack.append((sm, sb, 0.6 * tol))
+            stack.append((sa, sm, 0.6 * tol))
+    return total, walker.advance(z1)
+
+
+def _recording_evaluate(monkeypatch):
+    points = []
+    evaluate = ComplexPolynomial.evaluate
+
+    def recorded(self, z):
+        points.append(z)
+        return evaluate(self, z)
+    monkeypatch.setattr(ComplexPolynomial, "evaluate", recorded)
+    return points
+
+
+@pytest.mark.parametrize("z0, z1, one_panel", [
+    (0.1 + 0.2j, -0.2 + 0.35j, True),
+    (-0.2 - 0.3j, -0.6 - 0.1j, True),
+    (1.5 + 0.003j, 0.5 + 0.003j, False),     # passes 0.003 from root 1
+    (2.0 - 0.5j, -0.5 + 0.9j, False),        # passes 0.03 from root 1
+])
+def test_integrate_chord_bitwise_matches_two_pass(cubic_unity, z0, z1,
+                                                  one_panel, monkeypatch):
+    roots = [r for r, _ in turning_points(cubic_unity).points]
+    # 2 delta_path of z^3-1 is 3.5e-3: the third chord must subdivide
+    assert 2 * PolyContext.of(cubic_unity).scales.delta_path > 0.003
+    w0 = cmath.sqrt(cubic_unity.evaluate(z0))
+    points = _recording_evaluate(monkeypatch)
+    for fvals in (lambda z, w: w, lambda z, w: z * w):
+        points.clear()
+        got = pathint.integrate_chord(cubic_unity, roots, z0, w0, z1, fvals)
+        seen = points[:]
+        points.clear()
+        assert got == _two_pass_chord(cubic_unity, roots, z0, w0, z1, fvals)
+        # the same points in the same order, the whole-chord panel's
+        # evaluations (walker midpoints included) once instead of twice
+        first = len(points) - len(seen)
+        assert points == seen[:first] + seen
+        if one_panel:
+            # 15 nodes, the chord's end and possibly z1 itself
+            assert first == 15 and len(seen) <= 17
+        else:
+            assert len(seen) > 3 * 15
+
+
+def test_walker_on_a_root_hits_the_depth_limit(cubic_unity):
+    roots = [r for r, _ in turning_points(cubic_unity).points]
+    walker = pathint.BranchWalker(cubic_unity, roots, roots[0], 0j)
+    with pytest.raises(BranchError, match="continuation failed near"):
+        walker.advance(roots[0] + 0.5)
 
 
 def test_seed_mismatch_rejected():

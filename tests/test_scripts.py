@@ -6,16 +6,31 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_geodesic_census_runs():
+def _run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "geodesic_census.py"),
-         "--degrees", "3", "--trials", "2"],
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_geodesic_census_runs():
+    proc = _run_script("geodesic_census.py", "--degrees", "3", "--trials", "2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("degree 3: bounds [2, 3]")
     assert "failures 0" in proc.stdout
     assert "bound violations" not in proc.stdout
     assert "numerical failure" not in proc.stdout
+
+
+def test_output_parity_repeats():
+    first, second = (_run_script("output_parity.py", "--per-degree", "1")
+                     for _ in range(2))
+    assert first.returncode == 0 and second.returncode == 0, first.stderr
+    lines = first.stdout.splitlines()
+    # survey, rays, alphas, estimates and chords for one polynomial of
+    # each degree 3, 4, 5, and the graph of z^3 - 1
+    assert len(lines) == 3 * 5 + 1
+    assert all(len(line.split()[1]) == 64 for line in lines)
+    assert first.stdout == second.stdout

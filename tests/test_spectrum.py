@@ -154,6 +154,16 @@ def test_wronskian_zero_at_eigenvalue(osc):
     assert zeros[0] == pytest.approx(1.0, abs=1e-8)
 
 
+def test_polish_across_the_log_branch_cut():
+    # -z^2+1, the oscillator turned by pi/2, has the eigenvalue 3i, and
+    # arg W lies near pi there: the probes' principal logs wrap, which
+    # turned the polishing steps away from the zero until it raised
+    zeros = wronskian_eigenvalue_search(parse_poly_text("-1,0,1"), (1, 3),
+                                        (-0.3, 0.4, 2.7, 3.35))
+    assert len(zeros) == 1
+    assert abs(zeros[0] - 3j) < 1e-9
+
+
 def test_wronskian_no_zero_off_spectrum(osc):
     zeros = wronskian_eigenvalue_search(osc, (0, 2), (1.6, 2.4, -0.3, 0.3))
     assert zeros == []

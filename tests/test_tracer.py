@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 
@@ -154,3 +155,47 @@ def test_edge_count_rule():
     n_escape = sum(1 for e in g.edges if e.kind == "escape")
     assert 2 * n_finite + n_escape == sum(
         m + 2 for _, m in turning_points(p).points)
+
+
+def _reference_dp5_step(poly, z, w, h, flips):
+    """The stage loop over _A with sum() over _B5 and _B4; appends to
+    ``flips`` whether each stage's branch was negated."""
+    def field(z_pt, w_ref):
+        w_here = cmath.sqrt(poly.evaluate(z_pt))
+        flip = w_here.real * w_ref.real + w_here.imag * w_ref.imag < 0.0
+        flips.append(flip)
+        if flip:
+            w_here = -w_here
+        return 1j * w_here.conjugate() / abs(w_here), w_here
+
+    k = [0j] * 7
+    k[0], w0 = field(z, w)
+    for i in range(1, 6):
+        zi = z
+        for j, aij in enumerate(tracer._A[i]):
+            zi += h * aij * k[j]
+        k[i], _ = field(zi, w0)
+    z5 = z + h * sum(b * ki for b, ki in zip(tracer._B5, k[:6]))
+    k[6], w6 = field(z5, w0)
+    z4 = z + h * sum(b * ki for b, ki in zip(tracer._B4, k))
+    return z5, abs(z5 - z4), w6
+
+
+@pytest.mark.parametrize("coeffs", ["1,0,0.3+0.2i,-1",
+                                    "1,0.2,-1,0.5i,0.4,-0.7+0.1i"])
+def test_dp5_step_bitwise_matches_stage_loop(coeffs):
+    poly = parse_poly_text(coeffs)
+    rng = random.Random(31)
+    start_flips = cut_crossings = 0
+    for _ in range(200):
+        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        w = cmath.rect(1.0, rng.uniform(-math.pi, math.pi))
+        h = 10 ** rng.uniform(-4, 0)
+        flips = []
+        expected = _reference_dp5_step(poly, z, w, h, flips)
+        assert tracer._dp5_step(poly, z, w, h) == expected
+        start_flips += flips[0]
+        cut_crossings += any(f != flips[0] for f in flips[1:])
+    # the start branch was negated, and some steps crossed the cut of the
+    # principal root, so that later stages flipped against the start
+    assert start_flips > 50 and cut_crossings >= 3
