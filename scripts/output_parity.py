@@ -8,7 +8,8 @@ agree bit for bit.  The outputs are
 - the ``rays`` pipeline on the first ``--per-degree`` polynomials of each
   degree 3, 4, 5 of the counting stream 20260808: the survey's geodesics
   (pairs, t*, periods, polylines), then the accumulation rays, their
-  correction integrals alpha_0..alpha_3 and order-0 estimates for n = 1..5;
+  correction integrals alpha_0..alpha_3, order-0 estimates for n = 1..5
+  and order-3 estimates for n = 1..3;
 - ``chord_diagram`` on as many polynomials of the chord stream 5150;
 - the edges of the Stokes graph of z^3 - 1.
 
@@ -64,6 +65,9 @@ def main():
                      for ray in rays])
         fingerprint(f"estimates[{label}]",
                     [eigenvalue_asymptotics(poly, ray, 1, 5, order=0)
+                     for ray in rays])
+        fingerprint(f"estimates3[{label}]",
+                    [eigenvalue_asymptotics(poly, ray, 1, 3, order=3)
                      for ray in rays])
     for label, poly in stream(5150, args.per_degree):
         fingerprint(f"chords[{label}]", chord_diagram(poly))

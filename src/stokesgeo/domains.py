@@ -375,8 +375,8 @@ def _segment_inside(za, zb, poly_pts, locs, delta) -> bool:
 
 def _integrate_straight(poly, locs, za, zb, config) -> complex:
     w0 = cmath.sqrt(poly.evaluate(za))
-    val, _ = integrate_chord(poly, locs, za, w0, zb, lambda z, w: w,
-                             rel_tol=config.quad_rel_tol)
+    (val,), _ = integrate_chord(poly, locs, za, w0, zb, [lambda z, w: w],
+                                rel_tol=config.quad_rel_tol)
     return val
 
 

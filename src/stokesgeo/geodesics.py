@@ -130,11 +130,14 @@ class _VerifyContext:
 
     def trace_all(self, pair, t: float, track_drift: bool,
                   hit_radius: float | None = None):
+        """(polyline, fate) of each trajectory from pair[0] at angle t,
+        traced as it is asked for: a caller that stops at the trace that
+        decides runs none of the later ones."""
         rot = self.ctx.rotate(t)
-        return [trace_stokes_line(rot.poly, pair[0], theta, context=rot,
-                                  track_drift=track_drift,
-                                  hit_radius=hit_radius)
-                for theta in self.directions(rot, pair[0])]
+        for theta in self.directions(rot, pair[0]):
+            yield trace_stokes_line(rot.poly, pair[0], theta, context=rot,
+                                    track_drift=track_drift,
+                                    hit_radius=hit_radius)
 
 
 def _geodesic_period(ctx: PolyContext, pair, polyline) -> complex:

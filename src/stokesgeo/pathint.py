@@ -109,63 +109,90 @@ def _principal_seed(poly: ComplexPolynomial, z: complex) -> complex:
 
 # --- adaptive chord quadrature ---------------------------------------------
 
-def _panel_values(walker: BranchWalker, z0, z1, sa, sb, fvals):
-    """Evaluate fvals at the 15 Kronrod nodes of the sub-interval [sa, sb]
-    of the chord z0 -> z1.  Leaves the walker at the last node."""
+def _panel_values(walker: BranchWalker, z0, z1, sa, sb, densities):
+    """(i15, i7) of each density f(z, w) on the sub-interval [sa, sb] of
+    the chord z0 -> z1, from one walk over its 15 Kronrod nodes.  Leaves
+    the walker at the last node."""
     dz = z1 - z0
     mid = 0.5 * (sa + sb)
     half = 0.5 * (sb - sa)
-    i15 = 0j
-    i7 = 0j
+    n = len(densities)
+    i15 = [0j] * n
+    i7 = [0j] * n
     gi = 0
     for k, xk in enumerate(_KRONROD_NODES):
         s = mid + half * xk
         z = z0 + s * dz
         w = walker.advance(z)
-        val = fvals(z, w)
-        i15 += _KRONROD_WEIGHTS[k] * val
+        wk = _KRONROD_WEIGHTS[k]
         if k % 2 == 1:
-            i7 += _GAUSS_WEIGHTS[gi] * val
+            wg = _GAUSS_WEIGHTS[gi]
             gi += 1
+            for d, f in enumerate(densities):
+                val = f(z, w)
+                i15[d] += wk * val
+                i7[d] += wg * val
+        else:
+            for d, f in enumerate(densities):
+                i15[d] += wk * f(z, w)
     scale = half * dz
-    return i15 * scale, i7 * scale
+    return [(a * scale, b * scale) for a, b in zip(i15, i7)]
 
 
-def integrate_chord(poly, roots, z0, w0, z1, fvals, rel_tol=1e-9, abs_floor=1e-13):
-    """Adaptive GK15 of fvals(z, w) dz along the chord z0 -> z1.
+def integrate_chord(poly, roots, z0, w0, z1, densities, rel_tol=1e-9,
+                    abs_floor=1e-13):
+    """Adaptive GK15 of each density f(z, w) dz along the chord z0 -> z1.
 
-    w0 is the branch value at z0; returns (integral, w_at_z1).
+    w0 is the branch value at z0; returns (integrals, w_at_z1), one
+    integral per density.  Each density refines its own panel tree: its
+    tolerance is set by its whole-chord panel, a child panel gets 0.6 of
+    its parent's, panels narrower than 1e-12 are accepted, and more than
+    4000 panels raise BranchError.  A panel is walked once for all the
+    densities that still refine it; the walker's value at a node is
+    +-sqrt(P(node)) whatever path reached it, so every density sums the
+    same values, in the same left-to-right order, as a walk of its own.
     """
     walker = BranchWalker(poly, roots, z0, w0)
-    # the whole-chord panel sets the tolerance and is the first panel tried
+    # the whole-chord panel sets the tolerances and is the first panel tried
     sa, sb = 0.0, 1.0
     anchor_z, anchor_w = walker.z, walker.w
-    i15, i7 = _panel_values(walker, z0, z1, sa, sb, fvals)
-    tol = max(abs_floor, rel_tol * abs(i15))
+    active = range(len(densities))
+    vals = _panel_values(walker, z0, z1, sa, sb, densities)
+    tols = [max(abs_floor, rel_tol * abs(i15)) for i15, _ in vals]
 
-    total = 0j
+    totals = [0j] * len(densities)
+    panels = [1] * len(densities)
     stack = []
-    guard = 1
     while True:
-        err = abs(i15 - i7)
-        if err <= tol or (sb - sa) < 1e-12:
-            total += i15
-            walker.advance(z0 + sb * (z1 - z0))
-        else:
+        refine, child_tols = [], []
+        for d, tol, (i15, i7) in zip(active, tols, vals):
+            if abs(i15 - i7) <= tol or (sb - sa) < 1e-12:
+                totals[d] += i15
+            else:
+                refine.append(d)
+                child_tols.append(0.6 * tol)
+        if refine:
             walker.z, walker.w = anchor_z, anchor_w
             sm = 0.5 * (sa + sb)
-            stack.append((sm, sb, 0.6 * tol))
-            stack.append((sa, sm, 0.6 * tol))
+            stack.append((sm, sb, refine, child_tols))
+            stack.append((sa, sm, refine, child_tols))
+        else:
+            walker.advance(z0 + sb * (z1 - z0))
         if not stack:
             break
-        guard += 1
-        if guard > 4000:
-            raise BranchError("chord quadrature failed to converge")
-        sa, sb, tol = stack.pop()
+        sa, sb, active, tols = stack.pop()
+        for d in active:
+            panels[d] += 1
+            if panels[d] > 4000:
+                which = f" (density {d})" if len(densities) > 1 else ""
+                raise BranchError(
+                    f"chord quadrature failed to converge on the chord "
+                    f"{z0:.6g} -> {z1:.6g}{which}")
         anchor_z, anchor_w = walker.z, walker.w
-        i15, i7 = _panel_values(walker, z0, z1, sa, sb, fvals)
+        vals = _panel_values(walker, z0, z1, sa, sb,
+                             [densities[d] for d in active])
     w_end = walker.advance(z1)
-    return total, w_end
+    return totals, w_end
 
 
 def _deflate(poly: ComplexPolynomial, root: complex, mult: int) -> ComplexPolynomial:
@@ -211,7 +238,9 @@ def integrate_chord_from_root(poly, roots, root, mult, z1, w1,
     while stack:
         guard += 1
         if guard > 4000:
-            raise BranchError("singular chord quadrature failed to converge")
+            raise BranchError(
+                f"singular chord quadrature failed to converge on the "
+                f"chord from turning point {root:.6g} to {z1:.6g}")
         ua, ub, tol = stack.pop()
         anchor_z, anchor_w = walker.z, walker.w
         mid = 0.5 * (ua + ub)
@@ -298,42 +327,45 @@ def _sqrt_density(z, w):
     return w
 
 
-def integrate_polyline(poly, roots, verts, w, fvals=_sqrt_density,
+def integrate_polyline(poly, roots, verts, w, densities=(_sqrt_density,),
                        rel_tol=1e-9, abs_floor=1e-13, start=None, end=None):
-    """Branch-tracked integral of fvals(z, w) dz along the polyline ``verts``.
+    """Branch-tracked integrals of each density f(z, w) dz along the
+    polyline ``verts``, from one walk.
 
     ``roots`` are the turning-point locations that bound the branch
     continuation steps, and ``w`` is the branch of sqrt(P) at the first
-    regular vertex.  ``start``
-    and ``end`` are (root, multiplicity) pairs when the first or last
-    vertex is that turning point; the chord at such an end is integrated
-    by the singular endpoint rule, which supports fvals = sqrt(P) only.
-    ``abs_floor`` applies to the regular chords.
+    regular vertex.  ``start`` and ``end`` are (root, multiplicity) pairs
+    when the first or last vertex is that turning point; the chord at such
+    an end is integrated by the singular endpoint rule, which supports the
+    single density sqrt(P) only.  ``abs_floor`` applies to the regular
+    chords.
 
-    Returns (total, branch values at the regular vertices, running total
-    after each chord).
+    Returns (totals, branch values at the regular vertices, running totals
+    after each chord), with one total per density.
     """
     w = complex(w)
     first = 1 if start is not None else 0
     last = len(verts) - 2 if end is not None else len(verts) - 1
     branch = [w]
     running = []
-    total = 0j
+    totals = [0j] * len(densities)
     if start is not None:
-        total = integrate_chord_from_root(poly, roots, start[0], start[1],
-                                          verts[1], w, rel_tol=rel_tol)
-        running.append(total)
+        totals[0] = integrate_chord_from_root(poly, roots, start[0], start[1],
+                                              verts[1], w, rel_tol=rel_tol)
+        running.append(totals[:])
     for k in range(first, last):
-        part, w = integrate_chord(poly, roots, verts[k], w, verts[k + 1],
-                                  fvals, rel_tol=rel_tol, abs_floor=abs_floor)
-        total += part
+        parts, w = integrate_chord(poly, roots, verts[k], w, verts[k + 1],
+                                   densities, rel_tol=rel_tol,
+                                   abs_floor=abs_floor)
+        for d, part in enumerate(parts):
+            totals[d] += part
         branch.append(w)
-        running.append(total)
+        running.append(totals[:])
     if end is not None:
-        total -= integrate_chord_from_root(poly, roots, end[0], end[1],
-                                           verts[last], w, rel_tol=rel_tol)
-        running.append(total)
-    return total, branch, running
+        totals[0] -= integrate_chord_from_root(poly, roots, end[0], end[1],
+                                               verts[last], w, rel_tol=rel_tol)
+        running.append(totals[:])
+    return totals, branch, running
 
 
 def sqrt_continuation(poly: ComplexPolynomial, path, seed: complex,
@@ -353,8 +385,8 @@ def sqrt_continuation(poly: ComplexPolynomial, path, seed: complex,
     roots = ctx.locs if ctx else ()
     if ctx:
         _check_clearance(verts, roots, ctx.scales.delta_path)
-    total, branch, _ = integrate_polyline(poly, roots, verts, seed,
-                                          rel_tol=config.quad_rel_tol)
+    (total,), branch, _ = integrate_polyline(poly, roots, verts, seed,
+                                             rel_tol=config.quad_rel_tol)
     return BranchedPath(samples=tuple(zip(verts, branch)), total_integral=total)
 
 
@@ -394,9 +426,9 @@ def canonical_parameter_integral(poly: ComplexPolynomial, path,
     w = _principal_seed(poly, verts[first])
     if seed is not None and (seed.real * w.real + seed.imag * w.imag) < 0.0:
         w = -w
-    total, _, _ = integrate_polyline(poly, ctx.locs, verts, w,
-                                     rel_tol=config.quad_rel_tol,
-                                     start=start, end=end)
+    (total,), _, _ = integrate_polyline(poly, ctx.locs, verts, w,
+                                        rel_tol=config.quad_rel_tol,
+                                        start=start, end=end)
     return total
 
 
@@ -463,9 +495,9 @@ def _integrate_root_to_root(poly, locs, mults, verts, ia, ib, rel_tol):
     if len(verts) == 2:
         verts = [a, 0.5 * (a + b), b]
     w_anchor = _principal_seed(poly, verts[1])
-    total, _, _ = integrate_polyline(poly, locs, verts, w_anchor,
-                                     rel_tol=rel_tol, start=(a, mults[ia]),
-                                     end=(b, mults[ib]))
+    (total,), _, _ = integrate_polyline(poly, locs, verts, w_anchor,
+                                        rel_tol=rel_tol, start=(a, mults[ia]),
+                                        end=(b, mults[ib]))
     return total, w_anchor
 
 
@@ -520,19 +552,20 @@ def winding_number(vertices, point: complex) -> int:
     return int(round(total / (2.0 * math.pi)))
 
 
-def contour_integral(poly: ComplexPolynomial, vertices, fvals, roots,
-                     rel_tol=1e-9) -> complex:
-    """Adaptive branch-tracked integral of fvals(z, w) dz along a polyline,
-    starting from the principal branch; ``roots`` are the turning points
-    that bound the continuation steps.
+def contour_integral(poly: ComplexPolynomial, vertices, densities, roots,
+                     rel_tol=1e-9) -> list[complex]:
+    """Adaptive branch-tracked integrals of each density f(z, w) dz along
+    a polyline, from one walk starting on the principal branch; ``roots``
+    are the turning points that bound the continuation steps.  Returns one
+    integral per density.
 
     For a closed contour the branch must return to its seed; a mismatch
     means sqrt(P) is not single-valued along the contour.
     """
     verts = [complex(v) for v in vertices]
     w0 = _principal_seed(poly, verts[0])
-    total, branch, _ = integrate_polyline(poly, roots, verts, w0, fvals,
-                                          rel_tol=rel_tol)
+    totals, branch, _ = integrate_polyline(poly, roots, verts, w0, densities,
+                                           rel_tol=rel_tol)
     w_end = branch[-1]
     closed = abs(verts[0] - verts[-1]) < 1e-12 * (1.0 + abs(verts[0]))
     if closed and abs(w_end - w0) > 0.5 * max(abs(w0), abs(w_end)):
@@ -540,7 +573,7 @@ def contour_integral(poly: ComplexPolynomial, vertices, fvals, roots,
             "sqrt(P) is not single-valued along this closed contour "
             "(odd enclosed multiplicity?)"
         )
-    return total
+    return totals
 
 
 # --- correction densities -----------------------------------------------------
@@ -604,9 +637,18 @@ def correction_numerators(poly: ComplexPolynomial, j_max: int):
     return qs
 
 
+def alpha_densities(poly: ComplexPolynomial, j_max: int):
+    """The densities alpha_j(z, w) = Q_j(z) w^{-(3j+2)}, j = 0 .. j_max."""
+    def density(qj, power):
+        return lambda z, w: _poly_eval(qj, z) * w ** (-power)
+    return [density(qj, 3 * j + 2)
+            for j, qj in enumerate(correction_numerators(poly, j_max))]
+
+
 def alpha_contour_integrals(poly: ComplexPolynomial, contour, j_max: int,
                             config: RunConfig = DEFAULT_CONFIG) -> list[complex]:
-    """Loop integrals of the correction densities alpha_0 .. alpha_{j_max}.
+    """Loop integrals of the correction densities alpha_0 .. alpha_{j_max},
+    all from one walk of the contour.
 
     The contour must be closed, clear every turning point by delta_path
     and enclose roots of even total multiplicity (so that sqrt(P) is
@@ -622,18 +664,8 @@ def alpha_contour_integrals(poly: ComplexPolynomial, contour, j_max: int,
         enclosed = sum(m * winding_number(verts, r) for r, m in ctx.tps.points)
         if enclosed % 2 != 0:
             raise BranchError(f"contour encloses odd total multiplicity {enclosed}")
-    qs = correction_numerators(poly, j_max)
-    out = []
-    for j in range(j_max + 1):
-        power = 3 * j + 2
-        qj = qs[j]
-
-        def f(z, w, _qj=qj, _p=power):
-            return _poly_eval(_qj, z) * w ** (-_p)
-
-        out.append(contour_integral(poly, verts, f, roots,
-                                    rel_tol=config.quad_rel_tol))
-    return out
+    return contour_integral(poly, verts, alpha_densities(poly, j_max), roots,
+                            rel_tol=config.quad_rel_tol)
 
 
 # --- stadium contours around a short trajectory -------------------------------
@@ -713,7 +745,7 @@ def re_xi_drift(poly: ComplexPolynomial, vertices) -> tuple[float, float]:
         poly, tuple(r for r, _ in points), verts, w, rel_tol=1e-12,
         abs_floor=1e-14, start=start, end=end)
     # partial integrals measured from verts[0], where xi = 0
-    return max(abs(x.real) for x in running), arc
+    return max(abs(x[0].real) for x in running), arc
 
 
 def douglas_peucker(vertices, tol: float):

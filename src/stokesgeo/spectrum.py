@@ -120,8 +120,8 @@ def accumulation_rays(poly: ComplexPolynomial,
     rays = []
     for geo in survey.geodesics:
         contour = _loop_contour(ctx, geo)
-        loop = contour_integral(poly, contour, lambda z, w: w, ctx.locs,
-                                rel_tol=config.quad_rel_tol)
+        (loop,) = contour_integral(poly, contour, [lambda z, w: w],
+                                   ctx.locs, rel_tol=config.quad_rel_tol)
         rays.append(AccumulationRay(angle=geo.t_star, geodesic=geo,
                                     loop_period=loop,
                                     contour=tuple(contour)))

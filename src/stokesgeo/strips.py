@@ -413,7 +413,7 @@ def _integral_from_root(poly, locs, mults, root_index, verts, config):
     vertex) along ``verts``, branch anchored at the first interior vertex.
     Returns (integral, branch value at the last vertex)."""
     w_anchor = _principal_seed(poly, verts[1])
-    total, branch, _ = integrate_polyline(
+    (total,), branch, _ = integrate_polyline(
         poly, locs, verts, w_anchor, rel_tol=config.quad_rel_tol,
         start=(locs[root_index], mults[root_index]))
     return total, branch[-1]

@@ -96,21 +96,20 @@ def _chord_re_integral(poly, z0, w0, z1):
     return 0.5 * acc, w_prev
 
 
-def _dp5_step(poly, z, w, h):
+def _dp5_step(poly, z, w, k0, h):
     """One embedded Dormand-Prince 5(4) step of dz/ds = i conj(v) / |v|,
     v = sqrt(P)(z), from z with step h.
 
-    The branch at z is matched to ``w``, and every later stage's branch to
-    the one at z.  Returns (z5, err, w6): the fifth-order point, its
-    distance from the fourth-order point, and the branch at z5.  The
-    stages are written out; sums are formed in the order of the loop over
-    ``_A`` and of ``sum`` over ``_B5`` and ``_B4``."""
+    ``w`` is the caller's branch of sqrt(P) at z and ``k0`` the field
+    i conj(w) / |w| there; every later stage's branch is matched to ``w``.
+    Returns (z5, err, w6, k6): the fifth-order point, its distance from
+    the fourth-order point, and the branch and field at z5.  The pair is
+    first same as last: an accepted step's (w6, k6) are the next step's
+    (w, k0) unless the caller moves z5.  The stages are written out; sums
+    are formed in the order of the loop over ``_A`` and of ``sum`` over
+    ``_B5`` and ``_B4``."""
     evaluate = poly.evaluate
-    w0 = cmath.sqrt(evaluate(z))
-    if w0.real * w.real + w0.imag * w.imag < 0.0:
-        w0 = -w0
-    wr, wi = w0.real, w0.imag
-    k0 = 1j * w0.conjugate() / abs(w0)
+    wr, wi = w.real, w.imag
 
     v = cmath.sqrt(evaluate(z + h * _A10 * k0))
     if v.real * wr + v.imag * wi < 0.0:
@@ -148,7 +147,7 @@ def _dp5_step(poly, z, w, h):
     k6 = 1j * w6.conjugate() / abs(w6)
     z4 = z + h * (0 + _B40 * k0 + _B41 * k1 + _B42 * k2 + _B43 * k3
                   + _B44 * k4 + _B45 * k5 + _B46 * k6)
-    return z5, abs(z5 - z4), w6
+    return z5, abs(z5 - z4), w6, k6
 
 
 def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float,
@@ -195,6 +194,7 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
                                      z, w, rel_tol=1e-12)
     z = z - head.real * w.conjugate() / (abs(w) ** 2)
     w = _branch_step(poly, w, z)
+    k = 1j * w.conjugate() / abs(w)
     polyline.append(z)
 
     s_total = 0.0
@@ -217,15 +217,13 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
         if h < 1e-15 * scales.d_unit:
             raise NumericalError("step-size underflow during trace",
                                  residuals=[z])
-        z5, err, w6 = _dp5_step(poly, z, w, h)
+        z5, err, w6, k6 = _dp5_step(poly, z, w, k, h)
         if err > atol and h > 4e-15 * scales.d_unit:
             h *= max(0.2, 0.9 * (atol / max(err, 1e-300)) ** 0.2)
             continue
         # accept; escaping steps land exactly on the circle first
         if abs(z5) >= r_escape:
-            wz = _branch_step(poly, w6, z5)
-            vz = 1j * wz.conjugate() / abs(wz)
-            if z5.real * vz.real + z5.imag * vz.imag > 0.0:
+            if z5.real * k6.real + z5.imag * k6.imag > 0.0:
                 z_land, w_land = _land_on_circle(poly, z, w, z5, r_escape)
                 if track_drift:
                     inc, _ = _chord_re_integral(poly, z, w, z_land)
@@ -236,17 +234,17 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
                 polyline.append(z_land)
                 ray = ctx.sectors.nearest_ray_index(cmath.phase(z_land))
                 return polyline, EscapedToRay(ray, z_land)
-        w_new = _branch_step(poly, w6, z5)
         if track_drift:
             inc, _ = _chord_re_integral(poly, z, w, z5)
             drift += inc
             if abs(drift) > 1e-13 * scales.d_unit:
-                corr = -drift * w_new.conjugate() / (abs(w_new) ** 2)
+                corr = -drift * w6.conjugate() / (abs(w6) ** 2)
                 z5 = z5 + corr
-                drift += (w_new * corr).real
-                w_new = _branch_step(poly, w_new, z5)
+                drift += (w6 * corr).real
+                w6 = _branch_step(poly, w6, z5)
+                k6 = 1j * w6.conjugate() / abs(w6)
         s_total += h
-        z, w = z5, w_new
+        z, w, k = z5, w6, k6
         polyline.append(z)
         if err > 0:
             h = h * min(5.0, max(0.2, 0.9 * (atol / err) ** 0.2))

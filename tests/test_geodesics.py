@@ -57,6 +57,38 @@ def test_verify_oscillator_connection(osc):
     assert geo.period == pytest.approx(1j * PI / 2, abs=1e-9)
 
 
+def test_direct_hit_stops_tracing_at_the_hit(cubic_unity, monkeypatch):
+    pair = (0, 1)
+    t = {p: t for p, t, _ in candidate_angles(cubic_unity)}[pair]
+
+    def eager(vc, pair, t, track_drift, hit_radius=None):
+        rot = vc.ctx.rotate(t)
+        return [geodesics.trace_stokes_line(rot.poly, pair[0], theta,
+                                            context=rot,
+                                            track_drift=track_drift,
+                                            hit_radius=hit_radius)
+                for theta in vc.directions(rot, pair[0])]
+    with monkeypatch.context() as m:
+        m.setattr(geodesics._VerifyContext, "trace_all", eager)
+        expected = verify_geodesic(cubic_unity, pair, t)
+
+    drift_fates = []
+    trace = geodesics.trace_stokes_line
+
+    def spy(*args, **kwargs):
+        pl, fate = trace(*args, **kwargs)
+        if kwargs["track_drift"]:
+            drift_fates.append(fate)
+        return pl, fate
+    monkeypatch.setattr(geodesics, "trace_stokes_line", spy)
+    geo = verify_geodesic(cubic_unity, pair, t)
+    assert isinstance(geo, ShortGeodesic) and repr(geo) == repr(expected)
+    # the first of the three drift-mode traces hits the partner, and none
+    # runs after it
+    assert len(drift_fates) == 1
+    assert drift_fates[0].target == pair[1]
+
+
 def test_verify_oscillator_miss_recovers_connection(osc):
     # the trace at 0.3 misses; the bisected transition is the connection
     res = verify_geodesic(osc, (0, 1), 0.3)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,12 +8,15 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from stokesgeo import (BranchError, ClearanceError, ComplexPolynomial,
-                       alpha_contour_integrals, canonical_parameter_integral,
+                       accumulation_rays, alpha_contour_integrals,
+                       canonical_parameter_integral,
                        pairwise_periods, parse_poly_text, sqrt_continuation,
                        turning_points, winding_number)
 from stokesgeo import pathint
 from stokesgeo.polynomial import PolyContext
 from stokesgeo.pathint import build_stadium, min_clearance, re_xi_drift
+
+from tests.conftest import random_simple_poly
 
 
 def circle(center, radius, n=129):
@@ -78,7 +82,7 @@ def _two_pass_chord(poly, roots, z0, w0, z1, fvals, rel_tol=1e-9,
     """Reference chord quadrature: the whole-chord panel is evaluated once
     for the tolerance and again as the first panel of the subdivision."""
     walker = _RecursiveWalker(poly, roots, z0, w0)
-    est15, _ = pathint._panel_values(walker, z0, z1, 0.0, 1.0, fvals)
+    [(est15, _)] = pathint._panel_values(walker, z0, z1, 0.0, 1.0, [fvals])
     target = max(abs_floor, rel_tol * abs(est15))
     walker.z, walker.w = complex(z0), complex(w0)
     total = 0j
@@ -86,7 +90,7 @@ def _two_pass_chord(poly, roots, z0, w0, z1, fvals, rel_tol=1e-9,
     while stack:
         sa, sb, tol = stack.pop()
         anchor_z, anchor_w = walker.z, walker.w
-        i15, i7 = pathint._panel_values(walker, z0, z1, sa, sb, fvals)
+        [(i15, i7)] = pathint._panel_values(walker, z0, z1, sa, sb, [fvals])
         if abs(i15 - i7) <= tol or (sb - sa) < 1e-12:
             total += i15
             walker.advance(z0 + sb * (z1 - z0))
@@ -124,10 +128,12 @@ def test_integrate_chord_bitwise_matches_two_pass(cubic_unity, z0, z1,
     points = _recording_evaluate(monkeypatch)
     for fvals in (lambda z, w: w, lambda z, w: z * w):
         points.clear()
-        got = pathint.integrate_chord(cubic_unity, roots, z0, w0, z1, fvals)
+        [total], w1 = pathint.integrate_chord(cubic_unity, roots, z0, w0, z1,
+                                              [fvals])
         seen = points[:]
         points.clear()
-        assert got == _two_pass_chord(cubic_unity, roots, z0, w0, z1, fvals)
+        assert (total, w1) == _two_pass_chord(cubic_unity, roots, z0, w0, z1,
+                                              fvals)
         # the same points in the same order, the whole-chord panel's
         # evaluations (walker midpoints included) once instead of twice
         first = len(points) - len(seen)
@@ -286,6 +292,71 @@ def test_alpha_big_circle_oracle(osc):
         integrand = _poly_eval(qs[j], z) * w ** (-(3 * j + 2))
         oracle = np.sum(integrand * 1j * z) * (2 * math.pi / n)
         assert abs(vals[j] - oracle) < 1e-8
+
+
+def _first_quintic_of_counting_stream():
+    rng = random.Random(20260808)
+    for d in (3, 4):
+        for _ in range(50):
+            random_simple_poly(rng, d)
+    return random_simple_poly(rng, 5)
+
+
+@pytest.mark.parametrize("make_poly", [
+    lambda: parse_poly_text("1,0,0.3+0.2i,-1"),
+    _first_quintic_of_counting_stream,
+])
+def test_alpha_one_walk_matches_a_walk_per_order(make_poly, monkeypatch):
+    poly = make_poly()
+    roots = PolyContext.of(poly).locs
+    panels = []
+    panel_values = pathint._panel_values
+
+    def recorded(walker, z0, z1, sa, sb, densities):
+        panels.append((z0, z1, sa, sb))
+        return panel_values(walker, z0, z1, sa, sb, densities)
+    monkeypatch.setattr(pathint, "_panel_values", recorded)
+    densities = pathint.alpha_densities(poly, 3)
+    trees_differ = False
+    for ray in accumulation_rays(poly):
+        verts = list(ray.contour)
+        per_order, trees = [], []
+        for f in densities:
+            panels.clear()
+            per_order += pathint.contour_integral(poly, verts, [f], roots)
+            tree = {}
+            for z0, z1, sa, sb in panels:
+                tree.setdefault((z0, z1), []).append((sa, sb))
+            trees.append(tree)
+        assert alpha_contour_integrals(poly, verts, 3) == per_order
+        trees_differ |= any(len({tuple(t[chord]) for t in trees}) > 1
+                            for chord in trees[0])
+    # the orders refine different panels, so one walk has to follow each
+    # order's own tree
+    assert trees_differ
+
+
+def test_contour_integral_densities_odd_enclosure_rejected(osc):
+    roots = [r for r, _ in turning_points(osc).points]
+    with pytest.raises(BranchError, match="not single-valued"):
+        pathint.contour_integral(osc, circle(1.0, 0.5),
+                                 pathint.alpha_densities(osc, 2), roots)
+
+
+def test_chord_guard_names_chord_and_density(cubic_unity):
+    roots = [r for r, _ in turning_points(cubic_unity).points]
+    z0, z1 = 0.1 + 0.2j, -0.2 + 0.35j
+    rng = random.Random(5)
+
+    def noise(z, w):
+        return complex(rng.random(), rng.random())
+    w0 = cmath.sqrt(cubic_unity.evaluate(z0))
+    with pytest.raises(BranchError) as info:
+        pathint.integrate_chord(cubic_unity, roots, z0, w0, z1,
+                                [lambda z, w: w, noise])
+    assert str(info.value) == (
+        "chord quadrature failed to converge on the chord "
+        "0.1+0.2j -> -0.2+0.35j (density 1)")
 
 
 def test_alpha_odd_multiplicity_rejected(osc):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from stokesgeo import tracer
+from stokesgeo.polynomial import PolyContext
 from stokesgeo import (ComplexPolynomial, EscapedToRay, HitTurningPoint,
                        build_stokes_graph, classify_complexes,
                        emanating_directions, parse_poly_text, re_xi_drift,
@@ -178,7 +179,7 @@ def _reference_dp5_step(poly, z, w, h, flips):
     z5 = z + h * sum(b * ki for b, ki in zip(tracer._B5, k[:6]))
     k[6], w6 = field(z5, w0)
     z4 = z + h * sum(b * ki for b, ki in zip(tracer._B4, k))
-    return z5, abs(z5 - z4), w6
+    return (z5, abs(z5 - z4), w6, k[6]), (w0, k[0])
 
 
 @pytest.mark.parametrize("coeffs", ["1,0,0.3+0.2i,-1",
@@ -192,10 +193,87 @@ def test_dp5_step_bitwise_matches_stage_loop(coeffs):
         w = cmath.rect(1.0, rng.uniform(-math.pi, math.pi))
         h = 10 ** rng.uniform(-4, 0)
         flips = []
-        expected = _reference_dp5_step(poly, z, w, h, flips)
-        assert tracer._dp5_step(poly, z, w, h) == expected
+        expected, (w0, k0) = _reference_dp5_step(poly, z, w, h, flips)
+        assert tracer._dp5_step(poly, z, w0, k0, h) == expected
         start_flips += flips[0]
         cut_crossings += any(f != flips[0] for f in flips[1:])
     # the start branch was negated, and some steps crossed the cut of the
     # principal root, so that later stages flipped against the start
     assert start_flips > 50 and cut_crossings >= 3
+
+
+def _spy_on_tracer(monkeypatch):
+    """Counts P evaluations, the tracer helpers' calls and the evaluations
+    made by the launch point's root-chord integral; records the (z, w, k0)
+    of every ``_dp5_step`` attempt."""
+    counts = {"evals": 0, "head_evals": 0, "_dp5_step": 0,
+              "_chord_re_integral": 0, "_branch_step": 0}
+    steps = []
+    evaluate = ComplexPolynomial.evaluate
+
+    def counted(self, z):
+        counts["evals"] += 1
+        return evaluate(self, z)
+    monkeypatch.setattr(ComplexPolynomial, "evaluate", counted)
+
+    def spy(name):
+        original = getattr(tracer, name)
+
+        def wrapped(*args):
+            counts[name] += 1
+            if name == "_dp5_step":
+                steps.append(args[1:4])
+            return original(*args)
+        monkeypatch.setattr(tracer, name, wrapped)
+    for name in ("_dp5_step", "_chord_re_integral", "_branch_step"):
+        spy(name)
+    head = tracer.integrate_chord_from_root
+
+    def head_spy(*args, **kwargs):
+        before = counts["evals"]
+        out = head(*args, **kwargs)
+        counts["head_evals"] += counts["evals"] - before
+        return out
+    monkeypatch.setattr(tracer, "integrate_chord_from_root", head_spy)
+    return counts, steps
+
+
+@pytest.mark.parametrize("track_drift", [False, True])
+def test_trace_evaluates_p_six_times_per_step_attempt(cubic_unity,
+                                                      track_drift,
+                                                      monkeypatch):
+    # first same as last: the stage-0 field is the previous step's last
+    # stage, so a step attempt evaluates P at its 5 inner stages and at z5
+    ctx = PolyContext.of(cubic_unity)
+    theta = emanating_directions(cubic_unity, ctx.locs[0], 1)[0]
+    counts, _ = _spy_on_tracer(monkeypatch)
+    _, fate = trace_stokes_line(cubic_unity, 0, theta, context=ctx,
+                                track_drift=track_drift)
+    assert isinstance(fate, EscapedToRay)
+    assert counts["_dp5_step"] > 50
+    # the launch point, its root chord, the step attempts, and the drift
+    # chords and branch updates after a drift correction or the landing
+    assert counts["evals"] == (1 + counts["head_evals"]
+                               + 6 * counts["_dp5_step"]
+                               + 15 * counts["_chord_re_integral"]
+                               + counts["_branch_step"])
+    if track_drift:
+        assert counts["_chord_re_integral"] > 50
+    else:
+        # after the launch point and on landing only
+        assert counts["_chord_re_integral"] == 0
+        assert counts["_branch_step"] == 2
+
+
+@pytest.mark.parametrize("coeffs", ["1,0,-1", "1,0,0.3+0.2i,-1"])
+def test_dp5_step_receives_sign_matched_branch(coeffs, monkeypatch):
+    poly = parse_poly_text(coeffs)
+    _, steps = _spy_on_tracer(monkeypatch)
+    build_stokes_graph(poly)
+    assert len(steps) > 300
+    for z, w, k0 in steps:
+        v = cmath.sqrt(poly.evaluate(z))
+        if v.real * w.real + v.imag * w.imag < 0.0:
+            v = -v
+        assert repr(v) == repr(w)
+        assert repr(k0) == repr(1j * w.conjugate() / abs(w))
