@@ -9,8 +9,11 @@ agree bit for bit.  The outputs are
   degree 3, 4, 5 of the counting stream 20260808: the survey's geodesics
   (pairs, t*, periods, polylines), then the accumulation rays, their
   correction integrals alpha_0..alpha_3, order-0 estimates for n = 1..5
-  and order-3 estimates for n = 1..3;
-- ``chord_diagram`` on as many polynomials of the chord stream 5150;
+  and order-3 estimates for n = 1..3, the pairwise periods and the
+  ``re_xi_drift`` of each geodesic polyline;
+- ``chord_diagram`` on as many polynomials of the chord stream 5150, and
+  ``is_very_flat`` there as its flag, its cuts and its visible-pair count
+  (the projected float nodes are left out);
 - the edges of the Stokes graph of z^3 - 1.
 
 Running it against two source trees and diffing the outputs checks that a
@@ -29,8 +32,9 @@ from pathlib import Path
 
 from stokesgeo import (accumulation_rays, alpha_contour_integrals,
                        build_stokes_graph, chord_diagram,
-                       eigenvalue_asymptotics, parse_poly_text,
-                       survey_short_geodesics)
+                       eigenvalue_asymptotics, is_very_flat, pairwise_periods,
+                       parse_poly_text, re_xi_drift, survey_short_geodesics,
+                       visible_pairs)
 
 # the test suite's generator, so the streams are the acceptance streams
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -69,8 +73,17 @@ def main():
         fingerprint(f"estimates3[{label}]",
                     [eigenvalue_asymptotics(poly, ray, 1, 3, order=3)
                      for ray in rays])
+        fingerprint(f"periods[{label}]", pairwise_periods(poly))
+        fingerprint(f"drift[{label}]",
+                    [re_xi_drift(poly.rotate(g.t_star), g.polyline)
+                     for g in survey.geodesics])
     for label, poly in stream(5150, args.per_degree):
         fingerprint(f"chords[{label}]", chord_diagram(poly))
+        flat = is_very_flat(poly)
+        fingerprint(f"very_flat[{label}]",
+                    (flat.flag,) if flat.strip is None else
+                    (flat.flag, flat.strip.cuts,
+                     len(visible_pairs(flat.strip))))
     fingerprint("stokes_graph[z^3-1]",
                 build_stokes_graph(parse_poly_text("1,0,0,-1")).edges)
 

@@ -38,6 +38,17 @@ class RunConfig:
                      "quad_rel_tol", "trace_tol", "ode_rel_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"RunConfig.{name} must be positive")
+        for name, low in (("alpha_order", 0), ("bisect_max", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"RunConfig.{name} must be an integer")
+            if value < low:
+                raise ValueError(f"RunConfig.{name} must be >= {low}")
+        if self.eps_t_max < self.eps_t:
+            raise ValueError("RunConfig.eps_t_max must be >= eps_t")
+        for name in ("lambda_min_modulus", "svg_decimate_factor"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"RunConfig.{name} must be non-negative")
         bad = set(self.formats) - {"json", "svg", "csv"}
         if bad:
             raise ValueError(f"unknown output formats: {sorted(bad)}")

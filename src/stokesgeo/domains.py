@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import IncompleteGraphError, NonGenericError
-from .pathint import integrate_chord, min_clearance
+from .pathint import integrate_polyline, min_clearance
 from .polynomial import ComplexPolynomial, wrap_positive
 from .tracer import StokesGraph, build_stokes_graph
 
@@ -357,7 +357,8 @@ def _strip_width(graph, side_a, side_b, poly_pts, config) -> float:
 
     for _, za, zb in candidates:
         if _segment_inside(za, zb, poly_pts, locs, delta):
-            val = _integrate_straight(poly, locs, za, zb, config)
+            (val,), _, _ = integrate_polyline(poly, locs, [za, zb],
+                                              rel_tol=config.quad_rel_tol)
             return abs(val.real)
     raise NonGenericError(
         "no straight in-face segment joins the two sides of a strip")
@@ -371,13 +372,6 @@ def _segment_inside(za, zb, poly_pts, locs, delta) -> bool:
         if not _point_in_polygon(poly_pts, z):
             return False
     return True
-
-
-def _integrate_straight(poly, locs, za, zb, config) -> complex:
-    w0 = cmath.sqrt(poly.evaluate(za))
-    (val,), _ = integrate_chord(poly, locs, za, w0, zb, [lambda z, w: w],
-                                rel_tol=config.quad_rel_tol)
-    return val
 
 
 def admissible_domains(graph: StokesGraph,

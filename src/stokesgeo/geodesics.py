@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import NonGenericError, NumericalError
-from .pathint import (_integrate_root_to_root, _normalize_period_sign,
-                      pairwise_periods)
+from .pathint import pairwise_periods, root_to_root_period
 from .polynomial import (ComplexPolynomial, PolyContext, turning_points,
                          wrap_angle, wrap_positive)
 from .tracer import (EscapedToRay, HitTurningPoint, emanating_directions,
@@ -140,16 +139,6 @@ class _VerifyContext:
                                     hit_radius=hit_radius)
 
 
-def _geodesic_period(ctx: PolyContext, pair, polyline) -> complex:
-    """Branch-tracked integral of sqrt(P) along the verified polyline for
-    the unrotated potential, sign-normalized like pairwise periods."""
-    value, seed = _integrate_root_to_root(ctx.poly, ctx.locs, ctx.mults,
-                                          list(polyline), *pair,
-                                          ctx.config.quad_rel_tol)
-    value, _ = _normalize_period_sign(value, seed)
-    return value
-
-
 def _accept(vc: _VerifyContext, pair, t: float) -> ShortGeodesic | None:
     """Output-quality re-trace at angle t; geodesic if a trajectory from
     pair[0] hits pair[1] within the strict hit radius."""
@@ -157,7 +146,8 @@ def _accept(vc: _VerifyContext, pair, t: float) -> ShortGeodesic | None:
     for pl, fate in vc.trace_all(pair, t, track_drift=True):
         if isinstance(fate, HitTurningPoint) and fate.target == b:
             return ShortGeodesic(pair=pair, t_star=wrap_positive(t, PI),
-                                 period=_geodesic_period(vc.ctx, pair, pl),
+                                 period=root_to_root_period(vc.ctx, pl,
+                                                            *pair)[0],
                                  polyline=tuple(pl))
     return None
 

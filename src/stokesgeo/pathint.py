@@ -323,29 +323,32 @@ def _root_end(v: complex, points, tol: float):
     return None
 
 
-def _sqrt_density(z, w):
+def sqrt_density(z, w):
     return w
 
 
-def integrate_polyline(poly, roots, verts, w, densities=(_sqrt_density,),
+def integrate_polyline(poly, roots, verts, w=None, densities=(sqrt_density,),
                        rel_tol=1e-9, abs_floor=1e-13, start=None, end=None):
     """Branch-tracked integrals of each density f(z, w) dz along the
     polyline ``verts``, from one walk.
 
     ``roots`` are the turning-point locations that bound the branch
     continuation steps, and ``w`` is the branch of sqrt(P) at the first
-    regular vertex.  ``start`` and ``end`` are (root, multiplicity) pairs
-    when the first or last vertex is that turning point; the chord at such
-    an end is integrated by the singular endpoint rule, which supports the
-    single density sqrt(P) only.  ``abs_floor`` applies to the regular
-    chords.
+    regular vertex (None takes the principal value there).  ``start`` and
+    ``end`` are (root, multiplicity) pairs when the first or last vertex is
+    that turning point; the chord at such an end is integrated by the
+    singular endpoint rule, which supports the single density sqrt(P)
+    only, and a two-vertex path gets its midpoint as the regular vertex.
+    ``abs_floor`` applies to the regular chords.
 
     Returns (totals, branch values at the regular vertices, running totals
     after each chord), with one total per density.
     """
-    w = complex(w)
+    if len(verts) == 2 and (start is not None or end is not None):
+        verts = [verts[0], 0.5 * (verts[0] + verts[1]), verts[1]]
     first = 1 if start is not None else 0
     last = len(verts) - 2 if end is not None else len(verts) - 1
+    w = _principal_seed(poly, verts[first]) if w is None else complex(w)
     branch = [w]
     running = []
     totals = [0j] * len(densities)
@@ -412,23 +415,24 @@ def canonical_parameter_integral(poly: ComplexPolynomial, path,
             seed = _principal_seed(poly, verts[0])
         return sqrt_continuation(poly, verts, seed, config).total_integral
 
-    if len(verts) == 2 and start is not None and end is not None:
-        verts = [verts[0], 0.5 * (verts[0] + verts[1]), verts[1]]
-    first = 1 if start is not None else 0
-    last = len(verts) - 2 if end is not None else len(verts) - 1
-    if first >= len(verts) - 1 and end is not None:
-        verts.insert(1, 0.5 * (verts[0] + verts[1]))
-        last = len(verts) - 2
+    # the regular vertices must clear every turning point but the ends
     ends = [e[0] for e in (start, end) if e is not None]
-    _check_clearance(verts[first:last + 1],
+    _check_clearance(verts[start is not None:len(verts) - (end is not None)],
                      [r for r in ctx.locs if r not in ends],
                      ctx.scales.delta_path)
-    w = _principal_seed(poly, verts[first])
+    (total,), branch, _ = integrate_polyline(poly, ctx.locs, verts,
+                                             rel_tol=config.quad_rel_tol,
+                                             start=start, end=end)
+    # the seed pins the branch at the path's first regular vertex, the
+    # last one of a two-vertex path from a turning point (its midpoint
+    # comes first); negating the seed negates every branch value and sum
+    w = branch[0]
+    if len(verts) == 2 and end is None:
+        w = branch[-1]
+        if seed is None:
+            seed = _principal_seed(poly, verts[1])
     if seed is not None and (seed.real * w.real + seed.imag * w.imag) < 0.0:
-        w = -w
-    (total,), _, _ = integrate_polyline(poly, ctx.locs, verts, w,
-                                        rel_tol=config.quad_rel_tol,
-                                        start=start, end=end)
+        total = -total
     return total
 
 
@@ -488,26 +492,18 @@ def pair_path(poly, locations, i: int, j: int, delta: float):
     return verts
 
 
-def _integrate_root_to_root(poly, locs, mults, verts, ia, ib, rel_tol):
-    """Integral of sqrt(P) along ``verts`` running from root ia to root ib.
-    Returns (integral, branch anchor value at the first interior vertex)."""
-    a, b = verts[0], verts[-1]
-    if len(verts) == 2:
-        verts = [a, 0.5 * (a + b), b]
-    w_anchor = _principal_seed(poly, verts[1])
-    (total,), _, _ = integrate_polyline(poly, locs, verts, w_anchor,
-                                        rel_tol=rel_tol, start=(a, mults[ia]),
-                                        end=(b, mults[ib]))
-    return total, w_anchor
-
-
-def _normalize_period_sign(value: complex, seed: complex):
-    """Im w >= 0; real w resolved toward Re w > 0."""
+def root_to_root_period(ctx: PolyContext, verts, i: int, j: int):
+    """Integral of sqrt(P) along ``verts``, which runs from root i to root
+    j, signed so that Im >= 0 (a real value so that Re > 0).  Returns it
+    with the branch of sqrt(P) at the first interior vertex."""
+    (value,), branch, _ = integrate_polyline(
+        ctx.poly, ctx.locs, verts, rel_tol=ctx.config.quad_rel_tol,
+        start=(verts[0], ctx.mults[i]), end=(verts[-1], ctx.mults[j]))
     if abs(value.imag) <= 1e-12 * abs(value):
         flip = value.real < 0
     else:
         flip = value.imag < 0
-    return (-value, -seed) if flip else (value, seed)
+    return (-value, -branch[0]) if flip else (value, branch[0])
 
 
 def period_for_pair(poly: ComplexPolynomial, i: int, j: int,
@@ -518,9 +514,7 @@ def period_for_pair(poly: ComplexPolynomial, i: int, j: int,
     verts = pair_path(poly, locs, i, j, delta)
     _check_clearance(verts, [r for k, r in enumerate(locs) if k not in (i, j)],
                      delta)
-    value, seed = _integrate_root_to_root(poly, locs, ctx.mults, verts, i, j,
-                                          config.quad_rel_tol)
-    value, seed = _normalize_period_sign(value, seed)
+    value, seed = root_to_root_period(ctx, verts, i, j)
     return Period(pair=(i, j), path=tuple(verts), value=value, branch_seed=seed)
 
 
@@ -563,10 +557,10 @@ def contour_integral(poly: ComplexPolynomial, vertices, densities, roots,
     means sqrt(P) is not single-valued along the contour.
     """
     verts = [complex(v) for v in vertices]
-    w0 = _principal_seed(poly, verts[0])
-    totals, branch, _ = integrate_polyline(poly, roots, verts, w0, densities,
+    totals, branch, _ = integrate_polyline(poly, roots, verts,
+                                           densities=densities,
                                            rel_tol=rel_tol)
-    w_end = branch[-1]
+    w0, w_end = branch[0], branch[-1]
     closed = abs(verts[0] - verts[-1]) < 1e-12 * (1.0 + abs(verts[0]))
     if closed and abs(w_end - w0) > 0.5 * max(abs(w0), abs(w_end)):
         raise BranchError(
@@ -738,11 +732,8 @@ def re_xi_drift(poly: ComplexPolynomial, vertices) -> tuple[float, float]:
     arc = polyline_length(verts)
     start = _root_end(verts[0], points, 1e-9)
     end = _root_end(verts[-1], points, 1e-9)
-    if len(verts) == 2 and (start is not None or end is not None):
-        verts = [verts[0], 0.5 * (verts[0] + verts[1]), verts[1]]
-    w = _principal_seed(poly, verts[1 if start is not None else 0])
     _, _, running = integrate_polyline(
-        poly, tuple(r for r, _ in points), verts, w, rel_tol=1e-12,
+        poly, tuple(r for r, _ in points), verts, rel_tol=1e-12,
         abs_floor=1e-14, start=start, end=end)
     # partial integrals measured from verts[0], where xi = 0
     return max(abs(x[0].real) for x in running), arc

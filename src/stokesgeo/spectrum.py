@@ -26,7 +26,7 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ClearanceError, NonGenericError, NumericalError
 from .geodesics import GeodesicSurvey, ShortGeodesic, survey_short_geodesics
 from .pathint import (alpha_contour_integrals, build_stadium, contour_integral,
-                      min_clearance, winding_number)
+                      min_clearance, sqrt_density, winding_number)
 from .polynomial import ComplexPolynomial, PolyContext, stokes_sectors
 from .tracer import _A, _B4, _B5, _C, build_stokes_graph
 
@@ -120,7 +120,7 @@ def accumulation_rays(poly: ComplexPolynomial,
     rays = []
     for geo in survey.geodesics:
         contour = _loop_contour(ctx, geo)
-        (loop,) = contour_integral(poly, contour, [lambda z, w: w],
+        (loop,) = contour_integral(poly, contour, [sqrt_density],
                                    ctx.locs, rel_tol=config.quad_rel_tol)
         rays.append(AccumulationRay(angle=geo.t_star, geodesic=geo,
                                     loop_period=loop,
@@ -136,6 +136,9 @@ def eigenvalue_asymptotics(poly: ComplexPolynomial, ray: AccumulationRay,
     iteration of the quantization relation, to ``order`` correction terms."""
     if order < 0:
         raise ValueError("order must be >= 0")
+    # the n_min term orients L, and only n >= 0 lies on the forward ray
+    if n_min < 0:
+        raise ValueError(f"n_min must be >= 0, got {n_min}")
     L = ray.loop_period
     corrections = []
     if order > 0:

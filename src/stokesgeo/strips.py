@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import NonGenericError, StokesGeoError
-from .pathint import _principal_seed, integrate_polyline
+from .pathint import integrate_polyline
 from .polynomial import ComplexPolynomial, turning_points
 
 
@@ -276,7 +276,7 @@ def is_very_flat(poly: ComplexPolynomial,
         chain_strips.append(nxt_strip)
 
     try:
-        nodes, cuts = _project_chain(poly, graph, fs, strips, sides, chain,
+        nodes, cuts = _project_chain(poly, graph, strips, sides, chain,
                                      chain_strips, config)
     except StokesGeoError as exc:
         return VeryFlatResult(False, None, f"projection failed: {exc}")
@@ -289,12 +289,10 @@ def is_very_flat(poly: ComplexPolynomial,
     return VeryFlatResult(True, strip, "very flat")
 
 
-def _project_chain(poly, graph, fs, strips, sides, chain, chain_strips,
-                   config):
+def _project_chain(poly, graph, strips, sides, chain, chain_strips, config):
     tps = graph.turning_points
     locs = tps.locations
     mults = [m for _, m in tps.points]
-    scales = graph.scales
 
     edge_sets = [set(dom.edge_ids) for dom in strips]
     incident_edges: dict[int, list[int]] = {}
@@ -329,7 +327,7 @@ def _project_chain(poly, graph, fs, strips, sides, chain, chain_strips,
             e for e in incident_edges[r_to] if e in edge_sets[s_idx])
 
         delta, e_dir_im = _cross_strip(
-            poly, graph, fs, dom, locs, mults, r_from, r_to,
+            poly, graph, dom, locs, mults, r_from, r_to,
             entry_edge, exit_edge, config)
         if delta.real < 0:
             delta = -delta
@@ -349,12 +347,12 @@ def _project_chain(poly, graph, fs, strips, sides, chain, chain_strips,
     return nodes, cuts
 
 
-def _cross_strip(poly, graph, fs, dom, locs, mults, r_from, r_to,
+def _cross_strip(poly, graph, dom, locs, mults, r_from, r_to,
                  entry_edge, exit_edge, config):
     """Transport the canonical coordinate from r_from to r_to through one
     strip: out along an entry edge, straight across the face interior, and
-    back along the exit edge.  No turning point is passed, so the branch
-    is unambiguous given the anchor seed.
+    back along the exit edge, in one walk.  No turning point is passed, so
+    the branch is unambiguous given the anchor seed.
 
     Returns (xi(r_to) - xi(r_from), Im[xi(b*) - xi(r_to)]) where b* is the
     crossing's landing vertex on the exit edge; the imaginary part gives
@@ -393,27 +391,11 @@ def _cross_strip(poly, graph, fs, dom, locs, mults, r_from, r_to,
     if best is None:
         raise NonGenericError("no interior crossing segment found")
     ia, ib = best
-    b_star = pl_out[ib]
 
-    # out along the entry edge and straight across the face, then back in
-    # from r_to along the exit edge
-    through, w_end = _integral_from_root(poly, locs, mults, r_from,
-                                         pl_in[:ia + 1] + [b_star], config)
-    tail, w_tail = _integral_from_root(poly, locs, mults, r_to,
-                                       pl_out[:ib + 1], config)
-    # express the tail under the branch transported through the face
-    if w_tail.real * w_end.real + w_tail.imag * w_end.imag < 0.0:
-        tail = -tail
-    delta = through - tail
-    return delta, tail.imag
-
-
-def _integral_from_root(poly, locs, mults, root_index, verts, config):
-    """Integral of sqrt(P) from turning point ``root_index`` (the first
-    vertex) along ``verts``, branch anchored at the first interior vertex.
-    Returns (integral, branch value at the last vertex)."""
-    w_anchor = _principal_seed(poly, verts[1])
-    (total,), branch, _ = integrate_polyline(
-        poly, locs, verts, w_anchor, rel_tol=config.quad_rel_tol,
-        start=(locs[root_index], mults[root_index]))
-    return total, branch[-1]
+    # out along the entry edge to a*, straight across the face to b*, then
+    # back along the exit edge to r_to; running[ia] ends at b*
+    (delta,), _, running = integrate_polyline(
+        poly, locs, pl_in[:ia + 1] + pl_out[ib::-1],
+        rel_tol=config.quad_rel_tol, start=(locs[r_from], mults[r_from]),
+        end=(locs[r_to], mults[r_to]))
+    return delta, (running[ia][0] - delta).imag

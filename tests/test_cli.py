@@ -98,6 +98,12 @@ def test_eigenvalues_bad_range(tmp_path):
                 "--out", str(tmp_path)]) == 2
 
 
+def test_eigenvalues_negative_n_min(tmp_path, capsys):
+    assert run(["eigenvalues", "--poly", "1,0,-1", "--n=-1..3",
+                "--out", str(tmp_path)]) == 2
+    assert "n_min" in capsys.readouterr().err
+
+
 def test_eigenvalues_wronskian_cubic(tmp_path):
     # sectors from the Stokes graph at the ray's angle; the zero is the
     # Chebyshev-collocation eigenvalue of bench/reference.py
@@ -188,6 +194,17 @@ def test_config_file_override(tmp_path):
     assert code == 0
     data = json.loads((tmp_path / "o" / "roots.json").read_text())
     assert data["config"]["seed"] == 3
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha_order", -1), ("alpha_order", 2.5), ("bisect_max", 0),
+    ("bisect_max", "60"), ("eps_t_max", 1e-3), ("lambda_min_modulus", -1.0),
+    ("svg_decimate_factor", -1e-3)])
+def test_config_out_of_range_rejected(tmp_path, capsys, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}))
+    assert run(["roots", "--poly", "1,0,-1", "--config", str(cfg)]) == 2
+    assert f"RunConfig.{field}" in capsys.readouterr().err
 
 
 def test_poly_json_literal(capsys):

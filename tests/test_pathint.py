@@ -189,6 +189,18 @@ def test_reversal_negates():
     assert abs(fwd + back) < 1e-12
 
 
+def test_root_start_defaults_to_principal_at_regular_vertex():
+    # a two-vertex path from a turning point is walked through its
+    # midpoint; the default branch stays the principal one at the path's
+    # regular vertex, where continuing the midpoint's principal value
+    # lands on the other sign for these three
+    p = parse_poly_text("1,0,0,-1")
+    for v in (0.2 + 0.5j, 0.3 - 0.6j, -1 + 1e-3j):
+        fwd = canonical_parameter_integral(p, [1.0, v])
+        back = canonical_parameter_integral(p, [v, 1.0])
+        assert abs(fwd + back) <= 1e-12 * abs(fwd)
+
+
 def test_oscillator_period_closed_form(osc):
     per = pairwise_periods(osc)
     assert len(per) == 1

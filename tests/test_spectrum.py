@@ -76,8 +76,8 @@ def test_oscillator_order0_exact(osc):
     ray = accumulation_rays(osc)[0]
     ests = eigenvalue_asymptotics(osc, ray, 0, 10, order=0)
     for est in ests:
-        assert est.value.real == pytest.approx(2 * est.n + 1, abs=1e-6)
-        assert abs(est.value.imag) < 1e-8
+        # the README's order-0 bound
+        assert abs(est.value - (2 * est.n + 1)) <= 2e-13
         assert est.converged
 
 
@@ -128,6 +128,14 @@ def test_n_min_threshold_guard(osc):
         eigenvalue_asymptotics(osc, ray, 0, 1, order=0, config=strict)
 
 
+def test_negative_n_min_rejected(osc):
+    # the n_min term orients L: from n_min = -1 every n >= 0 estimate
+    # would land on the backward ray
+    ray = accumulation_rays(osc)[0]
+    with pytest.raises(ValueError, match="n_min"):
+        eigenvalue_asymptotics(osc, ray, -1, 2, order=0)
+
+
 def test_subdominant_decays_outward(osc):
     sol = subdominant_solution(osc, 1.0, 0)
     # integrated inward, so the log magnitude grows toward the matching
@@ -151,7 +159,8 @@ def test_batched_kernel_matches_closed_forms(osc):
 def test_wronskian_zero_at_eigenvalue(osc):
     zeros = wronskian_eigenvalue_search(osc, (0, 2), (0.8, 1.2, -0.2, 0.2))
     assert len(zeros) == 1
-    assert zeros[0] == pytest.approx(1.0, abs=1e-8)
+    # the README's bound, 1e-12 relative to 1 + |lambda|
+    assert abs(zeros[0] - 1.0) <= 1e-12 * 2.0
 
 
 def test_polish_across_the_log_branch_cut():
@@ -161,7 +170,7 @@ def test_polish_across_the_log_branch_cut():
     zeros = wronskian_eigenvalue_search(parse_poly_text("-1,0,1"), (1, 3),
                                         (-0.3, 0.4, 2.7, 3.35))
     assert len(zeros) == 1
-    assert abs(zeros[0] - 3j) < 1e-9
+    assert abs(zeros[0] - 3j) <= 1e-12 * 4.0
 
 
 def test_wronskian_no_zero_off_spectrum(osc):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from stokesgeo import (ChoppedStrip, ExactTieError, count_short_geodesics,
+from stokesgeo import (ChoppedStrip, ExactTieError, build_face_set,
+                       build_stokes_graph, count_short_geodesics,
                        is_very_flat, realize_count, visible_pairs)
 from tests.conftest import random_simple_poly
 
@@ -134,15 +135,38 @@ def test_very_flat_examples(osc):
     assert not out.flag and "repeated" in out.reason
 
 
-def test_very_flat_count_matches_geodesics():
+def _very_flat_samples():
+    """(poly, very-flat result) of random cubics and quartics."""
     rng = random.Random(42)
-    checked = 0
     for d in (3, 4):
         for _ in range(4):
             poly = random_simple_poly(rng, d, min_sep=0.6)
-            res = is_very_flat(poly)
-            if not res.flag:
-                continue
-            assert len(visible_pairs(res.strip)) == count_short_geodesics(poly)
-            checked += 1
+            yield poly, is_very_flat(poly)
+
+
+def test_very_flat_count_matches_geodesics():
+    checked = 0
+    for poly, res in _very_flat_samples():
+        if not res.flag:
+            continue
+        assert len(visible_pairs(res.strip)) == count_short_geodesics(poly)
+        checked += 1
     assert checked >= 3
+
+
+def test_face_widths_match_transported_periods():
+    # the README's bound: each node gap is the |Re| of a period transported
+    # across one strip, which must be that strip's face width
+    checked = 0
+    for poly, res in _very_flat_samples():
+        if not res.flag:
+            continue
+        xs = [float(x) for x, _ in res.strip.nodes]
+        gaps = sorted(b - a for a, b in zip(xs, xs[1:]))
+        widths = sorted(dom.width for dom in
+                        build_face_set(build_stokes_graph(poly)).strips)
+        assert len(gaps) == len(widths)
+        for gap, width in zip(gaps, widths):
+            assert abs(gap - width) <= 2e-11 * width
+            checked += 1
+    assert checked >= 10
