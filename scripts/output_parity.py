@@ -7,10 +7,10 @@ agree bit for bit.  The outputs are
 
 - the ``rays`` pipeline on the first ``--per-degree`` polynomials of each
   degree 3, 4, 5 of the counting stream 20260808: the survey's geodesics
-  (pairs, t*, periods, polylines), then the accumulation rays, their
-  correction integrals alpha_0..alpha_3, order-0 estimates for n = 1..5
-  and order-3 estimates for n = 1..3, the pairwise periods and the
-  ``re_xi_drift`` of each geodesic polyline;
+  (pairs, t*, periods, polylines) and its errors and warnings, then the
+  accumulation rays, their correction integrals alpha_0..alpha_3, order-0
+  estimates for n = 1..5 and order-3 estimates for n = 1..3, the pairwise
+  periods and the ``re_xi_drift`` of each geodesic polyline;
 - ``chord_diagram`` on as many polynomials of the chord stream 5150, and
   ``is_very_flat`` there as its flag, its cuts and its visible-pair count
   (the projected float nodes are left out);
@@ -62,6 +62,8 @@ def main():
     for label, poly in stream(20260808, args.per_degree):
         survey = survey_short_geodesics(poly)
         fingerprint(f"survey[{label}]", survey.geodesics)
+        fingerprint(f"survey_notes[{label}]",
+                    (survey.errors, survey.warnings))
         rays = accumulation_rays(poly, survey=survey)
         fingerprint(f"rays[{label}]", rays)
         fingerprint(f"alphas[{label}]",

@@ -7,8 +7,8 @@ from .domains import (AdmissibleDomain, ChordDiagram, admissible_domains,
 from .errors import (BranchError, ClearanceError, DegeneratePairError,
                      IncompleteGraphError, NonGenericError, NumericalError,
                      ParseError, StokesGeoError)
-from .geodesics import (GeodesicRefutation, GeodesicSurvey, PsiPolygon,
-                        ShortGeodesic, candidate_angles, count_short_geodesics,
+from .geodesics import (GeodesicSurvey, PsiPolygon, ShortGeodesic,
+                        candidate_angles, count_short_geodesics,
                         enumerate_short_geodesics, survey_short_geodesics,
                         teichmuller_defect, verify_geodesic)
 from .pathint import (BranchedPath, Period, alpha_contour_integrals,

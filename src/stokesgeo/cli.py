@@ -162,20 +162,11 @@ def cmd_geodesics(args) -> int:
             "polyline": [_c2j(z) for z in douglas_peucker(
                 g.polyline, config.svg_decimate_factor)],
         } for g in survey.geodesics],
-        "refutations": [{
-            "pair": list(r.pair),
-            "t_candidate": r.t_candidate,
-            "reason": r.reason,
-            "transition_t": r.transition_t,
-            "blocking_root": r.blocking_root,
-        } for r in survey.refutations],
         "errors": [{"pair": list(p), "message": m} for p, m in survey.errors],
         "warnings": survey.warnings,
     }
     for g in survey.geodesics:
         print(f"pair {g.pair}: t* = {g.t_star:.12f}, |w| = {abs(g.period):.12g}")
-    for r in survey.refutations:
-        print(f"pair {r.pair}: refuted ({r.reason})")
     if "json" in config.formats:
         print("wrote", _write_json(config, "geodesics.json", report))
     if "svg" in config.formats:

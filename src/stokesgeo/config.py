@@ -19,9 +19,6 @@ class RunConfig:
     delta_hit_factor: float = 1e-6   # trajectory hit radius, x D
     r_escape_factor: float = 10.0    # escape radius, x (1 + max|root|)
     l_max_factor: float = 50.0       # trajectory length cap, x D
-    eps_t: float = 1e-2              # initial bisection bracket for angles
-    eps_t_max: float = 0.39269908169872414  # pi/8, widening cap
-    bisect_max: int = 60
     quad_rel_tol: float = 1e-9       # path-integral relative tolerance
     trace_tol: float = 1e-10         # tracer local error, x D per unit length
     ode_rel_tol: float = 1e-10       # linear-ODE integrator tolerance
@@ -34,18 +31,15 @@ class RunConfig:
 
     def __post_init__(self):
         for name in ("root_tol", "delta_path_factor", "delta_hit_factor",
-                     "r_escape_factor", "l_max_factor", "eps_t",
-                     "quad_rel_tol", "trace_tol", "ode_rel_tol"):
+                     "r_escape_factor", "l_max_factor", "quad_rel_tol",
+                     "trace_tol", "ode_rel_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"RunConfig.{name} must be positive")
-        for name, low in (("alpha_order", 0), ("bisect_max", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"RunConfig.{name} must be an integer")
-            if value < low:
-                raise ValueError(f"RunConfig.{name} must be >= {low}")
-        if self.eps_t_max < self.eps_t:
-            raise ValueError("RunConfig.eps_t_max must be >= eps_t")
+        if (not isinstance(self.alpha_order, int)
+                or isinstance(self.alpha_order, bool)):
+            raise ValueError("RunConfig.alpha_order must be an integer")
+        if self.alpha_order < 0:
+            raise ValueError("RunConfig.alpha_order must be >= 0")
         for name in ("lambda_min_modulus", "svg_decimate_factor"):
             if getattr(self, name) < 0:
                 raise ValueError(f"RunConfig.{name} must be non-negative")

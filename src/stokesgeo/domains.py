@@ -374,6 +374,71 @@ def _segment_inside(za, zb, poly_pts, locs, delta) -> bool:
     return True
 
 
+def _boundary_edge(graph: StokesGraph, dom: AdmissibleDomain, root: int) -> int:
+    """The lowest-indexed edge of ``dom``'s boundary that ends at ``root``."""
+    return next(e for e in dom.edge_ids
+                if root in (graph.edges[e].origin, graph.edges[e].target))
+
+
+def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
+                r_to: int, config: RunConfig = DEFAULT_CONFIG,
+                exit_edge: int | None = None):
+    """Transport the canonical coordinate from r_from to r_to through one
+    strip: out along r_from's boundary edge, straight across the face
+    interior, and back along the exit edge (default r_to's boundary edge),
+    in one walk.  No turning point is passed, so the branch is unambiguous
+    given the anchor seed.
+
+    Returns (xi(r_to) - xi(r_from), Im[xi(b*) - xi(r_to)]) where b* is the
+    crossing's landing vertex on the exit edge; the first is the period of
+    the strip's standard saddle class, the imaginary part gives the chart
+    direction in which the exit edge leaves the node.
+    """
+    locs = graph.turning_points.locations
+    mults = [m for _, m in graph.turning_points.points]
+    if exit_edge is None:
+        exit_edge = _boundary_edge(graph, dom, r_to)
+    e_in = graph.edges[_boundary_edge(graph, dom, r_from)]
+    e_out = graph.edges[exit_edge]
+    pl_in = list(e_in.polyline)
+    if e_in.origin != r_from:
+        pl_in = pl_in[::-1]
+    pl_out = list(e_out.polyline)
+    if e_out.origin != r_to:
+        pl_out = pl_out[::-1]
+
+    face_pts = list(dom.polygon or ())
+    if not face_pts:
+        raise NonGenericError("strip face polygon unavailable")
+
+    best = None
+    n_in = len(pl_in)
+    n_out = len(pl_out)
+    for fa in (0.5, 0.3, 0.7, 0.15, 0.85):
+        ia = max(1, min(n_in - 1, int(fa * n_in)))
+        a_star = pl_in[ia]
+        for fb in (0.5, 0.3, 0.7, 0.15, 0.85):
+            ib = max(1, min(n_out - 1, int(fb * n_out)))
+            b_star = pl_out[ib]
+            if _segment_inside(a_star, b_star, face_pts, locs,
+                               graph.scales.delta_path):
+                best = (ia, ib)
+                break
+        if best:
+            break
+    if best is None:
+        raise NonGenericError("no interior crossing segment found")
+    ia, ib = best
+
+    # out along the entry edge to a*, straight across the face to b*, then
+    # back along the exit edge to r_to; running[ia] ends at b*
+    (delta,), _, running = integrate_polyline(
+        graph.poly, locs, pl_in[:ia + 1] + pl_out[ib::-1],
+        rel_tol=config.quad_rel_tol, start=(locs[r_from], mults[r_from]),
+        end=(locs[r_to], mults[r_to]))
+    return delta, (running[ia][0] - delta).imag
+
+
 def admissible_domains(graph: StokesGraph,
                        config: RunConfig = DEFAULT_CONFIG) -> list[AdmissibleDomain]:
     """Faces of the completed Stokes graph, classified by type."""

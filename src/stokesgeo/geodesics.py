@@ -2,18 +2,28 @@
 
 A finite Stokes line of e^{2it} P between turning points a, b forces the
 period w_ab = int_a^b sqrt(P) to satisfy Re(e^{it} w_ab) = 0, i.e.
-t = pi/2 - arg(w_ab) mod pi.  Candidates are generated from pairwise
-periods and verified by tracing.  Misses are refined by bisection on the
-discrete fate of a fixed emanating trajectory: the fate is piecewise
-constant in t and jumps exactly where that trajectory runs into a root,
-so a connection angle is the center of the small t-window over which the
-trace registers a hit.  A connection found there verifies the pair at
-that angle, wherever it lies; a transition into a third root refutes it.
+t = pi/2 - arg(w_ab) mod pi.
+
+The survey counts the connections by algebra.  At a generic angle t0 the
+Stokes graph of e^{2it0} P cuts the plane into d-1 strips, each holding
+one saddle class gamma_s from the root on one side to the root on the
+other, with period Z_s across the face taken so that Re Z_s > 0.  These
+classes are a basis of the lattice of saddle classes, and the strips'
+chords triangulate the (d+2)-gon of Stokes rays, which defines the
+exchange matrix B.  Turning t from t0 through pi turns every period by
+e^{i(t - t0)}; each time a basis class turns vertical, its strip flips:
+the class leaves with exit time T = pi/2 - arg Z, the basis mutates
+(gamma_k -> -gamma_k, gamma_j -> gamma_j + [-B_jk]_+ gamma_k) and so does
+B.  The classes that leave over the half-turn are the short geodesics,
+each once, at t* = t0 + T (the mutation method for the BPS spectra of the
+A_{d-1} theories, Alim-Cecotti-Cordova-Espahbodi-Rastogi-Vafa,
+arXiv:1112.3984; strip decompositions as in Bridgeland-Smith,
+arXiv:1302.7030).  A class's pair is the two roots of odd degree in its
+support on the strip tree.  Each is then traced once at its pair's
+candidate angle, which is the output geodesic.
+
 No trajectory from a simple zero returns to it: the Teichmueller defect
-of such a monogon is 1 - 3 theta/(2 pi) - 2 < 0.  The short geodesics
-connect all d turning points, so a survey that verifies fewer than d-1
-raises: NonGenericError when a candidate was non-generic, NumericalError
-when the verification missed a connection on generic input.
+of such a monogon is 1 - 3 theta/(2 pi) - 2 < 0.
 """
 
 from __future__ import annotations
@@ -23,14 +33,17 @@ import math
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_CONFIG, RunConfig
+from .domains import build_face_set, cross_strip
 from .errors import NonGenericError, NumericalError
 from .pathint import pairwise_periods, root_to_root_period
 from .polynomial import (ComplexPolynomial, PolyContext, turning_points,
                          wrap_angle, wrap_positive)
-from .tracer import (EscapedToRay, HitTurningPoint, emanating_directions,
-                     trace_stokes_line)
+from .tracer import (HitTurningPoint, build_stokes_graph,
+                     emanating_directions, trace_stokes_line)
 
 PI = math.pi
+# strip decompositions tried, at the widest gaps between candidate angles
+START_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -43,26 +56,9 @@ class ShortGeodesic:
     polyline: tuple[complex, ...]
 
 
-@dataclass(frozen=True)
-class GeodesicRefutation:
-    """A candidate angle that did not verify.  ``reason`` is
-    "no_transition" (the probe fate does not change within eps_t_max),
-    "blocked" (a trace at the transition ``transition_t`` runs into
-    ``blocking_root``) or "unresolved" (no trace there reaches another
-    turning point, or the strict re-trace misses the partner)."""
-
-    pair: tuple[int, int]
-    t_candidate: float
-    reason: str
-    flanking: tuple[str, ...] = ()
-    transition_t: float | None = None
-    blocking_root: int | None = None
-
-
 @dataclass
 class GeodesicSurvey:
     geodesics: list[ShortGeodesic] = field(default_factory=list)
-    refutations: list[GeodesicRefutation] = field(default_factory=list)
     errors: list[tuple[tuple[int, int], str]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
@@ -79,235 +75,168 @@ def candidate_angles(poly: ComplexPolynomial,
     return out
 
 
-def _fate_signature(fate):
-    if isinstance(fate, HitTurningPoint):
-        return ("hit", fate.target)
-    if isinstance(fate, EscapedToRay):
-        return ("ray", fate.ray)
-    return ("trunc",)
+def verify_geodesic(poly: ComplexPolynomial, pair, t: float,
+                    config: RunConfig = DEFAULT_CONFIG) -> ShortGeodesic | None:
+    """Trace the Stokes lines of e^{2it} P from the lower root of ``pair``,
+    stopping at the first that hits the other: that line is the geodesic.
+    None when no line hits it.
 
-
-class _VerifyContext:
-    """Probe and trace helpers for verifying connections of one
-    polynomial; the root set is shared across the whole rotation family."""
-
-    def __init__(self, poly: ComplexPolynomial, config: RunConfig):
-        self.ctx = PolyContext.of(poly, config)
-        # probes detect passes in a widened ball; connection angles are
-        # recovered as hit-window centers, so the width only sets the
-        # bracket size, not the final accuracy
-        self.wide_radius = min(100.0 * self.ctx.scales.delta_hit,
-                               0.05 * self.ctx.min_separation)
-
-    def directions(self, rot: PolyContext, root_index: int):
-        return emanating_directions(rot.poly, rot.locs[root_index],
-                                    rot.mults[root_index])
-
-    def best_direction(self, t: float, pair) -> float:
-        """Launch angle at reference angle t best aligned with the partner."""
-        a, b = pair
-        locs = self.ctx.locs
-        target = cmath.phase(locs[b] - locs[a])
-        dirs = self.directions(self.ctx.rotate(t), a)
-        k = min(range(len(dirs)),
-                key=lambda m: abs(wrap_angle(dirs[m] - target)))
-        return dirs[k]
-
-    def probe(self, pair, t: float, theta_ref: float, t_ref: float,
-              tol_shrink: float = 1.0):
-        """Fate of the trajectory from pair[0] whose launch direction is the
-        continuous rotation of theta_ref: the frame of emanating directions
-        turns by -2 dt/(m+2), so following one fixed member avoids spurious
-        index relabeling when arg of the local coefficient wraps."""
-        a = pair[0]
-        theta = theta_ref - 2.0 * (t - t_ref) / (self.ctx.mults[a] + 2)
-        rot = self.ctx.rotate(t)
-        _, fate = trace_stokes_line(rot.poly, a, theta, context=rot,
-                                    track_drift=False, tol_shrink=tol_shrink,
-                                    hit_radius=self.wide_radius)
-        return _fate_signature(fate)
-
-    def trace_all(self, pair, t: float, track_drift: bool,
-                  hit_radius: float | None = None):
-        """(polyline, fate) of each trajectory from pair[0] at angle t,
-        traced as it is asked for: a caller that stops at the trace that
-        decides runs none of the later ones."""
-        rot = self.ctx.rotate(t)
-        for theta in self.directions(rot, pair[0]):
-            yield trace_stokes_line(rot.poly, pair[0], theta, context=rot,
-                                    track_drift=track_drift,
-                                    hit_radius=hit_radius)
-
-
-def _accept(vc: _VerifyContext, pair, t: float) -> ShortGeodesic | None:
-    """Output-quality re-trace at angle t; geodesic if a trajectory from
-    pair[0] hits pair[1] within the strict hit radius."""
-    b = pair[1]
-    for pl, fate in vc.trace_all(pair, t, track_drift=True):
-        if isinstance(fate, HitTurningPoint) and fate.target == b:
-            return ShortGeodesic(pair=pair, t_star=wrap_positive(t, PI),
-                                 period=root_to_root_period(vc.ctx, pl,
-                                                            *pair)[0],
-                                 polyline=tuple(pl))
+    Raises NonGenericError when no line hits the partner but one lands on
+    a third turning point (a simultaneous connection at this t).
+    """
+    a, b = pair = (min(pair), max(pair))
+    ctx = PolyContext.of(poly, config)
+    rot = ctx.rotate(t)
+    third = None
+    for theta in emanating_directions(rot.poly, rot.locs[a], rot.mults[a]):
+        pl, fate = trace_stokes_line(rot.poly, a, theta, context=rot)
+        if isinstance(fate, HitTurningPoint):
+            if fate.target == b:
+                return ShortGeodesic(pair=pair, t_star=wrap_positive(t, PI),
+                                     period=root_to_root_period(ctx, pl,
+                                                                a, b)[0],
+                                     polyline=tuple(pl))
+            if fate.target != a:
+                third = fate.target
+    if third is not None:
+        raise NonGenericError(
+            f"trace from root {a} at t={t:.6f} hits third root {third}")
     return None
 
 
-def _bisect_signature(vc, pair, theta_ref, t_ref, lo, hi, sig_lo, sig_hi,
-                      max_steps):
-    """Shrink [lo, hi] with sig(lo) != sig(hi); returns refined bracket."""
-    for _ in range(max_steps):
-        mid = 0.5 * (lo + hi)
-        shrink = 1e-3 if (hi - lo) < 1e-6 else 1.0
-        s_mid = vc.probe(pair, mid, theta_ref, t_ref, tol_shrink=shrink)
-        if s_mid == sig_lo:
-            lo = mid
-        else:
-            hi, sig_hi = mid, s_mid
-        if hi - lo < 1e-13:
-            break
-    return lo, hi, sig_lo, sig_hi
+def _start_angles(angles):
+    """Midpoints of the gaps between the distinct angles mod pi, widest
+    gap first; angles within 1e-9 of each other count as one."""
+    distinct = []
+    for t in sorted(angles):
+        if not distinct or t - distinct[-1] > 1e-9:
+            distinct.append(t)
+    if len(distinct) > 1 and distinct[0] + PI - distinct[-1] <= 1e-9:
+        distinct.pop()
+    ends = distinct[1:] + [distinct[0] + PI]
+    gaps = sorted(((hi - lo, lo) for lo, hi in zip(distinct, ends)),
+                  key=lambda g: -g[0])
+    return [wrap_positive(lo + 0.5 * width, PI) for width, lo in gaps]
 
 
-def _hit_window_center(vc, pair, theta_ref, t_ref, edge, hit_sig, forward):
-    """The bisection converges onto one edge of the t-window over which the
-    probe registers a hit; the connection angle is the window center.  Walk
-    into the window from ``edge``, find the far edge, return the center."""
-    sgn = 1.0 if forward else -1.0
-
-    def inside(tv):
-        shrink = 1e-3 if abs(tv - edge) < 1e-6 else 1.0
-        return vc.probe(pair, tv, theta_ref, t_ref, tol_shrink=shrink) == hit_sig
-
-    t_in = None
-    step = 1e-8
-    while step <= vc.ctx.config.eps_t:
-        if inside(edge + sgn * step):
-            t_in = edge + sgn * step
-            break
-        step *= 2.0
-    if t_in is None:
-        return None
-    t_out = None
-    while step <= 4.0 * vc.ctx.config.eps_t_max:
-        step *= 2.0
-        cand = edge + sgn * step
-        if inside(cand):
-            t_in = cand
-        else:
-            t_out = cand
-            break
-    if t_out is None:
-        return None
-    for _ in range(vc.ctx.config.bisect_max):
-        mid = 0.5 * (t_in + t_out)
-        if inside(mid):
-            t_in = mid
-        else:
-            t_out = mid
-        if abs(t_out - t_in) < 1e-13:
-            break
-    other_edge = 0.5 * (t_in + t_out)
-    return 0.5 * (edge + other_edge)
-
-
-def verify_geodesic(poly: ComplexPolynomial, pair, t: float,
-                    config: RunConfig = DEFAULT_CONFIG):
-    """Verify or refute a candidate connection angle for one root pair.
-
-    A trace at t that reaches the partner verifies immediately.  Otherwise
-    the angle is refined by bisection on the fate transition of a fixed
-    emanating trajectory inside a widening bracket, and a connection to
-    the partner at the refined angle verifies the pair there.
-
-    Raises NonGenericError when a trace at the queried angle lands on a
-    third turning point (a simultaneous connection at this t).
-    """
-    pair = (min(pair), max(pair))
-    a, b = pair
-    vc = _VerifyContext(poly, config)
-    delta_hit = vc.ctx.scales.delta_hit
-
-    hit_third = None
-    hit_b_wide = False
-    for pl, fate in vc.trace_all(pair, t, track_drift=False,
-                                 hit_radius=vc.wide_radius):
-        if isinstance(fate, HitTurningPoint):
-            if fate.target == b:
-                hit_b_wide = True
-            elif fate.target != a and fate.final_distance <= delta_hit:
-                hit_third = fate.target
-    if hit_b_wide:
-        geo = _accept(vc, pair, t)
-        if geo is not None:
-            return geo
-    if hit_third is not None:
+def _exchange_matrix(n: int, chords):
+    """Exchange matrix of the triangulation of the n-gon by ``chords``:
+    B[x][y] = +1 when side y follows side x in the cyclic order (p, q),
+    (q, r), (r, p) of a triangle p < q < r, summed over triangles."""
+    index = {chord: k for k, chord in enumerate(chords)}
+    B = [[0] * len(chords) for _ in chords]
+    triangles = 0
+    for p in range(n):
+        for q in range(p + 1, n):
+            for r in range(q + 1, n):
+                sides = ((p, q), (q, r), (p, r))
+                if not all(s in index or s[1] - s[0] in (1, n - 1)
+                           for s in sides):
+                    continue
+                triangles += 1
+                for x, y in ((0, 1), (1, 2), (2, 0)):
+                    if sides[x] in index and sides[y] in index:
+                        B[index[sides[x]]][index[sides[y]]] += 1
+                        B[index[sides[y]]][index[sides[x]]] -= 1
+    if triangles != n - 2:
         raise NonGenericError(
-            f"trace from root {a} at t={t:.6f} hits third root {hit_third}")
+            f"strip chords {sorted(chords)} do not triangulate the {n}-gon")
+    return B
 
-    theta_ref = vc.best_direction(t, pair)
-    sig_mid = vc.probe(pair, t, theta_ref, t)
 
-    eps = config.eps_t
-    bracket = None
-    while bracket is None:
-        s_lo = vc.probe(pair, t - eps, theta_ref, t)
-        s_hi = vc.probe(pair, t + eps, theta_ref, t)
-        if s_lo != sig_mid:
-            bracket = (t - eps, t, s_lo, sig_mid)
-        elif s_hi != sig_mid:
-            bracket = (t, t + eps, sig_mid, s_hi)
-        elif eps >= config.eps_t_max:
-            return GeodesicRefutation(pair=pair, t_candidate=t,
-                                      reason="no_transition",
-                                      flanking=(str(s_lo), str(s_hi)))
-        else:
-            eps = min(4.0 * eps, config.eps_t_max)
+def _strip_basis(poly: ComplexPolynomial, t0: float, config: RunConfig):
+    """(sides, periods, B) of the strip decomposition of e^{2it0} P: the
+    boundary roots of each strip, the period of its saddle class with
+    Re > 0, and the exchange matrix.  Raises NonGenericError when the
+    decomposition is not generic."""
+    graph = build_stokes_graph(poly.rotate(t0), config)
+    strips = build_face_set(graph, config).strips
+    d = poly.degree
+    if len(strips) != d - 1:
+        raise NonGenericError(f"{len(strips)} strip domains, need {d - 1}")
+    sides, periods = [], []
+    for dom in strips:
+        ra, rb = dom.boundary_roots
+        if len(ra) != 1 or len(rb) != 1:
+            raise NonGenericError(f"strip sides with roots {ra}, {rb}")
+        z = cross_strip(graph, dom, ra[0], rb[0], config)[0]
+        sides.append((ra[0], rb[0]))
+        periods.append(z if z.real > 0 else -z)
+    chords = [tuple(sorted(dom.incident_rays)) for dom in strips]
+    return sides, periods, _exchange_matrix(d + 2, chords)
 
-    lo, hi, sig_lo, sig_hi = _bisect_signature(vc, pair, theta_ref, t,
-                                               *bracket,
-                                               max_steps=config.bisect_max)
-    edge = 0.5 * (lo + hi)
-    t_hat = edge
-    if sig_hi[0] == "hit":
-        centered = _hit_window_center(vc, pair, theta_ref, t, edge, sig_hi,
-                                      forward=True)
-        if centered is not None:
-            t_hat = centered
-    elif sig_lo[0] == "hit":
-        centered = _hit_window_center(vc, pair, theta_ref, t, edge, sig_lo,
-                                      forward=False)
-        if centered is not None:
-            t_hat = centered
 
-    flanking = (str(sig_lo), str(sig_hi))
-    transition_t = wrap_positive(t_hat, PI)
-    for pl, fate in vc.trace_all(pair, t_hat, track_drift=False,
-                                 hit_radius=vc.wide_radius):
-        if isinstance(fate, HitTurningPoint):
-            if fate.target == b:
-                geo = _accept(vc, pair, t_hat)
-                if geo is not None:
-                    return geo
-                break
-            if fate.target != a:
-                return GeodesicRefutation(
-                    pair=pair, t_candidate=t, reason="blocked",
-                    flanking=flanking, transition_t=transition_t,
-                    blocking_root=fate.target)
-    return GeodesicRefutation(pair=pair, t_candidate=t, reason="unresolved",
-                              flanking=flanking, transition_t=transition_t)
+def _mutate(B, k: int):
+    """Matrix mutation of B at k."""
+    m = len(B)
+    return [[-B[i][j] if k in (i, j) else
+             B[i][j] + (abs(B[i][k]) * B[k][j] + B[i][k] * abs(B[k][j])) // 2
+             for j in range(m)] for i in range(m)]
+
+
+def _half_turn(periods, B, t0: float):
+    """(T, class) for each basis class that leaves over a half-turn from
+    t0, in order of exit time T; a class is an integer vector over the
+    starting strips."""
+    m = len(periods)
+
+    def exit_time(n):
+        z = sum(c * p for c, p in zip(n, periods))
+        return (PI / 2 - cmath.phase(z)) % (2.0 * PI)
+
+    start = [tuple(int(i == k) for i in range(m)) for k in range(m)]
+    basis = list(start)
+    states = []
+    while True:
+        times = [exit_time(n) for n in basis]
+        k = min(range(m), key=times.__getitem__)
+        if times[k] >= PI:
+            break
+        if len(states) == m * (m + 1) // 2:
+            raise NumericalError(
+                f"mutation walk from t0={t0:.12f} leaves more than "
+                f"{len(states)} classes")
+        gk = basis[k]
+        states.append((times[k], gk))
+        basis = [tuple(-x for x in gk) if j == k else
+                 tuple(x + max(-B[j][k], 0) * y for x, y in zip(n, gk))
+                 for j, n in enumerate(basis)]
+        B = _mutate(B, k)
+    if sorted(basis) != sorted(tuple(-x for x in n) for n in start):
+        raise NumericalError(
+            f"mutation walk from t0={t0:.12f} ends on basis {basis}, not "
+            "the negated start basis")
+    return states
+
+
+def _class_pair(sides, n):
+    """The two roots of odd degree in the support of class n on the strip
+    tree."""
+    odd = set()
+    for side, c in zip(sides, n):
+        if c % 2:
+            odd ^= set(side)
+    if len(odd) != 2:
+        raise NumericalError(f"class {n} has odd-degree roots {sorted(odd)}")
+    return tuple(sorted(odd))
 
 
 def survey_short_geodesics(poly: ComplexPolynomial,
                            config: RunConfig = DEFAULT_CONFIG) -> GeodesicSurvey:
-    """Candidate generation plus verification over all pairs.
+    """All short geodesics, from the mutation walk of one strip
+    decomposition, each traced once.
 
-    Each pair has one candidate angle, so at most one geodesic.  Candidates
-    that raise NonGenericError are recorded in ``errors``, the others that
-    do not verify in ``refutations``.  Fewer than d-1 verified geodesics
-    violate the paper's lower bound, since the short geodesics of a generic
-    P connect all d turning points: that raises NonGenericError when some
-    candidate was non-generic, and NumericalError when none was.
+    The decomposition is taken at the midpoint t0 of the widest gap
+    between candidate angles, and at the next-widest gaps while it is not
+    generic (other than d-1 strips, a strip side with other than one root,
+    no interior crossing of a strip); NonGenericError after
+    START_ATTEMPTS.  Each class of the walk is traced at its pair's
+    candidate angle, or at its t* when the two differ by more than 1e-9.
+    A trace that misses the partner raises NumericalError naming the
+    pair, t* and the class; one that lands on a third root is recorded
+    in ``errors``, and fewer than d-1 geodesics then raise
+    NonGenericError.  Simultaneous connections are listed in
+    ``warnings``.
     """
     tps = turning_points(poly, config.root_tol)
     if not tps.all_simple:
@@ -317,25 +246,39 @@ def survey_short_geodesics(poly: ComplexPolynomial,
     if len(tps.points) < 2:
         return survey          # a single turning point connects nothing
 
-    for pair, t_cand, _per in candidate_angles(poly, config):
+    t_cand = {pair: t for pair, t, _ in candidate_angles(poly, config)}
+    failures = []
+    for t0 in _start_angles(t_cand.values())[:START_ATTEMPTS]:
         try:
-            res = verify_geodesic(poly, pair, t_cand, config)
+            sides, periods, B = _strip_basis(poly, t0, config)
+            break
+        except NonGenericError as exc:
+            failures.append(f"t0={t0:.12f}: {exc}")
+    else:
+        raise NonGenericError(
+            f"no generic strip decomposition: {'; '.join(failures)}")
+
+    for T, n in _half_turn(periods, B, t0):
+        pair = _class_pair(sides, n)
+        t_star = wrap_positive(t0 + T, PI)
+        t = t_cand[pair]
+        if abs(wrap_angle(t - t_star, PI)) > 1e-9:
+            t = t_star
+        try:
+            geo = verify_geodesic(poly, pair, t, config)
         except NonGenericError as exc:
             survey.errors.append((pair, str(exc)))
             continue
-        if isinstance(res, ShortGeodesic):
-            survey.geodesics.append(res)
-        else:
-            survey.refutations.append(res)
+        if geo is None:
+            raise NumericalError(
+                f"pair {pair}, class {n}: no trace at t={t:.12f} hits root "
+                f"{pair[1]} (t* = {t_star:.12f})")
+        survey.geodesics.append(geo)
 
     if len(survey.geodesics) < d - 1:
-        # a non-generic candidate explains the short count; otherwise the
-        # verification missed a connection that generic P must have
-        error = NonGenericError if survey.errors else NumericalError
-        raise error(
+        raise NonGenericError(
             f"{len(survey.geodesics)} short geodesic(s) verified, fewer than "
-            f"the d-1 = {d - 1} that connect the turning points; refuted "
-            f"{[(r.pair, r.reason) for r in survey.refutations]}, errors "
+            f"the d-1 = {d - 1} that connect the turning points; errors "
             f"{survey.errors}")
 
     survey.geodesics.sort(key=lambda g: (g.t_star, g.pair))

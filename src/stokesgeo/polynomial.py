@@ -318,15 +318,6 @@ class PolyContext:
     def mults(self) -> tuple[int, ...]:
         return tuple(m for _, m in self.tps.points)
 
-    @cached_property
-    def min_separation(self) -> float:
-        """Smallest distance between two turning points (inf for one)."""
-        locs = self.locs
-        n = len(locs)
-        return min((abs(locs[i] - locs[j])
-                    for i in range(n) for j in range(i + 1, n)),
-                   default=float("inf"))
-
     def rotate(self, t: float) -> "PolyContext":
         rot = self.poly.rotate(t)
         return replace(self, poly=rot, sectors=stokes_sectors(rot))

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, RunConfig
+from .domains import build_face_set, cross_strip
 from .errors import NonGenericError, StokesGeoError
-from .pathint import integrate_polyline
 from .polynomial import ComplexPolynomial, turning_points
+from .tracer import build_stokes_graph
 
 
 class ExactTieError(StokesGeoError):
@@ -222,9 +223,6 @@ def is_very_flat(poly: ComplexPolynomial,
     crossing to march rightward, and reads every cut direction off the
     transported image of the edge shared by consecutive strips.
     """
-    from .domains import build_face_set
-    from .tracer import build_stokes_graph
-
     d = poly.degree
     tps = turning_points(poly, config.root_tol)
     if not tps.all_simple:
@@ -276,8 +274,8 @@ def is_very_flat(poly: ComplexPolynomial,
         chain_strips.append(nxt_strip)
 
     try:
-        nodes, cuts = _project_chain(poly, graph, strips, sides, chain,
-                                     chain_strips, config)
+        nodes, cuts = _project_chain(graph, strips, chain, chain_strips,
+                                     config)
     except StokesGeoError as exc:
         return VeryFlatResult(False, None, f"projection failed: {exc}")
     try:
@@ -289,18 +287,8 @@ def is_very_flat(poly: ComplexPolynomial,
     return VeryFlatResult(True, strip, "very flat")
 
 
-def _project_chain(poly, graph, strips, sides, chain, chain_strips, config):
-    tps = graph.turning_points
-    locs = tps.locations
-    mults = [m for _, m in tps.points]
-
-    edge_sets = [set(dom.edge_ids) for dom in strips]
-    incident_edges: dict[int, list[int]] = {}
-    for e_idx, e in enumerate(graph.edges):
-        incident_edges.setdefault(e.origin, []).append(e_idx)
-        if e.target is not None:
-            incident_edges.setdefault(e.target, []).append(e_idx)
-
+def _project_chain(graph, strips, chain, chain_strips, config):
+    edges = graph.edges
     xs = [0.0]
     ys = [0.0]
     cuts = []
@@ -312,23 +300,16 @@ def _project_chain(poly, graph, strips, sides, chain, chain_strips, config):
         # of that edge is the seam where consecutive strips touch)
         shared_edge = None
         if step + 1 < len(chain_strips):
-            nxt = chain_strips[step + 1]
-            for e_idx in incident_edges[r_to]:
-                if e_idx in edge_sets[s_idx] and e_idx in edge_sets[nxt]:
-                    shared_edge = e_idx
-                    break
+            nxt = strips[chain_strips[step + 1]].edge_ids
+            shared_edge = next(
+                (e for e in dom.edge_ids
+                 if e in nxt and r_to in (edges[e].origin, edges[e].target)),
+                None)
             if shared_edge is None:
                 raise NonGenericError(
                     f"no shared edge between consecutive strips at root {r_to}")
-        # pick entry/exit edges on this strip's boundary
-        entry_edge = next(e for e in incident_edges[r_from]
-                          if e in edge_sets[s_idx])
-        exit_edge = shared_edge if shared_edge is not None else next(
-            e for e in incident_edges[r_to] if e in edge_sets[s_idx])
-
-        delta, e_dir_im = _cross_strip(
-            poly, graph, dom, locs, mults, r_from, r_to,
-            entry_edge, exit_edge, config)
+        delta, e_dir_im = cross_strip(graph, dom, r_from, r_to, config,
+                                      exit_edge=shared_edge)
         if delta.real < 0:
             delta = -delta
             e_dir_im = -e_dir_im
@@ -345,57 +326,3 @@ def _project_chain(poly, graph, strips, sides, chain, chain_strips, config):
             cuts.append("down" if e_dir_im > 0 else "up")
     nodes = list(zip(xs, ys))
     return nodes, cuts
-
-
-def _cross_strip(poly, graph, dom, locs, mults, r_from, r_to,
-                 entry_edge, exit_edge, config):
-    """Transport the canonical coordinate from r_from to r_to through one
-    strip: out along an entry edge, straight across the face interior, and
-    back along the exit edge, in one walk.  No turning point is passed, so
-    the branch is unambiguous given the anchor seed.
-
-    Returns (xi(r_to) - xi(r_from), Im[xi(b*) - xi(r_to)]) where b* is the
-    crossing's landing vertex on the exit edge; the imaginary part gives
-    the chart direction in which the exit edge leaves the node.
-    """
-    from .domains import _segment_inside
-
-    e_in = graph.edges[entry_edge]
-    e_out = graph.edges[exit_edge]
-    pl_in = list(e_in.polyline)
-    if e_in.origin != r_from:
-        pl_in = pl_in[::-1]
-    pl_out = list(e_out.polyline)
-    if e_out.origin != r_to:
-        pl_out = pl_out[::-1]
-
-    face_pts = list(dom.polygon or ())
-    if not face_pts:
-        raise NonGenericError("strip face polygon unavailable")
-
-    best = None
-    n_in = len(pl_in)
-    n_out = len(pl_out)
-    for fa in (0.5, 0.3, 0.7, 0.15, 0.85):
-        ia = max(1, min(n_in - 1, int(fa * n_in)))
-        a_star = pl_in[ia]
-        for fb in (0.5, 0.3, 0.7, 0.15, 0.85):
-            ib = max(1, min(n_out - 1, int(fb * n_out)))
-            b_star = pl_out[ib]
-            if _segment_inside(a_star, b_star, face_pts, locs,
-                               graph.scales.delta_path):
-                best = (ia, ib)
-                break
-        if best:
-            break
-    if best is None:
-        raise NonGenericError("no interior crossing segment found")
-    ia, ib = best
-
-    # out along the entry edge to a*, straight across the face to b*, then
-    # back along the exit edge to r_to; running[ia] ends at b*
-    (delta,), _, running = integrate_polyline(
-        poly, locs, pl_in[:ia + 1] + pl_out[ib::-1],
-        rel_tol=config.quad_rel_tol, start=(locs[r_from], mults[r_from]),
-        end=(locs[r_to], mults[r_to]))
-    return delta, (running[ia][0] - delta).imag

@@ -2,10 +2,10 @@
 
 Trajectories solve dz/ds = i * conj(w) / |w| with w = sqrt(P(z)) continued
 along the trace, which moves at unit speed while keeping Re xi constant
-(d xi / ds = i |w|).  Each accepted step of the output-quality tracer adds
-the chord integral of sqrt(P) to a running drift estimate and projects the
-new vertex back onto the Re xi level set of the launch point, so emitted
-polylines stay on the Stokes line in the canonical chart.
+(d xi / ds = i |w|).  Each accepted step adds the chord integral of
+sqrt(P) to a running drift estimate and projects the new vertex back onto
+the Re xi level set of the launch point, so emitted polylines stay on the
+Stokes line in the canonical chart.
 """
 
 from __future__ import annotations
@@ -152,14 +152,11 @@ def _dp5_step(poly, z, w, k0, h):
 
 def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float,
                       config: RunConfig = DEFAULT_CONFIG,
-                      context: PolyContext | None = None,
-                      track_drift: bool = True,
-                      tol_shrink: float = 1.0,
-                      hit_radius: float | None = None):
+                      context: PolyContext | None = None):
     """Trace one Stokes line from a turning point.
 
     Returns (polyline, fate).  Terminates on: reaching another turning
-    point within ``hit_radius`` (default delta_hit, HitTurningPoint),
+    point within delta_hit (HitTurningPoint),
     leaving the escape radius moving outward (EscapedToRay, with the final
     vertex landed exactly on the escape circle), or exceeding the length
     cap l_max (Truncated).  Tolerances and scales come from ``context``,
@@ -181,9 +178,8 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
         w = -w
 
     delta_hit = scales.delta_hit
-    hit_r = hit_radius if hit_radius is not None else delta_hit
     r_escape = scales.r_escape
-    atol = ctx.config.trace_tol * scales.d_unit * tol_shrink
+    atol = ctx.config.trace_tol * scales.d_unit
 
     polyline = [r0]
     drift = 0.0
@@ -210,7 +206,7 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
         if guard > 200000:
             raise NumericalError("trace exceeded step budget", residuals=[z])
         if s_total > exclusion or near_idx != root_index:
-            if near_d <= hit_r:
+            if near_d <= delta_hit:
                 polyline.append(locs[near_idx])
                 return polyline, HitTurningPoint(near_idx, near_d)
         h = min(h, max(near_d, delta_hit) / 4.0)
@@ -225,24 +221,22 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
         if abs(z5) >= r_escape:
             if z5.real * k6.real + z5.imag * k6.imag > 0.0:
                 z_land, w_land = _land_on_circle(poly, z, w, z5, r_escape)
-                if track_drift:
-                    inc, _ = _chord_re_integral(poly, z, w, z_land)
-                    dr = drift + inc
-                    corr = -dr * w_land.conjugate() / (abs(w_land) ** 2)
-                    z_land = z_land + corr
-                    w_land = _branch_step(poly, w_land, z_land)
+                inc, _ = _chord_re_integral(poly, z, w, z_land)
+                dr = drift + inc
+                corr = -dr * w_land.conjugate() / (abs(w_land) ** 2)
+                z_land = z_land + corr
+                w_land = _branch_step(poly, w_land, z_land)
                 polyline.append(z_land)
                 ray = ctx.sectors.nearest_ray_index(cmath.phase(z_land))
                 return polyline, EscapedToRay(ray, z_land)
-        if track_drift:
-            inc, _ = _chord_re_integral(poly, z, w, z5)
-            drift += inc
-            if abs(drift) > 1e-13 * scales.d_unit:
-                corr = -drift * w6.conjugate() / (abs(w6) ** 2)
-                z5 = z5 + corr
-                drift += (w6 * corr).real
-                w6 = _branch_step(poly, w6, z5)
-                k6 = 1j * w6.conjugate() / abs(w6)
+        inc, _ = _chord_re_integral(poly, z, w, z5)
+        drift += inc
+        if abs(drift) > 1e-13 * scales.d_unit:
+            corr = -drift * w6.conjugate() / (abs(w6) ** 2)
+            z5 = z5 + corr
+            drift += (w6 * corr).real
+            w6 = _branch_step(poly, w6, z5)
+            k6 = 1j * w6.conjugate() / abs(w6)
         s_total += h
         z, w, k = z5, w6, k6
         polyline.append(z)
@@ -261,7 +255,7 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
                 (s1, i1, d1), (s2, i2, d2), (s3, i3, d3) = prev_dists
                 if i1 == i2 == i3 and d2 < d1 and d2 < d3:
                     dmin = _parabola_min(s1, d1, s2, d2, s3, d3)
-                    if dmin <= hit_r:
+                    if dmin <= delta_hit:
                         polyline.append(locs[i2])
                         return polyline, HitTurningPoint(i2, max(dmin, 0.0))
         else:

@@ -197,8 +197,7 @@ def test_config_file_override(tmp_path):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("alpha_order", -1), ("alpha_order", 2.5), ("bisect_max", 0),
-    ("bisect_max", "60"), ("eps_t_max", 1e-3), ("lambda_min_modulus", -1.0),
+    ("alpha_order", -1), ("alpha_order", 2.5), ("lambda_min_modulus", -1.0),
     ("svg_decimate_factor", -1e-3)])
 def test_config_out_of_range_rejected(tmp_path, capsys, field, value):
     cfg = tmp_path / "cfg.json"

@@ -1,15 +1,19 @@
+import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from stokesgeo import geodesics
-from stokesgeo import (ComplexPolynomial, GeodesicRefutation, NonGenericError,
+from stokesgeo import geodesics, tracer
+from stokesgeo import (ComplexPolynomial, HitTurningPoint, NonGenericError,
                        NumericalError, PsiPolygon, ShortGeodesic,
                        candidate_angles, enumerate_short_geodesics,
                        re_xi_drift, survey_short_geodesics,
                        teichmuller_defect, verify_geodesic)
+from stokesgeo.polynomial import PolyContext
+from tests.conftest import random_simple_poly
 
 PI = math.pi
 
@@ -60,49 +64,39 @@ def test_verify_oscillator_connection(osc):
 def test_direct_hit_stops_tracing_at_the_hit(cubic_unity, monkeypatch):
     pair = (0, 1)
     t = {p: t for p, t, _ in candidate_angles(cubic_unity)}[pair]
-
-    def eager(vc, pair, t, track_drift, hit_radius=None):
-        rot = vc.ctx.rotate(t)
-        return [geodesics.trace_stokes_line(rot.poly, pair[0], theta,
-                                            context=rot,
-                                            track_drift=track_drift,
-                                            hit_radius=hit_radius)
-                for theta in vc.directions(rot, pair[0])]
-    with monkeypatch.context() as m:
-        m.setattr(geodesics._VerifyContext, "trace_all", eager)
-        expected = verify_geodesic(cubic_unity, pair, t)
-
-    drift_fates = []
+    fates = []
     trace = geodesics.trace_stokes_line
 
     def spy(*args, **kwargs):
         pl, fate = trace(*args, **kwargs)
-        if kwargs["track_drift"]:
-            drift_fates.append(fate)
+        fates.append(fate)
         return pl, fate
     monkeypatch.setattr(geodesics, "trace_stokes_line", spy)
     geo = verify_geodesic(cubic_unity, pair, t)
-    assert isinstance(geo, ShortGeodesic) and repr(geo) == repr(expected)
-    # the first of the three drift-mode traces hits the partner, and none
-    # runs after it
-    assert len(drift_fates) == 1
-    assert drift_fates[0].target == pair[1]
+    assert isinstance(geo, ShortGeodesic) and geo.pair == pair
+    # the first of the three traces hits the partner, and none runs after it
+    assert len(fates) == 1
+    assert isinstance(fates[0], HitTurningPoint)
+    assert fates[0].target == pair[1]
 
 
 def test_verify_oscillator_miss_recovers_connection(osc):
-    # the trace at 0.3 misses; the bisected transition is the connection
-    res = verify_geodesic(osc, (0, 1), 0.3)
-    assert isinstance(res, ShortGeodesic)
-    assert _mod_pi_dist(res.t_star, 0.0) <= 1e-10
+    # the traces at 0.3 miss the partner; the survey's mutation walk puts
+    # the connection at t* = 0
+    assert verify_geodesic(osc, (0, 1), 0.3) is None
+    (geo,) = survey_short_geodesics(osc).geodesics
+    assert geo.pair == (0, 1)
+    assert _mod_pi_dist(geo.t_star, 0.0) <= 1e-10
 
 
 def test_verify_odd_cubic_blocked_pair(cubic_odd):
+    # (0, 2) is blocked by root 1: its candidate angle connects nothing
     cands = {pair: t for pair, t, _ in candidate_angles(cubic_odd)}
     try:
         res = verify_geodesic(cubic_odd, (0, 2), cands[(0, 2)])
     except NonGenericError:
         return
-    assert isinstance(res, GeodesicRefutation)
+    assert res is None
 
 
 def test_enumerate_oscillator(osc):
@@ -126,7 +120,6 @@ def test_enumerate_odd_cubic(cubic_odd):
     ts = {g.pair: g.t_star for g in survey.geodesics}
     assert _mod_pi_dist(ts[(1, 2)], 0.0) < 1e-8
     assert _mod_pi_dist(ts[(0, 1)], PI / 2) < 1e-8
-    assert all(r.pair == (0, 2) for r in survey.refutations)
 
 
 def test_count_real_rooted_quartic():
@@ -169,15 +162,17 @@ def test_geodesic_polyline_drift(osc, cubic_unity):
 
 
 def test_survey_below_lower_bound_raises(cubic_unity, monkeypatch):
-    # d - 1 geodesics connect the turning points of a generic P; a survey
-    # that verifies fewer must not report the short count.  With every
-    # candidate generic, a connection was missed: a numerical failure
-    def refute(poly, pair, t, config):
-        return GeodesicRefutation(pair=pair, t_candidate=t,
-                                  reason="unresolved")
+    # a survey must not report a short count: a state of the mutation walk
+    # whose trace misses its partner is a numerical failure that names the
+    # pair, t* and the class
+    def miss(poly, pair, t, config):
+        return None
 
-    monkeypatch.setattr(geodesics, "verify_geodesic", refute)
-    with pytest.raises(NumericalError, match="fewer than the d-1 = 2"):
+    monkeypatch.setattr(geodesics, "verify_geodesic", miss)
+    with pytest.raises(NumericalError,
+                       match=r"pair \(0, 1\), class \(1, 0\): no trace at "
+                       r"t=1\.570796326795 hits root 1 "
+                       r"\(t\* = 1\.570796326795\)"):
         survey_short_geodesics(cubic_unity)
 
 
@@ -189,6 +184,167 @@ def test_survey_below_lower_bound_non_generic(cubic_unity, monkeypatch):
     monkeypatch.setattr(geodesics, "verify_geodesic", land_on_third_root)
     with pytest.raises(NonGenericError, match="fewer than the d-1 = 2"):
         survey_short_geodesics(cubic_unity)
+
+
+def _stream(seed, per_degree):
+    """The first ``per_degree`` polynomials of each degree of the
+    criterion-3 stream ``seed``, which draws 50 per degree."""
+    rng = random.Random(seed)
+    out = []
+    for d in (3, 4, 5):
+        polys = [random_simple_poly(rng, d, min_sep=0.5, radius=1.5)
+                 for _ in range(50)]
+        out.extend(polys[:per_degree])
+    return out
+
+
+def _count_traces(monkeypatch):
+    """Counts of trace_stokes_line calls and of strip decompositions."""
+    counts = {"traces": 0, "decompositions": 0}
+    trace, graph = tracer.trace_stokes_line, geodesics.build_stokes_graph
+
+    def counted_trace(*args, **kwargs):
+        counts["traces"] += 1
+        return trace(*args, **kwargs)
+
+    def counted_graph(*args, **kwargs):
+        counts["decompositions"] += 1
+        return graph(*args, **kwargs)
+    monkeypatch.setattr(tracer, "trace_stokes_line", counted_trace)
+    monkeypatch.setattr(geodesics, "trace_stokes_line", counted_trace)
+    monkeypatch.setattr(geodesics, "build_stokes_graph", counted_graph)
+    return counts
+
+
+def test_survey_work_does_not_depend_on_root_labels(monkeypatch):
+    # turning the roots of a cubic by 2 pi k / 5 maps P dz^2 to itself and
+    # only relabels the roots
+    base = PolyContext.of(_stream(20260808, 1)[0]).locs
+    counts = _count_traces(monkeypatch)
+    reference, labels = None, set()
+    for k in range(5):
+        turn = cmath.exp(2j * PI * k / 5)
+        poly = ComplexPolynomial.from_roots(1.0, [turn * r for r in base])
+        locs = PolyContext.of(poly).locs
+        label = [min(range(3), key=lambda j: abs(z / turn - base[j]))
+                 for z in locs]
+        labels.add(tuple(label))
+        counts.update(traces=0, decompositions=0)
+        survey = survey_short_geodesics(poly)
+        assert counts["traces"] <= (3 * 3 * counts["decompositions"]
+                                    + 3 * len(survey.geodesics))
+        geos = {tuple(sorted((label[g.pair[0]], label[g.pair[1]]))): g.t_star
+                for g in survey.geodesics}
+        if reference is None:
+            reference = geos
+        assert set(geos) == set(reference)
+        for pair, t_star in geos.items():
+            assert _mod_pi_dist(t_star, reference[pair]) <= 1e-12
+    assert len(labels) > 1
+
+
+# survey pairs on the first 4 polynomials per degree of stream 20260808
+# and on z^3 - z, as the trace-and-refute survey found them
+REFERENCE_PAIRS = (
+    [(0, 1), (1, 2)], [(0, 1), (0, 2), (1, 2)], [(0, 1), (0, 2), (1, 2)],
+    [(0, 1), (1, 2)],
+    [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+    [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+    [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)],
+    [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)],
+    [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)],
+    [(0, 1), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)],
+    [(0, 2), (0, 3), (1, 2), (1, 4), (2, 3), (2, 4)],
+    [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)],
+    [(0, 1), (1, 2)],
+)
+
+
+def test_survey_pairs_follow_the_exchange_matrix_orientation(cubic_odd):
+    # the other sign of B leaves different classes on 12 of these 13
+    for poly, pairs in zip(_stream(20260808, 4) + [cubic_odd],
+                           REFERENCE_PAIRS):
+        survey = survey_short_geodesics(poly)
+        assert sorted(g.pair for g in survey.geodesics) == pairs
+        assert not survey.errors
+
+
+def test_half_turn_must_end_on_negated_basis():
+    # B = [[0, 1], [0, 0]] is no exchange matrix: its walk leaves gamma_1
+    # and then stops on the class gamma_2 - gamma_1
+    with pytest.raises(NumericalError, match=r"from t0=0\.250000000000 ends "
+                       r"on basis \[\(-1, 1\), \(0, -1\)\]"):
+        geodesics._half_turn([cmath.exp(0.5j), cmath.exp(-0.7j)],
+                             [[0, 1], [0, 0]], 0.25)
+
+
+def _record_decompositions(monkeypatch):
+    outcomes = []
+    strip_basis = geodesics._strip_basis
+
+    def recorded(poly, t0, config):
+        try:
+            out = strip_basis(poly, t0, config)
+        except NonGenericError as exc:
+            outcomes.append(str(exc))
+            raise
+        outcomes.append("generic")
+        return out
+    monkeypatch.setattr(geodesics, "_strip_basis", recorded)
+    return outcomes
+
+
+def test_start_angle_moves_to_next_gap(monkeypatch):
+    # the 49th quintic of stream 1 has no interior crossing of a strip at
+    # the widest gap, and a generic decomposition at the next
+    poly = _stream(1, 49)[2 * 49 + 48]
+    outcomes = _record_decompositions(monkeypatch)
+    survey = survey_short_geodesics(poly)
+    assert outcomes == ["no interior crossing segment found", "generic"]
+    assert sorted(g.pair for g in survey.geodesics) == [
+        (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
+
+
+def test_start_angle_attempts_run_out(cubic_unity, monkeypatch):
+    def no_crossing(*args, **kwargs):
+        raise NonGenericError("no interior crossing segment found")
+    monkeypatch.setattr(geodesics, "cross_strip", no_crossing)
+    outcomes = _record_decompositions(monkeypatch)
+    with pytest.raises(NonGenericError, match="no generic strip "
+                       "decomposition"):
+        survey_short_geodesics(cubic_unity)
+    assert len(outcomes) == geodesics.START_ATTEMPTS == 3
+
+
+def test_start_angles_skip_coinciding_candidates():
+    # several pairs of the real quartic share the angles 0 and pi/2
+    p = ComplexPolynomial.from_roots(1.0, [-3.0, -1.0, 1.0, 3.0])
+    cands = [t for _, t, _ in candidate_angles(p)]
+    assert len(set(cands)) < len(cands)
+    starts = geodesics._start_angles(cands)
+    assert len(starts) == len(set(cands))
+    for t0 in starts:
+        assert min(_mod_pi_dist(t0, t) for t in cands) > 0.3
+    survey = survey_short_geodesics(p)
+    assert sorted(g.pair for g in survey.geodesics) == [(0, 1), (1, 2),
+                                                        (2, 3)]
+
+
+def test_survey_traces_at_t_star_when_candidate_is_off(monkeypatch):
+    poly = _stream(20260808, 1)[0]
+    expected = {g.pair: g.t_star
+                for g in survey_short_geodesics(poly).geodesics}
+    moved = min(expected)
+    candidates = geodesics.candidate_angles
+
+    def perturbed(poly, config):
+        return [(pair, t + 1e-6 if pair == moved else t, per)
+                for pair, t, per in candidates(poly, config)]
+    monkeypatch.setattr(geodesics, "candidate_angles", perturbed)
+    got = {g.pair: g.t_star for g in survey_short_geodesics(poly).geodesics}
+    assert set(got) == set(expected)
+    for pair, t_star in got.items():
+        assert _mod_pi_dist(t_star, expected[pair]) <= 1e-12
 
 
 def test_simple_roots_required():

@@ -173,7 +173,6 @@ def test_context_rotation_keeps_roots_and_scales(cubic_odd):
     assert rot.tps is ctx.tps and rot.scales is ctx.scales
     assert rot.poly == cubic_odd.rotate(0.3)
     assert rot.sectors == stokes_sectors(cubic_odd.rotate(0.3))
-    assert ctx.min_separation == pytest.approx(1.0)
     assert ctx.nearest_root(0.9) == (2, pytest.approx(0.1))
     assert ctx.nearest_root(0.9, skip=2)[0] == 1
 

@@ -29,9 +29,10 @@ def test_output_parity_repeats():
                      for _ in range(2))
     assert first.returncode == 0 and second.returncode == 0, first.stderr
     lines = first.stdout.splitlines()
-    # survey, rays, alphas, order-0 and order-3 estimates, periods, drift,
-    # chords and the very-flat projection for one polynomial of each
-    # degree 3, 4, 5, and the graph of z^3 - 1
-    assert len(lines) == 3 * 9 + 1
+    # survey geodesics, its errors and warnings, rays, alphas, order-0 and
+    # order-3 estimates, periods, drift, chords and the very-flat
+    # projection for one polynomial of each degree 3, 4, 5, and the graph
+    # of z^3 - 1
+    assert len(lines) == 3 * 10 + 1
     assert all(len(line.split()[1]) == 64 for line in lines)
     assert first.stdout == second.stdout

@@ -238,17 +238,14 @@ def _spy_on_tracer(monkeypatch):
     return counts, steps
 
 
-@pytest.mark.parametrize("track_drift", [False, True])
 def test_trace_evaluates_p_six_times_per_step_attempt(cubic_unity,
-                                                      track_drift,
                                                       monkeypatch):
     # first same as last: the stage-0 field is the previous step's last
     # stage, so a step attempt evaluates P at its 5 inner stages and at z5
     ctx = PolyContext.of(cubic_unity)
     theta = emanating_directions(cubic_unity, ctx.locs[0], 1)[0]
     counts, _ = _spy_on_tracer(monkeypatch)
-    _, fate = trace_stokes_line(cubic_unity, 0, theta, context=ctx,
-                                track_drift=track_drift)
+    _, fate = trace_stokes_line(cubic_unity, 0, theta, context=ctx)
     assert isinstance(fate, EscapedToRay)
     assert counts["_dp5_step"] > 50
     # the launch point, its root chord, the step attempts, and the drift
@@ -257,12 +254,7 @@ def test_trace_evaluates_p_six_times_per_step_attempt(cubic_unity,
                                + 6 * counts["_dp5_step"]
                                + 15 * counts["_chord_re_integral"]
                                + counts["_branch_step"])
-    if track_drift:
-        assert counts["_chord_re_integral"] > 50
-    else:
-        # after the launch point and on landing only
-        assert counts["_chord_re_integral"] == 0
-        assert counts["_branch_step"] == 2
+    assert counts["_chord_re_integral"] > 50
 
 
 @pytest.mark.parametrize("coeffs", ["1,0,-1", "1,0,0.3+0.2i,-1"])
