@@ -14,7 +14,10 @@ agree bit for bit.  The outputs are
 - ``chord_diagram`` on as many polynomials of the chord stream 5150, and
   ``is_very_flat`` there as its flag, its cuts and its visible-pair count
   (the projected float nodes are left out);
-- the edges of the Stokes graph of z^3 - 1.
+- the edges of the Stokes graph of z^3 - 1;
+- the Wronskian zeros in sectors (0, 2) on the ``wronskian_spectrum``
+  benchmark rectangles without their seeded jitter, and in sectors (1, 3)
+  of -z^2 + 1 on (-0.3, 0.4, 2.7, 3.35), where arg W lies near pi.
 
 Running it against two source trees and diffing the outputs checks that a
 change kept every count, pair and number, e.g.
@@ -30,15 +33,20 @@ import random
 import sys
 from pathlib import Path
 
-from stokesgeo import (accumulation_rays, alpha_contour_integrals,
-                       build_stokes_graph, chord_diagram,
-                       eigenvalue_asymptotics, is_very_flat, pairwise_periods,
-                       parse_poly_text, re_xi_drift, survey_short_geodesics,
-                       visible_pairs)
+from stokesgeo import (ComplexPolynomial, accumulation_rays,
+                       alpha_contour_integrals, build_stokes_graph,
+                       chord_diagram, eigenvalue_asymptotics, is_very_flat,
+                       pairwise_periods, parse_poly_text, re_xi_drift,
+                       survey_short_geodesics, visible_pairs,
+                       wronskian_eigenvalue_search)
 
-# the test suite's generator, so the streams are the acceptance streams
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+# the test suite's generator, so the streams are the acceptance streams,
+# and the benchmark's spectrum cases
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT), str(ROOT / "bench")]
 from tests.conftest import random_simple_poly  # noqa: E402
+from workloads import (RECT_ABOVE_IM, RECT_ABOVE_RE, RECT_BELOW,  # noqa: E402
+                       SPECTRUM_CASES)
 
 
 def stream(seed, per_degree):
@@ -88,6 +96,15 @@ def main():
                      len(visible_pairs(flat.strip))))
     fingerprint("stokes_graph[z^3-1]",
                 build_stokes_graph(parse_poly_text("1,0,0,-1")).edges)
+    for label, coeffs, lam in SPECTRUM_CASES:
+        rect = (lam.real - RECT_BELOW, lam.real + RECT_ABOVE_RE,
+                lam.imag - RECT_BELOW, lam.imag + RECT_ABOVE_IM)
+        fingerprint(f"wronskian[{label}@{lam:g}]",
+                    wronskian_eigenvalue_search(ComplexPolynomial(coeffs),
+                                                (0, 2), rect))
+    fingerprint("wronskian[-z^2+1]",
+                wronskian_eigenvalue_search(parse_poly_text("-1,0,1"), (1, 3),
+                                            (-0.3, 0.4, 2.7, 3.35)))
 
 
 if __name__ == "__main__":

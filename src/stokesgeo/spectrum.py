@@ -187,50 +187,79 @@ def eigenvalue_asymptotics(poly: ComplexPolynomial, ray: AccumulationRay,
 # --- subdominant solutions and Wronskians -------------------------------------
 
 def _wkb_start(poly, lams, z0):
-    """Decaying-branch WKB data at z0: returns (y0', sqrtQ) per lambda with
-    y0 normalized to 1."""
+    """Decaying-branch WKB slope y0' at z0 per lambda, with y0 = 1."""
     p0 = poly.evaluate(z0)
     dp0 = poly.derivative().evaluate(z0) if poly.degree >= 1 else 0j
     sq = np.sqrt(lams * lams * p0)
     # decaying outward along arg z0: Re(sqrtQ * e^{i arg z0}) > 0
     phase = z0 / abs(z0)
-    flip = (sq * phase).real < 0
-    sq = np.where(flip, -sq, sq)
-    yp = -sq - dp0 / (4.0 * p0)
-    return yp, sq
+    sq = np.where((sq * phase).real < 0, -sq, sq)
+    return -sq - dp0 / (4.0 * p0)
 
 
-def _integrate_inward(poly, lams, z0, z1, rtol):
-    """Batched integration of y'' = lambda^2 P y from z0 to z1 along the
-    straight segment, with projective renormalization; the n lanes share
-    one Dormand-Prince 5(4) step sequence.  The state holds y in its first
-    n entries and dy/dtau (tau in [0, 1]) in its last n; the seven stages
-    are the rows of one (7, 2n) array, each stage input is the state plus
-    one product of a row of h*A with the rows before it, and y5 and the
-    error estimate are products with h*B5 and h*(B5 - B4).  The last row
-    starts the next step (FSAL).  Returns (y, dy/dz, logscale, steps,
-    decay samples)."""
+def _taylor_coeffs(poly, z1):
+    """t_0..t_d with P(z1 + u) = sum_k t_k u^k, by repeated synthetic
+    division by (z - z1); at z1 = 0 they are the coefficients reversed."""
+    c = list(poly.coeffs)
+    out = []
+    while c:
+        acc = 0j
+        q = []
+        for a in c:
+            acc = acc * z1 + a
+            q.append(acc)
+        out.append(q.pop())
+        c = q
+    return np.array(out)
+
+
+def _integrate_inward(poly, lams, starts, z1, rtol):
+    """Batched integration of y'' = lambda^2 P y from each start point to
+    z1 along straight segments, with projective renormalization.  Every
+    lambda runs from every start, and all these lanes share one
+    Dormand-Prince 5(4) step sequence in tau in [0, 1]; the error norm is
+    the max over the lanes.  The state holds y in its first half and
+    dy/dtau in its second; the seven stages are the rows of one array,
+    each stage input is the state plus one product of a row of h*A with
+    the rows before it, and y5 and the error estimate are products with
+    h*B5 and h*(B5 - B4).  The last row starts the next step (FSAL).
+
+    On lane path z = z1 + s dz, s = tau - 1, the RHS factor is
+    lambda^2 dz^2 P(z) = sum_k (lambda^2 dz^2 t_k dz^k) s^k with t_k the
+    Taylor coefficients of P at z1: one vector of powers of s times a lane
+    table built once.  Returns (y, dy/dz, logscale) of shape
+    (len(starts), len(lams)), the step count, and the decay samples as an
+    array of shape (samples, len(starts), len(lams))."""
     lams = np.asarray(lams, dtype=complex)
-    n = lams.shape[0]
-    dz = z1 - z0
-    lam2dz2 = lams * lams * (dz * dz)
+    starts = np.asarray(starts, dtype=complex)
+    shape = (starts.shape[0], lams.shape[0])
+    dz = np.repeat(z1 - starts, shape[1])
+    lam = np.tile(lams, shape[0])
+    n = lam.shape[0]
+    powers = np.arange(poly.degree + 1)
+    coef = ((lam * lam * dz * dz)[:, None] * _taylor_coeffs(poly, z1)
+            * dz[:, None] ** powers)
 
     def rhs(tau, state, out):
-        p = poly.evaluate(z0 + tau * dz)
         out[:n] = state[n:]
-        np.multiply(lam2dz2 * p, state[:n], out=out[n:])
+        np.multiply(coef @ (tau - 1.0) ** powers, state[:n], out=out[n:])
+
+    def where():
+        mods = np.abs(lams)
+        return (f"from {', '.join(f'{z:.6g}' for z in starts)} to {z1:.6g} "
+                f"at |lambda| {mods.min():.6g}..{mods.max():.6g}")
 
     state = np.empty(2 * n, dtype=complex)
     state[:n] = 1.0
-    yp0, _ = _wkb_start(poly, lams, z0)
-    state[n:] = yp0 * dz
+    state[n:] = np.concatenate([_wkb_start(poly, lams, z0)
+                                for z0 in starts]) * dz
     logscale = np.zeros(n)
     decay = [np.zeros(n)]
 
     stages = np.empty((7, 2 * n), dtype=complex)
     ha = np.empty_like(_DP_A)
     # views made once: at a few lanes, slicing costs as much as a product
-    rows =[(_C[i], ha[i, :i], stages[:i], stages[i]) for i in range(1, 6)]
+    rows = [(_C[i], ha[i, :i], stages[:i], stages[i]) for i in range(1, 6)]
     tau = 0.0
     h = 1e-4
     steps = 0
@@ -247,8 +276,9 @@ def _integrate_inward(poly, lams, z0, z1, rtol):
         err = ((diff[:n] + diff[n:]) / (mag[:n] + mag[n:] + 1e-300)).max()
         if not math.isfinite(err):
             if h <= 1e-12:
-                raise NumericalError("non-finite state in subdominant "
-                                     "integration")
+                raise NumericalError(
+                    f"non-finite state in subdominant integration {where()}, "
+                    f"at tau = {tau:.6g}", residuals=[tau])
             h *= 0.25
             continue
         if err <= rtol or h <= 1e-13:
@@ -267,14 +297,19 @@ def _integrate_inward(poly, lams, z0, z1, rtol):
             if steps % 8 == 0:
                 decay.append(logscale + np.log(np.abs(state[:n]) + 1e-300))
             if steps > 120000:
-                raise NumericalError("subdominant integration stalled")
+                raise NumericalError(
+                    f"subdominant integration stalled {where()}, at "
+                    f"tau = {tau:.6g} after {steps} steps", residuals=[tau])
         factor = 0.9 * (rtol / max(err, 1e-300)) ** 0.2
         h = h * min(4.0, max(0.25, factor))
     decay.append(logscale + np.log(np.abs(state[:n]) + 1e-300))
-    return state[:n], state[n:] / dz, logscale, steps, decay
+    return (state[:n].reshape(shape), (state[n:] / dz).reshape(shape),
+            logscale.reshape(shape), steps,
+            np.array(decay).reshape(-1, *shape))
 
 
 _DECAY_EFOLDS = 18.0   # suppresses dominant-solution contamination to ~1e-16
+_BOUNDARY_DIP = math.log(1e6)   # |W e^s| drop that marks a zero on a sample
 
 
 def _sector_ray(poly, sector_index: int, lam_ref: complex, scale: float):
@@ -330,15 +365,14 @@ def subdominant_solution(poly: ComplexPolynomial, lam: complex,
     lambda^2 P and integrate it inward to the matching point z = 0."""
     scale = 1.0 + PolyContext.of(poly, config).scales.max_modulus
     z0 = _sector_ray(poly, sector_index, lam, scale)
-    lams = np.array([lam], dtype=complex)
     y, yp, logscale, steps, decay = _integrate_inward(
-        poly, lams, z0, 0j, config.ode_rel_tol)
-    samples = tuple(float(dv[0]) for dv in decay)
+        poly, [lam], [z0], 0j, config.ode_rel_tol)
     return SubdominantSolution(sector=sector_index, lam=lam, start=z0,
-                               value=complex(y[0]),
-                               derivative=complex(yp[0]),
-                               logscale=float(logscale[0]),
-                               decay_samples=samples, steps=steps)
+                               value=complex(y[0, 0]),
+                               derivative=complex(yp[0, 0]),
+                               logscale=float(logscale[0, 0]),
+                               decay_samples=tuple(map(float, decay[:, 0, 0])),
+                               steps=steps)
 
 
 def _wronskian_batch(poly, lams, sectors, config, rtol):
@@ -348,12 +382,9 @@ def _wronskian_batch(poly, lams, sectors, config, rtol):
     lams = np.asarray(lams, dtype=complex)
     scale = 1.0 + PolyContext.of(poly, config).scales.max_modulus
     lam_ref = lams[np.argmin(np.abs(lams))]
-    vals = []
-    for sector in sectors:
-        z0 = _sector_ray(poly, sector, lam_ref, scale)
-        y, yp, logscale, _, _ = _integrate_inward(poly, lams, z0, 0j, rtol)
-        vals.append((y, yp, logscale))
-    (y1, yp1, s1), (y2, yp2, s2) = vals
+    starts = [_sector_ray(poly, sector, lam_ref, scale) for sector in sectors]
+    (y1, y2), (yp1, yp2), (s1, s2), _, _ = _integrate_inward(
+        poly, lams, starts, 0j, rtol)
     w = y1 * yp2 - yp1 * y2
     return w, s1 + s2
 
@@ -390,11 +421,26 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
 
     def winding(r, jitter=0.0):
         r = (r[0] - jitter, r[1] + jitter, r[2] - jitter, r[3] + jitter)
+        where = f"of rectangle {r} in sectors ({j1}, {j2})"
         m = 64
         while True:
             pts = boundary_points(r, m)
-            w, _ = _wronskian_batch(poly, np.array(pts), (j1, j2), config,
+            w, s = _wronskian_batch(poly, np.array(pts), (j1, j2), config,
                                     rtol=1e-7)
+            # a zero on a sample leaves |W e^s| there far below both
+            # neighbours, while its phase jumps can stay under the near-pi
+            # test below; e^s because raw |W| differs between lanes by the
+            # renormalization
+            with np.errstate(divide="ignore"):
+                logmag = np.log(np.abs(w)) + s
+            dip = np.minimum(np.roll(logmag, 1), np.roll(logmag, -1)) - logmag
+            k = int(np.argmax(dip))
+            if dip[k] > _BOUNDARY_DIP:
+                raise NumericalError(
+                    f"suspected zero on cell boundary {where}: |W e^s| at "
+                    f"lambda = {pts[k]:.6g} lies e^{dip[k]:.3g} below both "
+                    "neighbours",
+                    residuals=[float(dip[k])])
             phases = np.angle(w)
             dphi = np.diff(np.concatenate([phases, phases[:1]]))
             dphi = (dphi + math.pi) % TWO_PI - math.pi
@@ -403,11 +449,16 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
                 if worst >= 2.6:
                     # a near-pi jump that refinement cannot tame marks a
                     # zero sitting on (or next to) the boundary
-                    raise NumericalError("suspected zero on cell boundary")
+                    raise NumericalError(
+                        f"suspected zero on cell boundary {where}: phase "
+                        f"jump {worst:.3g} at {m} samples",
+                        residuals=[worst])
                 total = float(np.sum(dphi))
                 wn = total / TWO_PI
                 if abs(wn - round(wn)) > 0.25:
-                    raise NumericalError(f"inconsistent winding {wn:.3f}")
+                    raise NumericalError(
+                        f"inconsistent winding {wn:.3f} {where}",
+                        residuals=[wn])
                 return int(round(wn))
             m *= 2
 
@@ -416,9 +467,11 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
         for jit in (0.0, 1.7e-3 * base, 4.3e-3 * base):
             try:
                 return winding(r, jitter=jit)
-            except NumericalError:
-                continue
-        raise NumericalError(f"winding failed on rectangle {r}")
+            except NumericalError as exc:
+                last = exc
+        raise NumericalError(f"winding failed on rectangle {r}; last "
+                             f"attempt: {last}",
+                             residuals=last.residuals) from last
 
     zeros = []
     stack = [tuple(rect)]

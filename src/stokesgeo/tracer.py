@@ -225,7 +225,6 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
                 dr = drift + inc
                 corr = -dr * w_land.conjugate() / (abs(w_land) ** 2)
                 z_land = z_land + corr
-                w_land = _branch_step(poly, w_land, z_land)
                 polyline.append(z_land)
                 ray = ctx.sectors.nearest_ray_index(cmath.phase(z_land))
                 return polyline, EscapedToRay(ray, z_land)

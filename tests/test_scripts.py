@@ -31,8 +31,8 @@ def test_output_parity_repeats():
     lines = first.stdout.splitlines()
     # survey geodesics, its errors and warnings, rays, alphas, order-0 and
     # order-3 estimates, periods, drift, chords and the very-flat
-    # projection for one polynomial of each degree 3, 4, 5, and the graph
-    # of z^3 - 1
-    assert len(lines) == 3 * 10 + 1
+    # projection for one polynomial of each degree 3, 4, 5, the graph of
+    # z^3 - 1, and the Wronskian zeros on four rectangles
+    assert len(lines) == 3 * 10 + 1 + 4
     assert all(len(line.split()[1]) == 64 for line in lines)
     assert first.stdout == second.stdout

@@ -145,15 +145,45 @@ def test_subdominant_decays_outward(osc):
 
 
 def test_batched_kernel_matches_closed_forms(osc):
-    # exact eigenfunctions of z^2 - 1, both subdominant in sector 0:
-    # exp(-z^2/2) at lambda = 1 and z exp(-3 z^2/2) at lambda = 3
+    # exact eigenfunctions of z^2 - 1, subdominant in sectors 0 and 2:
+    # exp(-z^2/2) at lambda = 1 and z exp(-3 z^2/2) at lambda = 3.  The
+    # matching point is off 0, so a Taylor shift that assumed z1 = 0
+    # would miss
     scale = 1.0 + PolyContext.of(osc, DEFAULT_CONFIG).scales.max_modulus
-    z0 = spectrum._sector_ray(osc, 0, 1.0, scale)
+    starts = [spectrum._sector_ray(osc, sector, 1.0, scale)
+              for sector in (0, 2)]
     m = 0.3
     y, yp, _, _, _ = spectrum._integrate_inward(
-        osc, np.array([1.0, 3.0]), z0, complex(m), DEFAULT_CONFIG.ode_rel_tol)
-    for got, want in zip(yp / y, (-m, 1.0 / m - 3.0 * m)):
-        assert abs(got - want) <= 1e-8 * abs(want)
+        osc, np.array([1.0, 3.0]), starts, complex(m),
+        DEFAULT_CONFIG.ode_rel_tol)
+    assert y.shape == (2, 2)
+    for ratios in yp / y:
+        for got, want in zip(ratios, (-m, 1.0 / m - 3.0 * m)):
+            assert abs(got - want) <= 1e-8 * abs(want)
+
+
+@pytest.mark.parametrize("coeffs, lam", [("1,0,-1", 1.0),
+                                         ("1,0,0.3+0.2i,-1", 2.41 + 2.04j)])
+def test_wronskian_batch_is_one_step_sequence(coeffs, lam, monkeypatch):
+    # both sectors start at the same radius and share one integration,
+    # which costs about as many steps as the harder sector alone
+    poly = parse_poly_text(coeffs)
+    original = spectrum._integrate_inward
+    steps = []
+
+    def spy(*args):
+        out = original(*args)
+        steps.append(out[3])
+        return out
+
+    monkeypatch.setattr(spectrum, "_integrate_inward", spy)
+    spectrum._wronskian_batch(poly, [lam], (0, 2), DEFAULT_CONFIG, rtol=1e-7)
+    assert len(steps) == 1
+    scale = 1.0 + PolyContext.of(poly, DEFAULT_CONFIG).scales.max_modulus
+    single = [original(poly, [lam], [spectrum._sector_ray(poly, k, lam,
+                                                           scale)],
+                       0j, 1e-7)[3] for k in (0, 2)]
+    assert steps[0] <= 1.1 * max(single)
 
 
 def test_wronskian_zero_at_eigenvalue(osc):
@@ -176,6 +206,37 @@ def test_polish_across_the_log_branch_cut():
 def test_wronskian_no_zero_off_spectrum(osc):
     zeros = wronskian_eigenvalue_search(osc, (0, 2), (1.6, 2.4, -0.3, 0.3))
     assert zeros == []
+
+
+@pytest.mark.parametrize("rect, want", [((1.0, 3.0, -1.0, 1.0), [1.0, 3.0]),
+                                        ((1.0, 1.6, -0.2, 0.2), [1.0])])
+def test_zero_on_a_boundary_sample_is_found(osc, rect, want):
+    # the eigenvalue 1 lies on a boundary sample of both rectangles: |W|
+    # there drops far below its neighbours while its phase jumps stay
+    # under the near-pi test, so only the dip sends the search to jitter
+    zeros = wronskian_eigenvalue_search(osc, (0, 2), rect)
+    assert len(zeros) == len(want)
+    for got, exact in zip(zeros, want):
+        assert abs(got - exact) <= 1e-9
+
+
+def test_winding_failure_names_its_rectangle(osc, monkeypatch):
+    # a stand-in Wronskian that vanishes at the first sample of every
+    # perimeter, so no jitter moves the zero off the boundary: the error
+    # names the rectangle, the sectors and the last cause
+    def constant_zero(poly, lams, sectors, config, rtol):
+        w = np.ones(len(lams), dtype=complex)
+        w[0] = 0.0
+        return w, np.zeros(len(lams))
+
+    monkeypatch.setattr(spectrum, "_wronskian_batch", constant_zero)
+    with pytest.raises(NumericalError) as info:
+        wronskian_eigenvalue_search(osc, (0, 2), (0.8, 1.2, -0.2, 0.2))
+    message = str(info.value)
+    assert "winding failed on rectangle (0.8, 1.2, -0.2, 0.2)" in message
+    assert "suspected zero on cell boundary" in message
+    assert "in sectors (0, 2)" in message
+    assert info.value.residuals == [math.inf]
 
 
 def test_wronskian_sectors_from_graph(osc):

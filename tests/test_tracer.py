@@ -248,8 +248,9 @@ def test_trace_evaluates_p_six_times_per_step_attempt(cubic_unity,
     _, fate = trace_stokes_line(cubic_unity, 0, theta, context=ctx)
     assert isinstance(fate, EscapedToRay)
     assert counts["_dp5_step"] > 50
-    # the launch point, its root chord, the step attempts, and the drift
-    # chords and branch updates after a drift correction or the landing
+    # the launch point, its root chord, the step attempts, the drift
+    # chords, and the branch updates after a drift correction and at the
+    # landing point (one, before its drift correction)
     assert counts["evals"] == (1 + counts["head_evals"]
                                + 6 * counts["_dp5_step"]
                                + 15 * counts["_chord_re_integral"]
