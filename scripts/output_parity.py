@@ -17,7 +17,9 @@ agree bit for bit.  The outputs are
 - the edges of the Stokes graph of z^3 - 1;
 - the Wronskian zeros in sectors (0, 2) on the ``wronskian_spectrum``
   benchmark rectangles without their seeded jitter, and in sectors (1, 3)
-  of -z^2 + 1 on (-0.3, 0.4, 2.7, 3.35), where arg W lies near pi.
+  of -z^2 + 1 on (-0.3, 0.4, 2.7, 3.35), where arg W lies near pi.  Their
+  lines also print each zero's ``repr`` after the hash, so a diff shows
+  how far a zero moved.
 
 Running it against two source trees and diffing the outputs checks that a
 change kept every count, pair and number, e.g.
@@ -58,8 +60,14 @@ def stream(seed, per_degree):
             yield f"{d}.{k}", random_simple_poly(rng, d)
 
 
-def fingerprint(name, value):
-    print(name, hashlib.sha256(repr(value).encode()).hexdigest())
+def fingerprint(name, value, *shown):
+    print(name, hashlib.sha256(repr(value).encode()).hexdigest(), *shown)
+
+
+def zeros_line(name, zeros):
+    """A fingerprint followed by the zeros themselves, so a numerical
+    change shows its size and not only a changed hash."""
+    fingerprint(name, zeros, *map(repr, zeros))
 
 
 def main():
@@ -99,12 +107,12 @@ def main():
     for label, coeffs, lam in SPECTRUM_CASES:
         rect = (lam.real - RECT_BELOW, lam.real + RECT_ABOVE_RE,
                 lam.imag - RECT_BELOW, lam.imag + RECT_ABOVE_IM)
-        fingerprint(f"wronskian[{label}@{lam:g}]",
-                    wronskian_eigenvalue_search(ComplexPolynomial(coeffs),
-                                                (0, 2), rect))
-    fingerprint("wronskian[-z^2+1]",
-                wronskian_eigenvalue_search(parse_poly_text("-1,0,1"), (1, 3),
-                                            (-0.3, 0.4, 2.7, 3.35)))
+        zeros_line(f"wronskian[{label}@{lam:g}]",
+                   wronskian_eigenvalue_search(ComplexPolynomial(coeffs),
+                                               (0, 2), rect))
+    zeros_line("wronskian[-z^2+1]",
+               wronskian_eigenvalue_search(parse_poly_text("-1,0,1"), (1, 3),
+                                           (-0.3, 0.4, 2.7, 3.35)))
 
 
 if __name__ == "__main__":

@@ -28,15 +28,12 @@ from .geodesics import GeodesicSurvey, ShortGeodesic, survey_short_geodesics
 from .pathint import (alpha_contour_integrals, build_stadium, contour_integral,
                       min_clearance, sqrt_density, winding_number)
 from .polynomial import ComplexPolynomial, PolyContext, stokes_sectors
-from .tracer import _A, _B4, _B5, _C, build_stokes_graph
+from .tracer import build_stokes_graph
 
 TWO_PI = 2.0 * math.pi
 
-# the Dormand-Prince tableau for the stacked stages of _integrate_inward,
-# complex so that the products with the stages need no cast
-_DP_A = np.array([row + (0.0,) * (6 - len(row)) for row in _A], dtype=complex)
-_DP_B5 = np.array(_B5, dtype=complex)
-_DP_E = np.append(_DP_B5, 0.0) - np.array(_B4)
+# order of the Taylor series per step of _integrate_inward
+_TAYLOR_ORDER = 30
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,8 @@ class EigenvalueEstimate:
 class SubdominantSolution:
     """Solution decaying in one Stokes sector, integrated inward to the
     matching point z = 0.  ``value`` and ``derivative`` carry the common
-    factor exp(logscale)."""
+    factor exp(logscale); ``decay_samples`` are log|y| at the start and
+    after every integration step."""
 
     sector: int
     lam: complex
@@ -215,95 +213,124 @@ def _taylor_coeffs(poly, z1):
 
 def _integrate_inward(poly, lams, starts, z1, rtol):
     """Batched integration of y'' = lambda^2 P y from each start point to
-    z1 along straight segments, with projective renormalization.  Every
-    lambda runs from every start, and all these lanes share one
-    Dormand-Prince 5(4) step sequence in tau in [0, 1]; the error norm is
-    the max over the lanes.  The state holds y in its first half and
-    dy/dtau in its second; the seven stages are the rows of one array,
-    each stage input is the state plus one product of a row of h*A with
-    the rows before it, and y5 and the error estimate are products with
-    h*B5 and h*(B5 - B4).  The last row starts the next step (FSAL).
+    z1 along straight segments, by a Taylor series of order _TAYLOR_ORDER
+    per step.  Every lambda runs from every start, and all these lanes
+    share one step sequence in tau in [0, 1].
 
-    On lane path z = z1 + s dz, s = tau - 1, the RHS factor is
-    lambda^2 dz^2 P(z) = sum_k (lambda^2 dz^2 t_k dz^k) s^k with t_k the
-    Taylor coefficients of P at z1: one vector of powers of s times a lane
-    table built once.  Returns (y, dy/dz, logscale) of shape
-    (len(starts), len(lams)), the step count, and the decay samples as an
-    array of shape (samples, len(starts), len(lams))."""
+    On lane path z = z1 + s dz, s = tau - 1, the equation reads
+    y'' = Q(tau) y in tau with Q = lambda^2 dz^2 P(z) = sum_k coef_k s^k,
+    coef_k = lambda^2 dz^2 t_k dz^k and t_k the Taylor coefficients of P
+    at z1: a lane table built once.  A step from tau re-expands Q about
+    tau with one binomial shift matrix shared by all lanes, Q(tau + u) =
+    sum_j q_j u^j, and builds the scaled coefficients b_k = a_k h^k of
+    y(tau + u) = sum_k a_k u^k by the exact recurrence
+
+        b_{k+2} = sum_{j <= min(k, d)} q_j h^{j+2} b_{k-j} / ((k+1)(k+2)).
+
+    The step ends at y = sum_k b_k and h dy/dtau = sum_k k b_k.  The
+    latter's last two terms bound the truncation error of both: its tail
+    max((N-1)|b_{N-1}|, N|b_N|) / (|b_0| + |b_1|), maxed over the lanes,
+    sets rho = (rtol / (2 tail))^(1/N).  A step of length rho h has the
+    coefficients rho^k b_k, so a step shrinks without a new series unless
+    rho falls below 1/4, and none is rejected: a step is taken once its
+    tail meets rtol, and the next one grows by rho, at most 4-fold.  Every
+    step divides each lane by its |y| + |dy/dtau| into ``logscale`` and
+    takes a decay sample.
+
+    Returns (y, dy/dz, logscale) of shape (len(starts), len(lams)), the
+    step count, and the decay samples, one per step and one at the
+    start, as an array of shape (samples, len(starts), len(lams))."""
     lams = np.asarray(lams, dtype=complex)
     starts = np.asarray(starts, dtype=complex)
     shape = (starts.shape[0], lams.shape[0])
     dz = np.repeat(z1 - starts, shape[1])
     lam = np.tile(lams, shape[0])
     n = lam.shape[0]
-    powers = np.arange(poly.degree + 1)
+    d = poly.degree
+    powers = np.arange(d + 1)
     coef = ((lam * lam * dz * dz)[:, None] * _taylor_coeffs(poly, z1)
             * dz[:, None] ** powers)
-
-    def rhs(tau, state, out):
-        out[:n] = state[n:]
-        np.multiply(coef @ (tau - 1.0) ** powers, state[:n], out=out[n:])
+    # binom * s ** lag, entries C(k, j) s^(k-j), re-expands sum_k coef_k s^k
+    # about s
+    binom = np.array([[math.comb(k, j) for j in powers] for k in powers],
+                     dtype=complex)
+    lag = np.maximum(powers[:, None] - powers, 0)
+    # a column, so that products with b run per row; the step-end sums
+    # avoid matmul, whose threaded BLAS call costs more than the sum
+    order = np.arange(_TAYLOR_ORDER + 1.0)[:, None]
+    inv = 1.0 / ((order[:-2] + 1.0) * (order[:-2] + 2.0))
 
     def where():
         mods = np.abs(lams)
         return (f"from {', '.join(f'{z:.6g}' for z in starts)} to {z1:.6g} "
                 f"at |lambda| {mods.min():.6g}..{mods.max():.6g}")
 
-    state = np.empty(2 * n, dtype=complex)
-    state[:n] = 1.0
-    state[n:] = np.concatenate([_wkb_start(poly, lams, z0)
-                                for z0 in starts]) * dz
+    y = np.ones(n, dtype=complex)
+    yp = np.concatenate([_wkb_start(poly, lams, z0) for z0 in starts]) * dz
     logscale = np.zeros(n)
     decay = [np.zeros(n)]
+    b = np.empty((_TAYLOR_ORDER + 1, n), dtype=complex)
 
-    stages = np.empty((7, 2 * n), dtype=complex)
-    ha = np.empty_like(_DP_A)
-    # views made once: at a few lanes, slicing costs as much as a product
-    rows = [(_C[i], ha[i, :i], stages[:i], stages[i]) for i in range(1, 6)]
+    def tail():
+        mag = np.abs(b[[0, 1, -2, -1]])
+        return (np.maximum((_TAYLOR_ORDER - 1) * mag[2],
+                           _TAYLOR_ORDER * mag[3])
+                / (mag[0] + mag[1])).max()
+
+    def series(q, h):
+        b[0] = y
+        b[1] = yp * h
+        # g[k, i] = q_j h^(j+2) / ((k+1)(k+2)) with j = d - i, so that
+        # b[k+2] is one product with the slice b[k-d..k]
+        g = (q * h ** (powers + 2)).T[::-1] * inv[:, None]
+        for k in range(_TAYLOR_ORDER - 1):
+            lo = max(k - d, 0)
+            np.add.reduce(g[k, d - k + lo:] * b[lo:k + 1], axis=0,
+                          out=b[k + 2])
+        return tail()
+
+    def rho(err):
+        # aims at rtol / 2: rho would round to 1 for err an ulp above rtol
+        return (0.5 * rtol / err) ** (1.0 / _TAYLOR_ORDER)
+
     tau = 0.0
-    h = 1e-4
+    h = 1.0
     steps = 0
-    rhs(tau, state, stages[0])
     while tau < 1.0 - 1e-13:
         h = min(h, 1.0 - tau)
-        np.multiply(h, _DP_A, out=ha)
-        for c, a, k, out in rows:
-            rhs(tau + c * h, state + a @ k, out)
-        y5 = state + (h * _DP_B5) @ stages[:6]
-        rhs(tau + h, y5, stages[6])
-        mag = np.abs(y5)
-        diff = np.abs((h * _DP_E) @ stages)
-        err = ((diff[:n] + diff[n:]) / (mag[:n] + mag[n:] + 1e-300)).max()
-        if not math.isfinite(err):
-            if h <= 1e-12:
-                raise NumericalError(
-                    f"non-finite state in subdominant integration {where()}, "
-                    f"at tau = {tau:.6g}", residuals=[tau])
-            h *= 0.25
-            continue
-        if err <= rtol or h <= 1e-13:
-            tau += h
-            state = y5
-            stages[0] = stages[6]
-            steps += 1
-            mag = mag[:n] + mag[n:]
-            big = (mag > 1e100) | (mag < 1e-100)
-            if big.any():
-                f = np.where(big, mag, 1.0)
-                logscale += np.log(f)
-                f = np.concatenate([f, f])
-                state = state / f
-                stages[0] /= f
-            if steps % 8 == 0:
-                decay.append(logscale + np.log(np.abs(state[:n]) + 1e-300))
-            if steps > 120000:
-                raise NumericalError(
-                    f"subdominant integration stalled {where()}, at "
-                    f"tau = {tau:.6g} after {steps} steps", residuals=[tau])
-        factor = 0.9 * (rtol / max(err, 1e-300)) ** 0.2
-        h = h * min(4.0, max(0.25, factor))
-    decay.append(logscale + np.log(np.abs(state[:n]) + 1e-300))
-    return (state[:n].reshape(shape), (state[n:] / dz).reshape(shape),
+        q = coef @ (binom * (tau - 1.0) ** lag)
+        err = series(q, h)
+        while not err <= rtol:
+            if not math.isfinite(err):
+                if h <= 1e-12:
+                    raise NumericalError(
+                        "non-finite state in subdominant integration "
+                        f"{where()}, at tau = {tau:.6g}", residuals=[tau])
+                h *= 0.25
+                err = series(q, h)
+                continue
+            shrink = rho(err)
+            h *= shrink
+            if shrink < 0.25:
+                err = series(q, h)
+            else:
+                b *= shrink ** order
+                err = tail()
+        tau += h
+        steps += 1
+        y = b.sum(axis=0)
+        yp = (order * b).sum(axis=0) / h
+        mag = np.abs(y) + np.abs(yp)
+        logscale += np.log(mag)
+        y /= mag
+        yp /= mag
+        decay.append(logscale + np.log(np.abs(y) + 1e-300))
+        if steps > 120000:
+            raise NumericalError(
+                f"subdominant integration stalled {where()}, at "
+                f"tau = {tau:.6g} after {steps} steps", residuals=[tau])
+        h *= min(4.0, rho(max(err, 1e-300)))
+    return (y.reshape(shape), (yp / dz).reshape(shape),
             logscale.reshape(shape), steps,
             np.array(decay).reshape(-1, *shape))
 
@@ -375,13 +402,16 @@ def subdominant_solution(poly: ComplexPolynomial, lam: complex,
                                steps=steps)
 
 
-def _wronskian_batch(poly, lams, sectors, config, rtol):
+def _wronskian_batch(poly, lams, sectors, config, rtol, lam_ref=None):
     """Scaled Wronskian of the two subdominant solutions at the matching
     point z = 0; the dropped factor exp(s1+s2) is real positive, so zeros
-    and phase winding are unaffected."""
+    and phase winding are unaffected.  The start points come from
+    ``lam_ref``, by default the lambda of least modulus: W's normalization
+    depends on them, so batches whose phases are compared must share it."""
     lams = np.asarray(lams, dtype=complex)
+    if lam_ref is None:
+        lam_ref = lams[np.argmin(np.abs(lams))]
     scale = 1.0 + PolyContext.of(poly, config).scales.max_modulus
-    lam_ref = lams[np.argmin(np.abs(lams))]
     starts = [_sector_ray(poly, sector, lam_ref, scale) for sector in sectors]
     (y1, y2), (yp1, yp2), (s1, s2), _, _ = _integrate_inward(
         poly, lams, starts, 0j, rtol)
@@ -423,10 +453,10 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
         r = (r[0] - jitter, r[1] + jitter, r[2] - jitter, r[3] + jitter)
         where = f"of rectangle {r} in sectors ({j1}, {j2})"
         m = 64
+        pts = np.array(boundary_points(r, m))
+        lam_ref = pts[np.argmin(np.abs(pts))]
+        w, s = _wronskian_batch(poly, pts, (j1, j2), config, rtol=1e-7)
         while True:
-            pts = boundary_points(r, m)
-            w, s = _wronskian_batch(poly, np.array(pts), (j1, j2), config,
-                                    rtol=1e-7)
             # a zero on a sample leaves |W e^s| there far below both
             # neighbours, while its phase jumps can stay under the near-pi
             # test below; e^s because raw |W| differs between lanes by the
@@ -460,7 +490,15 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
                         f"inconsistent winding {wn:.3f} {where}",
                         residuals=[wn])
                 return int(round(wn))
+            # the m samples so far are the even ones of 2m: integrate only
+            # the odd ones, from the same start points
             m *= 2
+            pts = np.array(boundary_points(r, m))
+            w_odd, s_odd = _wronskian_batch(poly, pts[1::2], (j1, j2),
+                                            config, rtol=1e-7,
+                                            lam_ref=lam_ref)
+            w = np.stack([w, w_odd], axis=1).ravel()
+            s = np.stack([s, s_odd], axis=1).ravel()
 
     def robust_winding(r):
         base = max(r[1] - r[0], r[3] - r[2])

@@ -21,8 +21,8 @@ from .polynomial import (ComplexPolynomial, PolyContext, StokesSectorSet,
 from .pathint import (_KRONROD_NODES, _KRONROD_WEIGHTS, _deflate,
                       integrate_chord_from_root)
 
-# Dormand-Prince 5(4) coefficients: nodes _C, stages _A, weights _B5, _B4
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Dormand-Prince 5(4) coefficients: stages _A, weights _B5, _B4 (the
+# field is autonomous, so the nodes are not needed)
 _A = (
     (),
     (1 / 5,),

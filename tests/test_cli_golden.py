@@ -2,9 +2,7 @@
 
 Each example runs from a fresh working directory with the README's relative
 ``--out`` name, and every file it writes, plus the concatenated standard
-output, must equal the stored copy under ``tests/golden/``.  The README
-``--wronskian`` search is left out (it takes about 12 s); its
-``eigenvalues`` example runs without that option.
+output, must equal the stored copy under ``tests/golden/``.
 
 Regenerate the goldens, only from a commit whose output is trusted, with::
 
@@ -24,7 +22,8 @@ EXAMPLES = [
     'stokes-graph --poly "1,0,-1" --t 0.3 --out out --format json,svg',
     'geodesics --poly "1,0,0,-1" --out out',
     'rays --poly "1,0,-1" --out out',
-    'eigenvalues --poly "1,0,-1" --n 0..5 --order 0 --format json,csv --out out',
+    'eigenvalues --poly "1,0,-1" --n 0..5 --order 0 --format json,csv '
+    '--wronskian 0.5,7.5,-1,1 --out out',
     'strip-realize 5 7 --out out',
     'chords --poly "1,0,-1" --t 0.3 --out out',
 ]

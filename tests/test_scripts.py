@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -32,7 +33,13 @@ def test_output_parity_repeats():
     # survey geodesics, its errors and warnings, rays, alphas, order-0 and
     # order-3 estimates, periods, drift, chords and the very-flat
     # projection for one polynomial of each degree 3, 4, 5, the graph of
-    # z^3 - 1, and the Wronskian zeros on four rectangles
+    # z^3 - 1, and the Wronskian zeros on four rectangles, whose lines
+    # also print the zeros after the hash
     assert len(lines) == 3 * 10 + 1 + 4
     assert all(len(line.split()[1]) == 64 for line in lines)
+    for line in lines[-4:]:
+        name, digest, *zeros = line.split()
+        assert name.startswith("wronskian[") and len(zeros) == 1
+        assert hashlib.sha256(
+            repr([complex(zeros[0])]).encode()).hexdigest() == digest
     assert first.stdout == second.stdout

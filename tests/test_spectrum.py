@@ -139,27 +139,55 @@ def test_negative_n_min_rejected(osc):
 def test_subdominant_decays_outward(osc):
     sol = subdominant_solution(osc, 1.0, 0)
     # integrated inward, so the log magnitude grows toward the matching
-    # point: the solution decays along the outward ray
-    assert sol.decay_samples[-1] > sol.decay_samples[0]
-    assert sol.steps > 10
+    # point: the solution decays along the outward ray.  It is exp(-z^2/2),
+    # which from radius 6 gains exactly _DECAY_EFOLDS = 18 e-folds
+    assert abs(sol.start) == pytest.approx(6.0, rel=1e-12)
+    assert all(b >= a for a, b in zip(sol.decay_samples,
+                                      sol.decay_samples[1:]))
+    assert abs(sol.decay_samples[-1] - spectrum._DECAY_EFOLDS) <= 1e-3
 
 
 def test_batched_kernel_matches_closed_forms(osc):
     # exact eigenfunctions of z^2 - 1, subdominant in sectors 0 and 2:
-    # exp(-z^2/2) at lambda = 1 and z exp(-3 z^2/2) at lambda = 3.  The
+    # exp(-z^2/2) at lambda = 1, z exp(-3 z^2/2) at lambda = 3 and
+    # H_2(sqrt(5) z) exp(-5 z^2/2), H_2(x) = 4 x^2 - 2, at lambda = 5, at
+    # the default rtol and at the rtol of the zero polishing.  The
     # matching point is off 0, so a Taylor shift that assumed z1 = 0
     # would miss
     scale = 1.0 + PolyContext.of(osc, DEFAULT_CONFIG).scales.max_modulus
     starts = [spectrum._sector_ray(osc, sector, 1.0, scale)
               for sector in (0, 2)]
     m = 0.3
-    y, yp, _, _, _ = spectrum._integrate_inward(
-        osc, np.array([1.0, 3.0]), starts, complex(m),
-        DEFAULT_CONFIG.ode_rel_tol)
-    assert y.shape == (2, 2)
-    for ratios in yp / y:
-        for got, want in zip(ratios, (-m, 1.0 / m - 3.0 * m)):
-            assert abs(got - want) <= 1e-8 * abs(want)
+    want = (-m, 1.0 / m - 3.0 * m, 40.0 * m / (20.0 * m * m - 2.0) - 5.0 * m)
+    for rtol, tol in ((DEFAULT_CONFIG.ode_rel_tol, 1e-8), (1e-11, 1e-10)):
+        y, yp, _, _, _ = spectrum._integrate_inward(
+            osc, np.array([1.0, 3.0, 5.0]), starts, complex(m), rtol)
+        assert y.shape == (2, 3)
+        for ratios in yp / y:
+            for got, exact in zip(ratios, want):
+                assert abs(got - exact) <= tol * abs(exact)
+
+
+def test_kernel_steps_do_not_grow_with_lambda(osc):
+    # a fixed-order step shrinks like 1/|lambda| (Dormand-Prince took 765
+    # steps at lambda = 1 and 9,898 here); a Taylor step of order 30 spans
+    # many local scales 1/|lambda sqrt(P)|
+    scale = 1.0 + PolyContext.of(osc, DEFAULT_CONFIG).scales.max_modulus
+    start = spectrum._sector_ray(osc, 0, 31.0, scale)
+    steps = spectrum._integrate_inward(osc, [31.0], [start], 0j, 1e-11)[3]
+    assert steps <= 100
+
+
+def test_kernel_from_a_turning_point_raises_with_context(osc):
+    # the WKB slope at a root of P is infinite: quartering the step cannot
+    # make the series finite, so the error names the path and the lambdas
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError) as info:
+        spectrum._integrate_inward(osc, [1.0, 2.0], [1.0 + 0j], 0j, 1e-7)
+    message = str(info.value)
+    assert "non-finite state in subdominant integration" in message
+    assert "from 1+0j to 0+0j at |lambda| 1..2" in message
+    assert info.value.residuals == [0.0]
 
 
 @pytest.mark.parametrize("coeffs, lam", [("1,0,-1", 1.0),
@@ -186,11 +214,51 @@ def test_wronskian_batch_is_one_step_sequence(coeffs, lam, monkeypatch):
     assert steps[0] <= 1.1 * max(single)
 
 
+def test_refinement_integrates_only_new_samples(osc, monkeypatch):
+    # doubling the boundary samples integrates only the new odd-indexed
+    # ones, from the start points of the winding's first batch, and the
+    # interleaved phases still count every zero
+    original = spectrum._wronskian_batch
+    calls = []
+
+    def spy(poly, lams, sectors, config, rtol, lam_ref=None):
+        if rtol == 1e-7:
+            calls.append((list(lams), lam_ref))
+        return original(poly, lams, sectors, config, rtol, lam_ref=lam_ref)
+
+    monkeypatch.setattr(spectrum, "_wronskian_batch", spy)
+    zeros = wronskian_eigenvalue_search(osc, (0, 2), (0.5, 7.5, -1.0, 1.0))
+    assert [round(z.real) for z in zeros] == [1, 3, 5, 7]
+    assert any(lam_ref is not None for _, lam_ref in calls)
+    for lams, lam_ref in calls:
+        if lam_ref is None:
+            assert len(lams) == 64
+            seen, ref = set(lams), min(lams, key=abs)
+        else:
+            assert lam_ref == ref
+            assert len(lams) == len(seen) and seen.isdisjoint(lams)
+            seen.update(lams)
+
+
 def test_wronskian_zero_at_eigenvalue(osc):
     zeros = wronskian_eigenvalue_search(osc, (0, 2), (0.8, 1.2, -0.2, 0.2))
     assert len(zeros) == 1
     # the README's bound, 1e-12 relative to 1 + |lambda|
     assert abs(zeros[0] - 1.0) <= 1e-12 * 2.0
+
+
+def test_cubic_zeros_match_collocation():
+    # z^3 + (0.3+0.2i) z - 1 has corrections that do not vanish; the
+    # references are the Chebyshev-collocation eigenvalues printed by
+    # bench/reference.py
+    zeros = wronskian_eigenvalue_search(parse_poly_text("1,0,0.3+0.2i,-1"),
+                                        (0, 2), (1.8, 6.2, 1.5, 5.3))
+    reference = (2.409751700171 + 2.041435904407j,
+                 4.003537013722 + 3.394387942230j,
+                 5.600050592120 + 4.749262906137j)
+    assert len(zeros) == 3
+    for got, exact in zip(zeros, reference):
+        assert abs(got - exact) <= 1e-9
 
 
 def test_polish_across_the_log_branch_cut():
