@@ -17,9 +17,11 @@ agree bit for bit.  The outputs are
 - the edges of the Stokes graph of z^3 - 1;
 - the Wronskian zeros in sectors (0, 2) on the ``wronskian_spectrum``
   benchmark rectangles without their seeded jitter, and in sectors (1, 3)
-  of -z^2 + 1 on (-0.3, 0.4, 2.7, 3.35), where arg W lies near pi.  Their
-  lines also print each zero's ``repr`` after the hash, so a diff shows
-  how far a zero moved.
+  of -z^2 + 1 on (-0.3, 0.4, 2.7, 3.35), where arg W lies near pi.
+
+The survey lines also print the ``repr`` of each geodesic period after
+the hash, the rays lines each loop period, and the Wronskian lines each
+zero, so a diff shows how far a value moved.
 
 Running it against two source trees and diffing the outputs checks that a
 change kept every count, pair and number, e.g.
@@ -64,10 +66,10 @@ def fingerprint(name, value, *shown):
     print(name, hashlib.sha256(repr(value).encode()).hexdigest(), *shown)
 
 
-def zeros_line(name, zeros):
-    """A fingerprint followed by the zeros themselves, so a numerical
-    change shows its size and not only a changed hash."""
-    fingerprint(name, zeros, *map(repr, zeros))
+def shown_line(name, value, shown):
+    """A fingerprint of ``value`` followed by the numbers ``shown``, so a
+    numerical change shows its size and not only a changed hash."""
+    fingerprint(name, value, *map(repr, shown))
 
 
 def main():
@@ -77,11 +79,12 @@ def main():
 
     for label, poly in stream(20260808, args.per_degree):
         survey = survey_short_geodesics(poly)
-        fingerprint(f"survey[{label}]", survey.geodesics)
+        shown_line(f"survey[{label}]", survey.geodesics,
+                   [g.period for g in survey.geodesics])
         fingerprint(f"survey_notes[{label}]",
                     (survey.errors, survey.warnings))
         rays = accumulation_rays(poly, survey=survey)
-        fingerprint(f"rays[{label}]", rays)
+        shown_line(f"rays[{label}]", rays, [r.loop_period for r in rays])
         fingerprint(f"alphas[{label}]",
                     [alpha_contour_integrals(poly, ray.contour, 3)
                      for ray in rays])
@@ -107,12 +110,12 @@ def main():
     for label, coeffs, lam in SPECTRUM_CASES:
         rect = (lam.real - RECT_BELOW, lam.real + RECT_ABOVE_RE,
                 lam.imag - RECT_BELOW, lam.imag + RECT_ABOVE_IM)
-        zeros_line(f"wronskian[{label}@{lam:g}]",
-                   wronskian_eigenvalue_search(ComplexPolynomial(coeffs),
-                                               (0, 2), rect))
-    zeros_line("wronskian[-z^2+1]",
-               wronskian_eigenvalue_search(parse_poly_text("-1,0,1"), (1, 3),
-                                           (-0.3, 0.4, 2.7, 3.35)))
+        zeros = wronskian_eigenvalue_search(ComplexPolynomial(coeffs),
+                                            (0, 2), rect)
+        shown_line(f"wronskian[{label}@{lam:g}]", zeros, zeros)
+    zeros = wronskian_eigenvalue_search(parse_poly_text("-1,0,1"), (1, 3),
+                                        (-0.3, 0.4, 2.7, 3.35))
+    shown_line("wronskian[-z^2+1]", zeros, zeros)
 
 
 if __name__ == "__main__":

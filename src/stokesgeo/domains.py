@@ -12,14 +12,17 @@ type); a face with two arc runs has two ends squeezed onto Stokes rays
 Strip widths use the canonical chart: any path inside a face connects two
 boundary points without winding around turning points, so the
 branch-tracked integral of sqrt(P) between a vertex on each boundary
-component has |Re| equal to the width of the strip's image.
+component has |Re| equal to the width of the strip's image.  It is
+integrated once, on first read, not when the face set is built.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import IncompleteGraphError, NonGenericError
@@ -34,15 +37,21 @@ TWO_PI = 2.0 * math.pi
 class AdmissibleDomain:
     """One face of the subdivision.  ``edge_ids`` index into graph.edges;
     for strips, ``boundary_roots`` lists the turning points on each of the
-    two boundary components and ``polygon`` is a sampled closed outline of
-    the face (used for interior tests)."""
+    two boundary components, ``polygon`` is a sampled closed outline of
+    the face (used for interior tests) and ``measure`` the width."""
 
     kind: str                      # "HalfPlane" | "Strip"
     edge_ids: tuple[int, ...]
     incident_rays: tuple[int, ...]
-    width: float | None = None
     boundary_roots: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     polygon: tuple[complex, ...] | None = None
+    measure: Callable[[], float] | None = field(default=None, repr=False,
+                                                compare=False)
+
+    @cached_property
+    def width(self) -> float | None:
+        """A strip's width, integrated on first read; None otherwise."""
+        return self.measure() if self.measure else None
 
 
 @dataclass(frozen=True)
@@ -310,12 +319,10 @@ def _classify_face(graph, halves, betas, cycle, poly_pts, config):
             i = (i + 1) % n
         comp_roots.append(tuple(sorted(set(roots))))
         comp_plines.append(plines)
-    width = _strip_width(graph, comp_plines[0], comp_plines[1], poly_pts,
-                         config)
-    return AdmissibleDomain(kind="Strip", edge_ids=tree_ids,
-                            incident_rays=(ray_a, ray_b), width=width,
-                            boundary_roots=(comp_roots[0], comp_roots[1]),
-                            polygon=tuple(poly_pts))
+    return AdmissibleDomain(
+        kind="Strip", edge_ids=tree_ids, incident_rays=(ray_a, ray_b),
+        boundary_roots=(comp_roots[0], comp_roots[1]), polygon=tuple(poly_pts),
+        measure=partial(_strip_width, graph, *comp_plines, poly_pts, config))
 
 
 def _point_in_polygon(pts, z: complex) -> bool:

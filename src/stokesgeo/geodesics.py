@@ -19,8 +19,9 @@ each once, at t* = t0 + T (the mutation method for the BPS spectra of the
 A_{d-1} theories, Alim-Cecotti-Cordova-Espahbodi-Rastogi-Vafa,
 arXiv:1112.3984; strip decompositions as in Bridgeland-Smith,
 arXiv:1302.7030).  A class's pair is the two roots of odd degree in its
-support on the strip tree.  Each is then traced once at its pair's
-candidate angle, which is the output geodesic.
+support on the strip tree, and its period is e^{-it0} sum_s n_s Z_s over
+its coefficients n_s.  Each is then traced once at its pair's candidate
+angle, which is the output geodesic.
 
 No trajectory from a simple zero returns to it: the Teichmueller defect
 of such a monogon is 1 - 3 theta/(2 pi) - 2 < 0.
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from .config import DEFAULT_CONFIG, RunConfig
 from .domains import build_face_set, cross_strip
 from .errors import NonGenericError, NumericalError
-from .pathint import pairwise_periods, root_to_root_period
+from .pathint import pairwise_periods, period_sign_flips
 from .polynomial import (ComplexPolynomial, PolyContext, turning_points,
                          wrap_angle, wrap_positive)
 from .tracer import (HitTurningPoint, build_stokes_graph,
@@ -75,27 +76,25 @@ def candidate_angles(poly: ComplexPolynomial,
     return out
 
 
-def verify_geodesic(poly: ComplexPolynomial, pair, t: float,
+def verify_geodesic(poly: ComplexPolynomial, pair, t: float, period: complex,
                     config: RunConfig = DEFAULT_CONFIG) -> ShortGeodesic | None:
     """Trace the Stokes lines of e^{2it} P from the lower root of ``pair``,
-    stopping at the first that hits the other: that line is the geodesic.
-    None when no line hits it.
+    stopping at the first that hits the other: that line is the geodesic,
+    with ``period`` (its class's; the polyline is not integrated).  None
+    when no line hits it.
 
     Raises NonGenericError when no line hits the partner but one lands on
     a third turning point (a simultaneous connection at this t).
     """
     a, b = pair = (min(pair), max(pair))
-    ctx = PolyContext.of(poly, config)
-    rot = ctx.rotate(t)
+    rot = PolyContext.of(poly, config).rotate(t)
     third = None
     for theta in emanating_directions(rot.poly, rot.locs[a], rot.mults[a]):
         pl, fate = trace_stokes_line(rot.poly, a, theta, context=rot)
         if isinstance(fate, HitTurningPoint):
             if fate.target == b:
                 return ShortGeodesic(pair=pair, t_star=wrap_positive(t, PI),
-                                     period=root_to_root_period(ctx, pl,
-                                                                a, b)[0],
-                                     polyline=tuple(pl))
+                                     period=period, polyline=tuple(pl))
             if fate.target != a:
                 third = fate.target
     if third is not None:
@@ -260,12 +259,15 @@ def survey_short_geodesics(poly: ComplexPolynomial,
 
     for T, n in _half_turn(periods, B, t0):
         pair = _class_pair(sides, n)
+        period = cmath.exp(-1j * t0) * sum(c * p for c, p in zip(n, periods))
+        if period_sign_flips(period):
+            period = -period
         t_star = wrap_positive(t0 + T, PI)
         t = t_cand[pair]
         if abs(wrap_angle(t - t_star, PI)) > 1e-9:
             t = t_star
         try:
-            geo = verify_geodesic(poly, pair, t, config)
+            geo = verify_geodesic(poly, pair, t, period, config)
         except NonGenericError as exc:
             survey.errors.append((pair, str(exc)))
             continue

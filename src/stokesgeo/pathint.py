@@ -494,16 +494,21 @@ def pair_path(poly, locations, i: int, j: int, delta: float):
 
 def root_to_root_period(ctx: PolyContext, verts, i: int, j: int):
     """Integral of sqrt(P) along ``verts``, which runs from root i to root
-    j, signed so that Im >= 0 (a real value so that Re > 0).  Returns it
-    with the branch of sqrt(P) at the first interior vertex."""
+    j, signed by ``period_sign_flips``.  Returns it with the branch of
+    sqrt(P) at the first interior vertex."""
     (value,), branch, _ = integrate_polyline(
         ctx.poly, ctx.locs, verts, rel_tol=ctx.config.quad_rel_tol,
         start=(verts[0], ctx.mults[i]), end=(verts[-1], ctx.mults[j]))
-    if abs(value.imag) <= 1e-12 * abs(value):
-        flip = value.real < 0
-    else:
-        flip = value.imag < 0
+    flip = period_sign_flips(value)
     return (-value, -branch[0]) if flip else (value, branch[0])
+
+
+def period_sign_flips(value: complex) -> bool:
+    """Whether the sign convention of periods, Im > 0 (Re > 0 when Im
+    vanishes to 1e-12 relative), negates ``value``."""
+    if abs(value.imag) <= 1e-12 * abs(value):
+        return value.real < 0
+    return value.imag < 0
 
 
 def period_for_pair(poly: ComplexPolynomial, i: int, j: int,

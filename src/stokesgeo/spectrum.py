@@ -25,8 +25,9 @@ import numpy as np
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ClearanceError, NonGenericError, NumericalError
 from .geodesics import GeodesicSurvey, ShortGeodesic, survey_short_geodesics
-from .pathint import (alpha_contour_integrals, build_stadium, contour_integral,
-                      min_clearance, sqrt_density, winding_number)
+from .pathint import (BranchWalker, alpha_densities, build_stadium,
+                      contour_integral, min_clearance, sqrt_density,
+                      winding_number)
 from .polynomial import ComplexPolynomial, PolyContext, stokes_sectors
 from .tracer import build_stokes_graph
 
@@ -106,23 +107,41 @@ def _loop_contour(ctx: PolyContext, geodesic: ShortGeodesic):
         f"could not build a loop contour around pair {geodesic.pair}")
 
 
+def _loop_sign(ctx: PolyContext, geodesic: ShortGeodesic, contour) -> int:
+    """+-1: the integral of sqrt(P) around ``contour`` from the principal
+    branch at contour[0] is +-2 period.  Half of it is w dz along the
+    geodesic on the contour's branch beside its right side, so the branch
+    is carried along the contour, without quadrature, to the right-side
+    vertex nearest a mid-geodesic point p and across to p."""
+    pl = geodesic.polyline
+    k = len(pl) // 2
+    p, tangent = 0.5 * (pl[k - 1] + pl[k]), pl[k] - pl[k - 1]
+    right = [i for i, v in enumerate(contour) if ((v - p) / tangent).imag < 0]
+    stop = min(right, key=lambda i: abs(contour[i] - p))
+    walker = BranchWalker(ctx.poly, ctx.locs, contour[0],
+                          cmath.sqrt(ctx.poly.evaluate(contour[0])))
+    for v in contour[1:stop + 1] + [p]:
+        w = walker.advance(v)
+    return 1 if (w * tangent * geodesic.period.conjugate()).real > 0 else -1
+
+
 def accumulation_rays(poly: ComplexPolynomial,
                       config: RunConfig = DEFAULT_CONFIG,
                       survey: GeodesicSurvey | None = None) -> list[AccumulationRay]:
     """One ray per verified short geodesic; the ray angle is the geodesic's
     connection angle and the loop period is the integral of sqrt(P) around
-    a stadium contour enclosing only the two endpoints."""
+    a stadium contour enclosing only the two endpoints, from the principal
+    branch at its first vertex: +-2 period, with no quadrature."""
     if survey is None:
         survey = survey_short_geodesics(poly, config)
     ctx = PolyContext.of(poly, config)
     rays = []
     for geo in survey.geodesics:
         contour = _loop_contour(ctx, geo)
-        (loop,) = contour_integral(poly, contour, [sqrt_density],
-                                   ctx.locs, rel_tol=config.quad_rel_tol)
-        rays.append(AccumulationRay(angle=geo.t_star, geodesic=geo,
-                                    loop_period=loop,
-                                    contour=tuple(contour)))
+        rays.append(AccumulationRay(
+            angle=geo.t_star, geodesic=geo,
+            loop_period=2 * _loop_sign(ctx, geo, contour) * geo.period,
+            contour=tuple(contour)))
     rays.sort(key=lambda r: r.angle)
     return rays
 
@@ -131,7 +150,10 @@ def eigenvalue_asymptotics(poly: ComplexPolynomial, ray: AccumulationRay,
                            n_min: int, n_max: int, order: int = 0,
                            config: RunConfig = DEFAULT_CONFIG) -> list[EigenvalueEstimate]:
     """Eigenvalue estimates along one accumulation ray by fixed-point
-    iteration of the quantization relation, to ``order`` correction terms."""
+    iteration of the quantization relation, to ``order`` correction terms.
+    Their contour walk also integrates sqrt(P), since the odd ones share
+    L's branch: NumericalError if that differs from ``ray.loop_period`` by
+    more than 1e-9 (or quad_rel_tol) relative."""
     if order < 0:
         raise ValueError("order must be >= 0")
     # the n_min term orients L, and only n >= 0 lies on the forward ray
@@ -140,8 +162,15 @@ def eigenvalue_asymptotics(poly: ComplexPolynomial, ray: AccumulationRay,
     L = ray.loop_period
     corrections = []
     if order > 0:
-        alphas = alpha_contour_integrals(poly, ray.contour, order, config)
-        corrections = list(alphas[1:order + 1])
+        *alphas, loop = contour_integral(
+            poly, ray.contour, alpha_densities(poly, order) + [sqrt_density],
+            PolyContext.of(poly, config).locs, rel_tol=config.quad_rel_tol)
+        if abs(loop - L) > max(1e-9, config.quad_rel_tol) * abs(L):
+            raise NumericalError(
+                f"pair {ray.geodesic.pair}, ray angle {ray.angle:.12f}: the "
+                f"correction walk gives L = {loop}, the ray carries {L}",
+                residuals=[abs(loop - L) / abs(L)])
+        corrections = alphas[1:order + 1]
 
     lead = 1j * (TWO_PI * n_min + math.pi) / L
     if (lead * cmath.exp(-1j * ray.angle)).real <= 0.0:

@@ -1,7 +1,9 @@
+import random
+
 import numpy as np
 import pytest
 
-from stokesgeo import ComplexPolynomial, parse_poly_text
+from stokesgeo import ComplexPolynomial, accumulation_rays, parse_poly_text
 
 
 def random_simple_poly(rng, d, min_sep=0.5, radius=1.5):
@@ -14,6 +16,28 @@ def random_simple_poly(rng, d, min_sep=0.5, radius=1.5):
         if all(abs(roots[i] - roots[j]) >= min_sep
                for i in range(d) for j in range(i + 1, d)):
             return ComplexPolynomial.from_roots(1.0, roots)
+
+
+def stream_polys(seed, per_degree):
+    """The first ``per_degree`` polynomials of each degree of the
+    criterion-3 stream ``seed``, which draws 50 per degree."""
+    rng = random.Random(seed)
+    out = []
+    for d in (3, 4, 5):
+        polys = [random_simple_poly(rng, d, min_sep=0.5, radius=1.5)
+                 for _ in range(50)]
+        out.extend(polys[:per_degree])
+    return out
+
+
+@pytest.fixture(scope="session")
+def stream_rays():
+    """(poly, rays) for the first 5 polynomials per degree of the
+    criterion-3 streams 20260808 and 1.  Entry 3, the 4th cubic of
+    20260808, has a stadium of 37 vertices: its clearance is about as long
+    as its geodesic."""
+    return [(poly, accumulation_rays(poly))
+            for seed in (20260808, 1) for poly in stream_polys(seed, 5)]
 
 
 def moving_zero_wronskian(zero):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from stokesgeo import (NonGenericError, build_face_set, build_stokes_graph,
-                       chord_diagram, parse_poly_text)
+                       chord_diagram, domains, parse_poly_text)
 from stokesgeo.domains import chords_cross
 from tests.conftest import random_simple_poly
 
@@ -68,6 +68,21 @@ def test_random_cubic_pentagon():
         for (i, j), w in diag.chords:
             assert (j - i) % 5 not in (0, 1, 4)
             assert w > 0
+
+
+def test_chord_diagram_integrates_each_width_once(monkeypatch):
+    # building a face set integrates no width; the diagram reads each
+    # strip's once, d - 1 per member of the pair
+    members = []
+    strip_width = domains._strip_width
+
+    def counted(graph, *args):
+        members.append(graph.poly)
+        return strip_width(graph, *args)
+    monkeypatch.setattr(domains, "_strip_width", counted)
+    p = random_simple_poly(random.Random(321), 3)
+    chord_diagram(p)
+    assert [members.count(m) for m in dict.fromkeys(members)] == [2, 2]
 
 
 def test_chords_cross_predicate():

@@ -1,19 +1,19 @@
 import cmath
 import math
-import random
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from stokesgeo import geodesics, tracer
+from stokesgeo import domains, geodesics, tracer
 from stokesgeo import (ComplexPolynomial, HitTurningPoint, NonGenericError,
                        NumericalError, PsiPolygon, ShortGeodesic,
                        candidate_angles, enumerate_short_geodesics,
                        re_xi_drift, survey_short_geodesics,
                        teichmuller_defect, verify_geodesic)
+from stokesgeo.pathint import root_to_root_period
 from stokesgeo.polynomial import PolyContext
-from tests.conftest import random_simple_poly
+from tests.conftest import stream_polys
 
 PI = math.pi
 
@@ -54,16 +54,43 @@ def test_candidates_odd_cubic(cubic_odd):
 
 
 def test_verify_oscillator_connection(osc):
-    geo = verify_geodesic(osc, (0, 1), 0.0)
+    geo = verify_geodesic(osc, (0, 1), 0.0, 1j * PI / 2)
     assert isinstance(geo, ShortGeodesic)
     assert abs(geo.t_star) < 1e-12
     assert max(abs(z.imag) for z in geo.polyline) < 1e-6
+    # the period is the survey's, from the class of the mutation walk
+    (geo,) = survey_short_geodesics(osc).geodesics
     assert geo.period == pytest.approx(1j * PI / 2, abs=1e-9)
+
+
+def test_periods_match_the_traced_walk(stream_rays):
+    # the class period e^{-it0} sum n_s Z_s is the walk of sqrt(P) along
+    # the traced geodesic, sign included
+    for poly, rays in stream_rays:
+        ctx = PolyContext.of(poly)
+        for ray in rays:
+            geo = ray.geodesic
+            walked, _ = root_to_root_period(ctx, geo.polyline, *geo.pair)
+            assert abs(geo.period - walked) <= 1e-12 * abs(walked)
+
+
+def test_survey_integrates_no_strip_width(monkeypatch):
+    widths = []
+    strip_width = domains._strip_width
+
+    def counted(*args):
+        widths.append(args)
+        return strip_width(*args)
+    monkeypatch.setattr(domains, "_strip_width", counted)
+    for poly in stream_polys(20260808, 1):
+        survey = survey_short_geodesics(poly)
+        assert len(survey.geodesics) >= poly.degree - 1
+    assert widths == []
 
 
 def test_direct_hit_stops_tracing_at_the_hit(cubic_unity, monkeypatch):
     pair = (0, 1)
-    t = {p: t for p, t, _ in candidate_angles(cubic_unity)}[pair]
+    t, per = {p: (t, per) for p, t, per in candidate_angles(cubic_unity)}[pair]
     fates = []
     trace = geodesics.trace_stokes_line
 
@@ -72,7 +99,7 @@ def test_direct_hit_stops_tracing_at_the_hit(cubic_unity, monkeypatch):
         fates.append(fate)
         return pl, fate
     monkeypatch.setattr(geodesics, "trace_stokes_line", spy)
-    geo = verify_geodesic(cubic_unity, pair, t)
+    geo = verify_geodesic(cubic_unity, pair, t, per.value)
     assert isinstance(geo, ShortGeodesic) and geo.pair == pair
     # the first of the three traces hits the partner, and none runs after it
     assert len(fates) == 1
@@ -83,7 +110,7 @@ def test_direct_hit_stops_tracing_at_the_hit(cubic_unity, monkeypatch):
 def test_verify_oscillator_miss_recovers_connection(osc):
     # the traces at 0.3 miss the partner; the survey's mutation walk puts
     # the connection at t* = 0
-    assert verify_geodesic(osc, (0, 1), 0.3) is None
+    assert verify_geodesic(osc, (0, 1), 0.3, 1j * PI / 2) is None
     (geo,) = survey_short_geodesics(osc).geodesics
     assert geo.pair == (0, 1)
     assert _mod_pi_dist(geo.t_star, 0.0) <= 1e-10
@@ -91,9 +118,10 @@ def test_verify_oscillator_miss_recovers_connection(osc):
 
 def test_verify_odd_cubic_blocked_pair(cubic_odd):
     # (0, 2) is blocked by root 1: its candidate angle connects nothing
-    cands = {pair: t for pair, t, _ in candidate_angles(cubic_odd)}
+    cands = {pair: (t, per.value)
+             for pair, t, per in candidate_angles(cubic_odd)}
     try:
-        res = verify_geodesic(cubic_odd, (0, 2), cands[(0, 2)])
+        res = verify_geodesic(cubic_odd, (0, 2), *cands[(0, 2)])
     except NonGenericError:
         return
     assert res is None
@@ -165,7 +193,7 @@ def test_survey_below_lower_bound_raises(cubic_unity, monkeypatch):
     # a survey must not report a short count: a state of the mutation walk
     # whose trace misses its partner is a numerical failure that names the
     # pair, t* and the class
-    def miss(poly, pair, t, config):
+    def miss(poly, pair, t, period, config):
         return None
 
     monkeypatch.setattr(geodesics, "verify_geodesic", miss)
@@ -178,24 +206,12 @@ def test_survey_below_lower_bound_raises(cubic_unity, monkeypatch):
 
 def test_survey_below_lower_bound_non_generic(cubic_unity, monkeypatch):
     # a non-generic candidate explains the short count
-    def land_on_third_root(poly, pair, t, config):
+    def land_on_third_root(poly, pair, t, period, config):
         raise NonGenericError("trace lands on a third root")
 
     monkeypatch.setattr(geodesics, "verify_geodesic", land_on_third_root)
     with pytest.raises(NonGenericError, match="fewer than the d-1 = 2"):
         survey_short_geodesics(cubic_unity)
-
-
-def _stream(seed, per_degree):
-    """The first ``per_degree`` polynomials of each degree of the
-    criterion-3 stream ``seed``, which draws 50 per degree."""
-    rng = random.Random(seed)
-    out = []
-    for d in (3, 4, 5):
-        polys = [random_simple_poly(rng, d, min_sep=0.5, radius=1.5)
-                 for _ in range(50)]
-        out.extend(polys[:per_degree])
-    return out
 
 
 def _count_traces(monkeypatch):
@@ -219,7 +235,7 @@ def _count_traces(monkeypatch):
 def test_survey_work_does_not_depend_on_root_labels(monkeypatch):
     # turning the roots of a cubic by 2 pi k / 5 maps P dz^2 to itself and
     # only relabels the roots
-    base = PolyContext.of(_stream(20260808, 1)[0]).locs
+    base = PolyContext.of(stream_polys(20260808, 1)[0]).locs
     counts = _count_traces(monkeypatch)
     reference, labels = None, set()
     for k in range(5):
@@ -262,7 +278,7 @@ REFERENCE_PAIRS = (
 
 def test_survey_pairs_follow_the_exchange_matrix_orientation(cubic_odd):
     # the other sign of B leaves different classes on 12 of these 13
-    for poly, pairs in zip(_stream(20260808, 4) + [cubic_odd],
+    for poly, pairs in zip(stream_polys(20260808, 4) + [cubic_odd],
                            REFERENCE_PAIRS):
         survey = survey_short_geodesics(poly)
         assert sorted(g.pair for g in survey.geodesics) == pairs
@@ -297,7 +313,7 @@ def _record_decompositions(monkeypatch):
 def test_start_angle_moves_to_next_gap(monkeypatch):
     # the 49th quintic of stream 1 has no interior crossing of a strip at
     # the widest gap, and a generic decomposition at the next
-    poly = _stream(1, 49)[2 * 49 + 48]
+    poly = stream_polys(1, 49)[2 * 49 + 48]
     outcomes = _record_decompositions(monkeypatch)
     survey = survey_short_geodesics(poly)
     assert outcomes == ["no interior crossing segment found", "generic"]
@@ -331,7 +347,7 @@ def test_start_angles_skip_coinciding_candidates():
 
 
 def test_survey_traces_at_t_star_when_candidate_is_off(monkeypatch):
-    poly = _stream(20260808, 1)[0]
+    poly = stream_polys(20260808, 1)[0]
     expected = {g.pair: g.t_star
                 for g in survey_short_geodesics(poly).geodesics}
     moved = min(expected)

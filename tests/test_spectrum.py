@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -8,9 +9,10 @@ import pytest
 from stokesgeo import (NumericalError, accumulation_rays,
                        eigenvalue_asymptotics, enumerate_short_geodesics,
                        parse_poly_text, subdominant_solution,
-                       wronskian_eigenvalue_search)
+                       survey_short_geodesics, wronskian_eigenvalue_search)
+from stokesgeo.pathint import contour_integral, sqrt_density
 from stokesgeo.spectrum import wronskian_sectors
-from stokesgeo import polynomial, spectrum
+from stokesgeo import pathint, polynomial, spectrum
 from stokesgeo.config import DEFAULT_CONFIG
 from stokesgeo.polynomial import PolyContext
 from tests.conftest import moving_zero_wronskian
@@ -25,13 +27,45 @@ def test_single_ray_oscillator(osc):
     assert abs(rays[0].loop_period) == pytest.approx(PI, abs=1e-8)
 
 
-def test_loop_period_is_twice_the_period(osc, cubic_unity):
-    for poly in (osc, cubic_unity):
-        for ray in accumulation_rays(poly):
-            w = ray.geodesic.period
-            err = min(abs(ray.loop_period - 2 * w),
-                      abs(ray.loop_period + 2 * w))
-            assert err <= 1e-8 * 2 * abs(w)
+def test_loop_period_matches_the_contour_walk(stream_rays):
+    # L = +-2 period, signed by a branch-only walk, is the quadrature walk
+    # of the stadium from the principal branch at its first vertex, which
+    # the odd corrections share; entry 3 is the short stadium
+    assert min(len(ray.contour) for ray in stream_rays[3][1]) == 37
+    for poly, rays in stream_rays:
+        locs = PolyContext.of(poly).locs
+        for ray in rays:
+            (walked,) = contour_integral(poly, ray.contour, [sqrt_density],
+                                         locs)
+            assert abs(ray.loop_period - walked) <= 1e-12 * abs(walked)
+
+
+def test_rays_integrate_nothing(cubic_unity, monkeypatch):
+    survey = survey_short_geodesics(cubic_unity)
+    chords = []
+    for name in ("integrate_chord", "integrate_chord_from_root"):
+        def counted(*args, _chord=getattr(pathint, name), **kwargs):
+            chords.append(args)
+            return _chord(*args, **kwargs)
+        monkeypatch.setattr(pathint, name, counted)
+    rays = accumulation_rays(cubic_unity, survey=survey)
+    assert len(rays) == 3 and chords == []
+    # the corrections do walk the contour, through the same spies
+    eigenvalue_asymptotics(cubic_unity, rays[0], 1, 1, order=1)
+    assert chords
+
+
+def test_corrections_refuse_a_flipped_loop_period(cubic_unity):
+    ray = accumulation_rays(cubic_unity)[0]
+    eigenvalue_asymptotics(cubic_unity, ray, 1, 2, order=1)
+    flipped = replace(ray, loop_period=-ray.loop_period)
+    with pytest.raises(NumericalError, match=re.escape(
+            f"pair {ray.geodesic.pair}, ray angle {ray.angle:.12f}: the "
+            "correction walk gives L")):
+        eigenvalue_asymptotics(cubic_unity, flipped, 1, 2, order=1)
+    # order 0 reads L alone and orients it by the ray
+    assert eigenvalue_asymptotics(cubic_unity, flipped, 1, 2) == (
+        eigenvalue_asymptotics(cubic_unity, ray, 1, 2))
 
 
 def test_three_rays_cubic(cubic_unity):
