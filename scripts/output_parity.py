@@ -10,7 +10,8 @@ agree bit for bit.  The outputs are
   (pairs, t*, periods, polylines) and its errors and warnings, then the
   accumulation rays, their correction integrals alpha_0..alpha_3, order-0
   estimates for n = 1..5 and order-3 estimates for n = 1..3, the pairwise
-  periods and the ``re_xi_drift`` of each geodesic polyline;
+  periods (pair, path and value of each) and the ``re_xi_drift`` of each
+  geodesic polyline;
 - ``chord_diagram`` on as many polynomials of the chord stream 5150, and
   ``is_very_flat`` there as its flag, its cuts and its visible-pair count
   (the projected float nodes are left out);
@@ -94,7 +95,8 @@ def main():
         fingerprint(f"estimates3[{label}]",
                     [eigenvalue_asymptotics(poly, ray, 1, 3, order=3)
                      for ray in rays])
-        fingerprint(f"periods[{label}]", pairwise_periods(poly))
+        fingerprint(f"periods[{label}]", [(p.pair, p.path, p.value)
+                                          for p in pairwise_periods(poly)])
         fingerprint(f"drift[{label}]",
                     [re_xi_drift(poly.rotate(g.t_star), g.polyline)
                      for g in survey.geodesics])

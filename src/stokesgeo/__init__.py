@@ -11,15 +11,13 @@ from .geodesics import (GeodesicSurvey, PsiPolygon, ShortGeodesic,
                         candidate_angles, count_short_geodesics,
                         enumerate_short_geodesics, survey_short_geodesics,
                         teichmuller_defect, verify_geodesic)
-from .pathint import (BranchedPath, Period, alpha_contour_integrals,
-                      canonical_parameter_integral, pairwise_periods,
-                      re_xi_drift, sqrt_continuation, winding_number)
+from .pathint import (Period, alpha_contour_integrals, pairwise_periods,
+                      re_xi_drift, winding_number)
 from .polynomial import (ComplexPolynomial, StokesSectorSet, TurningPointSet,
                          format_poly_text, parse_poly_json, parse_poly_text,
                          stokes_sectors, turning_points)
 from .spectrum import (AccumulationRay, EigenvalueEstimate,
-                       SubdominantSolution, accumulation_rays,
-                       eigenvalue_asymptotics, subdominant_solution,
+                       accumulation_rays, eigenvalue_asymptotics,
                        wronskian_eigenvalue_search)
 from .strips import (ChoppedStrip, ExactTieError, VeryFlatResult,
                      is_very_flat, realize_count, visible_pairs)

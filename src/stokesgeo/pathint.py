@@ -103,10 +103,6 @@ class BranchWalker:
         return w0
 
 
-def _principal_seed(poly: ComplexPolynomial, z: complex) -> complex:
-    return cmath.sqrt(poly.evaluate(z))
-
-
 # --- adaptive chord quadrature ---------------------------------------------
 
 def _panel_values(walker: BranchWalker, z0, z1, sa, sb, densities):
@@ -275,14 +271,6 @@ def integrate_chord_from_root(poly, roots, root, mult, z1, w1,
 
 # --- polyline-level API -----------------------------------------------------
 
-@dataclass(frozen=True)
-class BranchedPath:
-    """Continuously branched sqrt(P) samples along a path."""
-
-    samples: tuple[tuple[complex, complex], ...]
-    total_integral: complex
-
-
 def polyline_length(vertices) -> float:
     return sum(abs(vertices[k + 1] - vertices[k]) for k in range(len(vertices) - 1))
 
@@ -310,11 +298,6 @@ def _check_clearance(vertices, roots, delta):
         raise ClearanceError(f"path clearance below delta_path = {delta:.3e}")
 
 
-def _context(poly: ComplexPolynomial, config: RunConfig) -> PolyContext | None:
-    """Context of ``poly``; a constant potential has no turning points."""
-    return PolyContext.of(poly, config) if poly.degree >= 1 else None
-
-
 def _root_end(v: complex, points, tol: float):
     """(root, multiplicity) of the turning point that ``v`` sits on, else None."""
     for r, m in points:
@@ -327,19 +310,19 @@ def sqrt_density(z, w):
     return w
 
 
-def integrate_polyline(poly, roots, verts, w=None, densities=(sqrt_density,),
+def integrate_polyline(poly, roots, verts, densities=(sqrt_density,),
                        rel_tol=1e-9, abs_floor=1e-13, start=None, end=None):
     """Branch-tracked integrals of each density f(z, w) dz along the
-    polyline ``verts``, from one walk.
+    polyline ``verts``, from one walk that starts on the principal value
+    of sqrt(P) at the first regular vertex.
 
     ``roots`` are the turning-point locations that bound the branch
-    continuation steps, and ``w`` is the branch of sqrt(P) at the first
-    regular vertex (None takes the principal value there).  ``start`` and
-    ``end`` are (root, multiplicity) pairs when the first or last vertex is
-    that turning point; the chord at such an end is integrated by the
-    singular endpoint rule, which supports the single density sqrt(P)
-    only, and a two-vertex path gets its midpoint as the regular vertex.
-    ``abs_floor`` applies to the regular chords.
+    continuation steps.  ``start`` and ``end`` are (root, multiplicity)
+    pairs when the first or last vertex is that turning point; the chord at
+    such an end is integrated by the singular endpoint rule, which supports
+    the single density sqrt(P) only, and a two-vertex path gets its
+    midpoint as the regular vertex.  ``abs_floor`` applies to the regular
+    chords.
 
     Returns (totals, branch values at the regular vertices, running totals
     after each chord), with one total per density.
@@ -348,7 +331,7 @@ def integrate_polyline(poly, roots, verts, w=None, densities=(sqrt_density,),
         verts = [verts[0], 0.5 * (verts[0] + verts[1]), verts[1]]
     first = 1 if start is not None else 0
     last = len(verts) - 2 if end is not None else len(verts) - 1
-    w = _principal_seed(poly, verts[first]) if w is None else complex(w)
+    w = cmath.sqrt(poly.evaluate(verts[first]))
     branch = [w]
     running = []
     totals = [0j] * len(densities)
@@ -371,71 +354,6 @@ def integrate_polyline(poly, roots, verts, w=None, densities=(sqrt_density,),
     return totals, branch, running
 
 
-def sqrt_continuation(poly: ComplexPolynomial, path, seed: complex,
-                      config: RunConfig = DEFAULT_CONFIG) -> BranchedPath:
-    """Continuous branch of sqrt(P) along a polyline, with its integral.
-
-    ``seed`` must square to P at the first vertex and the path must clear
-    every turning point by delta_path.
-    """
-    verts = [complex(v) for v in path]
-    if len(verts) < 2:
-        raise ValueError("path needs at least two vertices")
-    p_start = poly.evaluate(verts[0])
-    if abs(seed * seed - p_start) > 1e-6 * (1.0 + abs(p_start)):
-        raise BranchError("seed does not square to P at the path start")
-    ctx = _context(poly, config)
-    roots = ctx.locs if ctx else ()
-    if ctx:
-        _check_clearance(verts, roots, ctx.scales.delta_path)
-    (total,), branch, _ = integrate_polyline(poly, roots, verts, seed,
-                                             rel_tol=config.quad_rel_tol)
-    return BranchedPath(samples=tuple(zip(verts, branch)), total_integral=total)
-
-
-def canonical_parameter_integral(poly: ComplexPolynomial, path,
-                                 seed: complex | None = None,
-                                 config: RunConfig = DEFAULT_CONFIG) -> complex:
-    """Integral of sqrt(P) dz along the path, branch pinned by ``seed``.
-
-    Paths may start or end exactly at a turning point; the square-root
-    singularity there is absorbed by reparametrization, and the seed then
-    pins the branch at the first regular vertex (``None`` takes the
-    principal value there).
-    """
-    verts = [complex(v) for v in path]
-    if len(verts) < 2:
-        raise ValueError("path needs at least two vertices")
-    ctx = _context(poly, config)
-    points = ctx.tps.points if ctx else ()
-    start = _root_end(verts[0], points, 1e-12)
-    end = _root_end(verts[-1], points, 1e-12)
-    if start is None and end is None:
-        if seed is None:
-            seed = _principal_seed(poly, verts[0])
-        return sqrt_continuation(poly, verts, seed, config).total_integral
-
-    # the regular vertices must clear every turning point but the ends
-    ends = [e[0] for e in (start, end) if e is not None]
-    _check_clearance(verts[start is not None:len(verts) - (end is not None)],
-                     [r for r in ctx.locs if r not in ends],
-                     ctx.scales.delta_path)
-    (total,), branch, _ = integrate_polyline(poly, ctx.locs, verts,
-                                             rel_tol=config.quad_rel_tol,
-                                             start=start, end=end)
-    # the seed pins the branch at the path's first regular vertex, the
-    # last one of a two-vertex path from a turning point (its midpoint
-    # comes first); negating the seed negates every branch value and sum
-    w = branch[0]
-    if len(verts) == 2 and end is None:
-        w = branch[-1]
-        if seed is None:
-            seed = _principal_seed(poly, verts[1])
-    if seed is not None and (seed.real * w.real + seed.imag * w.imag) < 0.0:
-        total = -total
-    return total
-
-
 @dataclass(frozen=True)
 class Period:
     """Branch-tracked integral of sqrt(P) between two turning points."""
@@ -443,7 +361,6 @@ class Period:
     pair: tuple[int, int]
     path: tuple[complex, ...]
     value: complex
-    branch_seed: complex
 
 
 def pair_path(poly, locations, i: int, j: int, delta: float):
@@ -494,13 +411,11 @@ def pair_path(poly, locations, i: int, j: int, delta: float):
 
 def root_to_root_period(ctx: PolyContext, verts, i: int, j: int):
     """Integral of sqrt(P) along ``verts``, which runs from root i to root
-    j, signed by ``period_sign_flips``.  Returns it with the branch of
-    sqrt(P) at the first interior vertex."""
-    (value,), branch, _ = integrate_polyline(
+    j, signed by ``period_sign_flips``."""
+    (value,), _, _ = integrate_polyline(
         ctx.poly, ctx.locs, verts, rel_tol=ctx.config.quad_rel_tol,
         start=(verts[0], ctx.mults[i]), end=(verts[-1], ctx.mults[j]))
-    flip = period_sign_flips(value)
-    return (-value, -branch[0]) if flip else (value, branch[0])
+    return -value if period_sign_flips(value) else value
 
 
 def period_sign_flips(value: complex) -> bool:
@@ -519,8 +434,8 @@ def period_for_pair(poly: ComplexPolynomial, i: int, j: int,
     verts = pair_path(poly, locs, i, j, delta)
     _check_clearance(verts, [r for k, r in enumerate(locs) if k not in (i, j)],
                      delta)
-    value, seed = root_to_root_period(ctx, verts, i, j)
-    return Period(pair=(i, j), path=tuple(verts), value=value, branch_seed=seed)
+    return Period(pair=(i, j), path=tuple(verts),
+                  value=root_to_root_period(ctx, verts, i, j))
 
 
 def pairwise_periods(poly: ComplexPolynomial,
@@ -656,9 +571,10 @@ def alpha_contour_integrals(poly: ComplexPolynomial, contour, j_max: int,
     verts = [complex(v) for v in contour]
     if abs(verts[0] - verts[-1]) > 1e-9 * (1.0 + abs(verts[0])):
         raise ValueError("contour is not closed")
-    ctx = _context(poly, config)
-    roots = ctx.locs if ctx else ()
-    if ctx:
+    roots = ()
+    if poly.degree >= 1:
+        ctx = PolyContext.of(poly, config)
+        roots = ctx.locs
         _check_clearance(verts, roots, ctx.scales.delta_path)
         enclosed = sum(m * winding_number(verts, r) for r, m in ctx.tps.points)
         if enclosed % 2 != 0:

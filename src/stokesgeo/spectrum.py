@@ -58,23 +58,6 @@ class EigenvalueEstimate:
     monotone: bool = True     # residuals non-increasing after the 2nd step
 
 
-@dataclass(frozen=True)
-class SubdominantSolution:
-    """Solution decaying in one Stokes sector, integrated inward to the
-    matching point z = 0.  ``value`` and ``derivative`` carry the common
-    factor exp(logscale); ``decay_samples`` are log|y| at the start and
-    after every integration step."""
-
-    sector: int
-    lam: complex
-    start: complex
-    value: complex
-    derivative: complex
-    logscale: float
-    decay_samples: tuple[float, ...]
-    steps: int
-
-
 def _loop_contour(ctx: PolyContext, geodesic: ShortGeodesic):
     """Stadium around the geodesic enclosing only its two endpoints.
 
@@ -414,23 +397,6 @@ def wronskian_sectors(poly: ComplexPolynomial, ray: AccumulationRay,
     return tuple(sorted(pair))
 
 
-def subdominant_solution(poly: ComplexPolynomial, lam: complex,
-                         sector_index: int,
-                         config: RunConfig = DEFAULT_CONFIG) -> SubdominantSolution:
-    """Construct the solution subdominant in one Stokes sector of
-    lambda^2 P and integrate it inward to the matching point z = 0."""
-    scale = 1.0 + PolyContext.of(poly, config).scales.max_modulus
-    z0 = _sector_ray(poly, sector_index, lam, scale)
-    y, yp, logscale, steps, decay = _integrate_inward(
-        poly, [lam], [z0], 0j, config.ode_rel_tol)
-    return SubdominantSolution(sector=sector_index, lam=lam, start=z0,
-                               value=complex(y[0, 0]),
-                               derivative=complex(yp[0, 0]),
-                               logscale=float(logscale[0, 0]),
-                               decay_samples=tuple(map(float, decay[:, 0, 0])),
-                               steps=steps)
-
-
 def _wronskian_batch(poly, lams, sectors, config, rtol, lam_ref=None):
     """Scaled Wronskian of the two subdominant solutions at the matching
     point z = 0; the dropped factor exp(s1+s2) is real positive, so zeros
@@ -455,9 +421,14 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
     rectangle, located by argument-principle subdivision and polished by
     pole extraction on log W.
 
-    ``rect`` is (re_lo, re_hi, im_lo, im_hi); the two sectors must be
-    non-adjacent, otherwise the Wronskian has no zeros to find.
+    ``rect`` is (re_lo, re_hi, im_lo, im_hi), finite with re_lo < re_hi
+    and im_lo < im_hi; the two sectors must be non-adjacent, otherwise the
+    Wronskian has no zeros to find.
     """
+    re0, re1, im0, im1 = rect
+    if not (all(map(math.isfinite, rect)) and re0 < re1 and im0 < im1):
+        raise ValueError(f"bad rectangle {tuple(rect)}: need finite "
+                         "re_lo < re_hi and im_lo < im_hi")
     j1, j2 = sector_pair
     sectors = stokes_sectors(poly)
     if sectors.are_neighboring_rays(j1, j2):
@@ -581,7 +552,6 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
     lam = np.array(zeros, dtype=complex)
     nz = len(lam)
     u_est = np.full(nz, 0.1) * (1.0 + np.abs(lam))
-    re0, re1, im0, im1 = rect
 
     def pole_T_miss(u, delta, t_meas):
         """|pole_T(u) - t_meas| with the imaginary part taken mod 2 pi."""

@@ -146,6 +146,14 @@ def test_eigenvalues_wronskian_empty_search_fails(tmp_path, capsys,
     assert "sectors (0, 2)" in capsys.readouterr().err
 
 
+def test_eigenvalues_malformed_wronskian_rectangle(tmp_path, capsys):
+    code = run(["eigenvalues", "--poly", "1,0,-1", "--n", "0..0",
+                "--wronskian", "3.5,0.5,-1,1", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "error: bad rectangle (3.5, 0.5, -1.0, 1.0)")
+
+
 def test_numerical_failure_shows_residuals(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(spectrum, "_wronskian_batch",
                         moving_zero_wronskian(1.0))

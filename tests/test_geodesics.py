@@ -70,7 +70,7 @@ def test_periods_match_the_traced_walk(stream_rays):
         ctx = PolyContext.of(poly)
         for ray in rays:
             geo = ray.geodesic
-            walked, _ = root_to_root_period(ctx, geo.polyline, *geo.pair)
+            walked = root_to_root_period(ctx, geo.polyline, *geo.pair)
             assert abs(geo.period - walked) <= 1e-12 * abs(walked)
 
 

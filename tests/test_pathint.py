@@ -9,12 +9,12 @@ import hypothesis.strategies as st
 
 from stokesgeo import (BranchError, ClearanceError, ComplexPolynomial,
                        accumulation_rays, alpha_contour_integrals,
-                       canonical_parameter_integral,
-                       pairwise_periods, parse_poly_text, sqrt_continuation,
-                       turning_points, winding_number)
+                       pairwise_periods, parse_poly_text, turning_points,
+                       winding_number)
 from stokesgeo import pathint
 from stokesgeo.polynomial import PolyContext
-from stokesgeo.pathint import build_stadium, min_clearance, re_xi_drift
+from stokesgeo.pathint import (build_stadium, integrate_polyline,
+                               min_clearance, re_xi_drift)
 
 from tests.conftest import random_simple_poly
 
@@ -24,25 +24,39 @@ def circle(center, radius, n=129):
             for k in range(n)]
 
 
+def walk(poly, verts, start=None, end=None):
+    """(total of sqrt(P) dz, branch values) of ``integrate_polyline``."""
+    roots = [r for r, _ in turning_points(poly).points] if poly.degree else ()
+    (total,), branch, _ = integrate_polyline(poly, roots, verts, start=start,
+                                             end=end)
+    return total, branch
+
+
+def same_branch(w1, w2):
+    """+1 when w1 and w2 are the same value of sqrt(P), -1 when opposite."""
+    return 1 if (w1 * w2.conjugate()).real > 0 else -1
+
+
 # --- branch continuation -------------------------------------------------------
 
 def test_constant_potential():
     p = ComplexPolynomial((1 + 0j,))
-    bp = sqrt_continuation(p, [0, 1, 1 + 1j], 1.0)
-    assert all(w == 1 for _, w in bp.samples)
-    assert bp.total_integral == pytest.approx(1 + 1j)
+    total, branch = walk(p, [0, 1, 1 + 1j])
+    assert branch == [1, 1, 1]
+    assert total == pytest.approx(1 + 1j)
 
 
 def test_square_potential_single_valued():
     p = parse_poly_text("1,0,0")
-    bp = sqrt_continuation(p, circle(0, 1.0, 65), 1.0)
-    assert abs(bp.samples[-1][1] - 1.0) < 1e-12
+    _, branch = walk(p, circle(0, 1.0, 65))
+    assert abs(branch[0] - 1.0) < 1e-12 and abs(branch[-1] - 1.0) < 1e-12
 
 
 def test_sqrt_z_monodromy():
     p = parse_poly_text("1,0")
-    bp = sqrt_continuation(p, circle(0, 1.0, 65), 1.0)
-    assert abs(bp.samples[-1][1] + 1.0) < 1e-8
+    _, branch = walk(p, circle(0, 1.0, 65))
+    assert branch[0] == 1.0
+    assert abs(branch[-1] + 1.0) < 1e-8
 
 
 class _RecursiveWalker:
@@ -152,53 +166,60 @@ def test_walker_on_a_root_hits_the_depth_limit(cubic_unity):
         walker.advance(roots[0] + 0.5)
 
 
-def test_seed_mismatch_rejected():
-    p = parse_poly_text("1,0,0")
-    with pytest.raises(BranchError):
-        sqrt_continuation(p, [1.0, 2.0], 2.0)
-
-
 def test_clearance_enforced():
+    # the circle encloses both roots, so sqrt(P) is single-valued on it,
+    # but its vertex 1 + 0.5 delta_path passes too close to the root 1
     p = parse_poly_text("1,0,-1")
+    delta = PolyContext.of(p).scales.delta_path
     with pytest.raises(ClearanceError):
-        sqrt_continuation(p, [1.0 + 1e-9j, 1.5], cmath.sqrt(p.evaluate(1 + 1e-9j)))
+        alpha_contour_integrals(p, circle(0, 1.0 + 0.5 * delta), 0)
 
 
 def test_branch_continuity_invariant():
     p = parse_poly_text("1,0,0,-1")
-    bp = sqrt_continuation(p, circle(0, 2.0, 200), cmath.sqrt(p.evaluate(2.0)))
-    for (_, w1), (_, w2) in zip(bp.samples, bp.samples[1:]):
+    _, branch = walk(p, circle(0, 2.0, 200))
+    for w1, w2 in zip(branch, branch[1:]):
         assert w1.real * w2.real + w1.imag * w2.imag > 0  # |d arg| < pi/2
 
 
-# --- canonical parameter integrals ----------------------------------------------
+# --- integrals from and to turning points -----------------------------------
 
 def test_airy_segment_closed_form():
     p = parse_poly_text("1,0")
-    val = canonical_parameter_integral(p, [0.0, 1.0])
+    val, _ = walk(p, [0.0, 1.0], start=(0j, 1))
     assert val == pytest.approx(2.0 / 3.0, abs=1e-10)
 
 
 def test_reversal_negates():
+    # P = z^3 - 1 crosses the negative real axis on this segment, so the
+    # walk back starts on the other branch than the one it left on
     p = parse_poly_text("1,0,0,-1")
-    fwd = canonical_parameter_integral(p, [2.0, 2.0 + 1j],
-                                       cmath.sqrt(p.evaluate(2.0)))
-    w_end = sqrt_continuation(p, [2.0, 2.0 + 1j],
-                              cmath.sqrt(p.evaluate(2.0))).samples[-1][1]
-    back = canonical_parameter_integral(p, [2.0 + 1j, 2.0], w_end)
-    assert abs(fwd + back) < 1e-12
+    fwd, fwd_branch = walk(p, [2.0, 2.0 + 3.6j])
+    back, back_branch = walk(p, [2.0 + 3.6j, 2.0])
+    assert same_branch(fwd_branch[-1], back_branch[0]) == -1
+    assert abs(fwd - back) < 1e-12 * abs(fwd)
 
 
-def test_root_start_defaults_to_principal_at_regular_vertex():
-    # a two-vertex path from a turning point is walked through its
-    # midpoint; the default branch stays the principal one at the path's
-    # regular vertex, where continuing the midpoint's principal value
-    # lands on the other sign for these three
+def test_root_start_defaults_to_principal_at_regular_vertex(osc):
+    # a two-vertex path with a turning-point end is walked through its
+    # midpoint, its first regular vertex.  With two root ends it is the
+    # only one, and the walk starts there on the principal
+    # sqrt(z^2 - 1) = i
+    val, branch = walk(osc, [-1.0, 1.0], start=(-1.0, 1), end=(1.0, 1))
+    assert branch == [1j]
+    assert val == pytest.approx(1j * math.pi / 2, abs=1e-12)
+    # from one root end as well: the midpoint's principal value, continued
+    # to the far vertex v, is minus the principal value there for these
+    # three, so the walk from v, which starts on that one, runs on the
+    # opposite branch and the two integrals agree
     p = parse_poly_text("1,0,0,-1")
     for v in (0.2 + 0.5j, 0.3 - 0.6j, -1 + 1e-3j):
-        fwd = canonical_parameter_integral(p, [1.0, v])
-        back = canonical_parameter_integral(p, [v, 1.0])
-        assert abs(fwd + back) <= 1e-12 * abs(fwd)
+        fwd, fwd_branch = walk(p, [1.0, v], start=(1.0, 1))
+        back, back_branch = walk(p, [v, 1.0], end=(1.0, 1))
+        assert fwd_branch[0] == cmath.sqrt(p.evaluate(0.5 * (1.0 + v)))
+        assert back_branch[0] == cmath.sqrt(p.evaluate(v))
+        assert same_branch(fwd_branch[-1], back_branch[0]) == -1
+        assert abs(fwd - back) <= 1e-12 * abs(fwd)
 
 
 def test_oscillator_period_closed_form(osc):
@@ -405,19 +426,24 @@ def test_re_xi_drift_regular_segment(osc):
 @settings(max_examples=30, deadline=None)
 @given(st.floats(1.6, 4.0), st.floats(-1.0, 1.0), st.floats(0.3, 2.0))
 def test_reversal_property(x, y, h):
+    # a regular segment and a path from the root 1 through it, each walked
+    # both ways: on one branch the integral back is minus the one out
     p = parse_poly_text("1,0,0,-1")
     a = complex(x, y)
     b = a + complex(0.1, h)
-    seed = cmath.sqrt(p.evaluate(a))
-    fwd = sqrt_continuation(p, [a, b], seed)
-    back = canonical_parameter_integral(p, [b, a], fwd.samples[-1][1])
-    assert abs(fwd.total_integral + back) < 1e-10
+    for verts, root in (([a, b], None), ([1.0, a, b], (1.0, 1))):
+        fwd, fwd_branch = walk(p, verts, start=root)
+        back, back_branch = walk(p, verts[::-1], end=root)
+        sign = same_branch(fwd_branch[-1], back_branch[0])
+        assert abs(fwd + sign * back) < 1e-10
 
 
 def test_branched_path_samples_square_to_p():
     p = parse_poly_text("1,0,0,-1")
-    bp = sqrt_continuation(p, circle(0, 2.0, 80), cmath.sqrt(p.evaluate(2.0)))
-    for z, w in bp.samples:
+    verts = circle(0, 2.0, 80)
+    _, branch = walk(p, verts)
+    assert len(branch) == len(verts)
+    for z, w in zip(verts, branch):
         assert abs(w * w - p.evaluate(z)) < 1e-9 * (1.0 + abs(p.evaluate(z)))
 
 

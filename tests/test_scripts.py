@@ -1,4 +1,6 @@
+import ast
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
@@ -43,3 +45,19 @@ def test_output_parity_repeats():
         assert hashlib.sha256(
             repr([complex(zeros[0])]).encode()).hexdigest() == digest
     assert first.stdout == second.stdout
+
+
+def test_bench_trace_targets_exist():
+    # the benchmark's --trace run wraps each (module, name) of TARGETS in
+    # bench/tracing.py by name, so deleting or renaming one breaks it
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    (targets,) = [node.value for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets]
+                  == ["TARGETS"]]
+    assert targets.elts
+    for entry in targets.elts:
+        module, name = (ast.literal_eval(e) for e in entry.elts[:2])
+        target = getattr(importlib.import_module(f"stokesgeo.{module}"),
+                         name, None)
+        assert callable(target), f"stokesgeo.{module}.{name}"

@@ -8,8 +8,8 @@ import pytest
 
 from stokesgeo import (NumericalError, accumulation_rays,
                        eigenvalue_asymptotics, enumerate_short_geodesics,
-                       parse_poly_text, subdominant_solution,
-                       survey_short_geodesics, wronskian_eigenvalue_search)
+                       parse_poly_text, survey_short_geodesics,
+                       wronskian_eigenvalue_search)
 from stokesgeo.pathint import contour_integral, sqrt_density
 from stokesgeo.spectrum import wronskian_sectors
 from stokesgeo import pathint, polynomial, spectrum
@@ -171,14 +171,17 @@ def test_negative_n_min_rejected(osc):
 
 
 def test_subdominant_decays_outward(osc):
-    sol = subdominant_solution(osc, 1.0, 0)
+    scale = 1.0 + PolyContext.of(osc, DEFAULT_CONFIG).scales.max_modulus
+    start = spectrum._sector_ray(osc, 0, 1.0, scale)
+    *_, decay = spectrum._integrate_inward(osc, [1.0], [start], 0j,
+                                           DEFAULT_CONFIG.ode_rel_tol)
+    samples = decay[:, 0, 0]
     # integrated inward, so the log magnitude grows toward the matching
     # point: the solution decays along the outward ray.  It is exp(-z^2/2),
     # which from radius 6 gains exactly _DECAY_EFOLDS = 18 e-folds
-    assert abs(sol.start) == pytest.approx(6.0, rel=1e-12)
-    assert all(b >= a for a, b in zip(sol.decay_samples,
-                                      sol.decay_samples[1:]))
-    assert abs(sol.decay_samples[-1] - spectrum._DECAY_EFOLDS) <= 1e-3
+    assert abs(start) == pytest.approx(6.0, rel=1e-12)
+    assert all(b >= a for a, b in zip(samples, samples[1:]))
+    assert abs(samples[-1] - spectrum._DECAY_EFOLDS) <= 1e-3
 
 
 def test_batched_kernel_matches_closed_forms(osc):
@@ -364,6 +367,15 @@ def test_unconverged_polish_raises(osc, monkeypatch):
 def test_adjacent_sectors_rejected(osc):
     with pytest.raises(ValueError):
         wronskian_eigenvalue_search(osc, (0, 1), (0.5, 1.5, -0.2, 0.2))
+
+
+@pytest.mark.parametrize("rect", [(3.5, 0.5, -1.0, 1.0),   # re edges swapped
+                                  (0.5, 3.5, 1.0, -1.0),   # im edges swapped
+                                  (2.0, 2.0, -1.0, 1.0),   # zero width
+                                  (0.5, 3.5, math.nan, 1.0)])
+def test_malformed_rectangle_rejected(osc, rect):
+    with pytest.raises(ValueError, match=re.escape(f"bad rectangle {rect}")):
+        wronskian_eigenvalue_search(osc, (0, 2), rect)
 
 
 def test_fixed_point_monotone_residuals(cubic_unity):
