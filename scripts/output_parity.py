@@ -15,7 +15,9 @@ agree bit for bit.  The outputs are
 - ``chord_diagram`` on as many polynomials of the chord stream 5150, and
   ``is_very_flat`` there as its flag, its cuts and its visible-pair count
   (the projected float nodes are left out);
-- the edges of the Stokes graph of z^3 - 1;
+- the edges of the Stokes graphs of z^3 - 1 and of z^2 (z - 1), whose
+  trace launches from the double root integrate a turning-point chord of
+  multiplicity 2;
 - the Wronskian zeros in sectors (0, 2) on the ``wronskian_spectrum``
   benchmark rectangles without their seeded jitter, and in sectors (1, 3)
   of -z^2 + 1 on (-0.3, 0.4, 2.7, 3.35), where arg W lies near pi.
@@ -24,17 +26,21 @@ The survey lines also print the ``repr`` of each geodesic period after
 the hash, the rays lines each loop period, and the Wronskian lines each
 zero, so a diff shows how far a value moved.
 
-Running it against two source trees and diffing the outputs checks that a
-change kept every count, pair and number, e.g.
+The lines go to standard output.  With ``--against DIR`` the script also
+runs the same fingerprints on the package in DIR/src, in a subprocess
+alongside its own run, and checks that a change kept every count, pair
+and number: it writes a unified diff of DIR's lines against its own to
+standard error and exits 1 when any line differs, e.g.
 
-    PYTHONPATH=old/src python3 scripts/output_parity.py > old.txt
-    PYTHONPATH=src python3 scripts/output_parity.py > new.txt
-    diff old.txt new.txt
+    PYTHONPATH=src python3 scripts/output_parity.py --against ../old
 """
 
 import argparse
+import difflib
 import hashlib
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,62 +69,103 @@ def stream(seed, per_degree):
             yield f"{d}.{k}", random_simple_poly(rng, d)
 
 
-def fingerprint(name, value, *shown):
-    print(name, hashlib.sha256(repr(value).encode()).hexdigest(), *shown)
+def fingerprint(name, value, shown=()):
+    """``name``, the sha256 of ``repr(value)`` and the ``repr`` of each of
+    the numbers ``shown``, so a numerical change shows its size and not
+    only a changed hash."""
+    return " ".join([name, hashlib.sha256(repr(value).encode()).hexdigest(),
+                     *map(repr, shown)])
 
 
-def shown_line(name, value, shown):
-    """A fingerprint of ``value`` followed by the numbers ``shown``, so a
-    numerical change shows its size and not only a changed hash."""
-    fingerprint(name, value, *map(repr, shown))
-
-
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--per-degree", type=int, default=2)
-    args = ap.parse_args()
-
-    for label, poly in stream(20260808, args.per_degree):
+def fingerprints(per_degree):
+    """The fingerprint lines, in order."""
+    for label, poly in stream(20260808, per_degree):
         survey = survey_short_geodesics(poly)
-        shown_line(f"survey[{label}]", survey.geodesics,
-                   [g.period for g in survey.geodesics])
-        fingerprint(f"survey_notes[{label}]",
-                    (survey.errors, survey.warnings))
+        yield fingerprint(f"survey[{label}]", survey.geodesics,
+                          [g.period for g in survey.geodesics])
+        yield fingerprint(f"survey_notes[{label}]",
+                          (survey.errors, survey.warnings))
         rays = accumulation_rays(poly, survey=survey)
-        shown_line(f"rays[{label}]", rays, [r.loop_period for r in rays])
-        fingerprint(f"alphas[{label}]",
-                    [alpha_contour_integrals(poly, ray.contour, 3)
-                     for ray in rays])
-        fingerprint(f"estimates[{label}]",
-                    [eigenvalue_asymptotics(poly, ray, 1, 5, order=0)
-                     for ray in rays])
-        fingerprint(f"estimates3[{label}]",
-                    [eigenvalue_asymptotics(poly, ray, 1, 3, order=3)
-                     for ray in rays])
-        fingerprint(f"periods[{label}]", [(p.pair, p.path, p.value)
-                                          for p in pairwise_periods(poly)])
-        fingerprint(f"drift[{label}]",
-                    [re_xi_drift(poly.rotate(g.t_star), g.polyline)
-                     for g in survey.geodesics])
-    for label, poly in stream(5150, args.per_degree):
-        fingerprint(f"chords[{label}]", chord_diagram(poly))
+        yield fingerprint(f"rays[{label}]", rays,
+                          [r.loop_period for r in rays])
+        yield fingerprint(f"alphas[{label}]",
+                          [alpha_contour_integrals(poly, ray.contour, 3)
+                           for ray in rays])
+        yield fingerprint(f"estimates[{label}]",
+                          [eigenvalue_asymptotics(poly, ray, 1, 5, order=0)
+                           for ray in rays])
+        yield fingerprint(f"estimates3[{label}]",
+                          [eigenvalue_asymptotics(poly, ray, 1, 3, order=3)
+                           for ray in rays])
+        yield fingerprint(f"periods[{label}]",
+                          [(p.pair, p.path, p.value)
+                           for p in pairwise_periods(poly)])
+        yield fingerprint(f"drift[{label}]",
+                          [re_xi_drift(poly.rotate(g.t_star), g.polyline)
+                           for g in survey.geodesics])
+    for label, poly in stream(5150, per_degree):
+        yield fingerprint(f"chords[{label}]", chord_diagram(poly))
         flat = is_very_flat(poly)
-        fingerprint(f"very_flat[{label}]",
-                    (flat.flag,) if flat.strip is None else
-                    (flat.flag, flat.strip.cuts,
-                     len(visible_pairs(flat.strip))))
-    fingerprint("stokes_graph[z^3-1]",
-                build_stokes_graph(parse_poly_text("1,0,0,-1")).edges)
+        yield fingerprint(f"very_flat[{label}]",
+                          (flat.flag,) if flat.strip is None else
+                          (flat.flag, flat.strip.cuts,
+                           len(visible_pairs(flat.strip))))
+    for name, coeffs in (("z^3-1", "1,0,0,-1"), ("z^2(z-1)", "1,-1,0,0")):
+        yield fingerprint(f"stokes_graph[{name}]",
+                          build_stokes_graph(parse_poly_text(coeffs)).edges)
     for label, coeffs, lam in SPECTRUM_CASES:
         rect = (lam.real - RECT_BELOW, lam.real + RECT_ABOVE_RE,
                 lam.imag - RECT_BELOW, lam.imag + RECT_ABOVE_IM)
         zeros = wronskian_eigenvalue_search(ComplexPolynomial(coeffs),
                                             (0, 2), rect)
-        shown_line(f"wronskian[{label}@{lam:g}]", zeros, zeros)
+        yield fingerprint(f"wronskian[{label}@{lam:g}]", zeros, zeros)
     zeros = wronskian_eigenvalue_search(parse_poly_text("-1,0,1"), (1, 3),
                                         (-0.3, 0.4, 2.7, 3.35))
-    shown_line("wronskian[-z^2+1]", zeros, zeros)
+    yield fingerprint("wronskian[-z^2+1]", zeros, zeros)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--per-degree", type=int, default=2)
+    ap.add_argument("--against", type=Path, metavar="DIR",
+                    help="compare with the package in DIR/src")
+    args = ap.parse_args()
+
+    other = None
+    if args.against is not None:
+        src = (args.against / "src").resolve()
+        if not (src / "stokesgeo").is_dir():
+            ap.error(f"no package at {src / 'stokesgeo'}")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(src), env.get("PYTHONPATH")) if p)
+        other = subprocess.Popen(
+            [sys.executable, __file__, "--per-degree", str(args.per_degree)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env)
+    lines = []
+    for line in fingerprints(args.per_degree):
+        print(line)
+        lines.append(line)
+    if other is None:
+        return 0
+    out, err = other.communicate()
+    if other.returncode != 0:
+        sys.stderr.write(err)
+        print(f"the run under {src} failed", file=sys.stderr)
+        return 2
+    theirs = out.splitlines()
+    diff = list(difflib.unified_diff(theirs, lines, str(src), "src",
+                                     lineterm=""))
+    for line in diff:
+        print(line, file=sys.stderr)
+    if diff:
+        print(f"the lines differ from those under {src}", file=sys.stderr)
+        return 1
+    print(f"all {len(lines)} lines agree with those under {src}",
+          file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -22,8 +22,9 @@ class ClearanceError(StokesGeoError):
 
 
 class BranchError(StokesGeoError):
-    """Square-root branch could not be continued consistently
-    (seed mismatch, or a contour enclosing odd total multiplicity)."""
+    """Square-root branch could not be continued consistently (a walk
+    that cannot step past a turning point, a chord quadrature that does
+    not converge, or a contour enclosing odd total multiplicity)."""
 
 
 class DegeneratePairError(StokesGeoError):

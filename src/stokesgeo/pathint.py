@@ -7,9 +7,14 @@ the distance to the nearest zero of P *and* P itself must rotate by less
 than pi/2; under those two conditions the sign of the principal square
 root closest to the previous value is the analytic continuation.
 
-Chords that start or end at a turning point of multiplicity m are
-reparametrized by s = u^2 after deflating the root factor, which turns
-the (z - r)^{m/2} endpoint singularity into a smooth integrand.
+All quadrature runs through one adaptive Gauss-Kronrod 7-15 loop over a
+chart s -> z of a chord.  A regular chord's chart is the straight line
+from z0 to z1, walked from s = 0 to 1.  A chord from a turning point r of
+multiplicity m has the root chart z = r + (z1 - r) u^2, with the root
+factor deflated from P: it turns the (z - r)^{m/2} endpoint singularity
+into a smooth integrand, and is walked from u = 1 down to 0 so that the
+branch comes from z1.  Closed contours are walked by ``contour_integral``,
+which checks closure, clearance and single-valuedness.
 """
 
 from __future__ import annotations
@@ -103,66 +108,56 @@ class BranchWalker:
         return w0
 
 
-# --- adaptive chord quadrature ---------------------------------------------
+def sqrt_density(z, w):
+    return w
 
-def _panel_values(walker: BranchWalker, z0, z1, sa, sb, densities):
-    """(i15, i7) of each density f(z, w) on the sub-interval [sa, sb] of
-    the chord z0 -> z1, from one walk over its 15 Kronrod nodes.  Leaves
-    the walker at the last node."""
-    dz = z1 - z0
+
+# --- adaptive quadrature over a chart ----------------------------------------
+
+def _panel_values(walk, scale, sa, sb, densities):
+    """(i15, i7) of each density f(z, w) dz on the panel [sa, sb] of a
+    chart s -> z, walked from sa to sb (downward in s when sb < sa):
+    ``walk(mid, half)`` moves the branch walker over the Kronrod nodes
+    mid + half x_k in order and gives (z, w) at each, with any factor of
+    dz/ds other than ``scale`` multiplied into w."""
     mid = 0.5 * (sa + sb)
     half = 0.5 * (sb - sa)
-    n = len(densities)
-    i15 = [0j] * n
-    i7 = [0j] * n
-    gi = 0
-    for k, xk in enumerate(_KRONROD_NODES):
-        s = mid + half * xk
-        z = z0 + s * dz
-        w = walker.advance(z)
-        wk = _KRONROD_WEIGHTS[k]
-        if k % 2 == 1:
-            wg = _GAUSS_WEIGHTS[gi]
-            gi += 1
-            for d, f in enumerate(densities):
-                val = f(z, w)
-                i15[d] += wk * val
-                i7[d] += wg * val
-        else:
-            for d, f in enumerate(densities):
-                i15[d] += wk * f(z, w)
-    scale = half * dz
+    i15 = [0j] * len(densities)
+    i7 = [0j] * len(densities)
+    for k, (z, w) in enumerate(walk(mid, half)):
+        for d, f in enumerate(densities):
+            val = f(z, w)
+            i15[d] += _KRONROD_WEIGHTS[k] * val
+            if k % 2 == 1:
+                i7[d] += _GAUSS_WEIGHTS[k // 2] * val
+    scale = half * scale
     return [(a * scale, b * scale) for a, b in zip(i15, i7)]
 
 
-def integrate_chord(poly, roots, z0, w0, z1, densities, rel_tol=1e-9,
-                    abs_floor=1e-13):
-    """Adaptive GK15 of each density f(z, w) dz along the chord z0 -> z1.
-
-    w0 is the branch value at z0; returns (integrals, w_at_z1), one
-    integral per density.  Each density refines its own panel tree: its
-    tolerance is set by its whole-chord panel, a child panel gets 0.6 of
-    its parent's, panels narrower than 1e-12 are accepted, and more than
-    4000 panels raise BranchError.  A panel is walked once for all the
-    densities that still refine it; the walker's value at a node is
-    +-sqrt(P(node)) whatever path reached it, so every density sums the
-    same values, in the same left-to-right order, as a walk of its own.
-    """
-    walker = BranchWalker(poly, roots, z0, w0)
-    # the whole-chord panel sets the tolerances and is the first panel tried
-    sa, sb = 0.0, 1.0
+def _refine(walker: BranchWalker, walk, point, scale, span, densities,
+            tol_rule):
+    """Adaptive GK15 of each density f(z, w) dz over the interval ``span``
+    of a chart: its panel ``walk`` (see ``_panel_values``) and s -> z map
+    ``point``.  ``tol_rule`` maps the first panel's (i15, i7) per density
+    to tolerances.  Each density refines its own panel tree, a child panel
+    getting 0.6 of its parent's tolerance; panels narrower than 1e-12 are
+    accepted and a 4001st raises BranchError.  A panel is walked once for
+    all the densities that refine it; after an accepted one the walker
+    moves to its far end, unless that is s = 0, a root chart's root."""
+    sa, sb = span
     anchor_z, anchor_w = walker.z, walker.w
     active = range(len(densities))
-    vals = _panel_values(walker, z0, z1, sa, sb, densities)
-    tols = [max(abs_floor, rel_tol * abs(i15)) for i15, _ in vals]
+    vals = _panel_values(walk, scale, sa, sb, densities)
+    tols = tol_rule(vals)
 
     totals = [0j] * len(densities)
     panels = [1] * len(densities)
     stack = []
     while True:
+        narrow = abs(sb - sa) < 1e-12
         refine, child_tols = [], []
         for d, tol, (i15, i7) in zip(active, tols, vals):
-            if abs(i15 - i7) <= tol or (sb - sa) < 1e-12:
+            if abs(i15 - i7) <= tol or narrow:
                 totals[d] += i15
             else:
                 refine.append(d)
@@ -172,8 +167,8 @@ def integrate_chord(poly, roots, z0, w0, z1, densities, rel_tol=1e-9,
             sm = 0.5 * (sa + sb)
             stack.append((sm, sb, refine, child_tols))
             stack.append((sa, sm, refine, child_tols))
-        else:
-            walker.advance(z0 + sb * (z1 - z0))
+        elif sb != 0.0:
+            walker.advance(point(sb))
         if not stack:
             break
         sa, sb, active, tols = stack.pop()
@@ -183,12 +178,34 @@ def integrate_chord(poly, roots, z0, w0, z1, densities, rel_tol=1e-9,
                 which = f" (density {d})" if len(densities) > 1 else ""
                 raise BranchError(
                     f"chord quadrature failed to converge on the chord "
-                    f"{z0:.6g} -> {z1:.6g}{which}")
+                    f"{point(0.0):.6g} -> {point(1.0):.6g}{which}")
         anchor_z, anchor_w = walker.z, walker.w
-        vals = _panel_values(walker, z0, z1, sa, sb,
+        vals = _panel_values(walk, scale, sa, sb,
                              [densities[d] for d in active])
-    w_end = walker.advance(z1)
-    return totals, w_end
+    return totals
+
+
+def integrate_chord(poly, roots, z0, w0, z1, densities, rel_tol=1e-9,
+                    abs_floor=1e-13):
+    """Adaptive GK15 of each density f(z, w) dz along the chord z0 -> z1.
+
+    w0 is the branch value at z0; returns (integrals, w_at_z1), one
+    integral per density.  The chart is z = z0 + s (z1 - z0), walked from
+    s = 0 to 1; a density's tolerance is set by its whole-chord panel.
+    The walker's value at a node is +-sqrt(P(node)) whatever path reached
+    it, so every density sums the same values, in the same left-to-right
+    order, as a walk of its own.
+    """
+    walker = BranchWalker(poly, roots, z0, w0)
+    dz = z1 - z0
+
+    def walk(mid, half):
+        return [(z, walker.advance(z))
+                for z in [z0 + (mid + half * x) * dz for x in _KRONROD_NODES]]
+    totals = _refine(
+        walker, walk, lambda s: z0 + s * dz, dz, (0.0, 1.0), densities,
+        lambda vals: [max(abs_floor, rel_tol * abs(i15)) for i15, _ in vals])
+    return totals, walker.advance(z1)
 
 
 def _deflate(poly: ComplexPolynomial, root: complex, mult: int) -> ComplexPolynomial:
@@ -206,10 +223,12 @@ def integrate_chord_from_root(poly, roots, root, mult, z1, w1,
                               rel_tol=1e-9) -> complex:
     """Integral of sqrt(P) dz from a turning point ``root`` to z1.
 
-    The branch is pinned by ``w1``, the value of sqrt(P) at z1.  The
-    substitution z = root + (z1 - root) u^2 together with deflation of
-    the root factor yields the smooth integrand
-    2 u^{m+1} (z1-root)^{m/2+1} sqrt(q(z(u))), q = P / (z - root)^m.
+    The branch is pinned by ``w1``, the value of sqrt(P) at z1.  The chart
+    z = root + (z1 - root) u^2 together with deflation of the root factor
+    yields the smooth integrand
+    2 u^{m+1} (z1-root)^{m/2+1} sqrt(q(z(u))), q = P / (z - root)^m,
+    walked from u = 1 down to 0 so that the branch of sqrt(q) is carried
+    inward from z1; the tolerance is rel_tol |w1| |z1 - root|.
     """
     dz = complex(z1) - complex(root)
     if dz == 0:
@@ -221,51 +240,18 @@ def integrate_chord_from_root(poly, roots, root, mult, z1, w1,
 
     dz_half = cmath.exp(0.5 * mult * cmath.log(dz))
     check = dz_half * wq1
-    sign = 1.0
-    if check.real * w1.real + check.imag * w1.imag < 0.0:
-        sign = -1.0
+    sign = -1.0 if check.real * w1.real + check.imag * w1.imag < 0.0 else 1.0
     front = 2.0 * dz * dz_half * sign
 
-    total = 0j
-    target = max(1e-13, rel_tol * abs(w1) * abs(dz))
-    # panels processed outer-first so the branch walks inward only
-    stack = [(0.0, 1.0, target)]
-    guard = 0
-    while stack:
-        guard += 1
-        if guard > 4000:
-            raise BranchError(
-                f"singular chord quadrature failed to converge on the "
-                f"chord from turning point {root:.6g} to {z1:.6g}")
-        ua, ub, tol = stack.pop()
-        anchor_z, anchor_w = walker.z, walker.w
-        mid = 0.5 * (ua + ub)
-        half = 0.5 * (ub - ua)
-        i15 = 0j
-        gauss_vals = []
-        for k in range(14, -1, -1):
-            u = mid + half * _KRONROD_NODES[k]
-            z = root + dz * u * u
-            wq = walker.advance(z)
-            val = front * (u ** (mult + 1)) * wq
-            i15 += _KRONROD_WEIGHTS[k] * val
-            if k % 2 == 1:
-                gauss_vals.append(val)
-        i7 = 0j
-        for val, gw in zip(reversed(gauss_vals), _GAUSS_WEIGHTS):
-            i7 += gw * val
-        i15 *= half
-        i7 *= half
-        err = abs(i15 - i7)
-        if err <= tol or (ub - ua) < 1e-12:
-            total += i15
-            if ua > 0.0:
-                walker.advance(root + dz * ua * ua)
-        else:
-            walker.z, walker.w = anchor_z, anchor_w
-            um = 0.5 * (ua + ub)
-            stack.append((ua, um, 0.6 * tol))
-            stack.append((um, ub, 0.6 * tol))
+    def walk(mid, half):
+        us = [mid + half * x for x in _KRONROD_NODES]
+        return [(z, front * (u ** (mult + 1)) * walker.advance(z))
+                for u, z in zip(us, [root + dz * u * u for u in us])]
+    # the walk from u = 1 to 0 integrates -du
+    (total,) = _refine(
+        walker, walk, lambda u: root + dz * u * u, -1.0, (1.0, 0.0),
+        (sqrt_density,),
+        lambda vals: [max(1e-13, rel_tol * abs(w1) * abs(dz))])
     return total
 
 
@@ -304,10 +290,6 @@ def _root_end(v: complex, points, tol: float):
         if abs(v - r) <= tol * (1.0 + abs(r)):
             return r, m
     return None
-
-
-def sqrt_density(z, w):
-    return w
 
 
 def integrate_polyline(poly, roots, verts, densities=(sqrt_density,),
@@ -466,27 +448,29 @@ def winding_number(vertices, point: complex) -> int:
     return int(round(total / (2.0 * math.pi)))
 
 
-def contour_integral(poly: ComplexPolynomial, vertices, densities, roots,
-                     rel_tol=1e-9) -> list[complex]:
-    """Adaptive branch-tracked integrals of each density f(z, w) dz along
-    a polyline, from one walk starting on the principal branch; ``roots``
-    are the turning points that bound the continuation steps.  Returns one
-    integral per density.
-
-    For a closed contour the branch must return to its seed; a mismatch
-    means sqrt(P) is not single-valued along the contour.
-    """
-    verts = [complex(v) for v in vertices]
+def contour_integral(poly: ComplexPolynomial, contour, densities,
+                     config: RunConfig = DEFAULT_CONFIG) -> list[complex]:
+    """Loop integrals of each density f(z, w) dz around the closed
+    polyline ``contour``, one per density, from one walk that starts on
+    the principal sqrt(P) at its first vertex.  The contour must be closed
+    (ValueError) and clear every turning point by 0.9 delta_path
+    (ClearanceError), and the branch must return to its seed, as it does
+    exactly when even total multiplicity is enclosed (BranchError)."""
+    verts = [complex(v) for v in contour]
+    if abs(verts[0] - verts[-1]) > 1e-9 * (1.0 + abs(verts[0])):
+        raise ValueError("contour is not closed")
+    roots = ()
+    if poly.degree >= 1:
+        ctx = PolyContext.of(poly, config)
+        roots = ctx.locs
+        _check_clearance(verts, roots, ctx.scales.delta_path)
     totals, branch, _ = integrate_polyline(poly, roots, verts,
                                            densities=densities,
-                                           rel_tol=rel_tol)
+                                           rel_tol=config.quad_rel_tol)
     w0, w_end = branch[0], branch[-1]
-    closed = abs(verts[0] - verts[-1]) < 1e-12 * (1.0 + abs(verts[0]))
-    if closed and abs(w_end - w0) > 0.5 * max(abs(w0), abs(w_end)):
-        raise BranchError(
-            "sqrt(P) is not single-valued along this closed contour "
-            "(odd enclosed multiplicity?)"
-        )
+    if abs(w_end - w0) > 0.5 * max(abs(w0), abs(w_end)):
+        raise BranchError("sqrt(P) is not single-valued along this closed "
+                          "contour (odd enclosed multiplicity?)")
     return totals
 
 
@@ -562,25 +546,10 @@ def alpha_densities(poly: ComplexPolynomial, j_max: int):
 def alpha_contour_integrals(poly: ComplexPolynomial, contour, j_max: int,
                             config: RunConfig = DEFAULT_CONFIG) -> list[complex]:
     """Loop integrals of the correction densities alpha_0 .. alpha_{j_max},
-    all from one walk of the contour.
-
-    The contour must be closed, clear every turning point by delta_path
-    and enclose roots of even total multiplicity (so that sqrt(P) is
-    single-valued along it).
-    """
-    verts = [complex(v) for v in contour]
-    if abs(verts[0] - verts[-1]) > 1e-9 * (1.0 + abs(verts[0])):
-        raise ValueError("contour is not closed")
-    roots = ()
-    if poly.degree >= 1:
-        ctx = PolyContext.of(poly, config)
-        roots = ctx.locs
-        _check_clearance(verts, roots, ctx.scales.delta_path)
-        enclosed = sum(m * winding_number(verts, r) for r, m in ctx.tps.points)
-        if enclosed % 2 != 0:
-            raise BranchError(f"contour encloses odd total multiplicity {enclosed}")
-    return contour_integral(poly, verts, alpha_densities(poly, j_max), roots,
-                            rel_tol=config.quad_rel_tol)
+    all from one walk of the contour, checked as ``contour_integral``
+    checks it."""
+    return contour_integral(poly, contour, alpha_densities(poly, j_max),
+                            config)
 
 
 # --- stadium contours around a short trajectory -------------------------------

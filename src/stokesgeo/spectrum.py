@@ -63,15 +63,15 @@ def _loop_contour(ctx: PolyContext, geodesic: ShortGeodesic):
 
     The clearance starts generous (quadrature of the correction densities
     degrades sharply when the contour hugs the square-root singularities)
-    and shrinks toward 3 delta_path until no other turning point is
-    enclosed or approached."""
+    and shrinks toward 2.9 delta_path until no other turning point is
+    enclosed or nearer than 0.9 delta_path to a chord, the clearance rule
+    of the contour walk."""
     locs = ctx.locs
     scales = ctx.scales
     a, b = geodesic.pair
     others = [r for k, r in enumerate(locs) if k not in (a, b)]
-    room = scales.d_unit
-    if others:
-        room = min_clearance(list(geodesic.polyline), others)
+    # with no other turning point, room is inf
+    room = min_clearance(list(geodesic.polyline), others)
     clearance = max(3.0 * scales.delta_path, min(0.35 * scales.d_unit,
                                                  0.45 * room))
     for _ in range(6):
@@ -80,9 +80,7 @@ def _loop_contour(ctx: PolyContext, geodesic: ShortGeodesic):
         enclosed_ok = all(
             abs(windings[k]) == (1 if k in (a, b) else 0)
             for k in range(len(locs)))
-        clear_ok = all(
-            min(abs(v - r) for v in contour) >= 0.9 * scales.delta_path
-            for k, r in enumerate(locs) if k not in (a, b))
+        clear_ok = min_clearance(contour, others) >= 0.9 * scales.delta_path
         if enclosed_ok and clear_ok:
             return contour
         clearance = max(0.5 * clearance, 2.9 * scales.delta_path)
@@ -147,7 +145,7 @@ def eigenvalue_asymptotics(poly: ComplexPolynomial, ray: AccumulationRay,
     if order > 0:
         *alphas, loop = contour_integral(
             poly, ray.contour, alpha_densities(poly, order) + [sqrt_density],
-            PolyContext.of(poly, config).locs, rel_tol=config.quad_rel_tol)
+            config)
         if abs(loop - L) > max(1e-9, config.quad_rel_tol) * abs(L):
             raise NumericalError(
                 f"pair {ray.geodesic.pair}, ray angle {ray.angle:.12f}: the "

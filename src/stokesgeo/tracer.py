@@ -93,7 +93,7 @@ def _chord_re_integral(poly, z0, w0, z1):
             w = -w
         w_prev = w
         acc += wk * (w.real * dz.real - w.imag * dz.imag)
-    return 0.5 * acc, w_prev
+    return 0.5 * acc
 
 
 def _dp5_step(poly, z, w, k0, h):
@@ -221,14 +221,14 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
         if abs(z5) >= r_escape:
             if z5.real * k6.real + z5.imag * k6.imag > 0.0:
                 z_land, w_land = _land_on_circle(poly, z, w, z5, r_escape)
-                inc, _ = _chord_re_integral(poly, z, w, z_land)
+                inc = _chord_re_integral(poly, z, w, z_land)
                 dr = drift + inc
                 corr = -dr * w_land.conjugate() / (abs(w_land) ** 2)
                 z_land = z_land + corr
                 polyline.append(z_land)
                 ray = ctx.sectors.nearest_ray_index(cmath.phase(z_land))
                 return polyline, EscapedToRay(ray, z_land)
-        inc, _ = _chord_re_integral(poly, z, w, z5)
+        inc = _chord_re_integral(poly, z, w, z5)
         drift += inc
         if abs(drift) > 1e-13 * scales.d_unit:
             corr = -drift * w6.conjugate() / (abs(w6) ** 2)

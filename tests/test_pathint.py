@@ -96,7 +96,12 @@ def _two_pass_chord(poly, roots, z0, w0, z1, fvals, rel_tol=1e-9,
     """Reference chord quadrature: the whole-chord panel is evaluated once
     for the tolerance and again as the first panel of the subdivision."""
     walker = _RecursiveWalker(poly, roots, z0, w0)
-    [(est15, _)] = pathint._panel_values(walker, z0, z1, 0.0, 1.0, [fvals])
+    dz = z1 - z0
+
+    def walk(mid, half):
+        return [(z, walker.advance(z)) for z in
+                [z0 + (mid + half * x) * dz for x in pathint._KRONROD_NODES]]
+    [(est15, _)] = pathint._panel_values(walk, dz, 0.0, 1.0, [fvals])
     target = max(abs_floor, rel_tol * abs(est15))
     walker.z, walker.w = complex(z0), complex(w0)
     total = 0j
@@ -104,10 +109,10 @@ def _two_pass_chord(poly, roots, z0, w0, z1, fvals, rel_tol=1e-9,
     while stack:
         sa, sb, tol = stack.pop()
         anchor_z, anchor_w = walker.z, walker.w
-        [(i15, i7)] = pathint._panel_values(walker, z0, z1, sa, sb, [fvals])
+        [(i15, i7)] = pathint._panel_values(walk, dz, sa, sb, [fvals])
         if abs(i15 - i7) <= tol or (sb - sa) < 1e-12:
             total += i15
-            walker.advance(z0 + sb * (z1 - z0))
+            walker.advance(z0 + sb * dz)
         else:
             walker.z, walker.w = anchor_z, anchor_w
             sm = 0.5 * (sa + sb)
@@ -188,6 +193,104 @@ def test_airy_segment_closed_form():
     p = parse_poly_text("1,0")
     val, _ = walk(p, [0.0, 1.0], start=(0j, 1))
     assert val == pytest.approx(2.0 / 3.0, abs=1e-10)
+
+
+def _root_chord_reference(poly, roots, root, mult, z1, w1, rel_tol=1e-9):
+    """The turning-point chord rule with its own panel stack: u runs from
+    1 down to 0 within each panel, panels are taken outer-first, and the
+    Gauss-7 sum is formed in ascending u."""
+    dz = complex(z1) - complex(root)
+    q = pathint._deflate(poly, root, mult)
+    other = tuple(r for r in roots if r != root)
+    wq1 = cmath.sqrt(q.evaluate(z1))
+    walker = pathint.BranchWalker(q, other, z1, wq1)
+    dz_half = cmath.exp(0.5 * mult * cmath.log(dz))
+    check = dz_half * wq1
+    sign = -1.0 if check.real * w1.real + check.imag * w1.imag < 0.0 else 1.0
+    front = 2.0 * dz * dz_half * sign
+    total = 0j
+    stack = [(0.0, 1.0, max(1e-13, rel_tol * abs(w1) * abs(dz)))]
+    while stack:
+        ua, ub, tol = stack.pop()
+        anchor_z, anchor_w = walker.z, walker.w
+        mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
+        i15, gauss_vals = 0j, []
+        for k in range(14, -1, -1):
+            u = mid + half * pathint._KRONROD_NODES[k]
+            val = front * (u ** (mult + 1)) * walker.advance(root + dz * u * u)
+            i15 += pathint._KRONROD_WEIGHTS[k] * val
+            if k % 2 == 1:
+                gauss_vals.append(val)
+        i7 = 0j
+        for val, gw in zip(reversed(gauss_vals), pathint._GAUSS_WEIGHTS):
+            i7 += gw * val
+        i15 *= half
+        i7 *= half
+        if abs(i15 - i7) <= tol or (ub - ua) < 1e-12:
+            total += i15
+            if ua > 0.0:
+                walker.advance(root + dz * ua * ua)
+        else:
+            walker.z, walker.w = anchor_z, anchor_w
+            um = 0.5 * (ua + ub)
+            stack.append((ua, um, 0.6 * tol))
+            stack.append((um, ub, 0.6 * tol))
+    return total
+
+
+@pytest.mark.parametrize("coeffs, roots, mult, z1, refines", [
+    ("1,0,-1", (1.0, -1.0), 1, 1.3 + 0.2j, False),
+    ("1,0,-1", (1.0, -1.0), 1, -0.99 + 0.01j, True),    # ends 0.014 from -1
+    ("1,-2,0,0", (0.0, 2.0), 2, 0.3 + 0.2j, False),
+    ("1,-2,0,0", (0.0, 2.0), 2, 1.99 + 0.01j, True),    # ends 0.014 from 2
+])
+def test_root_chord_matches_its_own_panel_loop(coeffs, roots, mult, z1,
+                                               refines, monkeypatch):
+    # the chart over the shared refinement loop walks the same nodes in
+    # the same order and sums the same i15 values as the rule's own loop
+    p = parse_poly_text(coeffs)
+    root = roots[0]
+    points = _recording_evaluate(monkeypatch)
+    for w1 in (cmath.sqrt(p.evaluate(z1)), -cmath.sqrt(p.evaluate(z1))):
+        points.clear()
+        got = pathint.integrate_chord_from_root(p, roots, root, mult, z1, w1)
+        seen = points[:]
+        points.clear()
+        assert got == _root_chord_reference(p, roots, root, mult, z1, w1)
+        assert points == seen
+        # the deflated q at z1 and the 15 nodes of the whole-chord panel,
+        # and more only when it refines
+        assert (len(seen) > 1 + 15) == refines
+
+
+@pytest.mark.parametrize("z1", [1.5 + 0.5j, 0.4 - 0.3j, 2.0 + 1e-3j])
+def test_simple_root_chord_closed_form(osc, z1):
+    # int_1^z sqrt(z^2 - 1) dz = (z w - log(z + w)) / 2, and z + w stays
+    # off the negative real axis along these chords from 1
+    for w1 in (cmath.sqrt(osc.evaluate(z1)), -cmath.sqrt(osc.evaluate(z1))):
+        got = pathint.integrate_chord_from_root(osc, (-1.0, 1.0), 1.0, 1,
+                                                z1, w1)
+        expect = 0.5 * (z1 * w1 - cmath.log(z1 + w1))
+        assert abs(got - expect) <= 1e-12 * abs(expect)
+
+
+@pytest.mark.parametrize("z1", [0.5 + 0.5j, -0.7 + 0.4j, 1.5 + 0.1j])
+def test_double_root_chord_closed_form(z1):
+    # P = z^2 (z - 2), sqrt(P) = z v with v = sqrt(z - 2), and
+    # F = (2/5) v^5 + (4/3) v^3 has F' = z v.  On these chords z - 2 stays
+    # in the upper half-plane, where the principal v is continuous and
+    # tends to i sqrt(2) at z = 0
+    p = parse_poly_text("1,-2,0,0")
+    v_principal = cmath.sqrt(z1 - 2.0)
+    for sign in (1.0, -1.0):
+        w1 = sign * z1 * v_principal
+        got = pathint.integrate_chord_from_root(p, (0.0, 2.0), 0.0, 2, z1,
+                                                w1)
+        expect = 0.0
+        for v, s in ((sign * v_principal, 1.0),
+                     (sign * 1j * math.sqrt(2.0), -1.0)):
+            expect += s * (0.4 * v ** 5 + (4.0 / 3.0) * v ** 3)
+        assert abs(got - expect) <= 1e-12 * abs(expect)
 
 
 def test_reversal_negates():
@@ -341,39 +444,37 @@ def _first_quintic_of_counting_stream():
 ])
 def test_alpha_one_walk_matches_a_walk_per_order(make_poly, monkeypatch):
     poly = make_poly()
-    roots = PolyContext.of(poly).locs
-    panels = []
+    rays = accumulation_rays(poly)
+    tree = []
     panel_values = pathint._panel_values
 
-    def recorded(walker, z0, z1, sa, sb, densities):
-        panels.append((z0, z1, sa, sb))
-        return panel_values(walker, z0, z1, sa, sb, densities)
+    def recorded(walk, scale, sa, sb, densities):
+        # the panels of each chord of the contour, the whole chord first
+        if (sa, sb) == (0.0, 1.0):
+            tree.append([])
+        tree[-1].append((sa, sb))
+        return panel_values(walk, scale, sa, sb, densities)
     monkeypatch.setattr(pathint, "_panel_values", recorded)
     densities = pathint.alpha_densities(poly, 3)
     trees_differ = False
-    for ray in accumulation_rays(poly):
+    for ray in rays:
         verts = list(ray.contour)
         per_order, trees = [], []
         for f in densities:
-            panels.clear()
-            per_order += pathint.contour_integral(poly, verts, [f], roots)
-            tree = {}
-            for z0, z1, sa, sb in panels:
-                tree.setdefault((z0, z1), []).append((sa, sb))
-            trees.append(tree)
+            tree.clear()
+            per_order += pathint.contour_integral(poly, verts, [f])
+            trees.append([tuple(chord) for chord in tree])
         assert alpha_contour_integrals(poly, verts, 3) == per_order
-        trees_differ |= any(len({tuple(t[chord]) for t in trees}) > 1
-                            for chord in trees[0])
+        trees_differ |= any(len(set(chords)) > 1 for chords in zip(*trees))
     # the orders refine different panels, so one walk has to follow each
     # order's own tree
     assert trees_differ
 
 
 def test_contour_integral_densities_odd_enclosure_rejected(osc):
-    roots = [r for r, _ in turning_points(osc).points]
     with pytest.raises(BranchError, match="not single-valued"):
         pathint.contour_integral(osc, circle(1.0, 0.5),
-                                 pathint.alpha_densities(osc, 2), roots)
+                                 pathint.alpha_densities(osc, 2))
 
 
 def test_chord_guard_names_chord_and_density(cubic_unity):
@@ -393,7 +494,7 @@ def test_chord_guard_names_chord_and_density(cubic_unity):
 
 
 def test_alpha_odd_multiplicity_rejected(osc):
-    with pytest.raises(BranchError):
+    with pytest.raises(BranchError, match="not single-valued"):
         alpha_contour_integrals(osc, circle(1.0, 0.5), 1)
 
 

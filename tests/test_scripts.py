@@ -2,6 +2,7 @@ import ast
 import hashlib
 import importlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -28,23 +29,46 @@ def test_geodesic_census_runs():
 
 
 def test_output_parity_repeats():
-    first, second = (_run_script("output_parity.py", "--per-degree", "1")
-                     for _ in range(2))
-    assert first.returncode == 0 and second.returncode == 0, first.stderr
-    lines = first.stdout.splitlines()
+    # a second run, on this checkout's own package, must print the same
+    # lines
+    proc = _run_script("output_parity.py", "--per-degree", "1",
+                       "--against", str(ROOT))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith("all 36 lines agree")
+    lines = proc.stdout.splitlines()
     # survey geodesics, its errors and warnings, rays, alphas, order-0 and
     # order-3 estimates, periods, drift, chords and the very-flat
-    # projection for one polynomial of each degree 3, 4, 5, the graph of
-    # z^3 - 1, and the Wronskian zeros on four rectangles, whose lines
-    # also print the zeros after the hash
-    assert len(lines) == 3 * 10 + 1 + 4
+    # projection for one polynomial of each degree 3, 4, 5, the graphs of
+    # z^3 - 1 and z^2 (z - 1), and the Wronskian zeros on four rectangles,
+    # whose lines also print the zeros after the hash
+    assert len(lines) == 3 * 10 + 2 + 4
     assert all(len(line.split()[1]) == 64 for line in lines)
     for line in lines[-4:]:
         name, digest, *zeros = line.split()
         assert name.startswith("wronskian[") and len(zeros) == 1
         assert hashlib.sha256(
             repr([complex(zeros[0])]).encode()).hexdigest() == digest
-    assert first.stdout == second.stdout
+
+
+def test_output_parity_reports_a_difference(tmp_path):
+    # a package whose Stokes graphs lose their last edge differs on the
+    # two graph lines only
+    shutil.copytree(ROOT / "src" / "stokesgeo", tmp_path / "src" / "stokesgeo",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    tracer = tmp_path / "src" / "stokesgeo" / "tracer.py"
+    text = tracer.read_text()
+    assert text.count("edges=tuple(edges),") == 1
+    tracer.write_text(text.replace("edges=tuple(edges),",
+                                   "edges=tuple(edges[:-1]),"))
+    proc = _run_script("output_parity.py", "--per-degree", "0",
+                       "--against", str(tmp_path))
+    assert proc.returncode == 1, proc.stderr
+    changed = [line.split()[0] for line in proc.stderr.splitlines()
+               if line[:1] in "+-" and line[:3] not in ("+++", "---")]
+    assert changed == ["-stokes_graph[z^3-1]", "-stokes_graph[z^2(z-1)]",
+                       "+stokes_graph[z^3-1]", "+stokes_graph[z^2(z-1)]"]
+    assert proc.stderr.rstrip().endswith(
+        f"the lines differ from those under {(tmp_path / 'src').resolve()}")
 
 
 def test_bench_trace_targets_exist():

@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 import sys
@@ -6,14 +7,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stokesgeo import (NumericalError, accumulation_rays,
-                       eigenvalue_asymptotics, enumerate_short_geodesics,
-                       parse_poly_text, survey_short_geodesics,
-                       wronskian_eigenvalue_search)
+from stokesgeo import (BranchError, ClearanceError, ComplexPolynomial,
+                       NumericalError, accumulation_rays,
+                       alpha_contour_integrals, eigenvalue_asymptotics,
+                       enumerate_short_geodesics, parse_poly_text,
+                       survey_short_geodesics, wronskian_eigenvalue_search)
 from stokesgeo.pathint import contour_integral, sqrt_density
 from stokesgeo.spectrum import wronskian_sectors
 from stokesgeo import pathint, polynomial, spectrum
 from stokesgeo.config import DEFAULT_CONFIG
+from stokesgeo.geodesics import ShortGeodesic
 from stokesgeo.polynomial import PolyContext
 from tests.conftest import moving_zero_wronskian
 
@@ -33,10 +36,8 @@ def test_loop_period_matches_the_contour_walk(stream_rays):
     # the odd corrections share; entry 3 is the short stadium
     assert min(len(ray.contour) for ray in stream_rays[3][1]) == 37
     for poly, rays in stream_rays:
-        locs = PolyContext.of(poly).locs
         for ray in rays:
-            (walked,) = contour_integral(poly, ray.contour, [sqrt_density],
-                                         locs)
+            (walked,) = contour_integral(poly, ray.contour, [sqrt_density])
             assert abs(ray.loop_period - walked) <= 1e-12 * abs(walked)
 
 
@@ -66,6 +67,53 @@ def test_corrections_refuse_a_flipped_loop_period(cubic_unity):
     # order 0 reads L alone and orients it by the ray
     assert eigenvalue_asymptotics(cubic_unity, flipped, 1, 2) == (
         eigenvalue_asymptotics(cubic_unity, ray, 1, 2))
+
+
+def test_corrections_check_the_contour_as_alphas_do(osc):
+    # the correction walk of eigenvalue_asymptotics is contour_integral's,
+    # with its clearance and single-valuedness checks
+    ray = accumulation_rays(osc)[0]
+    delta = PolyContext.of(osc).scales.delta_path
+    near = [(1.0 + 0.5 * delta) * cmath.exp(2j * PI * k / 128)
+            for k in range(129)]
+    odd = [1.0 + 0.5 * cmath.exp(2j * PI * k / 128) for k in range(129)]
+    for contour, error, match in ((near, ClearanceError, "clearance"),
+                                  (odd, BranchError, "not single-valued")):
+        bad = replace(ray, contour=tuple(contour))
+        with pytest.raises(error, match=match):
+            eigenvalue_asymptotics(osc, bad, 1, 2, order=1)
+        with pytest.raises(error, match=match):
+            alpha_contour_integrals(osc, contour, 1)
+
+
+def _straight_geodesic(poly, a, b):
+    """ShortGeodesic along the 201-vertex segment between the roots a, b."""
+    locs = PolyContext.of(poly).locs
+    i, j = (min(range(len(locs)), key=lambda k: abs(locs[k] - r))
+            for r in (a, b))
+    return ShortGeodesic(pair=(i, j), t_star=0.0, period=1j,
+                         polyline=tuple(a + (b - a) * k / 200
+                                        for k in range(201)))
+
+
+def test_loop_contour_clears_by_the_walk_rule():
+    # a third root 0.0078 from the geodesic: the first stadium's nearest
+    # vertex is 0.0027 from it but its nearest chord only 0.0018, below
+    # 0.9 delta_path = 0.0018, so the stadium shrinks to 2.9 delta_path
+    poly = ComplexPolynomial.from_roots(1.0, [-1.0, 1.0, 0.0078j])
+    ctx = PolyContext.of(poly)
+    assert ctx.scales.delta_path == pytest.approx(0.002)
+    contour = spectrum._loop_contour(ctx, _straight_geodesic(poly, -1, 1))
+    assert (pathint.min_clearance(contour, [0.0078j])
+            >= 0.9 * ctx.scales.delta_path)
+    (alpha0,) = alpha_contour_integrals(poly, contour, 0)
+    assert alpha0 == pytest.approx(-1j * PI, abs=1e-8)
+    # at 0.007 no stadium clears it
+    poly = ComplexPolynomial.from_roots(1.0, [-1.0, 1.0, 0.007j])
+    geo = _straight_geodesic(poly, -1, 1)
+    with pytest.raises(ClearanceError, match=re.escape(
+            f"could not build a loop contour around pair {geo.pair}")):
+        spectrum._loop_contour(PolyContext.of(poly), geo)
 
 
 def test_three_rays_cubic(cubic_unity):
