@@ -3,7 +3,8 @@
 
 Draws simple-rooted monic centered polynomials of the requested degrees,
 enumerates their short geodesics and tabulates the counts against the
-connectivity bounds d-1 <= count <= d(d-1)/2.
+connectivity bounds d-1 <= count <= d(d-1)/2.  Under each degree's line
+it prints every distinct typed-failure message with its count.
 """
 
 import argparse
@@ -30,7 +31,7 @@ def main():
     rng = random.Random(args.seed)
     for d in (int(x) for x in args.degrees.split(",")):
         hist = collections.Counter()
-        failures = 0
+        failed = collections.Counter()
         numerical = []
         t0 = time.time()
         for _ in range(args.trials):
@@ -41,17 +42,19 @@ def main():
                 # a count below d-1 on generic input lands here
                 numerical.append(str(exc))
                 continue
-            except StokesGeoError:
-                failures += 1
+            except StokesGeoError as exc:
+                failed[f"{type(exc).__name__}: {exc}"] += 1
                 continue
             if survey.errors:
-                failures += 1
+                failed[f"survey errors: {survey.errors}"] += 1
                 continue
             hist[len(survey.geodesics)] += 1
         lo, hi = d - 1, d * (d - 1) // 2
         print(f"degree {d}: bounds [{lo}, {hi}]  "
               f"counts {dict(sorted(hist.items()))}  "
-              f"failures {failures}  ({time.time() - t0:.1f} s)")
+              f"failures {sum(failed.values())}  ({time.time() - t0:.1f} s)")
+        for msg, n in failed.most_common():
+            print(f"  {n} x {msg}")
         bad = [k for k in hist if not lo <= k <= hi]
         if bad:
             print(f"  *** bound violations at counts {bad} ***")

@@ -9,20 +9,19 @@ circle in one arc run opens into a single angular sector (half-plane
 type); a face with two arc runs has two ends squeezed onto Stokes rays
 (strip type).
 
-Strip widths use the canonical chart: any path inside a face connects two
-boundary points without winding around turning points, so the
-branch-tracked integral of sqrt(P) between a vertex on each boundary
-component has |Re| equal to the width of the strip's image.  It is
-integrated once, on first read, not when the face set is built.
+A strip is crossed by ``cross_strip`` alone, from one of its boundary
+roots to the other.  Near each root the walk takes one turning-point chord
+into a disk that holds no other root, then follows the traced vertices of
+a boundary edge to the ends of a straight segment inside the face.  It
+passes no turning point, so it integrates the period of the strip's saddle
+class, and the strip's width is |Re| of that period (``strip_width``).
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable
+from dataclasses import dataclass
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import IncompleteGraphError, NonGenericError
@@ -37,21 +36,14 @@ TWO_PI = 2.0 * math.pi
 class AdmissibleDomain:
     """One face of the subdivision.  ``edge_ids`` index into graph.edges;
     for strips, ``boundary_roots`` lists the turning points on each of the
-    two boundary components, ``polygon`` is a sampled closed outline of
-    the face (used for interior tests) and ``measure`` the width."""
+    two boundary components and ``polygon`` is a sampled closed outline
+    of the face (used for interior tests)."""
 
     kind: str                      # "HalfPlane" | "Strip"
     edge_ids: tuple[int, ...]
     incident_rays: tuple[int, ...]
     boundary_roots: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     polygon: tuple[complex, ...] | None = None
-    measure: Callable[[], float] | None = field(default=None, repr=False,
-                                                compare=False)
-
-    @cached_property
-    def width(self) -> float | None:
-        """A strip's width, integrated on first read; None otherwise."""
-        return self.measure() if self.measure else None
 
 
 @dataclass(frozen=True)
@@ -117,7 +109,7 @@ def _arc_samples(radius, b0, b1):
     return [radius * cmath.exp(1j * (b0 + span * k / n)) for k in range(n + 1)]
 
 
-def build_face_set(graph: StokesGraph, config: RunConfig = DEFAULT_CONFIG) -> FaceSet:
+def build_face_set(graph: StokesGraph) -> FaceSet:
     """Planar subdivision of the escape disk by the Stokes graph."""
     if graph.incomplete:
         raise IncompleteGraphError(
@@ -230,7 +222,7 @@ def build_face_set(graph: StokesGraph, config: RunConfig = DEFAULT_CONFIG) -> Fa
         if signed_area(poly_pts) <= 0.0:
             continue   # outer face
         n_interior += 1
-        dom = _classify_face(graph, halves, betas, cycle, poly_pts, config)
+        dom = _classify_face(graph, halves, betas, cycle, poly_pts)
         domains.append(dom)
 
     n_vertices = len(locs) + m
@@ -267,7 +259,7 @@ def _cyclic_runs(flags):
     return runs
 
 
-def _classify_face(graph, halves, betas, cycle, poly_pts, config):
+def _classify_face(graph, halves, betas, cycle, poly_pts):
     is_arc = [halves[hid].kind == "arc" for hid in cycle]
     runs = _cyclic_runs(is_arc)
     tree_ids = tuple(sorted({halves[hid].ref for hid in cycle
@@ -301,155 +293,142 @@ def _classify_face(graph, halves, betas, cycle, poly_pts, config):
     _, _, ray_a = run_rays(runs[0])
     _, _, ray_b = run_rays(runs[1])
     # boundary components: tree runs between the arc runs
-    arc_flags = is_arc
     comp_roots = []
-    comp_plines = []
     n = len(cycle)
-    for run, other in ((runs[0], runs[1]), (runs[1], runs[0])):
+    for run in runs:
         i = (run[-1] + 1) % n
-        roots = []
-        plines = []
-        while not arc_flags[i]:
+        roots = set()
+        while not is_arc[i]:
             h = halves[cycle[i]]
-            plines.append(h.pline)
-            if h.tail[0] == "r":
-                roots.append(h.tail[1])
-            if h.head[0] == "r":
-                roots.append(h.head[1])
+            roots.update(v[1] for v in (h.tail, h.head) if v[0] == "r")
             i = (i + 1) % n
-        comp_roots.append(tuple(sorted(set(roots))))
-        comp_plines.append(plines)
+        comp_roots.append(tuple(sorted(roots)))
     return AdmissibleDomain(
         kind="Strip", edge_ids=tree_ids, incident_rays=(ray_a, ray_b),
-        boundary_roots=(comp_roots[0], comp_roots[1]), polygon=tuple(poly_pts),
-        measure=partial(_strip_width, graph, *comp_plines, poly_pts, config))
-
-
-def _point_in_polygon(pts, z: complex) -> bool:
-    inside = False
-    n = len(pts)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        if (a.imag > z.imag) != (b.imag > z.imag):
-            x = a.real + (z.imag - a.imag) * (b.real - a.real) / (b.imag - a.imag)
-            if x > z.real:
-                inside = not inside
-    return inside
-
-
-def _strip_width(graph, side_a, side_b, poly_pts, config) -> float:
-    """|Re| of the branch-tracked integral of sqrt(P) along an in-face path
-    joining the two boundary components, endpoints on traced vertices."""
-    poly = graph.poly
-    locs = graph.turning_points.locations
-    va = [z for pl in side_a for z in pl]
-    vb = [z for pl in side_b for z in pl]
-    delta = graph.scales.delta_path
-
-    def interior_vertices(chain):
-        good = [z for z in chain
-                if min(abs(z - r) for r in locs) > 2.0 * delta
-                and abs(z) < 0.98 * graph.scales.r_escape]
-        if not good:
-            good = chain
-        idxs = [len(good) // 2, len(good) // 4, (3 * len(good)) // 4,
-                len(good) // 8, (7 * len(good)) // 8]
-        return [good[i] for i in sorted(set(min(i, len(good) - 1) for i in idxs))]
-
-    candidates = []
-    for za in interior_vertices(va):
-        zb = min(vb, key=lambda q: abs(q - za))
-        candidates.append((abs(zb - za), za, zb))
-    candidates.sort(key=lambda c: c[0])
-
-    for _, za, zb in candidates:
-        if _segment_inside(za, zb, poly_pts, locs, delta):
-            (val,), _, _ = integrate_polyline(poly, locs, [za, zb],
-                                              rel_tol=config.quad_rel_tol)
-            return abs(val.real)
-    raise NonGenericError(
-        "no straight in-face segment joins the two sides of a strip")
+        boundary_roots=(comp_roots[0], comp_roots[1]), polygon=tuple(poly_pts))
 
 
 def _segment_inside(za, zb, poly_pts, locs, delta) -> bool:
+    """Whether the segment za -> zb keeps 0.5 delta from the roots and its
+    points za + (zb - za) k/24, k = 1..23, lie inside the closed outline
+    ``poly_pts`` (odd number of outline edges crossed by the ray in +x)."""
     if min_clearance([za, zb], locs) < 0.5 * delta:
         return False
-    for k in range(1, 24):
-        z = za + (zb - za) * k / 24.0
-        if not _point_in_polygon(poly_pts, z):
+    pts = [za + (zb - za) * k / 24.0 for k in range(1, 24)]
+    lo = min(z.imag for z in pts)
+    hi = max(z.imag for z in pts)
+    # an edge whose ends both lie above hi, or both at or below lo, spans
+    # none of the points' heights
+    edges = [(a, b) for a, b in zip(poly_pts, poly_pts[1:] + poly_pts[:1])
+             if (a.imag <= hi or b.imag <= hi)
+             and (a.imag > lo or b.imag > lo)]
+    for z in pts:
+        inside = False
+        for a, b in edges:
+            if (a.imag > z.imag) != (b.imag > z.imag):
+                x = (a.real + (z.imag - a.imag) * (b.real - a.real)
+                     / (b.imag - a.imag))
+                if x > z.real:
+                    inside = not inside
+        if not inside:
             return False
     return True
 
 
-def _boundary_edge(graph: StokesGraph, dom: AdmissibleDomain, root: int) -> int:
-    """The lowest-indexed edge of ``dom``'s boundary that ends at ``root``."""
-    return next(e for e in dom.edge_ids
-                if root in (graph.edges[e].origin, graph.edges[e].target))
+def _stops(graph: StokesGraph, root: int, edge_ids):
+    """The traced vertices of each of the edges ``edge_ids`` that end at
+    ``root``, as stops (pl, k, i): the vertex pl[i] of the edge pl ordered
+    outward from the root, and the index k of the last vertex before pl
+    first leaves the disk about the root of half the distance to the
+    nearest other root (k >= 1).  A walk from the root reaches pl[i] by one
+    chord to pl[min(i, k)] and then the traced vertices."""
+    locs = graph.turning_points.locations
+    radius = 0.5 * min(abs(locs[root] - z)
+                       for j, z in enumerate(locs) if j != root)
+    out = []
+    for e in (graph.edges[j] for j in edge_ids):
+        if root not in (e.origin, e.target):
+            continue
+        pl = e.polyline if e.origin == root else e.polyline[::-1]
+        k = 1
+        while k + 1 < len(pl) and abs(pl[k + 1] - pl[0]) <= radius:
+            k += 1
+        out.append([(pl, k, i) for i in range(1, len(pl))])
+    return out
 
 
 def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
                 r_to: int, config: RunConfig = DEFAULT_CONFIG,
                 exit_edge: int | None = None):
     """Transport the canonical coordinate from r_from to r_to through one
-    strip: out along r_from's boundary edge, straight across the face
-    interior, and back along the exit edge (default r_to's boundary edge),
-    in one walk.  No turning point is passed, so the branch is unambiguous
-    given the anchor seed.
+    strip, in one walk that passes no turning point.
 
-    Returns (xi(r_to) - xi(r_from), Im[xi(b*) - xi(r_to)]) where b* is the
-    crossing's landing vertex on the exit edge; the first is the period of
-    the strip's standard saddle class, the imaginary part gives the chart
-    direction in which the exit edge leaves the node.
+    From each root, one chord runs to the last traced vertex of a boundary
+    edge that lies within half the root's distance to its nearest other
+    root; chord and skipped edge piece share a disk with no other root, so
+    they give the same integral.  The walk then follows the edge's traced
+    vertices to a*, crosses the face on the straight segment a* -> b*, and
+    follows r_to's edge (``exit_edge`` when given) back.  The a* are the
+    traced vertices at 1/8 .. 7/8 of r_from's boundary edges, each paired
+    with the nearest vertex b* of r_to's; the first pair whose segment lies
+    inside the face, in order of the traced vertices walked, is used.
+
+    Returns (xi(r_to) - xi(r_from), Im[xi(b*) - xi(r_to)]); the first is
+    the period of the strip's standard saddle class, the imaginary part
+    gives the chart direction in which b*'s edge leaves the node.
     """
     locs = graph.turning_points.locations
     mults = [m for _, m in graph.turning_points.points]
-    if exit_edge is None:
-        exit_edge = _boundary_edge(graph, dom, r_to)
-    e_in = graph.edges[_boundary_edge(graph, dom, r_from)]
-    e_out = graph.edges[exit_edge]
-    pl_in = list(e_in.polyline)
-    if e_in.origin != r_from:
-        pl_in = pl_in[::-1]
-    pl_out = list(e_out.polyline)
-    if e_out.origin != r_to:
-        pl_out = pl_out[::-1]
+    delta = graph.scales.delta_path
+    first, *rest = _stops(graph, r_from, dom.edge_ids)
+    ends = [stop for edge in _stops(graph, r_to, dom.edge_ids
+                                    if exit_edge is None else (exit_edge,))
+            for stop in edge]
 
-    face_pts = list(dom.polygon or ())
-    if not face_pts:
-        raise NonGenericError("strip face polygon unavailable")
+    # r_from's edges laid end to end through the root, as in the face
+    # outline, and their vertices clear of the roots and the escape circle
+    chain = first[::-1] + [stop for edge in rest for stop in edge]
+    clear = [(pl, k, i) for pl, k, i in chain
+             if min(abs(pl[i] - r) for r in locs) > 2.0 * delta
+             and abs(pl[i]) < 0.98 * graph.scales.r_escape] or chain
+    n = len(clear)
+    pairs = []
+    for j in sorted({min(j, n - 1) for j in
+                     (n // 2, n // 4, 3 * n // 4, n // 8, 7 * n // 8)}):
+        pa, _, ia = clear[j]
+        pairs.append((clear[j],
+                      min(ends, key=lambda b: abs(b[0][b[2]] - pa[ia]))))
+    # by the traced vertices walked from the roots, max(i - k, 0) a side
+    pairs.sort(key=lambda pair: sum(max(i - k, 0) for _, k, i in pair))
 
-    best = None
-    n_in = len(pl_in)
-    n_out = len(pl_out)
-    for fa in (0.5, 0.3, 0.7, 0.15, 0.85):
-        ia = max(1, min(n_in - 1, int(fa * n_in)))
-        a_star = pl_in[ia]
-        for fb in (0.5, 0.3, 0.7, 0.15, 0.85):
-            ib = max(1, min(n_out - 1, int(fb * n_out)))
-            b_star = pl_out[ib]
-            if _segment_inside(a_star, b_star, face_pts, locs,
-                               graph.scales.delta_path):
-                best = (ia, ib)
-                break
-        if best:
+    for (pa, ka, ia), (pb, kb, ib) in pairs:
+        if _segment_inside(pa[ia], pb[ib], dom.polygon, locs, delta):
             break
-    if best is None:
-        raise NonGenericError("no interior crossing segment found")
-    ia, ib = best
+    else:
+        raise NonGenericError(
+            f"no interior crossing segment found in the strip between roots "
+            f"{r_from} at {locs[r_from]:.6g} and {r_to} at "
+            f"{locs[r_to]:.6g} (incident rays {dom.incident_rays})")
 
-    # out along the entry edge to a*, straight across the face to b*, then
-    # back along the exit edge to r_to; running[ia] ends at b*
-    (delta,), _, running = integrate_polyline(
-        graph.poly, locs, pl_in[:ia + 1] + pl_out[ib::-1],
-        rel_tol=config.quad_rel_tol, start=(locs[r_from], mults[r_from]),
-        end=(locs[r_to], mults[r_to]))
-    return delta, (running[ia][0] - delta).imag
+    head = [locs[r_from], *pa[min(ia, ka):ia + 1]]
+    tail = [locs[r_to], *pb[min(ib, kb):ib + 1]]
+    # running[len(head) - 1] ends at b*
+    (period,), _, running = integrate_polyline(
+        graph.poly, locs, head + tail[::-1], rel_tol=config.quad_rel_tol,
+        start=(locs[r_from], mults[r_from]), end=(locs[r_to], mults[r_to]))
+    return period, (running[len(head) - 1][0] - period).imag
 
 
-def admissible_domains(graph: StokesGraph,
-                       config: RunConfig = DEFAULT_CONFIG) -> list[AdmissibleDomain]:
+def strip_width(graph: StokesGraph, dom: AdmissibleDomain,
+                config: RunConfig = DEFAULT_CONFIG) -> float:
+    """The width of a strip: |Re| of the period of its crossing."""
+    (r_from, *_), (r_to, *_) = dom.boundary_roots
+    return abs(cross_strip(graph, dom, r_from, r_to, config)[0].real)
+
+
+def admissible_domains(graph: StokesGraph) -> list[AdmissibleDomain]:
     """Faces of the completed Stokes graph, classified by type."""
-    return build_face_set(graph, config).domains
+    return build_face_set(graph).domains
 
 
 def chord_diagram(poly: ComplexPolynomial,
@@ -463,7 +442,7 @@ def chord_diagram(poly: ComplexPolynomial,
     out = []
     for member in (poly, poly.rotate(math.pi / 2)):
         graph = build_stokes_graph(member, config)
-        fs = build_face_set(graph, config)
+        fs = build_face_set(graph)
         strips = fs.strips
         if len(strips) != d - 1:
             raise NonGenericError(
@@ -475,9 +454,10 @@ def chord_diagram(poly: ComplexPolynomial,
             if graph.sectors.are_neighboring_rays(i, j):
                 raise NonGenericError(
                     f"strip attached to neighboring rays {i}, {j}")
-            if not dom.width or dom.width <= 0:
+            width = strip_width(graph, dom, config)
+            if width <= 0:
                 raise NonGenericError("strip with nonpositive width")
-            chords.append(((min(i, j), max(i, j)), dom.width))
+            chords.append(((min(i, j), max(i, j)), width))
         chords.sort()
         diagram = ChordDiagram(n_vertices=d + 2, chords=tuple(chords))
         for a in range(len(chords)):

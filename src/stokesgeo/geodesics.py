@@ -149,7 +149,7 @@ def _strip_basis(poly: ComplexPolynomial, t0: float, config: RunConfig):
     Re > 0, and the exchange matrix.  Raises NonGenericError when the
     decomposition is not generic."""
     graph = build_stokes_graph(poly.rotate(t0), config)
-    strips = build_face_set(graph, config).strips
+    strips = build_face_set(graph).strips
     d = poly.degree
     if len(strips) != d - 1:
         raise NonGenericError(f"{len(strips)} strip domains, need {d - 1}")

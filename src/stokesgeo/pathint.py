@@ -234,7 +234,10 @@ def integrate_chord_from_root(poly, roots, root, mult, z1, w1,
     if dz == 0:
         return 0j
     q = _deflate(poly, root, mult)
-    other = tuple(r for r in roots if r != root)
+    # ``root`` may be passed rounded: drop the entry of ``roots`` nearest it
+    near = min(range(len(roots)), key=lambda k: abs(roots[k] - root),
+               default=None)
+    other = tuple(r for k, r in enumerate(roots) if k != near)
     wq1 = cmath.sqrt(q.evaluate(z1))
     walker = BranchWalker(q, other, z1, wq1)
 

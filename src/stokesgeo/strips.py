@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .domains import build_face_set, cross_strip
+from .domains import build_face_set, cross_strip, strip_width
 from .errors import NonGenericError, StokesGeoError
 from .polynomial import ComplexPolynomial, turning_points
 from .tracer import build_stokes_graph
@@ -228,7 +228,7 @@ def is_very_flat(poly: ComplexPolynomial,
     if not tps.all_simple:
         return VeryFlatResult(False, None, "repeated roots")
     graph = build_stokes_graph(poly, config)
-    fs = build_face_set(graph, config)
+    fs = build_face_set(graph)
     strips = fs.strips
     if len(strips) != d - 1:
         return VeryFlatResult(
@@ -313,8 +313,9 @@ def _project_chain(graph, strips, chain, chain_strips, config):
         if delta.real < 0:
             delta = -delta
             e_dir_im = -e_dir_im
-        width = dom.width or 0.0
-        if abs(abs(delta.real) - width) > 1e-5 * (1.0 + width):
+        # the exit-edge crossing against the strip's default crossing
+        width = strip_width(graph, dom, config)
+        if abs(delta.real - width) > 1e-5 * (1.0 + width):
             raise NonGenericError(
                 "transported width disagrees with face width "
                 f"({abs(delta.real):.8f} vs {width:.8f})")

@@ -29,7 +29,8 @@ def test_rotated_oscillator_strip(osc):
     strip = fs.strips[0]
     # width of the canonical-chart image: |Re(e^{it} w)| with w = i pi/2
     expected = (math.pi / 2) * math.sin(0.3)
-    assert strip.width == pytest.approx(expected, abs=1e-6)
+    assert domains.strip_width(fs.graph, strip) == pytest.approx(expected,
+                                                                 rel=1e-12)
     assert not fs.graph.sectors.are_neighboring_rays(*strip.incident_rays)
     assert fs.n_vertices - fs.n_edges + fs.n_faces == 2
 
@@ -46,9 +47,9 @@ def test_chord_diagram_oscillator(osc):
     assert stokes.n_vertices == 4 and anti.n_vertices == 4
     (pair, weight), = stokes.chords
     assert (pair[1] - pair[0]) % 4 == 2      # opposite vertices
-    assert weight == pytest.approx((math.pi / 2) * math.sin(0.3), abs=1e-6)
+    assert weight == pytest.approx((math.pi / 2) * math.sin(0.3), rel=1e-12)
     (apair, aweight), = anti.chords
-    assert aweight == pytest.approx((math.pi / 2) * math.cos(0.3), abs=1e-6)
+    assert aweight == pytest.approx((math.pi / 2) * math.cos(0.3), rel=1e-12)
 
 
 def test_chord_diagram_raises_on_nongeneric(osc):
@@ -70,19 +71,34 @@ def test_random_cubic_pentagon():
             assert w > 0
 
 
-def test_chord_diagram_integrates_each_width_once(monkeypatch):
-    # building a face set integrates no width; the diagram reads each
-    # strip's once, d - 1 per member of the pair
+def test_chord_diagram_crosses_each_strip_once(monkeypatch):
+    # building a face set crosses no strip; the diagram crosses each
+    # strip once for its width, d - 1 per member of the pair
     members = []
-    strip_width = domains._strip_width
+    cross_strip = domains.cross_strip
 
     def counted(graph, *args):
         members.append(graph.poly)
-        return strip_width(graph, *args)
-    monkeypatch.setattr(domains, "_strip_width", counted)
+        return cross_strip(graph, *args)
+    monkeypatch.setattr(domains, "cross_strip", counted)
     p = random_simple_poly(random.Random(321), 3)
     chord_diagram(p)
     assert [members.count(m) for m in dict.fromkeys(members)] == [2, 2]
+
+
+def test_failed_crossing_names_its_strip(osc, monkeypatch):
+    graph = build_stokes_graph(osc.rotate(0.3))
+    (strip,) = build_face_set(graph).strips
+    (ra,), (rb,) = strip.boundary_roots
+    locs = graph.turning_points.locations
+    assert {ra, rb} == {0, 1}
+    monkeypatch.setattr(domains, "_segment_inside", lambda *args: False)
+    with pytest.raises(NonGenericError) as info:
+        domains.strip_width(graph, strip)
+    assert str(info.value) == (
+        f"no interior crossing segment found in the strip between roots "
+        f"{ra} at {locs[ra]:.6g} and {rb} at {locs[rb]:.6g} (incident "
+        f"rays {strip.incident_rays})")
 
 
 def test_chords_cross_predicate():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,7 @@ from stokesgeo import (ComplexPolynomial, HitTurningPoint, NonGenericError,
                        teichmuller_defect, verify_geodesic)
 from stokesgeo.pathint import root_to_root_period
 from stokesgeo.polynomial import PolyContext
-from tests.conftest import stream_polys
+from tests.conftest import random_simple_poly, stream_polys
 
 PI = math.pi
 
@@ -74,18 +75,25 @@ def test_periods_match_the_traced_walk(stream_rays):
             assert abs(geo.period - walked) <= 1e-12 * abs(walked)
 
 
-def test_survey_integrates_no_strip_width(monkeypatch):
-    widths = []
-    strip_width = domains._strip_width
+def test_survey_crosses_each_strip_once_per_attempt(monkeypatch):
+    # the survey reads no width: each decomposition it tries crosses its
+    # d - 1 strips once, for their periods
+    crossings = []
+    cross_strip = domains.cross_strip
 
-    def counted(*args):
-        widths.append(args)
-        return strip_width(*args)
-    monkeypatch.setattr(domains, "_strip_width", counted)
+    def counted(graph, *args, **kwargs):
+        crossings.append(graph)
+        return cross_strip(graph, *args, **kwargs)
+    monkeypatch.setattr(domains, "cross_strip", counted)
+    monkeypatch.setattr(geodesics, "cross_strip", counted)
+    outcomes = _record_decompositions(monkeypatch)
     for poly in stream_polys(20260808, 1):
+        crossings.clear()
+        outcomes.clear()
         survey = survey_short_geodesics(poly)
         assert len(survey.geodesics) >= poly.degree - 1
-    assert widths == []
+        assert outcomes == ["generic"]
+        assert len(crossings) == poly.degree - 1
 
 
 def test_direct_hit_stops_tracing_at_the_hit(cubic_unity, monkeypatch):
@@ -311,14 +319,34 @@ def _record_decompositions(monkeypatch):
 
 
 def test_start_angle_moves_to_next_gap(monkeypatch):
-    # the 49th quintic of stream 1 has no interior crossing of a strip at
-    # the widest gap, and a generic decomposition at the next
+    # a strip of the decomposition at the widest gap that cannot be
+    # crossed sends the survey to the next gap
     poly = stream_polys(1, 49)[2 * 49 + 48]
+    cross_strip = geodesics.cross_strip
+    calls = []
+
+    def first_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise NonGenericError("no interior crossing segment found")
+        return cross_strip(*args, **kwargs)
+    monkeypatch.setattr(geodesics, "cross_strip", first_fails)
     outcomes = _record_decompositions(monkeypatch)
     survey = survey_short_geodesics(poly)
     assert outcomes == ["no interior crossing segment found", "generic"]
     assert sorted(g.pair for g in survey.geodesics) == [
         (0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
+
+
+def test_degree_12_strips_are_crossed():
+    # at all three start angles, this draw has a strip that no straight
+    # segment between fixed fractions of its two boundary edges crosses
+    # inside the face; walking the edges from the roots finds a crossing
+    rng = random.Random(4242)
+    poly = [random_simple_poly(rng, 12, radius=2.0) for _ in range(18)][17]
+    survey = survey_short_geodesics(poly)
+    assert 11 <= len(survey.geodesics) <= 66
+    assert survey.errors == []
 
 
 def test_start_angle_attempts_run_out(cubic_unity, monkeypatch):

@@ -293,6 +293,27 @@ def test_double_root_chord_closed_form(z1):
         assert abs(got - expect) <= 1e-12 * abs(expect)
 
 
+def test_rounded_root_is_dropped_from_the_walk(monkeypatch):
+    # turning_points places the double root of z^2 (z - 2) 1.3e-13 from 0;
+    # spelled 0.0, the root must still leave the walker's roots, or every
+    # step toward it halves: 59 evaluations instead of 16
+    p = parse_poly_text("1,-2,0,0")
+    roots = PolyContext.of(p).locs
+    exact = min(roots, key=abs)
+    assert exact != 0.0
+    z1 = 0.3 + 0.2j
+    w1 = cmath.sqrt(p.evaluate(z1))
+    points = _recording_evaluate(monkeypatch)
+    counts, values = [], []
+    for root in (exact, 0.0):
+        points.clear()
+        values.append(pathint.integrate_chord_from_root(p, roots, root, 2,
+                                                        z1, w1))
+        counts.append(len(points))
+    assert counts == [16, 16]
+    assert abs(values[1] - values[0]) <= 1e-12 * abs(values[0])
+
+
 def test_reversal_negates():
     # P = z^3 - 1 crosses the negative real axis on this segment, so the
     # walk back starts on the other branch than the one it left on

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from stokesgeo import (ChoppedStrip, ExactTieError, build_face_set,
-                       build_stokes_graph, count_short_geodesics,
+                       build_stokes_graph, count_short_geodesics, domains,
                        is_very_flat, realize_count, visible_pairs)
+from stokesgeo.pathint import integrate_polyline
 from tests.conftest import random_simple_poly
 
 F = Fraction
@@ -154,17 +155,45 @@ def test_very_flat_count_matches_geodesics():
     assert checked >= 3
 
 
+def _segment_width(graph, dom):
+    """|Re| of sqrt(P) integrated along a straight segment inside the
+    strip between traced vertices of its two sides: vertices at 1/8 .. 7/8
+    of one side, each paired with the nearest vertex of the other side,
+    the shortest pair inside the face first."""
+    locs = graph.turning_points.locations
+    delta = graph.scales.delta_path
+    va, vb = ([z for e in dom.edge_ids if root in (graph.edges[e].origin,
+                                                    graph.edges[e].target)
+               for z in graph.edges[e].polyline]
+              for (root, *_) in dom.boundary_roots)
+    clear = [z for z in va if min(abs(z - r) for r in locs) > 2.0 * delta
+             and abs(z) < 0.98 * graph.scales.r_escape]
+    n = len(clear)
+    pairs = []
+    for i in {n // 2, n // 4, 3 * n // 4, n // 8, 7 * n // 8}:
+        zb = min(vb, key=lambda z: abs(z - clear[i]))
+        pairs.append((abs(zb - clear[i]), clear[i], zb))
+    for _, za, zb in sorted(pairs, key=lambda pair: pair[0]):
+        if domains._segment_inside(za, zb, dom.polygon, locs, delta):
+            (val,), _, _ = integrate_polyline(graph.poly, locs, [za, zb],
+                                              rel_tol=1e-9)
+            return abs(val.real)
+    raise AssertionError("no straight in-face segment joins the sides")
+
+
 def test_face_widths_match_transported_periods():
     # the README's bound: each node gap is the |Re| of a period transported
-    # across one strip, which must be that strip's face width
+    # across one strip, which must be the width read off the face geometry,
+    # a straight in-face segment between the strip's two sides
     checked = 0
     for poly, res in _very_flat_samples():
         if not res.flag:
             continue
         xs = [float(x) for x, _ in res.strip.nodes]
         gaps = sorted(b - a for a, b in zip(xs, xs[1:]))
-        widths = sorted(dom.width for dom in
-                        build_face_set(build_stokes_graph(poly)).strips)
+        graph = build_stokes_graph(poly)
+        widths = sorted(_segment_width(graph, dom)
+                        for dom in build_face_set(graph).strips)
         assert len(gaps) == len(widths)
         for gap, width in zip(gaps, widths):
             assert abs(gap - width) <= 2e-11 * width
