@@ -22,9 +22,11 @@ agree bit for bit.  The outputs are
   benchmark rectangles without their seeded jitter, and in sectors (1, 3)
   of -z^2 + 1 on (-0.3, 0.4, 2.7, 3.35), where arg W lies near pi.
 
-The survey lines also print the ``repr`` of each geodesic period after
-the hash, the rays lines each loop period, and the Wronskian lines each
-zero, so a diff shows how far a value moved.
+After the hash, the survey lines also print the ``repr`` of each
+geodesic period, the rays lines each loop period, the alphas lines each
+alpha_j, the estimates and estimates3 lines each estimated eigenvalue,
+the chords lines each chord weight (strip width) of both diagrams, and
+the Wronskian lines each zero, so a diff shows how far a value moved.
 
 The lines go to standard output.  With ``--against DIR`` the script also
 runs the same fingerprints on the package in DIR/src, in a subprocess
@@ -88,15 +90,17 @@ def fingerprints(per_degree):
         rays = accumulation_rays(poly, survey=survey)
         yield fingerprint(f"rays[{label}]", rays,
                           [r.loop_period for r in rays])
-        yield fingerprint(f"alphas[{label}]",
-                          [alpha_contour_integrals(poly, ray.contour, 3)
-                           for ray in rays])
-        yield fingerprint(f"estimates[{label}]",
-                          [eigenvalue_asymptotics(poly, ray, 1, 5, order=0)
-                           for ray in rays])
-        yield fingerprint(f"estimates3[{label}]",
-                          [eigenvalue_asymptotics(poly, ray, 1, 3, order=3)
-                           for ray in rays])
+        alphas = [alpha_contour_integrals(poly, ray.contour, 3)
+                  for ray in rays]
+        yield fingerprint(f"alphas[{label}]", alphas,
+                          [a for ray_alphas in alphas for a in ray_alphas])
+        for name, n_max, order in (("estimates", 5, 0), ("estimates3", 3, 3)):
+            estimates = [eigenvalue_asymptotics(poly, ray, 1, n_max,
+                                                 order=order)
+                         for ray in rays]
+            yield fingerprint(f"{name}[{label}]", estimates,
+                              [e.value for ray_estimates in estimates
+                               for e in ray_estimates])
         yield fingerprint(f"periods[{label}]",
                           [(p.pair, p.path, p.value)
                            for p in pairwise_periods(poly)])
@@ -104,7 +108,10 @@ def fingerprints(per_degree):
                           [re_xi_drift(poly.rotate(g.t_star), g.polyline)
                            for g in survey.geodesics])
     for label, poly in stream(5150, per_degree):
-        yield fingerprint(f"chords[{label}]", chord_diagram(poly))
+        diagrams = chord_diagram(poly)
+        yield fingerprint(f"chords[{label}]", diagrams,
+                          [width for diagram in diagrams
+                           for _, width in diagram.chords])
         flat = is_very_flat(poly)
         yield fingerprint(f"very_flat[{label}]",
                           (flat.flag,) if flat.strip is None else

@@ -23,6 +23,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import IncompleteGraphError, NonGenericError
 from .pathint import integrate_polyline, min_clearance
@@ -388,16 +390,20 @@ def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
     # r_from's edges laid end to end through the root, as in the face
     # outline, and their vertices clear of the roots and the escape circle
     chain = first[::-1] + [stop for edge in rest for stop in edge]
-    clear = [(pl, k, i) for pl, k, i in chain
-             if min(abs(pl[i] - r) for r in locs) > 2.0 * delta
-             and abs(pl[i]) < 0.98 * graph.scales.r_escape] or chain
+    za = np.array([pl[i] for pl, _, i in chain])
+    clear = np.flatnonzero(
+        (np.abs(za[:, None] - np.array(locs)).min(axis=1) > 2.0 * delta)
+        & (np.abs(za) < 0.98 * graph.scales.r_escape))
+    if not len(clear):
+        clear = np.arange(len(chain))
+    zb = np.array([pl[i] for pl, _, i in ends])
     n = len(clear)
     pairs = []
     for j in sorted({min(j, n - 1) for j in
                      (n // 2, n // 4, 3 * n // 4, n // 8, 7 * n // 8)}):
-        pa, _, ia = clear[j]
-        pairs.append((clear[j],
-                      min(ends, key=lambda b: abs(b[0][b[2]] - pa[ia]))))
+        a = clear[j]
+        # the first of the nearest vertices b*
+        pairs.append((chain[a], ends[np.argmin(np.abs(zb - za[a]))]))
     # by the traced vertices walked from the roots, max(i - k, 0) a side
     pairs.sort(key=lambda pair: sum(max(i - k, 0) for _, k, i in pair))
 

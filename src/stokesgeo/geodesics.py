@@ -81,25 +81,31 @@ def verify_geodesic(poly: ComplexPolynomial, pair, t: float, period: complex,
     """Trace the Stokes lines of e^{2it} P from the lower root of ``pair``,
     stopping at the first that hits the other: that line is the geodesic,
     with ``period`` (its class's; the polyline is not integrated).  None
-    when no line hits it.
+    when no line hits it.  The directions are tried nearest arg(b - a)
+    first, so the line that hits b is usually the first traced.
 
     Raises NonGenericError when no line hits the partner but one lands on
-    a third turning point (a simultaneous connection at this t).
+    a third turning point (a simultaneous connection at this t); it names
+    the third root of the last such direction in emanating order.
     """
     a, b = pair = (min(pair), max(pair))
     rot = PolyContext.of(poly, config).rotate(t)
-    third = None
-    for theta in emanating_directions(rot.poly, rot.locs[a], rot.mults[a]):
-        pl, fate = trace_stokes_line(rot.poly, a, theta, context=rot)
+    towards = cmath.phase(rot.locs[b] - rot.locs[a])
+    dirs = emanating_directions(rot.poly, rot.locs[a], rot.mults[a])
+    third = {}
+    for k in sorted(range(len(dirs)),
+                    key=lambda k: abs(wrap_angle(dirs[k] - towards))):
+        pl, fate = trace_stokes_line(rot.poly, a, dirs[k], context=rot)
         if isinstance(fate, HitTurningPoint):
             if fate.target == b:
                 return ShortGeodesic(pair=pair, t_star=wrap_positive(t, PI),
                                      period=period, polyline=tuple(pl))
             if fate.target != a:
-                third = fate.target
-    if third is not None:
+                third[k] = fate.target
+    if third:
         raise NonGenericError(
-            f"trace from root {a} at t={t:.6f} hits third root {third}")
+            f"trace from root {a} at t={t:.6f} hits third root "
+            f"{third[max(third)]}")
     return None
 
 

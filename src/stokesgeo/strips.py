@@ -313,15 +313,16 @@ def _project_chain(graph, strips, chain, chain_strips, config):
         if delta.real < 0:
             delta = -delta
             e_dir_im = -e_dir_im
-        # the exit-edge crossing against the strip's default crossing
-        width = strip_width(graph, dom, config)
-        if abs(delta.real - width) > 1e-5 * (1.0 + width):
-            raise NonGenericError(
-                "transported width disagrees with face width "
-                f"({abs(delta.real):.8f} vs {width:.8f})")
         xs.append(xs[-1] + delta.real)
         ys.append(ys[-1] + delta.imag)
         if shared_edge is not None:
+            # the exit-edge crossing against the strip's default crossing;
+            # the last strip's crossing is a default crossing already
+            width = strip_width(graph, dom, config)
+            if abs(delta.real - width) > 1e-5 * (1.0 + width):
+                raise NonGenericError(
+                    "transported width disagrees with face width "
+                    f"({abs(delta.real):.8f} vs {width:.8f})")
             # the shared seam leaves the node upward or downward; the cut
             # (the slit where two half-planes attach) is the opposite ray
             cuts.append("down" if e_dir_im > 0 else "up")

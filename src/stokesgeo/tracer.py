@@ -5,7 +5,8 @@ along the trace, which moves at unit speed while keeping Re xi constant
 (d xi / ds = i |w|).  Each accepted step adds the chord integral of
 sqrt(P) to a running drift estimate and projects the new vertex back onto
 the Re xi level set of the launch point, so emitted polylines stay on the
-Stokes line in the canonical chart.
+Stokes line in the canonical chart.  The chord integral is a Gauss-Lobatto
+rule whose end values are the step's own, so it costs 4 new evaluations.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ from .config import DEFAULT_CONFIG, RunConfig, Scales
 from .errors import NumericalError
 from .polynomial import (ComplexPolynomial, PolyContext, StokesSectorSet,
                          TurningPointSet, wrap_angle, wrap_positive)
-from .pathint import (_KRONROD_NODES, _KRONROD_WEIGHTS, _deflate,
-                      integrate_chord_from_root)
+from .pathint import _deflate, integrate_chord_from_root
 
 # Dormand-Prince 5(4) coefficients: stages _A, weights _B5, _B4 (the
 # field is autonomous, so the nodes are not needed)
@@ -38,6 +38,18 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
     (_A50, _A51, _A52, _A53, _A54) = _A[1:]
 _B50, _B51, _B52, _B53, _B54, _B55 = _B5
 _B40, _B41, _B42, _B43, _B44, _B45, _B46 = _B4
+
+# 6-point Gauss-Lobatto rule on [-1, 1] (Abramowitz-Stegun 25.4.32), exact
+# to degree 9: the ends carry weight 1/15, the inner nodes
+# +-sqrt(1/3 -+ 2 sqrt(7)/21) carry (14 +- sqrt(7))/30.  The inner nodes are
+# stored as chord fractions (1 + x)/2 in order along the chord.
+_LOBATTO_END = 1 / 15
+_LOBATTO_INNER = tuple(
+    (0.5 + 0.5 * x, wk) for x, wk in (
+        (-math.sqrt(1 / 3 + 2 * math.sqrt(7) / 21), (14 - math.sqrt(7)) / 30),
+        (-math.sqrt(1 / 3 - 2 * math.sqrt(7) / 21), (14 + math.sqrt(7)) / 30),
+        (math.sqrt(1 / 3 - 2 * math.sqrt(7) / 21), (14 + math.sqrt(7)) / 30),
+        (math.sqrt(1 / 3 + 2 * math.sqrt(7) / 21), (14 - math.sqrt(7)) / 30)))
 
 
 @dataclass(frozen=True)
@@ -80,15 +92,18 @@ def _branch_step(poly, w_ref, z_new):
     return w
 
 
-def _chord_re_integral(poly, z0, w0, z1):
-    """Re of the GK15 chord integral of sqrt(P), branch continued from w0.
-    The chord is assumed branch-safe (one RK step long)."""
+def _chord_re_integral(poly, z0, w0, z1, w1):
+    """Re of the 6-point Gauss-Lobatto chord integral of sqrt(P) from z0 to
+    z1.  The ends take the caller's branch values w0 and w1; each inner
+    value is branch continued from the node before it.  The chord is
+    assumed branch-safe (one RK step long)."""
     evaluate = poly.evaluate
     dz = z1 - z0
-    acc = 0.0
+    acc = _LOBATTO_END * ((w0.real + w1.real) * dz.real
+                          - (w0.imag + w1.imag) * dz.imag)
     w_prev = w0
-    for xk, wk in zip(_KRONROD_NODES, _KRONROD_WEIGHTS):
-        w = cmath.sqrt(evaluate(z0 + (0.5 + 0.5 * xk) * dz))
+    for uk, wk in _LOBATTO_INNER:
+        w = cmath.sqrt(evaluate(z0 + uk * dz))
         if w.real * w_prev.real + w.imag * w_prev.imag < 0.0:
             w = -w
         w_prev = w
@@ -221,14 +236,14 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
         if abs(z5) >= r_escape:
             if z5.real * k6.real + z5.imag * k6.imag > 0.0:
                 z_land, w_land = _land_on_circle(poly, z, w, z5, r_escape)
-                inc = _chord_re_integral(poly, z, w, z_land)
+                inc = _chord_re_integral(poly, z, w, z_land, w_land)
                 dr = drift + inc
                 corr = -dr * w_land.conjugate() / (abs(w_land) ** 2)
                 z_land = z_land + corr
                 polyline.append(z_land)
                 ray = ctx.sectors.nearest_ray_index(cmath.phase(z_land))
                 return polyline, EscapedToRay(ray, z_land)
-        inc = _chord_re_integral(poly, z, w, z5)
+        inc = _chord_re_integral(poly, z, w, z5, w6)
         drift += inc
         if abs(drift) > 1e-13 * scales.d_unit:
             corr = -drift * w6.conjugate() / (abs(w6) ** 2)

@@ -115,6 +115,70 @@ def test_direct_hit_stops_tracing_at_the_hit(cubic_unity, monkeypatch):
     assert fates[0].target == pair[1]
 
 
+def test_verify_falls_back_to_the_next_direction(cubic_unity, monkeypatch):
+    # a decoy direction along arg(b - a) is tried first and escapes; the
+    # loop goes on to the emanating directions and returns the partner hit
+    pair = (0, 1)
+    t, per = {p: (t, per) for p, t, per in candidate_angles(cubic_unity)}[pair]
+    want = verify_geodesic(cubic_unity, pair, t, per.value)
+    locs = PolyContext.of(cubic_unity).locs
+    decoy = cmath.phase(locs[1] - locs[0])
+    directions = geodesics.emanating_directions
+    monkeypatch.setattr(geodesics, "emanating_directions",
+                        lambda *args: directions(*args) + [decoy])
+    tried = []
+    trace = geodesics.trace_stokes_line
+
+    def spy(poly, root, theta, **kwargs):
+        tried.append(theta)
+        if theta == decoy:
+            return [locs[root]], tracer.EscapedToRay(0, 0j)
+        return trace(poly, root, theta, **kwargs)
+    monkeypatch.setattr(geodesics, "trace_stokes_line", spy)
+    geo = verify_geodesic(cubic_unity, pair, t, per.value)
+    assert tried[0] == decoy and len(tried) == 2
+    assert geo == want
+
+
+def test_verify_names_the_last_third_root_in_emanating_order(monkeypatch):
+    # three directions from root 0 of a quartic: the first in emanating
+    # order lands on root 2, the second on root 3, the third (tried first,
+    # being nearest arg(b - a)) escapes
+    poly = stream_polys(20260808, 1)[1]
+    assert poly.degree == 4
+    locs = PolyContext.of(poly).locs
+    towards = cmath.phase(locs[1] - locs[0])
+    dirs = [towards + 2.5, towards - 1.2, towards + 0.1]
+    fates = {dirs[0]: HitTurningPoint(2, 0.0), dirs[1]: HitTurningPoint(3, 0.0),
+             dirs[2]: tracer.EscapedToRay(0, 0j)}
+    monkeypatch.setattr(geodesics, "emanating_directions",
+                        lambda *args: list(dirs))
+    tried = []
+
+    def spy(poly, root, theta, **kwargs):
+        tried.append(theta)
+        return [locs[root]], fates[theta]
+    monkeypatch.setattr(geodesics, "trace_stokes_line", spy)
+    with pytest.raises(NonGenericError, match=r"hits third root 3$"):
+        verify_geodesic(poly, (0, 1), 0.0, 1.0)
+    # tried nearest arg(b - a) first, so root 2 was hit last
+    assert tried == [dirs[2], dirs[1], dirs[0]]
+
+
+def test_verification_traces_once_per_geodesic(monkeypatch):
+    traces = []
+    trace = geodesics.trace_stokes_line
+
+    def counted(*args, **kwargs):
+        traces.append(args)
+        return trace(*args, **kwargs)
+    monkeypatch.setattr(geodesics, "trace_stokes_line", counted)
+    for poly in stream_polys(20260808, 4):
+        traces.clear()
+        survey = survey_short_geodesics(poly)
+        assert len(traces) == len(survey.geodesics)
+
+
 def test_verify_oscillator_miss_recovers_connection(osc):
     # the traces at 0.3 miss the partner; the survey's mutation walk puts
     # the connection at t* = 0

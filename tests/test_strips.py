@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 from stokesgeo import (ChoppedStrip, ExactTieError, build_face_set,
                        build_stokes_graph, count_short_geodesics, domains,
-                       is_very_flat, realize_count, visible_pairs)
+                       is_very_flat, realize_count, strips, visible_pairs)
 from stokesgeo.pathint import integrate_polyline
 from tests.conftest import random_simple_poly
 
@@ -152,6 +152,29 @@ def test_very_flat_count_matches_geodesics():
             continue
         assert len(visible_pairs(res.strip)) == count_short_geodesics(poly)
         checked += 1
+    assert checked >= 3
+
+
+def test_projection_crosses_the_last_strip_once(monkeypatch):
+    # each strip but the last is crossed along its exit edge and checked
+    # against its default crossing; the last strip's crossing is a default
+    # crossing already
+    crossings = []
+    cross_strip = domains.cross_strip
+
+    def counted(*args, **kwargs):
+        crossings.append(args)
+        return cross_strip(*args, **kwargs)
+    monkeypatch.setattr(domains, "cross_strip", counted)
+    monkeypatch.setattr(strips, "cross_strip", counted)
+    checked = 0
+    # the samples are drawn lazily, so ``crossings`` holds the crossings
+    # of the sample in hand
+    for poly, res in _very_flat_samples():
+        if res.flag:
+            assert len(crossings) == 2 * poly.degree - 3
+            checked += 1
+        crossings.clear()
     assert checked >= 3
 
 

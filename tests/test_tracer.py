@@ -4,12 +4,13 @@ import random
 
 import pytest
 
-from stokesgeo import tracer
+from stokesgeo import pathint, tracer
 from stokesgeo.polynomial import PolyContext
 from stokesgeo import (ComplexPolynomial, EscapedToRay, HitTurningPoint,
                        build_stokes_graph, classify_complexes,
                        emanating_directions, parse_poly_text, re_xi_drift,
                        stokes_sectors, trace_stokes_line, turning_points)
+from tests.conftest import stream_polys
 
 
 def _angdiff(a, b):
@@ -249,13 +250,50 @@ def test_trace_evaluates_p_six_times_per_step_attempt(cubic_unity,
     assert isinstance(fate, EscapedToRay)
     assert counts["_dp5_step"] > 50
     # the launch point, its root chord, the step attempts, the drift
-    # chords, and the branch updates after a drift correction and at the
+    # chords (the 4 inner Lobatto nodes; the ends are the step's own
+    # values), and the branch updates after a drift correction and at the
     # landing point (one, before its drift correction)
     assert counts["evals"] == (1 + counts["head_evals"]
                                + 6 * counts["_dp5_step"]
-                               + 15 * counts["_chord_re_integral"]
+                               + 4 * counts["_chord_re_integral"]
                                + counts["_branch_step"])
     assert counts["_chord_re_integral"] > 50
+
+
+def _gk15_chord_re_integral(poly, z0, w0, z1):
+    """Re of the Gauss-Kronrod 15-point chord integral of sqrt(P), each
+    node's branch continued from the node before, starting from w0."""
+    dz = z1 - z0
+    acc = 0.0
+    w_prev = w0
+    for xk, wk in zip(pathint._KRONROD_NODES, pathint._KRONROD_WEIGHTS):
+        w = cmath.sqrt(poly.evaluate(z0 + (0.5 + 0.5 * xk) * dz))
+        if w.real * w_prev.real + w.imag * w_prev.imag < 0.0:
+            w = -w
+        w_prev = w
+        acc += wk * (w * dz).real
+    return 0.5 * acc
+
+
+def test_drift_chord_matches_gauss_kronrod(monkeypatch):
+    # every drift chord of the Stokes graphs (both quarter-turn members)
+    # of stream 5150: the Lobatto rule on the step's own end values agrees
+    # with a GK15 rule that evaluates all its nodes (worst 7e-15 here)
+    chords = []
+    chord = tracer._chord_re_integral
+
+    def recorded(*args):
+        chords.append(args)
+        return chord(*args)
+    monkeypatch.setattr(tracer, "_chord_re_integral", recorded)
+    for poly in stream_polys(5150, 1):
+        build_stokes_graph(poly)
+        build_stokes_graph(poly.rotate(math.pi / 2))
+    assert len(chords) > 5000
+    for poly, z0, w0, z1, w1 in chords:
+        gap = (chord(poly, z0, w0, z1, w1)
+               - _gk15_chord_re_integral(poly, z0, w0, z1))
+        assert abs(gap) <= 1e-13 * abs(w0) * abs(z1 - z0)
 
 
 @pytest.mark.parametrize("coeffs", ["1,0,-1", "1,0,0.3+0.2i,-1"])
