@@ -337,13 +337,13 @@ def _segment_inside(za, zb, poly_pts, locs, delta) -> bool:
     return True
 
 
-def _stops(graph: StokesGraph, root: int, edge_ids):
-    """The traced vertices of each of the edges ``edge_ids`` that end at
-    ``root``, as stops (pl, k, i): the vertex pl[i] of the edge pl ordered
-    outward from the root, and the index k of the last vertex before pl
-    first leaves the disk about the root of half the distance to the
-    nearest other root (k >= 1).  A walk from the root reaches pl[i] by one
-    chord to pl[min(i, k)] and then the traced vertices."""
+def _edges_at(graph: StokesGraph, root: int, edge_ids):
+    """Each of the edges ``edge_ids`` that ends at ``root`` as (pl, k): the
+    edge's polyline pl ordered outward from the root, and the index k of
+    the last vertex before pl first leaves the disk about the root of half
+    the distance to the nearest other root (k >= 1).  A walk from the root
+    reaches pl[i] by one chord to pl[min(i, k)] and then the traced
+    vertices; (pl, k, i) is that walk's stop."""
     locs = graph.turning_points.locations
     radius = 0.5 * min(abs(locs[root] - z)
                        for j, z in enumerate(locs) if j != root)
@@ -355,8 +355,21 @@ def _stops(graph: StokesGraph, root: int, edge_ids):
         k = 1
         while k + 1 < len(pl) and abs(pl[k + 1] - pl[0]) <= radius:
             k += 1
-        out.append([(pl, k, i) for i in range(1, len(pl))])
+        out.append((pl, k))
     return out
+
+
+def _vertex_table(edges, reverse_first=False):
+    """The traced vertices pl[1:] of ``edges`` laid end to end (the first
+    edge's taken back toward the root when ``reverse_first``): their
+    points, and the edge and index i of each."""
+    index = [np.arange(1, len(pl)) for pl, _ in edges]
+    if reverse_first:
+        index[0] = index[0][::-1]
+    return (np.concatenate([np.asarray(pl)[i]
+                            for (pl, _), i in zip(edges, index)]),
+            np.concatenate([np.full(len(i), e) for e, i in enumerate(index)]),
+            np.concatenate(index))
 
 
 def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
@@ -382,28 +395,28 @@ def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
     locs = graph.turning_points.locations
     mults = [m for _, m in graph.turning_points.points]
     delta = graph.scales.delta_path
-    first, *rest = _stops(graph, r_from, dom.edge_ids)
-    ends = [stop for edge in _stops(graph, r_to, dom.edge_ids
-                                    if exit_edge is None else (exit_edge,))
-            for stop in edge]
+    froms = _edges_at(graph, r_from, dom.edge_ids)
+    tos = _edges_at(graph, r_to, dom.edge_ids if exit_edge is None
+                    else (exit_edge,))
 
     # r_from's edges laid end to end through the root, as in the face
     # outline, and their vertices clear of the roots and the escape circle
-    chain = first[::-1] + [stop for edge in rest for stop in edge]
-    za = np.array([pl[i] for pl, _, i in chain])
+    za, a_edge, a_index = _vertex_table(froms, reverse_first=True)
     clear = np.flatnonzero(
         (np.abs(za[:, None] - np.array(locs)).min(axis=1) > 2.0 * delta)
         & (np.abs(za) < 0.98 * graph.scales.r_escape))
     if not len(clear):
-        clear = np.arange(len(chain))
-    zb = np.array([pl[i] for pl, _, i in ends])
+        clear = np.arange(len(za))
+    zb, b_edge, b_index = _vertex_table(tos)
     n = len(clear)
     pairs = []
     for j in sorted({min(j, n - 1) for j in
                      (n // 2, n // 4, 3 * n // 4, n // 8, 7 * n // 8)}):
         a = clear[j]
         # the first of the nearest vertices b*
-        pairs.append((chain[a], ends[np.argmin(np.abs(zb - za[a]))]))
+        b = np.argmin(np.abs(zb - za[a]))
+        pairs.append(((*froms[a_edge[a]], int(a_index[a])),
+                      (*tos[b_edge[b]], int(b_index[b]))))
     # by the traced vertices walked from the roots, max(i - k, 0) a side
     pairs.sort(key=lambda pair: sum(max(i - k, 0) for _, k, i in pair))
 

@@ -111,7 +111,9 @@ def verify_geodesic(poly: ComplexPolynomial, pair, t: float, period: complex,
 
 def _start_angles(angles):
     """Midpoints of the gaps between the distinct angles mod pi, widest
-    gap first; angles within 1e-9 of each other count as one."""
+    gap first; angles within 1e-9 of each other count as one, and gaps
+    whose widths round alike to 1e-9 keep ascending order, so rounding
+    does not pick among the equal gaps of a symmetric potential."""
     distinct = []
     for t in sorted(angles):
         if not distinct or t - distinct[-1] > 1e-9:
@@ -120,7 +122,7 @@ def _start_angles(angles):
         distinct.pop()
     ends = distinct[1:] + [distinct[0] + PI]
     gaps = sorted(((hi - lo, lo) for lo, hi in zip(distinct, ends)),
-                  key=lambda g: -g[0])
+                  key=lambda g: -round(g[0], 9))
     return [wrap_positive(lo + 0.5 * width, PI) for width, lo in gaps]
 
 

@@ -1,20 +1,27 @@
 """Branch-tracked square-root continuation and path integrals.
 
 Everything here integrates expressions in w = sqrt(P(z)) along polylines,
-with the branch of w continued analytically.  The continuation rule is:
-between consecutive sample points the chord must stay short relative to
-the distance to the nearest zero of P *and* P itself must rotate by less
-than pi/2; under those two conditions the sign of the principal square
-root closest to the previous value is the analytic continuation.
+with the branch of w continued analytically by one rule,
+``continue_branch``: between consecutive points of a walk the step must
+stay within a quarter of the distance from its start to the nearest zero
+of P *and* P itself must rotate by less than pi/2 along it; under those
+two conditions the square root of P nearest the previous value is the
+analytic continuation.  A step that fails is halved.  The rule runs on
+numpy arrays: P and its principal square root are evaluated at every
+point of a walk at once, the steps are checked (and the failed ones
+halved) all together, and each point's sign is the running parity of the
+per-step sign flips along the walk.
 
-All quadrature runs through one adaptive Gauss-Kronrod 7-15 loop over a
-chart s -> z of a chord.  A regular chord's chart is the straight line
-from z0 to z1, walked from s = 0 to 1.  A chord from a turning point r of
-multiplicity m has the root chart z = r + (z1 - r) u^2, with the root
-factor deflated from P: it turns the (z - r)^{m/2} endpoint singularity
-into a smooth integrand, and is walked from u = 1 down to 0 so that the
-branch comes from z1.  Closed contours are walked by ``contour_integral``,
-which checks closure, clearance and single-valuedness.
+All quadrature runs through one adaptive Gauss-Kronrod 7-15 loop,
+``_gk15``, over charts s -> z of chords.  It takes every chord of a walk
+together and evaluates each level of all their panel trees in one pass.
+A regular chord's chart is the straight line from z0 to z1, walked from
+s = 0 to 1.  A chord from a turning point r of multiplicity m has the
+root chart z = r + (z1 - r) u^2, with the root factor deflated from P: it
+turns the (z - r)^{m/2} endpoint singularity into a smooth integrand, and
+is walked from u = 1 down to 0 so that the branch comes from z1.  Closed
+contours are walked by ``contour_integral``, which checks closure,
+clearance and single-valuedness.
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import BranchError, ClearanceError, DegeneratePairError
@@ -49,163 +58,194 @@ _GAUSS_WEIGHTS = (
     0.417959183673469, 0.381830050505119, 0.279705391489277,
     0.129484966168870,
 )
+_NODES = np.array(_KRONROD_NODES)
+# rows: the Kronrod weights, and the Gauss weights on the odd nodes
+_RULES = np.zeros((2, 15))
+_RULES[0] = _KRONROD_WEIGHTS
+_RULES[1, 1::2] = _GAUSS_WEIGHTS
+_CENTER = 7     # the node at the panel's midpoint
 
 
-class BranchWalker:
-    """Carries an analytically continued value of sqrt(P) along chords."""
+def continue_branch(poly: ComplexPolynomial, roots, z, w0):
+    """sqrt(P) continued along each row of the 2-d array ``z``, a walk
+    that starts on the branch value w0[row] at z[row, 0]; returns sqrt(P)
+    at every point of ``z``.
 
-    __slots__ = ("poly", "roots", "z", "w")
+    A step is taken directly when it is at most a quarter of the distance
+    from its start to the nearest of ``roots`` and P rotates by less than
+    pi/2 along it; the square root of P nearest the value at its start
+    then continues the branch.  Every other step is halved, all of them
+    together, down to 60 levels (BranchError beyond)."""
+    z = np.asarray(z, dtype=complex)
+    w = np.empty(z.shape, dtype=complex)
+    w[:, 0] = w0
+    np.sqrt(poly.evaluate(z[:, 1:]), out=w[:, 1:])
+    flips = _step_flips(poly, np.asarray(roots, dtype=complex), z[:, :-1],
+                        w[:, :-1], z[:, 1:], w[:, 1:])
+    # a point's sign flips with the parity of the flips since the start
+    odd = np.logical_xor.accumulate(flips, axis=1)
+    np.negative(w[:, 1:], out=w[:, 1:], where=odd)
+    return w
 
-    def __init__(self, poly: ComplexPolynomial, roots, z0: complex, w0: complex):
-        self.poly = poly
-        self.roots = tuple(roots)
-        self.z = complex(z0)
-        self.w = complex(w0)
 
-    def advance(self, z1: complex) -> complex:
-        """Continue w to z1 and move there.
-
-        A step is taken directly when it is at most a quarter of the
-        distance from its start to the nearest root and P rotates by less
-        than pi/2 along it; otherwise it is halved, depth first, down to
-        60 levels.  ``pending`` holds the right halves still to walk."""
-        z0, w0 = self.z, self.w
-        z1 = complex(z1)
-        target, depth = z1, 0
-        pending = []
-        while True:
-            if target != z0:
-                near = math.inf
-                for r in self.roots:
-                    d = abs(z0 - r)
-                    if d < near:
-                        near = d
-                w1 = None
-                if abs(target - z0) <= 0.25 * near:
-                    p1 = self.poly.evaluate(target)
-                    p0 = w0 * w0
-                    # endpoint rotation < pi/2 guarantees an unambiguous sign
-                    if p1.real * p0.real + p1.imag * p0.imag > 0.0:
-                        w1 = cmath.sqrt(p1)
-                        if w1.real * w0.real + w1.imag * w0.imag < 0.0:
-                            w1 = -w1
-                if w1 is None:
-                    if depth > 60:
-                        raise BranchError(
-                            f"square-root continuation failed near z = {z0:.6g} "
-                            "(path too close to a turning point?)"
-                        )
-                    depth += 1
-                    pending.append((target, depth))
-                    target = 0.5 * (z0 + target)
-                    continue
-                z0, w0 = target, w1
-            if not pending:
-                break
-            target, depth = pending.pop()
-        self.z = z1
-        self.w = w0
-        return w0
+def _step_flips(poly, roots, za, wa, zb, wb):
+    """True where the step za -> zb carries the branch value wa onto -wb,
+    for wb a square root of P(zb).  With x = wb conj(wa), P rotates by
+    less than pi/2 when Re x^2 > 0, and the step flips when Re x < 0.
+    Failed steps are halved."""
+    owner = None
+    while True:
+        near = (np.abs(za[..., None] - roots).min(axis=-1) if len(roots)
+                else math.inf)
+        x = wb * wa.conj()
+        ok = np.abs(zb - za) <= 0.25 * near
+        ok &= (x * x).real > 0.0
+        flip = x.real < 0.0
+        if owner is None:
+            if ok.all():
+                return flip
+            # from here on the steps are flat, each with the index of the
+            # step it is part of
+            shape = za.shape
+            za, wa, zb, wb, ok, flip = (a.ravel() for a in
+                                        (za, wa, zb, wb, ok, flip))
+            owner, flips, depth = np.arange(za.size), np.zeros(za.size,
+                                                               np.intp), 0
+        flips += np.bincount(owner[ok & flip], minlength=len(flips))
+        failed = ~ok
+        if not failed.any():
+            return (flips % 2 == 1).reshape(shape)
+        if depth > 60:
+            raise BranchError(
+                f"square-root continuation failed near z = "
+                f"{complex(za[failed][0]):.6g} "
+                "(path too close to a turning point?)")
+        depth += 1
+        za, wa, zb, wb, owner = (a[failed] for a in (za, wa, zb, wb, owner))
+        zm = 0.5 * (za + zb)
+        wm = np.sqrt(poly.evaluate(zm))
+        # each failed step becomes its two halves
+        za, zb = np.concatenate((za, zm)), np.concatenate((zm, zb))
+        wa, wb = np.concatenate((wa, wm)), np.concatenate((wm, wb))
+        owner = np.concatenate((owner, owner))
 
 
 def sqrt_density(z, w):
     return w
 
 
-# --- adaptive quadrature over a chart ----------------------------------------
+# --- adaptive quadrature over charts ------------------------------------------
 
-def _panel_values(walk, scale, sa, sb, densities):
-    """(i15, i7) of each density f(z, w) dz on the panel [sa, sb] of a
-    chart s -> z, walked from sa to sb (downward in s when sb < sa):
-    ``walk(mid, half)`` moves the branch walker over the Kronrod nodes
-    mid + half x_k in order and gives (z, w) at each, with any factor of
-    dz/ds other than ``scale`` multiplied into w."""
-    mid = 0.5 * (sa + sb)
-    half = 0.5 * (sb - sa)
-    i15 = [0j] * len(densities)
-    i7 = [0j] * len(densities)
-    for k, (z, w) in enumerate(walk(mid, half)):
-        for d, f in enumerate(densities):
-            val = f(z, w)
-            i15[d] += _KRONROD_WEIGHTS[k] * val
-            if k % 2 == 1:
-                i7[d] += _GAUSS_WEIGHTS[k // 2] * val
-    scale = half * scale
-    return [(a * scale, b * scale) for a, b in zip(i15, i7)]
-
-
-def _refine(walker: BranchWalker, walk, point, scale, span, densities,
-            tol_rule):
+def _gk15(poly, roots, verts, w0, point, scale, span, densities, tol_rule,
+          factor=None):
     """Adaptive GK15 of each density f(z, w) dz over the interval ``span``
-    of a chart: its panel ``walk`` (see ``_panel_values``) and s -> z map
-    ``point``.  ``tol_rule`` maps the first panel's (i15, i7) per density
-    to tolerances.  Each density refines its own panel tree, a child panel
-    getting 0.6 of its parent's tolerance; panels narrower than 1e-12 are
-    accepted and a 4001st raises BranchError.  A panel is walked once for
-    all the densities that refine it; after an accepted one the walker
-    moves to its far end, unless that is s = 0, a root chart's root."""
-    sa, sb = span
-    anchor_z, anchor_w = walker.z, walker.w
-    active = range(len(densities))
-    vals = _panel_values(walk, scale, sa, sb, densities)
-    tols = tol_rule(vals)
+    of the charts s -> point(c, s) of chords c = 0 .. n-1, n = len(scale),
+    walked from span[0] to span[1], one pass per level of all the chords'
+    panel trees.
 
-    totals = [0j] * len(densities)
-    panels = [1] * len(densities)
-    stack = []
+    The walk starts on w0 at verts[0] and runs through the chords'
+    whole-chord panels, chord c from verts[c]; a vertex verts[n] ends it.
+    ``scale[c]`` is chord c's ds-factor; ``factor(s)``, when given, is the
+    rest of dz/ds and is multiplied into w.  ``tol_rule`` maps the
+    whole-chord panels' i15 (chords x densities) to tolerances.  Each
+    density refines its own panel tree, a child panel getting 0.6 of its
+    parent's tolerance; panels narrower than 1e-12 are accepted and a
+    4001st on one chord raises BranchError.  A panel is walked once for
+    all the densities, from the branch value at its start, which is its
+    parent's start or middle node.  The value at a node is +-sqrt(P(node))
+    whatever walk reached it, and each density is evaluated node by node,
+    so a density's totals do not depend on the densities beside it.
+
+    Returns (integrals, chords x densities; sqrt(P) along the walk of the
+    whole-chord panels, at verts[c] in place 16 c)."""
+    n, n_dens = len(scale), len(densities)
+    roots = np.asarray(roots, dtype=complex)
+    verts = np.asarray(verts, dtype=complex)
+    chord = np.arange(n)
+    sa, sb = np.full(n, float(span[0])), np.full(n, float(span[1]))
+    s = (0.5 * (span[0] + span[1]) + 0.5 * (span[1] - span[0]) * _NODES)[None]
+    z = point(chord[:, None], s)
+    # the whole-chord panels, chord after chord
+    walk = np.concatenate((verts[:n, None], z), axis=1)
+    first = continue_branch(poly, roots,
+                            np.concatenate((walk.ravel(), verts[n:]))[None],
+                            [w0])[0]
+    w = first[:16 * n].reshape(n, 16)
+    panels = np.ones((n, n_dens), dtype=np.intp)
+    # every density is active on the whole-chord panels
+    active, totals, tols = True, None, None
     while True:
-        narrow = abs(sb - sa) < 1e-12
-        refine, child_tols = [], []
-        for d, tol, (i15, i7) in zip(active, tols, vals):
-            if abs(i15 - i7) <= tol or narrow:
-                totals[d] += i15
-            else:
-                refine.append(d)
-                child_tols.append(0.6 * tol)
-        if refine:
-            walker.z, walker.w = anchor_z, anchor_w
-            sm = 0.5 * (sa + sb)
-            stack.append((sm, sb, refine, child_tols))
-            stack.append((sa, sm, refine, child_tols))
-        elif sb != 0.0:
-            walker.advance(point(sb))
-        if not stack:
-            break
-        sa, sb, active, tols = stack.pop()
-        for d in active:
-            panels[d] += 1
-            if panels[d] > 4000:
-                which = f" (density {d})" if len(densities) > 1 else ""
-                raise BranchError(
-                    f"chord quadrature failed to converge on the chord "
-                    f"{point(0.0):.6g} -> {point(1.0):.6g}{which}")
-        anchor_z, anchor_w = walker.z, walker.w
-        vals = _panel_values(walk, scale, sa, sb,
-                             [densities[d] for d in active])
-    return totals
+        dw = w[:, 1:] if factor is None else w[:, 1:] * factor(s)
+        vals = np.empty((len(chord), n_dens, 15), dtype=complex)
+        for d, f in enumerate(densities):
+            vals[:, d] = f(z, dw)
+        sums = (vals[:, :, None, :] * _RULES).sum(axis=-1)
+        weight = (0.5 * (sb - sa) * scale[chord])[:, None]
+        i15 = sums[:, :, 0] * weight
+        err = np.abs(i15 - sums[:, :, 1] * weight)
+        if tols is None:
+            tols = tol_rule(i15)
+        accept = (err <= tols) | (np.abs(sb - sa) < 1e-12)[:, None]
+        accepted = np.where(active & accept, i15, 0j)
+        if totals is None:
+            totals = accepted
+        else:
+            np.add.at(totals, chord, accepted)
+        refine = active & ~accept
+        keep = refine.any(axis=1).nonzero()[0]
+        if not len(keep):
+            return totals, first
+        # the halves of each refined panel: left ones, then right ones
+        chord = np.concatenate((chord[keep], chord[keep]))
+        active = np.concatenate((refine[keep], refine[keep]))
+        np.add.at(panels, chord, active)
+        if panels.max() > 4000:
+            c, d = np.argwhere(panels > 4000)[0]
+            a, b = point(np.array([c]), np.array([0.0, 1.0]))
+            which = f" (density {d})" if n_dens > 1 else ""
+            raise BranchError(
+                f"chord quadrature failed to converge on the chord "
+                f"{complex(a):.6g} -> {complex(b):.6g}{which}")
+        tols = 0.6 * tols[keep]
+        tols = np.concatenate((tols, tols))
+        mid = 0.5 * (sa[keep] + sb[keep])
+        sa, sb = (np.concatenate((sa[keep], mid)),
+                  np.concatenate((mid, sb[keep])))
+        s = 0.5 * (sa + sb)[:, None] + 0.5 * (sb - sa)[:, None] * _NODES
+        z = point(chord[:, None], s)
+        # each half is walked from its start: the panel's start or middle
+        walk = np.concatenate((np.concatenate((walk[keep, 0],
+                                               walk[keep, 1 + _CENTER])
+                                              )[:, None], z), axis=1)
+        w = continue_branch(poly, roots, walk,
+                            np.concatenate((w[keep, 0], w[keep, 1 + _CENTER])))
+
+
+def _integrate_chords(poly, roots, verts, w0, densities, rel_tol=1e-9,
+                      abs_floor=1e-13):
+    """GK15 of each density along each chord of the polyline ``verts``,
+    from one walk that starts on w0 at verts[0]: (integrals, chords x
+    densities; sqrt(P) at the vertices).  Chord c's chart is
+    z = verts[c] + s (verts[c+1] - verts[c]); a density's tolerance on it
+    is set by its whole-chord panel."""
+    verts = np.asarray(verts, dtype=complex)
+    z0, dz = verts[:-1], verts[1:] - verts[:-1]
+    parts, w = _gk15(
+        poly, roots, verts, w0,
+        lambda c, s: z0[c] + s * dz[c], dz, (0.0, 1.0),
+        densities,
+        lambda i15: np.maximum(abs_floor, rel_tol * np.abs(i15)))
+    return parts, w[::16]
 
 
 def integrate_chord(poly, roots, z0, w0, z1, densities, rel_tol=1e-9,
                     abs_floor=1e-13):
-    """Adaptive GK15 of each density f(z, w) dz along the chord z0 -> z1.
-
-    w0 is the branch value at z0; returns (integrals, w_at_z1), one
-    integral per density.  The chart is z = z0 + s (z1 - z0), walked from
-    s = 0 to 1; a density's tolerance is set by its whole-chord panel.
-    The walker's value at a node is +-sqrt(P(node)) whatever path reached
-    it, so every density sums the same values, in the same left-to-right
-    order, as a walk of its own.
-    """
-    walker = BranchWalker(poly, roots, z0, w0)
-    dz = z1 - z0
-
-    def walk(mid, half):
-        return [(z, walker.advance(z))
-                for z in [z0 + (mid + half * x) * dz for x in _KRONROD_NODES]]
-    totals = _refine(
-        walker, walk, lambda s: z0 + s * dz, dz, (0.0, 1.0), densities,
-        lambda vals: [max(abs_floor, rel_tol * abs(i15)) for i15, _ in vals])
-    return totals, walker.advance(z1)
+    """Adaptive GK15 of each density f(z, w) dz along the chord z0 -> z1:
+    the one-chord case of a polyline's walk.  w0 is the branch value at
+    z0; returns (integrals, w_at_z1), one integral per density."""
+    parts, branch = _integrate_chords(poly, roots, [z0, z1], w0, densities,
+                                      rel_tol, abs_floor)
+    return parts[0].tolist(), complex(branch[1])
 
 
 def _deflate(poly: ComplexPolynomial, root: complex, mult: int) -> ComplexPolynomial:
@@ -228,7 +268,8 @@ def integrate_chord_from_root(poly, roots, root, mult, z1, w1,
     yields the smooth integrand
     2 u^{m+1} (z1-root)^{m/2+1} sqrt(q(z(u))), q = P / (z - root)^m,
     walked from u = 1 down to 0 so that the branch of sqrt(q) is carried
-    inward from z1; the tolerance is rel_tol |w1| |z1 - root|.
+    inward from z1; the tolerance is rel_tol |w1| |z1 - root|.  It is the
+    quadrature loop's batch of one chart.
     """
     dz = complex(z1) - complex(root)
     if dz == 0:
@@ -239,23 +280,19 @@ def integrate_chord_from_root(poly, roots, root, mult, z1, w1,
                default=None)
     other = tuple(r for k, r in enumerate(roots) if k != near)
     wq1 = cmath.sqrt(q.evaluate(z1))
-    walker = BranchWalker(q, other, z1, wq1)
 
     dz_half = cmath.exp(0.5 * mult * cmath.log(dz))
     check = dz_half * wq1
     sign = -1.0 if check.real * w1.real + check.imag * w1.imag < 0.0 else 1.0
     front = 2.0 * dz * dz_half * sign
-
-    def walk(mid, half):
-        us = [mid + half * x for x in _KRONROD_NODES]
-        return [(z, front * (u ** (mult + 1)) * walker.advance(z))
-                for u, z in zip(us, [root + dz * u * u for u in us])]
+    tol = max(1e-13, rel_tol * abs(w1) * abs(dz))
     # the walk from u = 1 to 0 integrates -du
-    (total,) = _refine(
-        walker, walk, lambda u: root + dz * u * u, -1.0, (1.0, 0.0),
-        (sqrt_density,),
-        lambda vals: [max(1e-13, rel_tol * abs(w1) * abs(dz))])
-    return total
+    totals, _ = _gk15(
+        q, other, [z1], wq1, lambda c, u: root + dz * u * u,
+        np.array([-1.0]), (1.0, 0.0), (sqrt_density,),
+        lambda i15: np.full(i15.shape, tol),
+        factor=lambda u: front * (u ** (mult + 1)))
+    return complex(totals[0, 0])
 
 
 # --- polyline-level API -----------------------------------------------------
@@ -266,20 +303,19 @@ def polyline_length(vertices) -> float:
 
 def min_clearance(vertices, points) -> float:
     """Min distance from a polyline to a set of points."""
-    best = float("inf")
-    for p in points:
-        for k in range(len(vertices) - 1):
-            a, b = vertices[k], vertices[k + 1]
-            ab = b - a
-            den = ab.real * ab.real + ab.imag * ab.imag
-            if den == 0:
-                d = abs(p - a)
-            else:
-                t = ((p - a).real * ab.real + (p - a).imag * ab.imag) / den
-                t = min(1.0, max(0.0, t))
-                d = abs(p - (a + t * ab))
-            best = min(best, d)
-    return best
+    p = np.asarray(points, dtype=complex).reshape(-1, 1)
+    v = np.asarray(vertices, dtype=complex)
+    a, ab = v[:-1], v[1:] - v[:-1]
+    if not (p.size and a.size):
+        return math.inf
+    # each point's projection onto each segment, clamped to it; a
+    # zero-length segment (ab = 0) projects onto its vertex, t = 0
+    den = ab.real * ab.real + ab.imag * ab.imag
+    t = (((p.real - a.real) * ab.real + (p.imag - a.imag) * ab.imag)
+         / np.where(den == 0, 1.0, den))
+    t = np.minimum(1.0, np.maximum(0.0, t))
+    return float(np.hypot(p.real - (a.real + t * ab.real),
+                          p.imag - (a.imag + t * ab.imag)).min())
 
 
 def _check_clearance(vertices, roots, delta):
@@ -307,7 +343,8 @@ def integrate_polyline(poly, roots, verts, densities=(sqrt_density,),
     such an end is integrated by the singular endpoint rule, which supports
     the single density sqrt(P) only, and a two-vertex path gets its
     midpoint as the regular vertex.  ``abs_floor`` applies to the regular
-    chords.
+    chords, which are integrated together, one pass per level of their
+    panel trees.
 
     Returns (totals, branch values at the regular vertices, running totals
     after each chord), with one total per density.
@@ -324,14 +361,16 @@ def integrate_polyline(poly, roots, verts, densities=(sqrt_density,),
         totals[0] = integrate_chord_from_root(poly, roots, start[0], start[1],
                                               verts[1], w, rel_tol=rel_tol)
         running.append(totals[:])
-    for k in range(first, last):
-        parts, w = integrate_chord(poly, roots, verts[k], w, verts[k + 1],
-                                   densities, rel_tol=rel_tol,
-                                   abs_floor=abs_floor)
-        for d, part in enumerate(parts):
-            totals[d] += part
-        branch.append(w)
-        running.append(totals[:])
+    if last > first:
+        parts, ws = _integrate_chords(poly, roots, verts[first:last + 1], w,
+                                      densities, rel_tol=rel_tol,
+                                      abs_floor=abs_floor)
+        for row in parts.tolist():
+            for d, part in enumerate(row):
+                totals[d] += part
+            running.append(totals[:])
+        branch += ws[1:].tolist()
+        w = branch[-1]
     if end is not None:
         totals[0] -= integrate_chord_from_root(poly, roots, end[0], end[1],
                                                verts[last], w, rel_tol=rel_tol)
@@ -441,14 +480,11 @@ def pairwise_periods(poly: ComplexPolynomial,
 # --- winding numbers and closed contours -------------------------------------
 
 def winding_number(vertices, point: complex) -> int:
-    total = 0.0
-    for k in range(len(vertices) - 1):
-        a = vertices[k] - point
-        b = vertices[k + 1] - point
-        cross = a.real * b.imag - a.imag * b.real
-        dot = a.real * b.real + a.imag * b.imag
-        total += math.atan2(cross, dot)
-    return int(round(total / (2.0 * math.pi)))
+    v = np.asarray(vertices, dtype=complex) - point
+    a, b = v[:-1], v[1:]
+    cross = a.real * b.imag - a.imag * b.real
+    dot = a.real * b.real + a.imag * b.imag
+    return int(round(float(np.arctan2(cross, dot).sum()) / (2.0 * math.pi)))
 
 
 def contour_integral(poly: ComplexPolynomial, contour, densities,

@@ -25,7 +25,7 @@ import numpy as np
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import ClearanceError, NonGenericError, NumericalError
 from .geodesics import GeodesicSurvey, ShortGeodesic, survey_short_geodesics
-from .pathint import (BranchWalker, alpha_densities, build_stadium,
+from .pathint import (alpha_densities, build_stadium, continue_branch,
                       contour_integral, min_clearance, sqrt_density,
                       winding_number)
 from .polynomial import ComplexPolynomial, PolyContext, stokes_sectors
@@ -99,10 +99,8 @@ def _loop_sign(ctx: PolyContext, geodesic: ShortGeodesic, contour) -> int:
     p, tangent = 0.5 * (pl[k - 1] + pl[k]), pl[k] - pl[k - 1]
     right = [i for i, v in enumerate(contour) if ((v - p) / tangent).imag < 0]
     stop = min(right, key=lambda i: abs(contour[i] - p))
-    walker = BranchWalker(ctx.poly, ctx.locs, contour[0],
-                          cmath.sqrt(ctx.poly.evaluate(contour[0])))
-    for v in contour[1:stop + 1] + [p]:
-        w = walker.advance(v)
+    w = continue_branch(ctx.poly, ctx.locs, [[*contour[:stop + 1], p]],
+                        [cmath.sqrt(ctx.poly.evaluate(contour[0]))])[0, -1]
     return 1 if (w * tangent * geodesic.period.conjugate()).real > 0 else -1
 
 

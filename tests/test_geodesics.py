@@ -438,6 +438,17 @@ def test_start_angles_skip_coinciding_candidates():
                                                         (2, 3)]
 
 
+def test_start_angles_order_equal_gaps_by_angle():
+    # z^3 - 1 has the candidate angles pi/6 + k pi/3, here with the last
+    # bits of one quadrature: the three gaps are equal, and the widest by
+    # rounding (the last) must not go first
+    cands = [0.5235987755982989, 1.5707963267948966, 2.617993877991494]
+    widths = [b - a for a, b in zip(cands, cands[1:] + [cands[0] + PI])]
+    assert max(widths) == widths[2]
+    starts = geodesics._start_angles(cands)
+    assert starts == pytest.approx([PI / 3, 2 * PI / 3, 0.0], abs=1e-12)
+
+
 def test_survey_traces_at_t_star_when_candidate_is_off(monkeypatch):
     poly = stream_polys(20260808, 1)[0]
     expected = {g.pair: g.t_star

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -91,34 +92,53 @@ class _RecursiveWalker:
                               depth + 1)
 
 
-def _two_pass_chord(poly, roots, z0, w0, z1, fvals, rel_tol=1e-9,
+def _reference_panel(walk, scale, sa, sb, f):
+    """(i15, i7, nodes) of f(z, w) dz on the panel [sa, sb] of a chart,
+    summed node by node in walk order: ``walk(mid, half)`` gives the
+    (z, w) of the nodes mid + half x_k in order, and ``nodes`` are their z."""
+    mid, half = 0.5 * (sa + sb), 0.5 * (sb - sa)
+    i15 = i7 = 0j
+    nodes = walk(mid, half)
+    for k, (z, w) in enumerate(nodes):
+        val = f(z, w)
+        i15 += pathint._KRONROD_WEIGHTS[k] * val
+        if k % 2 == 1:
+            i7 += pathint._GAUSS_WEIGHTS[k // 2] * val
+    return i15 * half * scale, i7 * half * scale, tuple(z for z, _ in nodes)
+
+
+def _two_pass_chord(poly, roots, z0, w0, z1, f, rel_tol=1e-9,
                     abs_floor=1e-13):
-    """Reference chord quadrature: the whole-chord panel is evaluated once
-    for the tolerance and again as the first panel of the subdivision."""
+    """Reference chord quadrature, one node at a time: the whole-chord
+    panel is evaluated once for the tolerance and again as the first panel
+    of the subdivision.  Returns (total, w at z1, the nodes of each panel
+    of the tree, the sum of |i15| over the accepted panels)."""
     walker = _RecursiveWalker(poly, roots, z0, w0)
     dz = z1 - z0
 
     def walk(mid, half):
         return [(z, walker.advance(z)) for z in
                 [z0 + (mid + half * x) * dz for x in pathint._KRONROD_NODES]]
-    [(est15, _)] = pathint._panel_values(walk, dz, 0.0, 1.0, [fvals])
+    est15, _, _ = _reference_panel(walk, dz, 0.0, 1.0, f)
     target = max(abs_floor, rel_tol * abs(est15))
     walker.z, walker.w = complex(z0), complex(w0)
-    total = 0j
+    total, size, panels = 0j, 0.0, []
     stack = [(0.0, 1.0, target)]
     while stack:
         sa, sb, tol = stack.pop()
         anchor_z, anchor_w = walker.z, walker.w
-        [(i15, i7)] = pathint._panel_values(walk, dz, sa, sb, [fvals])
+        i15, i7, nodes = _reference_panel(walk, dz, sa, sb, f)
+        panels.append(nodes)
         if abs(i15 - i7) <= tol or (sb - sa) < 1e-12:
             total += i15
+            size += abs(i15)
             walker.advance(z0 + sb * dz)
         else:
             walker.z, walker.w = anchor_z, anchor_w
             sm = 0.5 * (sa + sb)
             stack.append((sm, sb, 0.6 * tol))
             stack.append((sa, sm, 0.6 * tol))
-    return total, walker.advance(z1)
+    return total, walker.advance(z1), panels, size
 
 
 def _recording_evaluate(monkeypatch):
@@ -126,10 +146,19 @@ def _recording_evaluate(monkeypatch):
     evaluate = ComplexPolynomial.evaluate
 
     def recorded(self, z):
-        points.append(z)
+        points.extend(np.ravel(z).tolist())
         return evaluate(self, z)
     monkeypatch.setattr(ComplexPolynomial, "evaluate", recorded)
     return points
+
+
+def _recorded(f, panels):
+    """The density f, recording the nodes of each panel it is evaluated on
+    (one row of its z per panel)."""
+    def density(z, w):
+        panels.extend(tuple(row) for row in z.tolist())
+        return f(z, w)
+    return density
 
 
 @pytest.mark.parametrize("z0, z1, one_panel", [
@@ -139,36 +168,92 @@ def _recording_evaluate(monkeypatch):
     (2.0 - 0.5j, -0.5 + 0.9j, False),        # passes 0.03 from root 1
 ])
 def test_integrate_chord_bitwise_matches_two_pass(cubic_unity, z0, z1,
-                                                  one_panel, monkeypatch):
+                                                  one_panel):
+    # the batched walk sums the node values of the reference's panel tree,
+    # each panel once: the nodes, hence the tree, agree bit for bit, and
+    # the sums to the rounding of numpy's P, sqrt and summation order
     roots = [r for r, _ in turning_points(cubic_unity).points]
     # 2 delta_path of z^3-1 is 3.5e-3: the third chord must subdivide
     assert 2 * PolyContext.of(cubic_unity).scales.delta_path > 0.003
     w0 = cmath.sqrt(cubic_unity.evaluate(z0))
-    points = _recording_evaluate(monkeypatch)
-    for fvals in (lambda z, w: w, lambda z, w: z * w):
-        points.clear()
+    for f in (lambda z, w: w, lambda z, w: z * w):
+        seen = []
         [total], w1 = pathint.integrate_chord(cubic_unity, roots, z0, w0, z1,
-                                              [fvals])
-        seen = points[:]
-        points.clear()
-        assert (total, w1) == _two_pass_chord(cubic_unity, roots, z0, w0, z1,
-                                              fvals)
-        # the same points in the same order, the whole-chord panel's
-        # evaluations (walker midpoints included) once instead of twice
-        first = len(points) - len(seen)
-        assert points == seen[:first] + seen
+                                              [_recorded(f, seen)])
+        ref, ref_w1, panels, size = _two_pass_chord(cubic_unity, roots, z0,
+                                                    w0, z1, f)
+        assert Counter(seen) == Counter(panels)
+        assert len(set(panels)) == len(panels)
+        assert abs(total - ref) <= 1e-14 * size
+        assert abs(w1 - ref_w1) <= 1e-14 * abs(ref_w1)
         if one_panel:
-            # 15 nodes, the chord's end and possibly z1 itself
-            assert first == 15 and len(seen) <= 17
+            assert len(panels) == 1
         else:
-            assert len(seen) > 3 * 15
+            assert len(panels) > 3
 
 
 def test_walker_on_a_root_hits_the_depth_limit(cubic_unity):
+    # a step from a root fails the distance rule, and so does each left
+    # half down to depth 60: the error names the root, where the half that
+    # fails past depth 60 starts
     roots = [r for r, _ in turning_points(cubic_unity).points]
-    walker = pathint.BranchWalker(cubic_unity, roots, roots[0], 0j)
-    with pytest.raises(BranchError, match="continuation failed near"):
-        walker.advance(roots[0] + 0.5)
+    with pytest.raises(BranchError) as info:
+        pathint.continue_branch(cubic_unity, roots,
+                                [[roots[0], roots[0] + 0.5]], [0j])
+    assert str(info.value) == (
+        f"square-root continuation failed near z = {roots[0]:.6g} "
+        "(path too close to a turning point?)")
+
+
+def _arc_position(verts, p):
+    """Position of the point p on the polyline ``verts``: chord index plus
+    the fraction of that chord."""
+    best = None
+    for c, (a, b) in enumerate(zip(verts, verts[1:])):
+        s = ((p - a) / (b - a)).real
+        off = abs(p - (a + min(1.0, max(0.0, s)) * (b - a)))
+        if best is None or off < best[0]:
+            best = (off, c + min(1.0, max(0.0, s)))
+    return best[1]
+
+
+def test_batched_steps_pass_the_direct_step_rule(cubic_unity, monkeypatch):
+    # the middle chord passes 0.003 from the root 1, so steps between its
+    # nodes are halved inside the batch: every step walked, halves
+    # included, is at most a quarter of its start's distance to the
+    # nearest root and turns P by less than pi/2
+    roots = [r for r, _ in turning_points(cubic_unity).points]
+    verts = [2.0 + 0.5j, 1.5 + 0.003j, 0.5 + 0.003j, 0.2 + 0.4j]
+    evaluate = ComplexPolynomial.evaluate
+    calls = []       # per continuation: its walks and the points evaluated
+
+    def recorded(self, z):
+        if calls:
+            calls[-1][1].append(np.ravel(z))
+        return evaluate(self, z)
+
+    def spy(poly, roots, z, w0):
+        calls.append((np.asarray(z), []))
+        return branch(poly, roots, z, w0)
+    branch = pathint.continue_branch
+    monkeypatch.setattr(ComplexPolynomial, "evaluate", recorded)
+    monkeypatch.setattr(pathint, "continue_branch", spy)
+    integrate_polyline(cubic_unity, roots, verts)
+    halves = 0
+    for walks, evaluated in calls:
+        # the first evaluation is the walks' own points, the rest halves
+        mids = [complex(m) for batch in evaluated[1:] for m in batch]
+        halves += len(mids)
+        for row in walks.tolist():
+            lo, hi = _arc_position(verts, row[0]), _arc_position(verts, row[-1])
+            chain = sorted(row + [m for m in mids
+                                  if lo < _arc_position(verts, m) < hi],
+                           key=lambda p: _arc_position(verts, p))
+            for a, b in zip(chain, chain[1:]):
+                assert abs(b - a) <= 0.25 * min(abs(a - r) for r in roots)
+                pa, pb = evaluate(cubic_unity, a), evaluate(cubic_unity, b)
+                assert (pb * pa.conjugate()).real > 0.0
+    assert halves > 0 and len(calls) > 2
 
 
 def test_clearance_enforced():
@@ -196,28 +281,31 @@ def test_airy_segment_closed_form():
 
 
 def _root_chord_reference(poly, roots, root, mult, z1, w1, rel_tol=1e-9):
-    """The turning-point chord rule with its own panel stack: u runs from
-    1 down to 0 within each panel, panels are taken outer-first, and the
-    Gauss-7 sum is formed in ascending u."""
+    """The turning-point chord rule with its own panel stack, one node at a
+    time: u runs from 1 down to 0 within each panel, panels are taken
+    outer-first, and the Gauss-7 sum is formed in ascending u.  Returns
+    (total, the nodes z of each panel of the tree in walk order, the sum
+    of |i15| over the accepted panels)."""
     dz = complex(z1) - complex(root)
     q = pathint._deflate(poly, root, mult)
     other = tuple(r for r in roots if r != root)
     wq1 = cmath.sqrt(q.evaluate(z1))
-    walker = pathint.BranchWalker(q, other, z1, wq1)
+    walker = _RecursiveWalker(q, other, z1, wq1)
     dz_half = cmath.exp(0.5 * mult * cmath.log(dz))
     check = dz_half * wq1
     sign = -1.0 if check.real * w1.real + check.imag * w1.imag < 0.0 else 1.0
     front = 2.0 * dz * dz_half * sign
-    total = 0j
+    total, size, panels = 0j, 0.0, []
     stack = [(0.0, 1.0, max(1e-13, rel_tol * abs(w1) * abs(dz)))]
     while stack:
         ua, ub, tol = stack.pop()
         anchor_z, anchor_w = walker.z, walker.w
         mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
-        i15, gauss_vals = 0j, []
+        i15, gauss_vals, nodes = 0j, [], []
         for k in range(14, -1, -1):
             u = mid + half * pathint._KRONROD_NODES[k]
-            val = front * (u ** (mult + 1)) * walker.advance(root + dz * u * u)
+            nodes.append(root + dz * u * u)
+            val = front * (u ** (mult + 1)) * walker.advance(nodes[-1])
             i15 += pathint._KRONROD_WEIGHTS[k] * val
             if k % 2 == 1:
                 gauss_vals.append(val)
@@ -226,8 +314,10 @@ def _root_chord_reference(poly, roots, root, mult, z1, w1, rel_tol=1e-9):
             i7 += gw * val
         i15 *= half
         i7 *= half
+        panels.append(tuple(nodes))
         if abs(i15 - i7) <= tol or (ub - ua) < 1e-12:
             total += i15
+            size += abs(i15)
             if ua > 0.0:
                 walker.advance(root + dz * ua * ua)
         else:
@@ -235,7 +325,7 @@ def _root_chord_reference(poly, roots, root, mult, z1, w1, rel_tol=1e-9):
             um = 0.5 * (ua + ub)
             stack.append((ua, um, 0.6 * tol))
             stack.append((um, ub, 0.6 * tol))
-    return total
+    return total, panels, size
 
 
 @pytest.mark.parametrize("coeffs, roots, mult, z1, refines", [
@@ -246,21 +336,27 @@ def _root_chord_reference(poly, roots, root, mult, z1, w1, rel_tol=1e-9):
 ])
 def test_root_chord_matches_its_own_panel_loop(coeffs, roots, mult, z1,
                                                refines, monkeypatch):
-    # the chart over the shared refinement loop walks the same nodes in
-    # the same order and sums the same i15 values as the rule's own loop
+    # the chart through the shared refinement loop walks the panel tree of
+    # the rule's own loop, each panel's nodes in the same order and once,
+    # and sums the same i15 values up to numpy's rounding
     p = parse_poly_text(coeffs)
     root = roots[0]
-    points = _recording_evaluate(monkeypatch)
+    seen = []
+    monkeypatch.setattr(pathint, "sqrt_density",
+                        _recorded(pathint.sqrt_density, seen))
     for w1 in (cmath.sqrt(p.evaluate(z1)), -cmath.sqrt(p.evaluate(z1))):
-        points.clear()
+        seen.clear()
         got = pathint.integrate_chord_from_root(p, roots, root, mult, z1, w1)
-        seen = points[:]
-        points.clear()
-        assert got == _root_chord_reference(p, roots, root, mult, z1, w1)
-        assert points == seen
-        # the deflated q at z1 and the 15 nodes of the whole-chord panel,
-        # and more only when it refines
-        assert (len(seen) > 1 + 15) == refines
+        ref, panels, size = _root_chord_reference(p, roots, root, mult, z1,
+                                                  w1)
+        if refines:
+            assert Counter(seen) == Counter(panels)
+        else:
+            assert seen == panels
+        assert len(set(panels)) == len(panels)
+        assert abs(got - ref) <= 1e-14 * size
+        # the whole-chord panel alone, unless it refines
+        assert (len(panels) > 1) == refines
 
 
 @pytest.mark.parametrize("z1", [1.5 + 0.5j, 0.4 - 0.3j, 2.0 + 1e-3j])
@@ -463,33 +559,66 @@ def _first_quintic_of_counting_stream():
     lambda: parse_poly_text("1,0,0.3+0.2i,-1"),
     _first_quintic_of_counting_stream,
 ])
-def test_alpha_one_walk_matches_a_walk_per_order(make_poly, monkeypatch):
+def test_alpha_one_walk_matches_a_walk_per_order(make_poly):
     poly = make_poly()
     rays = accumulation_rays(poly)
-    tree = []
-    panel_values = pathint._panel_values
-
-    def recorded(walk, scale, sa, sb, densities):
-        # the panels of each chord of the contour, the whole chord first
-        if (sa, sb) == (0.0, 1.0):
-            tree.append([])
-        tree[-1].append((sa, sb))
-        return panel_values(walk, scale, sa, sb, densities)
-    monkeypatch.setattr(pathint, "_panel_values", recorded)
     densities = pathint.alpha_densities(poly, 3)
     trees_differ = False
     for ray in rays:
         verts = list(ray.contour)
         per_order, trees = [], []
         for f in densities:
-            tree.clear()
-            per_order += pathint.contour_integral(poly, verts, [f])
-            trees.append([tuple(chord) for chord in tree])
+            tree = []
+            per_order += pathint.contour_integral(poly, verts,
+                                                  [_recorded(f, tree)])
+            trees.append(Counter(tree))
         assert alpha_contour_integrals(poly, verts, 3) == per_order
-        trees_differ |= any(len(set(chords)) > 1 for chords in zip(*trees))
+        # one walk evaluates each panel of every order's tree once
+        walked = []
+        pathint.contour_integral(
+            poly, verts, [_recorded(densities[0], walked)] + densities[1:])
+        assert Counter(walked) == Counter(set().union(*trees))
+        trees_differ |= any(tree != trees[0] for tree in trees)
     # the orders refine different panels, so one walk has to follow each
     # order's own tree
     assert trees_differ
+
+
+@pytest.mark.parametrize("make_poly", [
+    lambda: parse_poly_text("1,0,0.3+0.2i,-1"),
+    _first_quintic_of_counting_stream,
+])
+def test_alpha_walk_matches_the_scalar_reference(make_poly):
+    # each order's batched walk of each stadium against the reference
+    # walk, one node and one chord at a time: the same panel trees, chord
+    # by chord, and the same integrals up to rounding.  numpy's P differs
+    # from the reference's by a few ulps of its Horner terms, cond(P) ulps
+    # of P, which alpha_j = Q_j P^{-(3j+2)/2} scales by (3j+2)/2; so the
+    # bound is 4 eps (3j+2)/2 cond(P) of the sum of |chord part|, with
+    # cond(P) taken at the contour's vertices
+    poly = make_poly()
+    roots = PolyContext.of(poly).locs
+    densities = pathint.alpha_densities(poly, 3)
+    eps = np.finfo(float).eps
+    for ray in accumulation_rays(poly):
+        verts = list(ray.contour)
+        cond = max(sum(abs(a) * abs(z) ** k
+                       for k, a in enumerate(reversed(poly.coeffs)))
+                   / abs(poly.evaluate(z)) for z in verts)
+        alphas = alpha_contour_integrals(poly, verts, 3)
+        for j, (f, alpha) in enumerate(zip(densities, alphas)):
+            tree = []
+            pathint.contour_integral(poly, verts, [_recorded(f, tree)])
+            w = cmath.sqrt(poly.evaluate(verts[0]))
+            total, size, panels = 0j, 0.0, []
+            for a, b in zip(verts, verts[1:]):
+                part, w, chord_panels, _ = _two_pass_chord(poly, roots, a, w,
+                                                           b, f)
+                total += part
+                size += abs(part)
+                panels += chord_panels
+            assert Counter(tree) == Counter(panels)
+            assert abs(alpha - total) <= 4 * eps * (1.5 * j + 1) * cond * size
 
 
 def test_contour_integral_densities_odd_enclosure_rejected(osc):
@@ -501,10 +630,10 @@ def test_contour_integral_densities_odd_enclosure_rejected(osc):
 def test_chord_guard_names_chord_and_density(cubic_unity):
     roots = [r for r, _ in turning_points(cubic_unity).points]
     z0, z1 = 0.1 + 0.2j, -0.2 + 0.35j
-    rng = random.Random(5)
+    rng = np.random.default_rng(5)
 
     def noise(z, w):
-        return complex(rng.random(), rng.random())
+        return rng.random(z.shape) + 1j * rng.random(z.shape)
     w0 = cmath.sqrt(cubic_unity.evaluate(z0))
     with pytest.raises(BranchError) as info:
         pathint.integrate_chord(cubic_unity, roots, z0, w0, z1,

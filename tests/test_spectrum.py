@@ -42,16 +42,19 @@ def test_loop_period_matches_the_contour_walk(stream_rays):
 
 
 def test_rays_integrate_nothing(cubic_unity, monkeypatch):
+    # every quadrature, of regular and of turning-point chords, runs
+    # through pathint's one GK15 loop
     survey = survey_short_geodesics(cubic_unity)
     chords = []
-    for name in ("integrate_chord", "integrate_chord_from_root"):
-        def counted(*args, _chord=getattr(pathint, name), **kwargs):
-            chords.append(args)
-            return _chord(*args, **kwargs)
-        monkeypatch.setattr(pathint, name, counted)
+    loop = pathint._gk15
+
+    def counted(*args, **kwargs):
+        chords.append(args)
+        return loop(*args, **kwargs)
+    monkeypatch.setattr(pathint, "_gk15", counted)
     rays = accumulation_rays(cubic_unity, survey=survey)
     assert len(rays) == 3 and chords == []
-    # the corrections do walk the contour, through the same spies
+    # the corrections do walk the contour, through the same spy
     eigenvalue_asymptotics(cubic_unity, rays[0], 1, 1, order=1)
     assert chords
 
