@@ -20,7 +20,11 @@ class RunConfig:
     r_escape_factor: float = 10.0    # escape radius, x (1 + max|root|)
     l_max_factor: float = 50.0       # trajectory length cap, x D
     quad_rel_tol: float = 1e-9       # path-integral relative tolerance
-    trace_tol: float = 1e-10         # tracer local error, x D per unit length
+    # tracer: bound on the DP5 local error |z5 - z4| of each step attempt,
+    # x D (absolute, not per unit length).  It sets the vertex spacing, not
+    # the vertices' accuracy: nearly all of that error lies normal to the
+    # line, where the drift projection removes it after every step
+    trace_tol: float = 3e-9
     ode_rel_tol: float = 1e-10       # linear-ODE integrator tolerance
     alpha_order: int = 3             # correction depth in reports
     lambda_min_modulus: float = 0.25

@@ -2,9 +2,10 @@
 classification, strip widths, and weighted chord diagrams.
 
 The plane is compactified to the disk |z| <= R_escape: escaping edges end
-exactly on that circle, circle arcs between consecutive crossings close
-the picture, and the faces of the resulting planar subdivision are the
-admissible domains (plus one outer face, discarded).  A face meeting the
+on that circle (to within 1.3e-7 R_escape; only the phase of an end is
+read), circle arcs between consecutive crossings close the picture, and
+the faces of the resulting planar subdivision are the admissible domains
+(plus one outer face, discarded).  A face meeting the
 circle in one arc run opens into a single angular sector (half-plane
 type); a face with two arc runs has two ends squeezed onto Stokes rays
 (strip type).

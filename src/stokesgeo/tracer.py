@@ -2,11 +2,17 @@
 
 Trajectories solve dz/ds = i * conj(w) / |w| with w = sqrt(P(z)) continued
 along the trace, which moves at unit speed while keeping Re xi constant
-(d xi / ds = i |w|).  Each accepted step adds the chord integral of
-sqrt(P) to a running drift estimate and projects the new vertex back onto
-the Re xi level set of the launch point, so emitted polylines stay on the
-Stokes line in the canonical chart.  The chord integral is a Gauss-Lobatto
-rule whose end values are the step's own, so it costs 4 new evaluations.
+(d xi / ds = i |w|).  The tracer is a predictor-corrector that follows the
+level set Re xi = Re xi(root).  An embedded Dormand-Prince 5(4) step
+predicts the next vertex; its error bound (``RunConfig.trace_tol``) only
+spaces the vertices, because nearly all of a step's local error lies
+normal to the line.  The corrector adds the chord integral of sqrt(P) to
+a running drift estimate and projects the vertex back onto the level set
+along the normal, so emitted polylines stay on the Stokes line in the
+canonical chart.  The chord integral is a Gauss-Lobatto rule whose end
+values are the step's own, so it costs 4 new evaluations.  An escaping
+trace ends where its last step chord meets the escape circle, moved onto
+the line by Newton passes of the same projection.
 """
 
 from __future__ import annotations
@@ -50,6 +56,11 @@ _LOBATTO_INNER = tuple(
         (-math.sqrt(1 / 3 - 2 * math.sqrt(7) / 21), (14 + math.sqrt(7)) / 30),
         (math.sqrt(1 / 3 - 2 * math.sqrt(7) / 21), (14 + math.sqrt(7)) / 30),
         (math.sqrt(1 / 3 + 2 * math.sqrt(7) / 21), (14 - math.sqrt(7)) / 30)))
+
+# attempts of one trace before it gives up, and Newton passes that put an
+# escaping trace's last vertex on its line
+_MAX_STEP_ATTEMPTS = 200000
+_LANDING_PASSES = 8
 
 
 @dataclass(frozen=True)
@@ -172,10 +183,14 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
 
     Returns (polyline, fate).  Terminates on: reaching another turning
     point within delta_hit (HitTurningPoint),
-    leaving the escape radius moving outward (EscapedToRay, with the final
-    vertex landed exactly on the escape circle), or exceeding the length
-    cap l_max (Truncated).  Tolerances and scales come from ``context``,
-    which defaults to the context of ``poly`` under ``config``.
+    leaving the escape radius moving outward (EscapedToRay; the final
+    vertex is on the line and off the escape circle only by the
+    projection's move, measured at most 1.3e-7 r_escape), or exceeding
+    the length cap l_max (Truncated).  Tolerances and scales come from
+    ``context``, which defaults to the context of ``poly`` under
+    ``config``.  A trace that needs more than ``_MAX_STEP_ATTEMPTS`` step
+    attempts, or a step below 1e-15 D, raises ``NumericalError`` naming
+    the root, the launch direction and the arc length reached.
     """
     ctx = context if context is not None else PolyContext.of(poly, config)
     locs, scales = ctx.locs, ctx.scales
@@ -195,6 +210,7 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     delta_hit = scales.delta_hit
     r_escape = scales.r_escape
     atol = ctx.config.trace_tol * scales.d_unit
+    drift_tol = 1e-13 * scales.d_unit
 
     polyline = [r0]
     drift = 0.0
@@ -218,34 +234,39 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     guard = 0
     while True:
         guard += 1
-        if guard > 200000:
-            raise NumericalError("trace exceeded step budget", residuals=[z])
+        if guard > _MAX_STEP_ATTEMPTS:
+            raise NumericalError(
+                f"trace from root {root_index} along {direction:.12g} "
+                f"exceeded step budget at arc length {s_total:.6g}",
+                residuals=[z])
         if s_total > exclusion or near_idx != root_index:
             if near_d <= delta_hit:
                 polyline.append(locs[near_idx])
                 return polyline, HitTurningPoint(near_idx, near_d)
         h = min(h, max(near_d, delta_hit) / 4.0)
         if h < 1e-15 * scales.d_unit:
-            raise NumericalError("step-size underflow during trace",
-                                 residuals=[z])
+            raise NumericalError(
+                f"step-size underflow during trace from root {root_index} "
+                f"along {direction:.12g} at arc length {s_total:.6g}",
+                residuals=[z])
         z5, err, w6, k6 = _dp5_step(poly, z, w, k, h)
         if err > atol and h > 4e-15 * scales.d_unit:
             h *= max(0.2, 0.9 * (atol / max(err, 1e-300)) ** 0.2)
             continue
-        # accept; escaping steps land exactly on the circle first
+        # accept; an outward step past the escape circle ends on the
+        # circle, projected onto the line
         if abs(z5) >= r_escape:
             if z5.real * k6.real + z5.imag * k6.imag > 0.0:
                 z_land, w_land = _land_on_circle(poly, z, w, z5, r_escape)
-                inc = _chord_re_integral(poly, z, w, z_land, w_land)
-                dr = drift + inc
-                corr = -dr * w_land.conjugate() / (abs(w_land) ** 2)
-                z_land = z_land + corr
-                polyline.append(z_land)
+                if z_land != z:
+                    z_land = _project_landing(poly, z, w, z_land, w_land,
+                                              drift, drift_tol)
+                    polyline.append(z_land)
                 ray = ctx.sectors.nearest_ray_index(cmath.phase(z_land))
                 return polyline, EscapedToRay(ray, z_land)
         inc = _chord_re_integral(poly, z, w, z5, w6)
         drift += inc
-        if abs(drift) > 1e-13 * scales.d_unit:
+        if abs(drift) > drift_tol:
             corr = -drift * w6.conjugate() / (abs(w6) ** 2)
             z5 = z5 + corr
             drift += (w6 * corr).real
@@ -296,18 +317,43 @@ def _parabola_min(s1, d1, s2, d2, s3, d3):
 
 
 def _land_on_circle(poly, z_prev, w_prev, z_over, radius):
-    """Move the final vertex onto |z| = radius by bisection on the chord."""
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        zm = z_prev + mid * (z_over - z_prev)
-        if abs(zm) >= radius:
-            hi = mid
-        else:
-            lo = mid
-    z_land = z_prev + hi * (z_over - z_prev)
-    w_land = _branch_step(poly, w_prev, z_land)
-    return z_land, w_land
+    """The point where the step chord from z_prev to z_over meets
+    |z| = radius, and the branch of sqrt(P) there: z_prev + t (z_over -
+    z_prev) with t the root in [0, 1] of |z_prev + t dz|^2 = radius^2,
+    clamped to z_prev when that vertex is not inside the circle."""
+    dz = z_over - z_prev
+    a = dz.real * dz.real + dz.imag * dz.imag
+    b = z_prev.real * dz.real + z_prev.imag * dz.imag
+    r_prev = abs(z_prev)
+    c = (r_prev - radius) * (r_prev + radius)
+    if c >= 0.0:
+        return z_prev, w_prev
+    q = math.sqrt(b * b - a * c)
+    # the larger root, in the form without cancellation
+    t = min(-c / (b + q) if b > 0.0 else (q - b) / a, 1.0)
+    z_land = z_prev + t * dz
+    return z_land, _branch_step(poly, w_prev, z_land)
+
+
+def _project_landing(poly, z, w, z_land, w_land, drift, drift_tol):
+    """Move a landing vertex onto the Re xi level: Newton passes of the
+    chord integral from the last vertex (z, w), which carries ``drift``,
+    until the drift at the landing vertex is within ``drift_tol``.  The
+    landing vertex sits on the step chord, off the curved line by up to
+    the chord's sagitta, so one linear projection leaves a quadratic
+    remainder; two or three passes clear it.  Where the rounding of a
+    long chord's integral keeps the drift above ``drift_tol``, the passes
+    stop once a correction no longer moves the vertex."""
+    for _ in range(_LANDING_PASSES):
+        dr = drift + _chord_re_integral(poly, z, w, z_land, w_land)
+        if abs(dr) <= drift_tol:
+            break
+        z_next = z_land - dr * w_land.conjugate() / (abs(w_land) ** 2)
+        if z_next == z_land:
+            break
+        z_land = z_next
+        w_land = _branch_step(poly, w_land, z_land)
+    return z_land
 
 
 # --- graph assembly -----------------------------------------------------------
@@ -317,8 +363,9 @@ class StokesEdge:
     """One edge of the Stokes graph.
 
     Finite edges carry both endpoint stubs (root index, local direction
-    index); escaping edges carry the asymptotic ray index and end exactly
-    on the escape circle.
+    index); escaping edges carry the asymptotic ray index and end on the
+    escape circle up to the landing's projection (see
+    ``trace_stokes_line``).
     """
 
     kind: str                      # "finite" | "escape" | "truncated"

@@ -1,13 +1,14 @@
 import cmath
 import math
 import random
+import re
 
 import pytest
 
 from stokesgeo import pathint, tracer
 from stokesgeo.polynomial import PolyContext
 from stokesgeo import (ComplexPolynomial, EscapedToRay, HitTurningPoint,
-                       build_stokes_graph, classify_complexes,
+                       NumericalError, build_stokes_graph, classify_complexes,
                        emanating_directions, parse_poly_text, re_xi_drift,
                        stokes_sectors, trace_stokes_line, turning_points)
 from tests.conftest import stream_polys
@@ -251,8 +252,8 @@ def test_trace_evaluates_p_six_times_per_step_attempt(cubic_unity,
     assert counts["_dp5_step"] > 50
     # the launch point, its root chord, the step attempts, the drift
     # chords (the 4 inner Lobatto nodes; the ends are the step's own
-    # values), and the branch updates after a drift correction and at the
-    # landing point (one, before its drift correction)
+    # values), and the branch updates after a drift correction, at the
+    # landing point, and after each of its projection passes
     assert counts["evals"] == (1 + counts["head_evals"]
                                + 6 * counts["_dp5_step"]
                                + 4 * counts["_chord_re_integral"]
@@ -275,25 +276,106 @@ def _gk15_chord_re_integral(poly, z0, w0, z1):
     return 0.5 * acc
 
 
-def test_drift_chord_matches_gauss_kronrod(monkeypatch):
-    # every drift chord of the Stokes graphs (both quarter-turn members)
-    # of stream 5150: the Lobatto rule on the step's own end values agrees
-    # with a GK15 rule that evaluates all its nodes (worst 7e-15 here)
+@pytest.fixture(scope="module")
+def stream_graphs():
+    """The Stokes graphs of both quarter-turn members of the first two
+    polynomials per degree of stream 5150, with the arguments of every
+    drift chord their traces integrated."""
     chords = []
     chord = tracer._chord_re_integral
 
     def recorded(*args):
         chords.append(args)
         return chord(*args)
-    monkeypatch.setattr(tracer, "_chord_re_integral", recorded)
-    for poly in stream_polys(5150, 1):
-        build_stokes_graph(poly)
-        build_stokes_graph(poly.rotate(math.pi / 2))
+    graphs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracer, "_chord_re_integral", recorded)
+        for poly in stream_polys(5150, 2):
+            for member in (poly, poly.rotate(math.pi / 2)):
+                graphs.append((member, build_stokes_graph(member)))
+    return graphs, chords
+
+
+def test_drift_chord_matches_gauss_kronrod(stream_graphs):
+    # every drift chord of the stream graphs: the Lobatto rule on the
+    # step's own end values agrees with a GK15 rule that evaluates all its
+    # nodes (worst 6.2e-14 here, on long steps at the root-distance cap)
+    _, chords = stream_graphs
     assert len(chords) > 5000
+    chord = tracer._chord_re_integral
     for poly, z0, w0, z1, w1 in chords:
         gap = (chord(poly, z0, w0, z1, w1)
                - _gk15_chord_re_integral(poly, z0, w0, z1))
         assert abs(gap) <= 1e-13 * abs(w0) * abs(z1 - z0)
+
+
+def test_stream_graph_edges_keep_their_level(stream_graphs):
+    # the drift projection holds every vertex on its root's Re xi level,
+    # the escape landing included, and the landing stays on the escape
+    # circle to within the projection's move off it (worst 4.2e-13 and
+    # 2e-8 here)
+    graphs, _ = stream_graphs
+    escapes = 0
+    for poly, graph in graphs:
+        r_escape = graph.scales.r_escape
+        for e in graph.edges:
+            drift, arc = re_xi_drift(poly, e.polyline)
+            assert drift <= 1e-12 * (1.0 + arc)
+            if e.kind == "escape":
+                escapes += 1
+                assert abs(abs(e.polyline[-1]) - r_escape) <= 1e-7 * r_escape
+    assert escapes > 50
+
+
+def test_land_on_circle_meets_the_circle_on_the_chord(osc):
+    rng = random.Random(7)
+    for _ in range(200):
+        radius = rng.uniform(1.0, 50.0)
+        z_prev = cmath.rect(rng.uniform(0.0, 0.999) * radius,
+                            rng.uniform(-math.pi, math.pi))
+        z_over = cmath.rect(rng.uniform(1.0, 1.5) * radius,
+                            rng.uniform(-math.pi, math.pi))
+        w_prev = cmath.sqrt(osc.evaluate(z_prev))
+        z_land, w_land = tracer._land_on_circle(osc, z_prev, w_prev, z_over,
+                                                radius)
+        assert abs(abs(z_land) - radius) <= 1e-14 * radius
+        # on the chord, between its ends
+        dz = z_over - z_prev
+        t = ((z_land - z_prev) / dz).real
+        assert 0.0 < t <= 1.0
+        assert abs(z_land - (z_prev + t * dz)) <= 1e-14 * radius
+        assert w_land == tracer._branch_step(osc, w_prev, z_land)
+    # a last vertex already on or past the circle is the landing itself
+    z_out, w_out = 30.0 + 1j, cmath.sqrt(osc.evaluate(30.0 + 1j))
+    landed = tracer._land_on_circle(osc, z_out, w_out, 40.0, 20.0)
+    assert landed == (z_out, w_out)
+
+
+def test_trace_errors_name_root_direction_and_arc(cubic_unity, monkeypatch):
+    ctx = PolyContext.of(cubic_unity)
+    theta = emanating_directions(cubic_unity, ctx.locs[2], 1)[1]
+    where = re.escape(f"from root 2 along {theta:.12g}")
+
+    def arc_reached(info):
+        return float(str(info.value).rsplit(" ", 1)[1])
+
+    # a step whose error estimate is always huge is shrunk to underflow,
+    # with at most one forced step at the floor accepted on the way
+    with monkeypatch.context() as mp:
+        mp.setattr(tracer, "_dp5_step", lambda poly, z, w, k0, h:
+                   (z + h * k0, 1e300, w, k0))
+        with pytest.raises(NumericalError,
+                           match=f"^step-size underflow during trace {where} "
+                                 f"at arc length ") as info:
+            trace_stokes_line(cubic_unity, 2, theta, context=ctx)
+    assert 0.0 <= arc_reached(info) < 1e-14
+
+    monkeypatch.setattr(tracer, "_MAX_STEP_ATTEMPTS", 40)
+    with pytest.raises(NumericalError,
+                       match=f"^trace {where} exceeded step budget at arc "
+                             f"length ") as info:
+        trace_stokes_line(cubic_unity, 2, theta, context=ctx)
+    assert arc_reached(info) > 0.0
 
 
 @pytest.mark.parametrize("coeffs", ["1,0,-1", "1,0,0.3+0.2i,-1"])
