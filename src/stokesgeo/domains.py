@@ -387,7 +387,9 @@ def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
     follows r_to's edge (``exit_edge`` when given) back.  The a* are the
     traced vertices at 1/8 .. 7/8 of r_from's boundary edges, each paired
     with the nearest vertex b* of r_to's; the first pair whose segment lies
-    inside the face, in order of the traced vertices walked, is used.
+    inside the face, in order of the traced vertices walked, is used.  When
+    none does, the other clear vertices are tried the same way: on a thin
+    strip the traced outline keeps the two sides apart only in places.
 
     Returns (xi(r_to) - xi(r_from), Im[xi(b*) - xi(r_to)]); the first is
     the period of the strip's standard saddle class, the imaginary part
@@ -409,26 +411,36 @@ def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
     if not len(clear):
         clear = np.arange(len(za))
     zb, b_edge, b_index = _vertex_table(tos)
-    n = len(clear)
-    pairs = []
-    for j in sorted({min(j, n - 1) for j in
-                     (n // 2, n // 4, 3 * n // 4, n // 8, 7 * n // 8)}):
-        a = clear[j]
-        # the first of the nearest vertices b*
-        b = np.argmin(np.abs(zb - za[a]))
-        pairs.append(((*froms[a_edge[a]], int(a_index[a])),
-                      (*tos[b_edge[b]], int(b_index[b]))))
-    # by the traced vertices walked from the roots, max(i - k, 0) a side
-    pairs.sort(key=lambda pair: sum(max(i - k, 0) for _, k, i in pair))
 
-    for (pa, ka, ia), (pb, kb, ib) in pairs:
-        if _segment_inside(pa[ia], pb[ib], dom.polygon, locs, delta):
-            break
-    else:
+    def crossing(picks):
+        """The first pair (a*, b*) over the clear vertices ``picks`` whose
+        segment lies inside the face, or None."""
+        pairs = []
+        for j in picks:
+            a = clear[j]
+            # the first of the nearest vertices b*
+            b = np.argmin(np.abs(zb - za[a]))
+            pairs.append(((*froms[a_edge[a]], int(a_index[a])),
+                          (*tos[b_edge[b]], int(b_index[b]))))
+        # by the traced vertices walked from the roots, max(i - k, 0) a side
+        pairs.sort(key=lambda pair: sum(max(i - k, 0) for _, k, i in pair))
+        for pair in pairs:
+            (pa, _, ia), (pb, _, ib) = pair
+            if _segment_inside(pa[ia], pb[ib], dom.polygon, locs, delta):
+                return pair
+        return None
+
+    n = len(clear)
+    picks = sorted({min(j, n - 1) for j in
+                    (n // 2, n // 4, 3 * n // 4, n // 8, 7 * n // 8)})
+    found = crossing(picks) or crossing(
+        [j for j in range(n) if j not in picks])
+    if found is None:
         raise NonGenericError(
             f"no interior crossing segment found in the strip between roots "
             f"{r_from} at {locs[r_from]:.6g} and {r_to} at "
             f"{locs[r_to]:.6g} (incident rays {dom.incident_rays})")
+    (pa, ka, ia), (pb, kb, ib) = found
 
     head = [locs[r_from], *pa[min(ia, ka):ia + 1]]
     tail = [locs[r_to], *pb[min(ib, kb):ib + 1]]

@@ -10,9 +10,19 @@ normal to the line.  The corrector adds the chord integral of sqrt(P) to
 a running drift estimate and projects the vertex back onto the level set
 along the normal, so emitted polylines stay on the Stokes line in the
 canonical chart.  The chord integral is a Gauss-Lobatto rule whose end
-values are the step's own, so it costs 4 new evaluations.  An escaping
-trace ends where its last step chord meets the escape circle, moved onto
-the line by Newton passes of the same projection.
+values are the step's own, so it costs 4 new evaluations.
+
+Each turning point owns a disk, a tenth of the distance to its nearest
+other root, where the local normal form of P dz^2 holds and no step is
+needed.  A trace starts on the edge of its root's disk, put on the
+root's level by one root-chart chord and Newton passes of the
+projection, whose residual the drift carries.  On entering another
+root's disk it decides once, from one root chord there: the level
+offset delta of the line from that root's level gives the line's
+closest approach in the local model, and within the hit radius the
+trace ends on that root; otherwise it steps on.  An escaping trace ends
+where its last step chord meets the escape circle, moved onto the line
+and back onto the circle by Newton passes.
 """
 
 from __future__ import annotations
@@ -57,14 +67,22 @@ _LOBATTO_INNER = tuple(
         (math.sqrt(1 / 3 - 2 * math.sqrt(7) / 21), (14 + math.sqrt(7)) / 30),
         (math.sqrt(1 / 3 + 2 * math.sqrt(7) / 21), (14 - math.sqrt(7)) / 30)))
 
-# attempts of one trace before it gives up, and Newton passes that put an
-# escaping trace's last vertex on its line
+# attempts of one trace before it gives up, and Newton passes that put a
+# launch point or an escaping trace's last vertex on its line
 _MAX_STEP_ATTEMPTS = 200000
-_LANDING_PASSES = 8
+_NEWTON_PASSES = 8
+# a root's disk: this fraction of the distance to its nearest other root.
+# A trace starts on the edge of its root's disk and decides a hit on
+# entering another's, so it never steps inside one it hits
+_DISK_FACTOR = 0.1
 
 
 @dataclass(frozen=True)
 class HitTurningPoint:
+    """The trace reached turning point ``target``: ``final_distance`` is
+    the closest approach of its line to that root in the root's local
+    model, d_min, decided on entering the root's disk."""
+
     target: int
     final_distance: float
 
@@ -181,28 +199,27 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
                       context: PolyContext | None = None):
     """Trace one Stokes line from a turning point.
 
-    Returns (polyline, fate).  Terminates on: reaching another turning
-    point within delta_hit (HitTurningPoint),
+    Returns (polyline, fate).  The trace runs between root disks (radius
+    ``_DISK_FACTOR`` times the distance to the nearest other root): it
+    starts on the edge of its root's disk and ends on: entering the disk
+    of another turning point whose local model puts the line within
+    delta_hit of it (HitTurningPoint, with the model's closest approach),
     leaving the escape radius moving outward (EscapedToRay; the final
-    vertex is on the line and off the escape circle only by the
-    projection's move, measured at most 1.3e-7 r_escape), or exceeding
-    the length cap l_max (Truncated).  Tolerances and scales come from
+    vertex is on the line and on the escape circle), or exceeding the
+    length cap l_max (Truncated).  Tolerances and scales come from
     ``context``, which defaults to the context of ``poly`` under
     ``config``.  A trace that needs more than ``_MAX_STEP_ATTEMPTS`` step
     attempts, or a step below 1e-15 D, raises ``NumericalError`` naming
-    the root, the launch direction and the arc length reached.
+    the root, the launch direction and the arc length reached; so does a
+    vertex within delta_hit of a root whose disk decided a miss.
     """
     ctx = context if context is not None else PolyContext.of(poly, config)
-    locs, scales = ctx.locs, ctx.scales
+    locs, mults, scales = ctx.locs, ctx.mults, ctx.scales
+    disks = _disk_radii(ctx)
     r0 = locs[root_index]
-    _, rho_other = ctx.nearest_root(r0, skip=root_index)
-    if not math.isfinite(rho_other):
-        rho_other = scales.d_unit
-    eps = min(1e-3 * scales.d_unit, 0.2 * rho_other)
-    z = r0 + eps * cmath.exp(1j * direction)
+    z = r0 + disks[root_index] * cmath.exp(1j * direction)
 
-    p = poly.evaluate(z)
-    w = cmath.sqrt(p)
+    w = cmath.sqrt(poly.evaluate(z))
     v = 1j * w.conjugate() / abs(w)
     if v.real * math.cos(direction) + v.imag * math.sin(direction) < 0.0:
         w = -w
@@ -212,25 +229,20 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     atol = ctx.config.trace_tol * scales.d_unit
     drift_tol = 1e-13 * scales.d_unit
 
-    polyline = [r0]
-    drift = 0.0
-    # put the launch point on the Re xi level of the root itself; the raw
-    # offset point sits O(eps^{(m+4)/2}) off the separatrix, which is more
-    # than a hit radius away once transported to the far endpoint
-    head = integrate_chord_from_root(poly, locs, r0, ctx.mults[root_index],
+    # put the launch point on the Re xi level of the root itself: one root
+    # chord, then Newton passes along the normal
+    head = integrate_chord_from_root(poly, locs, r0, mults[root_index],
                                      z, w, rel_tol=1e-12)
-    z = z - head.real * w.conjugate() / (abs(w) ** 2)
-    w = _branch_step(poly, w, z)
+    z, w, drift = _newton_onto_level(poly, z, w, head.real, drift_tol)
     k = 1j * w.conjugate() / abs(w)
-    polyline.append(z)
+    polyline = [r0, z]
 
     s_total = 0.0
-    h = eps / 4.0
-    exclusion = 12.0 * eps
-    prev_dists: list[tuple[float, int, float]] = []
-
+    h = disks[root_index] / 4.0
     # nearest turning point to the current vertex; rejected steps keep it
     near_idx, near_d = ctx.nearest_root(z)
+    # the other root whose disk holds the current vertex, with its decision
+    inside, approach = -1, None
     guard = 0
     while True:
         guard += 1
@@ -239,11 +251,7 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
                 f"trace from root {root_index} along {direction:.12g} "
                 f"exceeded step budget at arc length {s_total:.6g}",
                 residuals=[z])
-        if s_total > exclusion or near_idx != root_index:
-            if near_d <= delta_hit:
-                polyline.append(locs[near_idx])
-                return polyline, HitTurningPoint(near_idx, near_d)
-        h = min(h, max(near_d, delta_hit) / 4.0)
+        h = min(h, near_d / 4.0)
         if h < 1e-15 * scales.d_unit:
             raise NumericalError(
                 f"step-size underflow during trace from root {root_index} "
@@ -259,8 +267,10 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
             if z5.real * k6.real + z5.imag * k6.imag > 0.0:
                 z_land, w_land = _land_on_circle(poly, z, w, z5, r_escape)
                 if z_land != z:
-                    z_land = _project_landing(poly, z, w, z_land, w_land,
-                                              drift, drift_tol)
+                    z_land, _, _ = _newton_onto_level(
+                        poly, z_land, w_land,
+                        drift + _chord_re_integral(poly, z, w, z_land, w_land),
+                        drift_tol, r_escape)
                     polyline.append(z_land)
                 ray = ctx.sectors.nearest_ray_index(cmath.phase(z_land))
                 return polyline, EscapedToRay(ray, z_land)
@@ -280,40 +290,55 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
         else:
             h = h * 5.0
 
-        # distance local-minimum detection with quadratic interpolation
+        # one hit decision on entering another root's disk
         near_idx, near_d = ctx.nearest_root(z)
-        if not (s_total <= exclusion and near_idx == root_index):
-            prev_dists.append((s_total, near_idx, near_d))
-            if len(prev_dists) > 3:
-                prev_dists.pop(0)
-            if len(prev_dists) == 3:
-                (s1, i1, d1), (s2, i2, d2), (s3, i3, d3) = prev_dists
-                if i1 == i2 == i3 and d2 < d1 and d2 < d3:
-                    dmin = _parabola_min(s1, d1, s2, d2, s3, d3)
-                    if dmin <= delta_hit:
-                        polyline.append(locs[i2])
-                        return polyline, HitTurningPoint(i2, max(dmin, 0.0))
+        if near_idx != root_index and near_d < disks[near_idx]:
+            if near_idx != inside:
+                inside = near_idx
+                approach = _closest_approach(poly, locs[near_idx],
+                                             mults[near_idx], locs, z, w,
+                                             drift)
+                if approach[1] <= delta_hit:
+                    polyline.append(locs[near_idx])
+                    return polyline, HitTurningPoint(near_idx, approach[1])
+            if near_d <= delta_hit:
+                raise NumericalError(
+                    f"trace from root {root_index} along {direction:.12g} "
+                    f"comes within {near_d:.3g} of root {near_idx}, whose "
+                    f"disk decided a miss (delta {approach[0]:.3g}, d_min "
+                    f"{approach[1]:.3g}) at arc length {s_total:.6g}",
+                    residuals=[z])
         else:
-            prev_dists.clear()
+            inside = -1
 
         if s_total >= scales.l_max:
             return polyline, Truncated(s_total)
 
 
-def _parabola_min(s1, d1, s2, d2, s3, d3):
-    denom = (s1 - s2) * (s1 - s3) * (s2 - s3)
-    if denom == 0:
-        return d2
-    a = (s3 * (d2 - d1) + s2 * (d1 - d3) + s1 * (d3 - d2)) / denom
-    b = (s3 * s3 * (d1 - d2) + s2 * s2 * (d3 - d1) + s1 * s1 * (d2 - d3)) / denom
-    if a <= 0:
-        return d2
-    s_min = -b / (2 * a)
-    if not (min(s1, s3) <= s_min <= max(s1, s3)):
-        return d2
-    c = ((d1 - a * s1 * s1 - b * s1) + (d2 - a * s2 * s2 - b * s2)
-         + (d3 - a * s3 * s3 - b * s3)) / 3.0
-    return a * s_min * s_min + b * s_min + c
+def _disk_radii(ctx):
+    """Each root's disk radius: ``_DISK_FACTOR`` times the distance to its
+    nearest other root (d_unit for a lone root).  The disks are disjoint."""
+    radii = []
+    for i, r in enumerate(ctx.locs):
+        _, rho = ctx.nearest_root(r, skip=i)
+        radii.append(_DISK_FACTOR
+                     * (rho if math.isfinite(rho) else ctx.scales.d_unit))
+    return radii
+
+
+def _closest_approach(poly, root, mult, locs, z, w, drift):
+    """(delta, d_min) for a trace at (z, w) whose level is ``drift`` off
+    its own root's: delta = Re xi_b(z) - drift is the traced line's level
+    measured from the root b = ``root`` (one root chord), and d_min its
+    closest approach to b in the local model P ~ c (z - b)^m, where
+    |xi_b| = 2 |c|^{1/2} r^{(m+2)/2} / (m + 2) is smallest on the line at
+    |xi_b| = |delta|."""
+    xi_b = integrate_chord_from_root(poly, locs, root, mult, z, w,
+                                     rel_tol=1e-12)
+    delta = xi_b.real - drift
+    c = abs(_deflate(poly, root, mult).evaluate(root))
+    return delta, ((mult + 2) * abs(delta) / (2.0 * math.sqrt(c))) ** (
+        2.0 / (mult + 2))
 
 
 def _land_on_circle(poly, z_prev, w_prev, z_over, radius):
@@ -335,25 +360,42 @@ def _land_on_circle(poly, z_prev, w_prev, z_over, radius):
     return z_land, _branch_step(poly, w_prev, z_land)
 
 
-def _project_landing(poly, z, w, z_land, w_land, drift, drift_tol):
-    """Move a landing vertex onto the Re xi level: Newton passes of the
-    chord integral from the last vertex (z, w), which carries ``drift``,
-    until the drift at the landing vertex is within ``drift_tol``.  The
-    landing vertex sits on the step chord, off the curved line by up to
-    the chord's sagitta, so one linear projection leaves a quadratic
-    remainder; two or three passes clear it.  Where the rounding of a
-    long chord's integral keeps the drift above ``drift_tol``, the passes
-    stop once a correction no longer moves the vertex."""
-    for _ in range(_LANDING_PASSES):
-        dr = drift + _chord_re_integral(poly, z, w, z_land, w_land)
-        if abs(dr) <= drift_tol:
+def _slide_to_circle(z, k, radius):
+    """z moved along the direction k to the nearer point of |z| = radius
+    (z itself when that line misses the circle)."""
+    a = k.real * k.real + k.imag * k.imag
+    b = z.real * k.real + z.imag * k.imag
+    r = abs(z)
+    c = (r - radius) * (r + radius)
+    disc = b * b - a * c
+    if c == 0.0 or disc < 0.0:
+        return z
+    q = math.sqrt(disc)
+    # the root of a s^2 + 2 b s + c = 0 nearer 0, without cancellation
+    return z - c / (b + q if b >= 0.0 else b - q) * k
+
+
+def _newton_onto_level(poly, z, w, drift, drift_tol, radius=None):
+    """Newton passes that move the vertex (z, w), whose level is ``drift``
+    off its root's, onto the Re xi level along the normal; with ``radius``
+    each pass also slides along the tangent back to |z| = radius.  Each
+    pass adds the Lobatto chord integral of its own move to the drift, so
+    the residual is carried, not dropped.  The passes stop once the drift
+    is within ``drift_tol``, or once a move no longer changes the vertex
+    (where rounding keeps the drift above that tolerance), after
+    ``_NEWTON_PASSES`` at most.  Returns (z, w, drift)."""
+    for _ in range(_NEWTON_PASSES):
+        if abs(drift) <= drift_tol:
             break
-        z_next = z_land - dr * w_land.conjugate() / (abs(w_land) ** 2)
-        if z_next == z_land:
+        z_next = z - drift * w.conjugate() / (abs(w) ** 2)
+        if radius is not None:
+            z_next = _slide_to_circle(z_next, 1j * w.conjugate(), radius)
+        if z_next == z:
             break
-        z_land = z_next
-        w_land = _branch_step(poly, w_land, z_land)
-    return z_land
+        w_next = _branch_step(poly, w, z_next)
+        drift += _chord_re_integral(poly, z, w, z_next, w_next)
+        z, w = z_next, w_next
+    return z, w, drift
 
 
 # --- graph assembly -----------------------------------------------------------

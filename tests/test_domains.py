@@ -6,7 +6,8 @@ import pytest
 from stokesgeo import (NonGenericError, build_face_set, build_stokes_graph,
                        chord_diagram, domains, parse_poly_text)
 from stokesgeo.domains import chords_cross
-from tests.conftest import random_simple_poly
+from stokesgeo.pathint import period_for_pair
+from tests.conftest import random_simple_poly, stream_polys
 
 
 def test_airy_faces():
@@ -99,6 +100,32 @@ def test_failed_crossing_names_its_strip(osc, monkeypatch):
         f"no interior crossing segment found in the strip between roots "
         f"{ra} at {locs[ra]:.6g} and {rb} at {locs[rb]:.6g} (incident "
         f"rays {strip.incident_rays})")
+
+
+def test_thin_strip_tries_every_clear_vertex(monkeypatch):
+    # the strip between roots 2 and 0 of this quintic is 3.6e-4 wide, under
+    # 3e-3 of the others: where the five vertex pairs at 1/8 .. 7/8 fall, the
+    # traced outline does not keep its sides apart, and the crossing goes
+    # on to the other clear vertices.  Its width is |Re| of the pair
+    # period walked from root to root without the traced edges
+    poly = stream_polys(20260808, 50)[104]
+    tries = []
+    cross_strip, inside = domains.cross_strip, domains._segment_inside
+
+    def crossing(*args, **kwargs):
+        tries.append(0)
+        return cross_strip(*args, **kwargs)
+
+    def counted(*args):
+        tries[-1] += 1
+        return inside(*args)
+    monkeypatch.setattr(domains, "cross_strip", crossing)
+    monkeypatch.setattr(domains, "_segment_inside", counted)
+    stokes, _ = chord_diagram(poly)
+    assert max(tries) > 5
+    width = dict(stokes.chords)[(3, 5)]
+    want = abs(period_for_pair(poly, 0, 2).value.real)
+    assert abs(width - want) <= 1e-12 * want
 
 
 def test_chords_cross_predicate():

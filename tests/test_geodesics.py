@@ -413,6 +413,40 @@ def test_degree_12_strips_are_crossed():
     assert survey.errors == []
 
 
+def _far_root_draw(k):
+    """Draw k of the far-root generator: degree 4 + k % 2, d - 1 roots in
+    [-1.5, 1.5]^2 at least 0.5 apart and one root at modulus 60-100,
+    centred."""
+    rng = random.Random(99)
+    for draw in range(k + 1):
+        d = 4 + draw % 2
+        while True:
+            roots = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+                     for _ in range(d - 1)]
+            if all(abs(roots[i] - roots[j]) >= 0.5
+                   for i in range(d - 1) for j in range(i + 1, d - 1)):
+                break
+        roots.append(cmath.rect(rng.uniform(60, 100), rng.uniform(0, 2 * PI)))
+        mean = sum(roots) / d
+    return ComplexPolynomial.from_roots(1.0, [r - mean for r in roots])
+
+
+def test_far_root_draw_15_connects():
+    # the diameter is 93 and the near roots are about 0.5 apart.  A launch
+    # point 1e-3 D = 0.093 from root 3, projected once with its residual
+    # Re xi = 9.3e-6 dropped, put the (3, 4) trace on a level that passes
+    # root 4 at 1.07e-4, outside delta_hit = 9.3e-5.  Carried into the
+    # drift, the residual leaves the line 1.1e-3 delta_hit from root 4, in
+    # the local model at root 4's disk (every hit of this draw is within
+    # 2.3e-3 delta_hit)
+    poly = _far_root_draw(15)
+    assert poly.degree == 5
+    survey = survey_short_geodesics(poly)
+    assert survey.errors == []
+    assert len(survey.geodesics) == 8
+    assert (3, 4) in [g.pair for g in survey.geodesics]
+
+
 def test_start_angle_attempts_run_out(cubic_unity, monkeypatch):
     def no_crossing(*args, **kwargs):
         raise NonGenericError("no interior crossing segment found")

@@ -10,7 +10,8 @@ from stokesgeo.polynomial import PolyContext
 from stokesgeo import (ComplexPolynomial, EscapedToRay, HitTurningPoint,
                        NumericalError, build_stokes_graph, classify_complexes,
                        emanating_directions, parse_poly_text, re_xi_drift,
-                       stokes_sectors, trace_stokes_line, turning_points)
+                       stokes_sectors, survey_short_geodesics,
+                       trace_stokes_line, turning_points)
 from tests.conftest import stream_polys
 
 
@@ -206,10 +207,11 @@ def test_dp5_step_bitwise_matches_stage_loop(coeffs):
 
 def _spy_on_tracer(monkeypatch):
     """Counts P evaluations, the tracer helpers' calls and the evaluations
-    made by the launch point's root-chord integral; records the (z, w, k0)
-    of every ``_dp5_step`` attempt."""
-    counts = {"evals": 0, "head_evals": 0, "_dp5_step": 0,
-              "_chord_re_integral": 0, "_branch_step": 0}
+    made by the root-chord integrals (the launch's and the disk
+    decisions'); records the (z, w, k0) of every ``_dp5_step`` attempt."""
+    counts = {"evals": 0, "root_chord_evals": 0, "_dp5_step": 0,
+              "_chord_re_integral": 0, "_branch_step": 0,
+              "_closest_approach": 0}
     steps = []
     evaluate = ComplexPolynomial.evaluate
 
@@ -227,34 +229,40 @@ def _spy_on_tracer(monkeypatch):
                 steps.append(args[1:4])
             return original(*args)
         monkeypatch.setattr(tracer, name, wrapped)
-    for name in ("_dp5_step", "_chord_re_integral", "_branch_step"):
+    for name in ("_dp5_step", "_chord_re_integral", "_branch_step",
+                 "_closest_approach"):
         spy(name)
-    head = tracer.integrate_chord_from_root
+    root_chord = tracer.integrate_chord_from_root
 
-    def head_spy(*args, **kwargs):
+    def root_chord_spy(*args, **kwargs):
         before = counts["evals"]
-        out = head(*args, **kwargs)
-        counts["head_evals"] += counts["evals"] - before
+        out = root_chord(*args, **kwargs)
+        counts["root_chord_evals"] += counts["evals"] - before
         return out
-    monkeypatch.setattr(tracer, "integrate_chord_from_root", head_spy)
+    monkeypatch.setattr(tracer, "integrate_chord_from_root", root_chord_spy)
     return counts, steps
 
 
-def test_trace_evaluates_p_six_times_per_step_attempt(cubic_unity,
-                                                      monkeypatch):
+def test_trace_evaluates_p_six_times_per_step_attempt(osc, monkeypatch):
     # first same as last: the stage-0 field is the previous step's last
-    # stage, so a step attempt evaluates P at its 5 inner stages and at z5
-    ctx = PolyContext.of(cubic_unity)
-    theta = emanating_directions(cubic_unity, ctx.locs[0], 1)[0]
+    # stage, so a step attempt evaluates P at its 5 inner stages and at z5.
+    # The line from root 0 of the oscillator turned by 1e-3 runs past root
+    # 1 (one disk decision, a miss) and escapes
+    poly = osc.rotate(1e-3)
+    ctx = PolyContext.of(poly)
+    theta = emanating_directions(poly, ctx.locs[0], 1)[2]
     counts, _ = _spy_on_tracer(monkeypatch)
-    _, fate = trace_stokes_line(cubic_unity, 0, theta, context=ctx)
+    _, fate = trace_stokes_line(poly, 0, theta, context=ctx)
     assert isinstance(fate, EscapedToRay)
-    assert counts["_dp5_step"] > 50
-    # the launch point, its root chord, the step attempts, the drift
-    # chords (the 4 inner Lobatto nodes; the ends are the step's own
-    # values), and the branch updates after a drift correction, at the
-    # landing point, and after each of its projection passes
-    assert counts["evals"] == (1 + counts["head_evals"]
+    assert counts["_dp5_step"] > 50 and counts["_closest_approach"] == 1
+    # the launch point, the root chords (the launch's and each disk
+    # decision's, which also evaluates the root's local coefficient), the
+    # step attempts, the drift chords (the 4 inner Lobatto nodes; the ends
+    # are the step's own values, and every Newton pass of the launch and
+    # the landing integrates its own move), and the branch updates after a
+    # drift correction, at the landing point and after each Newton pass
+    assert counts["evals"] == (1 + counts["root_chord_evals"]
+                               + counts["_closest_approach"]
                                + 6 * counts["_dp5_step"]
                                + 4 * counts["_chord_re_integral"]
                                + counts["_branch_step"])
@@ -309,14 +317,16 @@ def test_drift_chord_matches_gauss_kronrod(stream_graphs):
         assert abs(gap) <= 1e-13 * abs(w0) * abs(z1 - z0)
 
 
-def test_stream_graph_edges_keep_their_level(stream_graphs):
+def test_stream_graph_edges_keep_their_level(stream_graphs, osc):
     # the drift projection holds every vertex on its root's Re xi level,
-    # the escape landing included, and the landing stays on the escape
-    # circle to within the projection's move off it (worst 4.2e-13 and
-    # 2e-8 here)
+    # the escape landing included, and the landing's Newton passes keep it
+    # on the escape circle too; the README's z^2 - 1 at t = 0.3 and its
+    # quarter turn join the stream graphs
     graphs, _ = stream_graphs
+    readme = [(member, build_stokes_graph(member))
+              for member in (osc.rotate(0.3), osc.rotate(0.3 + math.pi / 2))]
     escapes = 0
-    for poly, graph in graphs:
+    for poly, graph in graphs + readme:
         r_escape = graph.scales.r_escape
         for e in graph.edges:
             drift, arc = re_xi_drift(poly, e.polyline)
@@ -370,7 +380,8 @@ def test_trace_errors_name_root_direction_and_arc(cubic_unity, monkeypatch):
             trace_stokes_line(cubic_unity, 2, theta, context=ctx)
     assert 0.0 <= arc_reached(info) < 1e-14
 
-    monkeypatch.setattr(tracer, "_MAX_STEP_ATTEMPTS", 40)
+    # the trace escapes after 27 attempts
+    monkeypatch.setattr(tracer, "_MAX_STEP_ATTEMPTS", 20)
     with pytest.raises(NumericalError,
                        match=f"^trace {where} exceeded step budget at arc "
                              f"length ") as info:
@@ -382,11 +393,86 @@ def test_trace_errors_name_root_direction_and_arc(cubic_unity, monkeypatch):
 def test_dp5_step_receives_sign_matched_branch(coeffs, monkeypatch):
     poly = parse_poly_text(coeffs)
     _, steps = _spy_on_tracer(monkeypatch)
-    build_stokes_graph(poly)
-    assert len(steps) > 300
-    for z, w, k0 in steps:
-        v = cmath.sqrt(poly.evaluate(z))
-        if v.real * w.real + v.imag * w.imag < 0.0:
-            v = -v
-        assert repr(v) == repr(w)
-        assert repr(k0) == repr(1j * w.conjugate() / abs(w))
+    checked = 0
+    # the graphs of both quarter-turn members
+    for member in (poly, poly.rotate(math.pi / 2)):
+        steps.clear()
+        build_stokes_graph(member)
+        for z, w, k0 in steps:
+            v = cmath.sqrt(member.evaluate(z))
+            if v.real * w.real + v.imag * w.imag < 0.0:
+                v = -v
+            assert repr(v) == repr(w)
+            assert repr(k0) == repr(1j * w.conjugate() / abs(w))
+        checked += len(steps)
+    assert checked > 300
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e-4, 1e-5])
+def test_closest_approach_model_matches_the_traced_miss(osc, t):
+    # the oscillator turned by t: the line from root 0 runs past root 1 at
+    # the level delta = (pi/2) sin t, enters its disk once and misses it;
+    # the local model's d_min is the traced line's closest approach to
+    # within the model's O(d_min / rho) error (0.1-0.9 % here)
+    poly = osc.rotate(t)
+    ctx = PolyContext.of(poly)
+    theta = emanating_directions(poly, ctx.locs[0], 1)[2]
+    decisions = []
+    approach = tracer._closest_approach
+
+    def spy(*args):
+        decisions.append(approach(*args))
+        return decisions[-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracer, "_closest_approach", spy)
+        pl, fate = trace_stokes_line(poly, 0, theta, context=ctx)
+    assert isinstance(fate, EscapedToRay)
+    ((delta, d_min),) = decisions
+    assert abs(abs(delta) - 0.5 * math.pi * math.sin(t)) <= 1e-12
+    traced = min(abs(z - ctx.locs[1]) for z in pl)
+    assert d_min <= traced <= 1.02 * d_min
+
+
+def test_disk_decisions_keep_their_margins(monkeypatch):
+    # every disk decision of the surveys: a hit's modelled closest
+    # approach is far inside delta_hit, a miss's far outside (worst
+    # 3.3e-4 and 3.3e3 delta_hit here)
+    decisions = []
+    approach = tracer._closest_approach
+
+    def spy(*args):
+        out = approach(*args)
+        decisions.append(out[1])
+        return out
+    monkeypatch.setattr(tracer, "_closest_approach", spy)
+    hits = misses = 0
+    for poly in stream_polys(20260808, 6) + stream_polys(1, 6):
+        decisions.clear()
+        survey = survey_short_geodesics(poly)
+        delta_hit = PolyContext.of(poly).scales.delta_hit
+        assert len(survey.geodesics) == sum(
+            d <= delta_hit for d in decisions)
+        for d_min in decisions:
+            if d_min <= delta_hit:
+                hits += 1
+                assert d_min <= 1e-2 * delta_hit
+            else:
+                misses += 1
+                assert d_min >= 1e2 * delta_hit
+    assert hits > 150 and misses >= 3
+
+
+def test_vertex_near_a_missed_root_raises(osc, monkeypatch):
+    # a disk decision that wrongly says "miss" on the finite edge of the
+    # oscillator: the trace walks on into root 0, and its first vertex
+    # within delta_hit raises, naming the root, delta and d_min
+    monkeypatch.setattr(tracer, "_closest_approach",
+                        lambda *args: (0.25, 0.5))
+    with pytest.raises(NumericalError,
+                       match=r"^trace from root 1 along 3\.14159265359 comes "
+                             r"within \S+ of root 0, whose disk decided a "
+                             r"miss \(delta 0\.25, d_min 0\.5\) at arc "
+                             r"length ") as info:
+        trace_stokes_line(osc, 1, math.pi)
+    within = float(str(info.value).split()[8])
+    assert within <= PolyContext.of(osc).scales.delta_hit
