@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import IncompleteGraphError, NonGenericError
-from .pathint import integrate_polyline, min_clearance
+from .pathint import integrate_polyline, min_clearance, root_reach
 from .polynomial import ComplexPolynomial, wrap_positive
 from .tracer import StokesGraph, build_stokes_graph
 
@@ -341,13 +341,14 @@ def _segment_inside(za, zb, poly_pts, locs, delta) -> bool:
 def _edges_at(graph: StokesGraph, root: int, edge_ids):
     """Each of the edges ``edge_ids`` that ends at ``root`` as (pl, k): the
     edge's polyline pl ordered outward from the root, and the index k of
-    the last vertex before pl first leaves the disk about the root of half
-    the distance to the nearest other root (k >= 1).  A walk from the root
-    reaches pl[i] by one chord to pl[min(i, k)] and then the traced
-    vertices; (pl, k, i) is that walk's stop."""
+    the last vertex before pl first leaves the root chart's reach
+    (``pathint.root_reach``, half the distance to the nearest other root;
+    k >= 1), so that a chord from the root to pl[k] takes the fixed rule
+    unsplit.  A walk from the root reaches pl[i] by one chord to
+    pl[min(i, k)] and then the traced vertices; (pl, k, i) is that walk's
+    stop."""
     locs = graph.turning_points.locations
-    radius = 0.5 * min(abs(locs[root] - z)
-                       for j, z in enumerate(locs) if j != root)
+    radius = root_reach(locs, locs[root])
     out = []
     for e in (graph.edges[j] for j in edge_ids):
         if root not in (e.origin, e.target):

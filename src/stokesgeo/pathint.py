@@ -12,14 +12,18 @@ point of a walk at once, the steps are checked (and the failed ones
 halved) all together, and each point's sign is the running parity of the
 per-step sign flips along the walk.
 
-All quadrature runs through one adaptive Gauss-Kronrod 7-15 loop,
-``_gk15``, over charts s -> z of chords.  It takes every chord of a walk
-together and evaluates each level of all their panel trees in one pass.
-A regular chord's chart is the straight line from z0 to z1, walked from
-s = 0 to 1.  A chord from a turning point r of multiplicity m has the
-root chart z = r + (z1 - r) u^2, with the root factor deflated from P: it
-turns the (z - r)^{m/2} endpoint singularity into a smooth integrand, and
-is walked from u = 1 down to 0 so that the branch comes from z1.  Closed
+Regular quadrature runs through one adaptive Gauss-Kronrod 7-15 loop,
+``_gk15``, over straight chords.  It takes every chord of a walk together
+and evaluates each level of all their panel trees in one pass.  A chord
+from a turning point r of multiplicity m takes the root chart
+z = r + (z1 - r) u^2, with the root factor deflated from P: it turns the
+(z - r)^{m/2} endpoint singularity into an integrand that is analytic in
+|u| < (rho / |z1 - r|)^{1/2}, rho the distance from r to its nearest
+other root.  Within ``root_reach`` (half of rho) one fixed 16-point
+Gauss-Legendre rule in u is exact to rounding (its nodes are
+sign-matched one to the next, which their spacing makes safe there); a
+longer root chord is split at that radius, and its outer part is a
+regular chord.  Closed
 contours are walked by ``contour_integral``, which checks closure,
 clearance and single-valuedness.
 """
@@ -64,6 +68,28 @@ _RULES = np.zeros((2, 15))
 _RULES[0] = _KRONROD_WEIGHTS
 _RULES[1, 1::2] = _GAUSS_WEIGHTS
 _CENTER = 7     # the node at the panel's midpoint
+
+# 16-point Gauss-Legendre rule on [0, 1], the root chart's fixed rule:
+# nodes u from u = 1 inward, and their weights
+_ROOT_NODES = (
+    0.994700467495825, 0.9722875115366163, 0.9328156011939158,
+    0.8777022041775016, 0.8089381222013219, 0.7290083888286137,
+    0.6408017753896295, 0.5475062549188188, 0.4524937450811813,
+    0.35919822461037054, 0.2709916111713863, 0.19106187779867811,
+    0.12229779582249849, 0.06718439880608412, 0.02771248846338371,
+    0.005299532504175033,
+)
+_ROOT_WEIGHTS = (
+    0.013576229705877048, 0.031126761969323947, 0.04757925584124639,
+    0.06231448562776694, 0.07479799440828837, 0.08457825969750127,
+    0.09130170752246179, 0.09472530522753425, 0.09472530522753425,
+    0.09130170752246179, 0.08457825969750127, 0.07479799440828837,
+    0.06231448562776694, 0.04757925584124639, 0.031126761969323947,
+    0.013576229705877048,
+)
+# a root chord that reaches at most this fraction of the distance from its
+# root to the nearest other root takes the fixed rule
+_REACH = 0.5
 
 
 def continue_branch(poly: ComplexPolynomial, roots, z, w0):
@@ -134,39 +160,36 @@ def sqrt_density(z, w):
     return w
 
 
-# --- adaptive quadrature over charts ------------------------------------------
+# --- adaptive quadrature over chords ------------------------------------------
 
-def _gk15(poly, roots, verts, w0, point, scale, span, densities, tol_rule,
-          factor=None):
-    """Adaptive GK15 of each density f(z, w) dz over the interval ``span``
-    of the charts s -> point(c, s) of chords c = 0 .. n-1, n = len(scale),
-    walked from span[0] to span[1], one pass per level of all the chords'
-    panel trees.
+def _gk15(poly, roots, verts, w0, densities, rel_tol=1e-9, abs_floor=1e-13):
+    """Adaptive GK15 of each density f(z, w) dz along each chord
+    z = verts[c] + s (verts[c+1] - verts[c]), s in [0, 1], of the polyline
+    ``verts``, from one walk that starts on w0 at verts[0], one pass per
+    level of all the chords' panel trees.
 
-    The walk starts on w0 at verts[0] and runs through the chords'
-    whole-chord panels, chord c from verts[c]; a vertex verts[n] ends it.
-    ``scale[c]`` is chord c's ds-factor; ``factor(s)``, when given, is the
-    rest of dz/ds and is multiplied into w.  ``tol_rule`` maps the
-    whole-chord panels' i15 (chords x densities) to tolerances.  Each
-    density refines its own panel tree, a child panel getting 0.6 of its
-    parent's tolerance; panels narrower than 1e-12 are accepted and a
-    4001st on one chord raises BranchError.  A panel is walked once for
-    all the densities, from the branch value at its start, which is its
-    parent's start or middle node.  The value at a node is +-sqrt(P(node))
-    whatever walk reached it, and each density is evaluated node by node,
-    so a density's totals do not depend on the densities beside it.
+    The walk runs through the chords' whole-chord panels; a density's
+    tolerance on a chord is max(abs_floor, rel_tol |i15|) of its
+    whole-chord panel.  Each density refines its own panel tree, a child
+    panel getting 0.6 of its parent's tolerance; panels narrower than
+    1e-12 are accepted and a 4001st on one chord raises BranchError.  A
+    panel is walked once for all the densities, from the branch value at
+    its start, which is its parent's start or middle node.  The value at a
+    node is +-sqrt(P(node)) whatever walk reached it, and each density is
+    evaluated node by node, so a density's totals do not depend on the
+    densities beside it.
 
-    Returns (integrals, chords x densities; sqrt(P) along the walk of the
-    whole-chord panels, at verts[c] in place 16 c)."""
-    n, n_dens = len(scale), len(densities)
-    roots = np.asarray(roots, dtype=complex)
+    Returns (integrals, chords x densities; sqrt(P) at the vertices)."""
     verts = np.asarray(verts, dtype=complex)
+    z0, dz = verts[:-1], verts[1:] - verts[:-1]
+    n, n_dens = len(dz), len(densities)
+    roots = np.asarray(roots, dtype=complex)
     chord = np.arange(n)
-    sa, sb = np.full(n, float(span[0])), np.full(n, float(span[1]))
-    s = (0.5 * (span[0] + span[1]) + 0.5 * (span[1] - span[0]) * _NODES)[None]
-    z = point(chord[:, None], s)
+    sa, sb = np.zeros(n), np.ones(n)
+    s = (0.5 + 0.5 * _NODES)[None]
+    z = z0[chord[:, None]] + s * dz[chord[:, None]]
     # the whole-chord panels, chord after chord
-    walk = np.concatenate((verts[:n, None], z), axis=1)
+    walk = np.concatenate((z0[:, None], z), axis=1)
     first = continue_branch(poly, roots,
                             np.concatenate((walk.ravel(), verts[n:]))[None],
                             [w0])[0]
@@ -175,16 +198,15 @@ def _gk15(poly, roots, verts, w0, point, scale, span, densities, tol_rule,
     # every density is active on the whole-chord panels
     active, totals, tols = True, None, None
     while True:
-        dw = w[:, 1:] if factor is None else w[:, 1:] * factor(s)
         vals = np.empty((len(chord), n_dens, 15), dtype=complex)
         for d, f in enumerate(densities):
-            vals[:, d] = f(z, dw)
+            vals[:, d] = f(z, w[:, 1:])
         sums = (vals[:, :, None, :] * _RULES).sum(axis=-1)
-        weight = (0.5 * (sb - sa) * scale[chord])[:, None]
+        weight = (0.5 * (sb - sa) * dz[chord])[:, None]
         i15 = sums[:, :, 0] * weight
         err = np.abs(i15 - sums[:, :, 1] * weight)
         if tols is None:
-            tols = tol_rule(i15)
+            tols = np.maximum(abs_floor, rel_tol * np.abs(i15))
         accept = (err <= tols) | (np.abs(sb - sa) < 1e-12)[:, None]
         accepted = np.where(active & accept, i15, 0j)
         if totals is None:
@@ -194,25 +216,25 @@ def _gk15(poly, roots, verts, w0, point, scale, span, densities, tol_rule,
         refine = active & ~accept
         keep = refine.any(axis=1).nonzero()[0]
         if not len(keep):
-            return totals, first
+            return totals, first[::16]
         # the halves of each refined panel: left ones, then right ones
         chord = np.concatenate((chord[keep], chord[keep]))
         active = np.concatenate((refine[keep], refine[keep]))
         np.add.at(panels, chord, active)
         if panels.max() > 4000:
             c, d = np.argwhere(panels > 4000)[0]
-            a, b = point(np.array([c]), np.array([0.0, 1.0]))
             which = f" (density {d})" if n_dens > 1 else ""
             raise BranchError(
                 f"chord quadrature failed to converge on the chord "
-                f"{complex(a):.6g} -> {complex(b):.6g}{which}")
+                f"{complex(verts[c]):.6g} -> {complex(verts[c + 1]):.6g}"
+                f"{which}")
         tols = 0.6 * tols[keep]
         tols = np.concatenate((tols, tols))
         mid = 0.5 * (sa[keep] + sb[keep])
         sa, sb = (np.concatenate((sa[keep], mid)),
                   np.concatenate((mid, sb[keep])))
         s = 0.5 * (sa + sb)[:, None] + 0.5 * (sb - sa)[:, None] * _NODES
-        z = point(chord[:, None], s)
+        z = z0[chord[:, None]] + s * dz[chord[:, None]]
         # each half is walked from its start: the panel's start or middle
         walk = np.concatenate((np.concatenate((walk[keep, 0],
                                                walk[keep, 1 + _CENTER])
@@ -221,30 +243,13 @@ def _gk15(poly, roots, verts, w0, point, scale, span, densities, tol_rule,
                             np.concatenate((w[keep, 0], w[keep, 1 + _CENTER])))
 
 
-def _integrate_chords(poly, roots, verts, w0, densities, rel_tol=1e-9,
-                      abs_floor=1e-13):
-    """GK15 of each density along each chord of the polyline ``verts``,
-    from one walk that starts on w0 at verts[0]: (integrals, chords x
-    densities; sqrt(P) at the vertices).  Chord c's chart is
-    z = verts[c] + s (verts[c+1] - verts[c]); a density's tolerance on it
-    is set by its whole-chord panel."""
-    verts = np.asarray(verts, dtype=complex)
-    z0, dz = verts[:-1], verts[1:] - verts[:-1]
-    parts, w = _gk15(
-        poly, roots, verts, w0,
-        lambda c, s: z0[c] + s * dz[c], dz, (0.0, 1.0),
-        densities,
-        lambda i15: np.maximum(abs_floor, rel_tol * np.abs(i15)))
-    return parts, w[::16]
-
-
 def integrate_chord(poly, roots, z0, w0, z1, densities, rel_tol=1e-9,
                     abs_floor=1e-13):
     """Adaptive GK15 of each density f(z, w) dz along the chord z0 -> z1:
     the one-chord case of a polyline's walk.  w0 is the branch value at
     z0; returns (integrals, w_at_z1), one integral per density."""
-    parts, branch = _integrate_chords(poly, roots, [z0, z1], w0, densities,
-                                      rel_tol, abs_floor)
+    parts, branch = _gk15(poly, roots, [z0, z1], w0, densities, rel_tol,
+                          abs_floor)
     return parts[0].tolist(), complex(branch[1])
 
 
@@ -259,40 +264,74 @@ def _deflate(poly: ComplexPolynomial, root: complex, mult: int) -> ComplexPolyno
     return ComplexPolynomial(tuple(cs))
 
 
+def root_reach(roots, root) -> float:
+    """The root chart's reach from the turning point ``root``: ``_REACH``
+    times its distance to the nearest other entry of ``roots`` (infinite
+    when there is none).  ``root`` may be passed rounded, so the entry
+    nearest it is the one dropped."""
+    dists = sorted(abs(r - root) for r in roots)[1:]
+    return _REACH * dists[0] if dists else math.inf
+
+
+def _split_point(roots, root, z1):
+    """Where a chord from ``root`` to z1 leaves the root chart's reach, or
+    None when it stays within it."""
+    reach = root_reach(roots, root)
+    dz = z1 - root
+    if abs(dz) <= reach:
+        return None
+    return root + reach * (dz / abs(dz))
+
+
+def _root_rule(poly, root, mult, z1, w1) -> complex:
+    """Integral of sqrt(P) dz from the turning point ``root`` to z1, within
+    the root chart's reach, by the fixed Gauss rule.
+
+    In the chart z = root + (z1 - root) u^2 the integrand is
+    2 u^{m+1} (z1 - root)^{m/2+1} sqrt(q(z(u))), q = P / (z - root)^m,
+    analytic in |u| < sqrt(2) at the reach; 16 Gauss-Legendre nodes in u
+    are exact to rounding there.  The nodes are walked from u = 1 inward,
+    each value of sqrt(q) sign-matched to the one before, starting from
+    the principal value at z1; the branch is pinned by ``w1``, the value
+    of sqrt(P) at z1.  Between nodes u^2 moves by at most 0.123, so q,
+    with its zeros at least twice the chord's length away, turns by less
+    than pi between them for deg q <= 25.
+    """
+    dz = z1 - root
+    q = _deflate(poly, root, mult)
+    wq = cmath.sqrt(q.evaluate(z1))
+    dz_half = cmath.exp(0.5 * mult * cmath.log(dz))
+    check = dz_half * wq
+    sign = -1.0 if check.real * w1.real + check.imag * w1.imag < 0.0 else 1.0
+    total = 0j
+    for u, weight in zip(_ROOT_NODES, _ROOT_WEIGHTS):
+        w = cmath.sqrt(q.evaluate(root + dz * (u * u)))
+        if w.real * wq.real + w.imag * wq.imag < 0.0:
+            w = -w
+        wq = w
+        total += (weight * u ** (mult + 1)) * w
+    return 2.0 * dz * dz_half * sign * total
+
+
 def integrate_chord_from_root(poly, roots, root, mult, z1, w1,
                               rel_tol=1e-9) -> complex:
-    """Integral of sqrt(P) dz from a turning point ``root`` to z1.
+    """Integral of sqrt(P) dz from a turning point ``root`` to z1, on the
+    branch pinned by ``w1``, the value of sqrt(P) at z1.
 
-    The branch is pinned by ``w1``, the value of sqrt(P) at z1.  The chart
-    z = root + (z1 - root) u^2 together with deflation of the root factor
-    yields the smooth integrand
-    2 u^{m+1} (z1-root)^{m/2+1} sqrt(q(z(u))), q = P / (z - root)^m,
-    walked from u = 1 down to 0 so that the branch of sqrt(q) is carried
-    inward from z1; the tolerance is rel_tol |w1| |z1 - root|.  It is the
-    quadrature loop's batch of one chart.
+    Within ``root_reach`` it is the root chart's fixed rule.  A longer
+    chord is split where it leaves the reach, at e: the regular chord
+    z1 -> e, walked from w1 by the adaptive loop at ``rel_tol``, carries
+    the branch to e, and the rule integrates from the root to e.
     """
-    dz = complex(z1) - complex(root)
-    if dz == 0:
+    root, z1 = complex(root), complex(z1)
+    if z1 == root:
         return 0j
-    q = _deflate(poly, root, mult)
-    # ``root`` may be passed rounded: drop the entry of ``roots`` nearest it
-    near = min(range(len(roots)), key=lambda k: abs(roots[k] - root),
-               default=None)
-    other = tuple(r for k, r in enumerate(roots) if k != near)
-    wq1 = cmath.sqrt(q.evaluate(z1))
-
-    dz_half = cmath.exp(0.5 * mult * cmath.log(dz))
-    check = dz_half * wq1
-    sign = -1.0 if check.real * w1.real + check.imag * w1.imag < 0.0 else 1.0
-    front = 2.0 * dz * dz_half * sign
-    tol = max(1e-13, rel_tol * abs(w1) * abs(dz))
-    # the walk from u = 1 to 0 integrates -du
-    totals, _ = _gk15(
-        q, other, [z1], wq1, lambda c, u: root + dz * u * u,
-        np.array([-1.0]), (1.0, 0.0), (sqrt_density,),
-        lambda i15: np.full(i15.shape, tol),
-        factor=lambda u: front * (u ** (mult + 1)))
-    return complex(totals[0, 0])
+    e = _split_point(roots, root, z1)
+    if e is None:
+        return _root_rule(poly, root, mult, z1, w1)
+    parts, branch = _gk15(poly, roots, [z1, e], w1, (sqrt_density,), rel_tol)
+    outer = complex(parts[0, 0])
+    return _root_rule(poly, root, mult, e, complex(branch[1])) - outer
 
 
 # --- polyline-level API -----------------------------------------------------
@@ -339,12 +378,13 @@ def integrate_polyline(poly, roots, verts, densities=(sqrt_density,),
 
     ``roots`` are the turning-point locations that bound the branch
     continuation steps.  ``start`` and ``end`` are (root, multiplicity)
-    pairs when the first or last vertex is that turning point; the chord at
-    such an end is integrated by the singular endpoint rule, which supports
-    the single density sqrt(P) only, and a two-vertex path gets its
-    midpoint as the regular vertex.  ``abs_floor`` applies to the regular
-    chords, which are integrated together, one pass per level of their
-    panel trees.
+    pairs when the first or last vertex is that turning point; the
+    integrals then support the single density sqrt(P) only, and a
+    two-vertex path gets its midpoint as the regular vertex.  A chord at
+    such an end takes the root chart's fixed rule, split where it leaves
+    ``root_reach``: its outer part joins the regular chords, which are
+    integrated together in one walk, one pass per level of their panel
+    trees.  ``abs_floor`` applies to the regular chords.
 
     Returns (totals, branch values at the regular vertices, running totals
     after each chord), with one total per density.
@@ -354,26 +394,45 @@ def integrate_polyline(poly, roots, verts, densities=(sqrt_density,),
     first = 1 if start is not None else 0
     last = len(verts) - 2 if end is not None else len(verts) - 1
     w = cmath.sqrt(poly.evaluate(verts[first]))
-    branch = [w]
+    # the regular walk, with the points where the end chords leave the
+    # root chart's reach
+    walk = list(verts[first:last + 1])
+    head = tail = None
+    if start is not None:
+        head = _split_point(roots, start[0], walk[0])
+    if end is not None:
+        tail = _split_point(roots, end[0], walk[-1])
+    if head is not None:
+        walk.insert(0, head)
+    if tail is not None:
+        walk.append(tail)
+    split = head is not None
+    parts, ws = [], [w]
+    if len(walk) > 1:
+        seed = cmath.sqrt(poly.evaluate(head)) if split else w
+        parts, ws = _gk15(poly, roots, walk, seed, densities, rel_tol,
+                          abs_floor)
+        # seeded at the split point, the walk may reach verts[first] on
+        # the other sign: negating every part and value is exact
+        if split and (ws[1] * w.conjugate()).real < 0.0:
+            parts, ws = -parts, -ws
+        parts, ws = parts.tolist(), ws.tolist()
+    branch = [w] + ws[split + 1:split + last - first + 1]
     running = []
     totals = [0j] * len(densities)
     if start is not None:
-        totals[0] = integrate_chord_from_root(poly, roots, start[0], start[1],
-                                              verts[1], w, rel_tol=rel_tol)
+        totals[0] = _root_rule(poly, start[0], start[1], walk[0], ws[0])
+        if split:
+            totals[0] += parts.pop(0)[0]
         running.append(totals[:])
-    if last > first:
-        parts, ws = _integrate_chords(poly, roots, verts[first:last + 1], w,
-                                      densities, rel_tol=rel_tol,
-                                      abs_floor=abs_floor)
-        for row in parts.tolist():
-            for d, part in enumerate(row):
-                totals[d] += part
-            running.append(totals[:])
-        branch += ws[1:].tolist()
-        w = branch[-1]
+    for row in parts[:last - first]:
+        for d, part in enumerate(row):
+            totals[d] += part
+        running.append(totals[:])
     if end is not None:
-        totals[0] -= integrate_chord_from_root(poly, roots, end[0], end[1],
-                                               verts[last], w, rel_tol=rel_tol)
+        if tail is not None:
+            totals[0] += parts[-1][0]
+        totals[0] -= _root_rule(poly, end[0], end[1], walk[-1], ws[-1])
         running.append(totals[:])
     return totals, branch, running
 

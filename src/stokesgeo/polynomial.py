@@ -287,6 +287,12 @@ def turning_points(poly: ComplexPolynomial, tol: float = 1e-10) -> TurningPointS
     return _turning_points_cached(poly.coeffs, tol)
 
 
+# a root's disk: this fraction of the distance to its nearest other root.
+# A trace starts on the edge of its root's disk and decides a hit on
+# entering another's, so it never steps inside one it hits
+DISK_FACTOR = 0.1
+
+
 @dataclass(frozen=True)
 class PolyContext:
     """Per-polynomial lookups shared by every pipeline: turning points,
@@ -317,6 +323,18 @@ class PolyContext:
     @cached_property
     def mults(self) -> tuple[int, ...]:
         return tuple(m for _, m in self.tps.points)
+
+    @cached_property
+    def disk_radii(self) -> tuple[float, ...]:
+        """Each root's disk radius: ``DISK_FACTOR`` times the distance to
+        its nearest other root (d_unit for a lone root).  The disks are
+        disjoint."""
+        radii = []
+        for i, r in enumerate(self.locs):
+            _, rho = self.nearest_root(r, skip=i)
+            radii.append(DISK_FACTOR
+                         * (rho if math.isfinite(rho) else self.scales.d_unit))
+        return tuple(radii)
 
     def rotate(self, t: float) -> "PolyContext":
         rot = self.poly.rotate(t)

@@ -71,10 +71,6 @@ _LOBATTO_INNER = tuple(
 # launch point or an escaping trace's last vertex on its line
 _MAX_STEP_ATTEMPTS = 200000
 _NEWTON_PASSES = 8
-# a root's disk: this fraction of the distance to its nearest other root.
-# A trace starts on the edge of its root's disk and decides a hit on
-# entering another's, so it never steps inside one it hits
-_DISK_FACTOR = 0.1
 
 
 @dataclass(frozen=True)
@@ -199,14 +195,14 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
                       context: PolyContext | None = None):
     """Trace one Stokes line from a turning point.
 
-    Returns (polyline, fate).  The trace runs between root disks (radius
-    ``_DISK_FACTOR`` times the distance to the nearest other root): it
-    starts on the edge of its root's disk and ends on: entering the disk
-    of another turning point whose local model puts the line within
-    delta_hit of it (HitTurningPoint, with the model's closest approach),
-    leaving the escape radius moving outward (EscapedToRay; the final
-    vertex is on the line and on the escape circle), or exceeding the
-    length cap l_max (Truncated).  Tolerances and scales come from
+    Returns (polyline, fate).  The trace runs between root disks
+    (``PolyContext.disk_radii``, a tenth of the distance to the nearest
+    other root): it starts on the edge of its root's disk and ends on:
+    entering the disk of another turning point whose local model puts the
+    line within delta_hit of it (HitTurningPoint, with the model's closest
+    approach), leaving the escape radius moving outward (EscapedToRay; the
+    final vertex is on the line and on the escape circle), or exceeding
+    the length cap l_max (Truncated).  Tolerances and scales come from
     ``context``, which defaults to the context of ``poly`` under
     ``config``.  A trace that needs more than ``_MAX_STEP_ATTEMPTS`` step
     attempts, or a step below 1e-15 D, raises ``NumericalError`` naming
@@ -215,7 +211,7 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     """
     ctx = context if context is not None else PolyContext.of(poly, config)
     locs, mults, scales = ctx.locs, ctx.mults, ctx.scales
-    disks = _disk_radii(ctx)
+    disks = ctx.disk_radii
     r0 = locs[root_index]
     z = r0 + disks[root_index] * cmath.exp(1j * direction)
 
@@ -313,17 +309,6 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
 
         if s_total >= scales.l_max:
             return polyline, Truncated(s_total)
-
-
-def _disk_radii(ctx):
-    """Each root's disk radius: ``_DISK_FACTOR`` times the distance to its
-    nearest other root (d_unit for a lone root).  The disks are disjoint."""
-    radii = []
-    for i, r in enumerate(ctx.locs):
-        _, rho = ctx.nearest_root(r, skip=i)
-        radii.append(_DISK_FACTOR
-                     * (rho if math.isfinite(rho) else ctx.scales.d_unit))
-    return radii
 
 
 def _closest_approach(poly, root, mult, locs, z, w, drift):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from stokesgeo import (NonGenericError, build_face_set, build_stokes_graph,
-                       chord_diagram, domains, parse_poly_text)
+                       chord_diagram, domains, parse_poly_text, pathint)
 from stokesgeo.domains import chords_cross
 from stokesgeo.pathint import period_for_pair
 from tests.conftest import random_simple_poly, stream_polys
@@ -85,6 +85,41 @@ def test_chord_diagram_crosses_each_strip_once(monkeypatch):
     p = random_simple_poly(random.Random(321), 3)
     chord_diagram(p)
     assert [members.count(m) for m in dict.fromkeys(members)] == [2, 2]
+
+
+def test_strip_crossings_take_the_root_rule_unsplit(monkeypatch):
+    # on the criterion-6 inputs, every strip crossing ends its walk within
+    # the root chart's reach of both roots: one _gk15 call walks the
+    # crossing's regular vertices alone, and its two root chords are the
+    # fixed rule to verts[1] and verts[-2].  No other walk runs in the
+    # diagrams (the traces' root chords are all unsplit), and no walk has
+    # a vertex on a root
+    walks, rules, crossings = [], [], []
+    for name, calls in (("_gk15", walks), ("_root_rule", rules)):
+        def spy(*args, original=getattr(pathint, name), calls=calls):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(pathint, name, spy)
+    integrate = domains.integrate_polyline
+
+    def crossing(poly, roots, verts, **kwargs):
+        n_walks, n_rules = len(walks), len(rules)
+        out = integrate(poly, roots, verts, **kwargs)
+        crossings.append((verts, walks[n_walks:], rules[n_rules:]))
+        return out
+    monkeypatch.setattr(domains, "integrate_polyline", crossing)
+    rng = random.Random(5150)
+    for d in (3, 4, 5):
+        for _ in range(30):
+            chord_diagram(random_simple_poly(rng, d, min_sep=0.5,
+                                             radius=1.5))
+    assert len(crossings) == 2 * 30 * (2 + 3 + 4)
+    for verts, (walk,), (first, last) in crossings:
+        assert walk[2] == verts[1:-1]
+        assert (first[3], last[3]) == (verts[1], verts[-2])
+    assert len(walks) == len(crossings)
+    for _, roots, verts, *_ in walks:
+        assert min(abs(z - r) for z in verts for r in roots) > 0.0
 
 
 def test_failed_crossing_names_its_strip(osc, monkeypatch):

@@ -20,6 +20,9 @@ from stokesgeo.pathint import (build_stadium, integrate_polyline,
 from tests.conftest import random_simple_poly
 
 
+PI = math.pi
+
+
 def circle(center, radius, n=129):
     return [center + radius * cmath.exp(2j * math.pi * k / (n - 1))
             for k in range(n)]
@@ -280,12 +283,15 @@ def test_airy_segment_closed_form():
     assert val == pytest.approx(2.0 / 3.0, abs=1e-10)
 
 
-def _root_chord_reference(poly, roots, root, mult, z1, w1, rel_tol=1e-9):
-    """The turning-point chord rule with its own panel stack, one node at a
-    time: u runs from 1 down to 0 within each panel, panels are taken
-    outer-first, and the Gauss-7 sum is formed in ascending u.  Returns
-    (total, the nodes z of each panel of the tree in walk order, the sum
-    of |i15| over the accepted panels)."""
+def _root_chord_reference(poly, roots, root, mult, z1, w1, rel_tol=1e-9,
+                          abs_floor=1e-13):
+    """The root chart z = root + (z1 - root) u^2 integrated by an adaptive
+    GK15 panel stack, one node at a time: u runs from 1 down to 0 within
+    each panel, panels are taken outer-first, and the Gauss-7 sum is formed
+    in ascending u.  Each panel's tolerance is set against
+    max(abs_floor, rel_tol |w1| |z1 - root|).  Returns (total, the nodes z
+    of each panel of the tree in walk order, the sum of |i15| over the
+    accepted panels)."""
     dz = complex(z1) - complex(root)
     q = pathint._deflate(poly, root, mult)
     other = tuple(r for r in roots if r != root)
@@ -296,7 +302,7 @@ def _root_chord_reference(poly, roots, root, mult, z1, w1, rel_tol=1e-9):
     sign = -1.0 if check.real * w1.real + check.imag * w1.imag < 0.0 else 1.0
     front = 2.0 * dz * dz_half * sign
     total, size, panels = 0j, 0.0, []
-    stack = [(0.0, 1.0, max(1e-13, rel_tol * abs(w1) * abs(dz)))]
+    stack = [(0.0, 1.0, max(abs_floor, rel_tol * abs(w1) * abs(dz)))]
     while stack:
         ua, ub, tol = stack.pop()
         anchor_z, anchor_w = walker.z, walker.w
@@ -328,35 +334,48 @@ def _root_chord_reference(poly, roots, root, mult, z1, w1, rel_tol=1e-9):
     return total, panels, size
 
 
-@pytest.mark.parametrize("coeffs, roots, mult, z1, refines", [
+def _spy(monkeypatch, name, calls):
+    """Record the arguments of each call of ``pathint.<name>``."""
+    original = getattr(pathint, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(pathint, name, spy)
+
+
+@pytest.mark.parametrize("coeffs, roots, mult, z1, splits", [
     ("1,0,-1", (1.0, -1.0), 1, 1.3 + 0.2j, False),
     ("1,0,-1", (1.0, -1.0), 1, -0.99 + 0.01j, True),    # ends 0.014 from -1
     ("1,-2,0,0", (0.0, 2.0), 2, 0.3 + 0.2j, False),
     ("1,-2,0,0", (0.0, 2.0), 2, 1.99 + 0.01j, True),    # ends 0.014 from 2
 ])
 def test_root_chord_matches_its_own_panel_loop(coeffs, roots, mult, z1,
-                                               refines, monkeypatch):
-    # the chart through the shared refinement loop walks the panel tree of
-    # the rule's own loop, each panel's nodes in the same order and once,
-    # and sums the same i15 values up to numpy's rounding
+                                               splits, monkeypatch):
+    # the root chart's fixed rule, split where the chord leaves half the
+    # distance to the other root, against the chart's adaptive panel loop
+    # at a tolerance of 1e-13; within the reach the rule is one call and
+    # no walk, beyond it the outer part is one regular chord
     p = parse_poly_text(coeffs)
     root = roots[0]
-    seen = []
-    monkeypatch.setattr(pathint, "sqrt_density",
-                        _recorded(pathint.sqrt_density, seen))
+    walks, rules = [], []
+    _spy(monkeypatch, "_gk15", walks)
+    _spy(monkeypatch, "_root_rule", rules)
     for w1 in (cmath.sqrt(p.evaluate(z1)), -cmath.sqrt(p.evaluate(z1))):
-        seen.clear()
+        walks.clear()
+        rules.clear()
         got = pathint.integrate_chord_from_root(p, roots, root, mult, z1, w1)
-        ref, panels, size = _root_chord_reference(p, roots, root, mult, z1,
-                                                  w1)
-        if refines:
-            assert Counter(seen) == Counter(panels)
+        ref, _, _ = _root_chord_reference(p, roots, root, mult, z1, w1,
+                                          rel_tol=1e-13, abs_floor=0.0)
+        assert abs(got - ref) <= 1e-12 * abs(ref)
+        assert len(rules) == 1
+        if splits:
+            (_, _, verts, *_), = walks
+            assert verts[0] == z1 and abs(verts[1] - root) == (
+                pytest.approx(0.5 * abs(roots[1] - root), rel=1e-15))
+            assert rules[0][3] == verts[1]
         else:
-            assert seen == panels
-        assert len(set(panels)) == len(panels)
-        assert abs(got - ref) <= 1e-14 * size
-        # the whole-chord panel alone, unless it refines
-        assert (len(panels) > 1) == refines
+            assert walks == [] and rules[0][3] == z1
 
 
 @pytest.mark.parametrize("z1", [1.5 + 0.5j, 0.4 - 0.3j, 2.0 + 1e-3j])
@@ -391,14 +410,17 @@ def test_double_root_chord_closed_form(z1):
 
 def test_rounded_root_is_dropped_from_the_walk(monkeypatch):
     # turning_points places the double root of z^2 (z - 2) 1.3e-13 from 0;
-    # spelled 0.0, the root must still leave the walker's roots, or every
-    # step toward it halves: 59 evaluations instead of 16
+    # spelled 0.0, the root must still leave the roots that set the root
+    # chart's reach, or the reach would be 6e-14 and the chord would be
+    # split there and walked up to the root
     p = parse_poly_text("1,-2,0,0")
     roots = PolyContext.of(p).locs
     exact = min(roots, key=abs)
     assert exact != 0.0
     z1 = 0.3 + 0.2j
     w1 = cmath.sqrt(p.evaluate(z1))
+    walks = []
+    _spy(monkeypatch, "_gk15", walks)
     points = _recording_evaluate(monkeypatch)
     counts, values = [], []
     for root in (exact, 0.0):
@@ -406,8 +428,148 @@ def test_rounded_root_is_dropped_from_the_walk(monkeypatch):
         values.append(pathint.integrate_chord_from_root(p, roots, root, 2,
                                                         z1, w1))
         counts.append(len(points))
-    assert counts == [16, 16]
+    # sqrt(q) at z1 and at the 16 nodes of the rule
+    assert counts == [17, 17] and walks == []
     assert abs(values[1] - values[0]) <= 1e-12 * abs(values[0])
+
+
+def _sweep_chords(rng, n_polys):
+    """(poly, roots, root, mult, z1) for chords from a root of random
+    polynomials of degree 3-12, at 0.1, 0.25 and 0.5 of the distance to
+    the root's nearest other root, in random directions."""
+    out = []
+    polys = [random_simple_poly(rng, 3 + k % 10, min_sep=0.2, radius=1.5)
+             for k in range(n_polys)]
+    # a double root among simple ones
+    polys.append(ComplexPolynomial.from_roots(
+        1.0, [0.3 + 0.1j, 0.3 + 0.1j, -1.0, 1.2j, 0.9 - 0.7j]))
+    for poly in polys:
+        ctx = PolyContext.of(poly)
+        i = rng.randrange(len(ctx.locs))
+        root, mult = ctx.locs[i], ctx.mults[i]
+        rho = ctx.nearest_root(root, skip=i)[1]
+        for frac in (0.1, 0.25, 0.5):
+            z1 = root + frac * rho * cmath.exp(1j * rng.uniform(0, 2 * PI))
+            out.append((poly, ctx.locs, root, mult, z1))
+    return out
+
+
+def test_root_rule_is_the_16_point_gauss_rule():
+    # exact on u^k, k <= 31, and ordered from u = 1 inward
+    nodes, weights = pathint._ROOT_NODES, pathint._ROOT_WEIGHTS
+    assert len(nodes) == len(weights) == 16
+    assert list(nodes) == sorted(nodes, reverse=True)
+    for k in range(32):
+        got = math.fsum(w * u ** k for u, w in zip(nodes, weights))
+        assert abs(got - 1.0 / (k + 1)) <= 4e-16
+
+
+def test_root_rule_matches_the_adaptive_chart():
+    # the 16-point rule against the chart's adaptive panel loop at a
+    # tolerance of 1e-15, up to the reach, the double root included
+    rng = random.Random(2020)
+    chords = _sweep_chords(rng, 30)
+    assert any(mult == 2 for _, _, _, mult, _ in chords)
+    for poly, roots, root, mult, z1 in chords:
+        w1 = cmath.sqrt(poly.evaluate(z1))
+        got = pathint._root_rule(poly, root, mult, z1, w1)
+        ref, _, _ = _root_chord_reference(poly, roots, root, mult, z1, w1,
+                                          rel_tol=1e-15, abs_floor=0.0)
+        assert abs(got - ref) <= 1e-14 * abs(w1) * abs(z1 - root)
+
+
+@pytest.mark.parametrize("z1", [3.0 + 1.0j, 10.0 + 3.0j, -0.5 + 2.0j])
+def test_split_root_chord_closed_form(osc, z1, monkeypatch):
+    # int_1^z sqrt(z^2 - 1) dz = (z w - log(z + w)) / 2, the log continued
+    # from log 1 = 0 along the chord; these chords leave the reach (1, half
+    # the distance to -1), so each is the rule plus one regular chord
+    walks = []
+    _spy(monkeypatch, "_gk15", walks)
+    for w1 in (cmath.sqrt(osc.evaluate(z1)), -cmath.sqrt(osc.evaluate(z1))):
+        got = pathint.integrate_chord_from_root(osc, (-1.0, 1.0), 1.0, 1,
+                                                z1, w1)
+        # z + w along the chord, from z1 back to 1, with w matched node
+        # to node, and its argument unwrapped from 0 at z = 1
+        ts = np.linspace(1.0, 0.0, 20001)
+        zs = 1.0 + ts * (z1 - 1.0)
+        ws = np.sqrt(zs * zs - 1.0)
+        ws[0] = w1
+        for k in range(1, len(ws)):
+            if (ws[k] * ws[k - 1].conjugate()).real < 0.0:
+                ws[k] = -ws[k]
+        arg = np.unwrap(np.angle(zs + ws))
+        log_end = math.log(abs(z1 + w1)) + 1j * (arg[0] - arg[-1])
+        expect = 0.5 * (z1 * w1 - log_end)
+        assert abs(got - expect) <= 1e-12 * abs(expect)
+    assert len(walks) == 2
+
+
+@pytest.mark.parametrize("c, root, mult", [
+    (2.0 - 1.0j, 0.5 + 0.2j, 1),
+    (1.0j, -1.0, 2),
+    (0.3 + 0.4j, 0.25j, 3),
+])
+def test_lone_root_rule_at_any_length(c, root, mult, monkeypatch):
+    # P = c (z - r)^m has no other root, so q = c and the rule holds at
+    # any length: (2 / (m + 2)) sqrt(c) (z - r)^{(m+2)/2}, which is
+    # 2 / (m + 2) (z1 - r) w1 on the branch of w1
+    p = ComplexPolynomial.from_roots(c, [root] * mult)
+    walks = []
+    _spy(monkeypatch, "_gk15", walks)
+    for z1 in (root + 0.3 - 0.1j, root - 40.0 + 75.0j):
+        for sign in (1.0, -1.0):
+            w1 = sign * cmath.sqrt(p.evaluate(z1))
+            got = pathint.integrate_chord_from_root(p, (root,), root, mult,
+                                                    z1, w1)
+            expect = 2.0 / (mult + 2) * (z1 - root) * w1
+            assert abs(got - expect) <= 1e-13 * abs(expect)
+    assert walks == []
+
+
+@pytest.mark.parametrize("verts", [
+    [-1.0, 0.5 + 2.5j, 1.5 + 2.0j, 1.0],
+    [-1.0, 0.5 + 2.5j, 1.0],
+])
+def test_polyline_with_split_ends(osc, verts, monkeypatch):
+    # both end chords leave the reach (1 from each root), so the walk
+    # takes the two split points as well, in one _gk15 call.  branch keeps
+    # one value per regular input vertex, the first the principal sqrt(P)
+    # at verts[1], and running one total per input chord; each end chord
+    # is the split chord of integrate_chord_from_root
+    roots = (-1.0, 1.0)
+    walks = []
+    _spy(monkeypatch, "_gk15", walks)
+    (total,), branch, running = integrate_polyline(
+        osc, roots, verts, start=(-1.0, 1), end=(1.0, 1))
+    assert len(walks) == 1 and len(walks[0][2]) == len(verts)
+    assert len(branch) == len(verts) - 2
+    assert branch[0] == cmath.sqrt(osc.evaluate(verts[1]))
+    assert len(running) == len(verts) - 1
+    assert running[-1] == [total]
+    assert abs(total) == pytest.approx(PI / 2, rel=1e-12)
+    # the walk is seeded at the first split point e, from where the
+    # principal branch reaches verts[1] on the other sign: z^2 - 1 is
+    # negative on the imaginary axis between them
+    (_, _, walk, *_), = walks
+    e, v1 = complex(walk[0]), complex(walk[1])
+    assert e.real < 0.0 < v1.real
+    continued = pathint.continue_branch(osc, roots, [[e, v1]],
+                                        [cmath.sqrt(osc.evaluate(e))])
+    assert same_branch(complex(continued[0, 1]), branch[0]) == -1
+    # chord by chord, against the one-chord calls on the same branches
+    walks.clear()
+    expect = pathint.integrate_chord_from_root(osc, roots, -1.0, 1,
+                                               verts[1], branch[0])
+    assert abs(running[0][0] - expect) <= 1e-12 * abs(expect)
+    for k in range(1, len(verts) - 2):
+        [part], _ = pathint.integrate_chord(osc, roots, verts[k],
+                                            branch[k - 1], verts[k + 1],
+                                            [pathint.sqrt_density])
+        expect += part
+        assert abs(running[k][0] - expect) <= 1e-12 * abs(expect)
+    expect -= pathint.integrate_chord_from_root(osc, roots, 1.0, 1,
+                                                verts[-2], branch[-1])
+    assert abs(total - expect) <= 1e-12 * abs(expect)
 
 
 def test_reversal_negates():

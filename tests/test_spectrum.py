@@ -42,16 +42,15 @@ def test_loop_period_matches_the_contour_walk(stream_rays):
 
 
 def test_rays_integrate_nothing(cubic_unity, monkeypatch):
-    # every quadrature, of regular and of turning-point chords, runs
-    # through pathint's one GK15 loop
+    # every quadrature runs through pathint's GK15 loop, for regular
+    # chords, or its root chart's fixed rule, for turning-point chords
     survey = survey_short_geodesics(cubic_unity)
     chords = []
-    loop = pathint._gk15
-
-    def counted(*args, **kwargs):
-        chords.append(args)
-        return loop(*args, **kwargs)
-    monkeypatch.setattr(pathint, "_gk15", counted)
+    for name in ("_gk15", "_root_rule"):
+        def counted(*args, loop=getattr(pathint, name), **kwargs):
+            chords.append(args)
+            return loop(*args, **kwargs)
+        monkeypatch.setattr(pathint, name, counted)
     rays = accumulation_rays(cubic_unity, survey=survey)
     assert len(rays) == 3 and chords == []
     # the corrections do walk the contour, through the same spy
