@@ -17,7 +17,10 @@ agree bit for bit.  The outputs are
   (the projected float nodes are left out);
 - the edges of the Stokes graphs of z^3 - 1 and of z^2 (z - 1), whose
   trace launches from the double root integrate a turning-point chord of
-  multiplicity 2;
+  multiplicity 2, hashed together and then one line per edge with its
+  fate, origin root and direction, target, ray and the ``repr`` of the
+  phase of its end, so that a change which moves only the vertices
+  along the lines shows that fates and end phases are kept;
 - the Wronskian zeros in sectors (0, 2) on the ``wronskian_spectrum``
   benchmark rectangles without their seeded jitter, and in sectors (1, 3)
   of -z^2 + 1 on (-0.3, 0.4, 2.7, 3.35), where arg W lies near pi.
@@ -38,6 +41,7 @@ standard error and exits 1 when any line differs, e.g.
 """
 
 import argparse
+import cmath
 import difflib
 import hashlib
 import os
@@ -118,8 +122,12 @@ def fingerprints(per_degree):
                           (flat.flag, flat.strip.cuts,
                            len(visible_pairs(flat.strip))))
     for name, coeffs in (("z^3-1", "1,0,0,-1"), ("z^2(z-1)", "1,-1,0,0")):
-        yield fingerprint(f"stokes_graph[{name}]",
-                          build_stokes_graph(parse_poly_text(coeffs)).edges)
+        edges = build_stokes_graph(parse_poly_text(coeffs)).edges
+        yield fingerprint(f"stokes_graph[{name}]", edges)
+        for k, e in enumerate(edges):
+            yield (f"stokes_edge[{name}][{k}] {e.kind} {e.origin}."
+                   f"{e.direction_index} target={e.target} ray={e.ray} "
+                   f"end_phase={cmath.phase(e.polyline[-1])!r}")
     for label, coeffs, lam in SPECTRUM_CASES:
         rect = (lam.real - RECT_BELOW, lam.real + RECT_ABOVE_RE,
                 lam.imag - RECT_BELOW, lam.imag + RECT_ABOVE_IM)

@@ -39,6 +39,11 @@ class RunConfig:
                      "trace_tol", "ode_rel_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"RunConfig.{name} must be positive")
+        if self.r_escape_factor < 1.0:
+            raise ValueError(
+                "RunConfig.r_escape_factor must be >= 1, so that the escape "
+                "circle lies outside every root, where the series of sqrt(P) "
+                "at infinity that lands escaping traces converges")
         if (not isinstance(self.alpha_order, int)
                 or isinstance(self.alpha_order, bool)):
             raise ValueError("RunConfig.alpha_order must be an integer")

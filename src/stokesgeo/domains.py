@@ -2,13 +2,13 @@
 classification, strip widths, and weighted chord diagrams.
 
 The plane is compactified to the disk |z| <= R_escape: escaping edges end
-on that circle (to within 1.3e-7 R_escape; only the phase of an end is
-read), circle arcs between consecutive crossings close the picture, and
-the faces of the resulting planar subdivision are the admissible domains
-(plus one outer face, discarded).  A face meeting the
-circle in one arc run opens into a single angular sector (half-plane
-type); a face with two arc runs has two ends squeezed onto Stokes rays
-(strip type).
+on that circle (to rounding; only the phase of an end is read), circle
+arcs between consecutive crossings close the picture, and the faces of
+the resulting planar subdivision are the admissible domains, plus the
+outer face, which runs around the circle on clockwise arcs alone and is
+discarded.  A face meeting the circle in one arc run opens into a single
+angular sector (half-plane type); a face with two arc runs has two ends
+squeezed onto Stokes rays (strip type).
 
 A strip is crossed by ``cross_strip`` alone, from one of its boundary
 roots to the other.  Near each root the walk takes one turning-point chord
@@ -211,22 +211,14 @@ def build_face_set(graph: StokesGraph) -> FaceSet:
                 pts.extend(samples[:-1])
         return pts
 
-    def signed_area(pts):
-        acc = 0.0
-        for i in range(len(pts)):
-            a, b = pts[i], pts[(i + 1) % len(pts)]
-            acc += a.real * b.imag - a.imag * b.real
-        return 0.5 * acc
-
     domains = []
-    n_interior = 0
     for cycle in faces:
-        poly_pts = face_polygon(cycle)
-        if signed_area(poly_pts) <= 0.0:
-            continue   # outer face
-        n_interior += 1
-        dom = _classify_face(graph, halves, betas, cycle, poly_pts)
-        domains.append(dom)
+        # the outer face runs around the circle on the clockwise arcs alone
+        if all(halves[hid].kind == "arc" and halves[hid].ref[2] < 0
+               for hid in cycle):
+            continue
+        domains.append(_classify_face(graph, halves, betas, cycle,
+                                      face_polygon(cycle)))
 
     n_vertices = len(locs) + m
     n_edges = len(halves) // 2

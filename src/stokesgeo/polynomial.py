@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -125,6 +126,93 @@ class TurningPointSet:
         rebuilt = ComplexPolynomial.from_roots(poly.coeffs[0], flat)
         scale = max(abs(c) for c in poly.coeffs)
         return max(abs(a - b) for a, b in zip(rebuilt.coeffs, poly.coeffs)) / max(scale, 1.0)
+
+    @cached_property
+    def at_infinity(self) -> "SeriesAtInfinity":
+        """The trapping cone and the Laurent series of sqrt(P) at infinity,
+        computed once per root set."""
+        return SeriesAtInfinity(self.points)
+
+
+class SeriesAtInfinity:
+    """sqrt(P) near the pole at infinity, for |z| > R0 = max|root|.
+
+    With P = a0 prod (z - r_i)^{m_i} and d = sum m_i,
+    sqrt(P) = a0^{1/2} z^{d/2} S and S = prod (1 - r_i/z)^{m_i/2}
+    = sum_k c[k] u^k in u = s/z, s = R0 (1 when every root is 0).  The
+    primitive is xi = a0^{1/2} (z^{(d+2)/2} E + c_n s^n log z) with
+    E = sum_k e[k] u^k, e[k] = c[k] / ((d+2)/2 - k), where for even d the
+    index n = (d+2)/2 carries the log term and e[n] = 0.  The c[k] come
+    from the power sums p_j = sum m_i (r_i/s)^j by
+    k c[k] = -1/2 sum_{j=1..k} p_j c[k-j], and are extended on demand.
+
+    ``cone_radius`` is the trapping cone's radius r_c, the smallest r with
+    Phi(r) < pi/4, where Phi(r) = 1/2 sum m_i arcsin(|r_i|/r) bounds the
+    phase of S: |arg S| <= Phi(|z|); but at least 9/8 R0, where the
+    series needs at most about 400 terms (``terms``).  Phi(r) falls to
+    pi/4 near R0 only when one simple root stands far out from the
+    others."""
+
+    def __init__(self, points):
+        self.degree = sum(m for _, m in points)
+        r0 = max(abs(r) for r, _ in points)
+        self.scale = r0 if r0 > 0.0 else 1.0
+        self.moduli = tuple((abs(r), m) for r, m in points if r != 0)
+        self._scaled = tuple((r / self.scale, m) for r, m in points if r != 0)
+        # sum |c[k]| <= prod (2 - sqrt(1 - |r_i|/s))^{m_i}: a majorant of
+        # each factor's binomial series, taken at u = 1
+        self.bound = math.prod((2.0 - math.sqrt(max(0.0, 1.0 - abs(r))))
+                               ** m for r, m in self._scaled)
+        self.c = [1.0 + 0j]
+        self.e = [2.0 / (self.degree + 2) + 0j]
+        self._power_sums = [0j]
+        self._powers = [1.0 + 0j] * len(self._scaled)
+        self.cone_radius = self._cone_radius(r0)
+
+    def phi(self, r: float) -> float:
+        """Phi(r) = 1/2 sum m_i arcsin(|r_i|/r), for r >= R0."""
+        return 0.5 * sum(m * math.asin(a / r) for a, m in self.moduli)
+
+    def _cone_radius(self, r0: float) -> float:
+        if not self.moduli:
+            return 0.0
+        lo = hi = 1.125 * r0
+        if self.phi(hi) < 0.25 * math.pi:
+            return hi
+        while self.phi(hi) >= 0.25 * math.pi:
+            lo, hi = hi, 2.0 * hi
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if self.phi(mid) < 0.25 * math.pi:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+    def terms(self, r: float) -> int:
+        """A number of terms K after which both series' tails at |z| = r
+        (> R0) are below 1e-17: |c[k]| <= bound q^k and |e[k]| <= 2 |c[k]|
+        with q = s/r, so the tails are at most 2 bound q^K.  The
+        coefficient lists hold at least K entries, and for even d the log
+        term's index too."""
+        q = self.scale / r if self.moduli else 0.0
+        k_min = self.degree // 2 + 2
+        if q > 0.0:
+            k_min = max(k_min, math.ceil(math.log(5e-18 / self.bound)
+                                         / math.log(q)))
+        self._extend(k_min)
+        return k_min
+
+    def _extend(self, count: int) -> None:
+        c, e, p, powers = self.c, self.e, self._power_sums, self._powers
+        half = 0.5 * (self.degree + 2)
+        while len(c) < count:
+            k = len(c)
+            powers[:] = [x * r for x, (r, _) in zip(powers, self._scaled)]
+            p.append(sum(m * x for x, (_, m) in zip(powers, self._scaled)))
+            ck = -0.5 * sum(map(operator.mul, p[1:], reversed(c))) / k
+            c.append(ck)
+            e.append(0j if k == half else ck / (half - k))
 
 
 @dataclass(frozen=True)

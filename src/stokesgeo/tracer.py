@@ -20,9 +20,20 @@ projection, whose residual the drift carries.  On entering another
 root's disk it decides once, from one root chord there: the level
 offset delta of the line from that root's level gives the line's
 closest approach in the local model, and within the hit radius the
-trace ends on that root; otherwise it steps on.  An escaping trace ends
-where its last step chord meets the escape circle, moved onto the line
-and back onto the circle by Newton passes.
+trace ends on that root; otherwise it steps on.
+
+Near the pole at infinity the lines are trapped in cones about the d+2
+rays (Strebel, Quadratic Differentials, 1984, ch. III).  Beyond the cone
+radius r_c, where Phi(r) = 1/2 sum m_i arcsin(|r_i|/r) < pi/4 bounds the
+phase of sqrt(P) / z^{d/2}, an outward vertex whose angle psi from the
+nearest ray, scaled by (d+2)/2, has max(|psi|, Phi) + Phi < pi/2 is
+certain to escape along that ray.  The trace ends there.  Its last
+vertices are the line's points on a ladder of circles r_escape 2^-j, the
+same for every line, from the first circle above the vertex out to the
+escape circle: Newton in the angle on the level of Re xi, with xi from
+the Laurent series of sqrt(P) at infinity
+(``polynomial.SeriesAtInfinity``).  A vertex past the escape circle
+before the certificate holds is moved back onto that circle the same way.
 """
 
 from __future__ import annotations
@@ -68,7 +79,7 @@ _LOBATTO_INNER = tuple(
         (math.sqrt(1 / 3 + 2 * math.sqrt(7) / 21), (14 - math.sqrt(7)) / 30)))
 
 # attempts of one trace before it gives up, and Newton passes that put a
-# launch point or an escaping trace's last vertex on its line
+# launch point on its line or a landing point on its circle
 _MAX_STEP_ATTEMPTS = 200000
 _NEWTON_PASSES = 8
 
@@ -200,14 +211,16 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     other root): it starts on the edge of its root's disk and ends on:
     entering the disk of another turning point whose local model puts the
     line within delta_hit of it (HitTurningPoint, with the model's closest
-    approach), leaving the escape radius moving outward (EscapedToRay; the
-    final vertex is on the line and on the escape circle), or exceeding
-    the length cap l_max (Truncated).  Tolerances and scales come from
-    ``context``, which defaults to the context of ``poly`` under
-    ``config``.  A trace that needs more than ``_MAX_STEP_ATTEMPTS`` step
-    attempts, or a step below 1e-15 D, raises ``NumericalError`` naming
-    the root, the launch direction and the arc length reached; so does a
-    vertex within delta_hit of a root whose disk decided a miss.
+    approach), an outward vertex in the trapping cone at infinity or past
+    the escape circle (EscapedToRay; ``_land`` adds the line's points on
+    the circles r_escape 2^-j above the vertex, the last one on the escape
+    circle), or exceeding the length cap l_max (Truncated).  Tolerances
+    and scales come from ``context``, which defaults to the context of
+    ``poly`` under ``config``.  A trace that needs more than
+    ``_MAX_STEP_ATTEMPTS`` step attempts, or a step below 1e-15 D, raises
+    ``NumericalError`` naming the root, the launch direction and the arc
+    length reached; so does a vertex within delta_hit of a root whose
+    disk decided a miss, and a landing that does not converge.
     """
     ctx = context if context is not None else PolyContext.of(poly, config)
     locs, mults, scales = ctx.locs, ctx.mults, ctx.scales
@@ -222,6 +235,8 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
 
     delta_hit = scales.delta_hit
     r_escape = scales.r_escape
+    cone = ctx.tps.at_infinity
+    r_cone = cone.cone_radius
     atol = ctx.config.trace_tol * scales.d_unit
     drift_tol = 1e-13 * scales.d_unit
 
@@ -257,19 +272,7 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
         if err > atol and h > 4e-15 * scales.d_unit:
             h *= max(0.2, 0.9 * (atol / max(err, 1e-300)) ** 0.2)
             continue
-        # accept; an outward step past the escape circle ends on the
-        # circle, projected onto the line
-        if abs(z5) >= r_escape:
-            if z5.real * k6.real + z5.imag * k6.imag > 0.0:
-                z_land, w_land = _land_on_circle(poly, z, w, z5, r_escape)
-                if z_land != z:
-                    z_land, _, _ = _newton_onto_level(
-                        poly, z_land, w_land,
-                        drift + _chord_re_integral(poly, z, w, z_land, w_land),
-                        drift_tol, r_escape)
-                    polyline.append(z_land)
-                ray = ctx.sectors.nearest_ray_index(cmath.phase(z_land))
-                return polyline, EscapedToRay(ray, z_land)
+        # accept, and project onto the line
         inc = _chord_re_integral(poly, z, w, z5, w6)
         drift += inc
         if abs(drift) > drift_tol:
@@ -307,6 +310,24 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
         else:
             inside = -1
 
+        # an outward vertex in the trapping cone ends the trace on the
+        # ladder of circles r_escape 2^-j above it; one past the escape
+        # circle, uncertified, is moved back onto that circle
+        r = abs(z)
+        if (z.real * k.real + z.imag * k.imag > 0.0
+                and (r >= r_escape
+                     or r > r_cone and _in_cone(cone, ctx.sectors, z, r))):
+            rungs = [r_escape]
+            while 0.5 * rungs[-1] > r:
+                rungs.append(0.5 * rungs[-1])
+            if r >= r_escape:
+                polyline.pop()   # its landing on the circle replaces it
+            polyline += _land(cone, poly.coeffs[0], z, w, drift, rungs[::-1],
+                              root_index, direction)
+            return polyline, EscapedToRay(
+                ctx.sectors.nearest_ray_index(cmath.phase(polyline[-1])),
+                polyline[-1])
+
         if s_total >= scales.l_max:
             return polyline, Truncated(s_total)
 
@@ -326,46 +347,97 @@ def _closest_approach(poly, root, mult, locs, z, w, drift):
         2.0 / (mult + 2))
 
 
-def _land_on_circle(poly, z_prev, w_prev, z_over, radius):
-    """The point where the step chord from z_prev to z_over meets
-    |z| = radius, and the branch of sqrt(P) there: z_prev + t (z_over -
-    z_prev) with t the root in [0, 1] of |z_prev + t dz|^2 = radius^2,
-    clamped to z_prev when that vertex is not inside the circle."""
-    dz = z_over - z_prev
-    a = dz.real * dz.real + dz.imag * dz.imag
-    b = z_prev.real * dz.real + z_prev.imag * dz.imag
-    r_prev = abs(z_prev)
-    c = (r_prev - radius) * (r_prev + radius)
-    if c >= 0.0:
-        return z_prev, w_prev
-    q = math.sqrt(b * b - a * c)
-    # the larger root, in the form without cancellation
-    t = min(-c / (b + q) if b > 0.0 else (q - b) / a, 1.0)
-    z_land = z_prev + t * dz
-    return z_land, _branch_step(poly, w_prev, z_land)
+def _in_cone(cone, sectors, z, r):
+    """The trapping-cone certificate at the vertex z, |z| = r > r_c: with
+    theta_k the ray nearest arg z and psi = ((d+2)/2) (arg z - theta_k),
+    max(|psi|, Phi(r)) + Phi(r) < pi/2.  At an outward-moving vertex it
+    proves that the line runs out to infinity along ray k with r growing:
+    arg sqrt(P) = (d/2) arg z + phi with |phi| <= Phi(r), so
+    dr/ds = cos(psi + phi) and dpsi/ds = -((d+2)/(2r)) sin(psi + phi),
+    which keeps |psi| below max(|psi|, Phi) while Phi falls."""
+    phi = cone.phi(r)
+    theta = cmath.phase(z)
+    ray = sectors.ray_angles[sectors.nearest_ray_index(theta)]
+    psi = 0.5 * (cone.degree + 2) * abs(wrap_angle(theta - ray))
+    return max(psi, phi) + phi < 0.5 * math.pi
 
 
-def _slide_to_circle(z, k, radius):
-    """z moved along the direction k to the nearer point of |z| = radius
-    (z itself when that line misses the circle)."""
-    a = k.real * k.real + k.imag * k.imag
-    b = z.real * k.real + z.imag * k.imag
-    r = abs(z)
-    c = (r - radius) * (r + radius)
-    disc = b * b - a * c
-    if c == 0.0 or disc < 0.0:
-        return z
-    q = math.sqrt(disc)
-    # the root of a s^2 + 2 b s + c = 0 nearer 0, without cancellation
-    return z - c / (b + q if b >= 0.0 else b - q) * k
+def _land(cone, lead, z_c, w_c, drift, radii, root_index, direction):
+    """The points where the line through the vertex (z_c, w_c), whose level
+    is ``drift`` off its root's, meets the circles |z| = ``radii``, in
+    order, for the potential of leading coefficient ``lead`` = a0; each by
+    Newton in the angle on
+    drift + Re[xi(z) - xi(z_c)] = 0, whose derivative is Re(i z sqrt(P)).
+
+    xi comes from ``cone``'s Laurent series at infinity (see
+    ``polynomial.SeriesAtInfinity``), as xi = B z^{(d+2)/2} E (+ the log
+    term of even d) and sqrt(P) = B z^{d/2} S, where for odd d the half
+    power is z^{(d-1)/2} sqrt(z_c) sqrt(z / z_c): integer powers of z and
+    one square root that needs no cut near z_c.  B is sqrt(a0) with the
+    sign (the branch) of the traced w_c.  Each circle's first angle is
+    that of the leading term's level line through the last point
+    evaluated, (z, w) with level offset res:
+    Re[A ((z'/z)^{(d+2)/2} - 1)] = -res with A = 2 z w / (d+2).  Each step
+    in the angle rotates z, and a step below 1e-9 rad is the last, since
+    Newton's next error is below rounding.  A circle on which Newton does
+    not converge raises ``NumericalError`` naming the trace, the radius
+    and the residual."""
+    d = cone.degree
+    h, odd = divmod(d, 2)
+    half = 0.5 * (d + 2)
+    scale = cone.scale
+
+    def series(z):
+        """S and E at z, to as many terms as |z| needs."""
+        count = cone.terms(abs(z))
+        u = scale / z
+        s_sum = e_sum = 0j
+        for ck, ek in zip(cone.c[count - 1::-1], cone.e[count - 1::-1]):
+            s_sum = s_sum * u + ck
+            e_sum = e_sum * u + ek
+        return s_sum, e_sum
+
+    s_c, e_c = series(z_c)
+    zc_h = z_c ** h
+    branch = cmath.sqrt(lead) * (cmath.sqrt(z_c) if odd else 1.0)
+    if (branch * zc_h * s_c * w_c.conjugate()).real < 0.0:
+        branch = -branch
+    t_c = zc_h * z_c * e_c
+    # the log term of even degree, c_n s^n log z with n = (d+2)/2
+    log_c = 0j if odd else branch * cone.c[h + 1] * scale ** (h + 1)
+    z, w, res = z_c, w_c, drift
+    out = []
+    for rho in radii:
+        a_lead = z * w / half
+        ratio = (a_lead.real - res) / (abs(a_lead) * (rho / abs(z)) ** half)
+        z = cmath.rect(rho, cmath.phase(z) + (
+            math.acos(max(-1.0, min(1.0, ratio))) - cmath.phase(a_lead)) / half)
+        for _ in range(_NEWTON_PASSES):
+            s_sum, e_sum = series(z)
+            zh = z ** h
+            if odd:
+                zh *= cmath.sqrt(z / z_c)
+            w = branch * zh * s_sum
+            res = drift + (branch * (zh * z * e_sum - t_c)
+                           + log_c * cmath.log(z / z_c)).real
+            step = res / (z * w).imag
+            if abs(step) <= 1e-9:
+                break
+            z *= cmath.rect(1.0, step)
+        else:
+            raise NumericalError(
+                f"landing of the trace from root {root_index} along "
+                f"{direction:.12g} on |z| = {rho:.6g} did not converge "
+                f"(residual {res:.3g})", residuals=[res])
+        out.append(z * cmath.rect(1.0, step))
+    return out
 
 
-def _newton_onto_level(poly, z, w, drift, drift_tol, radius=None):
+def _newton_onto_level(poly, z, w, drift, drift_tol):
     """Newton passes that move the vertex (z, w), whose level is ``drift``
-    off its root's, onto the Re xi level along the normal; with ``radius``
-    each pass also slides along the tangent back to |z| = radius.  Each
-    pass adds the Lobatto chord integral of its own move to the drift, so
-    the residual is carried, not dropped.  The passes stop once the drift
+    off its root's, onto the Re xi level along the normal.  Each pass adds
+    the Lobatto chord integral of its own move to the drift, so the
+    residual is carried, not dropped.  The passes stop once the drift
     is within ``drift_tol``, or once a move no longer changes the vertex
     (where rounding keeps the drift above that tolerance), after
     ``_NEWTON_PASSES`` at most.  Returns (z, w, drift)."""
@@ -373,8 +445,6 @@ def _newton_onto_level(poly, z, w, drift, drift_tol, radius=None):
         if abs(drift) <= drift_tol:
             break
         z_next = z - drift * w.conjugate() / (abs(w) ** 2)
-        if radius is not None:
-            z_next = _slide_to_circle(z_next, 1j * w.conjugate(), radius)
         if z_next == z:
             break
         w_next = _branch_step(poly, w, z_next)
@@ -391,8 +461,7 @@ class StokesEdge:
 
     Finite edges carry both endpoint stubs (root index, local direction
     index); escaping edges carry the asymptotic ray index and end on the
-    escape circle up to the landing's projection (see
-    ``trace_stokes_line``).
+    escape circle (see ``trace_stokes_line``).
     """
 
     kind: str                      # "finite" | "escape" | "truncated"

@@ -206,7 +206,7 @@ def test_config_file_override(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("alpha_order", -1), ("alpha_order", 2.5), ("lambda_min_modulus", -1.0),
-    ("svg_decimate_factor", -1e-3)])
+    ("svg_decimate_factor", -1e-3), ("r_escape_factor", 0.5)])
 def test_config_out_of_range_rejected(tmp_path, capsys, field, value):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({field: value}))

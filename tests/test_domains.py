@@ -1,13 +1,17 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from stokesgeo import (NonGenericError, build_face_set, build_stokes_graph,
-                       chord_diagram, domains, parse_poly_text, pathint)
+                       chord_diagram, domains, parse_poly_text, pathint,
+                       tracer)
 from stokesgeo.domains import chords_cross
 from stokesgeo.pathint import period_for_pair
+from stokesgeo.polynomial import PolyContext
 from tests.conftest import random_simple_poly, stream_polys
+from tests.test_geodesics import _far_root_draw
 
 
 def test_airy_faces():
@@ -139,10 +143,12 @@ def test_failed_crossing_names_its_strip(osc, monkeypatch):
 
 def test_thin_strip_tries_every_clear_vertex(monkeypatch):
     # the strip between roots 2 and 0 of this quintic is 3.6e-4 wide, under
-    # 3e-3 of the others: where the five vertex pairs at 1/8 .. 7/8 fall, the
-    # traced outline does not keep its sides apart, and the crossing goes
-    # on to the other clear vertices.  Its width is |Re| of the pair
-    # period walked from root to root without the traced edges
+    # 3e-3 of the others.  Traced with the trapping-cone certificate off
+    # (r_c = inf), so that every escaping edge steps on to the escape
+    # circle: where the five vertex pairs at 1/8 .. 7/8 fall, the traced
+    # outline does not keep its sides apart, and the crossing goes on to
+    # the other clear vertices.  Its width is |Re| of the pair period
+    # walked from root to root without the traced edges
     poly = stream_polys(20260808, 50)[104]
     tries = []
     cross_strip, inside = domains.cross_strip, domains._segment_inside
@@ -156,11 +162,50 @@ def test_thin_strip_tries_every_clear_vertex(monkeypatch):
         return inside(*args)
     monkeypatch.setattr(domains, "cross_strip", crossing)
     monkeypatch.setattr(domains, "_segment_inside", counted)
+    for member in (poly, poly.rotate(math.pi / 2)):
+        monkeypatch.setattr(PolyContext.of(member).tps.at_infinity,
+                            "cone_radius", math.inf)
     stokes, _ = chord_diagram(poly)
     assert max(tries) > 5
     width = dict(stokes.chords)[(3, 5)]
     want = abs(period_for_pair(poly, 0, 2).value.real)
     assert abs(width - want) <= 1e-12 * want
+
+
+def test_one_chord_landings_give_the_same_faces(monkeypatch):
+    # every escaping polyline cut to one chord, from the vertex where the
+    # trapping cone decided its escape to its end on the escape circle.
+    # The outer face is the one that runs on clockwise arcs alone, so the
+    # long chords, beside lines that leave within 1e-9 rad of each other
+    # on far-root draw 15, give the faces of the full traces.  The members
+    # are that draw at the survey's first three start angles
+    starts = set()
+    land = tracer._land
+
+    def spy(cone, lead, z_c, *args):
+        starts.add(z_c)
+        return land(cone, lead, z_c, *args)
+    monkeypatch.setattr(tracer, "_land", spy)
+
+    def faces(graph):
+        return sorted((dom.kind, dom.edge_ids, dom.incident_rays,
+                       dom.boundary_roots) for dom in
+                      build_face_set(graph).domains)
+
+    poly = _far_root_draw(15)
+    for t0 in (1.652141764589, 0.120355611373, 2.716108120204):
+        starts.clear()
+        graph = build_stokes_graph(poly.rotate(t0))
+        edges = []
+        for e in graph.edges:
+            if e.kind == "escape":
+                k = max(i for i, z in enumerate(e.polyline) if z in starts)
+                assert k < len(e.polyline) - 2
+                e = replace(e, polyline=e.polyline[:k + 1] + e.polyline[-1:])
+            edges.append(e)
+        full = faces(graph)
+        assert sum(kind == "Strip" for kind, *_ in full) == 4
+        assert faces(replace(graph, edges=tuple(edges))) == full
 
 
 def test_chords_cross_predicate():

@@ -34,15 +34,24 @@ def test_output_parity_repeats():
     proc = _run_script("output_parity.py", "--per-degree", "1",
                        "--against", str(ROOT))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.startswith("all 36 lines agree")
+    assert proc.stderr.startswith("all 51 lines agree")
     lines = proc.stdout.splitlines()
     # survey geodesics, its errors and warnings, rays, alphas, order-0 and
     # order-3 estimates, periods, drift, chords and the very-flat
     # projection for one polynomial of each degree 3, 4, 5, the graphs of
-    # z^3 - 1 and z^2 (z - 1), and the Wronskian zeros on four rectangles,
-    # whose lines also print the zeros after the hash
-    assert len(lines) == 3 * 10 + 2 + 4
-    assert all(len(line.split()[1]) == 64 for line in lines)
+    # z^3 - 1 and z^2 (z - 1) with a line for each of their 9 and 6 edges,
+    # and the Wronskian zeros on four rectangles, whose lines also print
+    # the zeros after the hash
+    assert len(lines) == 3 * 10 + 2 + 9 + 6 + 4
+    edges = [line for line in lines if line.startswith("stokes_edge[")]
+    assert len(edges) == 15
+    assert all(len(line.split()[1]) == 64 for line in lines
+               if line not in edges)
+    for line in edges:
+        name, kind, stub, target, ray, phase = line.split()
+        assert kind in ("finite", "escape")
+        assert phase.startswith("end_phase=")
+        float(phase.split("=")[1])
     for line in lines[-4:]:
         name, digest, *zeros = line.split()
         assert name.startswith("wronskian[") and len(zeros) == 1
@@ -52,7 +61,7 @@ def test_output_parity_repeats():
 
 def test_output_parity_reports_a_difference(tmp_path):
     # a package whose Stokes graphs lose their last edge differs on the
-    # two graph lines only
+    # two graph lines and lacks the line of each graph's last edge
     shutil.copytree(ROOT / "src" / "stokesgeo", tmp_path / "src" / "stokesgeo",
                     ignore=shutil.ignore_patterns("__pycache__"))
     tracer = tmp_path / "src" / "stokesgeo" / "tracer.py"
@@ -65,8 +74,9 @@ def test_output_parity_reports_a_difference(tmp_path):
     assert proc.returncode == 1, proc.stderr
     changed = [line.split()[0] for line in proc.stderr.splitlines()
                if line[:1] in "+-" and line[:3] not in ("+++", "---")]
-    assert changed == ["-stokes_graph[z^3-1]", "-stokes_graph[z^2(z-1)]",
-                       "+stokes_graph[z^3-1]", "+stokes_graph[z^2(z-1)]"]
+    assert changed == ["-stokes_graph[z^3-1]", "+stokes_graph[z^3-1]",
+                       "-stokes_graph[z^2(z-1)]", "+stokes_edge[z^3-1][8]",
+                       "+stokes_graph[z^2(z-1)]", "+stokes_edge[z^2(z-1)][5]"]
     assert proc.stderr.rstrip().endswith(
         f"the lines differ from those under {(tmp_path / 'src').resolve()}")
 

@@ -6,13 +6,14 @@ import re
 import pytest
 
 from stokesgeo import pathint, tracer
-from stokesgeo.polynomial import PolyContext
+from stokesgeo.config import DEFAULT_CONFIG, RunConfig, Scales
+from stokesgeo.polynomial import PolyContext, TurningPointSet, wrap_angle
 from stokesgeo import (ComplexPolynomial, EscapedToRay, HitTurningPoint,
                        NumericalError, build_stokes_graph, classify_complexes,
                        emanating_directions, parse_poly_text, re_xi_drift,
                        stokes_sectors, survey_short_geodesics,
                        trace_stokes_line, turning_points)
-from tests.conftest import stream_polys
+from tests.conftest import random_simple_poly, stream_polys
 
 
 def _angdiff(a, b):
@@ -208,10 +209,12 @@ def test_dp5_step_bitwise_matches_stage_loop(coeffs):
 def _spy_on_tracer(monkeypatch):
     """Counts P evaluations, the tracer helpers' calls and the evaluations
     made by the root-chord integrals (the launch's and the disk
-    decisions'); records the (z, w, k0) of every ``_dp5_step`` attempt."""
-    counts = {"evals": 0, "root_chord_evals": 0, "_dp5_step": 0,
-              "_chord_re_integral": 0, "_branch_step": 0,
-              "_closest_approach": 0}
+    decisions') and by the escape landing; records the (z, w, k0) of
+    every ``_dp5_step`` attempt."""
+    counts = {"evals": 0, "root_chord_evals": 0, "land_evals": 0,
+              "_dp5_step": 0, "_chord_re_integral": 0, "_branch_step": 0,
+              "_closest_approach": 0, "integrate_chord_from_root": 0,
+              "_land": 0}
     steps = []
     evaluate = ComplexPolynomial.evaluate
 
@@ -220,35 +223,33 @@ def _spy_on_tracer(monkeypatch):
         return evaluate(self, z)
     monkeypatch.setattr(ComplexPolynomial, "evaluate", counted)
 
-    def spy(name):
+    def spy(name, evals=None):
         original = getattr(tracer, name)
 
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             counts[name] += 1
             if name == "_dp5_step":
                 steps.append(args[1:4])
-            return original(*args)
+            before = counts["evals"]
+            out = original(*args, **kwargs)
+            if evals is not None:
+                counts[evals] += counts["evals"] - before
+            return out
         monkeypatch.setattr(tracer, name, wrapped)
     for name in ("_dp5_step", "_chord_re_integral", "_branch_step",
                  "_closest_approach"):
         spy(name)
-    root_chord = tracer.integrate_chord_from_root
-
-    def root_chord_spy(*args, **kwargs):
-        before = counts["evals"]
-        out = root_chord(*args, **kwargs)
-        counts["root_chord_evals"] += counts["evals"] - before
-        return out
-    monkeypatch.setattr(tracer, "integrate_chord_from_root", root_chord_spy)
+    spy("integrate_chord_from_root", "root_chord_evals")
+    spy("_land", "land_evals")
     return counts, steps
 
 
 def test_trace_evaluates_p_six_times_per_step_attempt(osc, monkeypatch):
     # first same as last: the stage-0 field is the previous step's last
     # stage, so a step attempt evaluates P at its 5 inner stages and at z5.
-    # The line from root 0 of the oscillator turned by 1e-3 runs past root
+    # The line from root 0 of the oscillator turned by 1e-5 runs past root
     # 1 (one disk decision, a miss) and escapes
-    poly = osc.rotate(1e-3)
+    poly = osc.rotate(1e-5)
     ctx = PolyContext.of(poly)
     theta = emanating_directions(poly, ctx.locs[0], 1)[2]
     counts, _ = _spy_on_tracer(monkeypatch)
@@ -258,14 +259,17 @@ def test_trace_evaluates_p_six_times_per_step_attempt(osc, monkeypatch):
     # the launch point, the root chords (the launch's and each disk
     # decision's, which also evaluates the root's local coefficient), the
     # step attempts, the drift chords (the 4 inner Lobatto nodes; the ends
-    # are the step's own values, and every Newton pass of the launch and
-    # the landing integrates its own move), and the branch updates after a
-    # drift correction, at the landing point and after each Newton pass
+    # are the step's own values, and every Newton pass of the launch
+    # integrates its own move), and the branch updates after a drift
+    # correction and after each Newton pass of the launch.  The landing
+    # takes sqrt(P) from its series at infinity and evaluates P nowhere
+    assert counts["_land"] == 1 and counts["land_evals"] == 0
     assert counts["evals"] == (1 + counts["root_chord_evals"]
                                + counts["_closest_approach"]
                                + 6 * counts["_dp5_step"]
                                + 4 * counts["_chord_re_integral"]
-                               + counts["_branch_step"])
+                               + counts["_branch_step"]
+                               + counts["land_evals"])
     assert counts["_chord_re_integral"] > 50
 
 
@@ -286,7 +290,7 @@ def _gk15_chord_re_integral(poly, z0, w0, z1):
 
 @pytest.fixture(scope="module")
 def stream_graphs():
-    """The Stokes graphs of both quarter-turn members of the first two
+    """The Stokes graphs of both quarter-turn members of the first four
     polynomials per degree of stream 5150, with the arguments of every
     drift chord their traces integrated."""
     chords = []
@@ -298,7 +302,7 @@ def stream_graphs():
     graphs = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tracer, "_chord_re_integral", recorded)
-        for poly in stream_polys(5150, 2):
+        for poly in stream_polys(5150, 4):
             for member in (poly, poly.rotate(math.pi / 2)):
                 graphs.append((member, build_stokes_graph(member)))
     return graphs, chords
@@ -307,7 +311,7 @@ def stream_graphs():
 def test_drift_chord_matches_gauss_kronrod(stream_graphs):
     # every drift chord of the stream graphs: the Lobatto rule on the
     # step's own end values agrees with a GK15 rule that evaluates all its
-    # nodes (worst 6.2e-14 here, on long steps at the root-distance cap)
+    # nodes (worst 7.3e-14 here, on long steps at the root-distance cap)
     _, chords = stream_graphs
     assert len(chords) > 5000
     chord = tracer._chord_re_integral
@@ -319,9 +323,9 @@ def test_drift_chord_matches_gauss_kronrod(stream_graphs):
 
 def test_stream_graph_edges_keep_their_level(stream_graphs, osc):
     # the drift projection holds every vertex on its root's Re xi level,
-    # the escape landing included, and the landing's Newton passes keep it
-    # on the escape circle too; the README's z^2 - 1 at t = 0.3 and its
-    # quarter turn join the stream graphs
+    # and the landing puts its vertices on that level too, the last one on
+    # the escape circle; the README's z^2 - 1 at t = 0.3 and its quarter
+    # turn join the stream graphs
     graphs, _ = stream_graphs
     readme = [(member, build_stokes_graph(member))
               for member in (osc.rotate(0.3), osc.rotate(0.3 + math.pi / 2))]
@@ -337,34 +341,147 @@ def test_stream_graph_edges_keep_their_level(stream_graphs, osc):
     assert escapes > 50
 
 
-def test_land_on_circle_meets_the_circle_on_the_chord(osc):
-    rng = random.Random(7)
-    for _ in range(200):
-        radius = rng.uniform(1.0, 50.0)
-        z_prev = cmath.rect(rng.uniform(0.0, 0.999) * radius,
-                            rng.uniform(-math.pi, math.pi))
-        z_over = cmath.rect(rng.uniform(1.0, 1.5) * radius,
-                            rng.uniform(-math.pi, math.pi))
-        w_prev = cmath.sqrt(osc.evaluate(z_prev))
-        z_land, w_land = tracer._land_on_circle(osc, z_prev, w_prev, z_over,
-                                                radius)
-        assert abs(abs(z_land) - radius) <= 1e-14 * radius
-        # on the chord, between its ends
-        dz = z_over - z_prev
-        t = ((z_land - z_prev) / dz).real
-        assert 0.0 < t <= 1.0
-        assert abs(z_land - (z_prev + t * dz)) <= 1e-14 * radius
-        assert w_land == tracer._branch_step(osc, w_prev, z_land)
-    # a last vertex already on or past the circle is the landing itself
-    z_out, w_out = 30.0 + 1j, cmath.sqrt(osc.evaluate(30.0 + 1j))
-    landed = tracer._land_on_circle(osc, z_out, w_out, 40.0, 20.0)
-    assert landed == (z_out, w_out)
+def _criterion_6_polys():
+    """The 90 inputs of acceptance criterion 6, 30 per degree 3, 4, 5."""
+    rng = random.Random(5150)
+    return [random_simple_poly(rng, d, min_sep=0.5, radius=1.5)
+            for d in (3, 4, 5) for _ in range(30)]
 
 
-def test_trace_errors_name_root_direction_and_arc(cubic_unity, monkeypatch):
-    ctx = PolyContext.of(cubic_unity)
-    theta = emanating_directions(cubic_unity, ctx.locs[2], 1)[1]
-    where = re.escape(f"from root 2 along {theta:.12g}")
+def test_every_criterion_6_escape_is_certified(monkeypatch):
+    # on both quarter-turn members of the criterion-6 inputs, every escape
+    # is decided by the trapping-cone certificate inside the escape circle.
+    # With the certificate off (r_c = inf) the same trace steps on to the
+    # escape circle: each edge keeps its fate, target and ray, and each
+    # landing its phase (worst 4.4e-16 here)
+    certified = []
+    in_cone = tracer._in_cone
+
+    def spy(*args):
+        certified.append(in_cone(*args))
+        return certified[-1]
+    monkeypatch.setattr(tracer, "_in_cone", spy)
+    escapes = 0
+    for poly in _criterion_6_polys():
+        for member in (poly, poly.rotate(math.pi / 2)):
+            cone = PolyContext.of(member).tps.at_infinity
+            certified.clear()
+            on = build_stokes_graph(member)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cone, "cone_radius", math.inf)
+                off = build_stokes_graph(member)
+            n = sum(e.kind == "escape" for e in on.edges)
+            assert certified.count(True) == n
+            escapes += n
+            for a, b in zip(on.edges, off.edges):
+                assert (a.kind, a.origin, a.direction_index, a.target,
+                        a.ray) == (b.kind, b.origin, b.direction_index,
+                                   b.target, b.ray)
+                if a.kind == "escape":
+                    assert _angdiff(cmath.phase(a.polyline[-1]),
+                                    cmath.phase(b.polyline[-1])) <= 1e-9
+    assert escapes == 2160
+
+
+def test_cone_certificate_boundary(osc):
+    # z^2 - 1 at r = 10: Phi = arcsin(0.1), so the certificate holds
+    # while |psi| < pi/2 - Phi = 1.4706, on either side of a ray
+    ctx = PolyContext.of(osc)
+    cone = ctx.tps.at_infinity
+    assert cone.phi(10.0) == pytest.approx(math.asin(0.1), rel=1e-9)
+    ray = ctx.sectors.ray_angles[2]
+    for psi, holds in ((1.46, True), (1.48, False), (-1.46, True),
+                       (-1.48, False), (0.0, True)):
+        z = cmath.rect(10.0, ray + psi / 2.0)
+        assert tracer._in_cone(cone, ctx.sectors, z, 10.0) is holds
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_cone_landing_on_z_power_d(d):
+    # P = z^d: Phi = 0 and r_c = 0, and the lines are Re z^{(d+2)/2} = c,
+    # on which sin(psi) r^{(d+2)/2} is constant.  A landing that starts at
+    # the edge of the cone, where |psi| is just below pi/2 and the line
+    # barely moves outward, follows that law onto each circle
+    poly = ComplexPolynomial.from_roots(1.0, [0.0] * d)
+    # the exact root set, where the root finder's cluster lies 1e-13 off 0
+    tps = TurningPointSet(((0j, d),))
+    ctx = PolyContext(poly=poly, config=DEFAULT_CONFIG, tps=tps,
+                      scales=Scales.from_roots(tps.locations),
+                      sectors=stokes_sectors(poly))
+    cone = tps.at_infinity
+    assert cone.cone_radius == 0.0 and cone.phi(1e-3) == 0.0
+    half = 0.5 * (d + 2)
+    ray = ctx.sectors.ray_angles[1]
+    for psi0 in (math.pi / 2 - 1e-3, -(math.pi / 2 - 1e-3), 0.3):
+        z0 = cmath.rect(0.7, ray + psi0 / half)
+        assert tracer._in_cone(cone, ctx.sectors, z0, abs(z0))
+        w0 = cmath.sqrt(poly.evaluate(z0))
+        if (z0 * w0).imag < 0.0:    # the outward branch
+            w0 = -w0
+        radii = [0.7 * 2 ** j for j in range(1, 6)]
+        landed = tracer._land(cone, 1.0, z0, w0, 0.0, radii, 0, 0.0)
+        for z, rho in zip(landed, radii):
+            assert abs(abs(z) - rho) <= 1e-15 * rho
+            psi = half * wrap_angle(cmath.phase(z) - ray)
+            assert abs(math.sin(psi) - math.sin(psi0) * (0.7 / rho) ** half
+                       ) <= 1e-14
+    # a traced line of z^d is a ray, certified at its first vertex
+    steps = []
+    dp5 = tracer._dp5_step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracer, "_dp5_step",
+                   lambda *args: steps.append(0) or dp5(*args))
+        for theta in emanating_directions(poly, 0.0, d):
+            steps.clear()
+            pl, fate = trace_stokes_line(poly, 0, theta, context=ctx)
+            assert isinstance(fate, EscapedToRay) and len(steps) == 1
+            assert abs(abs(pl[-1]) - ctx.scales.r_escape) <= 1e-15 * abs(
+                pl[-1])
+            for z in pl[1:]:
+                assert _angdiff(cmath.phase(z), theta) <= 1e-14
+
+
+def test_escape_circle_inside_the_cone_radius(monkeypatch):
+    # z^4 - 1 turned by 0.1 with r_escape_factor 1: the escape circle,
+    # radius 2, lies inside the cone radius 2.61, so no trace is
+    # certified; each lands back on the circle from its first vertex past
+    # it, on the ray and the line of the default configuration's trace
+    poly = parse_poly_text("1,0,0,0,-1").rotate(0.1)
+    config = RunConfig(r_escape_factor=1.0)
+    assert PolyContext.of(poly).tps.at_infinity.cone_radius > 2.6
+    in_cone = tracer._in_cone
+    monkeypatch.setattr(tracer, "_in_cone", lambda *args: pytest.fail(
+        "certificate tested inside the escape circle") or in_cone(*args))
+    near = build_stokes_graph(poly, config)
+    monkeypatch.undo()
+    far = build_stokes_graph(poly)
+    assert [e.ray for e in near.edges] == [e.ray for e in far.edges]
+    for e in near.edges:
+        assert e.kind == "escape"
+        assert abs(abs(e.polyline[-1]) - 2.0) <= 1e-15
+        drift, arc = re_xi_drift(poly, e.polyline)
+        assert drift <= 1e-14 * (1.0 + arc)
+
+
+def test_landing_that_does_not_converge_raises(osc, monkeypatch):
+    # one Newton pass per circle cannot reach the line from the leading
+    # term's first angle
+    monkeypatch.setattr(tracer, "_NEWTON_PASSES", 1)
+    with pytest.raises(NumericalError,
+                       match=r"^landing of the trace from root 1 along "
+                             r"1\.0471975512 on \|z\| = \S+ did not "
+                             r"converge \(residual \S+\)$") as info:
+        trace_stokes_line(osc, 1, math.pi / 3)
+    assert len(info.value.residuals) == 1
+
+
+def test_trace_errors_name_root_direction_and_arc(osc, monkeypatch):
+    # the line from root 0 of the oscillator turned by 1e-5, which runs
+    # past root 1 before it escapes
+    poly = osc.rotate(1e-5)
+    ctx = PolyContext.of(poly)
+    theta = emanating_directions(poly, ctx.locs[0], 1)[2]
+    where = re.escape(f"from root 0 along {theta:.12g}")
 
     def arc_reached(info):
         return float(str(info.value).rsplit(" ", 1)[1])
@@ -377,15 +494,15 @@ def test_trace_errors_name_root_direction_and_arc(cubic_unity, monkeypatch):
         with pytest.raises(NumericalError,
                            match=f"^step-size underflow during trace {where} "
                                  f"at arc length ") as info:
-            trace_stokes_line(cubic_unity, 2, theta, context=ctx)
+            trace_stokes_line(poly, 0, theta, context=ctx)
     assert 0.0 <= arc_reached(info) < 1e-14
 
-    # the trace escapes after 27 attempts
+    # the trace escapes after 68 attempts
     monkeypatch.setattr(tracer, "_MAX_STEP_ATTEMPTS", 20)
     with pytest.raises(NumericalError,
                        match=f"^trace {where} exceeded step budget at arc "
                              f"length ") as info:
-        trace_stokes_line(cubic_unity, 2, theta, context=ctx)
+        trace_stokes_line(poly, 0, theta, context=ctx)
     assert arc_reached(info) > 0.0
 
 
@@ -394,8 +511,8 @@ def test_dp5_step_receives_sign_matched_branch(coeffs, monkeypatch):
     poly = parse_poly_text(coeffs)
     _, steps = _spy_on_tracer(monkeypatch)
     checked = 0
-    # the graphs of both quarter-turn members
-    for member in (poly, poly.rotate(math.pi / 2)):
+    # the graphs of the members turned by k pi/8, k = 0..7
+    for member in (poly.rotate(k * math.pi / 8) for k in range(8)):
         steps.clear()
         build_stokes_graph(member)
         for z, w, k0 in steps:
