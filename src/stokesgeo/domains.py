@@ -1,5 +1,6 @@
 """Admissible domains: faces of the Stokes graph, half-plane/strip
-classification, strip widths, and weighted chord diagrams.
+classification, strip widths, strip bases and their mutation walk, and
+weighted chord diagrams.
 
 The plane is compactified to the disk |z| <= R_escape: escaping edges end
 on that circle (to rounding; only the phase of an end is read), circle
@@ -16,6 +17,15 @@ into a disk that holds no other root, then follows the traced vertices of
 a boundary edge to the ends of a straight segment inside the face.  It
 passes no turning point, so it integrates the period of the strip's saddle
 class, and the strip's width is |Re| of that period (``strip_width``).
+
+A generic graph has d-1 strips.  Their chords triangulate the (d+2)-gon
+of Stokes rays, and their periods Z_s, taken with Re Z_s > 0, are a basis
+of the saddle classes (``strip_basis``).  As e^{2it} P turns, the strips
+change only by flips of that triangulation, each when a basis class turns
+vertical; ``mutation_walk`` follows them from the periods and the exchange
+matrix alone (Bridgeland-Smith, arXiv:1302.7030).  The survey walks a
+half-turn from a generic start; ``chord_diagram`` traces the graph at
+t = 0 and walks a quarter-turn to the orthogonal family's diagram.
 """
 
 from __future__ import annotations
@@ -27,11 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import IncompleteGraphError, NonGenericError
+from .errors import IncompleteGraphError, NonGenericError, NumericalError
 from .pathint import integrate_polyline, min_clearance, root_reach
 from .polynomial import ComplexPolynomial, wrap_positive
 from .tracer import StokesGraph, build_stokes_graph
 
+PI = math.pi
 TWO_PI = 2.0 * math.pi
 
 
@@ -380,9 +391,7 @@ def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
     follows r_to's edge (``exit_edge`` when given) back.  The a* are the
     traced vertices at 1/8 .. 7/8 of r_from's boundary edges, each paired
     with the nearest vertex b* of r_to's; the first pair whose segment lies
-    inside the face, in order of the traced vertices walked, is used.  When
-    none does, the other clear vertices are tried the same way: on a thin
-    strip the traced outline keeps the two sides apart only in places.
+    inside the face, in order of the traced vertices walked, is used.
 
     Returns (xi(r_to) - xi(r_from), Im[xi(b*) - xi(r_to)]); the first is
     the period of the strip's standard saddle class, the imaginary part
@@ -405,35 +414,25 @@ def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
         clear = np.arange(len(za))
     zb, b_edge, b_index = _vertex_table(tos)
 
-    def crossing(picks):
-        """The first pair (a*, b*) over the clear vertices ``picks`` whose
-        segment lies inside the face, or None."""
-        pairs = []
-        for j in picks:
-            a = clear[j]
-            # the first of the nearest vertices b*
-            b = np.argmin(np.abs(zb - za[a]))
-            pairs.append(((*froms[a_edge[a]], int(a_index[a])),
-                          (*tos[b_edge[b]], int(b_index[b]))))
-        # by the traced vertices walked from the roots, max(i - k, 0) a side
-        pairs.sort(key=lambda pair: sum(max(i - k, 0) for _, k, i in pair))
-        for pair in pairs:
-            (pa, _, ia), (pb, _, ib) = pair
-            if _segment_inside(pa[ia], pb[ib], dom.polygon, locs, delta):
-                return pair
-        return None
-
     n = len(clear)
-    picks = sorted({min(j, n - 1) for j in
-                    (n // 2, n // 4, 3 * n // 4, n // 8, 7 * n // 8)})
-    found = crossing(picks) or crossing(
-        [j for j in range(n) if j not in picks])
-    if found is None:
+    pairs = []
+    for j in sorted({min(q, n - 1) for q in
+                     (n // 2, n // 4, 3 * n // 4, n // 8, 7 * n // 8)}):
+        a = clear[j]
+        # the first of the nearest vertices b*
+        b = np.argmin(np.abs(zb - za[a]))
+        pairs.append(((*froms[a_edge[a]], int(a_index[a])),
+                      (*tos[b_edge[b]], int(b_index[b]))))
+    # by the traced vertices walked from the roots, max(i - k, 0) a side
+    pairs.sort(key=lambda pair: sum(max(i - k, 0) for _, k, i in pair))
+    for (pa, ka, ia), (pb, kb, ib) in pairs:
+        if _segment_inside(pa[ia], pb[ib], dom.polygon, locs, delta):
+            break
+    else:
         raise NonGenericError(
             f"no interior crossing segment found in the strip between roots "
             f"{r_from} at {locs[r_from]:.6g} and {r_to} at "
             f"{locs[r_to]:.6g} (incident rays {dom.incident_rays})")
-    (pa, ka, ia), (pb, kb, ib) = found
 
     head = [locs[r_from], *pa[min(ia, ka):ia + 1]]
     tail = [locs[r_to], *pb[min(ib, kb):ib + 1]]
@@ -456,39 +455,154 @@ def admissible_domains(graph: StokesGraph) -> list[AdmissibleDomain]:
     return build_face_set(graph).domains
 
 
+# --- strip bases and their mutation walk -------------------------------------
+
+def _exchange_matrix(n: int, chords):
+    """Exchange matrix of the triangulation of the n-gon by ``chords``:
+    B[x][y] = +1 when side y follows side x in the cyclic order (p, q),
+    (q, r), (r, p) of a triangle p < q < r, summed over triangles.
+    Raises NonGenericError when the chords cross or do not triangulate."""
+    for a in range(len(chords)):
+        for b in range(a + 1, len(chords)):
+            if chords_cross(n, chords[a], chords[b]):
+                raise NonGenericError(
+                    f"crossing chords {chords[a]} and {chords[b]}")
+    index = {chord: k for k, chord in enumerate(chords)}
+    B = [[0] * len(chords) for _ in chords]
+    triangles = 0
+    for p in range(n):
+        for q in range(p + 1, n):
+            for r in range(q + 1, n):
+                sides = ((p, q), (q, r), (p, r))
+                if not all(s in index or s[1] - s[0] in (1, n - 1)
+                           for s in sides):
+                    continue
+                triangles += 1
+                for x, y in ((0, 1), (1, 2), (2, 0)):
+                    if sides[x] in index and sides[y] in index:
+                        B[index[sides[x]]][index[sides[y]]] += 1
+                        B[index[sides[y]]][index[sides[x]]] -= 1
+    if triangles != n - 2:
+        raise NonGenericError(
+            f"strip chords {sorted(chords)} do not triangulate the {n}-gon")
+    return B
+
+
+def strip_basis(poly: ComplexPolynomial, t0: float, config: RunConfig):
+    """(sides, periods, chords, B) of the strip decomposition of e^{2it0} P:
+    the boundary roots of each strip, the period of its saddle class with
+    Re > 0, its chord of the (d+2)-gon of Stokes rays, and the exchange
+    matrix.  Raises NonGenericError when the decomposition is not
+    generic."""
+    graph = build_stokes_graph(poly.rotate(t0), config)
+    strips = build_face_set(graph).strips
+    d = poly.degree
+    if len(strips) != d - 1:
+        raise NonGenericError(f"{len(strips)} strip domains, need {d - 1}")
+    sides, periods = [], []
+    for dom in strips:
+        ra, rb = dom.boundary_roots
+        if len(ra) != 1 or len(rb) != 1:
+            raise NonGenericError(f"strip sides with roots {ra}, {rb}")
+        z = cross_strip(graph, dom, ra[0], rb[0], config)[0]
+        if z.real == 0:
+            raise NonGenericError(
+                f"strip between roots {ra[0]} and {rb[0]} has zero width")
+        sides.append((ra[0], rb[0]))
+        periods.append(z if z.real > 0 else -z)
+    chords = [tuple(sorted(dom.incident_rays)) for dom in strips]
+    return sides, periods, chords, _exchange_matrix(d + 2, chords)
+
+
+def _mutate(B, k: int):
+    """Matrix mutation of B at k."""
+    m = len(B)
+    return [[-B[i][j] if k in (i, j) else
+             B[i][j] + (abs(B[i][k]) * B[k][j] + B[i][k] * abs(B[k][j])) // 2
+             for j in range(m)] for i in range(m)]
+
+
+def mutation_walk(periods, B, stop: float):
+    """The mutation walk of a strip basis from its angle t0 to t0 + stop.
+
+    Turning t by T turns every period by e^{iT}.  A class n turns vertical
+    at its exit time T = pi/2 - arg sum n_s Z_s; when basis class k does,
+    its strip flips, and the basis mutates (gamma_k -> -gamma_k, gamma_j
+    -> gamma_j + [-B_jk]_+ gamma_k), and so does B.  Returns (states,
+    basis): (T, k, class) for each class that leaves before ``stop``, in
+    order of T, and the basis at ``stop``; a class is an integer vector
+    over the starting strips."""
+    m = len(periods)
+
+    def exit_time(n):
+        z = sum(c * p for c, p in zip(n, periods))
+        return (PI / 2 - cmath.phase(z)) % TWO_PI
+
+    basis = [tuple(int(i == k) for i in range(m)) for k in range(m)]
+    states = []
+    while m:
+        times = [exit_time(n) for n in basis]
+        k = min(range(m), key=times.__getitem__)
+        if times[k] >= stop:
+            break
+        if len(states) == m * (m + 1) // 2:
+            raise NumericalError(
+                f"mutation walk to {stop:.12f} leaves more than "
+                f"{len(states)} classes")
+        gk = basis[k]
+        states.append((times[k], k, gk))
+        basis = [tuple(-x for x in gk) if j == k else
+                 tuple(x + max(-B[j][k], 0) * y for x, y in zip(n, gk))
+                 for j, n in enumerate(basis)]
+        B = _mutate(B, k)
+    return states, basis
+
+
+def _flip(n: int, chords, k: int) -> tuple[int, int]:
+    """Chord k of a triangulation of the n-gon flipped: the other diagonal
+    of the quadrilateral that its two triangles form."""
+    edges = set(chords)
+
+    def joined(p, q):
+        return (min(p, q), max(p, q)) in edges or (p - q) % n in (1, n - 1)
+
+    a, b = chords[k]
+    c, e = [v for v in range(n)
+            if v not in (a, b) and joined(a, v) and joined(b, v)]
+    return (c, e)
+
+
 def chord_diagram(poly: ComplexPolynomial,
                   config: RunConfig = DEFAULT_CONFIG) -> tuple[ChordDiagram, ChordDiagram]:
     """Weighted chord diagrams of the Stokes graph and of the graph of the
     quarter-turn rotation (whose trajectories are the orthogonal family).
 
-    Requires genericity: exactly d-1 strip domains on both sides.
+    One graph is traced, at t = 0.  Its strip basis gives the Stokes
+    diagram: each strip's chord, weighted by its width Re Z_s.  The
+    basis's mutation walk to pi/2 gives the other: each class that leaves
+    flips its chord, the chords are renumbered by the rays of e^{i pi} P,
+    and each is weighted by |Im sum n_s Z_s| of its class at pi/2.
+
+    Raises NonGenericError when the decomposition at t = 0 is not generic
+    (other than d-1 strips, crossing chords or chords between neighbouring
+    rays), or when a class leaves within 1e-9 of pi/2, where the
+    quarter-turn graph has a saddle connection.
     """
-    d = poly.degree
-    out = []
-    for member in (poly, poly.rotate(math.pi / 2)):
-        graph = build_stokes_graph(member, config)
-        fs = build_face_set(graph)
-        strips = fs.strips
-        if len(strips) != d - 1:
+    n = poly.degree + 2
+    _, periods, chords, B = strip_basis(poly, 0.0, config)
+    stokes = sorted(zip(chords, (z.real for z in periods)))
+    states, basis = mutation_walk(periods, B, PI / 2 + 1e-9)
+    for T, k, n_k in states:
+        if T > PI / 2 - 1e-9:
             raise NonGenericError(
-                f"expected {d - 1} strip domains, found {len(strips)} "
-                "(non-generic potential)")
-        chords = []
-        for dom in strips:
-            i, j = dom.incident_rays
-            if graph.sectors.are_neighboring_rays(i, j):
-                raise NonGenericError(
-                    f"strip attached to neighboring rays {i}, {j}")
-            width = strip_width(graph, dom, config)
-            if width <= 0:
-                raise NonGenericError("strip with nonpositive width")
-            chords.append(((min(i, j), max(i, j)), width))
-        chords.sort()
-        diagram = ChordDiagram(n_vertices=d + 2, chords=tuple(chords))
-        for a in range(len(chords)):
-            for b in range(a + 1, len(chords)):
-                if chords_cross(d + 2, chords[a][0], chords[b][0]):
-                    raise NonGenericError(
-                        f"crossing chords {chords[a][0]} and {chords[b][0]}")
-        out.append(diagram)
-    return out[0], out[1]
+                f"class {n_k} of chord {chords[k]} leaves at t = {T:.12f}, "
+                "within 1e-9 of the quarter turn")
+        chords[k] = _flip(n, chords, k)
+    # the walk numbers the rays of e^{2it} P from arg a0 + 2t; the graph of
+    # e^{i pi} P from that angle at t = pi/2 wrapped to (-pi, pi]
+    shift = round((poly.phi0 + PI - poly.rotate(PI / 2).phi0) / TWO_PI)
+    anti = sorted((tuple(sorted((v - shift) % n for v in chord)),
+                   abs(sum(c * p for c, p in zip(n_k, periods)).imag))
+                  for chord, n_k in zip(chords, basis))
+    return (ChordDiagram(n_vertices=n, chords=tuple(stokes)),
+            ChordDiagram(n_vertices=n, chords=tuple(anti)))

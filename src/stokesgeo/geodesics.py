@@ -18,7 +18,9 @@ B.  The classes that leave over the half-turn are the short geodesics,
 each once, at t* = t0 + T (the mutation method for the BPS spectra of the
 A_{d-1} theories, Alim-Cecotti-Cordova-Espahbodi-Rastogi-Vafa,
 arXiv:1112.3984; strip decompositions as in Bridgeland-Smith,
-arXiv:1302.7030).  A class's pair is the two roots of odd degree in its
+arXiv:1302.7030).  The decomposition and the walk are
+``domains.strip_basis`` and ``domains.mutation_walk``, which the chord
+diagrams share.  A class's pair is the two roots of odd degree in its
 support on the strip tree, and its period is e^{-it0} sum_s n_s Z_s over
 its coefficients n_s.  Each is then traced once at its pair's candidate
 angle, which is the output geodesic.
@@ -34,13 +36,12 @@ import math
 from dataclasses import dataclass, field
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .domains import build_face_set, cross_strip
+from .domains import mutation_walk, strip_basis
 from .errors import NonGenericError, NumericalError
 from .pathint import pairwise_periods, period_sign_flips
 from .polynomial import (ComplexPolynomial, PolyContext, turning_points,
                          wrap_angle, wrap_positive)
-from .tracer import (HitTurningPoint, build_stokes_graph,
-                     emanating_directions, trace_stokes_line)
+from .tracer import HitTurningPoint, emanating_directions, trace_stokes_line
 
 PI = math.pi
 # strip decompositions tried, at the widest gaps between candidate angles
@@ -126,94 +127,18 @@ def _start_angles(angles):
     return [wrap_positive(lo + 0.5 * width, PI) for width, lo in gaps]
 
 
-def _exchange_matrix(n: int, chords):
-    """Exchange matrix of the triangulation of the n-gon by ``chords``:
-    B[x][y] = +1 when side y follows side x in the cyclic order (p, q),
-    (q, r), (r, p) of a triangle p < q < r, summed over triangles."""
-    index = {chord: k for k, chord in enumerate(chords)}
-    B = [[0] * len(chords) for _ in chords]
-    triangles = 0
-    for p in range(n):
-        for q in range(p + 1, n):
-            for r in range(q + 1, n):
-                sides = ((p, q), (q, r), (p, r))
-                if not all(s in index or s[1] - s[0] in (1, n - 1)
-                           for s in sides):
-                    continue
-                triangles += 1
-                for x, y in ((0, 1), (1, 2), (2, 0)):
-                    if sides[x] in index and sides[y] in index:
-                        B[index[sides[x]]][index[sides[y]]] += 1
-                        B[index[sides[y]]][index[sides[x]]] -= 1
-    if triangles != n - 2:
-        raise NonGenericError(
-            f"strip chords {sorted(chords)} do not triangulate the {n}-gon")
-    return B
-
-
-def _strip_basis(poly: ComplexPolynomial, t0: float, config: RunConfig):
-    """(sides, periods, B) of the strip decomposition of e^{2it0} P: the
-    boundary roots of each strip, the period of its saddle class with
-    Re > 0, and the exchange matrix.  Raises NonGenericError when the
-    decomposition is not generic."""
-    graph = build_stokes_graph(poly.rotate(t0), config)
-    strips = build_face_set(graph).strips
-    d = poly.degree
-    if len(strips) != d - 1:
-        raise NonGenericError(f"{len(strips)} strip domains, need {d - 1}")
-    sides, periods = [], []
-    for dom in strips:
-        ra, rb = dom.boundary_roots
-        if len(ra) != 1 or len(rb) != 1:
-            raise NonGenericError(f"strip sides with roots {ra}, {rb}")
-        z = cross_strip(graph, dom, ra[0], rb[0], config)[0]
-        sides.append((ra[0], rb[0]))
-        periods.append(z if z.real > 0 else -z)
-    chords = [tuple(sorted(dom.incident_rays)) for dom in strips]
-    return sides, periods, _exchange_matrix(d + 2, chords)
-
-
-def _mutate(B, k: int):
-    """Matrix mutation of B at k."""
-    m = len(B)
-    return [[-B[i][j] if k in (i, j) else
-             B[i][j] + (abs(B[i][k]) * B[k][j] + B[i][k] * abs(B[k][j])) // 2
-             for j in range(m)] for i in range(m)]
-
-
 def _half_turn(periods, B, t0: float):
     """(T, class) for each basis class that leaves over a half-turn from
     t0, in order of exit time T; a class is an integer vector over the
-    starting strips."""
+    starting strips.  The walk must end on the negated start basis."""
+    states, basis = mutation_walk(periods, B, PI)
     m = len(periods)
-
-    def exit_time(n):
-        z = sum(c * p for c, p in zip(n, periods))
-        return (PI / 2 - cmath.phase(z)) % (2.0 * PI)
-
-    start = [tuple(int(i == k) for i in range(m)) for k in range(m)]
-    basis = list(start)
-    states = []
-    while True:
-        times = [exit_time(n) for n in basis]
-        k = min(range(m), key=times.__getitem__)
-        if times[k] >= PI:
-            break
-        if len(states) == m * (m + 1) // 2:
-            raise NumericalError(
-                f"mutation walk from t0={t0:.12f} leaves more than "
-                f"{len(states)} classes")
-        gk = basis[k]
-        states.append((times[k], gk))
-        basis = [tuple(-x for x in gk) if j == k else
-                 tuple(x + max(-B[j][k], 0) * y for x, y in zip(n, gk))
-                 for j, n in enumerate(basis)]
-        B = _mutate(B, k)
-    if sorted(basis) != sorted(tuple(-x for x in n) for n in start):
+    if sorted(basis) != sorted(tuple(-int(i == k) for i in range(m))
+                               for k in range(m)):
         raise NumericalError(
             f"mutation walk from t0={t0:.12f} ends on basis {basis}, not "
             "the negated start basis")
-    return states
+    return [(T, n) for T, _, n in states]
 
 
 def _class_pair(sides, n):
@@ -257,7 +182,7 @@ def survey_short_geodesics(poly: ComplexPolynomial,
     failures = []
     for t0 in _start_angles(t_cand.values())[:START_ATTEMPTS]:
         try:
-            sides, periods, B = _strip_basis(poly, t0, config)
+            sides, periods, _, B = strip_basis(poly, t0, config)
             break
         except NonGenericError as exc:
             failures.append(f"t0={t0:.12f}: {exc}")

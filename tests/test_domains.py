@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -9,7 +10,6 @@ from stokesgeo import (NonGenericError, build_face_set, build_stokes_graph,
                        tracer)
 from stokesgeo.domains import chords_cross
 from stokesgeo.pathint import period_for_pair
-from stokesgeo.polynomial import PolyContext
 from tests.conftest import random_simple_poly, stream_polys
 from tests.test_geodesics import _far_root_draw
 
@@ -77,27 +77,34 @@ def test_random_cubic_pentagon():
 
 
 def test_chord_diagram_crosses_each_strip_once(monkeypatch):
-    # building a face set crosses no strip; the diagram crosses each
-    # strip once for its width, d - 1 per member of the pair
-    members = []
-    cross_strip = domains.cross_strip
+    # building a face set crosses no strip; the diagram traces one graph,
+    # at t = 0, and crosses each of its d - 1 strips once.  The quarter
+    # turn comes from the mutation walk of that strip basis
+    graphs, members = [], []
+    build, cross_strip = domains.build_stokes_graph, domains.cross_strip
+
+    def traced(poly, *args):
+        graphs.append(poly)
+        return build(poly, *args)
 
     def counted(graph, *args):
         members.append(graph.poly)
         return cross_strip(graph, *args)
+    monkeypatch.setattr(domains, "build_stokes_graph", traced)
     monkeypatch.setattr(domains, "cross_strip", counted)
     p = random_simple_poly(random.Random(321), 3)
     chord_diagram(p)
-    assert [members.count(m) for m in dict.fromkeys(members)] == [2, 2]
+    assert graphs == [p]
+    assert members == [p, p]
 
 
 def test_strip_crossings_take_the_root_rule_unsplit(monkeypatch):
-    # on the criterion-6 inputs, every strip crossing ends its walk within
-    # the root chart's reach of both roots: one _gk15 call walks the
-    # crossing's regular vertices alone, and its two root chords are the
-    # fixed rule to verts[1] and verts[-2].  No other walk runs in the
-    # diagrams (the traces' root chords are all unsplit), and no walk has
-    # a vertex on a root
+    # on the criterion-6 inputs and their quarter turns, every strip
+    # crossing ends its walk within the root chart's reach of both roots:
+    # one _gk15 call walks the crossing's regular vertices alone, and its
+    # two root chords are the fixed rule to verts[1] and verts[-2].  No
+    # other walk runs in the graphs (the traces' root chords are all
+    # unsplit), and no walk has a vertex on a root
     walks, rules, crossings = [], [], []
     for name, calls in (("_gk15", walks), ("_root_rule", rules)):
         def spy(*args, original=getattr(pathint, name), calls=calls):
@@ -115,8 +122,11 @@ def test_strip_crossings_take_the_root_rule_unsplit(monkeypatch):
     rng = random.Random(5150)
     for d in (3, 4, 5):
         for _ in range(30):
-            chord_diagram(random_simple_poly(rng, d, min_sep=0.5,
-                                             radius=1.5))
+            poly = random_simple_poly(rng, d, min_sep=0.5, radius=1.5)
+            for member in (poly, poly.rotate(math.pi / 2)):
+                graph = build_stokes_graph(member)
+                for strip in build_face_set(graph).strips:
+                    domains.strip_width(graph, strip)
     assert len(crossings) == 2 * 30 * (2 + 3 + 4)
     for verts, (walk,), (first, last) in crossings:
         assert walk[2] == verts[1:-1]
@@ -124,6 +134,84 @@ def test_strip_crossings_take_the_root_rule_unsplit(monkeypatch):
     assert len(walks) == len(crossings)
     for _, roots, verts, *_ in walks:
         assert min(abs(z - r) for z in verts for r in roots) > 0.0
+
+
+def test_quarter_turn_diagram_matches_the_traced_graph(monkeypatch):
+    # on the criterion-6 inputs, the Stokes diagram is the traced t = 0
+    # graph's, bit for bit, and the mutation walk of its strip basis gives
+    # the traced quarter turn's chords, with widths within 1e-12 relative.
+    # After every flip the flipped chords' exchange matrix is the mutated B
+    bases = []
+    strip_basis = domains.strip_basis
+
+    def recorded(*args):
+        out = strip_basis(*args)
+        _, periods, chords, B = out
+        bases.append((periods, list(chords), B))
+        return out
+    monkeypatch.setattr(domains, "strip_basis", recorded)
+
+    def traced(member):
+        graph = build_stokes_graph(member)
+        return sorted((tuple(sorted(dom.incident_rays)),
+                       domains.strip_width(graph, dom))
+                      for dom in build_face_set(graph).strips)
+
+    rng = random.Random(5150)
+    flips = 0
+    for d in (3, 4, 5):
+        for _ in range(30):
+            poly = random_simple_poly(rng, d, min_sep=0.5, radius=1.5)
+            stokes, anti = chord_diagram(poly)
+            assert list(stokes.chords) == traced(poly)
+            want = traced(poly.rotate(math.pi / 2))
+            assert [c for c, _ in anti.chords] == [c for c, _ in want]
+            for (_, w), (_, w_traced) in zip(anti.chords, want):
+                assert abs(w - w_traced) <= 1e-12 * w_traced
+            periods, chords, B = bases.pop()
+            states, _ = domains.mutation_walk(periods, B, math.pi / 2)
+            for _, k, _ in states:
+                chords[k] = domains._flip(d + 2, chords, k)
+                B = domains._mutate(B, k)
+                assert domains._exchange_matrix(d + 2, chords) == B
+                flips += 1
+    assert flips == 209
+
+
+@pytest.mark.parametrize("off", [1e-12, -1e-12])
+def test_quarter_turn_on_a_wall_is_refused(osc, off):
+    # z^2 - 1 turned by pi/2 - off: its quarter turn is off from the wall
+    # where roots -1 and 1 connect, and the traced graph there has no strip
+    poly = osc.rotate(math.pi / 2 - off)
+    (strip,) = build_face_set(build_stokes_graph(poly)).strips
+    graph = build_stokes_graph(poly.rotate(math.pi / 2))
+    assert build_face_set(graph).strips == []
+    with pytest.raises(NonGenericError) as info:
+        chord_diagram(poly)
+    assert str(info.value) == (
+        f"class (1,) of chord {tuple(sorted(strip.incident_rays))} leaves at "
+        f"t = {math.pi / 2 + off:.12f}, within 1e-9 of the quarter turn")
+
+
+def test_exchange_matrix_refuses_what_does_not_triangulate():
+    # of the sets of n - 3 chords of the n-gon, n = 4 .. 6, those that
+    # repeat a chord, join neighbouring rays or cross raise
+    # NonGenericError; the rest are the triangulations, Catalan many
+    for n, catalan in ((4, 2), (5, 5), (6, 14)):
+        pairs = [(i, j) for i in range(n) for j in range(i, n)]
+        accepted = []
+        for chords in itertools.combinations_with_replacement(pairs, n - 3):
+            try:
+                domains._exchange_matrix(n, list(chords))
+            except NonGenericError:
+                continue
+            accepted.append(chords)
+        assert len(accepted) == catalan
+        for chords in accepted:
+            assert len(set(chords)) == n - 3
+            assert all((j - i) % n not in (0, 1, n - 1) for i, j in chords)
+            assert not any(chords_cross(n, a, b)
+                           for a, b in itertools.combinations(chords, 2))
 
 
 def test_failed_crossing_names_its_strip(osc, monkeypatch):
@@ -141,32 +229,12 @@ def test_failed_crossing_names_its_strip(osc, monkeypatch):
         f"rays {strip.incident_rays})")
 
 
-def test_thin_strip_tries_every_clear_vertex(monkeypatch):
+def test_thin_strip_width_is_the_pair_period():
     # the strip between roots 2 and 0 of this quintic is 3.6e-4 wide, under
-    # 3e-3 of the others.  Traced with the trapping-cone certificate off
-    # (r_c = inf), so that every escaping edge steps on to the escape
-    # circle: where the five vertex pairs at 1/8 .. 7/8 fall, the traced
-    # outline does not keep its sides apart, and the crossing goes on to
-    # the other clear vertices.  Its width is |Re| of the pair period
-    # walked from root to root without the traced edges
+    # 3e-3 of the others.  Its width is |Re| of the pair period walked from
+    # root to root without the traced edges
     poly = stream_polys(20260808, 50)[104]
-    tries = []
-    cross_strip, inside = domains.cross_strip, domains._segment_inside
-
-    def crossing(*args, **kwargs):
-        tries.append(0)
-        return cross_strip(*args, **kwargs)
-
-    def counted(*args):
-        tries[-1] += 1
-        return inside(*args)
-    monkeypatch.setattr(domains, "cross_strip", crossing)
-    monkeypatch.setattr(domains, "_segment_inside", counted)
-    for member in (poly, poly.rotate(math.pi / 2)):
-        monkeypatch.setattr(PolyContext.of(member).tps.at_infinity,
-                            "cone_radius", math.inf)
     stokes, _ = chord_diagram(poly)
-    assert max(tries) > 5
     width = dict(stokes.chords)[(3, 5)]
     want = abs(period_for_pair(poly, 0, 2).value.real)
     assert abs(width - want) <= 1e-12 * want

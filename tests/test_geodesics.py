@@ -85,7 +85,6 @@ def test_survey_crosses_each_strip_once_per_attempt(monkeypatch):
         crossings.append(graph)
         return cross_strip(graph, *args, **kwargs)
     monkeypatch.setattr(domains, "cross_strip", counted)
-    monkeypatch.setattr(geodesics, "cross_strip", counted)
     outcomes = _record_decompositions(monkeypatch)
     for poly in stream_polys(20260808, 1):
         crossings.clear()
@@ -289,7 +288,7 @@ def test_survey_below_lower_bound_non_generic(cubic_unity, monkeypatch):
 def _count_traces(monkeypatch):
     """Counts of trace_stokes_line calls and of strip decompositions."""
     counts = {"traces": 0, "decompositions": 0}
-    trace, graph = tracer.trace_stokes_line, geodesics.build_stokes_graph
+    trace, graph = tracer.trace_stokes_line, domains.build_stokes_graph
 
     def counted_trace(*args, **kwargs):
         counts["traces"] += 1
@@ -300,7 +299,7 @@ def _count_traces(monkeypatch):
         return graph(*args, **kwargs)
     monkeypatch.setattr(tracer, "trace_stokes_line", counted_trace)
     monkeypatch.setattr(geodesics, "trace_stokes_line", counted_trace)
-    monkeypatch.setattr(geodesics, "build_stokes_graph", counted_graph)
+    monkeypatch.setattr(domains, "build_stokes_graph", counted_graph)
     return counts
 
 
@@ -368,7 +367,7 @@ def test_half_turn_must_end_on_negated_basis():
 
 def _record_decompositions(monkeypatch):
     outcomes = []
-    strip_basis = geodesics._strip_basis
+    strip_basis = geodesics.strip_basis
 
     def recorded(poly, t0, config):
         try:
@@ -378,7 +377,7 @@ def _record_decompositions(monkeypatch):
             raise
         outcomes.append("generic")
         return out
-    monkeypatch.setattr(geodesics, "_strip_basis", recorded)
+    monkeypatch.setattr(geodesics, "strip_basis", recorded)
     return outcomes
 
 
@@ -386,7 +385,7 @@ def test_start_angle_moves_to_next_gap(monkeypatch):
     # a strip of the decomposition at the widest gap that cannot be
     # crossed sends the survey to the next gap
     poly = stream_polys(1, 49)[2 * 49 + 48]
-    cross_strip = geodesics.cross_strip
+    cross_strip = domains.cross_strip
     calls = []
 
     def first_fails(*args, **kwargs):
@@ -394,7 +393,7 @@ def test_start_angle_moves_to_next_gap(monkeypatch):
         if len(calls) == 1:
             raise NonGenericError("no interior crossing segment found")
         return cross_strip(*args, **kwargs)
-    monkeypatch.setattr(geodesics, "cross_strip", first_fails)
+    monkeypatch.setattr(domains, "cross_strip", first_fails)
     outcomes = _record_decompositions(monkeypatch)
     survey = survey_short_geodesics(poly)
     assert outcomes == ["no interior crossing segment found", "generic"]
@@ -450,7 +449,7 @@ def test_far_root_draw_15_connects():
 def test_start_angle_attempts_run_out(cubic_unity, monkeypatch):
     def no_crossing(*args, **kwargs):
         raise NonGenericError("no interior crossing segment found")
-    monkeypatch.setattr(geodesics, "cross_strip", no_crossing)
+    monkeypatch.setattr(domains, "cross_strip", no_crossing)
     outcomes = _record_decompositions(monkeypatch)
     with pytest.raises(NonGenericError, match="no generic strip "
                        "decomposition"):
