@@ -5,10 +5,14 @@ Draws simple-rooted monic centered polynomials of the requested degrees,
 enumerates their short geodesics and tabulates the counts against the
 connectivity bounds d-1 <= count <= d(d-1)/2.  Under each degree's line
 it prints every distinct typed-failure message with its count.
+
+The roots are drawn as the test suite draws them, from a square of
+half-side ``census_radius(d)``, pairwise at least 0.5 apart.
 """
 
 import argparse
 import collections
+import math
 import random
 import sys
 import time
@@ -19,6 +23,14 @@ from stokesgeo import NumericalError, StokesGeoError, survey_short_geodesics
 # the test suite's generator, so census and acceptance draw alike
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from tests.conftest import random_simple_poly  # noqa: E402
+
+
+def census_radius(d: int) -> float:
+    """1.5, the test suite's radius, up to degree 8; from degree 9 on
+    1.5 sqrt(d/8), so that the density of the roots stays that of degree
+    8.  At a fixed radius the separation check rejects almost every draw
+    from degree 18 on."""
+    return 1.5 if d <= 8 else 1.5 * math.sqrt(d / 8)
 
 
 def main():
@@ -35,7 +47,7 @@ def main():
         numerical = []
         t0 = time.time()
         for _ in range(args.trials):
-            poly = random_simple_poly(rng, d)
+            poly = random_simple_poly(rng, d, radius=census_radius(d))
             try:
                 survey = survey_short_geodesics(poly)
             except NumericalError as exc:

@@ -153,6 +153,12 @@ def _class_pair(sides, n):
     return tuple(sorted(odd))
 
 
+def _in_context(exc: NumericalError, where: str) -> NumericalError:
+    """``exc`` restated with the survey stage, angle and pair it came
+    from, keeping its residuals."""
+    return NumericalError(f"{where}: {exc}", residuals=exc.residuals)
+
+
 def survey_short_geodesics(poly: ComplexPolynomial,
                            config: RunConfig = DEFAULT_CONFIG) -> GeodesicSurvey:
     """All short geodesics, from the mutation walk of one strip
@@ -168,7 +174,9 @@ def survey_short_geodesics(poly: ComplexPolynomial,
     pair, t* and the class; one that lands on a third root is recorded
     in ``errors``, and fewer than d-1 geodesics then raise
     NonGenericError.  Simultaneous connections are listed in
-    ``warnings``.
+    ``warnings``.  A NumericalError from a strip basis or a verification
+    trace is raised again with its stage and angle (t0 or t), and the
+    pair of a verification, keeping its residuals.
     """
     tps = turning_points(poly, config.root_tol)
     if not tps.all_simple:
@@ -186,6 +194,8 @@ def survey_short_geodesics(poly: ComplexPolynomial,
             break
         except NonGenericError as exc:
             failures.append(f"t0={t0:.12f}: {exc}")
+        except NumericalError as exc:
+            raise _in_context(exc, f"strip basis at t0={t0:.12f}") from exc
     else:
         raise NonGenericError(
             f"no generic strip decomposition: {'; '.join(failures)}")
@@ -204,6 +214,9 @@ def survey_short_geodesics(poly: ComplexPolynomial,
         except NonGenericError as exc:
             survey.errors.append((pair, str(exc)))
             continue
+        except NumericalError as exc:
+            raise _in_context(
+                exc, f"pair {pair}, verification trace at t={t:.12f}") from exc
         if geo is None:
             raise NumericalError(
                 f"pair {pair}, class {n}: no trace at t={t:.12f} hits root "

@@ -268,7 +268,13 @@ def root_reach(roots, root) -> float:
     """The root chart's reach from the turning point ``root``: ``_REACH``
     times its distance to the nearest other entry of ``roots`` (infinite
     when there is none).  ``root`` may be passed rounded, so the entry
-    nearest it is the one dropped."""
+    nearest it is the one dropped.
+
+    It is the one radius about a root: the fixed rule's chords and the
+    strip crossings' end chords stay within it, and the tracer launches
+    just inside it, decides a hit on entering it and lands the vertices
+    inside it from the root's local series (a lone root's launch takes
+    half of D instead)."""
     dists = sorted(abs(r - root) for r in roots)[1:]
     return _REACH * dists[0] if dists else math.inf
 

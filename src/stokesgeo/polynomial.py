@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 from .config import DEFAULT_CONFIG, RunConfig, Scales
@@ -102,9 +102,15 @@ class ComplexPolynomial:
 
 @dataclass(frozen=True)
 class TurningPointSet:
-    """Roots of the potential with multiplicities; multiplicities sum to d."""
+    """Roots of the potential with multiplicities; multiplicities sum to d.
+
+    ``coeffs`` are those of the polynomial the roots were found for, from
+    which the local series about each root are taken; without them, those
+    of the monic polynomial with these roots."""
 
     points: tuple[tuple[complex, int], ...]
+    coeffs: tuple[complex, ...] = field(default=(), compare=False,
+                                        repr=False)
 
     @property
     def locations(self) -> tuple[complex, ...]:
@@ -133,8 +139,76 @@ class TurningPointSet:
         computed once per root set."""
         return SeriesAtInfinity(self.points)
 
+    @cached_property
+    def at_roots(self) -> tuple["SeriesAtRoot", ...]:
+        """The local series of sqrt(P) about each root, computed once per
+        root set."""
+        coeffs = self.coeffs or ComplexPolynomial.from_roots(
+            1.0, [r for r, m in self.points for _ in range(m)]).coeffs
+        return tuple(SeriesAtRoot(coeffs, self.points, i)
+                     for i in range(len(self.points)))
 
-class SeriesAtInfinity:
+
+class _HalfPowerSeries:
+    """The series S(u) = sum_k c[k] u^k of sqrt(P) in a local chart
+    (``SeriesAtInfinity``, ``SeriesAtRoot``), with c[0] = 1, and the
+    weights e[k] = c[k] / (half + sign k) of its primitive's series E; a
+    zero denominator (the log term at infinity) gets e[k] = 0.  The c[k]
+    are extended on demand.  S is prod (1 - a_i u)^{m_i/2} over
+    ``factors`` (a_i, m_i) with every |a_i| <= 1, so sum |c[k]| <=
+    ``bound`` = prod (2 - sqrt(1 - |a_i|))^{m_i}: a majorant of each
+    factor's binomial series, taken at u = 1."""
+
+    def __init__(self, factors, half: float, sign: int):
+        self._factors = tuple(factors)
+        self.half = half
+        self._sign = sign
+        self.bound = math.prod((2.0 - math.sqrt(max(0.0, 1.0 - abs(a))))
+                               ** m for a, m in self._factors)
+        self.c = [1.0 + 0j]
+        self.e = [1.0 / half + 0j]
+
+    def _terms(self, q: float, k_min: int) -> int:
+        """A number of terms K >= k_min with bound q^K <= 5e-18: the series'
+        tails at |u| = q are at most bound q^K / (1 - q) for S and twice
+        that for E (|e[k]| <= 2 |c[k]|), so they are below 2e-17 at a
+        root's reach (q = 1/2) and 9e-17 at 9/8 R0 (q = 8/9).  The
+        coefficient lists hold at least K entries."""
+        if q > 0.0 and self._factors:
+            k_min = max(k_min, math.ceil(math.log(5e-18 / self.bound)
+                                         / math.log(q)))
+        self._extend(k_min)
+        return k_min
+
+    def _extend(self, count: int) -> None:
+        c, e = self.c, self.e
+        while len(c) < count:
+            k = len(c)
+            ck = self._coefficient(k)
+            c.append(ck)
+            den = self.half + self._sign * k
+            e.append(0j if den == 0 else ck / den)
+
+    def chart(self, zeta: complex) -> tuple[complex, complex]:
+        """S and E at ``zeta`` (z - center), to as many terms as |zeta|
+        needs, by Horner's rule."""
+        u, count = self.variable(zeta), self.terms(abs(zeta))
+        s_sum = e_sum = 0j
+        for ck, ek in zip(self.c[count - 1::-1], self.e[count - 1::-1]):
+            s_sum = s_sum * u + ck
+            e_sum = e_sum * u + ek
+        return s_sum, e_sum
+
+    def primitive(self, zeta: complex, count: int) -> complex:
+        """E alone at ``zeta``, to ``count`` terms (``terms(|zeta|)``)."""
+        u = self.variable(zeta)
+        e_sum = 0j
+        for ek in self.e[count - 1::-1]:
+            e_sum = e_sum * u + ek
+        return e_sum
+
+
+class SeriesAtInfinity(_HalfPowerSeries):
     """sqrt(P) near the pole at infinity, for |z| > R0 = max|root|.
 
     With P = a0 prod (z - r_i)^{m_i} and d = sum m_i,
@@ -144,7 +218,7 @@ class SeriesAtInfinity:
     E = sum_k e[k] u^k, e[k] = c[k] / ((d+2)/2 - k), where for even d the
     index n = (d+2)/2 carries the log term and e[n] = 0.  The c[k] come
     from the power sums p_j = sum m_i (r_i/s)^j by
-    k c[k] = -1/2 sum_{j=1..k} p_j c[k-j], and are extended on demand.
+    k c[k] = -1/2 sum_{j=1..k} p_j c[k-j].
 
     ``cone_radius`` is the trapping cone's radius r_c, the smallest r with
     Phi(r) < pi/4, where Phi(r) = 1/2 sum m_i arcsin(|r_i|/r) bounds the
@@ -153,21 +227,27 @@ class SeriesAtInfinity:
     pi/4 near R0 only when one simple root stands far out from the
     others."""
 
+    at_root = False
+    center = 0j
+    lead = 1.0
+    circle = "|z|"
+
     def __init__(self, points):
-        self.degree = sum(m for _, m in points)
+        self.degree = self.power = sum(m for _, m in points)
         r0 = max(abs(r) for r, _ in points)
         self.scale = r0 if r0 > 0.0 else 1.0
         self.moduli = tuple((abs(r), m) for r, m in points if r != 0)
-        self._scaled = tuple((r / self.scale, m) for r, m in points if r != 0)
-        # sum |c[k]| <= prod (2 - sqrt(1 - |r_i|/s))^{m_i}: a majorant of
-        # each factor's binomial series, taken at u = 1
-        self.bound = math.prod((2.0 - math.sqrt(max(0.0, 1.0 - abs(r))))
-                               ** m for r, m in self._scaled)
-        self.c = [1.0 + 0j]
-        self.e = [2.0 / (self.degree + 2) + 0j]
+        super().__init__(((r / self.scale, m) for r, m in points if r != 0),
+                         0.5 * (self.degree + 2), -1)
         self._power_sums = [0j]
-        self._powers = [1.0 + 0j] * len(self._scaled)
+        self._powers = [1.0 + 0j] * len(self._factors)
         self.cone_radius = self._cone_radius(r0)
+
+    def _coefficient(self, k: int) -> complex:
+        p, powers = self._power_sums, self._powers
+        powers[:] = [x * a for x, (a, _) in zip(powers, self._factors)]
+        p.append(sum(m * x for x, (_, m) in zip(powers, self._factors)))
+        return -0.5 * sum(map(operator.mul, p[1:], reversed(self.c))) / k
 
     def phi(self, r: float) -> float:
         """Phi(r) = 1/2 sum m_i arcsin(|r_i|/r), for r >= R0."""
@@ -190,29 +270,75 @@ class SeriesAtInfinity:
         return hi
 
     def terms(self, r: float) -> int:
-        """A number of terms K after which both series' tails at |z| = r
-        (> R0) are below 1e-17: |c[k]| <= bound q^k and |e[k]| <= 2 |c[k]|
-        with q = s/r, so the tails are at most 2 bound q^K.  The
-        coefficient lists hold at least K entries, and for even d the log
-        term's index too."""
-        q = self.scale / r if self.moduli else 0.0
-        k_min = self.degree // 2 + 2
-        if q > 0.0:
-            k_min = max(k_min, math.ceil(math.log(5e-18 / self.bound)
-                                         / math.log(q)))
-        self._extend(k_min)
-        return k_min
+        """The terms that both series need at |z| = r > R0, with q = s/r;
+        for even d the log term's index is among them."""
+        return self._terms(self.scale / r, self.degree // 2 + 2)
 
-    def _extend(self, count: int) -> None:
-        c, e, p, powers = self.c, self.e, self._power_sums, self._powers
-        half = 0.5 * (self.degree + 2)
-        while len(c) < count:
-            k = len(c)
-            powers[:] = [x * r for x, (r, _) in zip(powers, self._scaled)]
-            p.append(sum(m * x for x, (_, m) in zip(powers, self._scaled)))
-            ck = -0.5 * sum(map(operator.mul, p[1:], reversed(c))) / k
-            c.append(ck)
-            e.append(0j if k == half else ck / (half - k))
+    def variable(self, zeta: complex) -> complex:
+        return self.scale / zeta
+
+    def log_coefficient(self) -> complex:
+        """c_n s^n, the log term's coefficient over a0^{1/2} (0 for odd
+        d)."""
+        h, odd = divmod(self.degree, 2)
+        return 0j if odd else self.c[h + 1] * self.scale ** (h + 1)
+
+
+class SeriesAtRoot(_HalfPowerSeries):
+    """sqrt(P) about the root r = ``center`` of multiplicity m, within half
+    its distance rho to the nearest other root.
+
+    With q = P / (z - r)^m (synthetic division of ``coeffs``, the
+    remainders dropped) and c = q(r), sqrt(P) = c^{1/2} (z - r)^{m/2} S
+    with S = (q(z) / c)^{1/2} = sum_k c[k] u^k in u = (z - r)/rho, and the
+    primitive from r is xi = c^{1/2} (z - r)^{(m+2)/2} E,
+    E = sum_k e[k] u^k, e[k] = c[k] / ((m+2)/2 + k): no log term.  With
+    q(z)/c = 1 + sum_j b_j u^j from the Taylor coefficients of q at r,
+    2 c[k] = b_k - sum_{j=1..k-1} c[j] c[k-j].  ``lead`` = c / a0, so the
+    members of the rotation family share the series.  The tail bound
+    takes the other roots as the zeros of q: a_i = rho / (r_i - r).  A
+    lone root has S = 1 and rho = inf."""
+
+    at_root = True
+
+    def __init__(self, coeffs, points, index: int):
+        self.center, self.power = r, m = points[index]
+        self.circle = f"|z - r{index}|"
+        others = [(x, k) for i, (x, k) in enumerate(points) if i != index]
+        self.rho = min((abs(x - r) for x, _ in others), default=math.inf)
+        super().__init__(((self.rho / (x - r), k) for x, k in others),
+                         0.5 * (m + 2), 1)
+        # q by m synthetic divisions, then its Taylor coefficients at r:
+        # the remainders of repeated division by (z - r)
+        quotient = list(coeffs)
+        taylor = []
+        for step in range(len(coeffs) - 1):
+            out = [quotient[0]]
+            for a in quotient[1:]:
+                out.append(out[-1] * r + a)
+            quotient = out[:-1]
+            if step >= m:
+                taylor.append(out[-1])
+        taylor.append(quotient[0])
+        self.lead = taylor[0] / coeffs[0]
+        self._taylor = [b * self.rho ** j / taylor[0]
+                        for j, b in enumerate(taylor) if j]
+
+    def _coefficient(self, k: int) -> complex:
+        b = self._taylor[k - 1] if k <= len(self._taylor) else 0j
+        c = self.c
+        return 0.5 * (b - sum(map(operator.mul, c[1:k], reversed(c[1:k]))))
+
+    def terms(self, r: float) -> int:
+        """The terms that both series need at |z - center| = r <= rho/2,
+        with q = r/rho."""
+        return self._terms(r / self.rho, 1)
+
+    def variable(self, zeta: complex) -> complex:
+        return zeta / self.rho
+
+    def log_coefficient(self) -> complex:
+        return 0j
 
 
 @dataclass(frozen=True)
@@ -356,9 +482,9 @@ def _turning_points_cached(coeffs: tuple[complex, ...], tol: float) -> TurningPo
     d = poly.degree
     if d == 1:
         r = -coeffs[1] / coeffs[0]
-        return TurningPointSet(points=((r, 1),))
+        return TurningPointSet(points=((r, 1),), coeffs=coeffs)
     zs = _aberth_iterate(coeffs, tol, max_iter=400)
-    pts = TurningPointSet(points=tuple(_cluster_roots(zs, tol)))
+    pts = TurningPointSet(points=tuple(_cluster_roots(zs, tol)), coeffs=coeffs)
     resid = pts.reconstruction_residual(poly)
     if resid > 1e4 * tol:
         raise NumericalError(
@@ -373,12 +499,6 @@ def turning_points(poly: ComplexPolynomial, tol: float = 1e-10) -> TurningPointS
     if poly.degree < 1:
         raise ValueError("turning points need degree >= 1")
     return _turning_points_cached(poly.coeffs, tol)
-
-
-# a root's disk: this fraction of the distance to its nearest other root.
-# A trace starts on the edge of its root's disk and decides a hit on
-# entering another's, so it never steps inside one it hits
-DISK_FACTOR = 0.1
 
 
 @dataclass(frozen=True)
@@ -413,16 +533,9 @@ class PolyContext:
         return tuple(m for _, m in self.tps.points)
 
     @cached_property
-    def disk_radii(self) -> tuple[float, ...]:
-        """Each root's disk radius: ``DISK_FACTOR`` times the distance to
-        its nearest other root (d_unit for a lone root).  The disks are
-        disjoint."""
-        radii = []
-        for i, r in enumerate(self.locs):
-            _, rho = self.nearest_root(r, skip=i)
-            radii.append(DISK_FACTOR
-                         * (rho if math.isfinite(rho) else self.scales.d_unit))
-        return tuple(radii)
+    def slope(self) -> ComplexPolynomial:
+        """P', for the landing's Halley steps."""
+        return self.poly.derivative()
 
     def rotate(self, t: float) -> "PolyContext":
         rot = self.poly.rotate(t)

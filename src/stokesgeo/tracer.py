@@ -10,17 +10,25 @@ normal to the line.  The corrector adds the chord integral of sqrt(P) to
 a running drift estimate and projects the vertex back onto the level set
 along the normal, so emitted polylines stay on the Stokes line in the
 canonical chart.  The chord integral is a Gauss-Lobatto rule whose end
-values are the step's own, so it costs 4 new evaluations.
+values are the step's own, so it costs 4 new evaluations (5 on the
+longest steps near a root, below).
 
-Each turning point owns a disk, a tenth of the distance to its nearest
-other root, where the local normal form of P dz^2 holds and no step is
-needed.  A trace starts on the edge of its root's disk, put on the
-root's level by one root-chart chord and Newton passes of the
-projection, whose residual the drift carries.  On entering another
-root's disk it decides once, from one root chord there: the level
-offset delta of the line from that root's level gives the line's
-closest approach in the local model, and within the hit radius the
-trace ends on that root; otherwise it steps on.
+Each turning point owns one radius, ``pathint.root_reach``: half the
+distance rho to its nearest other root (half of D for a lone root).
+Inside it the local normal form of P dz^2 holds (Strebel, Quadratic
+Differentials, 1984, ch. III), sqrt(P) = c^{1/2} (z - r)^{m/2} S with S a
+power series in (z - r)/rho (``polynomial.SeriesAtRoot``), and no step is
+needed: the trace's vertices there are the line's points on six rungs
+|z - r| = k reach / 6, the last just inside the reach, landed on the
+series.  A trace starts with those of its own root, on the root's level;
+the last is the launch.  On entering another root's reach it decides
+once: the level offset delta of the line from that root's level, from
+that root's series, gives the line's closest approach in the local
+model, and within the hit radius the trace ends with the line's points
+on that root's rungs below the vertex, then the root; otherwise it steps
+on.  A step longer than a fifth of its distance to the nearest root
+integrates its drift chord by a 7-point Gauss-Lobatto rule, which keeps
+it as accurate as the shorter steps' 6-point rule.
 
 Near the pole at infinity the lines are trapped in cones about the d+2
 rays (Strebel, Quadratic Differentials, 1984, ch. III).  Beyond the cone
@@ -30,10 +38,11 @@ nearest ray, scaled by (d+2)/2, has max(|psi|, Phi) + Phi < pi/2 is
 certain to escape along that ray.  The trace ends there.  Its last
 vertices are the line's points on a ladder of circles r_escape 2^-j, the
 same for every line, from the first circle above the vertex out to the
-escape circle: Newton in the angle on the level of Re xi, with xi from
-the Laurent series of sqrt(P) at infinity
+escape circle, with xi from the Laurent series of sqrt(P) at infinity
 (``polynomial.SeriesAtInfinity``).  A vertex past the escape circle
 before the certificate holds is moved back onto that circle the same way.
+Every landing, at a root or at infinity, is one routine, ``_land``:
+Halley's method in the angle on each circle.
 """
 
 from __future__ import annotations
@@ -46,7 +55,7 @@ from .config import DEFAULT_CONFIG, RunConfig, Scales
 from .errors import NumericalError
 from .polynomial import (ComplexPolynomial, PolyContext, StokesSectorSet,
                          TurningPointSet, wrap_angle, wrap_positive)
-from .pathint import _deflate, integrate_chord_from_root
+from .pathint import _REACH, _deflate
 
 # Dormand-Prince 5(4) coefficients: stages _A, weights _B5, _B4 (the
 # field is autonomous, so the nodes are not needed)
@@ -66,29 +75,45 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
 _B50, _B51, _B52, _B53, _B54, _B55 = _B5
 _B40, _B41, _B42, _B43, _B44, _B45, _B46 = _B4
 
-# 6-point Gauss-Lobatto rule on [-1, 1] (Abramowitz-Stegun 25.4.32), exact
-# to degree 9: the ends carry weight 1/15, the inner nodes
-# +-sqrt(1/3 -+ 2 sqrt(7)/21) carry (14 +- sqrt(7))/30.  The inner nodes are
-# stored as chord fractions (1 + x)/2 in order along the chord.
-_LOBATTO_END = 1 / 15
-_LOBATTO_INNER = tuple(
+# Gauss-Lobatto rules on [-1, 1] (Abramowitz-Stegun 25.4.32) as (end
+# weight, inner nodes), each inner node stored as its chord fraction
+# (1 + x)/2 with its weight, in order along the chord.  6 points, exact to
+# degree 9: the inner nodes +-sqrt(1/3 -+ 2 sqrt(7)/21) carry
+# (14 +- sqrt(7))/30 and the ends 1/15.  7 points, exact to degree 11: the
+# inner nodes 0 and +-sqrt(5/11 -+ (2/11) sqrt(5/3)) carry 256/525 and
+# (124 +- 7 sqrt(15))/350, and the ends 1/21.
+_LOBATTO_6 = (1 / 15, tuple(
     (0.5 + 0.5 * x, wk) for x, wk in (
         (-math.sqrt(1 / 3 + 2 * math.sqrt(7) / 21), (14 - math.sqrt(7)) / 30),
         (-math.sqrt(1 / 3 - 2 * math.sqrt(7) / 21), (14 + math.sqrt(7)) / 30),
         (math.sqrt(1 / 3 - 2 * math.sqrt(7) / 21), (14 + math.sqrt(7)) / 30),
-        (math.sqrt(1 / 3 + 2 * math.sqrt(7) / 21), (14 - math.sqrt(7)) / 30)))
+        (math.sqrt(1 / 3 + 2 * math.sqrt(7) / 21), (14 - math.sqrt(7)) / 30))))
+_LOBATTO_7 = (1 / 21, tuple(
+    (0.5 + 0.5 * x, wk) for x, wk in (
+        (-math.sqrt(5 / 11 + 2 / 11 * math.sqrt(5 / 3)),
+         (124 - 7 * math.sqrt(15)) / 350),
+        (-math.sqrt(5 / 11 - 2 / 11 * math.sqrt(5 / 3)),
+         (124 + 7 * math.sqrt(15)) / 350),
+        (0.0, 256 / 525),
+        (math.sqrt(5 / 11 - 2 / 11 * math.sqrt(5 / 3)),
+         (124 + 7 * math.sqrt(15)) / 350),
+        (math.sqrt(5 / 11 + 2 / 11 * math.sqrt(5 / 3)),
+         (124 - 7 * math.sqrt(15)) / 350))))
 
-# attempts of one trace before it gives up, and Newton passes that put a
-# launch point on its line or a landing point on its circle
+# attempts of one trace before it gives up, and Halley passes that put a
+# landing point on its circle
 _MAX_STEP_ATTEMPTS = 200000
-_NEWTON_PASSES = 8
+_LANDING_PASSES = 8
+# rungs inside a root's reach, and the launch rung's fraction of the reach
+_RUNGS = 6
+_LAUNCH = 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
 class HitTurningPoint:
     """The trace reached turning point ``target``: ``final_distance`` is
     the closest approach of its line to that root in the root's local
-    model, d_min, decided on entering the root's disk."""
+    model, d_min, decided on entering the root's reach."""
 
     target: int
     final_distance: float
@@ -128,17 +153,18 @@ def _branch_step(poly, w_ref, z_new):
     return w
 
 
-def _chord_re_integral(poly, z0, w0, z1, w1):
-    """Re of the 6-point Gauss-Lobatto chord integral of sqrt(P) from z0 to
-    z1.  The ends take the caller's branch values w0 and w1; each inner
+def _chord_re_integral(poly, z0, w0, z1, w1, rule=_LOBATTO_6):
+    """Re of the Gauss-Lobatto ``rule``'s chord integral of sqrt(P) from z0
+    to z1.  The ends take the caller's branch values w0 and w1; each inner
     value is branch continued from the node before it.  The chord is
     assumed branch-safe (one RK step long)."""
     evaluate = poly.evaluate
     dz = z1 - z0
-    acc = _LOBATTO_END * ((w0.real + w1.real) * dz.real
-                          - (w0.imag + w1.imag) * dz.imag)
+    end, inner = rule
+    acc = end * ((w0.real + w1.real) * dz.real
+                 - (w0.imag + w1.imag) * dz.imag)
     w_prev = w0
-    for uk, wk in _LOBATTO_INNER:
+    for uk, wk in inner:
         w = cmath.sqrt(evaluate(z0 + uk * dz))
         if w.real * w_prev.real + w.imag * w_prev.imag < 0.0:
             w = -w
@@ -201,37 +227,51 @@ def _dp5_step(poly, z, w, k0, h):
     return z5, abs(z5 - z4), w6, k6
 
 
+def _rungs(reach):
+    """The circles |z - r| = rung on which a trace has its vertices inside
+    the reach of the root r, outward: ``_RUNGS`` equal steps, the last just
+    inside the reach, so that a root chord to it takes the fixed rule
+    unsplit."""
+    return [reach * k / _RUNGS for k in range(1, _RUNGS)] + [reach * _LAUNCH]
+
+
 def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float,
                       config: RunConfig = DEFAULT_CONFIG,
                       context: PolyContext | None = None):
     """Trace one Stokes line from a turning point.
 
-    Returns (polyline, fate).  The trace runs between root disks
-    (``PolyContext.disk_radii``, a tenth of the distance to the nearest
-    other root): it starts on the edge of its root's disk and ends on:
-    entering the disk of another turning point whose local model puts the
-    line within delta_hit of it (HitTurningPoint, with the model's closest
-    approach), an outward vertex in the trapping cone at infinity or past
-    the escape circle (EscapedToRay; ``_land`` adds the line's points on
-    the circles r_escape 2^-j above the vertex, the last one on the escape
-    circle), or exceeding the length cap l_max (Truncated).  Tolerances
-    and scales come from ``context``, which defaults to the context of
-    ``poly`` under ``config``.  A trace that needs more than
-    ``_MAX_STEP_ATTEMPTS`` step attempts, or a step below 1e-15 D, raises
-    ``NumericalError`` naming the root, the launch direction and the arc
-    length reached; so does a vertex within delta_hit of a root whose
-    disk decided a miss, and a landing that does not converge.
+    Returns (polyline, fate).  The trace steps only outside the roots'
+    reaches (``pathint.root_reach``, half the distance to the nearest
+    other root; half of D for a lone root).  Inside them its vertices
+    are the line's points on the rungs (``_rungs``), landed from the
+    root's local series: it starts with those of its own root, the last
+    one the launch, and ends on: entering the reach of another turning
+    point whose local model puts the line within delta_hit of it
+    (HitTurningPoint, with the model's closest approach; the line's points
+    on that root's rungs below the vertex, then the root), an outward
+    vertex in the trapping cone at infinity or past the escape circle
+    (EscapedToRay; the line's points on the circles r_escape 2^-j above
+    the vertex, the last one on the escape circle), or reaching the
+    length cap l_max (Truncated), which each step checks before those
+    decisions.  Tolerances and scales come from
+    ``context``, which defaults to the context of ``poly`` under
+    ``config``.  A trace that needs more than ``_MAX_STEP_ATTEMPTS`` step
+    attempts, or a step below 1e-15 D, raises ``NumericalError`` naming
+    the root, the launch direction and the arc length reached; so does a
+    vertex within delta_hit of a root whose reach decided a miss, and a
+    landing that does not converge.
     """
     ctx = context if context is not None else PolyContext.of(poly, config)
-    locs, mults, scales = ctx.locs, ctx.mults, ctx.scales
-    disks = ctx.disk_radii
+    locs, scales = ctx.locs, ctx.scales
+    at_roots = ctx.tps.at_roots
+    a0 = poly.coeffs[0]
+    # pathint.root_reach of each root, from the distance its series holds
+    reaches = [_REACH * series.rho for series in at_roots]
     r0 = locs[root_index]
-    z = r0 + disks[root_index] * cmath.exp(1j * direction)
-
-    w = cmath.sqrt(poly.evaluate(z))
-    v = 1j * w.conjugate() / abs(w)
-    if v.real * math.cos(direction) + v.imag * math.sin(direction) < 0.0:
-        w = -w
+    own = at_roots[root_index]
+    reach = reaches[root_index]
+    if reach == math.inf:      # a lone root
+        reach = _REACH * scales.d_unit
 
     delta_hit = scales.delta_hit
     r_escape = scales.r_escape
@@ -240,19 +280,27 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     atol = ctx.config.trace_tol * scales.d_unit
     drift_tol = 1e-13 * scales.d_unit
 
-    # put the launch point on the Re xi level of the root itself: one root
-    # chord, then Newton passes along the normal
-    head = integrate_chord_from_root(poly, locs, r0, mults[root_index],
-                                     z, w, rel_tol=1e-12)
-    z, w, drift = _newton_onto_level(poly, z, w, head.real, drift_tol)
+    # the launch: the line's points on the root's rungs, on the root's own
+    # level, from the first rung's point of the local model's line, on the
+    # branch whose field points along it
+    rungs = _rungs(reach)
+    zeta = cmath.rect(rungs[0], direction)
+    w = cmath.sqrt(a0 * own.lead * zeta ** own.power)
+    if (1j * w.conjugate() * zeta.conjugate()).real < 0.0:
+        w = -w
+    launch, w = _land(ctx, own, r0 + zeta, w, 0.0, rungs, root_index,
+                      direction)
+    z = launch[-1]
+    w = _branch_step(poly, w, z)
     k = 1j * w.conjugate() / abs(w)
-    polyline = [r0, z]
+    drift = 0.0
+    polyline = [r0] + launch
 
     s_total = 0.0
-    h = disks[root_index] / 4.0
+    h = reach / 4.0
     # nearest turning point to the current vertex; rejected steps keep it
     near_idx, near_d = ctx.nearest_root(z)
-    # the other root whose disk holds the current vertex, with its decision
+    # the other root whose reach holds the current vertex, with its decision
     inside, approach = -1, None
     guard = 0
     while True:
@@ -272,8 +320,10 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
         if err > atol and h > 4e-15 * scales.d_unit:
             h *= max(0.2, 0.9 * (atol / max(err, 1e-300)) ** 0.2)
             continue
-        # accept, and project onto the line
-        inc = _chord_re_integral(poly, z, w, z5, w6)
+        # accept, and project onto the line; a step longer than a fifth
+        # of its distance to the nearest root takes the 7-point rule
+        inc = _chord_re_integral(poly, z, w, z5, w6,
+                                 _LOBATTO_7 if 5.0 * h > near_d else _LOBATTO_6)
         drift += inc
         if abs(drift) > drift_tol:
             corr = -drift * w6.conjugate() / (abs(w6) ** 2)
@@ -288,16 +338,23 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
             h = h * min(5.0, max(0.2, 0.9 * (atol / err) ** 0.2))
         else:
             h = h * 5.0
+        if s_total >= scales.l_max:
+            return polyline, Truncated(s_total)
 
-        # one hit decision on entering another root's disk
+        # one hit decision on entering another root's reach
         near_idx, near_d = ctx.nearest_root(z)
-        if near_idx != root_index and near_d < disks[near_idx]:
+        if near_idx != root_index and near_d < reaches[near_idx]:
             if near_idx != inside:
                 inside = near_idx
-                approach = _closest_approach(poly, locs[near_idx],
-                                             mults[near_idx], locs, z, w,
-                                             drift)
+                target = at_roots[near_idx]
+                approach = _closest_approach(target, a0, z, w, drift)
                 if approach[1] <= delta_hit:
+                    # the line's points on the root's rungs below the
+                    # vertex, landed as the line that leaves the root
+                    below = [x for x in reversed(_rungs(reaches[near_idx]))
+                             if x < near_d]
+                    polyline += _land(ctx, target, z, -w, -approach[0],
+                                      below, root_index, direction)[0]
                     polyline.append(locs[near_idx])
                     return polyline, HitTurningPoint(near_idx, approach[1])
             if near_d <= delta_hit:
@@ -317,34 +374,47 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
         if (z.real * k.real + z.imag * k.imag > 0.0
                 and (r >= r_escape
                      or r > r_cone and _in_cone(cone, ctx.sectors, z, r))):
-            rungs = [r_escape]
-            while 0.5 * rungs[-1] > r:
-                rungs.append(0.5 * rungs[-1])
+            ladder = [r_escape]
+            while 0.5 * ladder[-1] > r:
+                ladder.append(0.5 * ladder[-1])
             if r >= r_escape:
                 polyline.pop()   # its landing on the circle replaces it
-            polyline += _land(cone, poly.coeffs[0], z, w, drift, rungs[::-1],
-                              root_index, direction)
+            polyline += _land(ctx, cone, z, w, -drift, ladder[::-1],
+                              root_index, direction)[0]
             return polyline, EscapedToRay(
                 ctx.sectors.nearest_ray_index(cmath.phase(polyline[-1])),
                 polyline[-1])
 
-        if s_total >= scales.l_max:
-            return polyline, Truncated(s_total)
+
+def _pinned(series, a0, zeta, w):
+    """S, E and zeta^h of ``series`` at zeta = z - center, h = power // 2,
+    and the branch constant B = (a0 lead)^{1/2} (times zeta^{1/2} for an
+    odd power) signed so that B zeta^h S is the branch of sqrt(P) of w."""
+    s_sum, e_sum = series.chart(zeta)
+    h, odd = divmod(series.power, 2)
+    zh = zeta ** h
+    branch = cmath.sqrt(a0 * series.lead) * (cmath.sqrt(zeta) if odd
+                                             else 1.0)
+    if (branch * zh * s_sum * w.conjugate()).real < 0.0:
+        branch = -branch
+    return s_sum, e_sum, zh, branch
 
 
-def _closest_approach(poly, root, mult, locs, z, w, drift):
+def _closest_approach(series, a0, z, w, drift):
     """(delta, d_min) for a trace at (z, w) whose level is ``drift`` off
     its own root's: delta = Re xi_b(z) - drift is the traced line's level
-    measured from the root b = ``root`` (one root chord), and d_min its
-    closest approach to b in the local model P ~ c (z - b)^m, where
+    measured from the root b of ``series`` (a ``SeriesAtRoot``; P of
+    leading coefficient a0), and d_min its closest approach to b in the
+    local model P ~ c (z - b)^m, c = a0 ``series.lead``, where
     |xi_b| = 2 |c|^{1/2} r^{(m+2)/2} / (m + 2) is smallest on the line at
     |xi_b| = |delta|."""
-    xi_b = integrate_chord_from_root(poly, locs, root, mult, z, w,
-                                     rel_tol=1e-12)
-    delta = xi_b.real - drift
-    c = abs(_deflate(poly, root, mult).evaluate(root))
-    return delta, ((mult + 2) * abs(delta) / (2.0 * math.sqrt(c))) ** (
-        2.0 / (mult + 2))
+    zeta = z - series.center
+    _, e_sum, zh, branch = _pinned(series, a0, zeta, w)
+    delta = (branch * zh * zeta * e_sum).real - drift
+    m = series.power
+    c = abs(a0 * series.lead)
+    return delta, ((m + 2) * abs(delta) / (2.0 * math.sqrt(c))) ** (
+        2.0 / (m + 2))
 
 
 def _in_cone(cone, sectors, z, r):
@@ -362,95 +432,81 @@ def _in_cone(cone, sectors, z, r):
     return max(psi, phi) + phi < 0.5 * math.pi
 
 
-def _land(cone, lead, z_c, w_c, drift, radii, root_index, direction):
-    """The points where the line through the vertex (z_c, w_c), whose level
-    is ``drift`` off its root's, meets the circles |z| = ``radii``, in
-    order, for the potential of leading coefficient ``lead`` = a0; each by
-    Newton in the angle on
-    drift + Re[xi(z) - xi(z_c)] = 0, whose derivative is Re(i z sqrt(P)).
+def _land(ctx, series, z_c, w_c, level, radii, root_index, direction):
+    """The points where the line Re xi = ``level`` of the potential of
+    ``ctx`` meets the circles |z - center| = ``radii``, in order, and
+    sqrt(P) at the last.
 
-    xi comes from ``cone``'s Laurent series at infinity (see
-    ``polynomial.SeriesAtInfinity``), as xi = B z^{(d+2)/2} E (+ the log
-    term of even d) and sqrt(P) = B z^{d/2} S, where for odd d the half
-    power is z^{(d-1)/2} sqrt(z_c) sqrt(z / z_c): integer powers of z and
-    one square root that needs no cut near z_c.  B is sqrt(a0) with the
-    sign (the branch) of the traced w_c.  Each circle's first angle is
-    that of the leading term's level line through the last point
-    evaluated, (z, w) with level offset res:
-    Re[A ((z'/z)^{(d+2)/2} - 1)] = -res with A = 2 z w / (d+2).  Each step
-    in the angle rotates z, and a step below 1e-9 rad is the last, since
-    Newton's next error is below rounding.  A circle on which Newton does
-    not converge raises ``NumericalError`` naming the trace, the radius
-    and the residual."""
-    d = cone.degree
-    h, odd = divmod(d, 2)
-    half = 0.5 * (d + 2)
-    scale = cone.scale
+    xi comes from ``series``: the local series about a root
+    (``polynomial.SeriesAtRoot``, center the root, xi measured from the
+    root) or the Laurent series at infinity (``SeriesAtInfinity``, center
+    0, xi measured from z_c), as xi = B zeta^{n/2 + 1} E (+ the log term
+    of even d at infinity) with zeta = z - center and n the series' power.
+    For odd n the half power is zeta^{(n-1)/2} sqrt(zeta_c)
+    sqrt(zeta / zeta_c): integer powers of zeta and one square root that
+    needs no cut near zeta_c.  B is (a0 ``series.lead``)^{1/2}, the square
+    root of the leading coefficient (c about a root, a0 at infinity), with
+    the sign (the branch) of w_c at z_c, where sqrt(P) = B zeta^{n/2} S.
+    Along the line as it meets the circles, Im xi grows.
 
-    def series(z):
-        """S and E at z, to as many terms as |z| needs."""
-        count = cone.terms(abs(z))
-        u = scale / z
-        s_sum = e_sum = 0j
-        for ck, ek in zip(cone.c[count - 1::-1], cone.e[count - 1::-1]):
-            s_sum = s_sum * u + ck
-            e_sum = e_sum * u + ek
-        return s_sum, e_sum
-
-    s_c, e_c = series(z_c)
-    zc_h = z_c ** h
-    branch = cmath.sqrt(lead) * (cmath.sqrt(z_c) if odd else 1.0)
-    if (branch * zc_h * s_c * w_c.conjugate()).real < 0.0:
-        branch = -branch
-    t_c = zc_h * z_c * e_c
-    # the log term of even degree, c_n s^n log z with n = (d+2)/2
-    log_c = 0j if odd else branch * cone.c[h + 1] * scale ** (h + 1)
-    z, w, res = z_c, w_c, drift
+    Each circle's first angle is that of the leading term's level line
+    through the last point, (zeta, w) with level offset res:
+    Re[A ((zeta'/zeta)^{half} - 1)] = -res with A = zeta w / half and
+    half = n/2 + 1.  Halley's method in the angle then solves
+    f = Re xi - level = 0, with f' = -Im(zeta w) and
+    f'' = -Re(zeta w + zeta^2 w'), w = sqrt(P) continued from the point
+    before and w' = P'/(2w).  Each step rotates zeta; once a step times
+    half is below 1e-6 rad it is the last, since the next error in the
+    phase of xi is below 1e-18.  A circle on which it does not converge
+    within ``_LANDING_PASSES`` raises ``NumericalError`` naming the trace,
+    the circle, the radius and the residual."""
+    evaluate, slope = ctx.poly.evaluate, ctx.slope.evaluate
+    center = series.center
+    h, odd = divmod(series.power, 2)
+    half = series.half
+    zeta_c = z_c - center
+    s_c, e_c, zc_h, branch = _pinned(series, ctx.poly.coeffs[0], zeta_c, w_c)
+    t_c = zc_h * zeta_c * e_c
+    # about a root xi is measured from the root, at infinity from z_c
+    res = (branch * t_c).real - level if series.at_root else -level
+    if series.at_root:
+        t_c = 0j
+    log_c = branch * series.log_coefficient()
+    zeta, w = zeta_c, branch * zc_h * s_c
     out = []
     for rho in radii:
-        a_lead = z * w / half
-        ratio = (a_lead.real - res) / (abs(a_lead) * (rho / abs(z)) ** half)
-        z = cmath.rect(rho, cmath.phase(z) + (
-            math.acos(max(-1.0, min(1.0, ratio))) - cmath.phase(a_lead)) / half)
-        for _ in range(_NEWTON_PASSES):
-            s_sum, e_sum = series(z)
-            zh = z ** h
-            if odd:
-                zh *= cmath.sqrt(z / z_c)
-            w = branch * zh * s_sum
-            res = drift + (branch * (zh * z * e_sum - t_c)
-                           + log_c * cmath.log(z / z_c)).real
-            step = res / (z * w).imag
-            if abs(step) <= 1e-9:
+        a_lead = zeta * w / half
+        ratio = (a_lead.real - res) / (abs(a_lead)
+                                       * (rho / abs(zeta)) ** half)
+        zeta = cmath.rect(rho, cmath.phase(zeta) + (
+            math.acos(max(-1.0, min(1.0, ratio))) - cmath.phase(a_lead))
+            / half)
+        count = series.terms(rho)
+        for _ in range(_LANDING_PASSES):
+            zh = cmath.sqrt(zeta / zeta_c) if odd else 1.0
+            if h:
+                zh *= zeta ** h
+            xi = branch * (zh * zeta * series.primitive(zeta, count) - t_c)
+            if log_c:
+                xi += log_c * cmath.log(zeta / zeta_c)
+            res = xi.real - level
+            z = center + zeta
+            v = cmath.sqrt(evaluate(z))
+            w = v if v.real * w.real + v.imag * w.imag >= 0.0 else -v
+            zw = zeta * w
+            d1 = -zw.imag
+            d2 = -(zw + zeta * zeta * slope(z) / (2.0 * w)).real
+            step = -2.0 * res * d1 / (2.0 * d1 * d1 - res * d2)
+            if abs(step) * half <= 1e-6:
                 break
-            z *= cmath.rect(1.0, step)
+            zeta *= cmath.rect(1.0, step)
         else:
             raise NumericalError(
                 f"landing of the trace from root {root_index} along "
-                f"{direction:.12g} on |z| = {rho:.6g} did not converge "
-                f"(residual {res:.3g})", residuals=[res])
-        out.append(z * cmath.rect(1.0, step))
-    return out
-
-
-def _newton_onto_level(poly, z, w, drift, drift_tol):
-    """Newton passes that move the vertex (z, w), whose level is ``drift``
-    off its root's, onto the Re xi level along the normal.  Each pass adds
-    the Lobatto chord integral of its own move to the drift, so the
-    residual is carried, not dropped.  The passes stop once the drift
-    is within ``drift_tol``, or once a move no longer changes the vertex
-    (where rounding keeps the drift above that tolerance), after
-    ``_NEWTON_PASSES`` at most.  Returns (z, w, drift)."""
-    for _ in range(_NEWTON_PASSES):
-        if abs(drift) <= drift_tol:
-            break
-        z_next = z - drift * w.conjugate() / (abs(w) ** 2)
-        if z_next == z:
-            break
-        w_next = _branch_step(poly, w, z_next)
-        drift += _chord_re_integral(poly, z, w, z_next, w_next)
-        z, w = z_next, w_next
-    return z, w, drift
+                f"{direction:.12g} on {series.circle} = {rho:.6g} did not "
+                f"converge (residual {res:.3g})", residuals=[res])
+        out.append(center + zeta * cmath.rect(1.0, step))
+    return out, w
 
 
 # --- graph assembly -----------------------------------------------------------

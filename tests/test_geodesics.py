@@ -12,6 +12,7 @@ from stokesgeo import (ComplexPolynomial, HitTurningPoint, NonGenericError,
                        candidate_angles, enumerate_short_geodesics,
                        re_xi_drift, survey_short_geodesics,
                        teichmuller_defect, verify_geodesic)
+from stokesgeo.cli import main
 from stokesgeo.pathint import root_to_root_period
 from stokesgeo.polynomial import PolyContext
 from tests.conftest import random_simple_poly, stream_polys
@@ -285,6 +286,33 @@ def test_survey_below_lower_bound_non_generic(cubic_unity, monkeypatch):
         survey_short_geodesics(cubic_unity)
 
 
+@pytest.mark.parametrize("stage, where", [
+    ("strip basis", "strip basis at t0=1.570796326795"),
+    ("verification trace",
+     "pair (0, 1), verification trace at t=0.000000000000"),
+])
+def test_survey_numerical_errors_name_their_context(osc, stage, where,
+                                                    monkeypatch, capsys,
+                                                    tmp_path):
+    # a NumericalError from a trace of the strip basis or of a
+    # verification comes out of the survey with its stage, its angle and
+    # the pair verified, keeping its residuals and chained to the original;
+    # the command line prints it and the residuals on stderr
+    def fail(*args, **kwargs):
+        raise NumericalError("trace failed", residuals=[0.25, 0.5])
+    monkeypatch.setattr(tracer if stage == "strip basis" else geodesics,
+                        "trace_stokes_line", fail)
+    with pytest.raises(NumericalError) as info:
+        survey_short_geodesics(osc)
+    assert str(info.value) == f"{where}: trace failed"
+    assert info.value.residuals == [0.25, 0.5]
+    assert str(info.value.__cause__) == "trace failed"
+    assert main(["geodesics", "--poly", "1,0,-1", "--out",
+                 str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        f"numerical failure: {where}: trace failed\nresiduals: 0.25, 0.5\n")
+
+
 def _count_traces(monkeypatch):
     """Counts of trace_stokes_line calls and of strip decompositions."""
     counts = {"traces": 0, "decompositions": 0}
@@ -434,16 +462,41 @@ def test_far_root_draw_15_connects():
     # the diameter is 93 and the near roots are about 0.5 apart.  A launch
     # point 1e-3 D = 0.093 from root 3, projected once with its residual
     # Re xi = 9.3e-6 dropped, put the (3, 4) trace on a level that passes
-    # root 4 at 1.07e-4, outside delta_hit = 9.3e-5.  Carried into the
-    # drift, the residual leaves the line 1.1e-3 delta_hit from root 4, in
-    # the local model at root 4's disk (every hit of this draw is within
-    # 2.3e-3 delta_hit)
+    # root 4 at 1.07e-4, outside delta_hit = 9.3e-5.  Landed from the
+    # local series of sqrt(P) about the root, the launch is on the root's
+    # level to rounding (every hit of this draw is within 1.5e-3 delta_hit;
+    # with the series from the product of the computed roots, 0.12)
     poly = _far_root_draw(15)
     assert poly.degree == 5
     survey = survey_short_geodesics(poly)
     assert survey.errors == []
     assert len(survey.geodesics) == 8
     assert (3, 4) in [g.pair for g in survey.geodesics]
+
+
+def test_far_root_hits_keep_their_margins(monkeypatch):
+    # the far root's reach is about 45 wide, where |xi| reaches 1e6, so
+    # its launch must be on the level of P as its coefficients give it.
+    # The local series, taken from the Taylor coefficients of P at the
+    # root, keeps every hit of these draws within 1e-2 delta_hit (worst
+    # 4.1e-3, draw 25); the series of the product of the computed roots,
+    # whose near roots are off by 3e-11, reached 0.12 (draw 15)
+    decisions = []
+    approach = tracer._closest_approach
+
+    def spy(*args):
+        out = approach(*args)
+        decisions.append(out[1])
+        return out
+    monkeypatch.setattr(tracer, "_closest_approach", spy)
+    for k in (1, 5, 13, 15, 25):
+        poly = _far_root_draw(k)
+        decisions.clear()
+        survey = survey_short_geodesics(poly)
+        delta_hit = PolyContext.of(poly).scales.delta_hit
+        hits = [d for d in decisions if d <= delta_hit]
+        assert len(hits) == len(survey.geodesics)
+        assert max(hits) <= 1e-2 * delta_hit
 
 
 def test_start_angle_attempts_run_out(cubic_unity, monkeypatch):

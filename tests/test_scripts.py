@@ -1,11 +1,18 @@
 import ast
 import hashlib
 import importlib
+import importlib.util
 import os
+import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
+
+from tests.conftest import random_simple_poly
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,6 +33,23 @@ def test_geodesic_census_runs():
     assert "failures 0" in proc.stdout
     assert "bound violations" not in proc.stdout
     assert "numerical failure" not in proc.stdout
+
+
+def test_census_draws_degree_20_in_a_second():
+    # the census draws from degree 9 on at radius 1.5 sqrt(d/8), and at
+    # the test suite's 1.5 up to degree 8; rejection at 1.5 took about a
+    # minute for one degree-18 draw
+    spec = importlib.util.spec_from_file_location(
+        "geodesic_census", ROOT / "scripts" / "geodesic_census.py")
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    assert [census.census_radius(d) for d in (3, 8)] == [1.5, 1.5]
+    assert census.census_radius(18) == pytest.approx(2.25)
+    start = time.perf_counter()
+    poly = random_simple_poly(random.Random(777), 20,
+                              radius=census.census_radius(20))
+    assert time.perf_counter() - start < 1.0
+    assert poly.degree == 20
 
 
 def test_output_parity_repeats():

@@ -7,6 +7,7 @@ import pytest
 
 from stokesgeo import pathint, tracer
 from stokesgeo.config import DEFAULT_CONFIG, RunConfig, Scales
+from stokesgeo.errors import ClearanceError, NonGenericError
 from stokesgeo.polynomial import PolyContext, TurningPointSet, wrap_angle
 from stokesgeo import (ComplexPolynomial, EscapedToRay, HitTurningPoint,
                        NumericalError, build_stokes_graph, classify_complexes,
@@ -207,14 +208,13 @@ def test_dp5_step_bitwise_matches_stage_loop(coeffs):
 
 
 def _spy_on_tracer(monkeypatch):
-    """Counts P evaluations, the tracer helpers' calls and the evaluations
-    made by the root-chord integrals (the launch's and the disk
-    decisions') and by the escape landing; records the (z, w, k0) of
-    every ``_dp5_step`` attempt."""
-    counts = {"evals": 0, "root_chord_evals": 0, "land_evals": 0,
+    """Counts P evaluations, the tracer helpers' calls, the drift chords
+    that take the 7-point rule and the evaluations made by the hit
+    decisions and by the landings (on the roots' rungs and on the escape
+    ladder); records the (z, w, k0) of every ``_dp5_step`` attempt."""
+    counts = {"evals": 0, "approach_evals": 0, "land_evals": 0,
               "_dp5_step": 0, "_chord_re_integral": 0, "_branch_step": 0,
-              "_closest_approach": 0, "integrate_chord_from_root": 0,
-              "_land": 0}
+              "_closest_approach": 0, "_land": 0, "lobatto_7": 0}
     steps = []
     evaluate = ComplexPolynomial.evaluate
 
@@ -230,16 +230,17 @@ def _spy_on_tracer(monkeypatch):
             counts[name] += 1
             if name == "_dp5_step":
                 steps.append(args[1:4])
+            if name == "_chord_re_integral" and args[5] is tracer._LOBATTO_7:
+                counts["lobatto_7"] += 1
             before = counts["evals"]
             out = original(*args, **kwargs)
             if evals is not None:
                 counts[evals] += counts["evals"] - before
             return out
         monkeypatch.setattr(tracer, name, wrapped)
-    for name in ("_dp5_step", "_chord_re_integral", "_branch_step",
-                 "_closest_approach"):
+    for name in ("_dp5_step", "_chord_re_integral", "_branch_step"):
         spy(name)
-    spy("integrate_chord_from_root", "root_chord_evals")
+    spy("_closest_approach", "approach_evals")
     spy("_land", "land_evals")
     return counts, steps
 
@@ -248,7 +249,7 @@ def test_trace_evaluates_p_six_times_per_step_attempt(osc, monkeypatch):
     # first same as last: the stage-0 field is the previous step's last
     # stage, so a step attempt evaluates P at its 5 inner stages and at z5.
     # The line from root 0 of the oscillator turned by 1e-5 runs past root
-    # 1 (one disk decision, a miss) and escapes
+    # 1 (one hit decision, a miss) and escapes
     poly = osc.rotate(1e-5)
     ctx = PolyContext.of(poly)
     theta = emanating_directions(poly, ctx.locs[0], 1)[2]
@@ -256,18 +257,18 @@ def test_trace_evaluates_p_six_times_per_step_attempt(osc, monkeypatch):
     _, fate = trace_stokes_line(poly, 0, theta, context=ctx)
     assert isinstance(fate, EscapedToRay)
     assert counts["_dp5_step"] > 50 and counts["_closest_approach"] == 1
-    # the launch point, the root chords (the launch's and each disk
-    # decision's, which also evaluates the root's local coefficient), the
-    # step attempts, the drift chords (the 4 inner Lobatto nodes; the ends
-    # are the step's own values, and every Newton pass of the launch
-    # integrates its own move), and the branch updates after a drift
-    # correction and after each Newton pass of the launch.  The landing
-    # takes sqrt(P) from its series at infinity and evaluates P nowhere
-    assert counts["_land"] == 1 and counts["land_evals"] == 0
-    assert counts["evals"] == (1 + counts["root_chord_evals"]
-                               + counts["_closest_approach"]
-                               + 6 * counts["_dp5_step"]
+    # the step attempts, the drift chords (the inner Lobatto nodes: 4, or 5
+    # on a step longer than a fifth of its distance to the nearest root;
+    # the ends are the step's own values), the branch updates (at the
+    # launch vertex and after a drift correction) and the two landings,
+    # the launch's and the escape's, which evaluate P and P' once per
+    # Halley pass.  The hit decision takes xi from the root's series and
+    # evaluates P nowhere
+    assert counts["approach_evals"] == 0
+    assert counts["_land"] == 2 and counts["land_evals"] % 2 == 0
+    assert counts["evals"] == (6 * counts["_dp5_step"]
                                + 4 * counts["_chord_re_integral"]
+                               + counts["lobatto_7"]
                                + counts["_branch_step"]
                                + counts["land_evals"])
     assert counts["_chord_re_integral"] > 50
@@ -290,7 +291,7 @@ def _gk15_chord_re_integral(poly, z0, w0, z1):
 
 @pytest.fixture(scope="module")
 def stream_graphs():
-    """The Stokes graphs of both quarter-turn members of the first four
+    """The Stokes graphs of both quarter-turn members of the first six
     polynomials per degree of stream 5150, with the arguments of every
     drift chord their traces integrated."""
     chords = []
@@ -302,7 +303,7 @@ def stream_graphs():
     graphs = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tracer, "_chord_re_integral", recorded)
-        for poly in stream_polys(5150, 4):
+        for poly in stream_polys(5150, 6):
             for member in (poly, poly.rotate(math.pi / 2)):
                 graphs.append((member, build_stokes_graph(member)))
     return graphs, chords
@@ -311,12 +312,14 @@ def stream_graphs():
 def test_drift_chord_matches_gauss_kronrod(stream_graphs):
     # every drift chord of the stream graphs: the Lobatto rule on the
     # step's own end values agrees with a GK15 rule that evaluates all its
-    # nodes (worst 7.3e-14 here, on long steps at the root-distance cap)
+    # nodes.  A step longer than a fifth of its distance to the nearest
+    # root takes the 7-point rule (worst 1.1e-15 here, where the 6-point
+    # rule reaches 9.4e-14), the others the 6-point rule (worst 6.9e-15)
     _, chords = stream_graphs
     assert len(chords) > 5000
     chord = tracer._chord_re_integral
-    for poly, z0, w0, z1, w1 in chords:
-        gap = (chord(poly, z0, w0, z1, w1)
+    for poly, z0, w0, z1, w1, rule in chords:
+        gap = (chord(poly, z0, w0, z1, w1, rule)
                - _gk15_chord_re_integral(poly, z0, w0, z1))
         assert abs(gap) <= 1e-13 * abs(w0) * abs(z1 - z0)
 
@@ -419,7 +422,7 @@ def test_cone_landing_on_z_power_d(d):
         if (z0 * w0).imag < 0.0:    # the outward branch
             w0 = -w0
         radii = [0.7 * 2 ** j for j in range(1, 6)]
-        landed = tracer._land(cone, 1.0, z0, w0, 0.0, radii, 0, 0.0)
+        landed, _ = tracer._land(ctx, cone, z0, w0, 0.0, radii, 0, 0.0)
         for z, rho in zip(landed, radii):
             assert abs(abs(z) - rho) <= 1e-15 * rho
             psi = half * wrap_angle(cmath.phase(z) - ray)
@@ -463,16 +466,27 @@ def test_escape_circle_inside_the_cone_radius(monkeypatch):
         assert drift <= 1e-14 * (1.0 + arc)
 
 
-def test_landing_that_does_not_converge_raises(osc, monkeypatch):
-    # one Newton pass per circle cannot reach the line from the leading
-    # term's first angle
-    monkeypatch.setattr(tracer, "_NEWTON_PASSES", 1)
+def test_landing_that_does_not_converge_raises(monkeypatch):
+    # one Halley pass per circle cannot reach the line from the leading
+    # term's first angle on the escape ladder of z + 1; its lone root's
+    # series is exact, so the launch lands in that one pass
+    monkeypatch.setattr(tracer, "_LANDING_PASSES", 1)
     with pytest.raises(NumericalError,
-                       match=r"^landing of the trace from root 1 along "
+                       match=r"^landing of the trace from root 0 along "
                              r"1\.0471975512 on \|z\| = \S+ did not "
                              r"converge \(residual \S+\)$") as info:
-        trace_stokes_line(osc, 1, math.pi / 3)
+        trace_stokes_line(parse_poly_text("1,1"), 0, math.pi / 3)
     assert len(info.value.residuals) == 1
+
+
+def test_root_landing_that_does_not_converge_raises(osc, monkeypatch):
+    # nor on the first rung of root 1 of the oscillator, at its launch
+    monkeypatch.setattr(tracer, "_LANDING_PASSES", 1)
+    with pytest.raises(NumericalError,
+                       match=r"^landing of the trace from root 1 along "
+                             r"1\.0471975512 on \|z - r1\| = 0\.166667 did "
+                             r"not converge \(residual \S+\)$"):
+        trace_stokes_line(osc, 1, math.pi / 3)
 
 
 def test_trace_errors_name_root_direction_and_arc(osc, monkeypatch):
@@ -497,7 +511,7 @@ def test_trace_errors_name_root_direction_and_arc(osc, monkeypatch):
             trace_stokes_line(poly, 0, theta, context=ctx)
     assert 0.0 <= arc_reached(info) < 1e-14
 
-    # the trace escapes after 68 attempts
+    # the trace escapes after 61 attempts
     monkeypatch.setattr(tracer, "_MAX_STEP_ATTEMPTS", 20)
     with pytest.raises(NumericalError,
                        match=f"^trace {where} exceeded step budget at arc "
@@ -511,8 +525,8 @@ def test_dp5_step_receives_sign_matched_branch(coeffs, monkeypatch):
     poly = parse_poly_text(coeffs)
     _, steps = _spy_on_tracer(monkeypatch)
     checked = 0
-    # the graphs of the members turned by k pi/8, k = 0..7
-    for member in (poly.rotate(k * math.pi / 8) for k in range(8)):
+    # the graphs of the members turned by k pi/16, k = 0..15
+    for member in (poly.rotate(k * math.pi / 16) for k in range(16)):
         steps.clear()
         build_stokes_graph(member)
         for z, w, k0 in steps:
@@ -528,7 +542,7 @@ def test_dp5_step_receives_sign_matched_branch(coeffs, monkeypatch):
 @pytest.mark.parametrize("t", [1e-3, 1e-4, 1e-5])
 def test_closest_approach_model_matches_the_traced_miss(osc, t):
     # the oscillator turned by t: the line from root 0 runs past root 1 at
-    # the level delta = (pi/2) sin t, enters its disk once and misses it;
+    # the level delta = (pi/2) sin t, enters its reach once and misses it;
     # the local model's d_min is the traced line's closest approach to
     # within the model's O(d_min / rho) error (0.1-0.9 % here)
     poly = osc.rotate(t)
@@ -551,9 +565,10 @@ def test_closest_approach_model_matches_the_traced_miss(osc, t):
 
 
 def test_disk_decisions_keep_their_margins(monkeypatch):
-    # every disk decision of the surveys: a hit's modelled closest
-    # approach is far inside delta_hit, a miss's far outside (worst
-    # 3.3e-4 and 3.3e3 delta_hit here)
+    # every hit decision of the surveys, made on entering a root's reach: a
+    # hit's modelled closest approach is far inside delta_hit, a miss's far
+    # outside (worst 3.9e-5 and 3.3e3 delta_hit here, 6.1e-5 and 3.3e3 over
+    # all 300 surveys of both streams)
     decisions = []
     approach = tracer._closest_approach
 
@@ -593,3 +608,158 @@ def test_vertex_near_a_missed_root_raises(osc, monkeypatch):
         trace_stokes_line(osc, 1, math.pi)
     within = float(str(info.value).split()[8])
     assert within <= PolyContext.of(osc).scales.delta_hit
+
+
+def test_root_series_match_sqrt_p_and_the_root_rule():
+    # within the reach of each root of the stream polynomials, the series
+    # of sqrt(P) about the root gives +-sqrt(P) and the root rule's
+    # integral from the root (worst 3.4e-15 and 2.0e-15 relative here)
+    rng = random.Random(7)
+    for poly in stream_polys(20260808, 2):
+        ctx = PolyContext.of(poly)
+        a0 = poly.coeffs[0]
+        for series in ctx.tps.at_roots:
+            r = series.center
+            for _ in range(10):
+                zeta = cmath.rect(rng.uniform(0.05, 0.5) * series.rho,
+                                  rng.uniform(-math.pi, math.pi))
+                s_sum, e_sum = series.chart(zeta)
+                w = cmath.sqrt(a0 * series.lead * zeta) * s_sum
+                xi = cmath.sqrt(a0 * series.lead * zeta) * zeta * e_sum
+                p = poly.evaluate(r + zeta)
+                assert abs(w * w - p) <= 1e-14 * abs(p)
+                rule = pathint._root_rule(poly, r, 1, r + zeta, w)
+                assert abs(xi - rule) <= 1e-14 * abs(xi)
+
+
+def test_root_landing_on_the_oscillator_closed_form(osc):
+    # z^2 - 1 about its root 1: xi = (z w - log(z + w)) / 2 with
+    # w = sqrt(z^2 - 1).  Lines at several levels land on circles of up to
+    # the reach, each point on its circle and its level to rounding
+    ctx = PolyContext.of(osc)
+    series = ctx.tps.at_roots[1]
+    assert series.center == 1.0 and series.rho == 2.0
+    radii = [k / 6 for k in range(1, 6)] + [1.0 - 1e-9]
+    for theta in emanating_directions(osc, 1.0, 1):
+        for level in (0.0, 1e-3, -1e-3):
+            zeta = cmath.rect(radii[0], theta)
+            w0 = cmath.sqrt(2.0 * zeta)
+            if (1j * w0.conjugate() * zeta.conjugate()).real < 0.0:
+                w0 = -w0
+            landed, _ = tracer._land(ctx, series, 1.0 + zeta, w0, level,
+                                     radii, 1, theta)
+            for z, rho in zip(landed, radii):
+                w = cmath.sqrt(z * z - 1.0)
+                xi = 0.5 * (z * w - cmath.log(z + w))
+                assert abs(abs(z - 1.0) - rho) <= 1e-15
+                assert abs(abs(xi.real) - abs(level)) <= 1e-15
+                # on the line that leaves the root along theta
+                assert _angdiff(cmath.phase(z - 1.0), theta) < 0.2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_root_landing_on_a_power_closed_form(m):
+    # c (z - r)^m: xi = c^{1/2} (z - r)^{(m+2)/2} / half with half =
+    # (m+2)/2, so the line Re xi = level meets |z - r| = rho at the angle
+    # phi with |c|^{1/2} rho^half cos(arg c^{1/2} + half phi) = half level;
+    # at level 0 the lines are the rays of the emanating directions
+    c, r = 0.7 - 1.3j, 0.4 + 0.2j
+    poly = ComplexPolynomial.from_roots(c, [r] * m)
+    tps = TurningPointSet(((r, m),))
+    ctx = PolyContext(poly=poly, config=DEFAULT_CONFIG, tps=tps,
+                      scales=Scales.from_roots(tps.locations),
+                      sectors=stokes_sectors(poly))
+    series = tps.at_roots[0]
+    assert series.rho == math.inf and series.lead == 1.0
+    half = 0.5 * (m + 2)
+    radii = [0.1, 0.2, 0.4, 0.8, 1.6]
+    # levels up to half of the one that just touches the first circle
+    touch = abs(c) ** 0.5 * radii[0] ** half / half
+    for theta in emanating_directions(poly, r, m):
+        for level in (0.0, 0.3 * touch, -0.5 * touch):
+            zeta = cmath.rect(radii[0], theta)
+            w0 = cmath.sqrt(c * zeta ** m)
+            if (1j * w0.conjugate() * zeta.conjugate()).real < 0.0:
+                w0 = -w0
+            landed, _ = tracer._land(ctx, series, r + zeta, w0, level,
+                                     radii, 0, theta)
+            arg_c = 0.5 * cmath.phase(c)
+            for z, rho in zip(landed, radii):
+                assert abs(abs(z - r) - rho) <= 4e-16 * rho
+                # either sign of c^{1/2} and of the half power
+                ratio = half * level / (abs(c) ** 0.5 * rho ** half)
+                phis = [(s * math.acos(sign * ratio) - arg_c) / half
+                        for s in (1, -1) for sign in (1, -1)]
+                assert min(_angdiff(cmath.phase(z - r), phi + 2 * math.pi
+                                    * k / half)
+                           for phi in phis for k in range(m + 2)) <= 4e-15
+                if level == 0.0:
+                    assert _angdiff(cmath.phase(z - r), theta) <= 4e-15
+
+
+def test_lone_root_launch_is_on_its_ray():
+    # the lone root of c (z - r): no other root bounds its reach, so the
+    # launch radius is half of d_unit; the rungs' points lie on the ray of
+    # each emanating direction, the launch just inside that radius
+    c, r = 0.7 - 1.3j, 0.4 + 0.2j
+    poly = ComplexPolynomial.from_roots(c, [r])
+    ctx = PolyContext.of(poly)
+    assert ctx.locs == (r,)
+    reach = 0.5 * ctx.scales.d_unit
+    for theta in emanating_directions(poly, r, 1):
+        pl, fate = trace_stokes_line(poly, 0, theta, context=ctx)
+        assert isinstance(fate, EscapedToRay) and pl[0] == r
+        rungs = [abs(z - r) for z in pl[1:1 + tracer._RUNGS]]
+        assert rungs[:-1] == pytest.approx(
+            [reach * k / tracer._RUNGS for k in range(1, tracer._RUNGS)],
+            rel=1e-15)
+        assert reach * (1 - 2e-9) < rungs[-1] < reach
+        for z in pl[1:1 + tracer._RUNGS]:
+            assert _angdiff(cmath.phase(z - r), theta) <= 1e-15
+
+
+def _chord_strays(poly, ctx, polyline, worst):
+    """The stray |Re xi_r| / (|sqrt(P)| rho) at 1/4, 1/2 and 3/4 of each
+    chord inside the reach of the root r at either end of ``polyline``,
+    with xi_r the root rule's integral from r; the worst per end kind goes
+    into ``worst``."""
+    ends = [(polyline, "launch")]
+    if polyline[-1] in ctx.locs:
+        ends.append((polyline[::-1], "hit"))
+    for pl, kind in ends:
+        i = ctx.locs.index(pl[0])
+        series = ctx.tps.at_roots[i]
+        k = 1
+        while k < len(pl) and abs(pl[k] - pl[0]) < 0.5 * series.rho:
+            for f in (0.25, 0.5, 0.75):
+                z = pl[k - 1] + f * (pl[k] - pl[k - 1])
+                w = cmath.sqrt(poly.evaluate(z))
+                xi = pathint._root_rule(poly, pl[0], ctx.mults[i], z, w)
+                worst[kind] = max(worst[kind],
+                                  abs(xi.real) / (abs(w) * series.rho))
+            k += 1
+
+
+def test_chords_inside_a_reach_stay_near_the_line():
+    # every chord inside a root's reach, at either end of an edge of the
+    # criterion-6 graphs or of a criterion-3 geodesic, lies within 1.7e-3
+    # rho of the line: the rungs are a sixth of the reach apart (worst
+    # 1.5e-3 at the launch end and 8.3e-4 at the hit end here)
+    worst = {"launch": 0.0, "hit": 0.0}
+    for poly in _criterion_6_polys():
+        ctx = PolyContext.of(poly)
+        for e in build_stokes_graph(poly).edges:
+            _chord_strays(poly, ctx, e.polyline, worst)
+    rng = random.Random(20260808)
+    for d in (3, 4, 5):
+        for _ in range(50):
+            poly = random_simple_poly(rng, d, min_sep=0.5, radius=1.5)
+            try:
+                survey = survey_short_geodesics(poly)
+            except (NonGenericError, ClearanceError):
+                continue
+            for g in survey.geodesics:
+                rot = PolyContext.of(poly).rotate(g.t_star)
+                _chord_strays(rot.poly, rot, g.polyline, worst)
+    assert 0.0 < worst["launch"] <= 1.7e-3
+    assert 0.0 < worst["hit"] <= 1.7e-3
