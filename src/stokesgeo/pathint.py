@@ -38,7 +38,8 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import BranchError, ClearanceError, DegeneratePairError
-from .polynomial import ComplexPolynomial, PolyContext, turning_points
+from .polynomial import (ROOT_REACH, ComplexPolynomial, PolyContext,
+                         turning_points)
 
 # --- Gauss-Kronrod 7-15 rule on [-1, 1] -----------------------------------
 
@@ -87,9 +88,6 @@ _ROOT_WEIGHTS = (
     0.06231448562776694, 0.04757925584124639, 0.031126761969323947,
     0.013576229705877048,
 )
-# a root chord that reaches at most this fraction of the distance from its
-# root to the nearest other root takes the fixed rule
-_REACH = 0.5
 
 
 def continue_branch(poly: ComplexPolynomial, roots, z, w0):
@@ -253,30 +251,19 @@ def integrate_chord(poly, roots, z0, w0, z1, densities, rel_tol=1e-9,
     return parts[0].tolist(), complex(branch[1])
 
 
-def _deflate(poly: ComplexPolynomial, root: complex, mult: int) -> ComplexPolynomial:
-    """Synthetic division of P by (z - root)^mult, remainder dropped."""
-    cs = list(poly.coeffs)
-    for _ in range(mult):
-        out = [cs[0]]
-        for c in cs[1:]:
-            out.append(out[-1] * root + c)
-        cs = out[:-1]
-    return ComplexPolynomial(tuple(cs))
-
-
 def root_reach(roots, root) -> float:
-    """The root chart's reach from the turning point ``root``: ``_REACH``
-    times its distance to the nearest other entry of ``roots`` (infinite
-    when there is none).  ``root`` may be passed rounded, so the entry
-    nearest it is the one dropped.
+    """The root chart's reach from the turning point ``root``:
+    ``polynomial.ROOT_REACH`` times its distance to the nearest other
+    entry of ``roots`` (infinite when there is none).  ``root`` may be
+    passed rounded, so the entry nearest it is the one dropped.
 
     It is the one radius about a root: the fixed rule's chords and the
     strip crossings' end chords stay within it, and the tracer launches
     just inside it, decides a hit on entering it and lands the vertices
-    inside it from the root's local series (a lone root's launch takes
-    half of D instead)."""
+    inside it from the root's local series (``SeriesAtRoot.reach``, the
+    same radius; ``PolyContext.reaches`` gives a lone root half of D)."""
     dists = sorted(abs(r - root) for r in roots)[1:]
-    return _REACH * dists[0] if dists else math.inf
+    return ROOT_REACH * dists[0] if dists else math.inf
 
 
 def _split_point(roots, root, z1):
@@ -304,7 +291,7 @@ def _root_rule(poly, root, mult, z1, w1) -> complex:
     than pi between them for deg q <= 25.
     """
     dz = z1 - root
-    q = _deflate(poly, root, mult)
+    q = poly.deflate(root, mult)
     wq = cmath.sqrt(q.evaluate(z1))
     dz_half = cmath.exp(0.5 * mult * cmath.log(dz))
     check = dz_half * wq

@@ -17,6 +17,9 @@ from .config import DEFAULT_CONFIG, RunConfig, Scales
 from .errors import NumericalError, ParseError
 
 TWO_PI = 2.0 * math.pi
+# the root chart's reach: this fraction of a turning point's distance to
+# its nearest other root, the one radius about a root
+ROOT_REACH = 0.5
 
 
 def wrap_angle(a: float, period: float = TWO_PI) -> float:
@@ -73,6 +76,16 @@ class ComplexPolynomial:
         d = self.degree
         return ComplexPolynomial(tuple(self.coeffs[k] * (d - k) for k in range(d)))
 
+    def deflate(self, root: complex, mult: int) -> "ComplexPolynomial":
+        """Synthetic division by (z - root)^mult, remainder dropped."""
+        cs = list(self.coeffs)
+        for _ in range(mult):
+            out = [cs[0]]
+            for c in cs[1:]:
+                out.append(out[-1] * root + c)
+            cs = out[:-1]
+        return ComplexPolynomial(tuple(cs))
+
     def rotate(self, t: float) -> "ComplexPolynomial":
         """The member e^{2it} P of the rotation family. Roots are unchanged."""
         f = cmath.exp(2j * t)
@@ -105,12 +118,10 @@ class TurningPointSet:
     """Roots of the potential with multiplicities; multiplicities sum to d.
 
     ``coeffs`` are those of the polynomial the roots were found for, from
-    which the local series about each root are taken; without them, those
-    of the monic polynomial with these roots."""
+    which the local series about each root are taken."""
 
     points: tuple[tuple[complex, int], ...]
-    coeffs: tuple[complex, ...] = field(default=(), compare=False,
-                                        repr=False)
+    coeffs: tuple[complex, ...] = field(compare=False, repr=False)
 
     @property
     def locations(self) -> tuple[complex, ...]:
@@ -143,9 +154,8 @@ class TurningPointSet:
     def at_roots(self) -> tuple["SeriesAtRoot", ...]:
         """The local series of sqrt(P) about each root, computed once per
         root set."""
-        coeffs = self.coeffs or ComplexPolynomial.from_roots(
-            1.0, [r for r, m in self.points for _ in range(m)]).coeffs
-        return tuple(SeriesAtRoot(coeffs, self.points, i)
+        poly = ComplexPolynomial(self.coeffs)
+        return tuple(SeriesAtRoot(poly, self.points, i)
                      for i in range(len(self.points)))
 
 
@@ -285,11 +295,12 @@ class SeriesAtInfinity(_HalfPowerSeries):
 
 
 class SeriesAtRoot(_HalfPowerSeries):
-    """sqrt(P) about the root r = ``center`` of multiplicity m, within half
-    its distance rho to the nearest other root.
+    """sqrt(P) about the root r = ``center`` of multiplicity m, within its
+    ``reach``, ``ROOT_REACH`` times its distance rho to the nearest other
+    root.
 
-    With q = P / (z - r)^m (synthetic division of ``coeffs``, the
-    remainders dropped) and c = q(r), sqrt(P) = c^{1/2} (z - r)^{m/2} S
+    With q = P / (z - r)^m (``ComplexPolynomial.deflate``) and c = q(r),
+    sqrt(P) = c^{1/2} (z - r)^{m/2} S
     with S = (q(z) / c)^{1/2} = sum_k c[k] u^k in u = (z - r)/rho, and the
     primitive from r is xi = c^{1/2} (z - r)^{(m+2)/2} E,
     E = sum_k e[k] u^k, e[k] = c[k] / ((m+2)/2 + k): no log term.  With
@@ -297,30 +308,30 @@ class SeriesAtRoot(_HalfPowerSeries):
     2 c[k] = b_k - sum_{j=1..k-1} c[j] c[k-j].  ``lead`` = c / a0, so the
     members of the rotation family share the series.  The tail bound
     takes the other roots as the zeros of q: a_i = rho / (r_i - r).  A
-    lone root has S = 1 and rho = inf."""
+    lone root has S = 1 and rho = reach = inf."""
 
     at_root = True
 
-    def __init__(self, coeffs, points, index: int):
+    def __init__(self, poly: ComplexPolynomial, points, index: int):
         self.center, self.power = r, m = points[index]
         self.circle = f"|z - r{index}|"
         others = [(x, k) for i, (x, k) in enumerate(points) if i != index]
         self.rho = min((abs(x - r) for x, _ in others), default=math.inf)
+        self.reach = ROOT_REACH * self.rho
         super().__init__(((self.rho / (x - r), k) for x, k in others),
                          0.5 * (m + 2), 1)
-        # q by m synthetic divisions, then its Taylor coefficients at r:
-        # the remainders of repeated division by (z - r)
-        quotient = list(coeffs)
+        # the Taylor coefficients of q at r: the remainders of repeated
+        # division by (z - r)
+        quotient = list(poly.deflate(r, m).coeffs)
         taylor = []
-        for step in range(len(coeffs) - 1):
+        while len(quotient) > 1:
             out = [quotient[0]]
             for a in quotient[1:]:
                 out.append(out[-1] * r + a)
             quotient = out[:-1]
-            if step >= m:
-                taylor.append(out[-1])
+            taylor.append(out[-1])
         taylor.append(quotient[0])
-        self.lead = taylor[0] / coeffs[0]
+        self.lead = taylor[0] / poly.coeffs[0]
         self._taylor = [b * self.rho ** j / taylor[0]
                         for j, b in enumerate(taylor) if j]
 
@@ -330,7 +341,7 @@ class SeriesAtRoot(_HalfPowerSeries):
         return 0.5 * (b - sum(map(operator.mul, c[1:k], reversed(c[1:k]))))
 
     def terms(self, r: float) -> int:
-        """The terms that both series need at |z - center| = r <= rho/2,
+        """The terms that both series need at |z - center| = r <= reach,
         with q = r/rho."""
         return self._terms(r / self.rho, 1)
 
@@ -531,6 +542,14 @@ class PolyContext:
     @cached_property
     def mults(self) -> tuple[int, ...]:
         return tuple(m for _, m in self.tps.points)
+
+    @cached_property
+    def reaches(self) -> tuple[float, ...]:
+        """Each root's reach (``SeriesAtRoot.reach``); a lone root's, which
+        is infinite, is ``ROOT_REACH`` times D instead."""
+        return tuple(
+            s.reach if s.reach < math.inf else ROOT_REACH * self.scales.d_unit
+            for s in self.tps.at_roots)
 
     @cached_property
     def slope(self) -> ComplexPolynomial:

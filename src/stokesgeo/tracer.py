@@ -13,8 +13,9 @@ canonical chart.  The chord integral is a Gauss-Lobatto rule whose end
 values are the step's own, so it costs 4 new evaluations (5 on the
 longest steps near a root, below).
 
-Each turning point owns one radius, ``pathint.root_reach``: half the
-distance rho to its nearest other root (half of D for a lone root).
+Each turning point owns one radius, its reach (``SeriesAtRoot.reach``,
+``pathint.root_reach``): half the distance rho to its nearest other root
+(half of D for a lone root, ``PolyContext.reaches``).
 Inside it the local normal form of P dz^2 holds (Strebel, Quadratic
 Differentials, 1984, ch. III), sqrt(P) = c^{1/2} (z - r)^{m/2} S with S a
 power series in (z - r)/rho (``polynomial.SeriesAtRoot``), and no step is
@@ -55,7 +56,6 @@ from .config import DEFAULT_CONFIG, RunConfig, Scales
 from .errors import NumericalError
 from .polynomial import (ComplexPolynomial, PolyContext, StokesSectorSet,
                          TurningPointSet, wrap_angle, wrap_positive)
-from .pathint import _REACH, _deflate
 
 # Dormand-Prince 5(4) coefficients: stages _A, weights _B5, _B4 (the
 # field is autonomous, so the nodes are not needed)
@@ -139,7 +139,7 @@ def emanating_directions(poly: ComplexPolynomial, root: complex,
     of sqrt(P) vanishes.
     """
     # P / (z - root)^m evaluated at the root
-    c = _deflate(poly, root, mult).evaluate(root)
+    c = poly.deflate(root, mult).evaluate(root)
     argc = cmath.phase(c)
     n = mult + 2
     return [wrap_positive((math.pi * (2 * k + 1) - argc) / n) for k in range(n)]
@@ -241,7 +241,7 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     """Trace one Stokes line from a turning point.
 
     Returns (polyline, fate).  The trace steps only outside the roots'
-    reaches (``pathint.root_reach``, half the distance to the nearest
+    reaches (``PolyContext.reaches``, half the distance to the nearest
     other root; half of D for a lone root).  Inside them its vertices
     are the line's points on the rungs (``_rungs``), landed from the
     root's local series: it starts with those of its own root, the last
@@ -252,7 +252,8 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     vertex in the trapping cone at infinity or past the escape circle
     (EscapedToRay; the line's points on the circles r_escape 2^-j above
     the vertex, the last one on the escape circle), or reaching the
-    length cap l_max (Truncated), which each step checks before those
+    length cap l_max (Truncated), checked after the launch, whose arc
+    counts as the length of its polyline, and after each step's
     decisions.  Tolerances and scales come from
     ``context``, which defaults to the context of ``poly`` under
     ``config``.  A trace that needs more than ``_MAX_STEP_ATTEMPTS`` step
@@ -265,13 +266,10 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     locs, scales = ctx.locs, ctx.scales
     at_roots = ctx.tps.at_roots
     a0 = poly.coeffs[0]
-    # pathint.root_reach of each root, from the distance its series holds
-    reaches = [_REACH * series.rho for series in at_roots]
+    reaches = ctx.reaches
     r0 = locs[root_index]
     own = at_roots[root_index]
     reach = reaches[root_index]
-    if reach == math.inf:      # a lone root
-        reach = _REACH * scales.d_unit
 
     delta_hit = scales.delta_hit
     r_escape = scales.r_escape
@@ -296,7 +294,8 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     drift = 0.0
     polyline = [r0] + launch
 
-    s_total = 0.0
+    # the arc length so far, the launch's as the length of its polyline
+    s_total = sum(abs(b - a) for a, b in zip(polyline, polyline[1:]))
     h = reach / 4.0
     # nearest turning point to the current vertex; rejected steps keep it
     near_idx, near_d = ctx.nearest_root(z)
@@ -304,6 +303,9 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     inside, approach = -1, None
     guard = 0
     while True:
+        # the length cap, after the launch and after each step's decisions
+        if s_total >= scales.l_max:
+            return polyline, Truncated(s_total)
         guard += 1
         if guard > _MAX_STEP_ATTEMPTS:
             raise NumericalError(
@@ -338,8 +340,6 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
             h = h * min(5.0, max(0.2, 0.9 * (atol / err) ** 0.2))
         else:
             h = h * 5.0
-        if s_total >= scales.l_max:
-            return polyline, Truncated(s_total)
 
         # one hit decision on entering another root's reach
         near_idx, near_d = ctx.nearest_root(z)
@@ -361,7 +361,7 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
                 raise NumericalError(
                     f"trace from root {root_index} along {direction:.12g} "
                     f"comes within {near_d:.3g} of root {near_idx}, whose "
-                    f"disk decided a miss (delta {approach[0]:.3g}, d_min "
+                    f"reach decided a miss (delta {approach[0]:.3g}, d_min "
                     f"{approach[1]:.3g}) at arc length {s_total:.6g}",
                     residuals=[z])
         else:

@@ -293,7 +293,7 @@ def _root_chord_reference(poly, roots, root, mult, z1, w1, rel_tol=1e-9,
     of each panel of the tree in walk order, the sum of |i15| over the
     accepted panels)."""
     dz = complex(z1) - complex(root)
-    q = pathint._deflate(poly, root, mult)
+    q = poly.deflate(root, mult)
     other = tuple(r for r in roots if r != root)
     wq1 = cmath.sqrt(q.evaluate(z1))
     walker = _RecursiveWalker(q, other, z1, wq1)

@@ -407,7 +407,7 @@ def test_cone_landing_on_z_power_d(d):
     # barely moves outward, follows that law onto each circle
     poly = ComplexPolynomial.from_roots(1.0, [0.0] * d)
     # the exact root set, where the root finder's cluster lies 1e-13 off 0
-    tps = TurningPointSet(((0j, d),))
+    tps = TurningPointSet(((0j, d),), coeffs=poly.coeffs)
     ctx = PolyContext(poly=poly, config=DEFAULT_CONFIG, tps=tps,
                       scales=Scales.from_roots(tps.locations),
                       sectors=stokes_sectors(poly))
@@ -500,6 +500,11 @@ def test_trace_errors_name_root_direction_and_arc(osc, monkeypatch):
     def arc_reached(info):
         return float(str(info.value).rsplit(" ", 1)[1])
 
+    # the arc length counts the launch, the root and its rungs
+    launch = trace_stokes_line(poly, 0, theta,
+                               context=ctx)[0][:tracer._RUNGS + 1]
+    launch_arc = sum(abs(b - a) for a, b in zip(launch, launch[1:]))
+
     # a step whose error estimate is always huge is shrunk to underflow,
     # with at most one forced step at the floor accepted on the way
     with monkeypatch.context() as mp:
@@ -509,7 +514,8 @@ def test_trace_errors_name_root_direction_and_arc(osc, monkeypatch):
                            match=f"^step-size underflow during trace {where} "
                                  f"at arc length ") as info:
             trace_stokes_line(poly, 0, theta, context=ctx)
-    assert 0.0 <= arc_reached(info) < 1e-14
+    assert str(info.value).endswith(f" {launch_arc:.6g}")
+    assert abs(info.value.residuals[0] - launch[-1]) < 1e-14
 
     # the trace escapes after 61 attempts
     monkeypatch.setattr(tracer, "_MAX_STEP_ATTEMPTS", 20)
@@ -517,7 +523,7 @@ def test_trace_errors_name_root_direction_and_arc(osc, monkeypatch):
                        match=f"^trace {where} exceeded step budget at arc "
                              f"length ") as info:
         trace_stokes_line(poly, 0, theta, context=ctx)
-    assert arc_reached(info) > 0.0
+    assert arc_reached(info) > launch_arc
 
 
 @pytest.mark.parametrize("coeffs", ["1,0,-1", "1,0,0.3+0.2i,-1"])
@@ -602,7 +608,7 @@ def test_vertex_near_a_missed_root_raises(osc, monkeypatch):
                         lambda *args: (0.25, 0.5))
     with pytest.raises(NumericalError,
                        match=r"^trace from root 1 along 3\.14159265359 comes "
-                             r"within \S+ of root 0, whose disk decided a "
+                             r"within \S+ of root 0, whose reach decided a "
                              r"miss \(delta 0\.25, d_min 0\.5\) at arc "
                              r"length ") as info:
         trace_stokes_line(osc, 1, math.pi)
@@ -639,6 +645,7 @@ def test_root_landing_on_the_oscillator_closed_form(osc):
     ctx = PolyContext.of(osc)
     series = ctx.tps.at_roots[1]
     assert series.center == 1.0 and series.rho == 2.0
+    assert series.reach == 1.0
     radii = [k / 6 for k in range(1, 6)] + [1.0 - 1e-9]
     for theta in emanating_directions(osc, 1.0, 1):
         for level in (0.0, 1e-3, -1e-3):
@@ -665,12 +672,15 @@ def test_root_landing_on_a_power_closed_form(m):
     # at level 0 the lines are the rays of the emanating directions
     c, r = 0.7 - 1.3j, 0.4 + 0.2j
     poly = ComplexPolynomial.from_roots(c, [r] * m)
-    tps = TurningPointSet(((r, m),))
+    tps = TurningPointSet(((r, m),), coeffs=poly.coeffs)
     ctx = PolyContext(poly=poly, config=DEFAULT_CONFIG, tps=tps,
                       scales=Scales.from_roots(tps.locations),
                       sectors=stokes_sectors(poly))
     series = tps.at_roots[0]
     assert series.rho == math.inf and series.lead == 1.0
+    # a lone root's reach is half of D
+    assert series.reach == math.inf
+    assert ctx.reaches == (0.5 * ctx.scales.d_unit,)
     half = 0.5 * (m + 2)
     radii = [0.1, 0.2, 0.4, 0.8, 1.6]
     # levels up to half of the one that just touches the first circle
@@ -763,3 +773,28 @@ def test_chords_inside_a_reach_stay_near_the_line():
                 _chord_strays(rot.poly, rot, g.polyline, worst)
     assert 0.0 < worst["launch"] <= 1.7e-3
     assert 0.0 < worst["hit"] <= 1.7e-3
+
+
+def test_length_cap_comes_after_the_hit_decision():
+    # on z^2 - 1 the line from root 1 toward root -1 enters that root's
+    # reach on its first step; with the cap just past the launch's arc,
+    # that step crosses the cap too, and the trace ends on its hit
+    poly = ComplexPolynomial.from_roots(1.0, [1.0, -1.0])
+    ctx = PolyContext.of(poly)
+    src = min(range(2), key=lambda i: abs(ctx.locs[i] - 1.0))
+    launch = trace_stokes_line(poly, src, math.pi,
+                               context=ctx)[0][:tracer._RUNGS + 1]
+    launch_arc = sum(abs(b - a) for a, b in zip(launch, launch[1:]))
+    config = RunConfig(l_max_factor=1.01 * launch_arc / ctx.scales.d_unit)
+    capped = PolyContext.of(poly, config)
+    polyline, fate = trace_stokes_line(poly, src, math.pi, context=capped)
+    assert isinstance(fate, HitTurningPoint) and fate.target == 1 - src
+    assert polyline[:len(launch)] == launch
+    assert polyline[-1] == ctx.locs[1 - src]
+    # a cap below the launch's arc truncates the trace at its launch
+    config = RunConfig(l_max_factor=0.99 * launch_arc / ctx.scales.d_unit)
+    polyline, fate = trace_stokes_line(poly, src, math.pi,
+                                       context=PolyContext.of(poly, config))
+    assert isinstance(fate, tracer.Truncated)
+    assert fate.arc_length == launch_arc
+    assert polyline == launch
