@@ -15,12 +15,17 @@ agree bit for bit.  The outputs are
 - ``chord_diagram`` on as many polynomials of the chord stream 5150, and
   ``is_very_flat`` there as its flag, its cuts and its visible-pair count
   (the projected float nodes are left out);
-- the edges of the Stokes graphs of z^3 - 1 and of z^2 (z - 1), whose
-  trace launches from the double root integrate a turning-point chord of
-  multiplicity 2, hashed together and then one line per edge with its
-  fate, origin root and direction, target, ray and the ``repr`` of the
-  phase of its end, so that a change which moves only the vertices
-  along the lines shows that fates and end phases are kept;
+- the survey of draw 15 of the far-root generator (the tests'
+  ``_far_root_draw``: one root at modulus 60-100, the others within
+  1.5), with its errors and warnings, so that a change shows how far the
+  far-root outputs move;
+- the edges of the Stokes graphs of z^3 - 1, of z^2 (z - 1), whose
+  traces launch from the double root on its local series of
+  multiplicity 2, and of the far-root draw 15, hashed together and then
+  one line per edge with its fate, origin root and direction, target,
+  ray and the ``repr`` of the phase of its end, so that a change which
+  moves only the vertices along the lines shows that fates and end
+  phases are kept;
 - the Wronskian zeros in sectors (0, 2) on the ``wronskian_spectrum``
   benchmark rectangles without their seeded jitter, and in sectors (1, 3)
   of -z^2 + 1 on (-0.3, 0.4, 2.7, 3.35), where arg W lies near pi.
@@ -61,7 +66,7 @@ from stokesgeo import (ComplexPolynomial, accumulation_rays,
 # and the benchmark's spectrum cases
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT), str(ROOT / "bench")]
-from tests.conftest import random_simple_poly  # noqa: E402
+from tests.conftest import _far_root_draw, random_simple_poly  # noqa: E402
 from workloads import (RECT_ABOVE_IM, RECT_ABOVE_RE, RECT_BELOW,  # noqa: E402
                        SPECTRUM_CASES)
 
@@ -121,8 +126,15 @@ def fingerprints(per_degree):
                           (flat.flag,) if flat.strip is None else
                           (flat.flag, flat.strip.cuts,
                            len(visible_pairs(flat.strip))))
-    for name, coeffs in (("z^3-1", "1,0,0,-1"), ("z^2(z-1)", "1,-1,0,0")):
-        edges = build_stokes_graph(parse_poly_text(coeffs)).edges
+    far = _far_root_draw(15)
+    survey = survey_short_geodesics(far)
+    yield fingerprint("survey[far15]", survey.geodesics,
+                      [g.period for g in survey.geodesics])
+    yield fingerprint("survey_notes[far15]", (survey.errors, survey.warnings))
+    for name, poly in (("z^3-1", parse_poly_text("1,0,0,-1")),
+                       ("z^2(z-1)", parse_poly_text("1,-1,0,0")),
+                       ("far15", far)):
+        edges = build_stokes_graph(poly).edges
         yield fingerprint(f"stokes_graph[{name}]", edges)
         for k, e in enumerate(edges):
             yield (f"stokes_edge[{name}][{k}] {e.kind} {e.origin}."

@@ -37,8 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import IncompleteGraphError, NonGenericError, NumericalError
-from .pathint import integrate_polyline, min_clearance, root_reach
+from .errors import (IncompleteGraphError, NonGenericError, NumericalError,
+                     in_context)
+from .pathint import integrate_polyline, min_clearance
 from .polynomial import ComplexPolynomial, wrap_positive
 from .tracer import StokesGraph, build_stokes_graph
 
@@ -344,14 +345,13 @@ def _segment_inside(za, zb, poly_pts, locs, delta) -> bool:
 def _edges_at(graph: StokesGraph, root: int, edge_ids):
     """Each of the edges ``edge_ids`` that ends at ``root`` as (pl, k): the
     edge's polyline pl ordered outward from the root, and the index k of
-    the last vertex before pl first leaves the root chart's reach
-    (``pathint.root_reach``, half the distance to the nearest other root;
-    k >= 1), so that a chord from the root to pl[k] takes the fixed rule
-    unsplit.  A walk from the root reaches pl[i] by one chord to
-    pl[min(i, k)] and then the traced vertices; (pl, k, i) is that walk's
-    stop."""
-    locs = graph.turning_points.locations
-    radius = root_reach(locs, locs[root])
+    the last vertex before pl first leaves the root's reach
+    (``SeriesAtRoot.reach``, half the distance to the nearest other root;
+    k >= 1), so that a chord from the root to pl[k] integrates on the
+    root's series unsplit.  A walk from the root reaches pl[i] by one chord
+    to pl[min(i, k)] and then the traced vertices; (pl, k, i) is that
+    walk's stop."""
+    radius = graph.turning_points.at_roots[root].reach
     out = []
     for e in (graph.edges[j] for j in edge_ids):
         if root not in (e.origin, e.target):
@@ -398,7 +398,7 @@ def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
     gives the chart direction in which b*'s edge leaves the node.
     """
     locs = graph.turning_points.locations
-    mults = [m for _, m in graph.turning_points.points]
+    at_roots = graph.turning_points.at_roots
     delta = graph.scales.delta_path
     froms = _edges_at(graph, r_from, dom.edge_ids)
     tos = _edges_at(graph, r_to, dom.edge_ids if exit_edge is None
@@ -439,7 +439,7 @@ def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
     # running[len(head) - 1] ends at b*
     (period,), _, running = integrate_polyline(
         graph.poly, locs, head + tail[::-1], rel_tol=config.quad_rel_tol,
-        start=(locs[r_from], mults[r_from]), end=(locs[r_to], mults[r_to]))
+        start=at_roots[r_from], end=at_roots[r_to])
     return period, (running[len(head) - 1][0] - period).imag
 
 
@@ -586,10 +586,15 @@ def chord_diagram(poly: ComplexPolynomial,
     Raises NonGenericError when the decomposition at t = 0 is not generic
     (other than d-1 strips, crossing chords or chords between neighbouring
     rays), or when a class leaves within 1e-9 of pi/2, where the
-    quarter-turn graph has a saddle connection.
+    quarter-turn graph has a saddle connection.  A NumericalError from the
+    strip basis is raised again as "strip basis at t=0: ...", keeping its
+    residuals.
     """
     n = poly.degree + 2
-    _, periods, chords, B = strip_basis(poly, 0.0, config)
+    try:
+        _, periods, chords, B = strip_basis(poly, 0.0, config)
+    except NumericalError as exc:
+        raise in_context(exc, "strip basis at t=0") from exc
     stokes = sorted(zip(chords, (z.real for z in periods)))
     states, basis = mutation_walk(periods, B, PI / 2 + 1e-9)
     for T, k, n_k in states:

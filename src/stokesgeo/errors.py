@@ -17,6 +17,12 @@ class NumericalError(StokesGeoError):
         self.residuals = residuals
 
 
+def in_context(exc: NumericalError, where: str) -> NumericalError:
+    """``exc`` restated with the stage, angle and pair it came from,
+    ``where``, keeping its residuals; raise it ``from exc``."""
+    return NumericalError(f"{where}: {exc}", residuals=exc.residuals)
+
+
 class ClearanceError(StokesGeoError):
     """A path or contour runs too close to a turning point."""
 

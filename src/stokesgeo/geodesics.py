@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .domains import mutation_walk, strip_basis
-from .errors import NonGenericError, NumericalError
+from .errors import NonGenericError, NumericalError, in_context
 from .pathint import pairwise_periods, period_sign_flips
 from .polynomial import (ComplexPolynomial, PolyContext, turning_points,
                          wrap_angle, wrap_positive)
@@ -153,12 +153,6 @@ def _class_pair(sides, n):
     return tuple(sorted(odd))
 
 
-def _in_context(exc: NumericalError, where: str) -> NumericalError:
-    """``exc`` restated with the survey stage, angle and pair it came
-    from, keeping its residuals."""
-    return NumericalError(f"{where}: {exc}", residuals=exc.residuals)
-
-
 def survey_short_geodesics(poly: ComplexPolynomial,
                            config: RunConfig = DEFAULT_CONFIG) -> GeodesicSurvey:
     """All short geodesics, from the mutation walk of one strip
@@ -195,7 +189,7 @@ def survey_short_geodesics(poly: ComplexPolynomial,
         except NonGenericError as exc:
             failures.append(f"t0={t0:.12f}: {exc}")
         except NumericalError as exc:
-            raise _in_context(exc, f"strip basis at t0={t0:.12f}") from exc
+            raise in_context(exc, f"strip basis at t0={t0:.12f}") from exc
     else:
         raise NonGenericError(
             f"no generic strip decomposition: {'; '.join(failures)}")
@@ -215,7 +209,7 @@ def survey_short_geodesics(poly: ComplexPolynomial,
             survey.errors.append((pair, str(exc)))
             continue
         except NumericalError as exc:
-            raise _in_context(
+            raise in_context(
                 exc, f"pair {pair}, verification trace at t={t:.12f}") from exc
         if geo is None:
             raise NumericalError(

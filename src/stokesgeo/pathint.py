@@ -15,17 +15,15 @@ per-step sign flips along the walk.
 Regular quadrature runs through one adaptive Gauss-Kronrod 7-15 loop,
 ``_gk15``, over straight chords.  It takes every chord of a walk together
 and evaluates each level of all their panel trees in one pass.  A chord
-from a turning point r of multiplicity m takes the root chart
-z = r + (z1 - r) u^2, with the root factor deflated from P: it turns the
-(z - r)^{m/2} endpoint singularity into an integrand that is analytic in
-|u| < (rho / |z1 - r|)^{1/2}, rho the distance from r to its nearest
-other root.  Within ``root_reach`` (half of rho) one fixed 16-point
-Gauss-Legendre rule in u is exact to rounding (its nodes are
-sign-matched one to the next, which their spacing makes safe there); a
-longer root chord is split at that radius, and its outer part is a
-regular chord.  Closed
-contours are walked by ``contour_integral``, which checks closure,
-clearance and single-valuedness.
+from a turning point r needs no quadrature: within the root's reach (half
+the distance rho to its nearest other root) sqrt(P) has the local normal
+form c^{1/2} (z - r)^{m/2} S with S a power series in (z - r)/rho, and
+the chord's integral is the primitive of that series,
+``SeriesAtRoot.xi``, exact to rounding there, on the branch of the
+chord's far end.  A longer root chord is split at the reach, and its outer
+part is a regular chord.  Closed contours are walked by
+``contour_integral``, which checks closure, clearance and
+single-valuedness.
 """
 
 from __future__ import annotations
@@ -38,8 +36,7 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import BranchError, ClearanceError, DegeneratePairError
-from .polynomial import (ROOT_REACH, ComplexPolynomial, PolyContext,
-                         turning_points)
+from .polynomial import ComplexPolynomial, PolyContext, turning_points
 
 # --- Gauss-Kronrod 7-15 rule on [-1, 1] -----------------------------------
 
@@ -69,26 +66,6 @@ _RULES = np.zeros((2, 15))
 _RULES[0] = _KRONROD_WEIGHTS
 _RULES[1, 1::2] = _GAUSS_WEIGHTS
 _CENTER = 7     # the node at the panel's midpoint
-
-# 16-point Gauss-Legendre rule on [0, 1], the root chart's fixed rule:
-# nodes u from u = 1 inward, and their weights
-_ROOT_NODES = (
-    0.994700467495825, 0.9722875115366163, 0.9328156011939158,
-    0.8777022041775016, 0.8089381222013219, 0.7290083888286137,
-    0.6408017753896295, 0.5475062549188188, 0.4524937450811813,
-    0.35919822461037054, 0.2709916111713863, 0.19106187779867811,
-    0.12229779582249849, 0.06718439880608412, 0.02771248846338371,
-    0.005299532504175033,
-)
-_ROOT_WEIGHTS = (
-    0.013576229705877048, 0.031126761969323947, 0.04757925584124639,
-    0.06231448562776694, 0.07479799440828837, 0.08457825969750127,
-    0.09130170752246179, 0.09472530522753425, 0.09472530522753425,
-    0.09130170752246179, 0.08457825969750127, 0.07479799440828837,
-    0.06231448562776694, 0.04757925584124639, 0.031126761969323947,
-    0.013576229705877048,
-)
-
 
 def continue_branch(poly: ComplexPolynomial, roots, z, w0):
     """sqrt(P) continued along each row of the 2-d array ``z``, a walk
@@ -251,80 +228,32 @@ def integrate_chord(poly, roots, z0, w0, z1, densities, rel_tol=1e-9,
     return parts[0].tolist(), complex(branch[1])
 
 
-def root_reach(roots, root) -> float:
-    """The root chart's reach from the turning point ``root``:
-    ``polynomial.ROOT_REACH`` times its distance to the nearest other
-    entry of ``roots`` (infinite when there is none).  ``root`` may be
-    passed rounded, so the entry nearest it is the one dropped.
-
-    It is the one radius about a root: the fixed rule's chords and the
-    strip crossings' end chords stay within it, and the tracer launches
-    just inside it, decides a hit on entering it and lands the vertices
-    inside it from the root's local series (``SeriesAtRoot.reach``, the
-    same radius; ``PolyContext.reaches`` gives a lone root half of D)."""
-    dists = sorted(abs(r - root) for r in roots)[1:]
-    return ROOT_REACH * dists[0] if dists else math.inf
-
-
-def _split_point(roots, root, z1):
-    """Where a chord from ``root`` to z1 leaves the root chart's reach, or
-    None when it stays within it."""
-    reach = root_reach(roots, root)
-    dz = z1 - root
-    if abs(dz) <= reach:
+def _split_point(series, z1):
+    """Where a chord from the root of ``series`` to z1 leaves the root's
+    reach, or None when it stays within it."""
+    dz = z1 - series.center
+    if abs(dz) <= series.reach:
         return None
-    return root + reach * (dz / abs(dz))
+    return series.center + series.reach * (dz / abs(dz))
 
 
-def _root_rule(poly, root, mult, z1, w1) -> complex:
-    """Integral of sqrt(P) dz from the turning point ``root`` to z1, within
-    the root chart's reach, by the fixed Gauss rule.
-
-    In the chart z = root + (z1 - root) u^2 the integrand is
-    2 u^{m+1} (z1 - root)^{m/2+1} sqrt(q(z(u))), q = P / (z - root)^m,
-    analytic in |u| < sqrt(2) at the reach; 16 Gauss-Legendre nodes in u
-    are exact to rounding there.  The nodes are walked from u = 1 inward,
-    each value of sqrt(q) sign-matched to the one before, starting from
-    the principal value at z1; the branch is pinned by ``w1``, the value
-    of sqrt(P) at z1.  Between nodes u^2 moves by at most 0.123, so q,
-    with its zeros at least twice the chord's length away, turns by less
-    than pi between them for deg q <= 25.
-    """
-    dz = z1 - root
-    q = poly.deflate(root, mult)
-    wq = cmath.sqrt(q.evaluate(z1))
-    dz_half = cmath.exp(0.5 * mult * cmath.log(dz))
-    check = dz_half * wq
-    sign = -1.0 if check.real * w1.real + check.imag * w1.imag < 0.0 else 1.0
-    total = 0j
-    for u, weight in zip(_ROOT_NODES, _ROOT_WEIGHTS):
-        w = cmath.sqrt(q.evaluate(root + dz * (u * u)))
-        if w.real * wq.real + w.imag * wq.imag < 0.0:
-            w = -w
-        wq = w
-        total += (weight * u ** (mult + 1)) * w
-    return 2.0 * dz * dz_half * sign * total
-
-
-def integrate_chord_from_root(poly, roots, root, mult, z1, w1,
+def integrate_chord_from_root(poly, roots, series, z1, w1,
                               rel_tol=1e-9) -> complex:
-    """Integral of sqrt(P) dz from a turning point ``root`` to z1, on the
-    branch pinned by ``w1``, the value of sqrt(P) at z1.
+    """Integral of sqrt(P) dz from the turning point of ``series`` (its
+    ``SeriesAtRoot``) to z1, on the branch pinned by ``w1``, the value of
+    sqrt(P) at z1.
 
-    Within ``root_reach`` it is the root chart's fixed rule.  A longer
+    Within the root's reach it is the series' primitive xi.  A longer
     chord is split where it leaves the reach, at e: the regular chord
     z1 -> e, walked from w1 by the adaptive loop at ``rel_tol``, carries
-    the branch to e, and the rule integrates from the root to e.
+    the branch to e, and xi is taken at e.
     """
-    root, z1 = complex(root), complex(z1)
-    if z1 == root:
-        return 0j
-    e = _split_point(roots, root, z1)
+    a0, z1 = poly.coeffs[0], complex(z1)
+    e = _split_point(series, z1)
     if e is None:
-        return _root_rule(poly, root, mult, z1, w1)
+        return series.xi(a0, z1, w1)
     parts, branch = _gk15(poly, roots, [z1, e], w1, (sqrt_density,), rel_tol)
-    outer = complex(parts[0, 0])
-    return _root_rule(poly, root, mult, e, complex(branch[1])) - outer
+    return series.xi(a0, e, complex(branch[1])) - complex(parts[0, 0])
 
 
 # --- polyline-level API -----------------------------------------------------
@@ -355,11 +284,13 @@ def _check_clearance(vertices, roots, delta):
         raise ClearanceError(f"path clearance below delta_path = {delta:.3e}")
 
 
-def _root_end(v: complex, points, tol: float):
-    """(root, multiplicity) of the turning point that ``v`` sits on, else None."""
-    for r, m in points:
+def _root_end(v: complex, at_roots, tol: float):
+    """The ``SeriesAtRoot`` of the turning point that ``v`` sits on, else
+    None."""
+    for series in at_roots:
+        r = series.center
         if abs(v - r) <= tol * (1.0 + abs(r)):
-            return r, m
+            return series
     return None
 
 
@@ -370,14 +301,15 @@ def integrate_polyline(poly, roots, verts, densities=(sqrt_density,),
     of sqrt(P) at the first regular vertex.
 
     ``roots`` are the turning-point locations that bound the branch
-    continuation steps.  ``start`` and ``end`` are (root, multiplicity)
-    pairs when the first or last vertex is that turning point; the
-    integrals then support the single density sqrt(P) only, and a
+    continuation steps.  ``start`` and ``end`` are the local series
+    (``SeriesAtRoot``) of the turning point that the first or last vertex
+    is; the integrals then support the single density sqrt(P) only, and a
     two-vertex path gets its midpoint as the regular vertex.  A chord at
-    such an end takes the root chart's fixed rule, split where it leaves
-    ``root_reach``: its outer part joins the regular chords, which are
-    integrated together in one walk, one pass per level of their panel
-    trees.  ``abs_floor`` applies to the regular chords.
+    such an end is integrated from the root on its series, as the
+    primitive xi, split where it leaves the root's reach: its outer part
+    joins the regular chords, which are integrated together in one walk,
+    one pass per level of their panel trees.  ``abs_floor`` applies to the
+    regular chords.
 
     Returns (totals, branch values at the regular vertices, running totals
     after each chord), with one total per density.
@@ -388,13 +320,13 @@ def integrate_polyline(poly, roots, verts, densities=(sqrt_density,),
     last = len(verts) - 2 if end is not None else len(verts) - 1
     w = cmath.sqrt(poly.evaluate(verts[first]))
     # the regular walk, with the points where the end chords leave the
-    # root chart's reach
+    # roots' reaches
     walk = list(verts[first:last + 1])
     head = tail = None
     if start is not None:
-        head = _split_point(roots, start[0], walk[0])
+        head = _split_point(start, walk[0])
     if end is not None:
-        tail = _split_point(roots, end[0], walk[-1])
+        tail = _split_point(end, walk[-1])
     if head is not None:
         walk.insert(0, head)
     if tail is not None:
@@ -414,7 +346,7 @@ def integrate_polyline(poly, roots, verts, densities=(sqrt_density,),
     running = []
     totals = [0j] * len(densities)
     if start is not None:
-        totals[0] = _root_rule(poly, start[0], start[1], walk[0], ws[0])
+        totals[0] = start.xi(poly.coeffs[0], walk[0], ws[0])
         if split:
             totals[0] += parts.pop(0)[0]
         running.append(totals[:])
@@ -425,7 +357,7 @@ def integrate_polyline(poly, roots, verts, densities=(sqrt_density,),
     if end is not None:
         if tail is not None:
             totals[0] += parts[-1][0]
-        totals[0] -= _root_rule(poly, end[0], end[1], walk[-1], ws[-1])
+        totals[0] -= end.xi(poly.coeffs[0], walk[-1], ws[-1])
         running.append(totals[:])
     return totals, branch, running
 
@@ -490,7 +422,7 @@ def root_to_root_period(ctx: PolyContext, verts, i: int, j: int):
     j, signed by ``period_sign_flips``."""
     (value,), _, _ = integrate_polyline(
         ctx.poly, ctx.locs, verts, rel_tol=ctx.config.quad_rel_tol,
-        start=(verts[0], ctx.mults[i]), end=(verts[-1], ctx.mults[j]))
+        start=ctx.tps.at_roots[i], end=ctx.tps.at_roots[j])
     return -value if period_sign_flips(value) else value
 
 
@@ -703,18 +635,18 @@ def build_stadium(polyline, clearance: float):
 def re_xi_drift(poly: ComplexPolynomial, vertices) -> tuple[float, float]:
     """Max |Re xi| drift along a polyline, xi transported from its start.
 
-    Endpoints sitting on turning points use the singular endpoint rule.
+    Endpoints sitting on turning points integrate on the root's series.
     Returns (max_drift, arc_length).
     """
     verts = [complex(v) for v in vertices]
     if len(verts) < 2:
         return 0.0, 0.0
-    points = turning_points(poly).points if poly.degree >= 1 else ()
+    at_roots = turning_points(poly).at_roots if poly.degree >= 1 else ()
     arc = polyline_length(verts)
-    start = _root_end(verts[0], points, 1e-9)
-    end = _root_end(verts[-1], points, 1e-9)
+    start = _root_end(verts[0], at_roots, 1e-9)
+    end = _root_end(verts[-1], at_roots, 1e-9)
     _, _, running = integrate_polyline(
-        poly, tuple(r for r, _ in points), verts, rel_tol=1e-12,
+        poly, tuple(s.center for s in at_roots), verts, rel_tol=1e-12,
         abs_floor=1e-14, start=start, end=end)
     # partial integrals measured from verts[0], where xi = 0
     return max(abs(x[0].real) for x in running), arc

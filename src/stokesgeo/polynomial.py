@@ -148,7 +148,7 @@ class TurningPointSet:
     def at_infinity(self) -> "SeriesAtInfinity":
         """The trapping cone and the Laurent series of sqrt(P) at infinity,
         computed once per root set."""
-        return SeriesAtInfinity(self.points)
+        return SeriesAtInfinity(self.coeffs, self.points)
 
     @cached_property
     def at_roots(self) -> tuple["SeriesAtRoot", ...]:
@@ -164,13 +164,16 @@ class _HalfPowerSeries:
     (``SeriesAtInfinity``, ``SeriesAtRoot``), with c[0] = 1, and the
     weights e[k] = c[k] / (half + sign k) of its primitive's series E; a
     zero denominator (the log term at infinity) gets e[k] = 0.  The c[k]
-    are extended on demand.  S is prod (1 - a_i u)^{m_i/2} over
-    ``factors`` (a_i, m_i) with every |a_i| <= 1, so sum |c[k]| <=
-    ``bound`` = prod (2 - sqrt(1 - |a_i|))^{m_i}: a majorant of each
-    factor's binomial series, taken at u = 1."""
+    are extended on demand, from the chart's S^2 = 1 + sum_j b[j] u^j
+    (``squared`` holds b[1], b[2], ..., from P's coefficients) by the
+    square-root recurrence 2 c[k] = b[k] - sum_{j=1..k-1} c[j] c[k-j].  S
+    is prod (1 - a_i u)^{m_i/2} over ``factors`` (a_i, m_i) with every
+    |a_i| <= 1, so sum |c[k]| <= ``bound`` = prod (2 - sqrt(1 - |a_i|))^{m_i}:
+    a majorant of each factor's binomial series, taken at u = 1."""
 
-    def __init__(self, factors, half: float, sign: int):
+    def __init__(self, factors, squared, half: float, sign: int):
         self._factors = tuple(factors)
+        self._squared = squared
         self.half = half
         self._sign = sign
         self.bound = math.prod((2.0 - math.sqrt(max(0.0, 1.0 - abs(a))))
@@ -189,6 +192,11 @@ class _HalfPowerSeries:
                                          / math.log(q)))
         self._extend(k_min)
         return k_min
+
+    def _coefficient(self, k: int) -> complex:
+        b = self._squared[k - 1] if k <= len(self._squared) else 0j
+        c = self.c
+        return 0.5 * (b - sum(map(operator.mul, c[1:k], reversed(c[1:k]))))
 
     def _extend(self, count: int) -> None:
         c, e = self.c, self.e
@@ -217,6 +225,20 @@ class _HalfPowerSeries:
             e_sum = e_sum * u + ek
         return e_sum
 
+    def pinned(self, a0: complex, zeta: complex, w: complex):
+        """S, E and zeta^h at ``zeta`` = z - center, h = power // 2, and the
+        branch constant B = (a0 lead)^{1/2} (times zeta^{1/2} for an odd
+        power) signed so that B zeta^h S is the branch of sqrt(P) of w, for
+        P of leading coefficient a0."""
+        s_sum, e_sum = self.chart(zeta)
+        h, odd = divmod(self.power, 2)
+        zh = zeta ** h
+        branch = cmath.sqrt(a0 * self.lead) * (cmath.sqrt(zeta) if odd
+                                               else 1.0)
+        if (branch * zh * s_sum * w.conjugate()).real < 0.0:
+            branch = -branch
+        return s_sum, e_sum, zh, branch
+
 
 class SeriesAtInfinity(_HalfPowerSeries):
     """sqrt(P) near the pole at infinity, for |z| > R0 = max|root|.
@@ -227,8 +249,9 @@ class SeriesAtInfinity(_HalfPowerSeries):
     primitive is xi = a0^{1/2} (z^{(d+2)/2} E + c_n s^n log z) with
     E = sum_k e[k] u^k, e[k] = c[k] / ((d+2)/2 - k), where for even d the
     index n = (d+2)/2 carries the log term and e[n] = 0.  The c[k] come
-    from the power sums p_j = sum m_i (r_i/s)^j by
-    k c[k] = -1/2 sum_{j=1..k} p_j c[k-j].
+    from S^2 = P / (a0 z^d), so b[k] = a_k / (a0 s^k) for the coefficients
+    a_k of P (``coeffs``, highest degree first); the roots' moduli give
+    the tail bound and Phi.
 
     ``cone_radius`` is the trapping cone's radius r_c, the smallest r with
     Phi(r) < pi/4, where Phi(r) = 1/2 sum m_i arcsin(|r_i|/r) bounds the
@@ -242,22 +265,16 @@ class SeriesAtInfinity(_HalfPowerSeries):
     lead = 1.0
     circle = "|z|"
 
-    def __init__(self, points):
+    def __init__(self, coeffs, points):
         self.degree = self.power = sum(m for _, m in points)
         r0 = max(abs(r) for r, _ in points)
         self.scale = r0 if r0 > 0.0 else 1.0
         self.moduli = tuple((abs(r), m) for r, m in points if r != 0)
         super().__init__(((r / self.scale, m) for r, m in points if r != 0),
+                         [a / (coeffs[0] * self.scale ** k)
+                          for k, a in enumerate(coeffs) if k],
                          0.5 * (self.degree + 2), -1)
-        self._power_sums = [0j]
-        self._powers = [1.0 + 0j] * len(self._factors)
         self.cone_radius = self._cone_radius(r0)
-
-    def _coefficient(self, k: int) -> complex:
-        p, powers = self._power_sums, self._powers
-        powers[:] = [x * a for x, (a, _) in zip(powers, self._factors)]
-        p.append(sum(m * x for x, (_, m) in zip(powers, self._factors)))
-        return -0.5 * sum(map(operator.mul, p[1:], reversed(self.c))) / k
 
     def phi(self, r: float) -> float:
         """Phi(r) = 1/2 sum m_i arcsin(|r_i|/r), for r >= R0."""
@@ -303,12 +320,11 @@ class SeriesAtRoot(_HalfPowerSeries):
     sqrt(P) = c^{1/2} (z - r)^{m/2} S
     with S = (q(z) / c)^{1/2} = sum_k c[k] u^k in u = (z - r)/rho, and the
     primitive from r is xi = c^{1/2} (z - r)^{(m+2)/2} E,
-    E = sum_k e[k] u^k, e[k] = c[k] / ((m+2)/2 + k): no log term.  With
-    q(z)/c = 1 + sum_j b_j u^j from the Taylor coefficients of q at r,
-    2 c[k] = b_k - sum_{j=1..k-1} c[j] c[k-j].  ``lead`` = c / a0, so the
-    members of the rotation family share the series.  The tail bound
-    takes the other roots as the zeros of q: a_i = rho / (r_i - r).  A
-    lone root has S = 1 and rho = reach = inf."""
+    E = sum_k e[k] u^k, e[k] = c[k] / ((m+2)/2 + k): no log term.  The
+    b[j] of S^2 = q(z)/c are the Taylor coefficients of q at r over c.
+    ``lead`` = c / a0, so the members of the rotation family share the
+    series.  The tail bound takes the other roots as the zeros of q:
+    a_i = rho / (r_i - r).  A lone root has S = 1 and rho = reach = inf."""
 
     at_root = True
 
@@ -318,8 +334,6 @@ class SeriesAtRoot(_HalfPowerSeries):
         others = [(x, k) for i, (x, k) in enumerate(points) if i != index]
         self.rho = min((abs(x - r) for x, _ in others), default=math.inf)
         self.reach = ROOT_REACH * self.rho
-        super().__init__(((self.rho / (x - r), k) for x, k in others),
-                         0.5 * (m + 2), 1)
         # the Taylor coefficients of q at r: the remainders of repeated
         # division by (z - r)
         quotient = list(poly.deflate(r, m).coeffs)
@@ -332,13 +346,18 @@ class SeriesAtRoot(_HalfPowerSeries):
             taylor.append(out[-1])
         taylor.append(quotient[0])
         self.lead = taylor[0] / poly.coeffs[0]
-        self._taylor = [b * self.rho ** j / taylor[0]
-                        for j, b in enumerate(taylor) if j]
+        super().__init__(((self.rho / (x - r), k) for x, k in others),
+                         [b * self.rho ** j / taylor[0]
+                          for j, b in enumerate(taylor) if j],
+                         0.5 * (m + 2), 1)
 
-    def _coefficient(self, k: int) -> complex:
-        b = self._taylor[k - 1] if k <= len(self._taylor) else 0j
-        c = self.c
-        return 0.5 * (b - sum(map(operator.mul, c[1:k], reversed(c[1:k]))))
+    def xi(self, a0: complex, z: complex, w: complex) -> complex:
+        """The primitive xi(z), the integral of sqrt(P) dz from the root to
+        z within the reach, on the branch whose value at z is ``w`` (to its
+        sign), for P of leading coefficient a0."""
+        zeta = z - self.center
+        _, e_sum, zh, branch = self.pinned(a0, zeta, w)
+        return branch * zh * zeta * e_sum
 
     def terms(self, r: float) -> int:
         """The terms that both series need at |z - center| = r <= reach,

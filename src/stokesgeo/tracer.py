@@ -13,9 +13,9 @@ canonical chart.  The chord integral is a Gauss-Lobatto rule whose end
 values are the step's own, so it costs 4 new evaluations (5 on the
 longest steps near a root, below).
 
-Each turning point owns one radius, its reach (``SeriesAtRoot.reach``,
-``pathint.root_reach``): half the distance rho to its nearest other root
-(half of D for a lone root, ``PolyContext.reaches``).
+Each turning point owns one radius, its reach (``SeriesAtRoot.reach``):
+half the distance rho to its nearest other root (half of D for a lone
+root, ``PolyContext.reaches``).
 Inside it the local normal form of P dz^2 holds (Strebel, Quadratic
 Differentials, 1984, ch. III), sqrt(P) = c^{1/2} (z - r)^{m/2} S with S a
 power series in (z - r)/rho (``polynomial.SeriesAtRoot``), and no step is
@@ -43,7 +43,9 @@ escape circle, with xi from the Laurent series of sqrt(P) at infinity
 (``polynomial.SeriesAtInfinity``).  A vertex past the escape circle
 before the certificate holds is moved back onto that circle the same way.
 Every landing, at a root or at infinity, is one routine, ``_land``:
-Halley's method in the angle on each circle.
+Halley's method in the angle on each circle.  Both series pin their
+branch to the trace's by one method, ``pinned``, which pathint's root
+chords share.
 """
 
 from __future__ import annotations
@@ -230,8 +232,8 @@ def _dp5_step(poly, z, w, k0, h):
 def _rungs(reach):
     """The circles |z - r| = rung on which a trace has its vertices inside
     the reach of the root r, outward: ``_RUNGS`` equal steps, the last just
-    inside the reach, so that a root chord to it takes the fixed rule
-    unsplit."""
+    inside the reach, so that a root chord to it integrates on the root's
+    series unsplit."""
     return [reach * k / _RUNGS for k in range(1, _RUNGS)] + [reach * _LAUNCH]
 
 
@@ -386,20 +388,6 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
                 polyline[-1])
 
 
-def _pinned(series, a0, zeta, w):
-    """S, E and zeta^h of ``series`` at zeta = z - center, h = power // 2,
-    and the branch constant B = (a0 lead)^{1/2} (times zeta^{1/2} for an
-    odd power) signed so that B zeta^h S is the branch of sqrt(P) of w."""
-    s_sum, e_sum = series.chart(zeta)
-    h, odd = divmod(series.power, 2)
-    zh = zeta ** h
-    branch = cmath.sqrt(a0 * series.lead) * (cmath.sqrt(zeta) if odd
-                                             else 1.0)
-    if (branch * zh * s_sum * w.conjugate()).real < 0.0:
-        branch = -branch
-    return s_sum, e_sum, zh, branch
-
-
 def _closest_approach(series, a0, z, w, drift):
     """(delta, d_min) for a trace at (z, w) whose level is ``drift`` off
     its own root's: delta = Re xi_b(z) - drift is the traced line's level
@@ -408,9 +396,7 @@ def _closest_approach(series, a0, z, w, drift):
     local model P ~ c (z - b)^m, c = a0 ``series.lead``, where
     |xi_b| = 2 |c|^{1/2} r^{(m+2)/2} / (m + 2) is smallest on the line at
     |xi_b| = |delta|."""
-    zeta = z - series.center
-    _, e_sum, zh, branch = _pinned(series, a0, zeta, w)
-    delta = (branch * zh * zeta * e_sum).real - drift
+    delta = series.xi(a0, z, w).real - drift
     m = series.power
     c = abs(a0 * series.lead)
     return delta, ((m + 2) * abs(delta) / (2.0 * math.sqrt(c))) ** (
@@ -465,7 +451,7 @@ def _land(ctx, series, z_c, w_c, level, radii, root_index, direction):
     h, odd = divmod(series.power, 2)
     half = series.half
     zeta_c = z_c - center
-    s_c, e_c, zc_h, branch = _pinned(series, ctx.poly.coeffs[0], zeta_c, w_c)
+    s_c, e_c, zc_h, branch = series.pinned(ctx.poly.coeffs[0], zeta_c, w_c)
     t_c = zc_h * zeta_c * e_c
     # about a root xi is measured from the root, at infinity from z_c
     res = (branch * t_c).real - level if series.at_root else -level

@@ -5,13 +5,14 @@ from dataclasses import replace
 
 import pytest
 
-from stokesgeo import (NonGenericError, build_face_set, build_stokes_graph,
-                       chord_diagram, domains, parse_poly_text, pathint,
-                       tracer)
+from stokesgeo import (NonGenericError, NumericalError, build_face_set,
+                       build_stokes_graph, chord_diagram, domains,
+                       parse_poly_text, pathint, tracer)
+from stokesgeo.cli import main
 from stokesgeo.domains import chords_cross
 from stokesgeo.pathint import period_for_pair
-from tests.conftest import random_simple_poly, stream_polys
-from tests.test_geodesics import _far_root_draw
+from stokesgeo.polynomial import SeriesAtRoot
+from tests.conftest import _far_root_draw, random_simple_poly, stream_polys
 
 
 def test_airy_faces():
@@ -76,6 +77,26 @@ def test_random_cubic_pentagon():
             assert w > 0
 
 
+def test_chord_diagram_numerical_errors_name_their_context(osc, monkeypatch,
+                                                          capsys, tmp_path):
+    # a NumericalError from a trace of the t = 0 strip basis comes out of
+    # chord_diagram with its stage and angle, keeping its residuals and
+    # chained to the original; the command line prints it and the
+    # residuals on stderr and exits 3
+    def fail(*args, **kwargs):
+        raise NumericalError("trace failed", residuals=[0.25, 0.5])
+    monkeypatch.setattr(tracer, "trace_stokes_line", fail)
+    with pytest.raises(NumericalError) as info:
+        chord_diagram(osc)
+    assert str(info.value) == "strip basis at t=0: trace failed"
+    assert info.value.residuals == [0.25, 0.5]
+    assert str(info.value.__cause__) == "trace failed"
+    assert main(["chords", "--poly", "1,0,-1", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: strip basis at t=0: trace failed\n"
+        "residuals: 0.25, 0.5\n")
+
+
 def test_chord_diagram_crosses_each_strip_once(monkeypatch):
     # building a face set crosses no strip; the diagram traces one graph,
     # at t = 0, and crosses each of its d - 1 strips once.  The quarter
@@ -100,23 +121,25 @@ def test_chord_diagram_crosses_each_strip_once(monkeypatch):
 
 def test_strip_crossings_take_the_root_rule_unsplit(monkeypatch):
     # on the criterion-6 inputs and their quarter turns, every strip
-    # crossing ends its walk within the root chart's reach of both roots:
-    # one _gk15 call walks the crossing's regular vertices alone, and its
-    # two root chords are the fixed rule to verts[1] and verts[-2].  No
+    # crossing ends its walk within the reach of both roots: one _gk15
+    # call walks the crossing's regular vertices alone, and its two root
+    # chords are the root series' primitive at verts[1] and verts[-2].  No
     # other walk runs in the graphs (the traces' root chords are all
     # unsplit), and no walk has a vertex on a root
-    walks, rules, crossings = [], [], []
-    for name, calls in (("_gk15", walks), ("_root_rule", rules)):
-        def spy(*args, original=getattr(pathint, name), calls=calls):
+    walks, primitives, crossings = [], [], []
+    for owner, name, calls in ((pathint, "_gk15", walks),
+                               (SeriesAtRoot, "xi", primitives)):
+        def spy(*args, original=getattr(owner, name), calls=calls):
             calls.append(args)
             return original(*args)
-        monkeypatch.setattr(pathint, name, spy)
+        monkeypatch.setattr(owner, name, spy)
     integrate = domains.integrate_polyline
 
     def crossing(poly, roots, verts, **kwargs):
-        n_walks, n_rules = len(walks), len(rules)
+        n_walks, n_primitives = len(walks), len(primitives)
         out = integrate(poly, roots, verts, **kwargs)
-        crossings.append((verts, walks[n_walks:], rules[n_rules:]))
+        crossings.append((verts, walks[n_walks:],
+                          primitives[n_primitives:]))
         return out
     monkeypatch.setattr(domains, "integrate_polyline", crossing)
     rng = random.Random(5150)
@@ -130,7 +153,7 @@ def test_strip_crossings_take_the_root_rule_unsplit(monkeypatch):
     assert len(crossings) == 2 * 30 * (2 + 3 + 4)
     for verts, (walk,), (first, last) in crossings:
         assert walk[2] == verts[1:-1]
-        assert (first[3], last[3]) == (verts[1], verts[-2])
+        assert (first[2], last[2]) == (verts[1], verts[-2])
     assert len(walks) == len(crossings)
     for _, roots, verts, *_ in walks:
         assert min(abs(z - r) for z in verts for r in roots) > 0.0

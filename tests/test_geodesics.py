@@ -15,7 +15,7 @@ from stokesgeo import (ComplexPolynomial, HitTurningPoint, NonGenericError,
 from stokesgeo.cli import main
 from stokesgeo.pathint import root_to_root_period
 from stokesgeo.polynomial import PolyContext
-from tests.conftest import random_simple_poly, stream_polys
+from tests.conftest import _far_root_draw, random_simple_poly, stream_polys
 
 PI = math.pi
 
@@ -438,24 +438,6 @@ def test_degree_12_strips_are_crossed():
     survey = survey_short_geodesics(poly)
     assert 11 <= len(survey.geodesics) <= 66
     assert survey.errors == []
-
-
-def _far_root_draw(k):
-    """Draw k of the far-root generator: degree 4 + k % 2, d - 1 roots in
-    [-1.5, 1.5]^2 at least 0.5 apart and one root at modulus 60-100,
-    centred."""
-    rng = random.Random(99)
-    for draw in range(k + 1):
-        d = 4 + draw % 2
-        while True:
-            roots = [complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-                     for _ in range(d - 1)]
-            if all(abs(roots[i] - roots[j]) >= 0.5
-                   for i in range(d - 1) for j in range(i + 1, d - 1)):
-                break
-        roots.append(cmath.rect(rng.uniform(60, 100), rng.uniform(0, 2 * PI)))
-        mean = sum(roots) / d
-    return ComplexPolynomial.from_roots(1.0, [r - mean for r in roots])
 
 
 def test_far_root_draw_15_connects():

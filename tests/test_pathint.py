@@ -13,11 +13,12 @@ from stokesgeo import (BranchError, ClearanceError, ComplexPolynomial,
                        pairwise_periods, parse_poly_text, turning_points,
                        winding_number)
 from stokesgeo import pathint
-from stokesgeo.polynomial import PolyContext
+from stokesgeo.polynomial import PolyContext, SeriesAtRoot, TurningPointSet
 from stokesgeo.pathint import (build_stadium, integrate_polyline,
                                min_clearance, re_xi_drift)
 
-from tests.conftest import random_simple_poly
+from tests.conftest import (_RecursiveWalker, _root_chord_reference,
+                            random_simple_poly)
 
 
 PI = math.pi
@@ -28,12 +29,25 @@ def circle(center, radius, n=129):
             for k in range(n)]
 
 
-def walk(poly, verts, start=None, end=None):
-    """(total of sqrt(P) dz, branch values) of ``integrate_polyline``."""
-    roots = [r for r, _ in turning_points(poly).points] if poly.degree else ()
-    (total,), branch, _ = integrate_polyline(poly, roots, verts, start=start,
-                                             end=end)
+def walk(poly, verts, start=False, end=False):
+    """(total of sqrt(P) dz, branch values) of ``integrate_polyline``; with
+    ``start`` (``end``) the first (last) vertex is the turning point nearest
+    it, whose chord integrates on that root's series."""
+    at_roots = turning_points(poly).at_roots if poly.degree else ()
+
+    def series(v):
+        return min(at_roots, key=lambda s: abs(s.center - v))
+    (total,), branch, _ = integrate_polyline(
+        poly, [s.center for s in at_roots], verts,
+        start=series(verts[0]) if start else None,
+        end=series(verts[-1]) if end else None)
     return total, branch
+
+
+def _series(poly, points, i):
+    """The local series of sqrt(P) about root i of the exact root set
+    ``points``, (root, multiplicity) pairs."""
+    return TurningPointSet(tuple(points), coeffs=poly.coeffs).at_roots[i]
 
 
 def same_branch(w1, w2):
@@ -61,38 +75,6 @@ def test_sqrt_z_monodromy():
     _, branch = walk(p, circle(0, 1.0, 65))
     assert branch[0] == 1.0
     assert abs(branch[-1] + 1.0) < 1e-8
-
-
-class _RecursiveWalker:
-    """Reference continuation: each failed direct step recurses on its
-    two halves, down to depth 60."""
-
-    def __init__(self, poly, roots, z0, w0):
-        self.poly, self.roots = poly, tuple(roots)
-        self.z, self.w = complex(z0), complex(w0)
-
-    def advance(self, z1):
-        self.w = self._continue(self.z, self.w, complex(z1), 0)
-        self.z = complex(z1)
-        return self.w
-
-    def _continue(self, z0, w0, z1, depth):
-        if z1 == z0:
-            return w0
-        near = min((abs(z0 - r) for r in self.roots), default=float("inf"))
-        p0 = w0 * w0
-        if abs(z1 - z0) <= 0.25 * near:
-            p1 = self.poly.evaluate(z1)
-            if p1.real * p0.real + p1.imag * p0.imag > 0.0:
-                w1 = cmath.sqrt(p1)
-                if w1.real * w0.real + w1.imag * w0.imag < 0.0:
-                    w1 = -w1
-                return w1
-        if depth > 60:
-            raise BranchError("depth")
-        zm = 0.5 * (z0 + z1)
-        return self._continue(zm, self._continue(z0, w0, zm, depth + 1), z1,
-                              depth + 1)
 
 
 def _reference_panel(walk, scale, sa, sb, f):
@@ -142,17 +124,6 @@ def _two_pass_chord(poly, roots, z0, w0, z1, f, rel_tol=1e-9,
             stack.append((sm, sb, 0.6 * tol))
             stack.append((sa, sm, 0.6 * tol))
     return total, walker.advance(z1), panels, size
-
-
-def _recording_evaluate(monkeypatch):
-    points = []
-    evaluate = ComplexPolynomial.evaluate
-
-    def recorded(self, z):
-        points.extend(np.ravel(z).tolist())
-        return evaluate(self, z)
-    monkeypatch.setattr(ComplexPolynomial, "evaluate", recorded)
-    return points
 
 
 def _recorded(f, panels):
@@ -279,69 +250,20 @@ def test_branch_continuity_invariant():
 
 def test_airy_segment_closed_form():
     p = parse_poly_text("1,0")
-    val, _ = walk(p, [0.0, 1.0], start=(0j, 1))
+    val, _ = walk(p, [0.0, 1.0], start=True)
     assert val == pytest.approx(2.0 / 3.0, abs=1e-10)
 
 
-def _root_chord_reference(poly, roots, root, mult, z1, w1, rel_tol=1e-9,
-                          abs_floor=1e-13):
-    """The root chart z = root + (z1 - root) u^2 integrated by an adaptive
-    GK15 panel stack, one node at a time: u runs from 1 down to 0 within
-    each panel, panels are taken outer-first, and the Gauss-7 sum is formed
-    in ascending u.  Each panel's tolerance is set against
-    max(abs_floor, rel_tol |w1| |z1 - root|).  Returns (total, the nodes z
-    of each panel of the tree in walk order, the sum of |i15| over the
-    accepted panels)."""
-    dz = complex(z1) - complex(root)
-    q = poly.deflate(root, mult)
-    other = tuple(r for r in roots if r != root)
-    wq1 = cmath.sqrt(q.evaluate(z1))
-    walker = _RecursiveWalker(q, other, z1, wq1)
-    dz_half = cmath.exp(0.5 * mult * cmath.log(dz))
-    check = dz_half * wq1
-    sign = -1.0 if check.real * w1.real + check.imag * w1.imag < 0.0 else 1.0
-    front = 2.0 * dz * dz_half * sign
-    total, size, panels = 0j, 0.0, []
-    stack = [(0.0, 1.0, max(abs_floor, rel_tol * abs(w1) * abs(dz)))]
-    while stack:
-        ua, ub, tol = stack.pop()
-        anchor_z, anchor_w = walker.z, walker.w
-        mid, half = 0.5 * (ua + ub), 0.5 * (ub - ua)
-        i15, gauss_vals, nodes = 0j, [], []
-        for k in range(14, -1, -1):
-            u = mid + half * pathint._KRONROD_NODES[k]
-            nodes.append(root + dz * u * u)
-            val = front * (u ** (mult + 1)) * walker.advance(nodes[-1])
-            i15 += pathint._KRONROD_WEIGHTS[k] * val
-            if k % 2 == 1:
-                gauss_vals.append(val)
-        i7 = 0j
-        for val, gw in zip(reversed(gauss_vals), pathint._GAUSS_WEIGHTS):
-            i7 += gw * val
-        i15 *= half
-        i7 *= half
-        panels.append(tuple(nodes))
-        if abs(i15 - i7) <= tol or (ub - ua) < 1e-12:
-            total += i15
-            size += abs(i15)
-            if ua > 0.0:
-                walker.advance(root + dz * ua * ua)
-        else:
-            walker.z, walker.w = anchor_z, anchor_w
-            um = 0.5 * (ua + ub)
-            stack.append((ua, um, 0.6 * tol))
-            stack.append((um, ub, 0.6 * tol))
-    return total, panels, size
-
-
-def _spy(monkeypatch, name, calls):
-    """Record the arguments of each call of ``pathint.<name>``."""
-    original = getattr(pathint, name)
+def _spy(monkeypatch, name, calls, owner=pathint):
+    """Record the arguments of each call of ``owner.<name>``: a function of
+    ``pathint`` or, with ``owner=SeriesAtRoot``, the series' primitive
+    ``xi`` (its arguments (series, a0, z, w))."""
+    original = getattr(owner, name)
 
     def spy(*args):
         calls.append(args)
         return original(*args)
-    monkeypatch.setattr(pathint, name, spy)
+    monkeypatch.setattr(owner, name, spy)
 
 
 @pytest.mark.parametrize("coeffs, roots, mult, z1, splits", [
@@ -352,38 +274,40 @@ def _spy(monkeypatch, name, calls):
 ])
 def test_root_chord_matches_its_own_panel_loop(coeffs, roots, mult, z1,
                                                splits, monkeypatch):
-    # the root chart's fixed rule, split where the chord leaves half the
+    # the root series' primitive, split where the chord leaves half the
     # distance to the other root, against the chart's adaptive panel loop
-    # at a tolerance of 1e-13; within the reach the rule is one call and
-    # no walk, beyond it the outer part is one regular chord
+    # at a tolerance of 1e-13; within the reach the primitive is one call
+    # and no walk, beyond it the outer part is one regular chord
     p = parse_poly_text(coeffs)
     root = roots[0]
-    walks, rules = [], []
+    series = _series(p, [(root, mult), (roots[1], 1)], 0)
+    walks, primitives = [], []
     _spy(monkeypatch, "_gk15", walks)
-    _spy(monkeypatch, "_root_rule", rules)
+    _spy(monkeypatch, "xi", primitives, SeriesAtRoot)
     for w1 in (cmath.sqrt(p.evaluate(z1)), -cmath.sqrt(p.evaluate(z1))):
         walks.clear()
-        rules.clear()
-        got = pathint.integrate_chord_from_root(p, roots, root, mult, z1, w1)
-        ref, _, _ = _root_chord_reference(p, roots, root, mult, z1, w1,
-                                          rel_tol=1e-13, abs_floor=0.0)
+        primitives.clear()
+        got = pathint.integrate_chord_from_root(p, roots, series, z1, w1)
+        ref = _root_chord_reference(p, roots, root, mult, z1, w1,
+                                    rel_tol=1e-13, abs_floor=0.0)
         assert abs(got - ref) <= 1e-12 * abs(ref)
-        assert len(rules) == 1
+        assert len(primitives) == 1
         if splits:
             (_, _, verts, *_), = walks
             assert verts[0] == z1 and abs(verts[1] - root) == (
                 pytest.approx(0.5 * abs(roots[1] - root), rel=1e-15))
-            assert rules[0][3] == verts[1]
+            assert primitives[0][2] == verts[1]
         else:
-            assert walks == [] and rules[0][3] == z1
+            assert walks == [] and primitives[0][2] == z1
 
 
 @pytest.mark.parametrize("z1", [1.5 + 0.5j, 0.4 - 0.3j, 2.0 + 1e-3j])
 def test_simple_root_chord_closed_form(osc, z1):
     # int_1^z sqrt(z^2 - 1) dz = (z w - log(z + w)) / 2, and z + w stays
     # off the negative real axis along these chords from 1
+    series = _series(osc, [(1.0, 1), (-1.0, 1)], 0)
     for w1 in (cmath.sqrt(osc.evaluate(z1)), -cmath.sqrt(osc.evaluate(z1))):
-        got = pathint.integrate_chord_from_root(osc, (-1.0, 1.0), 1.0, 1,
+        got = pathint.integrate_chord_from_root(osc, (-1.0, 1.0), series,
                                                 z1, w1)
         expect = 0.5 * (z1 * w1 - cmath.log(z1 + w1))
         assert abs(got - expect) <= 1e-12 * abs(expect)
@@ -396,10 +320,11 @@ def test_double_root_chord_closed_form(z1):
     # in the upper half-plane, where the principal v is continuous and
     # tends to i sqrt(2) at z = 0
     p = parse_poly_text("1,-2,0,0")
+    series = _series(p, [(0.0, 2), (2.0, 1)], 0)
     v_principal = cmath.sqrt(z1 - 2.0)
     for sign in (1.0, -1.0):
         w1 = sign * z1 * v_principal
-        got = pathint.integrate_chord_from_root(p, (0.0, 2.0), 0.0, 2, z1,
+        got = pathint.integrate_chord_from_root(p, (0.0, 2.0), series, z1,
                                                 w1)
         expect = 0.0
         for v, s in ((sign * v_principal, 1.0),
@@ -408,33 +333,8 @@ def test_double_root_chord_closed_form(z1):
         assert abs(got - expect) <= 1e-12 * abs(expect)
 
 
-def test_rounded_root_is_dropped_from_the_walk(monkeypatch):
-    # turning_points places the double root of z^2 (z - 2) 1.3e-13 from 0;
-    # spelled 0.0, the root must still leave the roots that set the root
-    # chart's reach, or the reach would be 6e-14 and the chord would be
-    # split there and walked up to the root
-    p = parse_poly_text("1,-2,0,0")
-    roots = PolyContext.of(p).locs
-    exact = min(roots, key=abs)
-    assert exact != 0.0
-    z1 = 0.3 + 0.2j
-    w1 = cmath.sqrt(p.evaluate(z1))
-    walks = []
-    _spy(monkeypatch, "_gk15", walks)
-    points = _recording_evaluate(monkeypatch)
-    counts, values = [], []
-    for root in (exact, 0.0):
-        points.clear()
-        values.append(pathint.integrate_chord_from_root(p, roots, root, 2,
-                                                        z1, w1))
-        counts.append(len(points))
-    # sqrt(q) at z1 and at the 16 nodes of the rule
-    assert counts == [17, 17] and walks == []
-    assert abs(values[1] - values[0]) <= 1e-12 * abs(values[0])
-
-
 def _sweep_chords(rng, n_polys):
-    """(poly, roots, root, mult, z1) for chords from a root of random
+    """(poly, roots, series, z1) for chords from a root of random
     polynomials of degree 3-12, at 0.1, 0.25 and 0.5 of the distance to
     the root's nearest other root, in random directions."""
     out = []
@@ -445,36 +345,27 @@ def _sweep_chords(rng, n_polys):
         1.0, [0.3 + 0.1j, 0.3 + 0.1j, -1.0, 1.2j, 0.9 - 0.7j]))
     for poly in polys:
         ctx = PolyContext.of(poly)
-        i = rng.randrange(len(ctx.locs))
-        root, mult = ctx.locs[i], ctx.mults[i]
-        rho = ctx.nearest_root(root, skip=i)[1]
+        series = ctx.tps.at_roots[rng.randrange(len(ctx.locs))]
         for frac in (0.1, 0.25, 0.5):
-            z1 = root + frac * rho * cmath.exp(1j * rng.uniform(0, 2 * PI))
-            out.append((poly, ctx.locs, root, mult, z1))
+            z1 = series.center + frac * series.rho * cmath.exp(
+                1j * rng.uniform(0, 2 * PI))
+            out.append((poly, ctx.locs, series, z1))
     return out
 
 
-def test_root_rule_is_the_16_point_gauss_rule():
-    # exact on u^k, k <= 31, and ordered from u = 1 inward
-    nodes, weights = pathint._ROOT_NODES, pathint._ROOT_WEIGHTS
-    assert len(nodes) == len(weights) == 16
-    assert list(nodes) == sorted(nodes, reverse=True)
-    for k in range(32):
-        got = math.fsum(w * u ** k for u, w in zip(nodes, weights))
-        assert abs(got - 1.0 / (k + 1)) <= 4e-16
-
-
 def test_root_rule_matches_the_adaptive_chart():
-    # the 16-point rule against the chart's adaptive panel loop at a
-    # tolerance of 1e-15, up to the reach, the double root included
+    # the root series' primitive xi against the chart's adaptive panel
+    # loop at a tolerance of 1e-15, up to the reach, the double root
+    # included
     rng = random.Random(2020)
     chords = _sweep_chords(rng, 30)
-    assert any(mult == 2 for _, _, _, mult, _ in chords)
-    for poly, roots, root, mult, z1 in chords:
+    assert any(series.power == 2 for _, _, series, _ in chords)
+    for poly, roots, series, z1 in chords:
+        root = series.center
         w1 = cmath.sqrt(poly.evaluate(z1))
-        got = pathint._root_rule(poly, root, mult, z1, w1)
-        ref, _, _ = _root_chord_reference(poly, roots, root, mult, z1, w1,
-                                          rel_tol=1e-15, abs_floor=0.0)
+        got = series.xi(poly.coeffs[0], z1, w1)
+        ref = _root_chord_reference(poly, roots, root, series.power, z1, w1,
+                                    rel_tol=1e-15, abs_floor=0.0)
         assert abs(got - ref) <= 1e-14 * abs(w1) * abs(z1 - root)
 
 
@@ -482,11 +373,13 @@ def test_root_rule_matches_the_adaptive_chart():
 def test_split_root_chord_closed_form(osc, z1, monkeypatch):
     # int_1^z sqrt(z^2 - 1) dz = (z w - log(z + w)) / 2, the log continued
     # from log 1 = 0 along the chord; these chords leave the reach (1, half
-    # the distance to -1), so each is the rule plus one regular chord
+    # the distance to -1), so each is the series' primitive plus one
+    # regular chord
     walks = []
     _spy(monkeypatch, "_gk15", walks)
+    series = _series(osc, [(1.0, 1), (-1.0, 1)], 0)
     for w1 in (cmath.sqrt(osc.evaluate(z1)), -cmath.sqrt(osc.evaluate(z1))):
-        got = pathint.integrate_chord_from_root(osc, (-1.0, 1.0), 1.0, 1,
+        got = pathint.integrate_chord_from_root(osc, (-1.0, 1.0), series,
                                                 z1, w1)
         # z + w along the chord, from z1 back to 1, with w matched node
         # to node, and its argument unwrapped from 0 at z = 1
@@ -510,16 +403,18 @@ def test_split_root_chord_closed_form(osc, z1, monkeypatch):
     (0.3 + 0.4j, 0.25j, 3),
 ])
 def test_lone_root_rule_at_any_length(c, root, mult, monkeypatch):
-    # P = c (z - r)^m has no other root, so q = c and the rule holds at
-    # any length: (2 / (m + 2)) sqrt(c) (z - r)^{(m+2)/2}, which is
+    # P = c (z - r)^m has no other root, so q = c, the series is S = 1
+    # and its primitive holds at any length:
+    # (2 / (m + 2)) sqrt(c) (z - r)^{(m+2)/2}, which is
     # 2 / (m + 2) (z1 - r) w1 on the branch of w1
     p = ComplexPolynomial.from_roots(c, [root] * mult)
+    series = _series(p, [(root, mult)], 0)
     walks = []
     _spy(monkeypatch, "_gk15", walks)
     for z1 in (root + 0.3 - 0.1j, root - 40.0 + 75.0j):
         for sign in (1.0, -1.0):
             w1 = sign * cmath.sqrt(p.evaluate(z1))
-            got = pathint.integrate_chord_from_root(p, (root,), root, mult,
+            got = pathint.integrate_chord_from_root(p, (root,), series,
                                                     z1, w1)
             expect = 2.0 / (mult + 2) * (z1 - root) * w1
             assert abs(got - expect) <= 1e-13 * abs(expect)
@@ -537,10 +432,11 @@ def test_polyline_with_split_ends(osc, verts, monkeypatch):
     # at verts[1], and running one total per input chord; each end chord
     # is the split chord of integrate_chord_from_root
     roots = (-1.0, 1.0)
+    start, end = (_series(osc, [(-1.0, 1), (1.0, 1)], i) for i in (0, 1))
     walks = []
     _spy(monkeypatch, "_gk15", walks)
     (total,), branch, running = integrate_polyline(
-        osc, roots, verts, start=(-1.0, 1), end=(1.0, 1))
+        osc, roots, verts, start=start, end=end)
     assert len(walks) == 1 and len(walks[0][2]) == len(verts)
     assert len(branch) == len(verts) - 2
     assert branch[0] == cmath.sqrt(osc.evaluate(verts[1]))
@@ -558,8 +454,8 @@ def test_polyline_with_split_ends(osc, verts, monkeypatch):
     assert same_branch(complex(continued[0, 1]), branch[0]) == -1
     # chord by chord, against the one-chord calls on the same branches
     walks.clear()
-    expect = pathint.integrate_chord_from_root(osc, roots, -1.0, 1,
-                                               verts[1], branch[0])
+    expect = pathint.integrate_chord_from_root(osc, roots, start, verts[1],
+                                               branch[0])
     assert abs(running[0][0] - expect) <= 1e-12 * abs(expect)
     for k in range(1, len(verts) - 2):
         [part], _ = pathint.integrate_chord(osc, roots, verts[k],
@@ -567,8 +463,8 @@ def test_polyline_with_split_ends(osc, verts, monkeypatch):
                                             [pathint.sqrt_density])
         expect += part
         assert abs(running[k][0] - expect) <= 1e-12 * abs(expect)
-    expect -= pathint.integrate_chord_from_root(osc, roots, 1.0, 1,
-                                                verts[-2], branch[-1])
+    expect -= pathint.integrate_chord_from_root(osc, roots, end, verts[-2],
+                                                branch[-1])
     assert abs(total - expect) <= 1e-12 * abs(expect)
 
 
@@ -587,7 +483,7 @@ def test_root_start_defaults_to_principal_at_regular_vertex(osc):
     # midpoint, its first regular vertex.  With two root ends it is the
     # only one, and the walk starts there on the principal
     # sqrt(z^2 - 1) = i
-    val, branch = walk(osc, [-1.0, 1.0], start=(-1.0, 1), end=(1.0, 1))
+    val, branch = walk(osc, [-1.0, 1.0], start=True, end=True)
     assert branch == [1j]
     assert val == pytest.approx(1j * math.pi / 2, abs=1e-12)
     # from one root end as well: the midpoint's principal value, continued
@@ -596,8 +492,8 @@ def test_root_start_defaults_to_principal_at_regular_vertex(osc):
     # opposite branch and the two integrals agree
     p = parse_poly_text("1,0,0,-1")
     for v in (0.2 + 0.5j, 0.3 - 0.6j, -1 + 1e-3j):
-        fwd, fwd_branch = walk(p, [1.0, v], start=(1.0, 1))
-        back, back_branch = walk(p, [v, 1.0], end=(1.0, 1))
+        fwd, fwd_branch = walk(p, [1.0, v], start=True)
+        back, back_branch = walk(p, [v, 1.0], end=True)
         assert fwd_branch[0] == cmath.sqrt(p.evaluate(0.5 * (1.0 + v)))
         assert back_branch[0] == cmath.sqrt(p.evaluate(v))
         assert same_branch(fwd_branch[-1], back_branch[0]) == -1
@@ -844,7 +740,7 @@ def test_reversal_property(x, y, h):
     p = parse_poly_text("1,0,0,-1")
     a = complex(x, y)
     b = a + complex(0.1, h)
-    for verts, root in (([a, b], None), ([1.0, a, b], (1.0, 1))):
+    for verts, root in (([a, b], False), ([1.0, a, b], True)):
         fwd, fwd_branch = walk(p, verts, start=root)
         back, back_branch = walk(p, verts[::-1], end=root)
         sign = same_branch(fwd_branch[-1], back_branch[0])

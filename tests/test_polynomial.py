@@ -9,6 +9,7 @@ from stokesgeo import (ComplexPolynomial, ParseError, parse_poly_text,
                        stokes_sectors, turning_points)
 from stokesgeo.polynomial import (PolyContext, format_poly_text,
                                   parse_complex, wrap_angle, wrap_positive)
+from tests.conftest import _far_root_draw, stream_polys
 
 TWO_PI = 2 * math.pi
 
@@ -183,3 +184,23 @@ def test_wrap_with_period():
     assert wrap_angle(-math.pi / 2, math.pi) == pytest.approx(math.pi / 2)
     assert wrap_positive(-0.5, math.pi) == pytest.approx(math.pi - 0.5)
     assert wrap_positive(7.0) == pytest.approx(7.0 - TWO_PI)
+
+
+def test_series_at_infinity_squares_to_p():
+    # a0 z^d S^2 from the series at infinity is P at the cone radius r_c
+    # and at 2 r_c, to 1e-14 relative, on the stream polynomials and the
+    # far-root draws (worst 8.3e-16 here; the series from the power sums
+    # of the computed roots reached 7.4e-13 on the far-root draws)
+    polys = (stream_polys(20260808, 5) + stream_polys(1, 5)
+             + [_far_root_draw(k) for k in range(40)])
+    worst = 0.0
+    for poly in polys:
+        series = turning_points(poly).at_infinity
+        a0, d = poly.coeffs[0], poly.degree
+        for r in (series.cone_radius, 2.0 * series.cone_radius):
+            for k in range(16):
+                z = cmath.rect(r, TWO_PI * (k + 0.5) / 16)
+                s_sum, _ = series.chart(z)
+                p = poly.evaluate(z)
+                worst = max(worst, abs(a0 * z ** d * s_sum ** 2 - p) / abs(p))
+    assert worst <= 1e-14

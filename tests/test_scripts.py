@@ -58,17 +58,18 @@ def test_output_parity_repeats():
     proc = _run_script("output_parity.py", "--per-degree", "1",
                        "--against", str(ROOT))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.startswith("all 51 lines agree")
+    assert proc.stderr.startswith("all 69 lines agree")
     lines = proc.stdout.splitlines()
     # survey geodesics, its errors and warnings, rays, alphas, order-0 and
     # order-3 estimates, periods, drift, chords and the very-flat
-    # projection for one polynomial of each degree 3, 4, 5, the graphs of
-    # z^3 - 1 and z^2 (z - 1) with a line for each of their 9 and 6 edges,
-    # and the Wronskian zeros on four rectangles, whose lines also print
-    # the zeros after the hash
-    assert len(lines) == 3 * 10 + 2 + 9 + 6 + 4
+    # projection for one polynomial of each degree 3, 4, 5, the survey of
+    # the far-root draw 15 and its errors and warnings, the graphs of
+    # z^3 - 1, z^2 (z - 1) and the far-root draw with a line for each of
+    # their 9, 6 and 15 edges, and the Wronskian zeros on four rectangles,
+    # whose lines also print the zeros after the hash
+    assert len(lines) == 3 * 10 + 2 + 3 + 9 + 6 + 15 + 4
     edges = [line for line in lines if line.startswith("stokes_edge[")]
-    assert len(edges) == 15
+    assert len(edges) == 30
     assert all(len(line.split()[1]) == 64 for line in lines
                if line not in edges)
     for line in edges:
@@ -85,7 +86,8 @@ def test_output_parity_repeats():
 
 def test_output_parity_reports_a_difference(tmp_path):
     # a package whose Stokes graphs lose their last edge differs on the
-    # two graph lines and lacks the line of each graph's last edge
+    # three graph lines and the far-root survey, which reads its graph's
+    # edges, and lacks the line of each graph's last edge
     shutil.copytree(ROOT / "src" / "stokesgeo", tmp_path / "src" / "stokesgeo",
                     ignore=shutil.ignore_patterns("__pycache__"))
     tracer = tmp_path / "src" / "stokesgeo" / "tracer.py"
@@ -98,9 +100,12 @@ def test_output_parity_reports_a_difference(tmp_path):
     assert proc.returncode == 1, proc.stderr
     changed = [line.split()[0] for line in proc.stderr.splitlines()
                if line[:1] in "+-" and line[:3] not in ("+++", "---")]
-    assert changed == ["-stokes_graph[z^3-1]", "+stokes_graph[z^3-1]",
+    assert changed == ["-survey[far15]", "+survey[far15]",
+                       "-stokes_graph[z^3-1]", "+stokes_graph[z^3-1]",
                        "-stokes_graph[z^2(z-1)]", "+stokes_edge[z^3-1][8]",
-                       "+stokes_graph[z^2(z-1)]", "+stokes_edge[z^2(z-1)][5]"]
+                       "+stokes_graph[z^2(z-1)]", "-stokes_graph[far15]",
+                       "+stokes_edge[z^2(z-1)][5]", "+stokes_graph[far15]",
+                       "+stokes_edge[far15][14]"]
     assert proc.stderr.rstrip().endswith(
         f"the lines differ from those under {(tmp_path / 'src').resolve()}")
 

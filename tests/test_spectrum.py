@@ -17,7 +17,7 @@ from stokesgeo.spectrum import wronskian_sectors
 from stokesgeo import pathint, polynomial, spectrum
 from stokesgeo.config import DEFAULT_CONFIG
 from stokesgeo.geodesics import ShortGeodesic
-from stokesgeo.polynomial import PolyContext
+from stokesgeo.polynomial import PolyContext, SeriesAtRoot
 from tests.conftest import moving_zero_wronskian
 
 PI = math.pi
@@ -43,14 +43,14 @@ def test_loop_period_matches_the_contour_walk(stream_rays):
 
 def test_rays_integrate_nothing(cubic_unity, monkeypatch):
     # every quadrature runs through pathint's GK15 loop, for regular
-    # chords, or its root chart's fixed rule, for turning-point chords
+    # chords, or the root series' primitive, for turning-point chords
     survey = survey_short_geodesics(cubic_unity)
     chords = []
-    for name in ("_gk15", "_root_rule"):
-        def counted(*args, loop=getattr(pathint, name), **kwargs):
+    for owner, name in ((pathint, "_gk15"), (SeriesAtRoot, "xi")):
+        def counted(*args, loop=getattr(owner, name), **kwargs):
             chords.append(args)
             return loop(*args, **kwargs)
-        monkeypatch.setattr(pathint, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     rays = accumulation_rays(cubic_unity, survey=survey)
     assert len(rays) == 3 and chords == []
     # the corrections do walk the contour, through the same spy

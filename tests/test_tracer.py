@@ -14,7 +14,8 @@ from stokesgeo import (ComplexPolynomial, EscapedToRay, HitTurningPoint,
                        emanating_directions, parse_poly_text, re_xi_drift,
                        stokes_sectors, survey_short_geodesics,
                        trace_stokes_line, turning_points)
-from tests.conftest import random_simple_poly, stream_polys
+from tests.conftest import (_root_chord_reference, random_simple_poly,
+                            stream_polys)
 
 
 def _angdiff(a, b):
@@ -618,8 +619,9 @@ def test_vertex_near_a_missed_root_raises(osc, monkeypatch):
 
 def test_root_series_match_sqrt_p_and_the_root_rule():
     # within the reach of each root of the stream polynomials, the series
-    # of sqrt(P) about the root gives +-sqrt(P) and the root rule's
-    # integral from the root (worst 3.4e-15 and 2.0e-15 relative here)
+    # of sqrt(P) about the root gives +-sqrt(P), and its primitive the
+    # integral from the root of the chart's adaptive panel loop at a
+    # tolerance of 1e-14 (worst 3.4e-15 and 4.8e-15 relative here)
     rng = random.Random(7)
     for poly in stream_polys(20260808, 2):
         ctx = PolyContext.of(poly)
@@ -634,8 +636,9 @@ def test_root_series_match_sqrt_p_and_the_root_rule():
                 xi = cmath.sqrt(a0 * series.lead * zeta) * zeta * e_sum
                 p = poly.evaluate(r + zeta)
                 assert abs(w * w - p) <= 1e-14 * abs(p)
-                rule = pathint._root_rule(poly, r, 1, r + zeta, w)
-                assert abs(xi - rule) <= 1e-14 * abs(xi)
+                ref = _root_chord_reference(poly, ctx.locs, r, 1, r + zeta,
+                                            w, rel_tol=1e-14, abs_floor=0.0)
+                assert abs(xi - ref) <= 1e-14 * abs(xi)
 
 
 def test_root_landing_on_the_oscillator_closed_form(osc):
@@ -731,8 +734,8 @@ def test_lone_root_launch_is_on_its_ray():
 def _chord_strays(poly, ctx, polyline, worst):
     """The stray |Re xi_r| / (|sqrt(P)| rho) at 1/4, 1/2 and 3/4 of each
     chord inside the reach of the root r at either end of ``polyline``,
-    with xi_r the root rule's integral from r; the worst per end kind goes
-    into ``worst``."""
+    with xi_r the primitive of the root's series; the worst per end kind
+    goes into ``worst``."""
     ends = [(polyline, "launch")]
     if polyline[-1] in ctx.locs:
         ends.append((polyline[::-1], "hit"))
@@ -744,7 +747,7 @@ def _chord_strays(poly, ctx, polyline, worst):
             for f in (0.25, 0.5, 0.75):
                 z = pl[k - 1] + f * (pl[k] - pl[k - 1])
                 w = cmath.sqrt(poly.evaluate(z))
-                xi = pathint._root_rule(poly, pl[0], ctx.mults[i], z, w)
+                xi = series.xi(poly.coeffs[0], z, w)
                 worst[kind] = max(worst[kind],
                                   abs(xi.real) / (abs(w) * series.rho))
             k += 1
