@@ -23,8 +23,14 @@ class RunConfig:
     # tracer: bound on the DP5 local error |z5 - z4| of each step attempt,
     # x D (absolute, not per unit length).  It sets the vertex spacing, not
     # the vertices' accuracy: nearly all of that error lies normal to the
-    # line, where the drift projection removes it after every step
-    trace_tol: float = 3e-9
+    # line, where the drift projection removes it after every step.  At
+    # 1e-7 most steps are set by the cap h <= near_d/4 instead: on the
+    # chord benchmark's inputs (seed 101) 2,138 attempts, 1,474 of them
+    # cap-bound, where 3e-9 made 3,478 (424).  A sweep up to 1e-6 kept
+    # every level, drift-chord and hit-margin bound; 1e-7 is the largest
+    # value whose error control still rejects steps on both benchmark
+    # workloads (ROADMAP item 10)
+    trace_tol: float = 1e-7
     ode_rel_tol: float = 1e-10       # linear-ODE integrator tolerance
     alpha_order: int = 3             # correction depth in reports
     lambda_min_modulus: float = 0.25

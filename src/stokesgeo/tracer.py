@@ -4,14 +4,16 @@ Trajectories solve dz/ds = i * conj(w) / |w| with w = sqrt(P(z)) continued
 along the trace, which moves at unit speed while keeping Re xi constant
 (d xi / ds = i |w|).  The tracer is a predictor-corrector that follows the
 level set Re xi = Re xi(root).  An embedded Dormand-Prince 5(4) step
-predicts the next vertex; its error bound (``RunConfig.trace_tol``) only
-spaces the vertices, because nearly all of a step's local error lies
-normal to the line.  The corrector adds the chord integral of sqrt(P) to
-a running drift estimate and projects the vertex back onto the level set
-along the normal, so emitted polylines stay on the Stokes line in the
-canonical chart.  The chord integral is a Gauss-Lobatto rule whose end
+predicts the next vertex.  A step is at most a quarter of its start's
+distance to the nearest root, and that cap sets most steps: the error
+bound (``RunConfig.trace_tol``) is loose, and it only spaces the
+vertices, because nearly all of a step's local error lies normal to the
+line.  The corrector adds the chord integral of sqrt(P) to a running
+drift estimate and projects the vertex back onto the level set along the
+normal, so emitted polylines stay on the Stokes line in the canonical
+chart.  The chord integral is a Gauss-Lobatto rule whose end
 values are the step's own, so it costs 4 new evaluations (5 on the
-longest steps near a root, below).
+longer steps, below, which the cap makes most of them).
 
 Each turning point owns one radius, its reach (``SeriesAtRoot.reach``):
 half the distance rho to its nearest other root (half of D for a lone

@@ -355,8 +355,10 @@ def _sweep_chords(rng, n_polys):
 
 def test_root_rule_matches_the_adaptive_chart():
     # the root series' primitive xi against the chart's adaptive panel
-    # loop at a tolerance of 1e-15, up to the reach, the double root
-    # included
+    # loop at a tolerance of 1e-14, up to the reach, the double root
+    # included (worst 4.0e-15 |w1||z1 - r|; at 1e-15, below what GK15's
+    # |i15 - i7| resolves, the reference refines into rounding noise for
+    # 3.7e-15 in 200 times the time)
     rng = random.Random(2020)
     chords = _sweep_chords(rng, 30)
     assert any(series.power == 2 for _, _, series, _ in chords)
@@ -365,7 +367,7 @@ def test_root_rule_matches_the_adaptive_chart():
         w1 = cmath.sqrt(poly.evaluate(z1))
         got = series.xi(poly.coeffs[0], z1, w1)
         ref = _root_chord_reference(poly, roots, root, series.power, z1, w1,
-                                    rel_tol=1e-15, abs_floor=0.0)
+                                    rel_tol=1e-14, abs_floor=0.0)
         assert abs(got - ref) <= 1e-14 * abs(w1) * abs(z1 - root)
 
 

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -50,6 +51,31 @@ def test_census_draws_degree_20_in_a_second():
                               radius=census.census_radius(20))
     assert time.perf_counter() - start < 1.0
     assert poly.degree == 20
+
+
+def test_trace_work_counts_one_chord_pass():
+    proc = _run_script("trace_work.py", "--inputs", "chord", "--seed", "101")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "inputs chord seed 101: 18 polynomials, one pass"
+    # the counts, not the digits of "dp5" or "6-point"
+    numbers = [[int(x) for x in re.findall(r"(?<![\w-])\d+(?![\w-])", line)]
+               for line in lines[1:]]
+    (traces,), (attempts, accepted, rejected, cap_bound), \
+        (chords, six, seven) = numbers[:3]
+    landings = {line.split()[1]: counts
+                for line, counts in zip(lines[4:], numbers[3:])}
+    assert sorted(landings) == ["escape", "hit", "launch"]
+    # each accepted attempt integrates one drift chord, each trace lands
+    # its launch and ends in a hit or an escape, and a Halley pass lands
+    # each circle at least once
+    assert attempts == accepted + rejected and chords == accepted == six + seven
+    assert landings["launch"][0] == traces == 216
+    assert landings["hit"][0] + landings["escape"][0] == traces
+    for count, circles, passes in landings.values():
+        assert passes >= circles >= count
+    # steps at trace_tol = 1e-7 are mostly cap-bound (3,478 attempts at 3e-9)
+    assert 0 < rejected and cap_bound > attempts / 2 and attempts <= 2300
 
 
 def test_output_parity_repeats():
