@@ -14,7 +14,10 @@ the tracer's work, which depend only on the inputs:
 - drift chords, by Gauss-Lobatto rule (6-point and 7-point);
 - landings by kind (a trace's launch on its own root's rungs, a hit on the
   target's rungs, an escape on the ladder of circles at infinity), with
-  the circles they land on and the Halley passes they make.
+  the circles they land on and the Halley passes they make, apart for the
+  landings made during a trace (its launch rung and its escape circle)
+  and those made when a polyline is read (the inner rungs and ladder
+  circles, ``tracer.land_polyline``).
 
 The counts come from wrappers around the tracer's functions; nothing in
 the package or the benchmark is changed.
@@ -78,6 +81,8 @@ def count_work(run):
             kind = "launch"
         else:
             kind = "hit"
+        if not current:
+            kind = "read " + kind
         counts[kind] += 1
         counts[kind + "_circles"] += len(radii)
         before = counts["land_evals"]
@@ -129,10 +134,12 @@ def report(counts):
         f"drift chords {counts['accepted']}: 6-point {counts['chords_6']}, "
         f"7-point {counts['chords_7']}",
     ]
-    for kind in LANDING_KINDS:
-        lines.append(f"landings {kind} {counts[kind]}: circles "
-                     f"{counts[kind + '_circles']}, halley passes "
-                     f"{counts[kind + '_passes']}")
+    for when in ("", "read "):
+        for kind in LANDING_KINDS:
+            kind = when + kind
+            lines.append(f"landings {kind} {counts[kind]}: circles "
+                         f"{counts[kind + '_circles']}, halley passes "
+                         f"{counts[kind + '_passes']}")
     return lines
 
 

@@ -116,16 +116,20 @@ class FaceSet:
         return [dom for dom in self.domains if dom.kind == "HalfPlane"]
 
 
-def _arc_samples(radius, b0, b1):
-    span = (b1 - b0) % TWO_PI
-    if span == 0.0:
-        span = TWO_PI
+def _arc_samples(radius, b0, span):
+    """Points of the counterclockwise arc of ``span`` rad from phase b0 on
+    the circle of ``radius``, both ends included."""
     n = max(2, int(span / 0.08) + 1)
     return [radius * cmath.exp(1j * (b0 + span * k / n)) for k in range(n + 1)]
 
 
 def build_face_set(graph: StokesGraph) -> FaceSet:
-    """Planar subdivision of the escape disk by the Stokes graph."""
+    """Planar subdivision of the escape disk by the Stokes graph, from its
+    edges' vertices (``StokesEdge.vertices``): the lines at a root are
+    ordered by the directions to their second vertices, a face's outline
+    runs along the vertices, and each arc between two ends on the escape
+    circle spans their phase difference, none for two ends at one phase
+    and the whole circle for a lone end."""
     if graph.incomplete:
         raise IncompleteGraphError(
             "cannot enumerate faces of a graph with truncated trajectories")
@@ -135,7 +139,7 @@ def build_face_set(graph: StokesGraph) -> FaceSet:
     crossings = []   # (beta, graph edge index)
     for idx, e in enumerate(graph.edges):
         if e.kind == "escape":
-            crossings.append((wrap_positive(cmath.phase(e.polyline[-1])), idx))
+            crossings.append((wrap_positive(cmath.phase(e.vertices[-1])), idx))
     crossings.sort()
     boundary_pos = {("b", k): radius * cmath.exp(1j * beta)
                     for k, (beta, _) in enumerate(crossings)}
@@ -152,7 +156,7 @@ def build_face_set(graph: StokesGraph) -> FaceSet:
         halves.append(h2)
 
     for idx, e in enumerate(graph.edges):
-        pl = list(e.polyline)
+        pl = list(e.vertices)
         if e.kind == "finite":
             u, v = ("r", e.origin), ("r", e.target)
             dep_f = cmath.phase(pl[1] - pl[0])
@@ -217,7 +221,10 @@ def build_face_set(graph: StokesGraph) -> FaceSet:
                 pts.extend(h.pline[:-1])
             else:
                 k0, k1, orient = h.ref
-                samples = _arc_samples(radius, betas[k0], betas[k1])
+                # two ends at one phase span no arc; one end alone, all of it
+                span = (TWO_PI if k0 == k1
+                        else (betas[k1] - betas[k0]) % TWO_PI)
+                samples = _arc_samples(radius, betas[k0], span)
                 if orient < 0:
                     samples = samples[::-1]
                 pts.extend(samples[:-1])
@@ -344,7 +351,7 @@ def _segment_inside(za, zb, poly_pts, locs, delta) -> bool:
 
 def _edges_at(graph: StokesGraph, root: int, edge_ids):
     """Each of the edges ``edge_ids`` that ends at ``root`` as (pl, k): the
-    edge's polyline pl ordered outward from the root, and the index k of
+    edge's vertices pl ordered outward from the root, and the index k of
     the last vertex before pl first leaves the root's reach
     (``SeriesAtRoot.reach``, half the distance to the nearest other root;
     k >= 1), so that a chord from the root to pl[k] integrates on the
@@ -356,7 +363,7 @@ def _edges_at(graph: StokesGraph, root: int, edge_ids):
     for e in (graph.edges[j] for j in edge_ids):
         if root not in (e.origin, e.target):
             continue
-        pl = e.polyline if e.origin == root else e.polyline[::-1]
+        pl = e.vertices if e.origin == root else e.vertices[::-1]
         k = 1
         while k + 1 < len(pl) and abs(pl[k + 1] - pl[0]) <= radius:
             k += 1
@@ -389,9 +396,10 @@ def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
     they give the same integral.  The walk then follows the edge's traced
     vertices to a*, crosses the face on the straight segment a* -> b*, and
     follows r_to's edge (``exit_edge`` when given) back.  The a* are the
-    traced vertices at 1/8 .. 7/8 of r_from's boundary edges, each paired
-    with the nearest vertex b* of r_to's; the first pair whose segment lies
-    inside the face, in order of the traced vertices walked, is used.
+    traced vertices of r_from's boundary edges clear of the roots and the
+    escape circle, each paired with the nearest vertex b* of r_to's; the
+    first pair whose segment lies inside the face, in order of the traced
+    vertices walked, is used.
 
     Returns (xi(r_to) - xi(r_from), Im[xi(b*) - xi(r_to)]); the first is
     the period of the strip's standard saddle class, the imaginary part
@@ -414,18 +422,18 @@ def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
         clear = np.arange(len(za))
     zb, b_edge, b_index = _vertex_table(tos)
 
-    n = len(clear)
-    pairs = []
-    for j in sorted({min(q, n - 1) for q in
-                     (n // 2, n // 4, 3 * n // 4, n // 8, 7 * n // 8)}):
-        a = clear[j]
-        # the first of the nearest vertices b*
-        b = np.argmin(np.abs(zb - za[a]))
-        pairs.append(((*froms[a_edge[a]], int(a_index[a])),
-                      (*tos[b_edge[b]], int(b_index[b]))))
-    # by the traced vertices walked from the roots, max(i - k, 0) a side
-    pairs.sort(key=lambda pair: sum(max(i - k, 0) for _, k, i in pair))
-    for (pa, ka, ia), (pb, kb, ib) in pairs:
+    # each clear vertex a* with the first of its nearest vertices b*, in
+    # order of the traced vertices walked from the roots, max(i - k, 0) a
+    # side
+    near = np.abs(za[clear][:, None] - zb[None, :]).argmin(axis=1)
+    a_k = np.array([k for _, k in froms])[a_edge[clear]]
+    b_k = np.array([k for _, k in tos])[b_edge[near]]
+    walked = (np.maximum(a_index[clear] - a_k, 0)
+              + np.maximum(b_index[near] - b_k, 0))
+    for j in np.argsort(walked, kind="stable"):
+        a, b = clear[j], near[j]
+        (pa, ka), ia = froms[a_edge[a]], int(a_index[a])
+        (pb, kb), ib = tos[b_edge[b]], int(b_index[b])
         if _segment_inside(pa[ia], pb[ib], dom.polygon, locs, delta):
             break
     else:

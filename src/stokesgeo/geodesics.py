@@ -34,6 +34,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .domains import mutation_walk, strip_basis
@@ -41,7 +42,8 @@ from .errors import NonGenericError, NumericalError, in_context
 from .pathint import pairwise_periods, period_sign_flips
 from .polynomial import (ComplexPolynomial, PolyContext, turning_points,
                          wrap_angle, wrap_positive)
-from .tracer import HitTurningPoint, emanating_directions, trace_stokes_line
+from .tracer import (HitTurningPoint, emanating_directions, land_polyline,
+                     trace_stokes_line)
 
 PI = math.pi
 # strip decompositions tried, at the widest gaps between candidate angles
@@ -50,12 +52,20 @@ START_ATTEMPTS = 3
 
 @dataclass(frozen=True)
 class ShortGeodesic:
-    """A verified finite Stokes line of P_t between two turning points."""
+    """A verified finite Stokes line of P_t between two turning points.
+    ``vertices`` are its trace's (``trace_stokes_line``); ``polyline``
+    adds the rungs at either root, landed from ``landing`` on first read
+    (``tracer.land_polyline``)."""
 
     pair: tuple[int, int]
     t_star: float
     period: complex
-    polyline: tuple[complex, ...]
+    vertices: tuple[complex, ...]
+    landing: tuple | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def polyline(self) -> tuple[complex, ...]:
+        return land_polyline(self.vertices, self.landing)
 
 
 @dataclass
@@ -100,7 +110,8 @@ def verify_geodesic(poly: ComplexPolynomial, pair, t: float, period: complex,
         if isinstance(fate, HitTurningPoint):
             if fate.target == b:
                 return ShortGeodesic(pair=pair, t_star=wrap_positive(t, PI),
-                                     period=period, polyline=tuple(pl))
+                                     period=period, vertices=tuple(pl),
+                                     landing=(rot, a, dirs[k], fate))
             if fate.target != a:
                 third[k] = fate.target
     if third:

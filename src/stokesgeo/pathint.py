@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -544,8 +545,13 @@ def correction_numerators(poly: ComplexPolynomial, j_max: int):
     """Polynomials Q_j with alpha_j = Q_j(z) * w^{-(3j+2)}, w = sqrt(P):
     Q_0 = -P'/4 and
     Q_j = -1/2 [ sum_{m<j} Q_m Q_{j-1-m} + Q_{j-1}' P - (3j-1)/2 Q_{j-1} P' ].
+    Computed once per coefficient tuple and j_max.
     """
-    p = poly.coeffs
+    return _correction_numerators_cached(poly.coeffs, j_max)
+
+
+@lru_cache(maxsize=512)
+def _correction_numerators_cached(p: tuple[complex, ...], j_max: int):
     dp = _pderiv(p)
     qs = [_pscale(dp, -0.25)]
     for j in range(1, j_max + 1):
@@ -555,7 +561,7 @@ def correction_numerators(poly: ComplexPolynomial, j_max: int):
         acc = _padd(acc, _pmul(_pderiv(qs[j - 1]), p))
         acc = _padd(acc, _pscale(_pmul(qs[j - 1], dp), -(3 * j - 1) / 2.0))
         qs.append(_pscale(acc, -0.5))
-    return qs
+    return tuple(qs)
 
 
 def alpha_densities(poly: ComplexPolynomial, j_max: int):

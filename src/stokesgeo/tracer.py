@@ -21,40 +21,52 @@ root, ``PolyContext.reaches``).
 Inside it the local normal form of P dz^2 holds (Strebel, Quadratic
 Differentials, 1984, ch. III), sqrt(P) = c^{1/2} (z - r)^{m/2} S with S a
 power series in (z - r)/rho (``polynomial.SeriesAtRoot``), and no step is
-needed: the trace's vertices there are the line's points on six rungs
+needed: a polyline's vertices there are the line's points on six rungs
 |z - r| = k reach / 6, the last just inside the reach, landed on the
-series.  A trace starts with those of its own root, on the root's level;
-the last is the launch.  On entering another root's reach it decides
-once: the level offset delta of the line from that root's level, from
-that root's series, gives the line's closest approach in the local
-model, and within the hit radius the trace ends with the line's points
-on that root's rungs below the vertex, then the root; otherwise it steps
-on.  A step longer than a fifth of its distance to the nearest root
-integrates its drift chord by a 7-point Gauss-Lobatto rule, which keeps
-it as accurate as the shorter steps' 6-point rule.
+series.  A trace lands only the last of its own root's, on the root's
+level: the launch, where it starts to step.  On entering another root's
+reach it decides once: the level offset delta of the line from that
+root's level, from that root's series, gives the line's closest approach
+in the local model, and within the hit radius the trace ends with the
+entering vertex, then the root; otherwise it steps on.  A step longer
+than a fifth of its distance to the nearest root integrates its drift
+chord by a 7-point Gauss-Lobatto rule, which keeps it as accurate as the
+shorter steps' 6-point rule.
 
 Near the pole at infinity the lines are trapped in cones about the d+2
 rays (Strebel, Quadratic Differentials, 1984, ch. III).  Beyond the cone
 radius r_c, where Phi(r) = 1/2 sum m_i arcsin(|r_i|/r) < pi/4 bounds the
 phase of sqrt(P) / z^{d/2}, an outward vertex whose angle psi from the
 nearest ray, scaled by (d+2)/2, has max(|psi|, Phi) + Phi < pi/2 is
-certain to escape along that ray.  The trace ends there.  Its last
-vertices are the line's points on a ladder of circles r_escape 2^-j, the
-same for every line, from the first circle above the vertex out to the
-escape circle, with xi from the Laurent series of sqrt(P) at infinity
-(``polynomial.SeriesAtInfinity``).  A vertex past the escape circle
-before the certificate holds is moved back onto that circle the same way.
-Every landing, at a root or at infinity, is one routine, ``_land``:
-Halley's method in the angle on each circle.  Both series pin their
-branch to the trace's by one method, ``pinned``, which pathint's root
-chords share.
+certain to escape along that ray.  The trace ends there, on the line's
+point on the escape circle, landed from that vertex with xi from the
+Laurent series of sqrt(P) at infinity (``polynomial.SeriesAtInfinity``).
+A vertex past the escape circle before the certificate holds is moved
+back onto that circle the same way.
+
+The trace's vertices fix the line's combinatorics: its fate, and the
+order of the lines at each root and on the escape circle.  They are all
+that the face sets and the strip crossings read (``domains``).  The
+fates keep where the trace would have landed the rest from, and
+``land_polyline`` lands it when a polyline is read
+(``StokesEdge.polyline``, ``ShortGeodesic.polyline``): the launch's
+inner rungs, a hit's rungs below its entering vertex, and an escape's
+ladder of circles r_escape 2^-j, the same for every line, from the first
+circle above its vertex.  Each is the chain of landings that a trace
+landing every circle makes, so a read polyline is that trace's bit for
+bit, but for the launch and the escape's end, which differ from the
+chain's last points by rounding.  Every landing, at a root or at
+infinity, is one routine, ``_land``: Halley's method in the angle on
+each circle.  Both series pin their branch to the trace's by one method,
+``pinned``, which pathint's root chords share.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .config import DEFAULT_CONFIG, RunConfig, Scales
 from .errors import NumericalError
@@ -117,16 +129,32 @@ _LAUNCH = 1.0 - 1e-9
 class HitTurningPoint:
     """The trace reached turning point ``target``: ``final_distance`` is
     the closest approach of its line to that root in the root's local
-    model, d_min, decided on entering the root's reach."""
+    model, d_min, decided on entering the root's reach.  ``vertex`` is
+    that entering vertex, and ``w`` and ``level`` are sqrt(P) there, on
+    the branch of the line that leaves the target, and the line's level
+    in the target's chart: where ``land_polyline`` lands the rungs below
+    the vertex from."""
 
     target: int
     final_distance: float
+    vertex: complex = field(default=0j, compare=False, repr=False)
+    w: complex = field(default=0j, compare=False, repr=False)
+    level: float = field(default=0.0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class EscapedToRay:
+    """The trace escaped along ``ray`` to ``exit_point`` on the escape
+    circle.  ``vertex`` is the vertex the escape was decided at, and ``w``
+    and ``level`` are sqrt(P) there and the line's level offset in the
+    chart at infinity: where ``land_polyline`` lands the inner ladder
+    circles from."""
+
     ray: int
     exit_point: complex
+    vertex: complex = field(default=0j, compare=False, repr=False)
+    w: complex = field(default=0j, compare=False, repr=False)
+    level: float = field(default=0.0, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -232,11 +260,25 @@ def _dp5_step(poly, z, w, k0, h):
 
 
 def _rungs(reach):
-    """The circles |z - r| = rung on which a trace has its vertices inside
-    the reach of the root r, outward: ``_RUNGS`` equal steps, the last just
-    inside the reach, so that a root chord to it integrates on the root's
-    series unsplit."""
+    """The circles |z - r| = rung on which a polyline has its vertices
+    inside the reach of the root r, outward: ``_RUNGS`` equal steps, the
+    last, the launch rung, just inside the reach, so that a root chord to
+    it integrates on the root's series unsplit."""
     return [reach * k / _RUNGS for k in range(1, _RUNGS)] + [reach * _LAUNCH]
+
+
+def _launch_start(ctx, root_index, direction):
+    """Where every landing of the line that leaves root ``root_index``
+    along ``direction`` starts: the local model's point of that line on
+    the first rung, and sqrt(P) there on the branch whose field points
+    along it; with the root's series and rungs."""
+    own = ctx.tps.at_roots[root_index]
+    rungs = _rungs(ctx.reaches[root_index])
+    zeta = cmath.rect(rungs[0], direction)
+    w = cmath.sqrt(ctx.poly.coeffs[0] * own.lead * zeta ** own.power)
+    if (1j * w.conjugate() * zeta.conjugate()).real < 0.0:
+        w = -w
+    return own, ctx.locs[root_index] + zeta, w, rungs
 
 
 def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float,
@@ -244,22 +286,21 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
                       context: PolyContext | None = None):
     """Trace one Stokes line from a turning point.
 
-    Returns (polyline, fate).  The trace steps only outside the roots'
+    Returns (vertices, fate).  The trace steps only outside the roots'
     reaches (``PolyContext.reaches``, half the distance to the nearest
-    other root; half of D for a lone root).  Inside them its vertices
-    are the line's points on the rungs (``_rungs``), landed from the
-    root's local series: it starts with those of its own root, the last
-    one the launch, and ends on: entering the reach of another turning
-    point whose local model puts the line within delta_hit of it
-    (HitTurningPoint, with the model's closest approach; the line's points
-    on that root's rungs below the vertex, then the root), an outward
-    vertex in the trapping cone at infinity or past the escape circle
-    (EscapedToRay; the line's points on the circles r_escape 2^-j above
-    the vertex, the last one on the escape circle), or reaching the
-    length cap l_max (Truncated), checked after the launch, whose arc
-    counts as the length of its polyline, and after each step's
-    decisions.  Tolerances and scales come from
-    ``context``, which defaults to the context of ``poly`` under
+    other root; half of D for a lone root).  Its vertices are the root,
+    the launch (the line's point on the root's outermost rung, landed
+    from the root's local series), the stepped vertices, and an end: on
+    entering the reach of another turning point whose local model puts
+    the line within delta_hit of it (HitTurningPoint, with the model's
+    closest approach), that root; on an outward vertex in the trapping
+    cone at infinity or past the escape circle (EscapedToRay), the line's
+    point on the escape circle, which replaces a vertex past it.  On
+    reaching the length cap l_max (Truncated), checked after the launch,
+    whose arc counts as the length of the chord to it, and after each
+    step's decisions, there is no end.  ``land_polyline`` lands the
+    rungs and ladder circles between them.  Tolerances and scales come
+    from ``context``, which defaults to the context of ``poly`` under
     ``config``.  A trace that needs more than ``_MAX_STEP_ATTEMPTS`` step
     attempts, or a step below 1e-15 D, raises ``NumericalError`` naming
     the root, the launch direction and the arc length reached; so does a
@@ -272,7 +313,6 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     a0 = poly.coeffs[0]
     reaches = ctx.reaches
     r0 = locs[root_index]
-    own = at_roots[root_index]
     reach = reaches[root_index]
 
     delta_hit = scales.delta_hit
@@ -282,24 +322,19 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     atol = ctx.config.trace_tol * scales.d_unit
     drift_tol = 1e-13 * scales.d_unit
 
-    # the launch: the line's points on the root's rungs, on the root's own
-    # level, from the first rung's point of the local model's line, on the
-    # branch whose field points along it
-    rungs = _rungs(reach)
-    zeta = cmath.rect(rungs[0], direction)
-    w = cmath.sqrt(a0 * own.lead * zeta ** own.power)
-    if (1j * w.conjugate() * zeta.conjugate()).real < 0.0:
-        w = -w
-    launch, w = _land(ctx, own, r0 + zeta, w, 0.0, rungs, root_index,
-                      direction)
-    z = launch[-1]
+    # the launch: the line's point on the root's outermost rung, on the
+    # root's own level, landed from the local model's point on the first
+    # rung
+    own, z_c, w_c, rungs = _launch_start(ctx, root_index, direction)
+    (z,), w = _land(ctx, own, z_c, w_c, 0.0, rungs[-1:], root_index,
+                    direction)
     w = _branch_step(poly, w, z)
     k = 1j * w.conjugate() / abs(w)
     drift = 0.0
-    polyline = [r0] + launch
+    vertices = [r0, z]
 
-    # the arc length so far, the launch's as the length of its polyline
-    s_total = sum(abs(b - a) for a, b in zip(polyline, polyline[1:]))
+    # the arc length so far, the launch's as the length of its chord
+    s_total = abs(z - r0)
     h = reach / 4.0
     # nearest turning point to the current vertex; rejected steps keep it
     near_idx, near_d = ctx.nearest_root(z)
@@ -309,7 +344,7 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     while True:
         # the length cap, after the launch and after each step's decisions
         if s_total >= scales.l_max:
-            return polyline, Truncated(s_total)
+            return vertices, Truncated(s_total)
         guard += 1
         if guard > _MAX_STEP_ATTEMPTS:
             raise NumericalError(
@@ -339,7 +374,7 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
             k6 = 1j * w6.conjugate() / abs(w6)
         s_total += h
         z, w, k = z5, w6, k6
-        polyline.append(z)
+        vertices.append(z)
         if err > 0:
             h = h * min(5.0, max(0.2, 0.9 * (atol / err) ** 0.2))
         else:
@@ -353,14 +388,9 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
                 target = at_roots[near_idx]
                 approach = _closest_approach(target, a0, z, w, drift)
                 if approach[1] <= delta_hit:
-                    # the line's points on the root's rungs below the
-                    # vertex, landed as the line that leaves the root
-                    below = [x for x in reversed(_rungs(reaches[near_idx]))
-                             if x < near_d]
-                    polyline += _land(ctx, target, z, -w, -approach[0],
-                                      below, root_index, direction)[0]
-                    polyline.append(locs[near_idx])
-                    return polyline, HitTurningPoint(near_idx, approach[1])
+                    vertices.append(locs[near_idx])
+                    return vertices, HitTurningPoint(
+                        near_idx, approach[1], z, -w, -approach[0])
             if near_d <= delta_hit:
                 raise NumericalError(
                     f"trace from root {root_index} along {direction:.12g} "
@@ -372,22 +402,20 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
             inside = -1
 
         # an outward vertex in the trapping cone ends the trace on the
-        # ladder of circles r_escape 2^-j above it; one past the escape
-        # circle, uncertified, is moved back onto that circle
+        # escape circle; one past that circle, uncertified, is moved back
+        # onto it
         r = abs(z)
         if (z.real * k.real + z.imag * k.imag > 0.0
                 and (r >= r_escape
                      or r > r_cone and _in_cone(cone, ctx.sectors, z, r))):
-            ladder = [r_escape]
-            while 0.5 * ladder[-1] > r:
-                ladder.append(0.5 * ladder[-1])
             if r >= r_escape:
-                polyline.pop()   # its landing on the circle replaces it
-            polyline += _land(ctx, cone, z, w, -drift, ladder[::-1],
-                              root_index, direction)[0]
-            return polyline, EscapedToRay(
-                ctx.sectors.nearest_ray_index(cmath.phase(polyline[-1])),
-                polyline[-1])
+                vertices.pop()   # its landing on the circle replaces it
+            (end,), _ = _land(ctx, cone, z, w, -drift, [r_escape], root_index,
+                              direction)
+            vertices.append(end)
+            return vertices, EscapedToRay(
+                ctx.sectors.nearest_ray_index(cmath.phase(end)), end, z, w,
+                -drift)
 
 
 def _closest_approach(series, a0, z, w, drift):
@@ -497,6 +525,41 @@ def _land(ctx, series, z_c, w_c, level, radii, root_index, direction):
     return out, w
 
 
+def land_polyline(vertices, landing):
+    """The polyline of a trace from its ``vertices`` (``trace_stokes_line``)
+    and its ``landing``, (context, root index, direction, fate): the
+    line's points on the launch's inner rungs before the launch, and
+    before the end those on the target's rungs below the entering vertex
+    of a hit, or on the inner circles of the ladder r_escape 2^-j above
+    the vertex an escape was decided at.  Each is landed by the chain of
+    ``_land`` calls that a trace landing every circle makes, so the points
+    are that chain's bit for bit; the launch and the escape's end, which
+    the trace landed directly, agree with the chain's last points to
+    rounding.  Without a landing the vertices are the polyline."""
+    if landing is None:
+        return tuple(vertices)
+    ctx, root_index, direction, fate = landing
+    own, z_c, w_c, rungs = _launch_start(ctx, root_index, direction)
+    head = _land(ctx, own, z_c, w_c, 0.0, rungs[:-1], root_index,
+                 direction)[0]
+    if isinstance(fate, HitTurningPoint):
+        near_d = abs(fate.vertex - ctx.locs[fate.target])
+        radii = [x for x in reversed(_rungs(ctx.reaches[fate.target]))
+                 if x < near_d]
+        series = ctx.tps.at_roots[fate.target]
+    elif isinstance(fate, EscapedToRay):
+        ladder = [ctx.scales.r_escape]
+        while 0.5 * ladder[-1] > abs(fate.vertex):
+            ladder.append(0.5 * ladder[-1])
+        radii = ladder[:0:-1]
+        series = ctx.tps.at_infinity
+    else:
+        return (vertices[0], *head, *vertices[1:])
+    tail = _land(ctx, series, fate.vertex, fate.w, fate.level, radii,
+                 root_index, direction)[0] if radii else []
+    return (vertices[0], *head, *vertices[1:-1], *tail, vertices[-1])
+
+
 # --- graph assembly -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -505,17 +568,25 @@ class StokesEdge:
 
     Finite edges carry both endpoint stubs (root index, local direction
     index); escaping edges carry the asymptotic ray index and end on the
-    escape circle (see ``trace_stokes_line``).
+    escape circle (see ``trace_stokes_line``).  ``vertices`` are the
+    trace's: root, launch, stepped vertices and end.  ``polyline`` adds
+    the rungs and ladder circles between them, landed from ``landing``
+    on first read (``land_polyline``).
     """
 
     kind: str                      # "finite" | "escape" | "truncated"
     origin: int
     direction_index: int
-    polyline: tuple[complex, ...]
+    vertices: tuple[complex, ...]
     target: int | None = None
     target_direction_index: int | None = None
     ray: int | None = None
     flagged: bool = False
+    landing: tuple | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def polyline(self) -> tuple[complex, ...]:
+        return land_polyline(self.vertices, self.landing)
 
 
 @dataclass(frozen=True)
@@ -542,7 +613,7 @@ def build_stokes_graph(poly: ComplexPolynomial,
     flagged.  Any truncated trajectory marks the graph incomplete.
     """
     ctx = PolyContext.of(poly, config)
-    raw = []  # (origin, dir_index, direction, polyline, fate)
+    raw = []  # (origin, dir_index, direction, vertices, fate)
     for ridx, (root, mult) in enumerate(ctx.tps.points):
         dirs = emanating_directions(poly, root, mult)
         for kdir, theta in enumerate(dirs):
@@ -559,6 +630,7 @@ def build_stokes_graph(poly: ComplexPolynomial,
     for idx, (ridx, kdir, theta, pl, fate) in enumerate(raw):
         if idx in consumed:
             continue
+        landing = (ctx, ridx, theta, fate)
         if isinstance(fate, HitTurningPoint):
             partners = [p for p in hits.get((fate.target, ridx), [])
                         if p not in consumed and p != idx]
@@ -568,30 +640,33 @@ def build_stokes_graph(poly: ComplexPolynomial,
                 consumed.add(pidx)
                 edges.append(StokesEdge(
                     kind="finite", origin=ridx, direction_index=kdir,
-                    polyline=pl, target=fate.target,
-                    target_direction_index=raw[pidx][1], flagged=False))
+                    vertices=pl, target=fate.target,
+                    target_direction_index=raw[pidx][1], flagged=False,
+                    landing=landing))
             else:
                 consumed.add(idx)
                 tgt_dirs = emanating_directions(
                     poly, ctx.locs[fate.target], ctx.mults[fate.target])
+                # the arrival direction at the entering vertex
                 arr = cmath.phase(pl[-2] - ctx.locs[fate.target])
                 kt = min(range(len(tgt_dirs)),
                          key=lambda m: abs(wrap_angle(tgt_dirs[m] - arr)))
                 edges.append(StokesEdge(
                     kind="finite", origin=ridx, direction_index=kdir,
-                    polyline=pl, target=fate.target,
-                    target_direction_index=kt, flagged=True))
+                    vertices=pl, target=fate.target,
+                    target_direction_index=kt, flagged=True,
+                    landing=landing))
         elif isinstance(fate, EscapedToRay):
             consumed.add(idx)
             edges.append(StokesEdge(
                 kind="escape", origin=ridx, direction_index=kdir,
-                polyline=pl, ray=fate.ray))
+                vertices=pl, ray=fate.ray, landing=landing))
         else:
             consumed.add(idx)
             incomplete = True
             edges.append(StokesEdge(
                 kind="truncated", origin=ridx, direction_index=kdir,
-                polyline=pl, flagged=True))
+                vertices=pl, flagged=True, landing=landing))
 
     # complexes: connected components over finite edges
     parent = list(range(len(ctx.locs)))

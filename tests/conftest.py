@@ -34,6 +34,13 @@ def stream_polys(seed, per_degree):
     return out
 
 
+def criterion_6_polys():
+    """The 90 inputs of acceptance criterion 6, 30 per degree 3, 4, 5."""
+    rng = random.Random(5150)
+    return [random_simple_poly(rng, d, min_sep=0.5, radius=1.5)
+            for d in (3, 4, 5) for _ in range(30)]
+
+
 def _far_root_draw(k):
     """Draw k of the far-root generator: degree 4 + k % 2, d - 1 roots in
     [-1.5, 1.5]^2 at least 0.5 apart and one root at modulus 60-100,

@@ -26,6 +26,8 @@ EXAMPLES = [
     '--wronskian 0.5,7.5,-1,1 --out out',
     'strip-realize 5 7 --out out',
     'chords --poly "1,0,-1" --t 0.3 --out out',
+    'rays --poly "1,0,0.3+0.2i,-1" --out cubic',
+    'eigenvalues --poly "1,0,0.3+0.2i,-1" --n 0..3 --order 3 --out cubic',
 ]
 
 

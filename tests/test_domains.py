@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import math
 import random
@@ -11,8 +12,10 @@ from stokesgeo import (NonGenericError, NumericalError, build_face_set,
 from stokesgeo.cli import main
 from stokesgeo.domains import chords_cross
 from stokesgeo.pathint import period_for_pair
-from stokesgeo.polynomial import SeriesAtRoot
-from tests.conftest import _far_root_draw, random_simple_poly, stream_polys
+from stokesgeo.polynomial import PolyContext, SeriesAtRoot, wrap_positive
+from stokesgeo.tracer import emanating_directions
+from tests.conftest import (_far_root_draw, criterion_6_polys,
+                            random_simple_poly, stream_polys)
 
 
 def test_airy_faces():
@@ -263,41 +266,90 @@ def test_thin_strip_width_is_the_pair_period():
     assert abs(width - want) <= 1e-12 * want
 
 
-def test_one_chord_landings_give_the_same_faces(monkeypatch):
-    # every escaping polyline cut to one chord, from the vertex where the
-    # trapping cone decided its escape to its end on the escape circle.
-    # The outer face is the one that runs on clockwise arcs alone, so the
-    # long chords, beside lines that leave within 1e-9 rad of each other
-    # on far-root draw 15, give the faces of the full traces.  The members
-    # are that draw at the survey's first three start angles
-    starts = set()
-    land = tracer._land
-
-    def spy(ctx, series, z_c, *args):
-        if not series.at_root:
-            starts.add(z_c)
-        return land(ctx, series, z_c, *args)
-    monkeypatch.setattr(tracer, "_land", spy)
-
+def test_one_chord_landings_give_the_same_faces():
+    # the face sets read only the traces' vertices, where the launch is one
+    # chord from the root and an escape one chord from the vertex that
+    # decided it to its end on the escape circle; with the full polylines,
+    # every rung and ladder circle landed, the faces are the same.  The
+    # members are far-root draw 15 at the survey's first three start
+    # angles, where lines leave within 1e-9 rad of each other, and the
+    # criterion-6 inputs.  At each root, the launch rung orders the m + 2
+    # lines, and the entering vertices of the lines that hit it, as the
+    # first rung does
     def faces(graph):
         return sorted((dom.kind, dom.edge_ids, dom.incident_rays,
                        dom.boundary_roots) for dom in
                       build_face_set(graph).domains)
 
-    poly = _far_root_draw(15)
-    for t0 in (1.652141764589, 0.120355611373, 2.716108120204):
-        starts.clear()
-        graph = build_stokes_graph(poly.rotate(t0))
-        edges = []
-        for e in graph.edges:
-            if e.kind == "escape":
-                k = max(i for i, z in enumerate(e.polyline) if z in starts)
-                assert k < len(e.polyline) - 2
-                e = replace(e, polyline=e.polyline[:k + 1] + e.polyline[-1:])
-            edges.append(e)
-        full = faces(graph)
-        assert sum(kind == "Strip" for kind, *_ in full) == 4
-        assert faces(replace(graph, edges=tuple(edges))) == full
+    def order_at_roots(graph, points):
+        # each root's lines, in the cyclic order of the directions in
+        # which they leave it toward their second points at either end,
+        # from its smallest edge index
+        at = {}
+        for idx, e in enumerate(graph.edges):
+            pl = getattr(e, points)
+            at.setdefault(e.origin, []).append((pl[0], pl[1], idx))
+            if e.kind == "finite":
+                at.setdefault(e.target, []).append((pl[-1], pl[-2], idx))
+        orders = {}
+        for root, lines in at.items():
+            ids = [idx for *_, idx in sorted(
+                lines, key=lambda x: wrap_positive(cmath.phase(x[1] - x[0])))]
+            k = ids.index(min(ids))
+            orders[root] = ids[k:] + ids[:k]
+        return orders
+
+    draw = _far_root_draw(15)
+    members = [draw.rotate(t0) for t0 in (1.652141764589, 0.120355611373,
+                                          2.716108120204)]
+    checked = 0
+    for n, member in enumerate(members + criterion_6_polys()):
+        graph = build_stokes_graph(member)
+        landed = replace(graph, edges=tuple(
+            replace(e, vertices=e.polyline, landing=None)
+            for e in graph.edges))
+        traced = faces(graph)
+        if n < len(members):
+            assert sum(kind == "Strip" for kind, *_ in traced) == 4
+        assert faces(landed) == traced
+        # the vertices run root, launch, ..., entering vertex, root, and a
+        # polyline from the root to its first rung at either end
+        assert (order_at_roots(graph, "vertices")
+                == order_at_roots(graph, "polyline"))
+        assert all(e.vertices[1] == e.polyline[tracer._RUNGS]
+                   for e in graph.edges)
+        checked += len(graph.edges)
+    assert checked > 1000
+
+
+def test_two_ends_at_one_phase_keep_their_strip(osc, monkeypatch):
+    # z^2 - 1 at t = 0.3: the lines from roots 0 and 1 along ray 3 bound
+    # the strip and reach the escape circle 1.2e-3 rad apart.  Moved onto
+    # one point, the arc between their ends has zero span: the strip's
+    # outline runs along no circle there, where a full circle around the
+    # disk would put every crossing segment outside it.  Its width is
+    # still (pi/2) sin t
+    poly = osc.rotate(0.3)
+    ctx = PolyContext.of(poly)
+    theta = {root: emanating_directions(poly, ctx.locs[root], 1)[2]
+             for root in (0, 1)}
+    trace = tracer.trace_stokes_line
+    end = trace(poly, 0, theta[0], context=ctx)[0][-1]
+
+    def snapped(poly, root_index, direction, **kwargs):
+        vertices, fate = trace(poly, root_index, direction, **kwargs)
+        if root_index == 1 and direction == theta[1]:
+            assert abs(vertices[-1] - end) < 2e-3 * abs(end)
+            vertices[-1] = end
+        return vertices, fate
+    monkeypatch.setattr(tracer, "trace_stokes_line", snapped)
+    graph = build_stokes_graph(poly)
+    assert [e.ray for e in graph.edges] == [1, 2, 3, 0, 1, 3]
+    assert graph.edges[2].polyline[-1] == graph.edges[5].polyline[-1]
+    (strip,) = build_face_set(graph).strips
+    assert strip.edge_ids == (0, 2, 4, 5)
+    assert domains.strip_width(graph, strip) == pytest.approx(
+        (math.pi / 2) * math.sin(0.3), rel=1e-12)
 
 
 def test_chords_cross_predicate():
@@ -321,3 +373,26 @@ def test_generic_face_counts_random():
         fs = build_face_set(build_stokes_graph(p))
         assert len(fs.half_planes) == d + 2
         assert len(fs.strips) == d - 1
+
+
+def test_thin_strip_is_crossed_where_its_sides_part():
+    # far-root draw 19 at t = 0: the strip between roots 4 and 0 is 0.019
+    # wide and 22.8 long, and its sides run closer than their traced steps
+    # are long, so its outline crosses itself.  Among all the clear traced
+    # vertices, in order of the vertices walked, the crossing finds a
+    # segment inside it, and its period is the one crossed on the full
+    # polylines to rounding
+    poly = _far_root_draw(19)
+    graph = build_stokes_graph(poly)
+    landed = replace(graph, edges=tuple(
+        replace(e, vertices=e.polyline, landing=None) for e in graph.edges))
+    periods = []
+    for g in (graph, landed):
+        (strip,) = [dom for dom in build_face_set(g).strips
+                    if dom.boundary_roots == ((4,), (0,))]
+        periods.append(domains.cross_strip(g, strip, 4, 0)[0])
+    z, z_full = periods
+    assert 0 < z.real < 1e-3 * abs(z)
+    assert abs(z - z_full) <= 1e-13 * abs(z)
+    stokes, _ = chord_diagram(poly)
+    assert len(stokes.chords) == 4

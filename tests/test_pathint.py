@@ -770,3 +770,15 @@ def test_alpha0_partial_enclosure(cubic_odd):
                for k in range(129)]
     vals = alpha_contour_integrals(cubic_odd, contour, 0)
     assert vals[0] == pytest.approx(-1j * math.pi, abs=1e-8)
+
+
+def test_correction_numerators_are_computed_once_per_polynomial():
+    # one computation per coefficient tuple and order, shared by every ray
+    # of a polynomial; the cached numerators are the computed ones
+    poly = parse_poly_text("1,0,0.3+0.2i,-1")
+    qs = pathint.correction_numerators(poly, 3)
+    assert pathint.correction_numerators(parse_poly_text("1,0,0.3+0.2i,-1"),
+                                         3) is qs
+    assert qs == pathint._correction_numerators_cached.__wrapped__(
+        poly.coeffs, 3)
+    assert pathint.correction_numerators(poly, 2) == qs[:3]

@@ -53,29 +53,60 @@ def test_census_draws_degree_20_in_a_second():
     assert poly.degree == 20
 
 
-def test_trace_work_counts_one_chord_pass():
-    proc = _run_script("trace_work.py", "--inputs", "chord", "--seed", "101")
+def _trace_work(inputs):
+    """The first line and the counts that ``trace_work.py --inputs inputs
+    --seed 101`` prints: (line, traces, (attempts, accepted, rejected,
+    cap-bound), (chords, 6-point, 7-point), landings), the landings by
+    kind, "read " before those made when a polyline is read, as [count,
+    circles, Halley passes]."""
+    proc = _run_script("trace_work.py", "--inputs", inputs, "--seed", "101")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "inputs chord seed 101: 18 polynomials, one pass"
     # the counts, not the digits of "dp5" or "6-point"
     numbers = [[int(x) for x in re.findall(r"(?<![\w-])\d+(?![\w-])", line)]
                for line in lines[1:]]
-    (traces,), (attempts, accepted, rejected, cap_bound), \
-        (chords, six, seven) = numbers[:3]
-    landings = {line.split()[1]: counts
-                for line, counts in zip(lines[4:], numbers[3:])}
-    assert sorted(landings) == ["escape", "hit", "launch"]
+    (traces,), steps, chords = numbers[:3]
+    landings = {line.split(":")[0].split(maxsplit=1)[1].rsplit(" ", 1)[0]:
+                counts for line, counts in zip(lines[4:], numbers[3:])}
+    return lines[0], traces, steps, chords, landings
+
+
+def test_trace_work_counts_one_chord_pass():
+    head, traces, (attempts, accepted, rejected, cap_bound), \
+        (chords, six, seven), landings = _trace_work("chord")
+    assert head == "inputs chord seed 101: 18 polynomials, one pass"
+    assert sorted(landings) == ["escape", "hit", "launch", "read escape",
+                                "read hit", "read launch"]
     # each accepted attempt integrates one drift chord, each trace lands
-    # its launch and ends in a hit or an escape, and a Halley pass lands
-    # each circle at least once
+    # its launch on one circle and ends in a hit or an escape, an escape
+    # lands on one circle, a hit on none, and a Halley pass lands each
+    # circle at least once.  A chord diagram reads no polyline
     assert attempts == accepted + rejected and chords == accepted == six + seven
-    assert landings["launch"][0] == traces == 216
-    assert landings["hit"][0] + landings["escape"][0] == traces
+    assert landings["launch"][:2] == [traces, traces] and traces == 216
+    assert landings["hit"] == [0, 0, 0]
+    assert landings["escape"][0] == landings["escape"][1] == traces
     for count, circles, passes in landings.values():
         assert passes >= circles >= count
+    assert all(landings["read " + kind] == [0, 0, 0]
+               for kind in ("launch", "hit", "escape"))
+    # 1,296 launch and 792 escape circles, with 4,403 passes, when a trace
+    # landed every rung and ladder circle
+    assert landings["launch"][2] + landings["escape"][2] <= 1300
     # steps at trace_tol = 1e-7 are mostly cap-bound (3,478 attempts at 3e-9)
     assert 0 < rejected and cap_bound > attempts / 2 and attempts <= 2300
+
+
+def test_trace_work_counts_read_landings_of_a_survey():
+    # the survey's rays read each geodesic's polyline: the five inner rungs
+    # of its launch and the rungs below its entering vertex are landed
+    # then, one chain each, and its trace landed only its launch rung
+    _, traces, _, _, landings = _trace_work("survey")
+    assert landings["launch"][:2] == [traces, traces]
+    assert landings["hit"] == [0, 0, 0]
+    geodesics = landings["read hit"][0]
+    assert geodesics > 0 and landings["read launch"][:2] == [
+        geodesics, 5 * geodesics]
+    assert landings["read escape"] == [0, 0, 0]
 
 
 def test_output_parity_repeats():

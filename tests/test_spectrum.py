@@ -94,7 +94,7 @@ def _straight_geodesic(poly, a, b):
     i, j = (min(range(len(locs)), key=lambda k: abs(locs[k] - r))
             for r in (a, b))
     return ShortGeodesic(pair=(i, j), t_star=0.0, period=1j,
-                         polyline=tuple(a + (b - a) * k / 200
+                         vertices=tuple(a + (b - a) * k / 200
                                         for k in range(201)))
 
 

@@ -5,17 +5,18 @@ import re
 
 import pytest
 
-from stokesgeo import pathint, tracer
+from stokesgeo import geodesics, pathint, tracer
 from stokesgeo.config import DEFAULT_CONFIG, RunConfig, Scales
 from stokesgeo.errors import ClearanceError, NonGenericError
 from stokesgeo.polynomial import PolyContext, TurningPointSet, wrap_angle
 from stokesgeo import (ComplexPolynomial, EscapedToRay, HitTurningPoint,
-                       NumericalError, build_stokes_graph, classify_complexes,
-                       emanating_directions, parse_poly_text, re_xi_drift,
-                       stokes_sectors, survey_short_geodesics,
-                       trace_stokes_line, turning_points)
-from tests.conftest import (_root_chord_reference, random_simple_poly,
-                            stream_polys)
+                       NumericalError, build_stokes_graph, chord_diagram,
+                       classify_complexes, emanating_directions,
+                       parse_poly_text, re_xi_drift, stokes_sectors,
+                       survey_short_geodesics, trace_stokes_line,
+                       turning_points)
+from tests.conftest import (_root_chord_reference, criterion_6_polys,
+                            random_simple_poly, stream_polys)
 
 
 def _angdiff(a, b):
@@ -363,13 +364,6 @@ def test_stream_graphs_step_at_the_root_distance_cap(stream_graphs):
     assert len(chords) <= attempts <= 5820
 
 
-def _criterion_6_polys():
-    """The 90 inputs of acceptance criterion 6, 30 per degree 3, 4, 5."""
-    rng = random.Random(5150)
-    return [random_simple_poly(rng, d, min_sep=0.5, radius=1.5)
-            for d in (3, 4, 5) for _ in range(30)]
-
-
 def test_every_criterion_6_escape_is_certified(monkeypatch):
     # on both quarter-turn members of the criterion-6 inputs, every escape
     # is decided by the trapping-cone certificate inside the escape circle.
@@ -384,7 +378,7 @@ def test_every_criterion_6_escape_is_certified(monkeypatch):
         return certified[-1]
     monkeypatch.setattr(tracer, "_in_cone", spy)
     escapes = 0
-    for poly in _criterion_6_polys():
+    for poly in criterion_6_polys():
         for member in (poly, poly.rotate(math.pi / 2)):
             cone = PolyContext.of(member).tps.at_infinity
             certified.clear()
@@ -499,13 +493,22 @@ def test_landing_that_does_not_converge_raises(monkeypatch):
 
 
 def test_root_landing_that_does_not_converge_raises(osc, monkeypatch):
-    # nor on the first rung of root 1 of the oscillator, at its launch
+    # nor on the launch rung of root 1 of the oscillator, landed directly
+    # from the first rung's point of the local model, nor, when the
+    # polyline is read, on that first rung
+    vertices, fate = trace_stokes_line(osc, 1, math.pi / 3)
     monkeypatch.setattr(tracer, "_LANDING_PASSES", 1)
+    with pytest.raises(NumericalError,
+                       match=r"^landing of the trace from root 1 along "
+                             r"1\.0471975512 on \|z - r1\| = 1 did "
+                             r"not converge \(residual \S+\)$"):
+        trace_stokes_line(osc, 1, math.pi / 3)
     with pytest.raises(NumericalError,
                        match=r"^landing of the trace from root 1 along "
                              r"1\.0471975512 on \|z - r1\| = 0\.166667 did "
                              r"not converge \(residual \S+\)$"):
-        trace_stokes_line(osc, 1, math.pi / 3)
+        tracer.land_polyline(vertices, (PolyContext.of(osc), 1, math.pi / 3,
+                                        fate))
 
 
 def test_trace_errors_name_root_direction_and_arc(osc, monkeypatch):
@@ -519,10 +522,9 @@ def test_trace_errors_name_root_direction_and_arc(osc, monkeypatch):
     def arc_reached(info):
         return float(str(info.value).rsplit(" ", 1)[1])
 
-    # the arc length counts the launch, the root and its rungs
-    launch = trace_stokes_line(poly, 0, theta,
-                               context=ctx)[0][:tracer._RUNGS + 1]
-    launch_arc = sum(abs(b - a) for a, b in zip(launch, launch[1:]))
+    # the arc length counts the launch, the chord from the root to it
+    launch = trace_stokes_line(poly, 0, theta, context=ctx)[0][:2]
+    launch_arc = abs(launch[1] - launch[0])
 
     # a step whose error estimate is always huge is shrunk to underflow,
     # with at most one forced step at the floor accepted on the way
@@ -738,8 +740,10 @@ def test_lone_root_launch_is_on_its_ray():
     assert ctx.locs == (r,)
     reach = 0.5 * ctx.scales.d_unit
     for theta in emanating_directions(poly, r, 1):
-        pl, fate = trace_stokes_line(poly, 0, theta, context=ctx)
-        assert isinstance(fate, EscapedToRay) and pl[0] == r
+        vertices, fate = trace_stokes_line(poly, 0, theta, context=ctx)
+        assert isinstance(fate, EscapedToRay) and vertices[0] == r
+        pl = tracer.land_polyline(vertices, (ctx, 0, theta, fate))
+        assert pl[tracer._RUNGS] == vertices[1]
         rungs = [abs(z - r) for z in pl[1:1 + tracer._RUNGS]]
         assert rungs[:-1] == pytest.approx(
             [reach * k / tracer._RUNGS for k in range(1, tracer._RUNGS)],
@@ -777,7 +781,7 @@ def test_chords_inside_a_reach_stay_near_the_line():
     # rho of the line: the rungs are a sixth of the reach apart (worst
     # 1.5e-3 at the launch end and 8.3e-4 at the hit end here)
     worst = {"launch": 0.0, "hit": 0.0}
-    for poly in _criterion_6_polys():
+    for poly in criterion_6_polys():
         ctx = PolyContext.of(poly)
         for e in build_stokes_graph(poly).edges:
             _chord_strays(poly, ctx, e.polyline, worst)
@@ -803,9 +807,8 @@ def test_length_cap_comes_after_the_hit_decision():
     poly = ComplexPolynomial.from_roots(1.0, [1.0, -1.0])
     ctx = PolyContext.of(poly)
     src = min(range(2), key=lambda i: abs(ctx.locs[i] - 1.0))
-    launch = trace_stokes_line(poly, src, math.pi,
-                               context=ctx)[0][:tracer._RUNGS + 1]
-    launch_arc = sum(abs(b - a) for a, b in zip(launch, launch[1:]))
+    launch = trace_stokes_line(poly, src, math.pi, context=ctx)[0][:2]
+    launch_arc = abs(launch[1] - launch[0])
     config = RunConfig(l_max_factor=1.01 * launch_arc / ctx.scales.d_unit)
     capped = PolyContext.of(poly, config)
     polyline, fate = trace_stokes_line(poly, src, math.pi, context=capped)
@@ -819,3 +822,93 @@ def test_length_cap_comes_after_the_hit_decision():
     assert isinstance(fate, tracer.Truncated)
     assert fate.arc_length == launch_arc
     assert polyline == launch
+
+
+def test_surveys_and_diagrams_land_one_circle_per_launch_and_escape(
+        monkeypatch):
+    # chord_diagram and survey_short_geodesics land each trace's launch on
+    # its outermost rung and an escape on the escape circle, one circle
+    # each, and nothing at a hit; the inner rungs and ladder circles are
+    # landed when a polyline is read, once
+    landings, fates = [], []
+    land, trace = tracer._land, tracer.trace_stokes_line
+
+    def landed(ctx, series, z_c, w_c, level, radii, *args):
+        landings.append((series.at_root, len(radii)))
+        return land(ctx, series, z_c, w_c, level, radii, *args)
+
+    def traced(*args, **kwargs):
+        out = trace(*args, **kwargs)
+        fates.append(out[1])
+        return out
+    monkeypatch.setattr(tracer, "_land", landed)
+    monkeypatch.setattr(tracer, "trace_stokes_line", traced)
+    monkeypatch.setattr(geodesics, "trace_stokes_line", traced)
+    polys = stream_polys(20260808, 2)
+    for poly in polys:
+        chord_diagram(poly)
+    surveys = [survey_short_geodesics(poly) for poly in polys]
+    escapes = sum(isinstance(f, EscapedToRay) for f in fates)
+    hits = sum(isinstance(f, HitTurningPoint) for f in fates)
+    assert hits > 20 and escapes > 100 and hits + escapes == len(fates)
+    assert all(n == 1 for _, n in landings)
+    assert [at_root for at_root, _ in landings].count(True) == len(fates)
+    assert [at_root for at_root, _ in landings].count(False) == escapes
+
+    # a geodesic's polyline lands its launch's inner rungs, then the rungs
+    # below its entering vertex at the partner
+    landings.clear()
+    geodesics_read = [g for survey in surveys for g in survey.geodesics]
+    for g in geodesics_read:
+        assert g.polyline[0] == g.vertices[0] and len(g.polyline) > len(
+            g.vertices)
+        assert g.polyline is g.polyline
+    assert landings[::2] == [(True, tracer._RUNGS - 1)] * len(geodesics_read)
+    assert all(at_root and 0 < n <= tracer._RUNGS
+               for at_root, n in landings[1::2])
+
+
+def test_read_polylines_are_the_chained_landings():
+    # a read polyline's inner rungs and ladder points are those of one
+    # chain of landings over every circle, bit for bit; the launch and the
+    # escape's end, which the trace lands directly, agree with the chain's
+    # last points to rounding (worst 4.1e-16 relative here).  The lines
+    # are the graph edges and the geodesics of the first two stream
+    # polynomials per degree
+    lines = []
+    for poly in stream_polys(20260808, 2):
+        lines += build_stokes_graph(poly).edges
+        lines += survey_short_geodesics(poly).geodesics
+    worst = 0.0
+    ends = {"hit": 0, "escape": 0}
+    for line in lines:
+        ctx, root, theta, fate = line.landing
+        pl = line.polyline
+        own, z_c, w_c, rungs = tracer._launch_start(ctx, root, theta)
+        chain = tracer._land(ctx, own, z_c, w_c, 0.0, rungs, root, theta)[0]
+        assert pl[1:tracer._RUNGS] == tuple(chain[:-1])
+        worst = max(worst, abs(pl[tracer._RUNGS] - chain[-1])
+                    / max(abs(chain[-1]), rungs[-1]))
+        if isinstance(fate, EscapedToRay):
+            ends["escape"] += 1
+            ladder = [ctx.scales.r_escape]
+            while 0.5 * ladder[-1] > abs(fate.vertex):
+                ladder.append(0.5 * ladder[-1])
+            chain = tracer._land(ctx, ctx.tps.at_infinity, fate.vertex,
+                                 fate.w, fate.level, ladder[::-1], root,
+                                 theta)[0]
+            assert pl[-len(ladder):-1] == tuple(chain[:-1])
+            worst = max(worst, abs(pl[-1] - chain[-1]) / abs(chain[-1]))
+        else:
+            ends["hit"] += 1
+            target = ctx.locs[fate.target]
+            below = [x for x in reversed(
+                tracer._rungs(ctx.reaches[fate.target]))
+                if x < abs(fate.vertex - target)]
+            chain = tracer._land(ctx, ctx.tps.at_roots[fate.target],
+                                 fate.vertex, fate.w, fate.level, below,
+                                 root, theta)[0]
+            assert pl[-1 - len(below):] == (*chain, target)
+            assert pl[-2 - len(below)] == fate.vertex == line.vertices[-2]
+    assert ends["hit"] > 10 and ends["escape"] > 50
+    assert worst <= 1e-15
