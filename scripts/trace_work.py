@@ -17,7 +17,14 @@ the tracer's work, which depend only on the inputs:
   the circles they land on and the Halley passes they make, apart for the
   landings made during a trace (its launch rung and its escape circle)
   and those made when a polyline is read (the inner rungs and ladder
-  circles, ``tracer.land_polyline``).
+  circles, ``tracer.land_polyline``);
+- the trapping-cone certificate's checks and refusals, and where the
+  traces' escapes are decided: the median and largest |z|/R0 of the
+  vertices the certificate held at, and the escapes moved back from past
+  the escape circle;
+- the series terms that the traces' escape landings use: the chart at
+  the deciding vertex (median and largest) and the primitive on the
+  escape circle (largest).
 
 The counts come from wrappers around the tracer's functions; nothing in
 the package or the benchmark is changed.
@@ -25,6 +32,7 @@ the package or the benchmark is changed.
 
 import argparse
 import collections
+import statistics
 import sys
 from pathlib import Path
 
@@ -41,13 +49,17 @@ LANDING_KINDS = ("launch", "hit", "escape")
 
 def count_work(run):
     """Call ``run()`` with the tracer's functions wrapped; return a
-    Counter of the tracer's work."""
+    Counter of the tracer's work and, for each escape a trace landed, its
+    deciding vertex's |z|/R0 (None when the vertex lay past the escape
+    circle), the chart's terms there and the primitive's terms on the
+    escape circle."""
     counts = collections.Counter()
+    escapes = []
     current = []      # the context of the trace in progress
     landing = False   # inside _land, whose P evaluations are counted
     originals = {name: getattr(tracer, name) for name in
                  ("trace_stokes_line", "_dp5_step", "_chord_re_integral",
-                  "_land")}
+                  "_land", "_in_cone")}
     evaluate = ComplexPolynomial.evaluate
 
     def trace(poly, root_index, direction, config=tracer.DEFAULT_CONFIG,
@@ -83,6 +95,11 @@ def count_work(run):
             kind = "hit"
         if not current:
             kind = "read " + kind
+        elif kind == "escape":
+            r = abs(z_c)
+            escapes.append((r / series.r0 if r < ctx.scales.r_escape
+                            else None, series.terms(r),
+                            max(map(series.terms, radii))))
         counts[kind] += 1
         counts[kind + "_circles"] += len(radii)
         before = counts["land_evals"]
@@ -95,6 +112,12 @@ def count_work(run):
             # each Halley pass evaluates P and P' once
             counts[kind + "_passes"] += (counts["land_evals"] - before) // 2
 
+    def in_cone(cone, sectors, z, r):
+        counts["cone_checks"] += 1
+        holds = originals["_in_cone"](cone, sectors, z, r)
+        counts["cone_refused"] += not holds
+        return holds
+
     def counted_evaluate(self, z):
         if landing:
             counts["land_evals"] += 1
@@ -106,7 +129,7 @@ def count_work(run):
                    module, "trace_stokes_line", None)
                is originals["trace_stokes_line"]]
     wrappers = {"_dp5_step": dp5_step, "_chord_re_integral": chord,
-                "_land": land}
+                "_land": land, "_in_cone": in_cone}
     try:
         for module in holders:
             module.trace_stokes_line = trace
@@ -122,11 +145,11 @@ def count_work(run):
             setattr(tracer, name, originals[name])
     counts["accepted"] = counts["chords_6"] + counts["chords_7"]
     counts["rejected"] = counts["attempts"] - counts["accepted"]
-    return counts
+    return counts, escapes
 
 
-def report(counts):
-    """The printed lines of a Counter from ``count_work``."""
+def report(counts, escapes):
+    """The printed lines of the counts and escapes from ``count_work``."""
     lines = [
         f"traces {counts['traces']}",
         f"dp5 attempts {counts['attempts']}: accepted {counts['accepted']}, "
@@ -140,6 +163,19 @@ def report(counts):
             lines.append(f"landings {kind} {counts[kind]}: circles "
                          f"{counts[kind + '_circles']}, halley passes "
                          f"{counts[kind + '_passes']}")
+    certified = [x for x, _, _ in escapes if x is not None]
+    lines += [
+        f"cone checks {counts['cone_checks']}: refused "
+        f"{counts['cone_refused']}",
+        f"escapes certified {len(certified)} at |z|/R0 median "
+        f"{statistics.median(certified) if certified else 0.0:.2f}, max "
+        f"{max(certified, default=0.0):.2f}; past the escape circle "
+        f"{len(escapes) - len(certified)}",
+        f"escape series terms: chart at the vertex median "
+        f"{statistics.median_low([n for _, n, _ in escapes] or [0])}, max "
+        f"{max((n for _, n, _ in escapes), default=0)}; primitive on the "
+        f"circle max {max((n for _, _, n in escapes), default=0)}",
+    ]
     return lines
 
 
@@ -159,10 +195,10 @@ def main(argv=None):
     for item in items:
         for poly in polys(item):
             turning_points(poly)
-    counts = count_work(lambda: [run(item) for item in items])
+    counts, escapes = count_work(lambda: [run(item) for item in items])
     print(f"inputs {args.inputs} seed {args.seed}: {len(items)} "
           f"polynomials, one pass")
-    print("\n".join(report(counts)))
+    print("\n".join(report(counts, escapes)))
     return 0
 
 

@@ -251,14 +251,23 @@ class SeriesAtInfinity(_HalfPowerSeries):
     index n = (d+2)/2 carries the log term and e[n] = 0.  The c[k] come
     from S^2 = P / (a0 z^d), so b[k] = a_k / (a0 s^k) for the coefficients
     a_k of P (``coeffs``, highest degree first); the roots' moduli give
-    the tail bound and Phi.
+    the series' tail bound and Phi's arcsin bound.
 
-    ``cone_radius`` is the trapping cone's radius r_c, the smallest r with
-    Phi(r) < pi/4, where Phi(r) = 1/2 sum m_i arcsin(|r_i|/r) bounds the
-    phase of S: |arg S| <= Phi(|z|); but at least 9/8 R0, where the
-    series needs at most about 400 terms (``terms``).  Phi(r) falls to
-    pi/4 near R0 only when one simple root stands far out from the
-    others."""
+    Phi(r) bounds the phase of S, |arg S| <= Phi(|z|), by the smaller of
+    two bounds that fall with r.  One is 1/2 sum m_i arcsin(|r_i|/r),
+    which holds even if the phases of all the factors align.  The other
+    comes from log S = -1/2 sum_k p_k / (k z^k), with the power sums
+    p_k = sum m_i r_i^k: 1/2 sum_{k<=K} |p_k| / (k r^k), K = ``POWER_SUMS``,
+    plus the tail 1/2 d q^{K+1} / ((K+1)(1 - q)), q = R0/r, as
+    |p_k| <= d R0^k.  The p_k / s^k come from the b[k] by Newton's
+    identities.  ``cone_radius`` is the trapping cone's radius r_c, the
+    smallest r with Phi(r) < pi/4; but at least 9/8 R0, where the series
+    needs at most about 400 terms (``terms``).  The arcsin bound reaches
+    pi/4 at 1.5-2.5 R0 for degrees 3-5 and beyond 4 R0 from degree 12;
+    the power-sum bound near 1.1-1.2 R0 at every degree, so r_c is
+    mostly the floor."""
+
+    POWER_SUMS = 40
 
     at_root = False
     center = 0j
@@ -269,16 +278,39 @@ class SeriesAtInfinity(_HalfPowerSeries):
         self.degree = self.power = sum(m for _, m in points)
         r0 = max(abs(r) for r, _ in points)
         self.scale = r0 if r0 > 0.0 else 1.0
+        self.r0 = r0
         self.moduli = tuple((abs(r), m) for r, m in points if r != 0)
+        squared = [a / (coeffs[0] * self.scale ** k)
+                   for k, a in enumerate(coeffs) if k]
         super().__init__(((r / self.scale, m) for r, m in points if r != 0),
-                         [a / (coeffs[0] * self.scale ** k)
-                          for k, a in enumerate(coeffs) if k],
-                         0.5 * (self.degree + 2), -1)
+                         squared, 0.5 * (self.degree + 2), -1)
+        # Newton's identities for the scaled power sums t_k = p_k / s^k,
+        # from (S^2)' / S^2 = -sum_k t_k u^{k-1}:
+        # t_k = -k b[k] - sum_{j=1..k-1} b[j] t_{k-j}
+        t = []
+        for k in range(1, self.POWER_SUMS + 1):
+            acc = -k * squared[k - 1] if k <= len(squared) else 0j
+            for j in range(1, min(k, len(squared) + 1)):
+                acc -= squared[j - 1] * t[k - 1 - j]
+            t.append(acc)
+        # Phi's power-sum weights 1/2 |t_k| / k, highest k first for Horner
+        self._sum_weights = [0.5 * abs(t[k - 1]) / k
+                             for k in range(self.POWER_SUMS, 0, -1)]
         self.cone_radius = self._cone_radius(r0)
 
     def phi(self, r: float) -> float:
-        """Phi(r) = 1/2 sum m_i arcsin(|r_i|/r), for r >= R0."""
-        return 0.5 * sum(m * math.asin(a / r) for a, m in self.moduli)
+        """Phi(r), for r > R0: the smaller of 1/2 sum m_i arcsin(|r_i|/r)
+        and the truncated power-sum bound with its tail."""
+        if not self.moduli:
+            return 0.0
+        arcsin = 0.5 * sum(m * math.asin(a / r) for a, m in self.moduli)
+        q = self.r0 / r
+        power = 0.0
+        for wk in self._sum_weights:
+            power = (power + wk) * q
+        k = self.POWER_SUMS + 1
+        power += 0.5 * self.degree * q ** k / (k * (1.0 - q))
+        return min(arcsin, power)
 
     def _cone_radius(self, r0: float) -> float:
         if not self.moduli:

@@ -34,15 +34,19 @@ chord by a 7-point Gauss-Lobatto rule, which keeps it as accurate as the
 shorter steps' 6-point rule.
 
 Near the pole at infinity the lines are trapped in cones about the d+2
-rays (Strebel, Quadratic Differentials, 1984, ch. III).  Beyond the cone
-radius r_c, where Phi(r) = 1/2 sum m_i arcsin(|r_i|/r) < pi/4 bounds the
-phase of sqrt(P) / z^{d/2}, an outward vertex whose angle psi from the
-nearest ray, scaled by (d+2)/2, has max(|psi|, Phi) + Phi < pi/2 is
-certain to escape along that ray.  The trace ends there, on the line's
-point on the escape circle, landed from that vertex with xi from the
-Laurent series of sqrt(P) at infinity (``polynomial.SeriesAtInfinity``).
-A vertex past the escape circle before the certificate holds is moved
-back onto that circle the same way.
+rays (Strebel, Quadratic Differentials, 1984, ch. III).  Phi(r) bounds
+the phase of sqrt(P) / z^{d/2} on |z| = r and falls with r: it is the
+smaller of 1/2 sum m_i arcsin(|r_i|/r) and the power-sum bound
+1/2 sum_k |p_k| / (k r^k) with its tail, p_k = sum m_i r_i^k
+(``SeriesAtInfinity.phi``).  Beyond the cone radius r_c, where
+Phi < pi/4 (about 1.1-1.2 R0 at every degree, and at least 9/8 R0), an
+outward vertex whose angle psi from the nearest ray, scaled by (d+2)/2,
+has max(|psi|, Phi) + Phi < pi/2 is certain to escape along that ray.
+The trace ends there, on the line's point on the escape circle, landed
+from that vertex with xi from the Laurent series of sqrt(P) at infinity
+(``polynomial.SeriesAtInfinity``).  A vertex past the escape circle
+before the certificate holds is moved back onto that circle the same
+way.
 
 The trace's vertices fix the line's combinatorics: its fate, and the
 order of the lines at each root and on the escape circle.  They are all
@@ -440,7 +444,10 @@ def _in_cone(cone, sectors, z, r):
     proves that the line runs out to infinity along ray k with r growing:
     arg sqrt(P) = (d/2) arg z + phi with |phi| <= Phi(r), so
     dr/ds = cos(psi + phi) and dpsi/ds = -((d+2)/(2r)) sin(psi + phi),
-    which keeps |psi| below max(|psi|, Phi) while Phi falls."""
+    which keeps |psi| below max(|psi|, Phi) while Phi falls.  The proof
+    needs only that Phi bounds |phi| and falls with r, which both of its
+    bounds, the arcsin sum and the power sums', do, and so does their
+    minimum (``SeriesAtInfinity.phi``)."""
     phi = cone.phi(r)
     theta = cmath.phase(z)
     ray = sectors.ray_angles[sectors.nearest_ray_index(theta)]

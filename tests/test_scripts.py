@@ -56,24 +56,31 @@ def test_census_draws_degree_20_in_a_second():
 def _trace_work(inputs):
     """The first line and the counts that ``trace_work.py --inputs inputs
     --seed 101`` prints: (line, traces, (attempts, accepted, rejected,
-    cap-bound), (chords, 6-point, 7-point), landings), the landings by
-    kind, "read " before those made when a polyline is read, as [count,
-    circles, Halley passes]."""
+    cap-bound), (chords, 6-point, 7-point), landings, escapes), the
+    landings by kind, "read " before those made when a polyline is read,
+    as [count, circles, Halley passes], and the escapes as [cone checks,
+    refused, certified, median and largest |z|/R0 of the certifying
+    vertex, escapes past the escape circle, median and largest terms of
+    the chart at the vertex, largest terms of the primitive on the
+    circle]."""
     proc = _run_script("trace_work.py", "--inputs", inputs, "--seed", "101")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    # the counts, not the digits of "dp5" or "6-point"
-    numbers = [[int(x) for x in re.findall(r"(?<![\w-])\d+(?![\w-])", line)]
-               for line in lines[1:]]
+    # the counts, not the digits of "dp5", "6-point" or "R0"
+    numbers = [[float(x) if "." in x else int(x) for x in re.findall(
+        r"(?<![\w-])\d+(?:\.\d+)?(?![\w-])", line)] for line in lines[1:]]
     (traces,), steps, chords = numbers[:3]
     landings = {line.split(":")[0].split(maxsplit=1)[1].rsplit(" ", 1)[0]:
-                counts for line, counts in zip(lines[4:], numbers[3:])}
-    return lines[0], traces, steps, chords, landings
+                counts for line, counts in zip(lines[4:], numbers[3:])
+                if line.startswith("landings ")}
+    escapes = [x for line, counts in zip(lines[1:], numbers)
+               if line.startswith(("cone ", "escape")) for x in counts]
+    return lines[0], traces, steps, chords, landings, escapes
 
 
 def test_trace_work_counts_one_chord_pass():
     head, traces, (attempts, accepted, rejected, cap_bound), \
-        (chords, six, seven), landings = _trace_work("chord")
+        (chords, six, seven), landings, escapes = _trace_work("chord")
     assert head == "inputs chord seed 101: 18 polynomials, one pass"
     assert sorted(landings) == ["escape", "hit", "launch", "read escape",
                                 "read hit", "read launch"]
@@ -92,15 +99,28 @@ def test_trace_work_counts_one_chord_pass():
     # 1,296 launch and 792 escape circles, with 4,403 passes, when a trace
     # landed every rung and ladder circle
     assert landings["launch"][2] + landings["escape"][2] <= 1300
-    # steps at trace_tol = 1e-7 are mostly cap-bound (3,478 attempts at 3e-9)
-    assert 0 < rejected and cap_bound > attempts / 2 and attempts <= 2300
+    # steps at trace_tol = 1e-7 are mostly cap-bound, and the power-sum
+    # cone radius ends most escapes near 1.2 R0: 1,339 attempts, where
+    # the arcsin bound's radius made 2,138 and trace_tol = 3e-9 3,478.
+    # The ceiling is 3 % above the count
+    assert 0 < rejected and cap_bound > attempts / 2 and attempts <= 1380
+    # each escape is certified inside the escape circle, at a median
+    # 1.23 R0 (2.03 R0 with the arcsin radius); 14 of 230 certificate
+    # checks refuse, by the angle condition.  At the 9/8 R0 floor the
+    # chart at the certifying vertex takes at most about 400 terms
+    checks, refused, certified, median, largest, past, chart_median, \
+        chart_max, circle_max = escapes
+    assert certified == traces and past == 0
+    assert checks == certified + refused and 0 < refused <= 20
+    assert 1.125 <= median <= 1.3 and median <= largest < 2.0
+    assert chart_median <= chart_max <= 400 and circle_max <= 20
 
 
 def test_trace_work_counts_read_landings_of_a_survey():
     # the survey's rays read each geodesic's polyline: the five inner rungs
     # of its launch and the rungs below its entering vertex are landed
     # then, one chain each, and its trace landed only its launch rung
-    _, traces, _, _, landings = _trace_work("survey")
+    _, traces, _, _, landings, _ = _trace_work("survey")
     assert landings["launch"][:2] == [traces, traces]
     assert landings["hit"] == [0, 0, 0]
     geodesics = landings["read hit"][0]

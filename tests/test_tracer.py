@@ -15,8 +15,9 @@ from stokesgeo import (ComplexPolynomial, EscapedToRay, HitTurningPoint,
                        parse_poly_text, re_xi_drift, stokes_sectors,
                        survey_short_geodesics, trace_stokes_line,
                        turning_points)
-from tests.conftest import (_root_chord_reference, criterion_6_polys,
-                            random_simple_poly, stream_polys)
+from tests.conftest import (_far_root_draw, _root_chord_reference,
+                            criterion_6_polys, random_simple_poly,
+                            stream_polys)
 
 
 def _angdiff(a, b):
@@ -293,7 +294,7 @@ def _gk15_chord_re_integral(poly, z0, w0, z1):
 
 @pytest.fixture(scope="module")
 def stream_graphs():
-    """The Stokes graphs of both quarter-turn members of the first eight
+    """The Stokes graphs of both quarter-turn members of the first twelve
     polynomials per degree of stream 5150, with the arguments of every
     drift chord their traces integrated and the number of their DP5 step
     attempts."""
@@ -313,7 +314,7 @@ def stream_graphs():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tracer, "_chord_re_integral", recorded)
         mp.setattr(tracer, "_dp5_step", counted)
-        for poly in stream_polys(5150, 8):
+        for poly in stream_polys(5150, 12):
             for member in (poly, poly.rotate(math.pi / 2)):
                 graphs.append((member, build_stokes_graph(member)))
     return graphs, chords, attempts
@@ -323,8 +324,8 @@ def test_drift_chord_matches_gauss_kronrod(stream_graphs):
     # every drift chord of the stream graphs: the Lobatto rule on the
     # step's own end values agrees with a GK15 rule that evaluates all its
     # nodes.  A step longer than a fifth of its distance to the nearest
-    # root takes the 7-point rule (worst 1.1e-15 here, where the 6-point
-    # rule reaches 9.4e-14), the others the 6-point rule (worst 1.5e-15)
+    # root takes the 7-point rule (worst 1.2e-15 here, where the 6-point
+    # rule reaches 1.6e-13), the others the 6-point rule (worst 3.8e-15)
     _, chords, _ = stream_graphs
     assert len(chords) > 5000
     chord = tracer._chord_re_integral
@@ -356,12 +357,13 @@ def test_stream_graph_edges_keep_their_level(stream_graphs, osc):
 
 def test_stream_graphs_step_at_the_root_distance_cap(stream_graphs):
     # most steps are as long as the cap h <= near_d/4 allows, and the
-    # error bound trace_tol rejects few attempts: 5,706 attempts for 5,692
-    # accepted steps here, where trace_tol = 3e-9 made 9,444 for 8,546.
-    # The ceiling is 2 % above the count at 1e-7, so a change that brings
-    # back error-bound stepping fails
+    # error bound trace_tol rejects few attempts: 5,599 attempts for 5,578
+    # accepted steps here, where trace_tol = 3e-9 made 8,776 attempts and
+    # the arcsin bound's cone radius 8,787.  The ceiling is 2 % above the
+    # count, so a change that brings back error-bound stepping or the
+    # arcsin radius fails
     _, chords, attempts = stream_graphs
-    assert len(chords) <= attempts <= 5820
+    assert len(chords) <= attempts <= 5711
 
 
 def test_every_criterion_6_escape_is_certified(monkeypatch):
@@ -400,16 +402,98 @@ def test_every_criterion_6_escape_is_certified(monkeypatch):
 
 
 def test_cone_certificate_boundary(osc):
-    # z^2 - 1 at r = 10: Phi = arcsin(0.1), so the certificate holds
-    # while |psi| < pi/2 - Phi = 1.4706, on either side of a ray
+    # z^2 - 1 at r = 10: p_k = 2 for even k and 0 for odd k, so the
+    # power-sum bound is Phi = -1/2 log(1 - 10^-2) = 0.0050252, below the
+    # arcsin bound arcsin(0.1), and the certificate holds while
+    # |psi| < pi/2 - Phi = 1.5657711, on either side of a ray
     ctx = PolyContext.of(osc)
     cone = ctx.tps.at_infinity
-    assert cone.phi(10.0) == pytest.approx(math.asin(0.1), rel=1e-9)
+    assert cone.phi(10.0) == pytest.approx(-0.5 * math.log(1.0 - 1e-2),
+                                           rel=1e-12)
+    assert cone.phi(10.0) == pytest.approx(0.0050252, abs=1e-7)
     ray = ctx.sectors.ray_angles[2]
-    for psi, holds in ((1.46, True), (1.48, False), (-1.46, True),
-                       (-1.48, False), (0.0, True)):
+    for psi, holds in ((1.5655, True), (1.5660, False), (-1.5655, True),
+                       (-1.5660, False), (0.0, True)):
         z = cmath.rect(10.0, ray + psi / 2.0)
         assert tracer._in_cone(cone, ctx.sectors, z, 10.0) is holds
+
+
+def _arcsin_cone_radius(cone):
+    """The cone radius from the arcsin bound alone,
+    1/2 sum m_i arcsin(|r_i|/r) < pi/4, with the 9/8 R0 floor."""
+    def arcsin_phi(r):
+        return 0.5 * sum(m * math.asin(a / r) for a, m in cone.moduli)
+    lo = hi = 1.125 * cone.r0
+    if arcsin_phi(hi) < 0.25 * math.pi:
+        return hi
+    while arcsin_phi(hi) >= 0.25 * math.pi:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if arcsin_phi(mid) < 0.25 * math.pi else (mid, hi)
+    return hi
+
+
+def test_power_sum_bound_holds_and_shrinks_the_cone():
+    # on the criterion-3 stream polynomials, the far-root draws and a
+    # degree-20 draw at the census radius, Phi(r) bounds |arg S| sampled
+    # from the series at infinity on the circles r_c, 1.5 r_c, 2 r_c and
+    # 4 r_c (worst 0.977 Phi here, on the degree-20 draw), falls across
+    # them, and puts r_c inside the arcsin bound's radius on every input:
+    # at 1.125-1.20 R0 on the stream polynomials, where the arcsin bound
+    # alone reached pi/4 at a median 1.81 R0, and at 1.17 R0 against
+    # 7.93 R0 at degree 20
+    polys = (stream_polys(20260808, 5) + stream_polys(1, 5)
+             + [_far_root_draw(k) for k in range(40)]
+             + [random_simple_poly(random.Random(4242), 20,
+                                   radius=1.5 * math.sqrt(20 / 8))])
+    for poly in polys:
+        cone = turning_points(poly).at_infinity
+        r_c = cone.cone_radius
+        assert 1.125 * cone.r0 <= r_c < _arcsin_cone_radius(cone)
+        phis = []
+        for r in (r_c, 1.5 * r_c, 2.0 * r_c, 4.0 * r_c):
+            phis.append(cone.phi(r))
+            arg_s = max(abs(cmath.phase(cone.chart(cmath.rect(
+                r, 2 * math.pi * (k + 0.5) / 64))[0])) for k in range(64))
+            assert arg_s <= phis[-1]
+        assert phis[0] < 0.25 * math.pi
+        assert phis == sorted(phis, reverse=True)
+
+
+def test_certificate_refuses_by_the_angle_beyond_the_cone_radius(
+        monkeypatch):
+    # the first cubic of stream 5150, root 0, direction 1: one outward
+    # vertex at 1.015 r_c has Phi = 0.667 < pi/4, so only the angle
+    # condition max(|psi|, Phi) + Phi < pi/2 refuses it.  The line escapes
+    # later, and no later vertex comes back inside r_c
+    poly = stream_polys(5150, 1)[0]
+    ctx = PolyContext.of(poly)
+    cone = ctx.tps.at_infinity
+    refused = []
+    in_cone = tracer._in_cone
+
+    def spy(cone_, sectors, z, r):
+        holds = in_cone(cone_, sectors, z, r)
+        if not holds:
+            refused.append(z)
+        return holds
+    monkeypatch.setattr(tracer, "_in_cone", spy)
+    root, mult = ctx.tps.points[0]
+    direction = emanating_directions(poly, root, mult)[1]
+    pl, fate = trace_stokes_line(poly, 0, direction, context=ctx)
+    assert len(refused) == 1
+    z = refused[0]
+    r = abs(z)
+    phi = cone.phi(r)
+    assert 1.0 < r / cone.cone_radius < 1.03
+    assert phi < 0.25 * math.pi and phi == pytest.approx(0.667, abs=1e-3)
+    ray = ctx.sectors.ray_angles[ctx.sectors.nearest_ray_index(
+        cmath.phase(z))]
+    psi = 0.5 * (poly.degree + 2) * abs(wrap_angle(cmath.phase(z) - ray))
+    assert psi + phi >= 0.5 * math.pi
+    assert isinstance(fate, EscapedToRay)
+    assert min(abs(v) for v in pl[pl.index(z):]) > cone.cone_radius
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -458,13 +542,19 @@ def test_cone_landing_on_z_power_d(d):
 
 
 def test_escape_circle_inside_the_cone_radius(monkeypatch):
-    # z^4 - 1 turned by 0.1 with r_escape_factor 1: the escape circle,
-    # radius 2, lies inside the cone radius 2.61, so no trace is
-    # certified; each lands back on the circle from its first vertex past
-    # it, on the ray and the line of the default configuration's trace
-    poly = parse_poly_text("1,0,0,0,-1").rotate(0.1)
+    # five roots in a row from 0.4 to 1, turned by 0.1, with
+    # r_escape_factor 1: their phases nearly align, so both bounds of Phi
+    # stay above pi/4 out to r_c = 2.29, and the escape circle, radius 2,
+    # lies inside the cone radius.  No trace is certified; each lands back
+    # on the circle from its first vertex past it, on the ray and the line
+    # of the default configuration's trace.  (On z^4 - 1 the power sums
+    # put r_c at the 9/8 R0 floor; on z^4 - 20^4, whose escape circle
+    # 1.05 R0 lies inside the floor, the lines meet it before they turn
+    # onto their rays.)
+    poly = ComplexPolynomial.from_roots(
+        1.0, [0.4, 0.55 + 0.1j, 0.7, 0.85 - 0.1j, 1.0]).rotate(0.1)
     config = RunConfig(r_escape_factor=1.0)
-    assert PolyContext.of(poly).tps.at_infinity.cone_radius > 2.6
+    assert PolyContext.of(poly).tps.at_infinity.cone_radius > 2.2
     in_cone = tracer._in_cone
     monkeypatch.setattr(tracer, "_in_cone", lambda *args: pytest.fail(
         "certificate tested inside the escape circle") or in_cone(*args))
@@ -474,7 +564,7 @@ def test_escape_circle_inside_the_cone_radius(monkeypatch):
     assert [e.ray for e in near.edges] == [e.ray for e in far.edges]
     for e in near.edges:
         assert e.kind == "escape"
-        assert abs(abs(e.polyline[-1]) - 2.0) <= 1e-15
+        assert abs(abs(e.polyline[-1]) - near.scales.r_escape) <= 1e-15
         drift, arc = re_xi_drift(poly, e.polyline)
         assert drift <= 1e-14 * (1.0 + arc)
 
