@@ -31,7 +31,6 @@ class RunConfig:
     # value whose error control still rejects steps on both benchmark
     # workloads (ROADMAP item 10)
     trace_tol: float = 1e-7
-    ode_rel_tol: float = 1e-10       # linear-ODE integrator tolerance
     alpha_order: int = 3             # correction depth in reports
     lambda_min_modulus: float = 0.25
     svg_decimate_factor: float = 1e-3
@@ -42,7 +41,7 @@ class RunConfig:
     def __post_init__(self):
         for name in ("root_tol", "delta_path_factor", "delta_hit_factor",
                      "r_escape_factor", "l_max_factor", "quad_rel_tol",
-                     "trace_tol", "ode_rel_tol"):
+                     "trace_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"RunConfig.{name} must be positive")
         if self.r_escape_factor < 1.0:

@@ -16,7 +16,7 @@ roots to the other.  Near each root the walk takes one turning-point chord
 into a disk that holds no other root, then follows the traced vertices of
 a boundary edge to the ends of a straight segment inside the face.  It
 passes no turning point, so it integrates the period of the strip's saddle
-class, and the strip's width is |Re| of that period (``strip_width``).
+class, whose |Re| is the strip's width (``strip_width``).
 
 A generic graph has d-1 strips.  Their chords triangulate the (d+2)-gon
 of Stokes rays, and their periods Z_s, taken with Re Z_s > 0, are a basis
@@ -25,7 +25,8 @@ change only by flips of that triangulation, each when a basis class turns
 vertical; ``mutation_walk`` follows them from the periods and the exchange
 matrix alone (Bridgeland-Smith, arXiv:1302.7030).  The survey walks a
 half-turn from a generic start; ``chord_diagram`` traces the graph at
-t = 0 and walks a quarter-turn to the orthogonal family's diagram.
+t = 0 and walks a quarter-turn to the orthogonal family's diagram; and
+``strips.is_very_flat`` chains the strips at t = 0 into a chopped strip.
 """
 
 from __future__ import annotations
@@ -385,8 +386,7 @@ def _vertex_table(edges, reverse_first=False):
 
 
 def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
-                r_to: int, config: RunConfig = DEFAULT_CONFIG,
-                exit_edge: int | None = None):
+                r_to: int, config: RunConfig = DEFAULT_CONFIG) -> complex:
     """Transport the canonical coordinate from r_from to r_to through one
     strip, in one walk that passes no turning point.
 
@@ -395,22 +395,18 @@ def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
     root; chord and skipped edge piece share a disk with no other root, so
     they give the same integral.  The walk then follows the edge's traced
     vertices to a*, crosses the face on the straight segment a* -> b*, and
-    follows r_to's edge (``exit_edge`` when given) back.  The a* are the
-    traced vertices of r_from's boundary edges clear of the roots and the
-    escape circle, each paired with the nearest vertex b* of r_to's; the
-    first pair whose segment lies inside the face, in order of the traced
-    vertices walked, is used.
+    follows r_to's edge back.  The a* are the traced vertices of r_from's
+    boundary edges clear of the roots and the escape circle, each paired
+    with the nearest vertex b* of r_to's; the first pair whose segment
+    lies inside the face, in order of the traced vertices walked, is used.
 
-    Returns (xi(r_to) - xi(r_from), Im[xi(b*) - xi(r_to)]); the first is
-    the period of the strip's standard saddle class, the imaginary part
-    gives the chart direction in which b*'s edge leaves the node.
+    Returns xi(r_to) - xi(r_from), the period of the strip's saddle class.
     """
     locs = graph.turning_points.locations
     at_roots = graph.turning_points.at_roots
     delta = graph.scales.delta_path
     froms = _edges_at(graph, r_from, dom.edge_ids)
-    tos = _edges_at(graph, r_to, dom.edge_ids if exit_edge is None
-                    else (exit_edge,))
+    tos = _edges_at(graph, r_to, dom.edge_ids)
 
     # r_from's edges laid end to end through the root, as in the face
     # outline, and their vertices clear of the roots and the escape circle
@@ -418,8 +414,6 @@ def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
     clear = np.flatnonzero(
         (np.abs(za[:, None] - np.array(locs)).min(axis=1) > 2.0 * delta)
         & (np.abs(za) < 0.98 * graph.scales.r_escape))
-    if not len(clear):
-        clear = np.arange(len(za))
     zb, b_edge, b_index = _vertex_table(tos)
 
     # each clear vertex a* with the first of its nearest vertices b*, in
@@ -444,18 +438,17 @@ def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
 
     head = [locs[r_from], *pa[min(ia, ka):ia + 1]]
     tail = [locs[r_to], *pb[min(ib, kb):ib + 1]]
-    # running[len(head) - 1] ends at b*
-    (period,), _, running = integrate_polyline(
+    (period,), _, _ = integrate_polyline(
         graph.poly, locs, head + tail[::-1], rel_tol=config.quad_rel_tol,
         start=at_roots[r_from], end=at_roots[r_to])
-    return period, (running[len(head) - 1][0] - period).imag
+    return period
 
 
 def strip_width(graph: StokesGraph, dom: AdmissibleDomain,
                 config: RunConfig = DEFAULT_CONFIG) -> float:
-    """The width of a strip: |Re| of the period of its crossing."""
+    """The width of a strip: |Re| of its crossing's period."""
     (r_from, *_), (r_to, *_) = dom.boundary_roots
-    return abs(cross_strip(graph, dom, r_from, r_to, config)[0].real)
+    return abs(cross_strip(graph, dom, r_from, r_to, config).real)
 
 
 def admissible_domains(graph: StokesGraph) -> list[AdmissibleDomain]:
@@ -512,7 +505,7 @@ def strip_basis(poly: ComplexPolynomial, t0: float, config: RunConfig):
         ra, rb = dom.boundary_roots
         if len(ra) != 1 or len(rb) != 1:
             raise NonGenericError(f"strip sides with roots {ra}, {rb}")
-        z = cross_strip(graph, dom, ra[0], rb[0], config)[0]
+        z = cross_strip(graph, dom, ra[0], rb[0], config)
         if z.real == 0:
             raise NonGenericError(
                 f"strip between roots {ra[0]} and {rb[0]} has zero width")

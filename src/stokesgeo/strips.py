@@ -5,19 +5,21 @@ A chopped strip is d planar nodes with strictly increasing x and pairwise
 distinct y, plus a vertical cut ray (up or down) at each interior node.
 Node pairs whose open straight segment misses every cut correspond to the
 short geodesics of a very flat differential, so counting them is exact
-combinatorics: all predicates here run on rationals.
+combinatorics: all predicates here run on rationals.  ``is_very_flat``
+reads the strip of a very flat potential off its strip basis: nodes from
+the strip periods, cuts from the exchange matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .config import DEFAULT_CONFIG, RunConfig
-from .domains import build_face_set, cross_strip, strip_width
-from .errors import NonGenericError, StokesGeoError
+from .domains import strip_basis
+from .errors import NonGenericError, NumericalError, StokesGeoError, in_context
 from .polynomial import ComplexPolynomial, turning_points
-from .tracer import build_stokes_graph
 
 
 class ExactTieError(StokesGeoError):
@@ -216,115 +218,54 @@ def is_very_flat(poly: ComplexPolynomial,
                  config: RunConfig = DEFAULT_CONFIG) -> VeryFlatResult:
     """Check the very-flat conditions and project to a chopped strip.
 
-    Very flat: (a) all roots simple, (b) exactly d-1 strip domains,
-    (c) every root on the closure of at most 2 strip domains.  The
-    projection transports the canonical coordinate across each strip
-    through its interior (no turning-point corners), normalizes each
-    crossing to march rightward, and reads every cut direction off the
-    transported image of the edge shared by consecutive strips.
+    Very flat: (a) all roots simple, (b) a generic strip basis at t = 0
+    (``domains.strip_basis``; its NonGenericError means "not very flat"),
+    (c) every root on at most 2 strips.  The strips then chain the roots;
+    from the chain's leftmost end, each node is the last plus the period
+    Z_s (Re Z_s > 0) of the strip crossed to it.  The two strips at an
+    interior node are two sides of its root's triangle, so their
+    exchange-matrix entry is +1 (cut up) or -1 (cut down).  A
+    NumericalError is raised again as "strip basis at t=0: ...", keeping
+    its residuals.
     """
     d = poly.degree
     tps = turning_points(poly, config.root_tol)
     if not tps.all_simple:
         return VeryFlatResult(False, None, "repeated roots")
-    graph = build_stokes_graph(poly, config)
-    fs = build_face_set(graph)
-    strips = fs.strips
-    if len(strips) != d - 1:
-        return VeryFlatResult(
-            False, None, f"{len(strips)} strip domains (need {d - 1})")
+    try:
+        sides, periods, _, B = strip_basis(poly, 0.0, config)
+    except NonGenericError as exc:
+        return VeryFlatResult(False, None, str(exc))
+    except NumericalError as exc:
+        raise in_context(exc, "strip basis at t=0") from exc
 
-    # roots per strip side; generic graphs have one root per side
-    sides = []
     incidence: dict[int, list[int]] = {}
-    for s_idx, dom in enumerate(strips):
-        ra, rb = dom.boundary_roots
-        if len(ra) != 1 or len(rb) != 1:
-            return VeryFlatResult(False, None,
-                                  "strip boundary with multiple roots")
-        a, b = ra[0], rb[0]
-        sides.append((a, b))
+    for s_idx, (a, b) in enumerate(sides):
         incidence.setdefault(a, []).append(s_idx)
         incidence.setdefault(b, []).append(s_idx)
     if any(len(v) > 2 for v in incidence.values()):
         return VeryFlatResult(False, None,
                               "a root borders more than 2 strip domains")
 
-    # the strip-adjacency graph must be a path visiting all d roots
-    endpoints = [r for r, v in incidence.items() if len(v) == 1]
-    if len(incidence) != d or len(endpoints) != 2:
+    # the strips must chain all d roots: walk them from the leftmost end
+    ends = [r for r, v in incidence.items() if len(v) == 1]
+    if not ends:
         return VeryFlatResult(False, None, "strip adjacencies do not chain")
-    start = min(endpoints, key=lambda r: (tps.locations[r].real,
-                                          tps.locations[r].imag))
-    chain = [start]
-    chain_strips = []
-    used = set()
-    while len(chain_strips) < d - 1:
-        cur = chain[-1]
-        nxt_strip = None
-        for s_idx in incidence[cur]:
-            if s_idx not in used:
-                nxt_strip = s_idx
-                break
-        if nxt_strip is None:
-            return VeryFlatResult(False, None, "broken strip chain")
-        used.add(nxt_strip)
-        a, b = sides[nxt_strip]
-        chain.append(b if a == cur else a)
-        chain_strips.append(nxt_strip)
+    root, chain = min(ends, key=lambda r: (tps.locations[r].real,
+                                           tps.locations[r].imag)), []
+    while nxt := [s_idx for s_idx in incidence[root] if s_idx not in chain]:
+        chain.append(nxt[0])
+        a, b = sides[nxt[0]]
+        root = b if a == root else a
+    if len(chain) != d - 1:
+        return VeryFlatResult(False, None, "strip adjacencies do not chain")
 
-    try:
-        nodes, cuts = _project_chain(graph, strips, chain, chain_strips,
-                                     config)
-    except StokesGeoError as exc:
-        return VeryFlatResult(False, None, f"projection failed: {exc}")
+    nodes = accumulate((periods[s] for s in chain), initial=0j)
+    cuts = ["up" if B[s][t] > 0 else "down" for s, t in zip(chain, chain[1:])]
     try:
         strip = ChoppedStrip(
-            nodes=tuple((Fraction(x), Fraction(y)) for x, y in nodes),
+            nodes=tuple((z.real, z.imag) for z in nodes),
             cuts=tuple(cuts))
     except ValueError as exc:
         return VeryFlatResult(False, None, f"degenerate projection: {exc}")
     return VeryFlatResult(True, strip, "very flat")
-
-
-def _project_chain(graph, strips, chain, chain_strips, config):
-    edges = graph.edges
-    xs = [0.0]
-    ys = [0.0]
-    cuts = []
-    for step, s_idx in enumerate(chain_strips):
-        dom = strips[s_idx]
-        r_from = chain[step]
-        r_to = chain[step + 1]
-        # edge of r_to shared with the next strip in the chain (the image
-        # of that edge is the seam where consecutive strips touch)
-        shared_edge = None
-        if step + 1 < len(chain_strips):
-            nxt = strips[chain_strips[step + 1]].edge_ids
-            shared_edge = next(
-                (e for e in dom.edge_ids
-                 if e in nxt and r_to in (edges[e].origin, edges[e].target)),
-                None)
-            if shared_edge is None:
-                raise NonGenericError(
-                    f"no shared edge between consecutive strips at root {r_to}")
-        delta, e_dir_im = cross_strip(graph, dom, r_from, r_to, config,
-                                      exit_edge=shared_edge)
-        if delta.real < 0:
-            delta = -delta
-            e_dir_im = -e_dir_im
-        xs.append(xs[-1] + delta.real)
-        ys.append(ys[-1] + delta.imag)
-        if shared_edge is not None:
-            # the exit-edge crossing against the strip's default crossing;
-            # the last strip's crossing is a default crossing already
-            width = strip_width(graph, dom, config)
-            if abs(delta.real - width) > 1e-5 * (1.0 + width):
-                raise NonGenericError(
-                    "transported width disagrees with face width "
-                    f"({abs(delta.real):.8f} vs {width:.8f})")
-            # the shared seam leaves the node upward or downward; the cut
-            # (the slit where two half-planes attach) is the opposite ray
-            cuts.append("down" if e_dir_im > 0 else "up")
-    nodes = list(zip(xs, ys))
-    return nodes, cuts

@@ -187,6 +187,40 @@ def test_output_parity_reports_a_difference(tmp_path):
         f"the lines differ from those under {(tmp_path / 'src').resolve()}")
 
 
+def test_reached_lines_quick_lists_what_the_examples_skip():
+    # the README examples run every command of the CLI and no failure:
+    # each module gets a summary line, cli.main is reported by exactly
+    # the headers and statements of its except clauses, and the very-flat
+    # projection, which no example runs, is never called
+    proc = _run_script("reached_lines.py", "--quick")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "traffic: README examples 1"
+    summaries = [re.fullmatch(r"(\w+\.py): (\d+) of (\d+) functions called, "
+                              r"(\d+) of (\d+) statements reached", line)
+                 for line in lines if not line.startswith(("traffic", " "))]
+    assert all(summaries)
+    assert [m[1] for m in summaries] == sorted(
+        p.name for p in (ROOT / "src" / "stokesgeo").glob("*.py"))
+    for m in summaries:
+        assert int(m[2]) <= int(m[3]) and int(m[4]) <= int(m[5])
+    tree = ast.parse((ROOT / "src" / "stokesgeo" / "cli.py").read_text())
+    (main,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "main"]
+    (handled,) = [node for node in main.body if isinstance(node, ast.Try)]
+    expected = sorted({handler.lineno for handler in handled.handlers}
+                      | {node.lineno for handler in handled.handlers
+                         for stmt in handler.body for node in ast.walk(stmt)
+                         if isinstance(node, ast.stmt)})
+    (reported,) = [line for line in lines
+                   if line.startswith(f"  main ({main.lineno}): ")]
+    assert [int(x) for x in reported.split(": ")[1].split(", ")] == expected
+    strips = lines.index(next(line for line in lines
+                              if line.startswith("strips.py:")))
+    assert lines[strips + 1].startswith("  never called: ")
+    assert "is_very_flat (" in lines[strips + 1]
+
+
 def test_bench_trace_targets_exist():
     # the benchmark's --trace run wraps each (module, name) of TARGETS in
     # bench/tracing.py by name, so deleting or renaming one breaks it

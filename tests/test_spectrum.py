@@ -223,8 +223,7 @@ def test_negative_n_min_rejected(osc):
 def test_subdominant_decays_outward(osc):
     scale = 1.0 + PolyContext.of(osc, DEFAULT_CONFIG).scales.max_modulus
     start = spectrum._sector_ray(osc, 0, 1.0, scale)
-    *_, decay = spectrum._integrate_inward(osc, [1.0], [start], 0j,
-                                           DEFAULT_CONFIG.ode_rel_tol)
+    *_, decay = spectrum._integrate_inward(osc, [1.0], [start], 0j, 1e-10)
     samples = decay[:, 0, 0]
     # integrated inward, so the log magnitude grows toward the matching
     # point: the solution decays along the outward ray.  It is exp(-z^2/2),
@@ -238,7 +237,7 @@ def test_batched_kernel_matches_closed_forms(osc):
     # exact eigenfunctions of z^2 - 1, subdominant in sectors 0 and 2:
     # exp(-z^2/2) at lambda = 1, z exp(-3 z^2/2) at lambda = 3 and
     # H_2(sqrt(5) z) exp(-5 z^2/2), H_2(x) = 4 x^2 - 2, at lambda = 5, at
-    # the default rtol and at the rtol of the zero polishing.  The
+    # rtol 1e-10 and at the rtol of the zero polishing.  The
     # matching point is off 0, so a Taylor shift that assumed z1 = 0
     # would miss
     scale = 1.0 + PolyContext.of(osc, DEFAULT_CONFIG).scales.max_modulus
@@ -246,7 +245,7 @@ def test_batched_kernel_matches_closed_forms(osc):
               for sector in (0, 2)]
     m = 0.3
     want = (-m, 1.0 / m - 3.0 * m, 40.0 * m / (20.0 * m * m - 2.0) - 5.0 * m)
-    for rtol, tol in ((DEFAULT_CONFIG.ode_rel_tol, 1e-8), (1e-11, 1e-10)):
+    for rtol, tol in ((1e-10, 1e-8), (1e-11, 1e-10)):
         y, yp, _, _, _ = spectrum._integrate_inward(
             osc, np.array([1.0, 3.0, 5.0]), starts, complex(m), rtol)
         assert y.shape == (2, 3)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from stokesgeo import (ChoppedStrip, ExactTieError, build_face_set,
-                       build_stokes_graph, count_short_geodesics, domains,
-                       is_very_flat, realize_count, strips, visible_pairs)
+from stokesgeo import (BranchError, ChoppedStrip, ExactTieError,
+                       NumericalError, build_face_set, build_stokes_graph,
+                       count_short_geodesics, domains, is_very_flat,
+                       realize_count, visible_pairs)
 from stokesgeo.pathint import integrate_polyline
 from tests.conftest import random_simple_poly
 
@@ -137,9 +138,9 @@ def test_very_flat_examples(osc):
 
 
 def _very_flat_samples():
-    """(poly, very-flat result) of random cubics and quartics."""
+    """(poly, very-flat result) of random cubics, quartics and quintics."""
     rng = random.Random(42)
-    for d in (3, 4):
+    for d in (3, 4, 5):
         for _ in range(4):
             poly = random_simple_poly(rng, d, min_sep=0.6)
             yield poly, is_very_flat(poly)
@@ -152,30 +153,54 @@ def test_very_flat_count_matches_geodesics():
             continue
         assert len(visible_pairs(res.strip)) == count_short_geodesics(poly)
         checked += 1
-    assert checked >= 3
+    assert checked >= 10
 
 
 def test_projection_crosses_the_last_strip_once(monkeypatch):
-    # each strip but the last is crossed along its exit edge and checked
-    # against its default crossing; the last strip's crossing is a default
-    # crossing already
+    # the projection reads the strip basis: each of the d - 1 strips is
+    # crossed once, between its two boundary roots, and none again along
+    # the edge it shares with the next strip of the chain
     crossings = []
     cross_strip = domains.cross_strip
 
-    def counted(*args, **kwargs):
-        crossings.append(args)
-        return cross_strip(*args, **kwargs)
+    def counted(graph, dom, r_from, r_to, *args):
+        crossings.append((dom, r_from, r_to))
+        return cross_strip(graph, dom, r_from, r_to, *args)
     monkeypatch.setattr(domains, "cross_strip", counted)
-    monkeypatch.setattr(strips, "cross_strip", counted)
     checked = 0
     # the samples are drawn lazily, so ``crossings`` holds the crossings
     # of the sample in hand
     for poly, res in _very_flat_samples():
         if res.flag:
-            assert len(crossings) == 2 * poly.degree - 3
+            assert len(crossings) == poly.degree - 1
+            assert len({id(dom) for dom, _, _ in crossings}) == poly.degree - 1
+            for dom, r_from, r_to in crossings:
+                assert dom.boundary_roots == ((r_from,), (r_to,))
             checked += 1
         crossings.clear()
-    assert checked >= 3
+    assert checked >= 10
+
+
+def test_projection_keeps_numerical_errors(monkeypatch):
+    # only a NonGenericError of the strip basis means "not very flat"; a
+    # NumericalError is raised again with its stage and residuals, and a
+    # BranchError as it is
+    poly = next(poly for poly, res in _very_flat_samples() if res.flag)
+
+    def failing(*args):
+        raise NumericalError("crossing did not converge",
+                             residuals=[0.25, 0.5])
+    monkeypatch.setattr(domains, "cross_strip", failing)
+    with pytest.raises(NumericalError, match="^strip basis at t=0: crossing "
+                       "did not converge$") as info:
+        is_very_flat(poly)
+    assert info.value.residuals == [0.25, 0.5]
+
+    def branch(*args):
+        raise BranchError("walk cannot step past a turning point")
+    monkeypatch.setattr(domains, "cross_strip", branch)
+    with pytest.raises(BranchError, match="^walk cannot step"):
+        is_very_flat(poly)
 
 
 def _segment_width(graph, dom):
@@ -205,9 +230,9 @@ def _segment_width(graph, dom):
 
 
 def test_face_widths_match_transported_periods():
-    # the README's bound: each node gap is the |Re| of a period transported
-    # across one strip, which must be the width read off the face geometry,
-    # a straight in-face segment between the strip's two sides
+    # the README's bound: each node gap is the |Re| of a strip period
+    # Z_s, which must be the width read off the face geometry, a straight
+    # in-face segment between the strip's two sides
     checked = 0
     for poly, res in _very_flat_samples():
         if not res.flag:
@@ -221,4 +246,4 @@ def test_face_widths_match_transported_periods():
         for gap, width in zip(gaps, widths):
             assert abs(gap - width) <= 2e-11 * width
             checked += 1
-    assert checked >= 10
+    assert checked >= 28
