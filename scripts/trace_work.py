@@ -1,12 +1,19 @@
 #!/usr/bin/env python3
-"""Work counts of the tracer over one pass of a benchmark workload's inputs.
+"""Work counts of the tracer or the Wronskian zero search over one pass of
+a benchmark workload's inputs.
 
     PYTHONPATH=src python3 scripts/trace_work.py --inputs chord --seed 101
 
-Makes the inputs of the ``chord_diagrams`` (``--inputs chord``) or
-``ray_survey`` (``--inputs survey``) workload with ``bench/workloads.py``,
-runs each through that workload's operation once, and prints counts of
-the tracer's work, which depend only on the inputs:
+Makes the inputs of the ``chord_diagrams`` (``--inputs chord``),
+``ray_survey`` (``--inputs survey``) or ``wronskian_spectrum``
+(``--inputs spectrum``) workload with ``bench/workloads.py``, runs each
+through that workload's operation once, and prints counts of the work,
+which depend only on the inputs.  For the spectrum they are the windings
+(boundaries wound) and, apart for the winding (rtol 1e-7) and the
+polishing (rtol 1e-11), the subdominant integrations
+(``spectrum._integrate_inward`` calls), their lambdas, Taylor steps and
+lane-steps (steps times lambdas times start points).  For the others
+they are the tracer's:
 
 - traces;
 - DP5 step attempts: accepted, rejected, and cap-bound, those whose step
@@ -26,7 +33,7 @@ the tracer's work, which depend only on the inputs:
   the deciding vertex (median and largest) and the primitive on the
   escape circle (largest).
 
-The counts come from wrappers around the tracer's functions; nothing in
+The counts come from wrappers around the package's functions; nothing in
 the package or the benchmark is changed.
 """
 
@@ -40,7 +47,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
-from stokesgeo import tracer  # noqa: E402
+from stokesgeo import spectrum, tracer  # noqa: E402
 from stokesgeo.polynomial import (ComplexPolynomial, PolyContext,  # noqa: E402
                                   turning_points)
 
@@ -148,6 +155,47 @@ def count_work(run):
     return counts, escapes
 
 
+def count_spectrum_work(run):
+    """Call ``run()`` with the Wronskian search's winding and integration
+    wrapped; return a Counter of their work, keyed by "windings" and by
+    "winding" or "polishing" before " calls", " lambdas", " steps" and
+    " lane-steps"."""
+    counts = collections.Counter()
+    originals = {name: getattr(spectrum, name)
+                 for name in ("_winding", "_integrate_inward")}
+
+    def winding(*args):
+        counts["windings"] += 1
+        return originals["_winding"](*args)
+
+    def integrate(poly, lams, starts, z1, rtol):
+        out = originals["_integrate_inward"](poly, lams, starts, z1, rtol)
+        kind = "winding" if rtol == 1e-7 else "polishing"
+        counts[kind + " calls"] += 1
+        counts[kind + " lambdas"] += len(lams)
+        counts[kind + " steps"] += out[3]
+        counts[kind + " lane-steps"] += out[3] * len(lams) * len(starts)
+        return out
+
+    try:
+        spectrum._winding = winding
+        spectrum._integrate_inward = integrate
+        run()
+    finally:
+        for name, original in originals.items():
+            setattr(spectrum, name, original)
+    return counts
+
+
+def spectrum_report(counts):
+    """The printed lines of the counts from ``count_spectrum_work``."""
+    return [f"windings {counts['windings']}"] + [
+        f"{kind} integrations {counts[kind + ' calls']}: lambdas "
+        f"{counts[kind + ' lambdas']}, taylor steps {counts[kind + ' steps']}"
+        f", lane-steps {counts[kind + ' lane-steps']}"
+        for kind in ("winding", "polishing")]
+
+
 def report(counts, escapes):
     """The printed lines of the counts and escapes from ``count_work``."""
     lines = [
@@ -181,7 +229,8 @@ def report(counts, escapes):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--inputs", choices=("chord", "survey"), required=True)
+    ap.add_argument("--inputs", choices=("chord", "survey", "spectrum"),
+                    required=True)
     ap.add_argument("--seed", type=int, required=True)
     args = ap.parse_args(argv)
 
@@ -189,16 +238,26 @@ def main(argv=None):
     make, run, polys = {
         "chord": (wl.chord_inputs, wl.run_chords, wl.chord_polys),
         "survey": (wl.survey_inputs, wl.run_survey, wl.survey_polys),
+        "spectrum": (wl.spectrum_inputs, wl.run_spectrum, wl.spectrum_polys),
     }[args.inputs]
     items = make(args.seed)
     # the benchmark's set-up finds these roots before it times a pass
     for item in items:
         for poly in polys(item):
             turning_points(poly)
-    counts, escapes = count_work(lambda: [run(item) for item in items])
-    print(f"inputs {args.inputs} seed {args.seed}: {len(items)} "
-          f"polynomials, one pass")
-    print("\n".join(report(counts, escapes)))
+
+    def one_pass():
+        for item in items:
+            run(item)
+    if args.inputs == "spectrum":
+        lines = spectrum_report(count_spectrum_work(one_pass))
+        noun = "searches"
+    else:
+        lines = report(*count_work(one_pass))
+        noun = "polynomials"
+    print(f"inputs {args.inputs} seed {args.seed}: {len(items)} {noun}, "
+          "one pass")
+    print("\n".join(lines))
     return 0
 
 

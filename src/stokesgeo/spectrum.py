@@ -410,6 +410,85 @@ def _wronskian_batch(poly, lams, sectors, config, rtol, lam_ref=None):
     return w, s1 + s2
 
 
+_FRESH_SAMPLES = 64     # boundary samples of a rectangle wound afresh
+_MAX_SAMPLES = 512      # refinement stops at a mean spacing perimeter/512
+
+
+def _boundary_points(r, m):
+    """m samples counterclockwise around rectangle r from its corner
+    (re_lo, im_lo), m/4 per side, corners included."""
+    re0, re1, im0, im1 = r
+    per = []
+    for k in range(m):
+        tpar = 4.0 * k / m
+        if tpar < 1:
+            per.append(complex(re0 + (re1 - re0) * tpar, im0))
+        elif tpar < 2:
+            per.append(complex(re1, im0 + (im1 - im0) * (tpar - 1)))
+        elif tpar < 3:
+            per.append(complex(re1 - (re1 - re0) * (tpar - 2), im1))
+        else:
+            per.append(complex(re0, im1 - (im1 - im0) * (tpar - 3)))
+    return np.array(per)
+
+
+def _winding(sample, pts, where):
+    """Winding number of W around the closed counterclockwise polygon
+    ``pts``, with ``sample(lams)`` giving W and s at lams, and whether
+    the samples were refined.  While a phase jump between neighbours
+    reaches 1.6, every segment halves, up to _MAX_SAMPLES samples."""
+    w, s = sample(pts)
+    refined = False
+    while True:
+        # a zero on a sample leaves |W e^s| there far below both
+        # neighbours, while its phase jumps can stay under the near-pi
+        # test below; e^s because raw |W| differs between lanes by the
+        # renormalization
+        with np.errstate(divide="ignore"):
+            logmag = np.log(np.abs(w)) + s
+        dip = np.minimum(np.roll(logmag, 1), np.roll(logmag, -1)) - logmag
+        k = int(np.argmax(dip))
+        if dip[k] > _BOUNDARY_DIP:
+            raise NumericalError(
+                f"suspected zero on cell boundary {where}: |W e^s| at "
+                f"lambda = {pts[k]:.6g} lies e^{dip[k]:.3g} below both "
+                "neighbours",
+                residuals=[float(dip[k])])
+        phases = np.angle(w)
+        dphi = np.diff(np.concatenate([phases, phases[:1]]))
+        dphi = (dphi + math.pi) % TWO_PI - math.pi
+        worst = float(np.max(np.abs(dphi)))
+        if worst < 1.6 or len(pts) >= _MAX_SAMPLES:
+            if worst >= 2.6:
+                # a near-pi jump that refinement cannot tame marks a
+                # zero sitting on (or next to) the boundary
+                raise NumericalError(
+                    f"suspected zero on cell boundary {where}: phase "
+                    f"jump {worst:.3g} at {len(pts)} samples",
+                    residuals=[worst])
+            total = float(np.sum(dphi))
+            wn = total / TWO_PI
+            if abs(wn - round(wn)) > 0.25:
+                raise NumericalError(
+                    f"inconsistent winding {wn:.3f} {where}",
+                    residuals=[wn])
+            return int(round(wn)), refined
+        # the midpoints of the segments interleave with the samples so far
+        mids = 0.5 * (pts + np.roll(pts, -1))
+        w_mid, s_mid = sample(mids)
+        pts = np.stack([pts, mids], axis=1).ravel()
+        w = np.stack([w, w_mid], axis=1).ravel()
+        s = np.stack([s, s_mid], axis=1).ravel()
+        refined = True
+
+
+def _arc(pts, inside):
+    """The samples of the closed polygon ``pts`` where ``inside`` holds, in
+    their order: one run, since a line cuts a rectangle's boundary twice."""
+    first = int(np.flatnonzero(inside & ~np.roll(inside, 1))[0])
+    return np.roll(pts, -first)[:int(inside.sum())]
+
+
 def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
                                 rect,
                                 config: RunConfig = DEFAULT_CONFIG) -> list[complex]:
@@ -420,6 +499,17 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
     ``rect`` is (re_lo, re_hi, im_lo, im_hi), finite with re_lo < re_hi
     and im_lo < im_hi; the two sectors must be non-adjacent, otherwise the
     Wronskian has no zeros to find.
+
+    W's samples are kept for the whole search in normalization groups,
+    one per ``lam_ref`` (the start points, and so W's normalization,
+    follow from it), and no lambda is integrated twice in a group.  A
+    rectangle is wound afresh on _FRESH_SAMPLES boundary samples in the
+    group of its least-modulus sample, and so is every jittered retry.  A
+    child rectangle instead keeps its parent's samples on its three outer
+    edges and adds its cut line at the parent's spacing, when the parent's
+    unjittered winding passed unrefined and the group's |lam_ref| is at
+    least half the child's least sample modulus; its sibling shares the
+    cut line.
     """
     re0, re1, im0, im1 = rect
     if not (all(map(math.isfinite, rect)) and re0 < re1 and im0 < im1):
@@ -430,92 +520,56 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
     if sectors.are_neighboring_rays(j1, j2):
         raise ValueError("sector pair must be non-adjacent")
 
-    def boundary_points(r, m):
-        re0, re1, im0, im1 = r
-        per = []
-        for k in range(m):
-            tpar = 4.0 * k / m
-            if tpar < 1:
-                per.append(complex(re0 + (re1 - re0) * tpar, im0))
-            elif tpar < 2:
-                per.append(complex(re1, im0 + (im1 - im0) * (tpar - 1)))
-            elif tpar < 3:
-                per.append(complex(re1 - (re1 - re0) * (tpar - 2), im1))
-            else:
-                per.append(complex(re0, im1 - (im1 - im0) * (tpar - 3)))
-        return per
+    groups = {}   # lam_ref -> {lambda: (W, s)}
 
-    def winding(r, jitter=0.0):
-        r = (r[0] - jitter, r[1] + jitter, r[2] - jitter, r[3] + jitter)
-        where = f"of rectangle {r} in sectors ({j1}, {j2})"
-        m = 64
-        pts = np.array(boundary_points(r, m))
-        lam_ref = pts[np.argmin(np.abs(pts))]
-        w, s = _wronskian_batch(poly, pts, (j1, j2), config, rtol=1e-7)
-        while True:
-            # a zero on a sample leaves |W e^s| there far below both
-            # neighbours, while its phase jumps can stay under the near-pi
-            # test below; e^s because raw |W| differs between lanes by the
-            # renormalization
-            with np.errstate(divide="ignore"):
-                logmag = np.log(np.abs(w)) + s
-            dip = np.minimum(np.roll(logmag, 1), np.roll(logmag, -1)) - logmag
-            k = int(np.argmax(dip))
-            if dip[k] > _BOUNDARY_DIP:
-                raise NumericalError(
-                    f"suspected zero on cell boundary {where}: |W e^s| at "
-                    f"lambda = {pts[k]:.6g} lies e^{dip[k]:.3g} below both "
-                    "neighbours",
-                    residuals=[float(dip[k])])
-            phases = np.angle(w)
-            dphi = np.diff(np.concatenate([phases, phases[:1]]))
-            dphi = (dphi + math.pi) % TWO_PI - math.pi
-            worst = float(np.max(np.abs(dphi)))
-            if worst < 1.6 or m >= 512:
-                if worst >= 2.6:
-                    # a near-pi jump that refinement cannot tame marks a
-                    # zero sitting on (or next to) the boundary
-                    raise NumericalError(
-                        f"suspected zero on cell boundary {where}: phase "
-                        f"jump {worst:.3g} at {m} samples",
-                        residuals=[worst])
-                total = float(np.sum(dphi))
-                wn = total / TWO_PI
-                if abs(wn - round(wn)) > 0.25:
-                    raise NumericalError(
-                        f"inconsistent winding {wn:.3f} {where}",
-                        residuals=[wn])
-                return int(round(wn))
-            # the m samples so far are the even ones of 2m: integrate only
-            # the odd ones, from the same start points
-            m *= 2
-            pts = np.array(boundary_points(r, m))
-            w_odd, s_odd = _wronskian_batch(poly, pts[1::2], (j1, j2),
-                                            config, rtol=1e-7,
-                                            lam_ref=lam_ref)
-            w = np.stack([w, w_odd], axis=1).ravel()
-            s = np.stack([s, s_odd], axis=1).ravel()
+    def sample(lams, lam_ref):
+        """W and s at lams in the group of lam_ref, integrating only the
+        lambdas it lacks; a new group's first batch finds lam_ref itself."""
+        group = groups.setdefault(lam_ref, {})
+        new = [lam for lam in dict.fromkeys(lams.tolist())
+               if lam not in group]
+        if new:
+            w, s = _wronskian_batch(poly, new, (j1, j2), config, rtol=1e-7,
+                                    lam_ref=lam_ref if group else None)
+            group.update(zip(new, zip(w.tolist(), s.tolist())))
+        w, s = zip(*map(group.__getitem__, lams.tolist()))
+        return np.array(w), np.array(s)
 
-    def robust_winding(r):
+    def robust_winding(r, inherited):
+        """The winding around r, and r's boundary (samples, lam_ref and
+        spacing) when its children may keep it: wound unjittered and
+        unrefined."""
         base = max(r[1] - r[0], r[3] - r[2])
         for jit in (0.0, 1.7e-3 * base, 4.3e-3 * base):
+            rj = (r[0] - jit, r[1] + jit, r[2] - jit, r[3] + jit)
+            if jit == 0.0 and inherited is not None:
+                pts, lam_ref, spacing = inherited
+            else:
+                pts = _boundary_points(rj, _FRESH_SAMPLES)
+                lam_ref = complex(pts[np.argmin(np.abs(pts))])
+                spacing = tuple(4.0 * (rj[k + 1] - rj[k]) / _FRESH_SAMPLES
+                                for k in (0, 2))
             try:
-                return winding(r, jitter=jit)
+                wn, refined = _winding(
+                    lambda lams: sample(lams, lam_ref), pts,
+                    f"of rectangle {rj} in sectors ({j1}, {j2})")
             except NumericalError as exc:
                 last = exc
+                continue
+            return wn, (None if jit or refined else (pts, lam_ref, spacing))
         raise NumericalError(f"winding failed on rectangle {r}; last "
                              f"attempt: {last}",
                              residuals=last.residuals) from last
 
     zeros = []
-    stack = [tuple(rect)]
+    stack = [(tuple(rect), None)]
     guard = 0
     while stack:
         guard += 1
         if guard > 400:
             raise NumericalError("rectangle subdivision budget exceeded")
-        r = stack.pop()
-        wn = robust_winding(r)
+        r, inherited = stack.pop()
+        wn, boundary = robust_winding(r, inherited)
         if wn == 0:
             continue
         width = r[1] - r[0]
@@ -524,15 +578,32 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
             zeros.append(complex(0.5 * (r[0] + r[1]), 0.5 * (r[2] + r[3])))
             continue
         # split slightly off-center so symmetric spectra do not land zeros
-        # exactly on the cut line
+        # exactly on the cut line, which runs counterclockwise around the
+        # lower child (the left or bottom one)
         if width >= height:
             mid = r[0] + 0.53815 * width
-            stack.append((r[0], mid, r[2], r[3]))
-            stack.append((mid, r[1], r[2], r[3]))
+            children = ((r[0], mid, r[2], r[3]), (mid, r[1], r[2], r[3]))
+            ends, along, axis = (complex(mid, r[2]), complex(mid, r[3])), \
+                np.real, 1
         else:
             mid = r[2] + 0.53815 * height
-            stack.append((r[0], r[1], r[2], mid))
-            stack.append((r[0], r[1], mid, r[3]))
+            children = ((r[0], r[1], r[2], mid), (r[0], r[1], mid, r[3]))
+            ends, along, axis = (complex(r[1], mid), complex(r[0], mid)), \
+                np.imag, 0
+        if boundary is None:
+            stack.extend((child, None) for child in children)
+            continue
+        pts, lam_ref, spacing = boundary
+        # a cut as long as the side of the rectangle that set the spacing
+        # gets as many segments as that side, despite rounding
+        n = math.ceil(abs(ends[1] - ends[0]) / spacing[axis] - 1e-9)
+        cut = np.linspace(*ends, max(n, 1) + 1)
+        for child, inside, line in ((children[0], along(pts) < mid, cut),
+                                    (children[1], along(pts) > mid,
+                                     cut[::-1])):
+            kept = np.concatenate([_arc(pts, inside), line])
+            keep = abs(lam_ref) >= 0.5 * np.abs(kept).min()
+            stack.append((child, (kept, lam_ref, spacing) if keep else None))
 
     # Polish by pole extraction on log W.  The numerically accessible
     # Wronskian is W_true times a normalization prefactor whose log is

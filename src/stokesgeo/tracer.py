@@ -294,7 +294,8 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     reaches (``PolyContext.reaches``, half the distance to the nearest
     other root; half of D for a lone root).  Its vertices are the root,
     the launch (the line's point on the root's outermost rung, landed
-    from the root's local series), the stepped vertices, and an end: on
+    from the root's local series: directly, or by the chain over every
+    rung where that does not converge), the stepped vertices, and an end: on
     entering the reach of another turning point whose local model puts
     the line within delta_hit of it (HitTurningPoint, with the model's
     closest approach), that root; on an outward vertex in the trapping
@@ -328,10 +329,20 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
 
     # the launch: the line's point on the root's outermost rung, on the
     # root's own level, landed from the local model's point on the first
-    # rung
+    # rung; where that one long Halley solve fails, the chain over every
+    # rung that land_polyline lands, and if that fails too, the first
+    # failure is raised
     own, z_c, w_c, rungs = _launch_start(ctx, root_index, direction)
-    (z,), w = _land(ctx, own, z_c, w_c, 0.0, rungs[-1:], root_index,
-                    direction)
+    try:
+        (z,), w = _land(ctx, own, z_c, w_c, 0.0, rungs[-1:], root_index,
+                        direction)
+    except NumericalError as direct:
+        try:
+            chain, w = _land(ctx, own, z_c, w_c, 0.0, rungs, root_index,
+                             direction)
+        except NumericalError:
+            raise direct
+        z = chain[-1]
     w = _branch_step(poly, w, z)
     k = 1j * w.conjugate() / abs(w)
     drift = 0.0

@@ -157,7 +157,7 @@ def moving_zero_wronskian(zero):
     polishing call (rtol 1e-11), so the polish cannot converge."""
     polish_calls = [0]
 
-    def batch(poly, lams, sectors, config, rtol):
+    def batch(poly, lams, sectors, config, rtol, lam_ref=None):
         lams = np.asarray(lams, dtype=complex)
         shift = 0.0
         if rtol == 1e-11:

@@ -136,7 +136,7 @@ def test_eigenvalues_wronskian_empty_search_fails(tmp_path, capsys,
                                                   monkeypatch):
     # the order-0 estimate for n = 0 lies in the rectangle, so a search
     # that finds no zero there must not pass as an empty spectrum
-    def zero_free(poly, lams, sectors, config, rtol):
+    def zero_free(poly, lams, sectors, config, rtol, lam_ref=None):
         return np.ones(len(lams), dtype=complex), np.zeros(len(lams))
 
     monkeypatch.setattr(spectrum, "_wronskian_batch", zero_free)

@@ -129,6 +129,24 @@ def test_trace_work_counts_read_landings_of_a_survey():
     assert landings["read escape"] == [0, 0, 0]
 
 
+def test_trace_work_counts_one_spectrum_pass():
+    # the three searches wind 15 boundaries.  Children that keep their
+    # parent's samples integrate 661 winding lambdas in 14 calls; sampling
+    # every boundary afresh took 18 calls, 1,152 lambdas and 17,536
+    # lane-steps.  The polishing is the same either way
+    proc = _run_script("trace_work.py", "--inputs", "spectrum", "--seed",
+                       "101")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "inputs spectrum seed 101: 3 searches, one pass",
+        "windings 15",
+        "winding integrations 14: lambdas 661, taylor steps 104, "
+        "lane-steps 9618",
+        "polishing integrations 12: lambdas 60, taylor steps 105, "
+        "lane-steps 1050",
+    ]
+
+
 def test_output_parity_repeats():
     # a second run, on this checkout's own package, must print the same
     # lines

@@ -300,30 +300,85 @@ def test_wronskian_batch_is_one_step_sequence(coeffs, lam, monkeypatch):
     assert steps[0] <= 1.1 * max(single)
 
 
-def test_refinement_integrates_only_new_samples(osc, monkeypatch):
-    # doubling the boundary samples integrates only the new odd-indexed
-    # ones, from the start points of the winding's first batch, and the
-    # interleaved phases still count every zero
-    original = spectrum._wronskian_batch
-    calls = []
+def test_search_integrates_each_lambda_once_per_group(osc, monkeypatch):
+    # W's samples are kept per normalization group, one per lam_ref: a
+    # group's first batch finds lam_ref itself, its later ones pass it, no
+    # lambda is integrated twice in it, and a refinement asks only for the
+    # midpoints of its winding's segments.  The interleaved phases still
+    # count every zero
+    original_batch = spectrum._wronskian_batch
+    original_winding = spectrum._winding
+    groups = {}
+    refinements = []
 
-    def spy(poly, lams, sectors, config, rtol, lam_ref=None):
+    def batch(poly, lams, sectors, config, rtol, lam_ref=None):
         if rtol == 1e-7:
-            calls.append((list(lams), lam_ref))
-        return original(poly, lams, sectors, config, rtol, lam_ref=lam_ref)
+            if lam_ref is None:
+                lam_ref = min(lams, key=abs)
+                assert lam_ref not in groups
+                groups[lam_ref] = set()
+            group = groups[lam_ref]
+            assert len(set(lams)) == len(lams) and group.isdisjoint(lams)
+            group.update(lams)
+        return original_batch(poly, lams, sectors, config, rtol,
+                              lam_ref=lam_ref)
 
-    monkeypatch.setattr(spectrum, "_wronskian_batch", spy)
+    def winding(sample, pts, where):
+        wound = []
+
+        def spy(lams):
+            if wound:
+                assert np.array_equal(lams, 0.5 * (wound[-1]
+                                                   + np.roll(wound[-1], -1)))
+                refinements.append(len(lams))
+                wound.append(np.stack([wound[-1], lams], axis=1).ravel())
+            else:
+                wound.append(lams)
+            return sample(lams)
+        return original_winding(spy, pts, where)
+
+    monkeypatch.setattr(spectrum, "_wronskian_batch", batch)
+    monkeypatch.setattr(spectrum, "_winding", winding)
     zeros = wronskian_eigenvalue_search(osc, (0, 2), (0.5, 7.5, -1.0, 1.0))
     assert [round(z.real) for z in zeros] == [1, 3, 5, 7]
-    assert any(lam_ref is not None for _, lam_ref in calls)
-    for lams, lam_ref in calls:
-        if lam_ref is None:
-            assert len(lams) == 64
-            seen, ref = set(lams), min(lams, key=abs)
-        else:
-            assert lam_ref == ref
-            assert len(lams) == len(seen) and seen.isdisjoint(lams)
-            seen.update(lams)
+    assert refinements and len(groups) > 1
+    # 4,177 winding lambdas; 5,696 when every rectangle sampled afresh
+    assert sum(map(len, groups.values())) <= 4177
+
+
+# (rect, zeros, lane-steps of _integrate_inward) of searches that sample
+# most rectangles afresh or refine often, counted when every rectangle
+# sampled its boundary afresh; the zeros depend only on the windings
+@pytest.mark.parametrize("coeffs, rect, want, lane_steps", [
+    ("1,0,-1", (0.5, 7.5, -1.0, 1.0),
+     [0.9999999999999994 - 3.366134987155688e-19j,
+      2.999999999999999 + 3.190802679035878e-30j,
+      4.999999999999999 + 1.2662819266803625e-29j,
+      6.999999999999984 + 8.409434017675276e-30j], 174400),
+    ("1,0,0.3+0.2i,-1", (1.8, 6.2, 1.5, 5.3),
+     [2.4097517001707245 + 2.041435904407247j,
+      4.003537013721734 + 3.3943879422300034j,
+      5.6000505921181105 + 4.74926290613623j], 146390),
+    ("1,0,-1", (1.0, 3.0, -1.0, 1.0),
+     [0.9999999999999999 - 1.0726162528333497e-27j,
+      2.9999999999999547 - 1.7985065674066876e-28j], 120272),
+])
+def test_kept_samples_change_no_zero_and_add_no_work(coeffs, rect, want,
+                                                     lane_steps,
+                                                     monkeypatch):
+    original = spectrum._integrate_inward
+    work = []
+
+    def spy(poly, lams, starts, z1, rtol):
+        out = original(poly, lams, starts, z1, rtol)
+        work.append(out[3] * len(lams) * len(starts))
+        return out
+
+    monkeypatch.setattr(spectrum, "_integrate_inward", spy)
+    zeros = wronskian_eigenvalue_search(parse_poly_text(coeffs), (0, 2),
+                                        rect)
+    assert zeros == want
+    assert sum(work) <= lane_steps
 
 
 def test_wronskian_zero_at_eigenvalue(osc):
@@ -378,7 +433,7 @@ def test_winding_failure_names_its_rectangle(osc, monkeypatch):
     # a stand-in Wronskian that vanishes at the first sample of every
     # perimeter, so no jitter moves the zero off the boundary: the error
     # names the rectangle, the sectors and the last cause
-    def constant_zero(poly, lams, sectors, config, rtol):
+    def constant_zero(poly, lams, sectors, config, rtol, lam_ref=None):
         w = np.ones(len(lams), dtype=complex)
         w[0] = 0.0
         return w, np.zeros(len(lams))

@@ -914,6 +914,32 @@ def test_length_cap_comes_after_the_hit_decision():
     assert polyline == launch
 
 
+def test_launch_that_does_not_land_directly_takes_the_rung_chain():
+    # draw 0 of degree 20 of `geodesic_census.py --degrees 6,8,12,16,20
+    # --trials 4 --seed 4242`, turned to the strip-basis angle its survey
+    # tries last: one Halley solve from the local model's first-rung point
+    # does not reach the launch rung of root 4 (residual 2.31e4), the chain
+    # over every rung does, and the trace launches from its last point.
+    # Without the chain the survey raised this NumericalError; with it,
+    # the typed "face with 10 ends at infinity" of a degree-20 graph
+    rng = random.Random(4242)
+    for d in (6, 8, 12, 16, 20):
+        radius = 1.5 if d <= 8 else 1.5 * math.sqrt(d / 8)
+        draws = [random_simple_poly(rng, d, radius=radius)
+                 for _ in range(1 if d == 20 else 4)]
+    ctx = PolyContext.of(draws[0].rotate(2.090606372434))
+    theta = 2.375495033946463
+    own, z_c, w_c, rungs = tracer._launch_start(ctx, 4, theta)
+    with pytest.raises(NumericalError, match=r"on \|z - r4\| = 0\.865089 "
+                                             r"did not converge"):
+        tracer._land(ctx, own, z_c, w_c, 0.0, rungs[-1:], 4, theta)
+    chain = tracer._land(ctx, own, z_c, w_c, 0.0, rungs, 4, theta)[0]
+    vertices, fate = trace_stokes_line(ctx.poly, 4, theta, context=ctx)
+    assert vertices[1] == chain[-1] and isinstance(fate, EscapedToRay)
+    polyline = tracer.land_polyline(vertices, (ctx, 4, theta, fate))
+    assert polyline[1:tracer._RUNGS + 1] == tuple(chain)
+
+
 def test_surveys_and_diagrams_land_one_circle_per_launch_and_escape(
         monkeypatch):
     # chord_diagram and survey_short_geodesics land each trace's launch on
