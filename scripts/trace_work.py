@@ -9,8 +9,9 @@ Makes the inputs of the ``chord_diagrams`` (``--inputs chord``),
 (``--inputs spectrum``) workload with ``bench/workloads.py``, runs each
 through that workload's operation once, and prints counts of the work,
 which depend only on the inputs.  For the spectrum they are the windings
-(boundaries wound) and, apart for the winding (rtol 1e-7) and the
-polishing (rtol 1e-11), the subdominant integrations
+(boundaries wound), split into fresh boundaries (``_boundary_points``
+calls) and those kept from a parent's samples, and, apart for the winding
+(rtol 1e-7) and the polishing (rtol 1e-11), the subdominant integrations
 (``spectrum._integrate_inward`` calls), their lambdas, Taylor steps and
 lane-steps (steps times lambdas times start points).  For the others
 they are the tracer's:
@@ -156,17 +157,21 @@ def count_work(run):
 
 
 def count_spectrum_work(run):
-    """Call ``run()`` with the Wronskian search's winding and integration
-    wrapped; return a Counter of their work, keyed by "windings" and by
-    "winding" or "polishing" before " calls", " lambdas", " steps" and
-    " lane-steps"."""
+    """Call ``run()`` with the Wronskian search's winding, boundary
+    sampling and integration wrapped; return a Counter of their work,
+    keyed by "windings", "fresh" and by "winding" or "polishing" before
+    " calls", " lambdas", " steps" and " lane-steps"."""
     counts = collections.Counter()
-    originals = {name: getattr(spectrum, name)
-                 for name in ("_winding", "_integrate_inward")}
+    originals = {name: getattr(spectrum, name) for name in
+                 ("_winding", "_boundary_points", "_integrate_inward")}
 
     def winding(*args):
         counts["windings"] += 1
         return originals["_winding"](*args)
+
+    def boundary_points(*args):
+        counts["fresh"] += 1
+        return originals["_boundary_points"](*args)
 
     def integrate(poly, lams, starts, z1, rtol):
         out = originals["_integrate_inward"](poly, lams, starts, z1, rtol)
@@ -179,6 +184,7 @@ def count_spectrum_work(run):
 
     try:
         spectrum._winding = winding
+        spectrum._boundary_points = boundary_points
         spectrum._integrate_inward = integrate
         run()
     finally:
@@ -189,7 +195,9 @@ def count_spectrum_work(run):
 
 def spectrum_report(counts):
     """The printed lines of the counts from ``count_spectrum_work``."""
-    return [f"windings {counts['windings']}"] + [
+    windings, fresh = counts["windings"], counts["fresh"]
+    return [f"windings {windings}: fresh boundaries {fresh}, kept "
+            f"{windings - fresh}"] + [
         f"{kind} integrations {counts[kind + ' calls']}: lambdas "
         f"{counts[kind + ' lambdas']}, taylor steps {counts[kind + ' steps']}"
         f", lane-steps {counts[kind + ' lane-steps']}"

@@ -411,7 +411,7 @@ def _wronskian_batch(poly, lams, sectors, config, rtol, lam_ref=None):
 
 
 _FRESH_SAMPLES = 64     # boundary samples of a rectangle wound afresh
-_MAX_SAMPLES = 512      # refinement stops at a mean spacing perimeter/512
+_MAX_SAMPLES = 512      # no winding holds more samples
 
 
 def _boundary_points(r, m):
@@ -434,11 +434,11 @@ def _boundary_points(r, m):
 
 def _winding(sample, pts, where):
     """Winding number of W around the closed counterclockwise polygon
-    ``pts``, with ``sample(lams)`` giving W and s at lams, and whether
-    the samples were refined.  While a phase jump between neighbours
-    reaches 1.6, every segment halves, up to _MAX_SAMPLES samples."""
+    ``pts``, with ``sample(lams)`` giving W and s at lams, and the samples
+    it ended with.  While a phase jump between neighbours reaches 1.6,
+    every segment halves, as long as the doubled count stays within
+    _MAX_SAMPLES."""
     w, s = sample(pts)
-    refined = False
     while True:
         # a zero on a sample leaves |W e^s| there far below both
         # neighbours, while its phase jumps can stay under the near-pi
@@ -458,7 +458,7 @@ def _winding(sample, pts, where):
         dphi = np.diff(np.concatenate([phases, phases[:1]]))
         dphi = (dphi + math.pi) % TWO_PI - math.pi
         worst = float(np.max(np.abs(dphi)))
-        if worst < 1.6 or len(pts) >= _MAX_SAMPLES:
+        if worst < 1.6 or 2 * len(pts) > _MAX_SAMPLES:
             if worst >= 2.6:
                 # a near-pi jump that refinement cannot tame marks a
                 # zero sitting on (or next to) the boundary
@@ -466,20 +466,15 @@ def _winding(sample, pts, where):
                     f"suspected zero on cell boundary {where}: phase "
                     f"jump {worst:.3g} at {len(pts)} samples",
                     residuals=[worst])
-            total = float(np.sum(dphi))
-            wn = total / TWO_PI
-            if abs(wn - round(wn)) > 0.25:
-                raise NumericalError(
-                    f"inconsistent winding {wn:.3f} {where}",
-                    residuals=[wn])
-            return int(round(wn)), refined
+            # the wrapped steps around a closed polygon sum to a multiple
+            # of 2 pi up to rounding, about len(pts) * 1e-16
+            return round(float(np.sum(dphi)) / TWO_PI), pts
         # the midpoints of the segments interleave with the samples so far
         mids = 0.5 * (pts + np.roll(pts, -1))
         w_mid, s_mid = sample(mids)
         pts = np.stack([pts, mids], axis=1).ravel()
         w = np.stack([w, w_mid], axis=1).ravel()
         s = np.stack([s, s_mid], axis=1).ravel()
-        refined = True
 
 
 def _arc(pts, inside):
@@ -505,11 +500,11 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
     follow from it), and no lambda is integrated twice in a group.  A
     rectangle is wound afresh on _FRESH_SAMPLES boundary samples in the
     group of its least-modulus sample, and so is every jittered retry.  A
-    child rectangle instead keeps its parent's samples on its three outer
-    edges and adds its cut line at the parent's spacing, when the parent's
-    unjittered winding passed unrefined and the group's |lam_ref| is at
-    least half the child's least sample modulus; its sibling shares the
-    cut line.
+    child rectangle instead keeps the samples its parent's winding ended
+    with on its three outer edges, refined or not, and adds its cut line at
+    that final spacing, when the parent's winding passed unjittered and the
+    group's |lam_ref| is at least half the child's least sample modulus;
+    its sibling shares the cut line.
     """
     re0, re1, im0, im1 = rect
     if not (all(map(math.isfinite, rect)) and re0 < re1 and im0 < im1):
@@ -536,9 +531,9 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
         return np.array(w), np.array(s)
 
     def robust_winding(r, inherited):
-        """The winding around r, and r's boundary (samples, lam_ref and
-        spacing) when its children may keep it: wound unjittered and
-        unrefined."""
+        """The winding around r, and r's boundary (final samples, lam_ref
+        and their spacing) when its children may keep it: wound
+        unjittered."""
         base = max(r[1] - r[0], r[3] - r[2])
         for jit in (0.0, 1.7e-3 * base, 4.3e-3 * base):
             rj = (r[0] - jit, r[1] + jit, r[2] - jit, r[3] + jit)
@@ -550,13 +545,15 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
                 spacing = tuple(4.0 * (rj[k + 1] - rj[k]) / _FRESH_SAMPLES
                                 for k in (0, 2))
             try:
-                wn, refined = _winding(
+                wn, final = _winding(
                     lambda lams: sample(lams, lam_ref), pts,
                     f"of rectangle {rj} in sectors ({j1}, {j2})")
             except NumericalError as exc:
                 last = exc
                 continue
-            return wn, (None if jit or refined else (pts, lam_ref, spacing))
+            fold = len(final) // len(pts)
+            return wn, (None if jit else (
+                final, lam_ref, tuple(x / fold for x in spacing)))
         raise NumericalError(f"winding failed on rectangle {r}; last "
                              f"attempt: {last}",
                              residuals=last.residuals) from last
@@ -567,7 +564,10 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
     while stack:
         guard += 1
         if guard > 400:
-            raise NumericalError("rectangle subdivision budget exceeded")
+            raise NumericalError(
+                f"rectangle subdivision budget exceeded in sectors ({j1}, "
+                f"{j2}) on rectangle {tuple(rect)}: {len(zeros)} zeros "
+                "isolated so far")
         r, inherited = stack.pop()
         wn, boundary = robust_winding(r, inherited)
         if wn == 0:

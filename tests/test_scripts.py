@@ -130,18 +130,19 @@ def test_trace_work_counts_read_landings_of_a_survey():
 
 
 def test_trace_work_counts_one_spectrum_pass():
-    # the three searches wind 15 boundaries.  Children that keep their
-    # parent's samples integrate 661 winding lambdas in 14 calls; sampling
-    # every boundary afresh took 18 calls, 1,152 lambdas and 17,536
-    # lane-steps.  The polishing is the same either way
+    # the three searches wind 15 boundaries, 3 of them fresh: the others
+    # keep their parent's final samples, refined or not, and integrate
+    # only their cut lines (sampling every boundary afresh took 18 calls,
+    # 1,152 lambdas and 17,536 lane-steps).  The polishing does not depend
+    # on the windings
     proc = _run_script("trace_work.py", "--inputs", "spectrum", "--seed",
                        "101")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "inputs spectrum seed 101: 3 searches, one pass",
-        "windings 15",
-        "winding integrations 14: lambdas 661, taylor steps 104, "
-        "lane-steps 9618",
+        "windings 15: fresh boundaries 3, kept 12",
+        "winding integrations 10: lambdas 362, taylor steps 78, "
+        "lane-steps 5778",
         "polishing integrations 12: lambdas 60, taylor steps 105, "
         "lane-steps 1050",
     ]

@@ -342,26 +342,140 @@ def test_search_integrates_each_lambda_once_per_group(osc, monkeypatch):
     zeros = wronskian_eigenvalue_search(osc, (0, 2), (0.5, 7.5, -1.0, 1.0))
     assert [round(z.real) for z in zeros] == [1, 3, 5, 7]
     assert refinements and len(groups) > 1
-    # 4,177 winding lambdas; 5,696 when every rectangle sampled afresh
-    assert sum(map(len, groups.values())) <= 4177
+    # 1,850 winding lambdas; 4,177 when only an unrefined parent's
+    # children kept its samples, 5,696 when every rectangle sampled afresh
+    assert sum(map(len, groups.values())) <= 1850
+
+
+def test_children_keep_a_refined_parents_final_samples(osc, monkeypatch):
+    # on criterion 1's rectangle only the top rectangle, jittered retries
+    # and the children that the modulus rule refuses sample their boundary
+    # afresh: 5 fresh boundaries, 25 when the children of a refined parent
+    # sampled afresh.  Every other child keeps its parent's final samples
+    # on its outer edges and integrates only its cut line, at the parent's
+    # final spacing, and no winding holds more than _MAX_SAMPLES samples
+    original_points = spectrum._boundary_points
+    original_winding = spectrum._winding
+    original_batch = spectrum._wronskian_batch
+    calls = [{"fresh": False}]   # per winding, the last one to come
+    integrated = []              # lambdas of every winding batch, in order
+
+    def points(r, m):
+        calls[-1]["fresh"] = True
+        return original_points(r, m)
+
+    def batch(poly, lams, sectors, config, rtol, lam_ref=None):
+        if rtol == 1e-7:
+            integrated.extend(lams)
+        return original_batch(poly, lams, sectors, config, rtol,
+                              lam_ref=lam_ref)
+
+    def winding(sample, pts, where):
+        call = calls[-1]
+        call.update(rect=tuple(map(float, re.search(
+            r"rectangle \(([^)]*)\)", where).group(1).split(","))),
+            first=pts, held=0)
+        calls.append({"fresh": False})
+
+        def spy(lams):
+            before = len(integrated)
+            out = sample(lams)
+            if not call["held"]:
+                call["new"] = integrated[before:]
+            call["held"] += len(lams)
+            assert call["held"] <= spectrum._MAX_SAMPLES
+            return out
+        wn, call["final"] = original_winding(spy, pts, where)
+        return wn, call["final"]
+
+    monkeypatch.setattr(spectrum, "_boundary_points", points)
+    monkeypatch.setattr(spectrum, "_winding", winding)
+    monkeypatch.setattr(spectrum, "_wronskian_batch", batch)
+    rect = (0.5, 7.5, -1.0, 1.0)
+    zeros = wronskian_eigenvalue_search(osc, (0, 2), rect)
+    calls.pop()
+    assert [round(z.real) for z in zeros] == [1, 3, 5, 7]
+    assert calls[0]["fresh"] and calls[0]["rect"] == rect
+    assert sum(call["fresh"] for call in calls) == 5
+
+    children_of_refined = 0
+    for k, call in enumerate(calls):
+        if call["fresh"]:
+            # a fresh boundary sets its group's lam_ref
+            call["lam_ref"] = call["first"][np.argmin(np.abs(call["first"]))]
+            if k == 0 or "final" not in calls[k - 1]:
+                continue    # the top rectangle, or a retry of one that raised
+        c = call["rect"]
+        # the parent: the least earlier rectangle that passed, holds c and
+        # shares three of its edges
+        parent = min((p for p in calls[:k] if "final" in p and sum(
+            a == b for a, b in zip(p["rect"], c)) == 3 and p["rect"][0]
+            <= c[0] and c[1] <= p["rect"][1] and p["rect"][2] <= c[2]
+            and c[3] <= p["rect"][3]),
+            key=lambda p: (p["rect"][1] - p["rect"][0])
+            * (p["rect"][3] - p["rect"][2]))
+        if call["fresh"]:
+            # the group's |lam_ref| is below half c's least modulus
+            nearest = complex(min(max(0.0, c[0]), c[1]),
+                              min(max(0.0, c[2]), c[3]))
+            assert abs(parent["lam_ref"]) < 0.5 * abs(nearest)
+            continue
+        call["lam_ref"] = parent["lam_ref"]
+        p, final = parent["rect"], parent["final"]
+        # the cut runs at c[side], across the axis that side bounds
+        side = next(i for i in range(4) if p[i] != c[i])
+        fixed, free = (np.real, np.imag) if side < 2 else (np.imag, np.real)
+        cut = call["first"][~np.isin(call["first"], final)]
+        assert np.all(fixed(cut) == c[side])
+        assert set(call["new"]) <= set(cut.tolist())
+        if len(final) == len(parent["first"]):
+            continue
+        children_of_refined += 1
+        steps = np.diff(np.sort(free(cut)))
+        assert np.ptp(steps) <= 1e-12 * steps.max()
+        # the parent's final spacing along its own edges parallel to the cut
+        on_edge = np.isin(fixed(final), p[side & 2:(side & 2) + 2])
+        both = on_edge & np.roll(on_edge, -1)
+        spacing = np.abs(free(np.roll(final, -1) - final))[both].max()
+        assert 0.5 * spacing < steps[0] <= spacing * (1.0 + 1e-9)
+    assert children_of_refined > 0
+
+
+@pytest.mark.parametrize("m, k, final", [(64, 85, 512), (300, 80, 300)])
+def test_refinement_doubles_within_the_sample_cap(m, k, final):
+    # W = lambda^k on the unit circle jumps 2 pi k / m between samples: 64
+    # samples double to 512 before the jumps fall under 1.6, while 300
+    # kept samples cannot double within _MAX_SAMPLES, so their jumps of
+    # 1.68 pass as they are
+    held = []
+
+    def sample(lams):
+        held.extend(lams)
+        return lams ** k, np.zeros(len(lams))
+
+    pts = np.exp(2j * PI * np.arange(m) / m)
+    wn, ended = spectrum._winding(sample, pts, "of the unit circle")
+    assert wn == k and len(ended) == len(held) == final
 
 
 # (rect, zeros, lane-steps of _integrate_inward) of searches that sample
-# most rectangles afresh or refine often, counted when every rectangle
-# sampled its boundary afresh; the zeros depend only on the windings
+# most rectangles afresh or refine often, counted when the children of
+# every unjittered winding keep its final samples (174,400, 146,390 and
+# 120,272 when every rectangle sampled its boundary afresh); the zeros
+# depend only on the windings
 @pytest.mark.parametrize("coeffs, rect, want, lane_steps", [
     ("1,0,-1", (0.5, 7.5, -1.0, 1.0),
      [0.9999999999999994 - 3.366134987155688e-19j,
       2.999999999999999 + 3.190802679035878e-30j,
       4.999999999999999 + 1.2662819266803625e-29j,
-      6.999999999999984 + 8.409434017675276e-30j], 174400),
+      6.999999999999984 + 8.409434017675276e-30j], 80996),
     ("1,0,0.3+0.2i,-1", (1.8, 6.2, 1.5, 5.3),
      [2.4097517001707245 + 2.041435904407247j,
       4.003537013721734 + 3.3943879422300034j,
-      5.6000505921181105 + 4.74926290613623j], 146390),
+      5.6000505921181105 + 4.74926290613623j], 50414),
     ("1,0,-1", (1.0, 3.0, -1.0, 1.0),
      [0.9999999999999999 - 1.0726162528333497e-27j,
-      2.9999999999999547 - 1.7985065674066876e-28j], 120272),
+      2.9999999999999547 - 1.7985065674066876e-28j], 115238),
 ])
 def test_kept_samples_change_no_zero_and_add_no_work(coeffs, rect, want,
                                                      lane_steps,
@@ -446,6 +560,20 @@ def test_winding_failure_names_its_rectangle(osc, monkeypatch):
     assert "suspected zero on cell boundary" in message
     assert "in sectors (0, 2)" in message
     assert info.value.residuals == [math.inf]
+
+
+def test_subdivision_budget_error_names_its_search(osc, monkeypatch):
+    # a stand-in Wronskian sin(20 lambda) has 254 zeros in the rectangle,
+    # more than 400 rectangles can isolate: the error names the sectors,
+    # the rectangle and the zeros isolated so far
+    def sine(poly, lams, sectors, config, rtol, lam_ref=None):
+        return np.sin(20.0 * np.asarray(lams)), np.zeros(len(lams))
+
+    monkeypatch.setattr(spectrum, "_wronskian_batch", sine)
+    with pytest.raises(NumericalError, match=re.escape(
+            "rectangle subdivision budget exceeded in sectors (0, 2) on "
+            "rectangle (0.01, 40, -0.5, 0.5): 112 zeros isolated so far")):
+        wronskian_eigenvalue_search(osc, (0, 2), (0.01, 40, -0.5, 0.5))
 
 
 def test_wronskian_sectors_from_graph(osc):
