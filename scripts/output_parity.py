@@ -10,8 +10,8 @@ agree bit for bit.  The outputs are
   (pairs, t*, periods, polylines) and its errors and warnings, then the
   accumulation rays, their correction integrals alpha_0..alpha_3, order-0
   estimates for n = 1..5 and order-3 estimates for n = 1..3, the pairwise
-  periods (pair, path and value of each) and the ``re_xi_drift`` of each
-  geodesic polyline;
+  periods (pair, path and value of each) and the drift gauge
+  ``re_xi_drift`` of the tests' conftest on each geodesic polyline;
 - ``chord_diagram`` on as many polynomials of the chord stream 5150, and
   ``is_very_flat`` there as its flag, its cuts and its visible-pair count
   (the projected float nodes are left out);
@@ -58,7 +58,7 @@ from pathlib import Path
 from stokesgeo import (ComplexPolynomial, accumulation_rays,
                        alpha_contour_integrals, build_stokes_graph,
                        chord_diagram, eigenvalue_asymptotics, is_very_flat,
-                       pairwise_periods, parse_poly_text, re_xi_drift,
+                       pairwise_periods, parse_poly_text,
                        survey_short_geodesics, visible_pairs,
                        wronskian_eigenvalue_search)
 
@@ -66,7 +66,8 @@ from stokesgeo import (ComplexPolynomial, accumulation_rays,
 # and the benchmark's spectrum cases
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT), str(ROOT / "bench")]
-from tests.conftest import _far_root_draw, random_simple_poly  # noqa: E402
+from tests.conftest import (_far_root_draw, random_simple_poly,  # noqa: E402
+                            re_xi_drift)
 from workloads import (RECT_ABOVE_IM, RECT_ABOVE_RE, RECT_BELOW,  # noqa: E402
                        SPECTRUM_CASES)
 

@@ -49,8 +49,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
 from stokesgeo import spectrum, tracer  # noqa: E402
-from stokesgeo.polynomial import (ComplexPolynomial, PolyContext,  # noqa: E402
-                                  turning_points)
+from stokesgeo.polynomial import ComplexPolynomial, turning_points  # noqa: E402
 
 LANDING_KINDS = ("launch", "hit", "escape")
 
@@ -70,14 +69,11 @@ def count_work(run):
                   "_land", "_in_cone")}
     evaluate = ComplexPolynomial.evaluate
 
-    def trace(poly, root_index, direction, config=tracer.DEFAULT_CONFIG,
-              context=None):
+    def trace(ctx, root_index, direction):
         counts["traces"] += 1
-        current.append(context if context is not None
-                       else PolyContext.of(poly, config))
+        current.append(ctx)
         try:
-            return originals["trace_stokes_line"](poly, root_index, direction,
-                                                  config, context)
+            return originals["trace_stokes_line"](ctx, root_index, direction)
         finally:
             current.pop()
 

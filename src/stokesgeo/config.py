@@ -74,7 +74,6 @@ DEFAULT_CONFIG = RunConfig()
 class Scales:
     """Geometric scales of a concrete root set, derived from a RunConfig."""
 
-    diameter: float      # diameter of the root set
     max_modulus: float   # max |root|
     d_unit: float        # diameter + 1, the length unit for tolerances
     delta_path: float
@@ -94,7 +93,6 @@ class Scales:
         maxmod = max(abs(z) for z in locs)
         d_unit = diam + 1.0
         return cls(
-            diameter=diam,
             max_modulus=maxmod,
             d_unit=d_unit,
             delta_path=config.delta_path_factor * max(diam, 1.0),

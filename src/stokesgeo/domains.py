@@ -1,6 +1,6 @@
 """Admissible domains: faces of the Stokes graph, half-plane/strip
-classification, strip widths, strip bases and their mutation walk, and
-weighted chord diagrams.
+classification, strip bases and their mutation walk, and weighted chord
+diagrams.
 
 The plane is compactified to the disk |z| <= R_escape: escaping edges end
 on that circle (to rounding; only the phase of an end is read), circle
@@ -16,7 +16,7 @@ roots to the other.  Near each root the walk takes one turning-point chord
 into a disk that holds no other root, then follows the traced vertices of
 a boundary edge to the ends of a straight segment inside the face.  It
 passes no turning point, so it integrates the period of the strip's saddle
-class, whose |Re| is the strip's width (``strip_width``).
+class, whose |Re| is the strip's width.
 
 A generic graph has d-1 strips.  Their chords triangulate the (d+2)-gon
 of Stokes rays, and their periods Z_s, taken with Re Z_s > 0, are a basis
@@ -32,7 +32,6 @@ t = 0 and walks a quarter-turn to the orthogonal family's diagram; and
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +40,8 @@ from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (IncompleteGraphError, NonGenericError, NumericalError,
                      in_context)
 from .pathint import integrate_polyline, min_clearance
-from .polynomial import ComplexPolynomial, wrap_positive
+from .polynomial import PI, TWO_PI, ComplexPolynomial, wrap_positive
 from .tracer import StokesGraph, build_stokes_graph
-
-PI = math.pi
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -112,10 +108,6 @@ class FaceSet:
     def strips(self) -> list[AdmissibleDomain]:
         return [dom for dom in self.domains if dom.kind == "Strip"]
 
-    @property
-    def half_planes(self) -> list[AdmissibleDomain]:
-        return [dom for dom in self.domains if dom.kind == "HalfPlane"]
-
 
 def _arc_samples(radius, b0, span):
     """Points of the counterclockwise arc of ``span`` rad from phase b0 on
@@ -142,8 +134,6 @@ def build_face_set(graph: StokesGraph) -> FaceSet:
         if e.kind == "escape":
             crossings.append((wrap_positive(cmath.phase(e.vertices[-1])), idx))
     crossings.sort()
-    boundary_pos = {("b", k): radius * cmath.exp(1j * beta)
-                    for k, (beta, _) in enumerate(crossings)}
     cross_vertex = {edge_idx: ("b", k)
                     for k, (_, edge_idx) in enumerate(crossings)}
     betas = [beta for beta, _ in crossings]
@@ -176,9 +166,9 @@ def build_face_set(graph: StokesGraph) -> FaceSet:
         k2 = (k + 1) % m
         b0, b1 = betas[k], betas[k2]
         # ref = (arc start index, arc end index, orientation)
-        ccw = _HalfEdge(("b", k), ("b", k2), b0 + math.pi / 2, "arc",
+        ccw = _HalfEdge(("b", k), ("b", k2), b0 + PI / 2, "arc",
                         (k, k2, +1), None)
-        cw = _HalfEdge(("b", k2), ("b", k), b1 - math.pi / 2, "arc",
+        cw = _HalfEdge(("b", k2), ("b", k), b1 - PI / 2, "arc",
                        (k, k2, -1), None)
         add_pair(ccw, cw)
 
@@ -224,7 +214,7 @@ def build_face_set(graph: StokesGraph) -> FaceSet:
                 k0, k1, orient = h.ref
                 # two ends at one phase span no arc; one end alone, all of it
                 span = (TWO_PI if k0 == k1
-                        else (betas[k1] - betas[k0]) % TWO_PI)
+                        else wrap_positive(betas[k1] - betas[k0]))
                 samples = _arc_samples(radius, betas[k0], span)
                 if orient < 0:
                     samples = samples[::-1]
@@ -292,7 +282,7 @@ def _classify_face(graph, halves, betas, cycle, poly_pts):
         last = halves[cycle[run[-1]]]
         b_start = betas[first.tail[1]]
         b_end = betas[last.head[1]]
-        span = (b_end - b_start) % TWO_PI
+        span = wrap_positive(b_end - b_start)
         mid = b_start + 0.5 * span
         return (graph.sectors.nearest_ray_index(b_start),
                 graph.sectors.nearest_ray_index(b_end),
@@ -444,18 +434,6 @@ def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
     return period
 
 
-def strip_width(graph: StokesGraph, dom: AdmissibleDomain,
-                config: RunConfig = DEFAULT_CONFIG) -> float:
-    """The width of a strip: |Re| of its crossing's period."""
-    (r_from, *_), (r_to, *_) = dom.boundary_roots
-    return abs(cross_strip(graph, dom, r_from, r_to, config).real)
-
-
-def admissible_domains(graph: StokesGraph) -> list[AdmissibleDomain]:
-    """Faces of the completed Stokes graph, classified by type."""
-    return build_face_set(graph).domains
-
-
 # --- strip bases and their mutation walk -------------------------------------
 
 def _exchange_matrix(n: int, chords):
@@ -537,7 +515,7 @@ def mutation_walk(periods, B, stop: float):
 
     def exit_time(n):
         z = sum(c * p for c, p in zip(n, periods))
-        return (PI / 2 - cmath.phase(z)) % TWO_PI
+        return wrap_positive(PI / 2 - cmath.phase(z))
 
     basis = [tuple(int(i == k) for i in range(m)) for k in range(m)]
     states = []

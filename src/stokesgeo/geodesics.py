@@ -32,20 +32,18 @@ of such a monogon is 1 - 3 theta/(2 pi) - 2 < 0.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .domains import mutation_walk, strip_basis
-from .errors import NonGenericError, NumericalError, in_context
+from .errors import ClearanceError, NonGenericError, NumericalError, in_context
 from .pathint import pairwise_periods, period_sign_flips
-from .polynomial import (ComplexPolynomial, PolyContext, turning_points,
-                         wrap_angle, wrap_positive)
+from .polynomial import (PI, TWO_PI, ComplexPolynomial, PolyContext,
+                         turning_points, wrap_angle, wrap_positive)
 from .tracer import (HitTurningPoint, emanating_directions, land_polyline,
                      trace_stokes_line)
 
-PI = math.pi
 # strip decompositions tried, at the widest gaps between candidate angles
 START_ATTEMPTS = 3
 
@@ -106,7 +104,7 @@ def verify_geodesic(poly: ComplexPolynomial, pair, t: float, period: complex,
     third = {}
     for k in sorted(range(len(dirs)),
                     key=lambda k: abs(wrap_angle(dirs[k] - towards))):
-        pl, fate = trace_stokes_line(rot.poly, a, dirs[k], context=rot)
+        pl, fate = trace_stokes_line(rot, a, dirs[k])
         if isinstance(fate, HitTurningPoint):
             if fate.target == b:
                 return ShortGeodesic(pair=pair, t_star=wrap_positive(t, PI),
@@ -181,7 +179,9 @@ def survey_short_geodesics(poly: ComplexPolynomial,
     NonGenericError.  Simultaneous connections are listed in
     ``warnings``.  A NumericalError from a strip basis or a verification
     trace is raised again with its stage and angle (t0 or t), and the
-    pair of a verification, keeping its residuals.
+    pair of a verification, keeping its residuals.  A ClearanceError from
+    the pair periods of the candidate angles is raised again with that
+    stage.
     """
     tps = turning_points(poly, config.root_tol)
     if not tps.all_simple:
@@ -191,7 +191,10 @@ def survey_short_geodesics(poly: ComplexPolynomial,
     if len(tps.points) < 2:
         return survey          # a single turning point connects nothing
 
-    t_cand = {pair: t for pair, t, _ in candidate_angles(poly, config)}
+    try:
+        t_cand = {pair: t for pair, t, _ in candidate_angles(poly, config)}
+    except ClearanceError as exc:
+        raise ClearanceError(f"candidate angles: {exc}") from exc
     failures = []
     for t0 in _start_angles(t_cand.values())[:START_ATTEMPTS]:
         try:
@@ -246,16 +249,6 @@ def survey_short_geodesics(poly: ComplexPolynomial,
     return survey
 
 
-def enumerate_short_geodesics(poly: ComplexPolynomial,
-                              config: RunConfig = DEFAULT_CONFIG) -> list[ShortGeodesic]:
-    return survey_short_geodesics(poly, config).geodesics
-
-
-def count_short_geodesics(poly: ComplexPolynomial,
-                          config: RunConfig = DEFAULT_CONFIG) -> int:
-    return len(enumerate_short_geodesics(poly, config))
-
-
 # --- Teichmueller defect -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -271,7 +264,7 @@ class PsiPolygon:
         for n, theta in self.vertices:
             if n < -1:
                 raise ValueError("vertex order must be >= -1")
-            if not (0.0 <= theta <= 2.0 * PI):
+            if not (0.0 <= theta <= TWO_PI):
                 raise ValueError("interior angles must lie in [0, 2*pi]")
 
 
@@ -281,6 +274,6 @@ def teichmuller_defect(polygon: PsiPolygon) -> float:
     Zero for genuine polygons of a quadratic differential; a negative
     value certifies that no such polygon exists.
     """
-    lhs = sum(1.0 - (n + 2) * theta / (2.0 * PI) for n, theta in polygon.vertices)
+    lhs = sum(1.0 - (n + 2) * theta / TWO_PI for n, theta in polygon.vertices)
     rhs = 2.0 + sum(polygon.interior)
     return lhs - rhs

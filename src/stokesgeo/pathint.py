@@ -37,7 +37,8 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import BranchError, ClearanceError, DegeneratePairError
-from .polynomial import ComplexPolynomial, PolyContext, turning_points
+from .polynomial import (TWO_PI, ComplexPolynomial, PolyContext,
+                         turning_points, wrap_positive)
 
 # --- Gauss-Kronrod 7-15 rule on [-1, 1] -----------------------------------
 
@@ -259,10 +260,6 @@ def integrate_chord_from_root(poly, roots, series, z1, w1,
 
 # --- polyline-level API -----------------------------------------------------
 
-def polyline_length(vertices) -> float:
-    return sum(abs(vertices[k + 1] - vertices[k]) for k in range(len(vertices) - 1))
-
-
 def min_clearance(vertices, points) -> float:
     """Min distance from a polyline to a set of points."""
     p = np.asarray(points, dtype=complex).reshape(-1, 1)
@@ -280,19 +277,18 @@ def min_clearance(vertices, points) -> float:
                           p.imag - (a.imag + t * ab.imag)).min())
 
 
-def _check_clearance(vertices, roots, delta):
-    if roots and min_clearance(vertices, roots) < 0.9 * delta:
-        raise ClearanceError(f"path clearance below delta_path = {delta:.3e}")
-
-
-def _root_end(v: complex, at_roots, tol: float):
-    """The ``SeriesAtRoot`` of the turning point that ``v`` sits on, else
-    None."""
-    for series in at_roots:
-        r = series.center
-        if abs(v - r) <= tol * (1.0 + abs(r)):
-            return series
-    return None
+def _check_clearance(vertices, locs, skip, delta, what):
+    """ClearanceError when the polyline ``vertices`` (``what`` names it)
+    passes within 0.9 delta of a turning point ``locs[k]``, k not in
+    ``skip``; the message names the nearest such root and its distance."""
+    others = [k for k in range(len(locs)) if k not in skip]
+    if others and min_clearance(
+            vertices, [locs[k] for k in others]) < 0.9 * delta:
+        dist, k = min((min_clearance(vertices, [locs[k]]), k)
+                      for k in others)
+        raise ClearanceError(
+            f"{what} passes {dist:.3e} from root {k}: clearance below "
+            f"delta_path = {delta:.3e}")
 
 
 def integrate_polyline(poly, roots, verts, densities=(sqrt_density,),
@@ -403,8 +399,8 @@ def pair_path(poly, locations, i: int, j: int, delta: float):
         z_out = foot + half_chord * direction
         th_in = cmath.phase(z_in - r)
         th_out = cmath.phase(z_out - r)
-        d_ccw = (th_out - th_in) % (2 * math.pi)
-        d_cw = d_ccw - 2 * math.pi
+        d_ccw = wrap_positive(th_out - th_in)
+        d_cw = d_ccw - TWO_PI
         mid_ccw = r + radius * cmath.exp(1j * (th_in + 0.5 * d_ccw))
         mid_cw = r + radius * cmath.exp(1j * (th_in + 0.5 * d_cw))
         choose_ccw = abs(poly.evaluate(mid_ccw)) <= abs(poly.evaluate(mid_cw))
@@ -441,8 +437,7 @@ def period_for_pair(poly: ComplexPolynomial, i: int, j: int,
     locs = ctx.locs
     delta = ctx.scales.delta_path
     verts = pair_path(poly, locs, i, j, delta)
-    _check_clearance(verts, [r for k, r in enumerate(locs) if k not in (i, j)],
-                     delta)
+    _check_clearance(verts, locs, (i, j), delta, f"path of pair ({i}, {j})")
     return Period(pair=(i, j), path=tuple(verts),
                   value=root_to_root_period(ctx, verts, i, j))
 
@@ -469,7 +464,7 @@ def winding_number(vertices, point: complex) -> int:
     a, b = v[:-1], v[1:]
     cross = a.real * b.imag - a.imag * b.real
     dot = a.real * b.real + a.imag * b.imag
-    return int(round(float(np.arctan2(cross, dot).sum()) / (2.0 * math.pi)))
+    return int(round(float(np.arctan2(cross, dot).sum()) / TWO_PI))
 
 
 def contour_integral(poly: ComplexPolynomial, contour, densities,
@@ -487,7 +482,7 @@ def contour_integral(poly: ComplexPolynomial, contour, densities,
     if poly.degree >= 1:
         ctx = PolyContext.of(poly, config)
         roots = ctx.locs
-        _check_clearance(verts, roots, ctx.scales.delta_path)
+        _check_clearance(verts, roots, (), ctx.scales.delta_path, "contour")
     totals, branch, _ = integrate_polyline(poly, roots, verts,
                                            densities=densities,
                                            rel_tol=config.quad_rel_tol)
@@ -634,28 +629,6 @@ def build_stadium(polyline, clearance: float):
     out.append(out[0])
     out.reverse()  # counterclockwise
     return out
-
-
-# --- canonical-coordinate drift of a traced polyline --------------------------
-
-def re_xi_drift(poly: ComplexPolynomial, vertices) -> tuple[float, float]:
-    """Max |Re xi| drift along a polyline, xi transported from its start.
-
-    Endpoints sitting on turning points integrate on the root's series.
-    Returns (max_drift, arc_length).
-    """
-    verts = [complex(v) for v in vertices]
-    if len(verts) < 2:
-        return 0.0, 0.0
-    at_roots = turning_points(poly).at_roots if poly.degree >= 1 else ()
-    arc = polyline_length(verts)
-    start = _root_end(verts[0], at_roots, 1e-9)
-    end = _root_end(verts[-1], at_roots, 1e-9)
-    _, _, running = integrate_polyline(
-        poly, tuple(s.center for s in at_roots), verts, rel_tol=1e-12,
-        abs_floor=1e-14, start=start, end=end)
-    # partial integrals measured from verts[0], where xi = 0
-    return max(abs(x[0].real) for x in running), arc
 
 
 def douglas_peucker(vertices, tol: float):

@@ -16,6 +16,7 @@ from functools import cached_property, lru_cache
 from .config import DEFAULT_CONFIG, RunConfig, Scales
 from .errors import NumericalError, ParseError
 
+PI = math.pi
 TWO_PI = 2.0 * math.pi
 # the root chart's reach: this fraction of a turning point's distance to
 # its nearest other root, the one radius about a root
@@ -91,9 +92,6 @@ class ComplexPolynomial:
         f = cmath.exp(2j * t)
         return ComplexPolynomial(tuple(f * c for c in self.coeffs))
 
-    def scaled(self, c: complex) -> "ComplexPolynomial":
-        return ComplexPolynomial(tuple(complex(c) * a for a in self.coeffs))
-
     @classmethod
     def from_roots(cls, leading: complex, roots) -> "ComplexPolynomial":
         cs = [complex(leading)]
@@ -126,10 +124,6 @@ class TurningPointSet:
     @property
     def locations(self) -> tuple[complex, ...]:
         return tuple(p for p, _ in self.points)
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.points)
 
     @property
     def all_simple(self) -> bool:

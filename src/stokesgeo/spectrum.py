@@ -28,10 +28,9 @@ from .geodesics import GeodesicSurvey, ShortGeodesic, survey_short_geodesics
 from .pathint import (alpha_densities, build_stadium, continue_branch,
                       contour_integral, min_clearance, sqrt_density,
                       winding_number)
-from .polynomial import ComplexPolynomial, PolyContext, stokes_sectors
+from .polynomial import (PI, TWO_PI, ComplexPolynomial, PolyContext,
+                         stokes_sectors)
 from .tracer import build_stokes_graph
-
-TWO_PI = 2.0 * math.pi
 
 # order of the Taylor series per step of _integrate_inward
 _TAYLOR_ORDER = 30
@@ -151,13 +150,13 @@ def eigenvalue_asymptotics(poly: ComplexPolynomial, ray: AccumulationRay,
                 residuals=[abs(loop - L) / abs(L)])
         corrections = alphas[1:order + 1]
 
-    lead = 1j * (TWO_PI * n_min + math.pi) / L
+    lead = 1j * (TWO_PI * n_min + PI) / L
     if (lead * cmath.exp(-1j * ray.angle)).real <= 0.0:
         L = -L
         corrections = [(-c if j % 2 == 1 else c)
                        for j, c in enumerate(corrections, start=1)]
 
-    lam0_min = abs(1j * (TWO_PI * n_min + math.pi) / L)
+    lam0_min = abs(1j * (TWO_PI * n_min + PI) / L)
     if lam0_min < config.lambda_min_modulus:
         raise ValueError(
             f"n_min={n_min} gives |lambda| = {lam0_min:.3g} below the "
@@ -165,7 +164,7 @@ def eigenvalue_asymptotics(poly: ComplexPolynomial, ray: AccumulationRay,
 
     out = []
     for n in range(n_min, n_max + 1):
-        rhs0 = TWO_PI * n + math.pi
+        rhs0 = TWO_PI * n + PI
         lam = 1j * rhs0 / L
         residual = 0.0
         converged = False
@@ -456,7 +455,7 @@ def _winding(sample, pts, where):
                 residuals=[float(dip[k])])
         phases = np.angle(w)
         dphi = np.diff(np.concatenate([phases, phases[:1]]))
-        dphi = (dphi + math.pi) % TWO_PI - math.pi
+        dphi = (dphi + PI) % TWO_PI - PI
         worst = float(np.max(np.abs(dphi)))
         if worst < 1.6 or 2 * len(pts) > _MAX_SAMPLES:
             if worst >= 2.6:
@@ -624,7 +623,7 @@ def wronskian_eigenvalue_search(poly: ComplexPolynomial, sector_pair,
         """|pole_T(u) - t_meas| with the imaginary part taken mod 2 pi."""
         d = (np.log((u + 2 * delta) / (u - 2 * delta))
              - 2.0 * np.log((u + delta) / (u - delta)) - t_meas)
-        return np.hypot(d.real, (d.imag + math.pi) % TWO_PI - math.pi)
+        return np.hypot(d.real, (d.imag + PI) % TWO_PI - PI)
 
     for _ in range(20):
         delta = np.clip(0.45 * np.abs(u_est), 1e-7 * (1.0 + np.abs(lam)), 0.15)

@@ -51,10 +51,6 @@ class ChoppedStrip:
         if any(c not in ("up", "down") for c in self.cuts):
             raise ValueError("cuts must be 'up' or 'down'")
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
     def to_json_obj(self) -> dict:
         return {"nodes": [[float(x), float(y)] for x, y in self.nodes],
                 "cuts": list(self.cuts)}

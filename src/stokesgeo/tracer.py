@@ -285,9 +285,7 @@ def _launch_start(ctx, root_index, direction):
     return own, ctx.locs[root_index] + zeta, w, rungs
 
 
-def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float,
-                      config: RunConfig = DEFAULT_CONFIG,
-                      context: PolyContext | None = None):
+def trace_stokes_line(ctx: PolyContext, root_index: int, direction: float):
     """Trace one Stokes line from a turning point.
 
     Returns (vertices, fate).  The trace steps only outside the roots'
@@ -304,15 +302,15 @@ def trace_stokes_line(poly: ComplexPolynomial, root_index: int, direction: float
     reaching the length cap l_max (Truncated), checked after the launch,
     whose arc counts as the length of the chord to it, and after each
     step's decisions, there is no end.  ``land_polyline`` lands the
-    rungs and ladder circles between them.  Tolerances and scales come
-    from ``context``, which defaults to the context of ``poly`` under
-    ``config``.  A trace that needs more than ``_MAX_STEP_ATTEMPTS`` step
-    attempts, or a step below 1e-15 D, raises ``NumericalError`` naming
+    rungs and ladder circles between them.  The potential, its roots,
+    tolerances and scales all come from ``ctx``.  A trace that needs
+    more than ``_MAX_STEP_ATTEMPTS`` step attempts, or a step below
+    1e-15 D, raises ``NumericalError`` naming
     the root, the launch direction and the arc length reached; so does a
     vertex within delta_hit of a root whose reach decided a miss, and a
     landing that does not converge.
     """
-    ctx = context if context is not None else PolyContext.of(poly, config)
+    poly = ctx.poly
     locs, scales = ctx.locs, ctx.scales
     at_roots = ctx.tps.at_roots
     a0 = poly.coeffs[0]
@@ -635,7 +633,7 @@ def build_stokes_graph(poly: ComplexPolynomial,
     for ridx, (root, mult) in enumerate(ctx.tps.points):
         dirs = emanating_directions(poly, root, mult)
         for kdir, theta in enumerate(dirs):
-            pl, fate = trace_stokes_line(poly, ridx, theta, context=ctx)
+            pl, fate = trace_stokes_line(ctx, ridx, theta)
             raw.append((ridx, kdir, theta, tuple(pl), fate))
 
     edges = []
@@ -710,10 +708,3 @@ def build_stokes_graph(poly: ComplexPolynomial,
                        edges=tuple(edges), complexes=complexes,
                        incomplete=incomplete, scales=ctx.scales)
 
-
-def classify_complexes(graph: StokesGraph) -> list[tuple[frozenset, bool]]:
-    """(component, is_simple) for every Stokes complex; simple means the
-    component contains exactly one turning point."""
-    if graph.incomplete:
-        raise NumericalError("cannot classify complexes of an incomplete graph")
-    return [(comp, len(comp) == 1) for comp in graph.complexes]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stokesgeo import (BranchError, ComplexPolynomial, accumulation_rays,
-                       parse_poly_text)
+                       parse_poly_text, turning_points)
 from stokesgeo import pathint
 
 
@@ -139,6 +139,43 @@ def _root_chord_reference(poly, roots, root, mult, z1, w1, rel_tol=1e-9,
             stack.append((ua, um, 0.6 * tol))
             stack.append((um, ub, 0.6 * tol))
     return total
+
+
+def polyline_length(vertices) -> float:
+    return sum(abs(vertices[k + 1] - vertices[k])
+               for k in range(len(vertices) - 1))
+
+
+def _root_end(v: complex, at_roots, tol: float):
+    """The ``SeriesAtRoot`` of the turning point that ``v`` sits on, else
+    None."""
+    for series in at_roots:
+        r = series.center
+        if abs(v - r) <= tol * (1.0 + abs(r)):
+            return series
+    return None
+
+
+def re_xi_drift(poly: ComplexPolynomial, vertices) -> tuple[float, float]:
+    """Max |Re xi| drift along a polyline, xi transported from its start:
+    acceptance criterion 8's gauge of how far a traced line strays from
+    its level.
+
+    Endpoints sitting on turning points integrate on the root's series.
+    Returns (max_drift, arc_length).
+    """
+    verts = [complex(v) for v in vertices]
+    if len(verts) < 2:
+        return 0.0, 0.0
+    at_roots = turning_points(poly).at_roots if poly.degree >= 1 else ()
+    arc = polyline_length(verts)
+    start = _root_end(verts[0], at_roots, 1e-9)
+    end = _root_end(verts[-1], at_roots, 1e-9)
+    _, _, running = pathint.integrate_polyline(
+        poly, tuple(s.center for s in at_roots), verts, rel_tol=1e-12,
+        abs_floor=1e-14, start=start, end=end)
+    # partial integrals measured from verts[0], where xi = 0
+    return max(abs(x[0].real) for x in running), arc
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,12 @@ from tests.conftest import (_far_root_draw, criterion_6_polys,
                             random_simple_poly, stream_polys)
 
 
+def _strip_width(graph, strip):
+    """|Re| of the strip's crossing period, its chord weight."""
+    (r_from, *_), (r_to, *_) = strip.boundary_roots
+    return abs(domains.cross_strip(graph, strip, r_from, r_to).real)
+
+
 def test_airy_faces():
     fs = build_face_set(build_stokes_graph(parse_poly_text("1,0")))
     assert [d.kind for d in fs.domains] == ["HalfPlane"] * 3
@@ -38,8 +44,8 @@ def test_rotated_oscillator_strip(osc):
     strip = fs.strips[0]
     # width of the canonical-chart image: |Re(e^{it} w)| with w = i pi/2
     expected = (math.pi / 2) * math.sin(0.3)
-    assert domains.strip_width(fs.graph, strip) == pytest.approx(expected,
-                                                                 rel=1e-12)
+    assert _strip_width(fs.graph, strip) == pytest.approx(expected,
+                                                          rel=1e-12)
     assert not fs.graph.sectors.are_neighboring_rays(*strip.incident_rays)
     assert fs.n_vertices - fs.n_edges + fs.n_faces == 2
 
@@ -152,7 +158,7 @@ def test_strip_crossings_take_the_root_rule_unsplit(monkeypatch):
             for member in (poly, poly.rotate(math.pi / 2)):
                 graph = build_stokes_graph(member)
                 for strip in build_face_set(graph).strips:
-                    domains.strip_width(graph, strip)
+                    _strip_width(graph, strip)
     assert len(crossings) == 2 * 30 * (2 + 3 + 4)
     for verts, (walk,), (first, last) in crossings:
         assert walk[2] == verts[1:-1]
@@ -180,7 +186,7 @@ def test_quarter_turn_diagram_matches_the_traced_graph(monkeypatch):
     def traced(member):
         graph = build_stokes_graph(member)
         return sorted((tuple(sorted(dom.incident_rays)),
-                       domains.strip_width(graph, dom))
+                       _strip_width(graph, dom))
                       for dom in build_face_set(graph).strips)
 
     rng = random.Random(5150)
@@ -248,7 +254,7 @@ def test_failed_crossing_names_its_strip(osc, monkeypatch):
     assert {ra, rb} == {0, 1}
     monkeypatch.setattr(domains, "_segment_inside", lambda *args: False)
     with pytest.raises(NonGenericError) as info:
-        domains.strip_width(graph, strip)
+        _strip_width(graph, strip)
     assert str(info.value) == (
         f"no interior crossing segment found in the strip between roots "
         f"{ra} at {locs[ra]:.6g} and {rb} at {locs[rb]:.6g} (incident "
@@ -334,10 +340,10 @@ def test_two_ends_at_one_phase_keep_their_strip(osc, monkeypatch):
     theta = {root: emanating_directions(poly, ctx.locs[root], 1)[2]
              for root in (0, 1)}
     trace = tracer.trace_stokes_line
-    end = trace(poly, 0, theta[0], context=ctx)[0][-1]
+    end = trace(ctx, 0, theta[0])[0][-1]
 
-    def snapped(poly, root_index, direction, **kwargs):
-        vertices, fate = trace(poly, root_index, direction, **kwargs)
+    def snapped(ctx, root_index, direction):
+        vertices, fate = trace(ctx, root_index, direction)
         if root_index == 1 and direction == theta[1]:
             assert abs(vertices[-1] - end) < 2e-3 * abs(end)
             vertices[-1] = end
@@ -348,7 +354,7 @@ def test_two_ends_at_one_phase_keep_their_strip(osc, monkeypatch):
     assert graph.edges[2].polyline[-1] == graph.edges[5].polyline[-1]
     (strip,) = build_face_set(graph).strips
     assert strip.edge_ids == (0, 2, 4, 5)
-    assert domains.strip_width(graph, strip) == pytest.approx(
+    assert _strip_width(graph, strip) == pytest.approx(
         (math.pi / 2) * math.sin(0.3), rel=1e-12)
 
 
@@ -359,19 +365,13 @@ def test_chords_cross_predicate():
     assert not chords_cross(6, (0, 2), (2, 4))
 
 
-def test_admissible_domains_surface(osc):
-    from stokesgeo import admissible_domains
-    doms = admissible_domains(build_stokes_graph(osc.rotate(0.3)))
-    assert sorted(d.kind for d in doms) == ["HalfPlane"] * 4 + ["Strip"]
-
-
 def test_generic_face_counts_random():
     # generic potentials: d+2 half-planes and d-1 strips
     rng = random.Random(99)
     for d in (3, 4):
         p = random_simple_poly(rng, d)
         fs = build_face_set(build_stokes_graph(p))
-        assert len(fs.half_planes) == d + 2
+        assert sum(dom.kind == "HalfPlane" for dom in fs.domains) == d + 2
         assert len(fs.strips) == d - 1
 
 

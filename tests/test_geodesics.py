@@ -7,15 +7,16 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from stokesgeo import domains, geodesics, tracer
-from stokesgeo import (ComplexPolynomial, HitTurningPoint, NonGenericError,
-                       NumericalError, PsiPolygon, ShortGeodesic,
-                       candidate_angles, enumerate_short_geodesics,
-                       re_xi_drift, survey_short_geodesics,
-                       teichmuller_defect, verify_geodesic)
+from stokesgeo import (ClearanceError, ComplexPolynomial, HitTurningPoint,
+                       NonGenericError, NumericalError, PsiPolygon,
+                       ShortGeodesic, candidate_angles,
+                       survey_short_geodesics, teichmuller_defect,
+                       verify_geodesic)
 from stokesgeo.cli import main
 from stokesgeo.pathint import root_to_root_period
 from stokesgeo.polynomial import PolyContext
-from tests.conftest import _far_root_draw, random_simple_poly, stream_polys
+from tests.conftest import (_far_root_draw, random_simple_poly, re_xi_drift,
+                            stream_polys)
 
 PI = math.pi
 
@@ -129,11 +130,11 @@ def test_verify_falls_back_to_the_next_direction(cubic_unity, monkeypatch):
     tried = []
     trace = geodesics.trace_stokes_line
 
-    def spy(poly, root, theta, **kwargs):
+    def spy(ctx, root, theta):
         tried.append(theta)
         if theta == decoy:
             return [locs[root]], tracer.EscapedToRay(0, 0j)
-        return trace(poly, root, theta, **kwargs)
+        return trace(ctx, root, theta)
     monkeypatch.setattr(geodesics, "trace_stokes_line", spy)
     geo = verify_geodesic(cubic_unity, pair, t, per.value)
     assert tried[0] == decoy and len(tried) == 2
@@ -155,7 +156,7 @@ def test_verify_names_the_last_third_root_in_emanating_order(monkeypatch):
                         lambda *args: list(dirs))
     tried = []
 
-    def spy(poly, root, theta, **kwargs):
+    def spy(ctx, root, theta):
         tried.append(theta)
         return [locs[root]], fates[theta]
     monkeypatch.setattr(geodesics, "trace_stokes_line", spy)
@@ -200,13 +201,13 @@ def test_verify_odd_cubic_blocked_pair(cubic_odd):
 
 
 def test_enumerate_oscillator(osc):
-    geos = enumerate_short_geodesics(osc)
+    geos = survey_short_geodesics(osc).geodesics
     assert len(geos) == 1
     assert geos[0].pair == (0, 1)
 
 
 def test_enumerate_cubic_unity(cubic_unity):
-    geos = enumerate_short_geodesics(cubic_unity)
+    geos = survey_short_geodesics(cubic_unity).geodesics
     assert len(geos) == 3
     ts = [g.t_star for g in geos]
     for a, b in zip(ts, ts[1:]):
@@ -231,13 +232,13 @@ def test_count_real_rooted_quartic():
 
 
 def test_per_pair_uniqueness(cubic_unity):
-    geos = enumerate_short_geodesics(cubic_unity)
+    geos = survey_short_geodesics(cubic_unity).geodesics
     assert len({g.pair for g in geos}) == len(geos)
 
 
 def test_candidate_consistency(osc, cubic_unity):
     for poly in (osc, cubic_unity):
-        for g in enumerate_short_geodesics(poly):
+        for g in survey_short_geodesics(poly).geodesics:
             val = (g.period * complex(math.cos(g.t_star), math.sin(g.t_star)))
             assert abs(val.real) <= 1e-8 * abs(g.period)
 
@@ -245,9 +246,10 @@ def test_candidate_consistency(osc, cubic_unity):
 def test_rotation_equivariance(osc, cubic_unity):
     s = 0.35
     for poly in (osc, cubic_unity):
-        base = {g.pair: g.t_star for g in enumerate_short_geodesics(poly)}
+        base = {g.pair: g.t_star
+                for g in survey_short_geodesics(poly).geodesics}
         rot = {g.pair: g.t_star
-               for g in enumerate_short_geodesics(poly.rotate(s))}
+               for g in survey_short_geodesics(poly.rotate(s)).geodesics}
         assert set(base) == set(rot)
         for pair in base:
             assert _mod_pi_dist(rot[pair], base[pair] - s) < 1e-8
@@ -255,7 +257,7 @@ def test_rotation_equivariance(osc, cubic_unity):
 
 def test_geodesic_polyline_drift(osc, cubic_unity):
     for poly, s in ((osc, 0.0), (cubic_unity, 0.0)):
-        for g in enumerate_short_geodesics(poly):
+        for g in survey_short_geodesics(poly).geodesics:
             rot = poly.rotate(g.t_star)
             drift, arc = re_xi_drift(rot, g.polyline)
             assert drift <= 1e-6 * (1.0 + arc)
@@ -537,7 +539,23 @@ def test_survey_traces_at_t_star_when_candidate_is_off(monkeypatch):
 def test_simple_roots_required():
     p = ComplexPolynomial.from_roots(1.0, [0.0, 0.0, 1.0])
     with pytest.raises(NonGenericError):
-        enumerate_short_geodesics(p)
+        survey_short_geodesics(p)
+
+
+def test_clearance_error_names_pair_root_and_stage():
+    # the centred cubic with roots 0, 1e-3 and 1.2+0.9i: the path of pair
+    # (0, 2) starts at root 0, 1e-3 from root 1, which is closer than 0.9
+    # delta_path = 1.35e-3.  The survey's pair periods raise, naming the
+    # pair, the root and its distance, and the survey adds its stage
+    roots = [0.0, 1e-3, 1.2 + 0.9j]
+    mean = sum(roots) / 3
+    poly = ComplexPolynomial.from_roots(1.0, [r - mean for r in roots])
+    with pytest.raises(ClearanceError) as info:
+        survey_short_geodesics(poly)
+    assert str(info.value) == (
+        "candidate angles: path of pair (0, 2) passes 1.000e-03 from root 1: "
+        "clearance below delta_path = 1.500e-03")
+    assert isinstance(info.value.__cause__, ClearanceError)
 
 
 # --- defect identity -------------------------------------------------------------

@@ -14,11 +14,10 @@ from stokesgeo import (BranchError, ClearanceError, ComplexPolynomial,
                        winding_number)
 from stokesgeo import pathint
 from stokesgeo.polynomial import PolyContext, SeriesAtRoot, TurningPointSet
-from stokesgeo.pathint import (build_stadium, integrate_polyline,
-                               min_clearance, re_xi_drift)
+from stokesgeo.pathint import build_stadium, integrate_polyline, min_clearance
 
 from tests.conftest import (_RecursiveWalker, _root_chord_reference,
-                            random_simple_poly)
+                            random_simple_poly, re_xi_drift)
 
 
 PI = math.pi
@@ -232,10 +231,14 @@ def test_batched_steps_pass_the_direct_step_rule(cubic_unity, monkeypatch):
 
 def test_clearance_enforced():
     # the circle encloses both roots, so sqrt(P) is single-valued on it,
-    # but its vertex 1 + 0.5 delta_path passes too close to the root 1
+    # but its vertices +-(1 + 0.5 delta_path) pass too close to the roots
+    # +-1; the error names the nearer and its distance, a chord's, just
+    # under 0.5 delta_path = 1e-3
     p = parse_poly_text("1,0,-1")
     delta = PolyContext.of(p).scales.delta_path
-    with pytest.raises(ClearanceError):
+    with pytest.raises(ClearanceError,
+                       match=r"^contour passes 9\.99\de-04 from root [01]: "
+                             r"clearance below delta_path = 2\.000e-03$"):
         alpha_contour_integrals(p, circle(0, 1.0 + 0.5 * delta), 0)
 
 

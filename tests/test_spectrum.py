@@ -10,8 +10,8 @@ import pytest
 from stokesgeo import (BranchError, ClearanceError, ComplexPolynomial,
                        NumericalError, accumulation_rays,
                        alpha_contour_integrals, eigenvalue_asymptotics,
-                       enumerate_short_geodesics, parse_poly_text,
-                       survey_short_geodesics, wronskian_eigenvalue_search)
+                       parse_poly_text, survey_short_geodesics,
+                       wronskian_eigenvalue_search)
 from stokesgeo.pathint import contour_integral, sqrt_density
 from stokesgeo.spectrum import wronskian_sectors
 from stokesgeo import pathint, polynomial, spectrum
@@ -135,7 +135,7 @@ def test_ray_rotation_equivariance(osc):
 
 def test_ray_count_matches_geodesics(cubic_odd):
     rays = accumulation_rays(cubic_odd)
-    assert len(rays) == len(enumerate_short_geodesics(cubic_odd))
+    assert len(rays) == len(survey_short_geodesics(cubic_odd).geodesics)
 
 
 def test_ray_root_lookups_use_config_tolerance(osc, monkeypatch):
@@ -585,6 +585,53 @@ def test_wronskian_sectors_from_graph(osc):
     rays = accumulation_rays(cubic)
     pairs = [wronskian_sectors(cubic, ray, DEFAULT_CONFIG) for ray in rays]
     assert pairs == [(0, 2), (2, 4), (1, 4)]
+
+
+def _sibuya_rotation(poly, s):
+    """P_s(z) = w^{-2s} P(w^{-s} z), w = e^{2 pi i / (d+2)}: y(w^{-s} z)
+    solves its equation when y solves P's, subdominant in sector j + s
+    where y is in sector j (Sibuya, 1975)."""
+    d = poly.degree
+    omega = cmath.exp(2j * PI / (d + 2))
+    return ComplexPolynomial(tuple(
+        c * omega ** (-s * (d - i + 2)) for i, c in enumerate(poly.coeffs)))
+
+
+def _quartic_ray_3_search():
+    """(poly, sectors, rect) around the order-0 n = 1 estimate on ray 3 of
+    a centred quartic; its rays 0-2 end at roots that escape to rays that
+    are not neighbours, so they have no Wronskian sectors."""
+    poly = ComplexPolynomial.from_roots(
+        1.0, [0.9 + 0.2j, -0.7 + 0.6j, -0.5 - 0.8j, 0.3])
+    ray = accumulation_rays(poly)[3]
+    lam = eigenvalue_asymptotics(poly, ray, 1, 1)[0].value
+    return (poly, wronskian_sectors(poly, ray, DEFAULT_CONFIG),
+            (lam.real - 0.3, lam.real + 0.3, lam.imag - 0.3, lam.imag + 0.3))
+
+
+@pytest.mark.parametrize("case, count", [("oscillator", 4), ("cubic", 3),
+                                         ("quartic", 1)])
+def test_zeros_come_back_under_sibuya_rotation(case, count):
+    # W_{j,k}(lambda; P) and W_{j+s,k+s}(lambda; P_s) differ by a nonzero
+    # factor, so every rotation s = 1..d+1 starts the search in other
+    # directions, on other coefficients, and must find the same zeros
+    # (worst 8.3e-16, 1.0e-14 and 8.5e-16 of 1 + |lambda| here)
+    poly, sectors, rect = {
+        "oscillator": lambda: (parse_poly_text("1,0,-1"), (0, 2),
+                               (0.5, 7.5, -1.0, 1.0)),
+        "cubic": lambda: (parse_poly_text("1,0,0.3+0.2i,-1"), (0, 2),
+                          (1.8, 6.2, 1.5, 5.3)),
+        "quartic": _quartic_ray_3_search}[case]()
+    zeros = wronskian_eigenvalue_search(poly, sectors, rect)
+    assert len(zeros) == count
+    n = poly.degree + 2
+    for s in range(1, n):
+        rotated = wronskian_eigenvalue_search(
+            _sibuya_rotation(poly, s), tuple((j + s) % n for j in sectors),
+            rect)
+        assert len(rotated) == count
+        for lam in zeros:
+            assert min(abs(z - lam) for z in rotated) <= 1e-12 * (1 + abs(lam))
 
 
 def test_unconverged_polish_raises(osc, monkeypatch):

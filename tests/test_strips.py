@@ -7,8 +7,8 @@ import hypothesis.strategies as st
 
 from stokesgeo import (BranchError, ChoppedStrip, ExactTieError,
                        NumericalError, build_face_set, build_stokes_graph,
-                       count_short_geodesics, domains, is_very_flat,
-                       realize_count, visible_pairs)
+                       domains, is_very_flat, realize_count,
+                       survey_short_geodesics, visible_pairs)
 from stokesgeo.pathint import integrate_polyline
 from tests.conftest import random_simple_poly
 
@@ -130,7 +130,7 @@ def test_very_flat_examples(osc):
     assert not is_very_flat(osc).flag
     res = is_very_flat(osc.rotate(0.3))
     assert res.flag
-    assert res.strip is not None and res.strip.n_nodes == 2
+    assert res.strip is not None and len(res.strip.nodes) == 2
     from stokesgeo import ComplexPolynomial
     dbl = ComplexPolynomial.from_roots(1.0, [0, 0, 1, 2])
     out = is_very_flat(dbl)
@@ -151,7 +151,8 @@ def test_very_flat_count_matches_geodesics():
     for poly, res in _very_flat_samples():
         if not res.flag:
             continue
-        assert len(visible_pairs(res.strip)) == count_short_geodesics(poly)
+        assert len(visible_pairs(res.strip)) == len(
+            survey_short_geodesics(poly).geodesics)
         checked += 1
     assert checked >= 10
 

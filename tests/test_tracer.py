@@ -11,13 +11,12 @@ from stokesgeo.errors import ClearanceError, NonGenericError
 from stokesgeo.polynomial import PolyContext, TurningPointSet, wrap_angle
 from stokesgeo import (ComplexPolynomial, EscapedToRay, HitTurningPoint,
                        NumericalError, build_stokes_graph, chord_diagram,
-                       classify_complexes, emanating_directions,
-                       parse_poly_text, re_xi_drift, stokes_sectors,
+                       emanating_directions, parse_poly_text, stokes_sectors,
                        survey_short_geodesics, trace_stokes_line,
                        turning_points)
 from tests.conftest import (_far_root_draw, _root_chord_reference,
                             criterion_6_polys, random_simple_poly,
-                            stream_polys)
+                            re_xi_drift, stream_polys)
 
 
 def _angdiff(a, b):
@@ -54,14 +53,14 @@ def test_emanating_directions_kill_re_xi(osc):
 
 
 def test_trace_finite_edge(osc):
-    pl, fate = trace_stokes_line(osc, 1, math.pi)
+    pl, fate = trace_stokes_line(PolyContext.of(osc), 1, math.pi)
     assert isinstance(fate, HitTurningPoint) and fate.target == 0
     assert max(abs(z.imag) for z in pl) < 1e-6
     assert all(-1.0 - 1e-9 <= z.real <= 1.0 + 1e-9 for z in pl)
 
 
 def test_trace_escape_lands_on_ray(osc):
-    pl, fate = trace_stokes_line(osc, 1, math.pi / 3)
+    pl, fate = trace_stokes_line(PolyContext.of(osc), 1, math.pi / 3)
     assert isinstance(fate, EscapedToRay)
     sectors = stokes_sectors(osc)
     ray = sectors.ray_angles[fate.ray]
@@ -74,8 +73,9 @@ def test_airy_three_escapes():
     p = parse_poly_text("1,0")
     sectors = stokes_sectors(p)
     rays_hit = []
+    ctx = PolyContext.of(p)
     for theta in emanating_directions(p, 0.0, 1):
-        pl, fate = trace_stokes_line(p, 0, theta)
+        pl, fate = trace_stokes_line(ctx, 0, theta)
         assert isinstance(fate, EscapedToRay)
         rays_hit.append(fate.ray)
         assert _angdiff(cmath.phase(fate.exit_point),
@@ -87,9 +87,7 @@ def test_graph_oscillator(osc):
     g = build_stokes_graph(osc)
     kinds = sorted(e.kind for e in g.edges)
     assert kinds == ["escape"] * 4 + ["finite"]
-    assert len(g.complexes) == 1 and g.complexes[0] == frozenset({0, 1})
-    flags = classify_complexes(g)
-    assert flags == [(frozenset({0, 1}), False)]
+    assert g.complexes == (frozenset({0, 1}),)
 
 
 def test_graph_one_sided_hit_is_flagged(osc, monkeypatch):
@@ -104,10 +102,10 @@ def test_graph_one_sided_hit_is_flagged(osc, monkeypatch):
     assert finite(build_stokes_graph(osc)) == [(0, 2, 1, 1, False)]
     original = tracer.trace_stokes_line
 
-    def trace(poly, root_index, direction, **kwargs):
+    def trace(ctx, root_index, direction):
         if root_index == 1 and abs(direction - math.pi) < 1e-12:
             return [1.0, -10.0j], EscapedToRay(3, -10.0j)
-        return original(poly, root_index, direction, **kwargs)
+        return original(ctx, root_index, direction)
 
     monkeypatch.setattr(tracer, "trace_stokes_line", trace)
     assert finite(build_stokes_graph(osc)) == [(0, 2, 1, 1, True)]
@@ -116,14 +114,13 @@ def test_graph_one_sided_hit_is_flagged(osc, monkeypatch):
 def test_graph_airy():
     g = build_stokes_graph(parse_poly_text("1,0"))
     assert [e.kind for e in g.edges] == ["escape"] * 3
-    assert classify_complexes(g) == [(frozenset({0}), True)]
+    assert g.complexes == (frozenset({0}),)
 
 
 def test_graph_rotated_oscillator(osc):
     g = build_stokes_graph(osc.rotate(0.3))
     assert all(e.kind == "escape" for e in g.edges)
-    assert len(g.complexes) == 2
-    assert all(simple for _, simple in classify_complexes(g))
+    assert g.complexes == (frozenset({0}), frozenset({1}))
 
 
 def test_graph_cubic_unity_counts(cubic_unity):
@@ -257,7 +254,7 @@ def test_trace_evaluates_p_six_times_per_step_attempt(osc, monkeypatch):
     ctx = PolyContext.of(poly)
     theta = emanating_directions(poly, ctx.locs[0], 1)[2]
     counts, _ = _spy_on_tracer(monkeypatch)
-    _, fate = trace_stokes_line(poly, 0, theta, context=ctx)
+    _, fate = trace_stokes_line(ctx, 0, theta)
     assert isinstance(fate, EscapedToRay)
     assert counts["_dp5_step"] > 50 and counts["_closest_approach"] == 1
     # the step attempts, the drift chords (the inner Lobatto nodes: 4, or 5
@@ -481,7 +478,7 @@ def test_certificate_refuses_by_the_angle_beyond_the_cone_radius(
     monkeypatch.setattr(tracer, "_in_cone", spy)
     root, mult = ctx.tps.points[0]
     direction = emanating_directions(poly, root, mult)[1]
-    pl, fate = trace_stokes_line(poly, 0, direction, context=ctx)
+    pl, fate = trace_stokes_line(ctx, 0, direction)
     assert len(refused) == 1
     z = refused[0]
     r = abs(z)
@@ -533,7 +530,7 @@ def test_cone_landing_on_z_power_d(d):
                    lambda *args: steps.append(0) or dp5(*args))
         for theta in emanating_directions(poly, 0.0, d):
             steps.clear()
-            pl, fate = trace_stokes_line(poly, 0, theta, context=ctx)
+            pl, fate = trace_stokes_line(ctx, 0, theta)
             assert isinstance(fate, EscapedToRay) and len(steps) == 1
             assert abs(abs(pl[-1]) - ctx.scales.r_escape) <= 1e-15 * abs(
                 pl[-1])
@@ -578,7 +575,8 @@ def test_landing_that_does_not_converge_raises(monkeypatch):
                        match=r"^landing of the trace from root 0 along "
                              r"1\.0471975512 on \|z\| = \S+ did not "
                              r"converge \(residual \S+\)$") as info:
-        trace_stokes_line(parse_poly_text("1,1"), 0, math.pi / 3)
+        trace_stokes_line(PolyContext.of(parse_poly_text("1,1")), 0,
+                          math.pi / 3)
     assert len(info.value.residuals) == 1
 
 
@@ -586,13 +584,13 @@ def test_root_landing_that_does_not_converge_raises(osc, monkeypatch):
     # nor on the launch rung of root 1 of the oscillator, landed directly
     # from the first rung's point of the local model, nor, when the
     # polyline is read, on that first rung
-    vertices, fate = trace_stokes_line(osc, 1, math.pi / 3)
+    vertices, fate = trace_stokes_line(PolyContext.of(osc), 1, math.pi / 3)
     monkeypatch.setattr(tracer, "_LANDING_PASSES", 1)
     with pytest.raises(NumericalError,
                        match=r"^landing of the trace from root 1 along "
                              r"1\.0471975512 on \|z - r1\| = 1 did "
                              r"not converge \(residual \S+\)$"):
-        trace_stokes_line(osc, 1, math.pi / 3)
+        trace_stokes_line(PolyContext.of(osc), 1, math.pi / 3)
     with pytest.raises(NumericalError,
                        match=r"^landing of the trace from root 1 along "
                              r"1\.0471975512 on \|z - r1\| = 0\.166667 did "
@@ -613,7 +611,7 @@ def test_trace_errors_name_root_direction_and_arc(osc, monkeypatch):
         return float(str(info.value).rsplit(" ", 1)[1])
 
     # the arc length counts the launch, the chord from the root to it
-    launch = trace_stokes_line(poly, 0, theta, context=ctx)[0][:2]
+    launch = trace_stokes_line(ctx, 0, theta)[0][:2]
     launch_arc = abs(launch[1] - launch[0])
 
     # a step whose error estimate is always huge is shrunk to underflow,
@@ -624,7 +622,7 @@ def test_trace_errors_name_root_direction_and_arc(osc, monkeypatch):
         with pytest.raises(NumericalError,
                            match=f"^step-size underflow during trace {where} "
                                  f"at arc length ") as info:
-            trace_stokes_line(poly, 0, theta, context=ctx)
+            trace_stokes_line(ctx, 0, theta)
     assert str(info.value).endswith(f" {launch_arc:.6g}")
     assert abs(info.value.residuals[0] - launch[-1]) < 1e-14
 
@@ -633,7 +631,7 @@ def test_trace_errors_name_root_direction_and_arc(osc, monkeypatch):
     with pytest.raises(NumericalError,
                        match=f"^trace {where} exceeded step budget at arc "
                              f"length ") as info:
-        trace_stokes_line(poly, 0, theta, context=ctx)
+        trace_stokes_line(ctx, 0, theta)
     assert arc_reached(info) > launch_arc
 
 
@@ -673,7 +671,7 @@ def test_closest_approach_model_matches_the_traced_miss(osc, t):
         return decisions[-1]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tracer, "_closest_approach", spy)
-        pl, fate = trace_stokes_line(poly, 0, theta, context=ctx)
+        pl, fate = trace_stokes_line(ctx, 0, theta)
     assert isinstance(fate, EscapedToRay)
     ((delta, d_min),) = decisions
     assert abs(abs(delta) - 0.5 * math.pi * math.sin(t)) <= 1e-12
@@ -722,7 +720,7 @@ def test_vertex_near_a_missed_root_raises(osc, monkeypatch):
                              r"within \S+ of root 0, whose reach decided a "
                              r"miss \(delta 0\.25, d_min 0\.5\) at arc "
                              r"length ") as info:
-        trace_stokes_line(osc, 1, math.pi)
+        trace_stokes_line(PolyContext.of(osc), 1, math.pi)
     within = float(str(info.value).split()[8])
     assert within <= PolyContext.of(osc).scales.delta_hit
 
@@ -830,7 +828,7 @@ def test_lone_root_launch_is_on_its_ray():
     assert ctx.locs == (r,)
     reach = 0.5 * ctx.scales.d_unit
     for theta in emanating_directions(poly, r, 1):
-        vertices, fate = trace_stokes_line(poly, 0, theta, context=ctx)
+        vertices, fate = trace_stokes_line(ctx, 0, theta)
         assert isinstance(fate, EscapedToRay) and vertices[0] == r
         pl = tracer.land_polyline(vertices, (ctx, 0, theta, fate))
         assert pl[tracer._RUNGS] == vertices[1]
@@ -897,18 +895,18 @@ def test_length_cap_comes_after_the_hit_decision():
     poly = ComplexPolynomial.from_roots(1.0, [1.0, -1.0])
     ctx = PolyContext.of(poly)
     src = min(range(2), key=lambda i: abs(ctx.locs[i] - 1.0))
-    launch = trace_stokes_line(poly, src, math.pi, context=ctx)[0][:2]
+    launch = trace_stokes_line(ctx, src, math.pi)[0][:2]
     launch_arc = abs(launch[1] - launch[0])
     config = RunConfig(l_max_factor=1.01 * launch_arc / ctx.scales.d_unit)
     capped = PolyContext.of(poly, config)
-    polyline, fate = trace_stokes_line(poly, src, math.pi, context=capped)
+    polyline, fate = trace_stokes_line(capped, src, math.pi)
     assert isinstance(fate, HitTurningPoint) and fate.target == 1 - src
     assert polyline[:len(launch)] == launch
     assert polyline[-1] == ctx.locs[1 - src]
     # a cap below the launch's arc truncates the trace at its launch
     config = RunConfig(l_max_factor=0.99 * launch_arc / ctx.scales.d_unit)
-    polyline, fate = trace_stokes_line(poly, src, math.pi,
-                                       context=PolyContext.of(poly, config))
+    polyline, fate = trace_stokes_line(PolyContext.of(poly, config), src,
+                                       math.pi)
     assert isinstance(fate, tracer.Truncated)
     assert fate.arc_length == launch_arc
     assert polyline == launch
@@ -934,7 +932,7 @@ def test_launch_that_does_not_land_directly_takes_the_rung_chain():
                                              r"did not converge"):
         tracer._land(ctx, own, z_c, w_c, 0.0, rungs[-1:], 4, theta)
     chain = tracer._land(ctx, own, z_c, w_c, 0.0, rungs, 4, theta)[0]
-    vertices, fate = trace_stokes_line(ctx.poly, 4, theta, context=ctx)
+    vertices, fate = trace_stokes_line(ctx, 4, theta)
     assert vertices[1] == chain[-1] and isinstance(fate, EscapedToRay)
     polyline = tracer.land_polyline(vertices, (ctx, 4, theta, fate))
     assert polyline[1:tracer._RUNGS + 1] == tuple(chain)
