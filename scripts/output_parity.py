@@ -30,6 +30,9 @@ agree bit for bit.  The outputs are
   benchmark rectangles without their seeded jitter, and in sectors (1, 3)
   of -z^2 + 1 on (-0.3, 0.4, 2.7, 3.35), where arg W lies near pi.
 
+An output that raises a ``StokesGeoError`` is that error, its type and
+message, so one refused output does not end the run.
+
 After the hash, the survey lines also print the ``repr`` of each
 geodesic period, the rays lines each loop period, the alphas lines each
 alpha_j, the estimates and estimates3 lines each estimated eigenvalue,
@@ -48,6 +51,7 @@ standard error and exits 1 when any line differs, e.g.
 import argparse
 import cmath
 import difflib
+import functools
 import hashlib
 import os
 import random
@@ -55,7 +59,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from stokesgeo import (ComplexPolynomial, accumulation_rays,
+from stokesgeo import (ComplexPolynomial, StokesGeoError, accumulation_rays,
                        alpha_contour_integrals, build_stokes_graph,
                        chord_diagram, eigenvalue_asymptotics, is_very_flat,
                        pairwise_periods, parse_poly_text,
@@ -81,75 +85,95 @@ def stream(seed, per_degree):
             yield f"{d}.{k}", random_simple_poly(rng, d)
 
 
-def fingerprint(name, value, shown=()):
-    """``name``, the sha256 of ``repr(value)`` and the ``repr`` of each of
-    the numbers ``shown``, so a numerical change shows its size and not
-    only a changed hash."""
+def fingerprint(name, compute, shown=lambda value: ()):
+    """``name``, the sha256 of the ``repr`` of the output ``compute()``
+    and the ``repr`` of each of the numbers ``shown(output)``, so a
+    numerical change shows its size and not only a changed hash.  A
+    StokesGeoError that they raise is the output, as its type and
+    message, and shows no number."""
+    try:
+        value = compute()
+        numbers = shown(value)
+    except StokesGeoError as exc:
+        value, numbers = f"{type(exc).__name__}: {exc}", ()
     return " ".join([name, hashlib.sha256(repr(value).encode()).hexdigest(),
-                     *map(repr, shown)])
+                     *map(repr, numbers)])
 
 
 def fingerprints(per_degree):
     """The fingerprint lines, in order."""
     for label, poly in stream(20260808, per_degree):
-        survey = survey_short_geodesics(poly)
-        yield fingerprint(f"survey[{label}]", survey.geodesics,
-                          [g.period for g in survey.geodesics])
+        survey = functools.cache(lambda: survey_short_geodesics(poly))
+        yield fingerprint(f"survey[{label}]", lambda: survey().geodesics,
+                          lambda geos: [g.period for g in geos])
         yield fingerprint(f"survey_notes[{label}]",
-                          (survey.errors, survey.warnings))
-        rays = accumulation_rays(poly, survey=survey)
+                          lambda: (survey().errors, survey().warnings))
+        rays = functools.cache(
+            lambda: accumulation_rays(poly, survey=survey()))
         yield fingerprint(f"rays[{label}]", rays,
-                          [r.loop_period for r in rays])
-        alphas = [alpha_contour_integrals(poly, ray.contour, 3)
-                  for ray in rays]
-        yield fingerprint(f"alphas[{label}]", alphas,
-                          [a for ray_alphas in alphas for a in ray_alphas])
+                          lambda rays: [r.loop_period for r in rays])
+        yield fingerprint(
+            f"alphas[{label}]",
+            lambda: [alpha_contour_integrals(poly, ray.contour, 3)
+                     for ray in rays()],
+            lambda alphas: [a for ray_alphas in alphas for a in ray_alphas])
         for name, n_max, order in (("estimates", 5, 0), ("estimates3", 3, 3)):
-            estimates = [eigenvalue_asymptotics(poly, ray, 1, n_max,
-                                                 order=order)
-                         for ray in rays]
-            yield fingerprint(f"{name}[{label}]", estimates,
-                              [e.value for ray_estimates in estimates
-                               for e in ray_estimates])
+            yield fingerprint(
+                f"{name}[{label}]",
+                lambda: [eigenvalue_asymptotics(poly, ray, 1, n_max,
+                                                order=order)
+                         for ray in rays()],
+                lambda estimates: [e.value for ray_estimates in estimates
+                                   for e in ray_estimates])
         yield fingerprint(f"periods[{label}]",
-                          [(p.pair, p.path, p.value)
-                           for p in pairwise_periods(poly)])
+                          lambda: [(p.pair, p.path, p.value)
+                                   for p in pairwise_periods(poly)])
         yield fingerprint(f"drift[{label}]",
-                          [re_xi_drift(poly.rotate(g.t_star), g.polyline)
-                           for g in survey.geodesics])
+                          lambda: [re_xi_drift(poly.rotate(g.t_star),
+                                               g.polyline)
+                                   for g in survey().geodesics])
     for label, poly in stream(5150, per_degree):
-        diagrams = chord_diagram(poly)
-        yield fingerprint(f"chords[{label}]", diagrams,
-                          [width for diagram in diagrams
-                           for _, width in diagram.chords])
-        flat = is_very_flat(poly)
-        yield fingerprint(f"very_flat[{label}]",
-                          (flat.flag,) if flat.strip is None else
-                          (flat.flag, flat.strip.cuts,
-                           len(visible_pairs(flat.strip))))
+        yield fingerprint(f"chords[{label}]", lambda: chord_diagram(poly),
+                          lambda diagrams: [width for diagram in diagrams
+                                            for _, width in diagram.chords])
+
+        def very_flat():
+            flat = is_very_flat(poly)
+            return ((flat.flag,) if flat.strip is None else
+                    (flat.flag, flat.strip.cuts,
+                     len(visible_pairs(flat.strip))))
+        yield fingerprint(f"very_flat[{label}]", very_flat)
     far = _far_root_draw(15)
-    survey = survey_short_geodesics(far)
-    yield fingerprint("survey[far15]", survey.geodesics,
-                      [g.period for g in survey.geodesics])
-    yield fingerprint("survey_notes[far15]", (survey.errors, survey.warnings))
+    survey = functools.cache(lambda: survey_short_geodesics(far))
+    yield fingerprint("survey[far15]", lambda: survey().geodesics,
+                      lambda geos: [g.period for g in geos])
+    yield fingerprint("survey_notes[far15]",
+                      lambda: (survey().errors, survey().warnings))
     for name, poly in (("z^3-1", parse_poly_text("1,0,0,-1")),
                        ("z^2(z-1)", parse_poly_text("1,-1,0,0")),
                        ("far15", far)):
-        edges = build_stokes_graph(poly).edges
+        edges = functools.cache(lambda: build_stokes_graph(poly).edges)
         yield fingerprint(f"stokes_graph[{name}]", edges)
-        for k, e in enumerate(edges):
+        try:
+            listed = edges()
+        except StokesGeoError:
+            listed = ()     # the graph's line holds the error
+        for k, e in enumerate(listed):
             yield (f"stokes_edge[{name}][{k}] {e.kind} {e.origin}."
                    f"{e.direction_index} target={e.target} ray={e.ray} "
                    f"end_phase={cmath.phase(e.polyline[-1])!r}")
     for label, coeffs, lam in SPECTRUM_CASES:
         rect = (lam.real - RECT_BELOW, lam.real + RECT_ABOVE_RE,
                 lam.imag - RECT_BELOW, lam.imag + RECT_ABOVE_IM)
-        zeros = wronskian_eigenvalue_search(ComplexPolynomial(coeffs),
-                                            (0, 2), rect)
-        yield fingerprint(f"wronskian[{label}@{lam:g}]", zeros, zeros)
-    zeros = wronskian_eigenvalue_search(parse_poly_text("-1,0,1"), (1, 3),
-                                        (-0.3, 0.4, 2.7, 3.35))
-    yield fingerprint("wronskian[-z^2+1]", zeros, zeros)
+        yield fingerprint(f"wronskian[{label}@{lam:g}]",
+                          lambda: wronskian_eigenvalue_search(
+                              ComplexPolynomial(coeffs), (0, 2), rect),
+                          lambda zeros: zeros)
+    yield fingerprint("wronskian[-z^2+1]",
+                      lambda: wronskian_eigenvalue_search(
+                          parse_poly_text("-1,0,1"), (1, 3),
+                          (-0.3, 0.4, 2.7, 3.35)),
+                      lambda zeros: zeros)
 
 
 def main():

@@ -2,14 +2,14 @@
 classification, strip bases and their mutation walk, and weighted chord
 diagrams.
 
-The plane is compactified to the disk |z| <= R_escape: escaping edges end
-on that circle (to rounding; only the phase of an end is read), circle
-arcs between consecutive crossings close the picture, and the faces of
-the resulting planar subdivision are the admissible domains, plus the
-outer face, which runs around the circle on clockwise arcs alone and is
-discarded.  A face meeting the circle in one arc run opens into a single
-angular sector (half-plane type); a face with two arc runs has two ends
-squeezed onto Stokes rays (strip type).
+The faces are read off the graph's combinatorics alone: the direction
+index of each line at its root, the ray each escaping line runs out
+along, and the complexes that finite edges join.  A walk around each
+complex meets its escaping lines in cyclic order, and each consecutive
+pair, on rays p and q, bounds one side of the complex's cell.  A face
+with one end at infinity (half-plane type) is one cell's side on
+neighbouring rays; a face with two ends squeezed onto Stokes rays (strip
+type) is the side on rays p and q that two cells share.
 
 A strip is crossed by ``cross_strip`` alone, from one of its boundary
 roots to the other.  Near each root the walk takes one turning-point chord
@@ -46,16 +46,15 @@ from .tracer import StokesGraph, build_stokes_graph
 
 @dataclass(frozen=True)
 class AdmissibleDomain:
-    """One face of the subdivision.  ``edge_ids`` index into graph.edges;
-    for strips, ``boundary_roots`` lists the turning points on each of the
-    two boundary components and ``polygon`` is a sampled closed outline
-    of the face (used for interior tests)."""
+    """One face of the Stokes graph.  ``edge_ids`` index into graph.edges,
+    and ``incident_rays`` are the rays its ends run out along; for
+    strips, ``boundary_roots`` lists the turning points on each of the
+    two boundary components."""
 
     kind: str                      # "HalfPlane" | "Strip"
     edge_ids: tuple[int, ...]
     incident_rays: tuple[int, ...]
     boundary_roots: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    polygon: tuple[complex, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -83,261 +82,121 @@ def chords_cross(n: int, a: tuple[int, int], b: tuple[int, int]) -> bool:
     return in0 != in1
 
 
-class _HalfEdge:
-    __slots__ = ("tail", "head", "dep", "twin", "kind", "ref", "pline")
-
-    def __init__(self, tail, head, dep, kind, ref, pline):
-        self.tail = tail
-        self.head = head
-        self.dep = dep
-        self.kind = kind      # "tree" | "arc"
-        self.ref = ref        # graph edge index for tree halves
-        self.pline = pline    # oriented vertex list (tree) or None (arc)
-        self.twin = -1
-
-
 @dataclass
 class FaceSet:
     graph: StokesGraph
     domains: list[AdmissibleDomain]
-    n_vertices: int
-    n_edges: int
-    n_faces: int              # including the outer face
 
     @property
     def strips(self) -> list[AdmissibleDomain]:
         return [dom for dom in self.domains if dom.kind == "Strip"]
 
 
-def _arc_samples(radius, b0, span):
-    """Points of the counterclockwise arc of ``span`` rad from phase b0 on
-    the circle of ``radius``, both ends included."""
-    n = max(2, int(span / 0.08) + 1)
-    return [radius * cmath.exp(1j * (b0 + span * k / n)) for k in range(n + 1)]
-
-
 def build_face_set(graph: StokesGraph) -> FaceSet:
-    """Planar subdivision of the escape disk by the Stokes graph, from its
-    edges' vertices (``StokesEdge.vertices``): the lines at a root are
-    ordered by the directions to their second vertices, a face's outline
-    runs along the vertices, and each arc between two ends on the escape
-    circle spans their phase difference, none for two ends at one phase
-    and the whole circle for a lone end."""
+    """The faces of the Stokes graph, read off the cells of its complexes
+    (``StokesGraph.complexes``).
+
+    Each complex is walked around: at a root the walk turns
+    counterclockwise from one line to the next (direction index k to
+    k + 1, as ``emanating_directions`` numbers them), and along a finite
+    edge it goes on at the far end's next line.  Between two escaping
+    lines, on rays p and q, it walks one side (p, q) of the complex's
+    cell.  A side on neighbouring rays that one cell owns is a half-plane,
+    one on other rays that two cells own is a strip, and anything else
+    raises NonGenericError.
+
+    Along a side the walk passes the halves of the graph's edges, 2j along
+    edge j from its origin and 2j + 1 back to it, each with the face on
+    its left.  The faces come in order of their smallest half, and a
+    strip's ``incident_rays`` and second ``boundary_roots`` are those of
+    the side that holds it."""
     if graph.incomplete:
         raise IncompleteGraphError(
             "cannot enumerate faces of a graph with truncated trajectories")
-    radius = graph.scales.r_escape
-    locs = graph.turning_points.locations
-
-    crossings = []   # (beta, graph edge index)
-    for idx, e in enumerate(graph.edges):
-        if e.kind == "escape":
-            crossings.append((wrap_positive(cmath.phase(e.vertices[-1])), idx))
-    crossings.sort()
-    cross_vertex = {edge_idx: ("b", k)
-                    for k, (_, edge_idx) in enumerate(crossings)}
-    betas = [beta for beta, _ in crossings]
-
-    halves: list[_HalfEdge] = []
-
-    def add_pair(h1: _HalfEdge, h2: _HalfEdge):
-        h1.twin = len(halves) + 1
-        h2.twin = len(halves)
-        halves.append(h1)
-        halves.append(h2)
-
-    for idx, e in enumerate(graph.edges):
-        pl = list(e.vertices)
+    n_dirs = [m + 2 for _, m in graph.turning_points.points]
+    ends = {}   # (root, direction index) -> (half out, half in, far end, ray)
+    for j, e in enumerate(graph.edges):
+        near = (e.origin, e.direction_index)
+        stubs = [(near, 2 * j, 2 * j + 1, None, e.ray)]
         if e.kind == "finite":
-            u, v = ("r", e.origin), ("r", e.target)
-            dep_f = cmath.phase(pl[1] - pl[0])
-            dep_b = cmath.phase(pl[-2] - pl[-1])
-            add_pair(_HalfEdge(u, v, dep_f, "tree", idx, pl),
-                     _HalfEdge(v, u, dep_b, "tree", idx, pl[::-1]))
-        elif e.kind == "escape":
-            u, v = ("r", e.origin), cross_vertex[idx]
-            dep_f = cmath.phase(pl[1] - pl[0])
-            dep_b = cmath.phase(pl[-2] - pl[-1])
-            add_pair(_HalfEdge(u, v, dep_f, "tree", idx, pl),
-                     _HalfEdge(v, u, dep_b, "tree", idx, pl[::-1]))
+            far = (e.target, e.target_direction_index)
+            stubs = [(near, 2 * j, 2 * j + 1, far, None),
+                     (far, 2 * j + 1, 2 * j, near, None)]
+        for stub, *end in stubs:
+            if stub in ends:
+                raise NonGenericError(
+                    f"two lines leave root {stub[0]} along its direction "
+                    f"{stub[1]}")
+            ends[stub] = end
 
-    m = len(crossings)
-    for k in range(m):
-        k2 = (k + 1) % m
-        b0, b1 = betas[k], betas[k2]
-        # ref = (arc start index, arc end index, orientation)
-        ccw = _HalfEdge(("b", k), ("b", k2), b0 + PI / 2, "arc",
-                        (k, k2, +1), None)
-        cw = _HalfEdge(("b", k2), ("b", k), b1 - PI / 2, "arc",
-                       (k, k2, -1), None)
-        add_pair(ccw, cw)
+    sides = {}  # rays {p, q} -> [(smallest half, p, q, roots, edge ids)]
+    for roots in graph.complexes:
+        walk, stub = [], (min(roots), 0)
+        while stub not in walk:
+            if stub not in ends:
+                raise NonGenericError(
+                    f"root {stub[0]} has no line along its direction "
+                    f"{stub[1]}")
+            walk.append(stub)
+            r, k = ends[stub][2] or stub
+            stub = (r, (k + 1) % n_dirs[r])
+        escapes = [i for i, s in enumerate(walk) if ends[s][2] is None]
+        if len(walk) < sum(n_dirs[r] for r in roots) or not escapes:
+            raise NonGenericError(
+                f"roots {sorted(roots)} bound a face with no end at infinity")
+        walk = walk[escapes[0]:] + walk[:escapes[0] + 1]
+        i0 = 0
+        for i in range(1, len(walk)):
+            if ends[walk[i]][2] is None:
+                side = walk[i0:i + 1]
+                halves = [ends[side[0]][0], *(ends[s][1] for s in side[1:])]
+                p, q = ends[side[0]][3], ends[side[-1]][3]
+                sides.setdefault(tuple(sorted((p, q))), []).append(
+                    (min(halves), p, q, tuple(sorted({r for r, _ in side})),
+                     {h // 2 for h in halves}))
+                i0 = i
 
-    # rotation system: outgoing half-edges sorted CCW at each vertex
-    rotation: dict = {}
-    for hid, h in enumerate(halves):
-        rotation.setdefault(h.tail, []).append(hid)
-    for vid, lst in rotation.items():
-        lst.sort(key=lambda hid: wrap_positive(halves[hid].dep))
-
-    def next_in_face(hid: int) -> int:
-        h = halves[hid]
-        lst = rotation[h.head]
-        pos = lst.index(h.twin)
-        return lst[pos - 1]
-
+    n = len(graph.rays)
     faces = []
-    seen = [False] * len(halves)
-    for start in range(len(halves)):
-        if seen[start]:
-            continue
-        cycle = []
-        hid = start
-        guard = 0
-        while True:
-            guard += 1
-            if guard > len(halves) + 4:
-                raise NonGenericError("face walk failed to close")
-            seen[hid] = True
-            cycle.append(hid)
-            hid = next_in_face(hid)
-            if hid == start:
-                break
-        faces.append(cycle)
-
-    def face_polygon(cycle):
-        pts = []
-        for hid in cycle:
-            h = halves[hid]
-            if h.kind == "tree":
-                pts.extend(h.pline[:-1])
-            else:
-                k0, k1, orient = h.ref
-                # two ends at one phase span no arc; one end alone, all of it
-                span = (TWO_PI if k0 == k1
-                        else wrap_positive(betas[k1] - betas[k0]))
-                samples = _arc_samples(radius, betas[k0], span)
-                if orient < 0:
-                    samples = samples[::-1]
-                pts.extend(samples[:-1])
-        return pts
-
-    domains = []
-    for cycle in faces:
-        # the outer face runs around the circle on the clockwise arcs alone
-        if all(halves[hid].kind == "arc" and halves[hid].ref[2] < 0
-               for hid in cycle):
-            continue
-        domains.append(_classify_face(graph, halves, betas, cycle,
-                                      face_polygon(cycle)))
-
-    n_vertices = len(locs) + m
-    n_edges = len(halves) // 2
-    n_faces = len(faces)
-    return FaceSet(graph=graph, domains=domains, n_vertices=n_vertices,
-                   n_edges=n_edges, n_faces=n_faces)
+    for owners in sides.values():
+        owners.sort()
+        key, p, q, roots, _ = owners[0]
+        half_plane = (q - p) % n in (1, n - 1)
+        if p == q or len(owners) != (1 if half_plane else 2):
+            raise NonGenericError(
+                f"{len(owners)} cell side(s) run from ray {p} to ray {q}, "
+                f"at roots {[o[3] for o in owners]}")
+        faces.append((key, AdmissibleDomain(
+            kind="HalfPlane" if half_plane else "Strip",
+            edge_ids=tuple(sorted(set().union(*(o[4] for o in owners)))),
+            incident_rays=(p, q),
+            boundary_roots=None if half_plane else (owners[1][3], roots))))
+    faces.sort(key=lambda face: face[0])
+    return FaceSet(graph=graph, domains=[dom for _, dom in faces])
 
 
-def _cyclic_runs(flags):
-    """Maximal cyclic runs of True values; returns list of index lists."""
-    n = len(flags)
-    if all(flags):
-        return [list(range(n))]
-    if not any(flags):
-        return []
-    start = 0
-    while flags[start]:
-        start += 1
-    runs = []
-    cur = None
-    for off in range(n):
-        i = (start + off) % n
-        if flags[i]:
-            if cur is None:
-                cur = []
-            cur.append(i)
-        else:
-            if cur is not None:
-                runs.append(cur)
-                cur = None
-    if cur is not None:
-        runs.append(cur)
-    return runs
+def _traced_chords(graph: StokesGraph):
+    """The chords between consecutive traced vertices of the graph's
+    edges, as arrays of their starts and ends."""
+    return (np.concatenate([e.vertices[:-1] for e in graph.edges]),
+            np.concatenate([e.vertices[1:] for e in graph.edges]))
 
 
-def _classify_face(graph, halves, betas, cycle, poly_pts):
-    is_arc = [halves[hid].kind == "arc" for hid in cycle]
-    runs = _cyclic_runs(is_arc)
-    tree_ids = tuple(sorted({halves[hid].ref for hid in cycle
-                             if halves[hid].kind == "tree"}))
-    if len(runs) == 0:
-        raise NonGenericError("bounded admissible domain encountered")
-    if len(runs) > 2:
-        raise NonGenericError(
-            f"face with {len(runs)} ends at infinity (expected 1 or 2)")
-
-    def run_rays(run):
-        # interior faces traverse the circle counterclockwise, so the run
-        # covers the CCW interval from its first tail to its last head
-        first = halves[cycle[run[0]]]
-        last = halves[cycle[run[-1]]]
-        b_start = betas[first.tail[1]]
-        b_end = betas[last.head[1]]
-        span = wrap_positive(b_end - b_start)
-        mid = b_start + 0.5 * span
-        return (graph.sectors.nearest_ray_index(b_start),
-                graph.sectors.nearest_ray_index(b_end),
-                graph.sectors.nearest_ray_index(mid))
-
-    if len(runs) == 1:
-        r_start, r_end, _ = run_rays(runs[0])
-        return AdmissibleDomain(kind="HalfPlane", edge_ids=tree_ids,
-                                incident_rays=(r_start, r_end),
-                                polygon=tuple(poly_pts))
-
-    # strip: two ends; each arc run straddles a single ray
-    _, _, ray_a = run_rays(runs[0])
-    _, _, ray_b = run_rays(runs[1])
-    # boundary components: tree runs between the arc runs
-    comp_roots = []
-    n = len(cycle)
-    for run in runs:
-        i = (run[-1] + 1) % n
-        roots = set()
-        while not is_arc[i]:
-            h = halves[cycle[i]]
-            roots.update(v[1] for v in (h.tail, h.head) if v[0] == "r")
-            i = (i + 1) % n
-        comp_roots.append(tuple(sorted(roots)))
-    return AdmissibleDomain(
-        kind="Strip", edge_ids=tree_ids, incident_rays=(ray_a, ray_b),
-        boundary_roots=(comp_roots[0], comp_roots[1]), polygon=tuple(poly_pts))
-
-
-def _segment_inside(za, zb, poly_pts, locs, delta) -> bool:
-    """Whether the segment za -> zb keeps 0.5 delta from the roots and its
-    points za + (zb - za) k/24, k = 1..23, lie inside the closed outline
-    ``poly_pts`` (odd number of outline edges crossed by the ray in +x)."""
+def _segment_inside(za, zb, chords, locs, delta) -> bool:
+    """Whether the segment za -> zb keeps 0.5 delta from the roots and
+    properly crosses none of ``chords`` (starts, ends); a chord that
+    touches it at za or zb does not cross it."""
     if min_clearance([za, zb], locs) < 0.5 * delta:
         return False
-    pts = [za + (zb - za) * k / 24.0 for k in range(1, 24)]
-    lo = min(z.imag for z in pts)
-    hi = max(z.imag for z in pts)
-    # an edge whose ends both lie above hi, or both at or below lo, spans
-    # none of the points' heights
-    edges = [(a, b) for a, b in zip(poly_pts, poly_pts[1:] + poly_pts[:1])
-             if (a.imag <= hi or b.imag <= hi)
-             and (a.imag > lo or b.imag > lo)]
-    for z in pts:
-        inside = False
-        for a, b in edges:
-            if (a.imag > z.imag) != (b.imag > z.imag):
-                x = (a.real + (z.imag - a.imag) * (b.real - a.real)
-                     / (b.imag - a.imag))
-                if x > z.real:
-                    inside = not inside
-        if not inside:
-            return False
-    return True
+    a, b = chords
+
+    def side(u, v, w):
+        # the sign of the turn u -> v -> w, exactly 0 when w is u or v
+        d, e = v - u, w - u
+        return np.sign(d.real * e.imag - d.imag * e.real)
+
+    return not np.any((side(za, zb, a) * side(za, zb, b) < 0)
+                      & (side(a, b, za) * side(a, b, zb) < 0))
 
 
 def _edges_at(graph: StokesGraph, root: int, edge_ids):
@@ -387,8 +246,11 @@ def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
     vertices to a*, crosses the face on the straight segment a* -> b*, and
     follows r_to's edge back.  The a* are the traced vertices of r_from's
     boundary edges clear of the roots and the escape circle, each paired
-    with the nearest vertex b* of r_to's; the first pair whose segment
-    lies inside the face, in order of the traced vertices walked, is used.
+    with the nearest vertex b* of r_to's; the first pair, in order of the
+    traced vertices walked, whose segment keeps clear of the roots and
+    crosses no traced chord of the graph is used.  That segment lies in
+    one face, which borders an edge of r_from and one of r_to; the other
+    faces of those two edges differ, so it is the strip.
 
     Returns xi(r_to) - xi(r_from), the period of the strip's saddle class.
     """
@@ -398,8 +260,9 @@ def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
     froms = _edges_at(graph, r_from, dom.edge_ids)
     tos = _edges_at(graph, r_to, dom.edge_ids)
 
-    # r_from's edges laid end to end through the root, as in the face
-    # outline, and their vertices clear of the roots and the escape circle
+    # r_from's edges laid end to end through the root, as the strip's
+    # side runs, and their vertices clear of the roots and the escape
+    # circle
     za, a_edge, a_index = _vertex_table(froms, reverse_first=True)
     clear = np.flatnonzero(
         (np.abs(za[:, None] - np.array(locs)).min(axis=1) > 2.0 * delta)
@@ -410,6 +273,7 @@ def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
     # order of the traced vertices walked from the roots, max(i - k, 0) a
     # side
     near = np.abs(za[clear][:, None] - zb[None, :]).argmin(axis=1)
+    chords = _traced_chords(graph)
     a_k = np.array([k for _, k in froms])[a_edge[clear]]
     b_k = np.array([k for _, k in tos])[b_edge[near]]
     walked = (np.maximum(a_index[clear] - a_k, 0)
@@ -418,7 +282,7 @@ def cross_strip(graph: StokesGraph, dom: AdmissibleDomain, r_from: int,
         a, b = clear[j], near[j]
         (pa, ka), ia = froms[a_edge[a]], int(a_index[a])
         (pb, kb), ib = tos[b_edge[b]], int(b_index[b])
-        if _segment_inside(pa[ia], pb[ib], dom.polygon, locs, delta):
+        if _segment_inside(pa[ia], pb[ib], chords, locs, delta):
             break
     else:
         raise NonGenericError(

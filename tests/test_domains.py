@@ -24,17 +24,25 @@ def _strip_width(graph, strip):
     return abs(domains.cross_strip(graph, strip, r_from, r_to).real)
 
 
+def _assert_cells(fs):
+    # d + 2 half-planes, one on each two neighbouring rays, and one strip
+    # fewer than the graph has complexes
+    kinds = [dom.kind for dom in fs.domains]
+    assert kinds.count("HalfPlane") == fs.graph.poly.degree + 2
+    assert kinds.count("Strip") == len(fs.graph.complexes) - 1
+
+
 def test_airy_faces():
     fs = build_face_set(build_stokes_graph(parse_poly_text("1,0")))
     assert [d.kind for d in fs.domains] == ["HalfPlane"] * 3
-    assert fs.n_vertices - fs.n_edges + fs.n_faces == 2
+    _assert_cells(fs)
 
 
 def test_oscillator_connected_faces(osc):
     fs = build_face_set(build_stokes_graph(osc))
     kinds = sorted(d.kind for d in fs.domains)
     assert kinds == ["HalfPlane"] * 4
-    assert fs.n_vertices - fs.n_edges + fs.n_faces == 2
+    _assert_cells(fs)
 
 
 def test_rotated_oscillator_strip(osc):
@@ -47,7 +55,7 @@ def test_rotated_oscillator_strip(osc):
     assert _strip_width(fs.graph, strip) == pytest.approx(expected,
                                                           rel=1e-12)
     assert not fs.graph.sectors.are_neighboring_rays(*strip.incident_rays)
-    assert fs.n_vertices - fs.n_edges + fs.n_faces == 2
+    _assert_cells(fs)
 
 
 def test_strip_boundary_roots(osc):
@@ -218,6 +226,7 @@ def test_quarter_turn_on_a_wall_is_refused(osc, off):
     (strip,) = build_face_set(build_stokes_graph(poly)).strips
     graph = build_stokes_graph(poly.rotate(math.pi / 2))
     assert build_face_set(graph).strips == []
+    _assert_cells(build_face_set(graph))
     with pytest.raises(NonGenericError) as info:
         chord_diagram(poly)
     assert str(info.value) == (
@@ -331,10 +340,10 @@ def test_one_chord_landings_give_the_same_faces():
 def test_two_ends_at_one_phase_keep_their_strip(osc, monkeypatch):
     # z^2 - 1 at t = 0.3: the lines from roots 0 and 1 along ray 3 bound
     # the strip and reach the escape circle 1.2e-3 rad apart.  Moved onto
-    # one point, the arc between their ends has zero span: the strip's
-    # outline runs along no circle there, where a full circle around the
-    # disk would put every crossing segment outside it.  Its width is
-    # still (pi/2) sin t
+    # one point, they still end on ray 3, which is all the faces read of
+    # an end, and the two lines' last chords, which now meet at their
+    # ends, cross no segment inside the strip.  Its width is still
+    # (pi/2) sin t
     poly = osc.rotate(0.3)
     ctx = PolyContext.of(poly)
     theta = {root: emanating_directions(poly, ctx.locs[root], 1)[2]
@@ -375,13 +384,56 @@ def test_generic_face_counts_random():
         assert len(fs.strips) == d - 1
 
 
+def test_a_graph_missing_a_line_is_refused():
+    # the first cubic of stream 20260808 at t = 0: all nine lines escape.
+    # Without any one of them, the walk around its root finds no line in
+    # that direction, and the graph is refused, naming the root
+    graph = build_stokes_graph(stream_polys(20260808, 1)[0])
+    assert [e.kind for e in graph.edges] == ["escape"] * 9
+    for j, e in enumerate(graph.edges):
+        dropped = replace(graph, edges=graph.edges[:j] + graph.edges[j + 1:])
+        with pytest.raises(NonGenericError) as info:
+            build_face_set(dropped)
+        assert str(info.value) == (f"root {e.origin} has no line along its "
+                                   f"direction {e.direction_index}")
+
+
+def test_cells_that_do_not_tile_are_refused(osc):
+    # on that cubic: two lines along one direction of root 0, and root 0's
+    # first two lines run out along one ray.  On z^2 - 1 at t = 0, a second
+    # finite edge joins its roots in place of an escape of each, so that
+    # the two edges close a face that has no end at infinity
+    graph = build_stokes_graph(stream_polys(20260808, 1)[0])
+    edges = list(graph.edges)
+    for changed, message in (
+            (replace(edges[1], direction_index=0),
+             "two lines leave root 0 along its direction 0"),
+            (replace(edges[1], ray=edges[0].ray),
+             f"1 cell side(s) run from ray {edges[0].ray} to ray "
+             f"{edges[0].ray}, at roots [(0,)]")):
+        with pytest.raises(NonGenericError) as info:
+            build_face_set(replace(graph, edges=(edges[0], changed,
+                                                 *edges[2:])))
+        assert str(info.value) == message
+    graph = build_stokes_graph(osc)
+    e0, e1, bridge, e3, e4 = graph.edges
+    assert (e0.kind, e0.origin, e3.kind, e3.origin, e3.direction_index) == (
+        "escape", 0, "escape", 1, 0)
+    loop = replace(e0, kind="finite", target=1, target_direction_index=0,
+                   ray=None)
+    with pytest.raises(NonGenericError, match=r"^roots \[0, 1\] bound a "
+                       "face with no end at infinity$"):
+        build_face_set(replace(graph, edges=(loop, e1, bridge, e4)))
+
+
 def test_thin_strip_is_crossed_where_its_sides_part():
     # far-root draw 19 at t = 0: the strip between roots 4 and 0 is 0.019
     # wide and 22.8 long, and its sides run closer than their traced steps
-    # are long, so its outline crosses itself.  Among all the clear traced
-    # vertices, in order of the vertices walked, the crossing finds a
-    # segment inside it, and its period is the one crossed on the full
-    # polylines to rounding
+    # are long, so the chords of one side cross those of the other.  Among
+    # all the clear traced vertices, in order of the vertices walked, the
+    # crossing finds a segment that crosses no traced chord where the
+    # sides part, and its period is the one crossed on the full polylines
+    # to rounding
     poly = _far_root_draw(19)
     graph = build_stokes_graph(poly)
     landed = replace(graph, edges=tuple(

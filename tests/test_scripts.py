@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from stokesgeo import survey_short_geodesics
 from tests.conftest import random_simple_poly
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,14 +37,19 @@ def test_geodesic_census_runs():
     assert "numerical failure" not in proc.stdout
 
 
-def test_census_draws_degree_20_in_a_second():
-    # the census draws from degree 9 on at radius 1.5 sqrt(d/8), and at
-    # the test suite's 1.5 up to degree 8; rejection at 1.5 took about a
-    # minute for one degree-18 draw
+def _census_script():
     spec = importlib.util.spec_from_file_location(
         "geodesic_census", ROOT / "scripts" / "geodesic_census.py")
     census = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(census)
+    return census
+
+
+def test_census_draws_degree_20_in_a_second():
+    # the census draws from degree 9 on at radius 1.5 sqrt(d/8), and at
+    # the test suite's 1.5 up to degree 8; rejection at 1.5 took about a
+    # minute for one degree-18 draw
+    census = _census_script()
     assert [census.census_radius(d) for d in (3, 8)] == [1.5, 1.5]
     assert census.census_radius(18) == pytest.approx(2.25)
     start = time.perf_counter()
@@ -51,6 +57,23 @@ def test_census_draws_degree_20_in_a_second():
                               radius=census.census_radius(20))
     assert time.perf_counter() - start < 1.0
     assert poly.degree == 20
+
+
+def test_census_counts_at_degrees_20_and_24():
+    # the first draws at degrees 20 and 24 of `geodesic_census.py
+    # --degrees 6,8,12,16,20,24 --trials 4 --seed 4242`, where lines that
+    # run out along one ray meet the escape circle at one phase to
+    # rounding.  Each survey passes its mutation walk's check that a
+    # half-turn ends on the negated start basis, and counts between the
+    # connectivity bounds d - 1 and d(d - 1)/2
+    census = _census_script()
+    rng = random.Random(4242)
+    draws = {d: [random_simple_poly(rng, d, radius=census.census_radius(d))
+                 for _ in range(4)][0] for d in (6, 8, 12, 16, 20, 24)}
+    for d in (20, 24):
+        survey = survey_short_geodesics(draws[d])
+        assert survey.errors == [] and survey.warnings == []
+        assert d - 1 <= len(survey.geodesics) <= d * (d - 1) // 2
 
 
 def _trace_work(inputs):
@@ -182,8 +205,9 @@ def test_output_parity_repeats():
 
 def test_output_parity_reports_a_difference(tmp_path):
     # a package whose Stokes graphs lose their last edge differs on the
-    # three graph lines and the far-root survey, which reads its graph's
-    # edges, and lacks the line of each graph's last edge
+    # three graph lines and lacks the line of each graph's last edge.  Its
+    # far-root survey is refused, since its strip bases' graphs miss a
+    # line, and the error is the line of the survey and of its notes
     shutil.copytree(ROOT / "src" / "stokesgeo", tmp_path / "src" / "stokesgeo",
                     ignore=shutil.ignore_patterns("__pycache__"))
     tracer = tmp_path / "src" / "stokesgeo" / "tracer.py"
@@ -196,14 +220,22 @@ def test_output_parity_reports_a_difference(tmp_path):
     assert proc.returncode == 1, proc.stderr
     changed = [line.split()[0] for line in proc.stderr.splitlines()
                if line[:1] in "+-" and line[:3] not in ("+++", "---")]
-    assert changed == ["-survey[far15]", "+survey[far15]",
-                       "-stokes_graph[z^3-1]", "+stokes_graph[z^3-1]",
+    assert changed == ["-survey[far15]", "-survey_notes[far15]",
+                       "-stokes_graph[z^3-1]", "+survey[far15]",
+                       "+survey_notes[far15]", "+stokes_graph[z^3-1]",
                        "-stokes_graph[z^2(z-1)]", "+stokes_edge[z^3-1][8]",
                        "+stokes_graph[z^2(z-1)]", "-stokes_graph[far15]",
                        "+stokes_edge[z^2(z-1)][5]", "+stokes_graph[far15]",
                        "+stokes_edge[far15][14]"]
     assert proc.stderr.rstrip().endswith(
         f"the lines differ from those under {(tmp_path / 'src').resolve()}")
+    refused = "NonGenericError: no generic strip decomposition: " + "; ".join(
+        f"t0={t0}: root 4 has no line along its direction 2"
+        for t0 in ("1.652141764589", "0.120355611373", "2.716108120204"))
+    digest = hashlib.sha256(repr(refused).encode()).hexdigest()
+    assert [line for line in proc.stderr.splitlines()
+            if line.startswith("-survey")] == [
+        f"-survey[far15] {digest}", f"-survey_notes[far15] {digest}"]
 
 
 def test_reached_lines_quick_lists_what_the_examples_skip():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -206,11 +207,14 @@ def test_projection_keeps_numerical_errors(monkeypatch):
 
 def _segment_width(graph, dom):
     """|Re| of sqrt(P) integrated along a straight segment inside the
-    strip between traced vertices of its two sides: vertices at 1/8 .. 7/8
-    of one side, each paired with the nearest vertex of the other side,
-    the shortest pair inside the face first."""
+    strip between polyline points of its two sides: points at 1/8 .. 7/8
+    of one side, each paired with the nearest point of the other side,
+    the shortest pair whose segment crosses no chord of the polylines
+    first."""
     locs = graph.turning_points.locations
     delta = graph.scales.delta_path
+    chords = domains._traced_chords(replace(graph, edges=tuple(
+        replace(e, vertices=e.polyline, landing=None) for e in graph.edges)))
     va, vb = ([z for e in dom.edge_ids if root in (graph.edges[e].origin,
                                                     graph.edges[e].target)
                for z in graph.edges[e].polyline]
@@ -223,7 +227,7 @@ def _segment_width(graph, dom):
         zb = min(vb, key=lambda z: abs(z - clear[i]))
         pairs.append((abs(zb - clear[i]), clear[i], zb))
     for _, za, zb in sorted(pairs, key=lambda pair: pair[0]):
-        if domains._segment_inside(za, zb, dom.polygon, locs, delta):
+        if domains._segment_inside(za, zb, chords, locs, delta):
             (val,), _, _ = integrate_polyline(graph.poly, locs, [za, zb],
                                               rel_tol=1e-9)
             return abs(val.real)
